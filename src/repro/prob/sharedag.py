@@ -24,7 +24,8 @@ otherwise; bit-identical either way).
   propagates the tightened bounds level by level to **all** ancestors, and
   therefore to every tuple whose lineage contains the refined node;
 * a :class:`SharedDTree` is a per-tuple *view* over the store: a root nid
-  plus a private influence-ordered frontier.  It is call-compatible with
+  plus a private influence-ordered frontier, measured lazily — at the first
+  peek after the view was built or marked stale.  It is call-compatible with
   :class:`repro.prob.dtree.DTree` (``lower``/``upper``, ``bounds``/``gap``/
   ``is_exact``/``refine``/``refine_to_target``/``result``), so the
   top-k/threshold scheduler and the exact finishing driver
@@ -187,6 +188,11 @@ class SharedLineageStore:
         #: accounting (the table is append-only); crossing ``max_nodes``
         #: triggers an epoch reset.  Zeroed by :meth:`reset_nodes`.
         self.retired_nodes = 0
+        #: Frontier accounting over every view of this store: views marked
+        #: stale (:meth:`SharedDTree.resync`; every new view starts marked)
+        #: vs. frontiers actually measured at a peek.  The gap is work saved.
+        self.frontier_marks = 0
+        self.frontier_rebuilds = 0
         self._nodes: Dict[FrozenSet[Clause], int] = {}
         #: Open-leaf payloads: the DNF a leaf nid will cobranch on.  Popped
         #: on expansion; deliberately *not* dropped by :meth:`reset_nodes`,
@@ -720,8 +726,8 @@ class SharedDTree:
 
         The worker-side constructor for shipped store segments: the driver
         compiled the roots, the segment carried the table, and the frontier
-        is rebuilt here from the current column state — which is exactly
-        what a fresh in-process view over the same store would compute.
+        is measured at the view's first peek, from the column state then —
+        exactly what a fresh in-process view over the same store computes.
         """
         view = object.__new__(cls)
         view.store = store
@@ -734,27 +740,29 @@ class SharedDTree:
         self._heap: List[Tuple[float, int, float, int]] = []
         self._weights: Dict[int, float] = {}
         self._counter = 0
-        self._next_rebuild = int(self.store.steps * _REFRESH_FACTOR) + _REFRESH_BASE
-        self._rebuild_frontier()
+        self.resync()
 
     # -- frontier maintenance ----------------------------------------------
 
     def resync(self) -> None:
-        """Re-measure the frontier against the current table state.
+        """Mark the frontier stale: the next :meth:`_peek` re-measures it.
 
-        Standing queries call this after a delta batch touched this view's
-        root: a probability update moves leaf gaps and path influences
-        without expanding anything, so heap priorities recorded before the
-        delta no longer rank the open leaves correctly.  A full rebuild
-        (the same pass the geometric refresh runs) restores the invariant
-        that the frontier is a pure function of the table state — which is
-        what keeps post-delta step counts independent of the delta history.
+        Standing queries call this after a delta touched this view's root: a
+        probability update moves leaf gaps and path influences without
+        expanding anything, so heap priorities recorded before the delta no
+        longer rank the open leaves correctly.  The mark is "rebuild due
+        now" on the geometric schedule: free until the view next enters a
+        contention set (marked thirty times and never peeked, it is never
+        measured), and then one full rebuild against the freshest table —
+        the frontier stays a pure function of the table state at peek time,
+        so post-delta step counts do not depend on the delta history.
         """
-        self._rebuild_frontier()
-        self._next_rebuild = int(self.store.steps * _REFRESH_FACTOR) + _REFRESH_BASE
+        self._next_rebuild = 0
+        self.store.frontier_marks += 1
 
     def _rebuild_frontier(self) -> None:
         """Recompute every open leaf's influence on this root from scratch."""
+        self.store.frontier_rebuilds += 1
         self._heap = []
         self._weights = {}
         self._counter = 0
@@ -801,14 +809,16 @@ class SharedDTree:
     def _peek(self) -> Optional[Tuple[float, float, int]]:
         """The view's current best (influence, weight, leaf nid), or None.
 
-        Pops entries whose leaf was expanded (possibly by another view) or
-        closed in the meantime; rebuilds the frontier once if the heap runs
-        dry while the root is still open.  The geometric re-measurement is
-        scheduled here — against the *store's* global step count, since
-        refinement performed through any view staleness-drifts every other
-        view's influence weights — so both ``expand_once`` and the shared
-        scheduler's :meth:`SharedLineageStore.refine_most_valuable` (which
-        bypasses ``expand_once``) rank on freshly measured frontiers.
+        The single reader of the heap.  Pops entries whose leaf was
+        expanded (possibly by another view) or closed in the meantime;
+        rebuilds the frontier once if the heap runs dry while the root is
+        still open.  The geometric re-measurement is scheduled here —
+        against the *store's* global step count, since refinement performed
+        through any view staleness-drifts every other view's influence
+        weights — so both ``expand_once`` and the shared scheduler's
+        :meth:`SharedLineageStore.refine_most_valuable` (which bypasses
+        ``expand_once``) rank on freshly measured frontiers; a stale mark
+        (:meth:`resync`, a view never peeked) is that schedule, due at 0.
         """
         if self.store.steps >= self._next_rebuild:
             self._rebuild_frontier()
@@ -858,13 +868,14 @@ class SharedDTree:
 
         The geometric influence re-measurement happens inside :meth:`_peek`.
         """
-        entry = self._peek()
-        if entry is None:
-            return False
-        _, weight, leaf = entry
-        self.store.expand_leaf(leaf)
-        self._absorb_expansion(leaf, weight)
-        return True
+        with self.store.lock:
+            entry = self._peek()
+            if entry is None:
+                return False
+            _, weight, leaf = entry
+            self.store.expand_leaf(leaf)
+            self._absorb_expansion(leaf, weight)
+            return True
 
     def refine(
         self,

@@ -562,6 +562,7 @@ class SproutEngine:
         for executor in self._executors.values():
             respawns += getattr(executor, "respawns", 0)
             fallbacks += getattr(executor, "fallbacks", 0)
+        store = self.dtree_cache.store if self.shared_lineage else None
         return {
             "hits": self.dtree_cache.hits,
             "misses": self.dtree_cache.misses,
@@ -569,6 +570,9 @@ class SproutEngine:
             "entries": len(self.dtree_cache),
             "shared_lineage": self.shared_lineage,
             "backend": self.backend,
+            # Views marked stale vs. frontiers measured at a peek (0 in legacy mode).
+            "frontier_marks": store.frontier_marks if store is not None else 0,
+            "frontier_rebuilds": store.frontier_rebuilds if store is not None else 0,
             # Supervision counters: pools (lanes or workers) replaced after a
             # failure, and rounds/batches that degraded to the serial backend.
             "pool_respawns": respawns,

@@ -17,9 +17,10 @@ re-checked — and usually re-confirmed — in a handful of logical steps.
   engine's, whose store is bound to the unmutated database probability
   space — holding one live view per candidate tuple;
 * :meth:`update_probability` / :meth:`insert_tuple` / :meth:`delete_tuple`
-  apply deltas: updates delta-propagate through the store and re-measure
-  exactly the views whose root the delta touched (everything else keeps its
-  frontier — an untouched decided tuple never re-enters refinement);
+  apply deltas: updates delta-propagate through the store and mark stale
+  exactly the views whose root the delta touched — re-measured if and when
+  a refresh peeks at them; everything else keeps its frontier (an
+  untouched decided tuple never re-enters refinement);
   inserts intern the new clauses against the standing
   :class:`repro.prob.sharedag.ClauseInterner`, so a warm insert built from
   already-refined subformulas decides in 0–few steps; deletes retire the
@@ -42,7 +43,8 @@ next refresh (the legacy object-graph trees bake marginals into their
 structure, so there is nothing to delta-propagate).
 
 Determinism: every delta is a deterministic function of (store state, delta),
-and :meth:`refresh` re-measures touched frontiers before deciding, so the
+and :meth:`refresh` ranks touched views on frontiers measured at peek time —
+a pure function of the table state then, never of timing or lane count — so the
 decided set, the exact confidences of selected tuples, and the *bounds after
 closing every candidate* end bit-identical to compiling the final state from
 scratch — under either numeric backend, with backend-independent step
@@ -67,7 +69,7 @@ from repro.prob.dtree import (
 )
 from repro.prob.formulas import DNF
 from repro.prob.lineage import dtrees_from_dnfs, interned_dnf
-from repro.prob.sharedag import DEFAULT_MAX_NODES, SharedDTreeCache
+from repro.prob.sharedag import DEFAULT_MAX_NODES, SharedDTree, SharedDTreeCache
 from repro.sprout.topk import TupleCandidate, run_decision
 from repro.storage.relation import Relation
 from repro.storage.schema import Attribute, ColumnRole, Schema
@@ -177,6 +179,9 @@ class StandingQuery:
         self.probabilities: Dict[int, float] = dict(probabilities)
         self.lineage: Dict[DataTuple, DNF] = {}
         self._candidates: Dict[DataTuple, TupleCandidate] = {}
+        #: Shared mode: root nid → the candidate views rooted there, so a
+        #: delta marks ``touched ∩ roots`` instead of scanning every candidate.
+        self._views_by_root: Dict[int, List[SharedDTree]] = {}
         #: Legacy-mode (shared_lineage=False) rebuild flag: per-tuple trees
         #: bake marginals into their structure, so a probability update
         #: forces a fresh compile of every candidate on the next refresh.
@@ -238,12 +243,15 @@ class StandingQuery:
         self.lineage[data] = dnf
         tree = self._cache.get(dnf, self.probabilities)
         self._candidates[data] = TupleCandidate(data, tree=tree)
+        if self.shared_lineage:
+            self._views_by_root.setdefault(tree.root, []).append(tree)
 
     def __len__(self) -> int:
         return len(self._candidates)
 
     def cache_stats(self) -> Dict[str, object]:
         """The standing cache's counters, in the engine's ``cache_stats`` shape."""
+        store = self._store
         return {
             "hits": self._cache.hits,
             "misses": self._cache.misses,
@@ -251,6 +259,9 @@ class StandingQuery:
             "entries": len(self._cache),
             "shared_lineage": self.shared_lineage,
             "backend": self._backend(),
+            # Views marked stale vs. frontiers measured at a peek (0 in legacy mode).
+            "frontier_marks": store.frontier_marks if store is not None else 0,
+            "frontier_rebuilds": store.frontier_rebuilds if store is not None else 0,
         }
 
     def _backend(self) -> str:
@@ -260,16 +271,17 @@ class StandingQuery:
     # -- deltas --------------------------------------------------------------
 
     def update_probability(self, variable: int, probability: float) -> Optional[DeltaReport]:
-        """Move one marginal; delta-propagate and re-measure touched views.
+        """Move one marginal; delta-propagate and mark touched views stale.
 
         Shared mode re-seeds the store rows carrying ``variable``, repairs
-        their ancestor closure in one multi-source pass, and rebuilds the
-        frontier of exactly the views whose root lies in the touched
-        closure — a decided tuple whose lineage does not reach an updated
-        node keeps its frontier and its decision.  Returns the store's
-        :class:`~repro.prob.delta.DeltaReport` (``None`` in legacy mode,
-        where the update schedules a full rebuild on the next refresh).
-        The new answer set materialises on the next :meth:`refresh`.
+        their ancestor closure in one multi-source pass, and marks stale
+        exactly the views whose root lies in the touched closure (a marked
+        view re-measures its frontier when a refresh next peeks at it, and
+        never if none does) — a decided tuple whose lineage does not reach
+        an updated node keeps its frontier and its decision.  Returns the
+        store's :class:`~repro.prob.delta.DeltaReport` (``None`` in legacy
+        mode, where the update schedules a full rebuild on the next
+        refresh).  The new answer set materialises on the next :meth:`refresh`.
         """
         probability = float(probability)
         if not 0.0 <= probability <= 1.0:
@@ -282,12 +294,12 @@ class StandingQuery:
             if previous != probability:
                 self._stale_probabilities = True
             return None
-        report = self._store.update_probability(variable, probability)
-        self.probabilities[variable] = probability
-        if report.touched:
-            for candidate in self._candidates.values():
-                tree = candidate.tree
-                if tree is not None and tree.root in report.touched:
+        store = self._store
+        with store.lock:  # repair and marks are one step to a concurrent refresh
+            report = store.update_probability(variable, probability)
+            self.probabilities[variable] = probability
+            for root in self._views_by_root.keys() & report.touched:
+                for tree in self._views_by_root[root]:
                     tree.resync()
         return report
 
@@ -346,6 +358,10 @@ class StandingQuery:
         self.lineage.pop(data, None)
         store = self._store
         if store is not None and candidate.tree is not None:
+            views = self._views_by_root[candidate.tree.root]
+            views.remove(candidate.tree)
+            if not views:
+                del self._views_by_root[candidate.tree.root]
             return store.retire_view(candidate.tree)
         return 0
 
@@ -514,6 +530,7 @@ class StandingQuery:
         query.probabilities = dict(state["probabilities"])
         query.lineage = {}
         query._candidates = {}
+        query._views_by_root = {}
         query._stale_probabilities = False
         query.selected = [tuple(data) for data in state["selected"]]
         query.decided = state["decided"]

@@ -252,11 +252,20 @@ class TestEngineInstrumentation:
                 "closed": False,
                 "pool_respawns": 0,
                 "pool_fallbacks": 0,
+                "frontier_marks": 0,
+                "frontier_rebuilds": 0,
             }
             engine.evaluate_topk(query, k=1)
             warmed = engine.cache_stats()
             assert warmed["misses"] >= 1
             assert warmed["entries"] >= 1
+            # Every shared view starts marked stale and is measured only if
+            # the decision peeks at it; the legacy cache has neither counter.
+            if shared:
+                assert warmed["frontier_marks"] == warmed["entries"]
+                assert warmed["frontier_rebuilds"] >= 1
+            else:
+                assert warmed["frontier_marks"] == warmed["frontier_rebuilds"] == 0
             engine.evaluate_topk(query, k=1)
             assert engine.cache_stats()["hits"] >= 1
 

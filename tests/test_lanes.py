@@ -5,7 +5,9 @@ PR 9's tentpole contract, pinned from four sides:
 * **engine matrix** — top-k/threshold decisions on fresh engines are
   bit-identical (decided sets, confidences, bounds, step counts, and the
   store's raw bound columns) for ``refine_lanes`` 0/1/4, across the
-  6-query differential corpus × exact/approx × vectorize on/off;
+  6-query differential corpus × exact/approx × vectorize on/off — and the
+  vectorized engine matches the scalar one wherever the node table's
+  per-level kernel crossover sits (always kernel / shipped / always scalar);
 * **Hypothesis, lane counts** — *any* lane count matches the ``lanes=0``
   fingerprint, not just the ones CI happens to run;
 * **Hypothesis, round interleavings** — driving the store primitive
@@ -26,6 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import KERNEL_WIDTHS, kernel_min_level_width
 from repro import SproutEngine
 from repro.errors import ConfigurationError, PlanningError
 from repro.prob.sharedag import SharedDTree, SharedLineageStore
@@ -104,6 +107,24 @@ def test_lane_axis_is_bit_identical(case, confidence, vectorize):
             f"{case}/{confidence}/vectorize={vectorize}: "
             f"refine_lanes={lanes} diverged from lanes=0"
         )
+
+
+@pytest.mark.parametrize("case", sorted(CORPUS))
+@pytest.mark.parametrize("width", KERNEL_WIDTHS)
+def test_kernel_crossover_is_invisible_at_any_lane_count(case, width):
+    """Scalar ≡ NumPy wherever the per-level kernel crossover sits.
+
+    The corpus tables are narrower than the shipped crossover, so without
+    the ``0`` leg a vectorized engine would never reach the NumPy kernel on
+    an incremental closure; the scalar lanes=0 fingerprint is the reference
+    for every (crossover, lane count) pair.
+    """
+    scalar = _baseline(case, "exact", False)
+    with kernel_min_level_width(width):
+        for lanes in (0, 2):
+            assert _decision_fingerprint(case, "exact", True, lanes) == scalar, (
+                f"{case}: crossover={width} refine_lanes={lanes} diverged from scalar"
+            )
 
 
 # ---------------------------------------------------------------------------

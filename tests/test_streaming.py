@@ -7,15 +7,20 @@ query tests run scripted and Hypothesis-generated delta interleavings
 (updates, inserts, deletes, in any order, refreshed at any point) and assert
 the warm answer — decided set, selected exact confidences, decided flag —
 equals a fresh :class:`StandingQuery` built from the final state, under either
-numeric backend with backend-independent step counts.  Engine-level tests
+numeric backend with backend-independent step counts, and that deferring a
+touched view's frontier measurement to its first peek is indistinguishable
+from rebuilding it eagerly after every delta.  Engine-level tests
 cover the ``watch_topk`` / ``watch_threshold`` entry points and the
 ``delta_steps`` field on one-shot results.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import KERNEL_WIDTHS, kernel_min_level_width
 from repro import Atom, ConjunctiveQuery, ProbabilisticDatabase, SproutEngine
 from repro.errors import PlanningError, ProbabilityError
 from repro.prob import HAS_NUMPY
@@ -75,22 +80,26 @@ def closed_bounds(view):
     return view.bounds()
 
 
+def apply_delta(query: StandingQuery, op, inserted: int) -> None:
+    """One scripted delta; delete indices wrap over the live candidates."""
+    if op[0] == "update":
+        query.update_probability(op[1], op[2])
+    elif op[0] == "insert":
+        query.insert_tuple((f"new{inserted}",), op[1])
+    elif op[0] == "delete" and len(query) > 1:
+        data = sorted(query.lineage, key=repr)[op[1] % len(query)]
+        query.delete_tuple(data)
+
+
 def apply_script(query: StandingQuery, ops) -> None:
-    """Replay a delta script; delete indices wrap over the live candidates."""
+    """Replay a delta script, refreshing where it says and once at the end."""
     inserted = 0
     for op in ops:
-        if op[0] == "update":
-            query.update_probability(op[1], op[2])
-        elif op[0] == "insert":
-            query.insert_tuple((f"new{inserted}",), op[1])
-            inserted += 1
-        elif op[0] == "delete":
-            if len(query) <= 1:
-                continue
-            data = sorted(query.lineage, key=repr)[op[1] % len(query)]
-            query.delete_tuple(data)
-        else:
+        if op[0] == "refresh":
             query.refresh()
+        else:
+            apply_delta(query, op, inserted)
+            inserted += op[0] == "insert"
     query.refresh()
 
 
@@ -352,17 +361,24 @@ class TestStandingQueryDeltas:
         )
 
     @pytest.mark.skipif(not HAS_NUMPY, reason="needs both numeric backends")
+    @pytest.mark.parametrize("width", KERNEL_WIDTHS)
     @given(delta_script())
     @settings(max_examples=15, deadline=None)
-    def test_backends_agree_on_steps_and_answers(self, script):
+    def test_backends_agree_on_steps_and_answers(self, width, script):
         members, probabilities, ops = script
         k = min(2, len(members))
         runs = []
         for vectorize in (False, True):
-            query = standing(members, probabilities, k=k, vectorize=vectorize)
-            apply_script(query, ops)
+            with kernel_min_level_width(width):
+                query = standing(members, probabilities, k=k, vectorize=vectorize)
+                apply_script(query, ops)
             runs.append(
-                (query.selected, selected_confidences(query), query.total_steps)
+                (
+                    query.selected,
+                    selected_confidences(query),
+                    query.total_steps,
+                    query._store.table.bounds_fingerprint(),
+                )
             )
         assert runs[0] == runs[1]
 
@@ -401,6 +417,116 @@ class TestStandingQueryDeltas:
         assert result.delta_steps <= max(2, warmed)  # decided on warm rows
         # interned onto the same hash-consed rows as the original tuple
         assert query._candidates[("twin",)].tree.root == query._candidates[(0,)].tree.root
+
+
+# ---------------------------------------------------------------------------
+# lazy frontier: marked at the delta, measured at the first peek
+# ---------------------------------------------------------------------------
+
+
+def measure_marked_views(query: StandingQuery) -> None:
+    """Peek every stale view now — the eager twin of the lazy frontier.
+
+    A peek on a marked view is exactly the rebuild the pre-lazy ``resync``
+    ran at the delta itself (measure against the current table, restart the
+    geometric schedule), so calling this after every delta reproduces the
+    eager behaviour on top of the shipped code.
+    """
+    for candidate in query._candidates.values():
+        if candidate.tree._next_rebuild == 0:
+            candidate.tree._peek()
+
+
+def refresh_state(query: StandingQuery):
+    result = query.refresh()
+    return (
+        query.decided,
+        query.selected,
+        selected_confidences(query),
+        result.delta_steps,
+        query._store.table.bounds_fingerprint(),
+    )
+
+
+class TestLazyFrontier:
+    @pytest.mark.parametrize("lanes", (0, 2))
+    @pytest.mark.parametrize("confidence", ("exact", "approx"))
+    @pytest.mark.parametrize("goal", ("topk", "threshold"))
+    @given(delta_script(), st.floats(0.1, 0.9))
+    @settings(max_examples=15, deadline=None)
+    def test_deferred_measurement_equals_eager_rebuild(
+        self, goal, confidence, lanes, script, tau
+    ):
+        """Same script, one twin measuring every marked view right away:
+        every refresh must agree on the answer, its cost, and every bound."""
+        members, probabilities, ops = script
+        options = {"confidence": confidence, "refine_lanes": lanes}
+        options.update({"k": min(2, len(members))} if goal == "topk" else {"tau": tau})
+        lazy = standing(members, probabilities, **options)
+        eager = standing(members, probabilities, **options)
+        try:
+            inserted = 0
+            for op in list(ops) + [("refresh",)]:
+                measure_marked_views(eager)
+                if op[0] == "refresh":
+                    assert refresh_state(lazy) == refresh_state(eager)
+                    continue
+                apply_delta(lazy, op, inserted)
+                apply_delta(eager, op, inserted)
+                inserted += op[0] == "insert"
+        finally:
+            lazy.close()
+            eager.close()
+
+    def test_first_peek_of_a_stale_view_equals_a_fresh_views(self):
+        # One dominant tuple decides the top-1 at once; two dense lineages
+        # (8+ expansions to close) stay open and get two expansions each, so
+        # their frontiers hold several leaves when the five deltas land.
+        draw = random.Random(3)
+        dense = [DNF([draw.sample(range(12), 3) for _ in range(14)]) for _ in range(2)]
+        probabilities = {v: 0.3 + 0.04 * v for v in range(12)}
+        probabilities[99] = 0.999
+        query = standing([DNF([[99]])] + dense, probabilities, k=1, confidence="approx")
+        store = query._store
+        views = [query._candidates[(index,)].tree for index in (1, 2)]
+        for view in views:
+            assert view.refine(2) == 2
+        rebuilds = store.frontier_rebuilds
+        for variable, probability in ((1, 0.9), (3, 0.15), (2, 0.55), (1, 0.2), (4, 0.05)):
+            assert not query.update_probability(variable, probability).is_noop
+        assert store.frontier_rebuilds == rebuilds  # five deltas measured nothing
+        for view in views:
+            fresh = SharedDTree.from_root(store, view.root)
+            assert view._peek() == fresh._peek() is not None
+            assert len(view._heap) > 1 and sorted(view._heap) == sorted(fresh._heap)
+            assert view._next_rebuild == fresh._next_rebuild > 0
+        assert store.frontier_rebuilds == rebuilds + 4  # one per first peek, stale or new
+
+    def test_a_batch_rebuilds_no_more_frontiers_than_the_round_peeked(self, monkeypatch):
+        members = [
+            DNF([[v, v + 1], [v + 1, v + 2], [v + 2, (v + 5) % 12]]) for v in range(10)
+        ]
+        probabilities = {v: 0.2 + 0.05 * v for v in range(12)}
+        query = standing(members, probabilities, k=3, confidence="approx")
+        peeked = []
+        peek = SharedDTree._peek
+
+        def counting_peek(view):
+            peeked.append(view)
+            return peek(view)
+
+        monkeypatch.setattr(SharedDTree, "_peek", counting_peek)
+        before = query.cache_stats()
+        for tick in range(32):
+            query.update_probability(tick % 12, 0.1 + 0.025 * tick)
+        marked = query.cache_stats()
+        assert marked["frontier_rebuilds"] == before["frontier_rebuilds"]
+        assert marked["frontier_marks"] - before["frontier_marks"] >= 32
+        query.refresh()
+        after = query.cache_stats()
+        rebuilt = after["frontier_rebuilds"] - marked["frontier_rebuilds"]
+        assert 1 <= rebuilt <= len({id(view) for view in peeked})
+        assert after["frontier_marks"] == marked["frontier_marks"]
 
 
 # ---------------------------------------------------------------------------
