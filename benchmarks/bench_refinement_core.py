@@ -17,12 +17,6 @@ pinned to SF 0.001, and asserts the acceptance contract:
   refined shared store runs **≥ 2× faster** under the NumPy backend than
   under the scalar backend (asserted only when NumPy is importable — the
   pure-Python leg records the scalar timing and skips the ratio gate);
-* the per-level dispatch constant of ``NodeTable.propagate_from_many``
-  (``nodetable.KERNEL_MIN_LEVEL_WIDTH``) is **bracketed by measurement**:
-  refreshing one level of width *w* by the scalar ``refresh_one`` walk and
-  by the NumPy kernel is timed for *w* = 1 … 512 on the same table (the
-  table ``docs/refinement_core.md`` quotes), the scalar walk must win at
-  width 1 and the kernel at width 512;
 * the two backends are **bit-identical**: the sweep leaves float-for-float
   the same bound columns behind, and full engine runs (top-k decision plus
   exact confidences) agree on confidences, bounds, decided sets, and step
@@ -42,7 +36,6 @@ from repro import Atom, ConjunctiveQuery, SproutEngine
 from repro.algebra import Comparison, conjunction_of
 from repro.prob.backend import HAS_NUMPY, backend_info
 from repro.prob.lineage import dtrees_from_dnfs
-from repro.prob.nodetable import KERNEL_MIN_LEVEL_WIDTH
 from repro.prob.sharedag import SharedDTreeCache
 from repro.tpch import probabilistic_tpch
 
@@ -52,7 +45,6 @@ K = 10
 AVAILQTY_CUT = 3000
 VECTOR_SPEEDUP_FLOOR = 2.0
 SWEEP_REPEATS = 50
-LEVEL_WIDTHS = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
 
 
 @pytest.fixture(scope="module")
@@ -135,64 +127,6 @@ def test_vectorized_sweep_throughput(benchmark, core_db):
     # The acceptance claim: ≥ 2x refinement-pass throughput from the
     # vectorized backend on the unsafe TPC-H table at SF 0.001.
     assert scalar_seconds >= VECTOR_SPEEDUP_FLOOR * vector_seconds
-
-
-def level_refresh_micros(table, nodes, repeats):
-    """Best-of-5 µs to refresh ``nodes`` as one level: (scalar walk, kernel)."""
-
-    def best(refresh):
-        timings = []
-        for _ in range(5):
-            started = perf_counter()
-            for _ in range(repeats):
-                refresh()
-            timings.append((perf_counter() - started) / repeats)
-        return min(timings) * 1e6
-
-    def scalar():
-        for node in nodes:
-            table.refresh_one(node)
-
-    return best(scalar), best(lambda: table._refresh_levels(nodes))
-
-
-@pytest.mark.skipif(not HAS_NUMPY, reason="the dispatch only exists on the NumPy backend")
-def test_level_width_crossover(benchmark, core_db):
-    """Where the per-level dispatch constant comes from.
-
-    Rows of one level are mutually independent, so any same-level subset is
-    a legal level batch; the widest level of the refined table supplies
-    them.  Both routes recompute the same (already propagated) bounds, so
-    the table is left untouched.
-    """
-    table = refined_store(core_db).table
-    by_level = {}
-    for node in range(len(table)):
-        if table.child_count[node]:
-            by_level.setdefault(table.level[node], []).append(node)
-    widest = max(by_level.values(), key=len)
-    before = table.bounds_fingerprint()
-    micros = {}
-    for width in LEVEL_WIDTHS:
-        if width > len(widest):
-            break
-        stride = len(widest) // width
-        micros[width] = level_refresh_micros(
-            table, widest[::stride][:width], repeats=max(20, 2000 // width)
-        )
-    assert table.bounds_fingerprint() == before
-
-    run_benchmark(benchmark, table.propagate_from_many, widest[:1])
-
-    benchmark.extra_info["kernel_min_level_width"] = KERNEL_MIN_LEVEL_WIDTH
-    benchmark.extra_info["level_refresh_micros"] = {
-        str(width): {"scalar": scalar, "kernel": kernel}
-        for width, (scalar, kernel) in micros.items()
-    }
-    narrow, wide = min(micros), max(micros)
-    assert narrow < KERNEL_MIN_LEVEL_WIDTH <= wide
-    assert micros[narrow][0] < micros[narrow][1]  # a 1-row level: scalar wins
-    assert micros[wide][1] < micros[wide][0]  # a 512-row level: the kernel wins
 
 
 def test_backends_bit_identical_end_to_end(benchmark, core_db):

@@ -1,9 +1,10 @@
 """Numeric backend selection for the refinement core: NumPy or pure Python.
 
 The columnar node table (:mod:`repro.prob.nodetable`) stores bounds in flat
-``array``-module columns either way; what the backend decides is whether the
-batched per-level bound-propagation passes run as NumPy kernels over zero-copy
-``np.frombuffer`` views or as plain Python loops.  NumPy is an *optional*
+``array``-module columns either way; what the backend decides is whether
+whole-table per-level bound sweeps run as NumPy kernels over zero-copy
+``np.frombuffer`` views or as plain Python loops (incremental ancestor passes
+are a few rows a level and always plain loops).  NumPy is an *optional*
 extra (``pip install .[fast]``): the import is attempted once at module load
 and everything falls back to the pure-Python path when it is absent.
 

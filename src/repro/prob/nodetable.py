@@ -27,15 +27,15 @@ Bound propagation is **per level, not per node**: refining a node refreshes
 its ancestor closure grouped by ``level`` in ascending order — every node's
 children live on strictly smaller levels, so one pass per level replaces the
 per-node topological bookkeeping of the old object graph.  With NumPy
-installed (``pip install .[fast]``) a *wide* level refreshes as masked
+installed (``pip install .[fast]``) a whole-table sweep
+(:meth:`NodeTable.refresh_all_bounds`) refreshes each level as masked
 per-slot array kernels over zero-copy ``np.frombuffer`` views of the columns;
-a level narrower than :data:`KERNEL_MIN_LEVEL_WIDTH` — and every level
-without NumPy — as plain Python loops.  Both paths replicate the float64
-arithmetic of :func:`repro.prob.dtree.combine_bounds` operation for operation
-— same accumulation order, same ``min`` placement — so neither the backend
-nor the per-level dispatch ever changes a single bit of any bound
-(``tests/test_node_table.py`` and the vectorized axis of
-``tests/test_differential_matrix.py`` pin this).
+incremental closures — a handful of rows a level — and everything without
+NumPy run as plain Python loops.  Both paths replicate the float64 arithmetic
+of :func:`repro.prob.dtree.combine_bounds` operation for operation — same
+accumulation order, same ``min`` placement — so switching the backend never
+changes a single bit of any bound (``tests/test_node_table.py`` and the
+vectorized axis of ``tests/test_differential_matrix.py`` pin this).
 
 Because the table is append-only and node mutation is in place (a leaf
 becomes a ⊙ node under the same nid), nids remain valid for the lifetime of
@@ -65,15 +65,6 @@ KIND_LEAF = 1
 KIND_IND_AND = 2
 KIND_IND_OR = 3
 KIND_DET_OR = 4
-
-#: Narrowest level :meth:`NodeTable.propagate_from_many` hands to the NumPy
-#: kernel on a vectorized table; narrower ones take the scalar walk.  A
-#: measured crossover: a kernel call costs a fixed 25–90 µs plus ~0.1 µs a
-#: row, the scalar walk ~1 µs a row, so they cross between 32 and 128 rows
-#: (``benchmarks/bench_refinement_core.py`` measures it,
-#: ``docs/refinement_core.md`` has the table).  Incremental closures sit far
-#: below it, whole-table sweeps far above.
-KERNEL_MIN_LEVEL_WIDTH = 64
 
 
 class NodeTable:
@@ -302,52 +293,40 @@ class NodeTable:
 
         One ascending sweep for all sources together (a probability update
         re-seeds every row carrying the variable, then repairs all their
-        ancestors at once), each level dispatched on its width: on a
-        vectorized table a level of at least :data:`KERNEL_MIN_LEVEL_WIDTH`
-        rows is recomputed wholesale by the NumPy kernel; a narrower one
-        (and every level of a scalar table) walks ``refresh_one`` with the
-        changed-set early exit — a node whose in-closure children all kept
-        their bounds is skipped.  Inner bounds are always exactly
-        ``combine_bounds`` of the current children, so recomputing is
-        idempotent and both routes land on bit-identical columns.
+        ancestors at once), on the scalar ``refresh_one`` walk under both
+        backends: incremental closures are a few rows a level, far below
+        where a NumPy kernel call pays for itself (``docs/refinement_core.md``
+        has the measurement), and the walk keeps the changed-set early exit —
+        a node whose in-closure children all kept their bounds is skipped.
 
         Every start is refreshed unconditionally (its stored value or edge
         weights were just rewritten, so the changed-set test would not see
         the mutation); the returned closure is a pure function of the DAG
-        shape, identical under both backends, which is what lets callers
-        reason about "touched" nodes without backend caveats.
+        shape, which is what lets callers reason about "touched" nodes
+        without backend caveats.
         """
         sources = set(starts)
         seen = self.ancestors_of_many(sources)
         level = self.level
+        order = sorted(seen, key=lambda node: (level[node], node))
         child_start = self.child_start
         child_count = self.child_count
-        edge_child = self.edge_child
-        by_level: Dict[int, List[int]] = {}
-        for node in seen:
-            if child_count[node]:
-                by_level.setdefault(level[node], []).append(node)
         # Childless sources (re-seeded leaves and closed rows) were rewritten
         # in place by the caller, so they count as changed from the start —
         # refresh_one never sees them and would otherwise leave their
         # parents' early-exit test blind to the mutation.
         changed = {node for node in sources if child_count[node] == 0}
-        for key in sorted(by_level):
-            batch = by_level[key]
-            if self.vectorize and len(batch) >= KERNEL_MIN_LEVEL_WIDTH:
-                self._refresh_levels(batch)
-                changed.update(batch)  # recomputed wholesale: assume all moved
+        edge_child = self.edge_child
+        for node in order:
+            count = child_count[node]
+            if count == 0:
                 continue
-            for node in batch:
-                if node not in sources:
-                    begin = child_start[node]
-                    if not any(
-                        edge_child[begin + slot] in changed
-                        for slot in range(child_count[node])
-                    ):
-                        continue
-                if self.refresh_one(node):
-                    changed.add(node)
+            if node not in sources:
+                begin = child_start[node]
+                if not any(edge_child[begin + slot] in changed for slot in range(count)):
+                    continue
+            if self.refresh_one(node):
+                changed.add(node)
         return seen
 
     def bounds_fingerprint(self) -> bytes:

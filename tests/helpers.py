@@ -11,7 +11,6 @@ deterministic.
 from __future__ import annotations
 
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -23,37 +22,9 @@ if str(_SRC) not in sys.path:
 
 from repro import Atom, ConjunctiveQuery, ProbabilisticDatabase  # noqa: E402
 from repro.algebra import Comparison, conjunction_of  # noqa: E402
-from repro.prob import nodetable  # noqa: E402
 from repro.storage import Relation, Schema  # noqa: E402
 
-__all__ = [
-    "KERNEL_WIDTHS",
-    "assert_confidences_close",
-    "build_paper_database",
-    "kernel_min_level_width",
-    "paper_query",
-]
-
-#: The per-level dispatch axis of ``NodeTable.propagate_from_many``: every
-#: level through the NumPy kernel, the shipped crossover, every level scalar.
-#: The tables Hypothesis draws are far narrower than the shipped crossover, so
-#: without the ``0`` leg no property would reach the kernel at all.
-KERNEL_WIDTHS = (0, nodetable.KERNEL_MIN_LEVEL_WIDTH, 1 << 60)
-
-
-@contextmanager
-def kernel_min_level_width(width: int):
-    """Run a block with ``nodetable.KERNEL_MIN_LEVEL_WIDTH`` set to ``width``.
-
-    A context manager rather than ``monkeypatch`` so Hypothesis tests can use
-    it per example (function-scoped fixtures are not reset between examples).
-    """
-    shipped = nodetable.KERNEL_MIN_LEVEL_WIDTH
-    nodetable.KERNEL_MIN_LEVEL_WIDTH = width
-    try:
-        yield
-    finally:
-        nodetable.KERNEL_MIN_LEVEL_WIDTH = shipped
+__all__ = ["build_paper_database", "paper_query", "assert_confidences_close"]
 
 
 def build_paper_database() -> ProbabilisticDatabase:

@@ -6,8 +6,8 @@ PR 9's tentpole contract, pinned from four sides:
   bit-identical (decided sets, confidences, bounds, step counts, and the
   store's raw bound columns) for ``refine_lanes`` 0/1/4, across the
   6-query differential corpus × exact/approx × vectorize on/off — and the
-  vectorized engine matches the scalar one wherever the node table's
-  per-level kernel crossover sits (always kernel / shipped / always scalar);
+  same fingerprint whether a view's first frontier is measured lazily at its
+  first peek (shipped) or eagerly at construction;
 * **Hypothesis, lane counts** — *any* lane count matches the ``lanes=0``
   fingerprint, not just the ones CI happens to run;
 * **Hypothesis, round interleavings** — driving the store primitive
@@ -28,7 +28,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import KERNEL_WIDTHS, kernel_min_level_width
 from repro import SproutEngine
 from repro.errors import ConfigurationError, PlanningError
 from repro.prob.sharedag import SharedDTree, SharedLineageStore
@@ -110,21 +109,27 @@ def test_lane_axis_is_bit_identical(case, confidence, vectorize):
 
 
 @pytest.mark.parametrize("case", sorted(CORPUS))
-@pytest.mark.parametrize("width", KERNEL_WIDTHS)
-def test_kernel_crossover_is_invisible_at_any_lane_count(case, width):
-    """Scalar ≡ NumPy wherever the per-level kernel crossover sits.
+@pytest.mark.parametrize("confidence", ["exact", "approx"])
+def test_first_peek_frontier_matches_measuring_at_construction(
+    case, confidence, monkeypatch
+):
+    """One-shot engine views: lazy first measurement ≡ eager at construction.
 
-    The corpus tables are narrower than the shipped crossover, so without
-    the ``0`` leg a vectorized engine would never reach the NumPy kernel on
-    an incremental closure; the scalar lanes=0 fingerprint is the reference
-    for every (crossover, lane count) pair.
+    A view's first frontier is measured at its first peek, possibly against a
+    table other views refined since it was built (the threshold call below
+    runs over the store the top-k call refined).  Peeking every view the
+    moment it is constructed is the eager behaviour; step counts and the raw
+    bound columns must not tell the two apart.
     """
-    scalar = _baseline(case, "exact", False)
-    with kernel_min_level_width(width):
-        for lanes in (0, 2):
-            assert _decision_fingerprint(case, "exact", True, lanes) == scalar, (
-                f"{case}: crossover={width} refine_lanes={lanes} diverged from scalar"
-            )
+    lazy = _baseline(case, confidence, False)
+    init = SharedDTree._init_frontier
+
+    def measure_at_construction(view):
+        init(view)
+        view._peek()
+
+    monkeypatch.setattr(SharedDTree, "_init_frontier", measure_at_construction)
+    assert _decision_fingerprint(case, confidence, False, 0) == lazy
 
 
 # ---------------------------------------------------------------------------

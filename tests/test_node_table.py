@@ -8,10 +8,7 @@ random lineage families refined along arbitrary interleavings, that
 * the topological level invariant ``level(parent) > level(child)`` survives
   every in-place leaf expansion,
 * the vectorized (NumPy) and scalar propagation backends leave bit-identical
-  columns behind — same bounds, same structure, same step counts — wherever
-  the per-level kernel crossover sits (every level through the kernel, the
-  shipped width, every level scalar), with a hand-built level exactly at the
-  crossover,
+  columns behind — same bounds, same structure, same step counts,
 * a full :meth:`repro.prob.nodetable.NodeTable.refresh_all_bounds` sweep is
   idempotent on a propagated table under either backend, and
 * every view's bounds stay sound (bracketing enumeration truth) and
@@ -20,12 +17,9 @@ random lineage families refined along arbitrary interleavings, that
 
 import pickle
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import KERNEL_WIDTHS, kernel_min_level_width
-from repro.prob import nodetable
 from repro.prob.backend import HAS_NUMPY
 from repro.prob.dtree import DTree, combine_bounds, refine_to_budget
 from repro.prob.formulas import DNF, dnf_probability_enumeration
@@ -226,18 +220,16 @@ class TestPropagationProperties:
             child = table.edge_child[edge]
             assert table.level[parent] > table.level[child]
 
-    @pytest.mark.parametrize("width", KERNEL_WIDTHS)
     @given(family_with_interleaving())
     @settings(max_examples=40, deadline=None)
-    def test_vectorized_and_scalar_tables_are_bit_identical(self, width, family):
+    def test_vectorized_and_scalar_tables_are_bit_identical(self, family):
         members, probabilities, schedule = family
         scalar_store, scalar_views = build_and_refine(
             members, probabilities, schedule, vectorize=False
         )
-        with kernel_min_level_width(width):
-            vector_store, vector_views = build_and_refine(
-                members, probabilities, schedule, vectorize=True
-            )
+        vector_store, vector_views = build_and_refine(
+            members, probabilities, schedule, vectorize=True
+        )
         assert column_fingerprint(scalar_store.table) == column_fingerprint(
             vector_store.table
         )
@@ -293,88 +285,6 @@ class TestPropagationProperties:
                     DTree(dnf, probabilities), epsilon=0.0, max_steps=None
                 ).probability
                 assert view.result().probability == reference
-
-
-# ---------------------------------------------------------------------------
-# per-level dispatch: scalar walk below the crossover, NumPy kernel from it up
-# ---------------------------------------------------------------------------
-
-
-def wide_level_table(width, vectorize):
-    """``width`` inner rows of every kind over one shared leaf, under one ⊕.
-
-    Level 1 is exactly ``width`` rows wide, level 2 is the single root; the
-    shared leaf is the only common child, so re-seeding it puts every inner
-    row in the propagation closure.
-    """
-    table = NodeTable(vectorize=vectorize)
-    shared = table.new_node(KIND_LEAF, 0.2, 0.6)
-    inner = []
-    for index in range(width):
-        own = table.new_node(KIND_LEAF, 0.1 + 0.001 * index, 0.9 - 0.002 * index)
-        kind = (KIND_IND_AND, KIND_IND_OR, KIND_DET_OR)[index % 3]
-        node = table.new_node(kind)
-        table.attach_children(
-            node, [shared, own], weights=[0.3, 0.7] if kind == KIND_DET_OR else None
-        )
-        inner.append(node)
-    root = table.new_node(KIND_IND_OR)
-    table.attach_children(root, inner)
-    table.refresh_all_bounds(vectorize=False)
-    return table, shared, inner, root
-
-
-@pytest.fixture
-def kernel_calls(monkeypatch):
-    """The level widths handed to the NumPy kernel while the test runs."""
-    widths = []
-    kernel = NodeTable._refresh_batch
-
-    def spy(np, views, nodes):
-        widths.append(len(nodes))
-        kernel(np, views, nodes)
-
-    monkeypatch.setattr(NodeTable, "_refresh_batch", staticmethod(spy))
-    return widths
-
-
-class TestLevelDispatch:
-    SHIPPED = nodetable.KERNEL_MIN_LEVEL_WIDTH
-
-    @staticmethod
-    def reseed(table, shared):
-        table.lower[shared], table.upper[shared] = 0.35, 0.45
-
-    @pytest.mark.parametrize("crossover", KERNEL_WIDTHS)
-    @pytest.mark.parametrize("width", (SHIPPED - 1, SHIPPED, SHIPPED + 1))
-    def test_closure_and_bounds_match_the_scalar_table(self, crossover, width, kernel_calls):
-        reference, shared, inner, root = wide_level_table(width, vectorize=False)
-        self.reseed(reference, shared)
-        expected_closure = reference.propagate_from_many([shared])
-        assert expected_closure == {shared, root, *inner}
-        assert kernel_calls == []  # a scalar table never reaches the kernel
-        table, shared, _, _ = wide_level_table(width, vectorize=True)
-        self.reseed(table, shared)
-        with kernel_min_level_width(crossover):
-            closure = table.propagate_from_many([shared])
-        assert closure == expected_closure
-        assert table.bounds_fingerprint() == reference.bounds_fingerprint()
-        if HAS_NUMPY:
-            # Levels are 'width' rows, then the root alone: exactly those at
-            # or above the crossover go through the kernel, in level order —
-            # so a level exactly at the shipped crossover does, one below not.
-            assert kernel_calls == [w for w in (width, 1) if w >= crossover]
-
-    def test_whole_table_sweeps_ignore_the_crossover(self, kernel_calls):
-        reference, shared, _, _ = wide_level_table(3, vectorize=False)
-        self.reseed(reference, shared)
-        reference.propagate_from_many([shared])
-        table, shared, _, _ = wide_level_table(3, vectorize=True)
-        self.reseed(table, shared)
-        with kernel_min_level_width(1 << 60):
-            table.refresh_all_bounds()
-        assert table.bounds_fingerprint() == reference.bounds_fingerprint()
-        assert kernel_calls == ([3, 1] if HAS_NUMPY else [])
 
 
 # ---------------------------------------------------------------------------

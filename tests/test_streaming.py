@@ -20,7 +20,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import KERNEL_WIDTHS, kernel_min_level_width
 from repro import Atom, ConjunctiveQuery, ProbabilisticDatabase, SproutEngine
 from repro.errors import PlanningError, ProbabilityError
 from repro.prob import HAS_NUMPY
@@ -361,17 +360,15 @@ class TestStandingQueryDeltas:
         )
 
     @pytest.mark.skipif(not HAS_NUMPY, reason="needs both numeric backends")
-    @pytest.mark.parametrize("width", KERNEL_WIDTHS)
     @given(delta_script())
     @settings(max_examples=15, deadline=None)
-    def test_backends_agree_on_steps_and_answers(self, width, script):
+    def test_backends_agree_on_steps_and_answers(self, script):
         members, probabilities, ops = script
         k = min(2, len(members))
         runs = []
         for vectorize in (False, True):
-            with kernel_min_level_width(width):
-                query = standing(members, probabilities, k=k, vectorize=vectorize)
-                apply_script(query, ops)
+            query = standing(members, probabilities, k=k, vectorize=vectorize)
+            apply_script(query, ops)
             runs.append(
                 (
                     query.selected,
