@@ -50,10 +50,10 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import ApproximationBudgetError, ProbabilityError
-from repro.prob.formulas import DNF, _connected_components
+from repro.prob.formulas import DNF, _component_groups
 
 __all__ = [
     "ApproxResult",
@@ -343,8 +343,9 @@ class DTree:
     subtree into the leaf's parent slot and recomputes bounds along the path
     to the root only (stopping early when nothing changes).  The frontier is a
     lazy max-heap of (influence, leaf) entries whose influence weights are
-    recomputed globally every :data:`_REFRESH_EVERY` expansions, so a single
-    step costs O(path length) rather than O(tree size).
+    recomputed globally on a geometric schedule (:data:`_REFRESH_BASE`,
+    :data:`_REFRESH_FACTOR`), so a single step costs O(path length) rather
+    than O(tree size).
 
     The tree is *resumable*: :meth:`refine` performs a bounded number of
     expansions and may be called again later to tighten the bounds further —
@@ -386,7 +387,25 @@ class DTree:
 
     # -- structural decomposition (independent partition steps) ---------------
 
-    def _build(self, dnf: DNF) -> object:
+    def _product(self, variables: Iterable[int]) -> float:
+        """Product of the marginals, folded in ``variables`` iteration order."""
+        weight = 1.0
+        for variable in variables:
+            weight *= self.probabilities[variable]
+        return weight
+
+    def _build(self, dnf: DNF, connected: bool = False) -> _Node:
+        """Decompose ``dnf``: constant, memo hit, single clause, ⊗ factoring of
+        the common variables, ⊕ split into components, else an open leaf.
+
+        ⊕ children follow :func:`~repro.prob.formulas._component_groups`
+        order, and a multi-clause group is rebuilt as ``DNF(group)`` so that
+        its clause order — which leaf bounds and every later fold follow — is
+        the one the group was filled in.  ``connected`` marks a component
+        that was just split off: it goes common factor → leaf without a
+        second component pass; only the ``rest`` under a ⊗ can fall apart
+        again and is split afresh.
+        """
         self.node_count += 1
         if dnf.is_true():
             return _Closed(1.0)
@@ -397,27 +416,34 @@ class DTree:
             return _Closed(cached)
         clauses = list(dnf.clauses)
         if len(clauses) == 1:
-            weight = 1.0
-            for variable in clauses[0]:
-                weight *= self.probabilities[variable]
-            return _Closed(weight)
+            return _Closed(self._product(clauses[0]))
         # Independent-and: factor out variables common to every clause.
         common = frozenset.intersection(*clauses)
         if common:
-            weight = 1.0
-            for variable in common:
-                weight *= self.probabilities[variable]
             rest = DNF(clause - common for clause in clauses)
             self.node_count += 1  # the factored-out constant child
-            return _Inner(
-                _IND_AND, [_Closed(weight), self._build(rest)], origin=dnf.clauses
-            )
+            children = [_Closed(self._product(common)), self._build(rest)]
+            return _Inner(_IND_AND, children, origin=dnf.clauses)
         # Independent-or: split into connected components.
-        components = _connected_components(dnf)
-        if len(components) > 1:
-            children = [self._build(component) for component in components]
-            return _Inner(_IND_OR, children, origin=dnf.clauses)
+        if not connected:
+            groups = _component_groups(clauses)
+            if len(groups) > 1:
+                children = [self._build_group(group) for group in groups]
+                return _Inner(_IND_OR, children, origin=dnf.clauses)
         return _Leaf(dnf, self.probabilities)
+
+    def _build_group(self, group: Set[Clause]) -> _Node:
+        """One component's subtree.  A single clause closes in place — node
+        count, constant test before memo probe, and fold order as in
+        ``_build`` of its one-clause DNF; larger groups recurse as connected."""
+        if len(group) > 1:
+            return self._build(DNF(group), True)
+        self.node_count += 1
+        (clause,) = group
+        if not clause:
+            return _Closed(1.0)
+        cached = self.memo.get(frozenset((clause,)))
+        return _Closed(self._product(clause) if cached is None else cached)
 
     # -- Shannon variable cobranching -----------------------------------------
 
@@ -493,7 +519,10 @@ class DTree:
             return
         assert isinstance(node, _Inner)
         for slot, child in enumerate(node.children):
-            self._enqueue_subtree(child, weight * node.child_weight(slot))
+            # A closed child holds no leaf and its weight is never read.
+            # (Kind-closed only: a leaf with a degenerate bracket is pushed.)
+            if not isinstance(child, _Closed):
+                self._enqueue_subtree(child, weight * node.child_weight(slot))
 
     def _rebuild_frontier(self) -> None:
         """Recompute all influence weights from scratch (heals heap staleness)."""

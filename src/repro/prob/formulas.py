@@ -22,6 +22,7 @@ import abc
 
 from itertools import product as cartesian_product
 from typing import (
+    Collection,
     Dict,
     FrozenSet,
     Iterable,
@@ -292,7 +293,8 @@ class DNF:
     __slots__ = ("clauses", "_canonical")
 
     def __init__(self, clauses: Iterable[Iterable[int]] = ()):
-        self.clauses: FrozenSet[Clause] = frozenset(frozenset(c) for c in clauses)
+        # Frozen element by element, in ``clauses`` order (_component_groups).
+        self.clauses: FrozenSet[Clause] = frozenset(map(frozenset, clauses))
         self._canonical: Optional[Tuple[Tuple[int, ...], ...]] = None
 
     @classmethod
@@ -301,10 +303,7 @@ class DNF:
         return cls(frozenset(row) for row in rows)
 
     def variables(self) -> FrozenSet[int]:
-        result: FrozenSet[int] = frozenset()
-        for clause in self.clauses:
-            result |= clause
-        return result
+        return frozenset().union(*self.clauses)
 
     def is_false(self) -> bool:
         return not self.clauses
@@ -355,7 +354,16 @@ class DNF:
         return DNF(clauses)
 
     def minimised(self) -> "DNF":
-        """Remove subsumed clauses (a clause containing another clause)."""
+        """Remove subsumed clauses (a clause containing another clause).
+
+        Clauses of one length (all lineage of self-join-free queries) cannot
+        contain each other, so the quadratic sweep is skipped for them.  The
+        result is *rebuilt* either way, in ``self.clauses`` iteration order
+        (the length sort is stable): ``return self`` would keep a set layout
+        the rebuild need not reproduce, and a different order downstream.
+        """
+        if len(set(map(len, self.clauses))) <= 1:
+            return DNF(self.clauses)
         clauses = sorted(self.clauses, key=len)
         kept: List[Clause] = []
         for clause in clauses:
@@ -401,40 +409,68 @@ def dnf_probability_enumeration(dnf: DNF, probabilities: Mapping[int, float]) ->
     return total
 
 
-def _connected_components(dnf: DNF) -> List[DNF]:
-    """Split a DNF into sub-DNFs over disjoint variable sets (independent factors)."""
-    parent: Dict[int, int] = {}
+def _component_groups(clauses: Collection[Clause]) -> List[Set[Clause]]:
+    """Partition ``clauses`` into groups over pairwise disjoint variable sets.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    The one grouping primitive of the compile kernel (``DTree._build``,
+    ``SharedLineageStore.build``) and of :func:`dnf_probability`: a clause
+    takes the label of an already-labelled variable, and a union-find over
+    the few *labels* merges those a later clause bridges.
 
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for clause in dnf.clauses:
+    **Order contract** — every float the d-tree engines produce folds in an
+    order derived from here.  Groups come in first-occurrence order of one
+    iteration of ``clauses``; each is a fresh ``set`` filled by ``add`` in
+    that same order, so ``DNF(group)``, which freezes element by element,
+    lands on one layout per input (never ``frozenset(group)``: copying a set
+    re-sizes its table and can permute colliding entries); the constant-true
+    group — the empty clause — comes last.  ``clauses`` must iterate the
+    same way twice (an unmutated ``frozenset``, a list).
+    """
+    if len(clauses) == 2:
+        first, second = clauses
+        if first and second:
+            disjoint = first.isdisjoint(second)
+            return [{first}, {second}] if disjoint else [{first, second}]
+    label_of: Dict[int, int] = {}
+    parent: List[int] = []
+    labels: List[int] = []
+    for clause in clauses:
+        root = -1
         for variable in clause:
-            parent.setdefault(variable, variable)
-        clause_list = list(clause)
-        for first, second in zip(clause_list, clause_list[1:]):
-            union(first, second)
+            label = label_of.get(variable)
+            if label is None:
+                continue
+            while parent[label] != label:
+                parent[label] = label = parent[parent[label]]
+            if root == -1:
+                root = label
+            elif label != root:
+                parent[label] = root
+        if root == -1 and clause:
+            root = len(parent)
+            parent.append(root)
+        for variable in clause:
+            label_of[variable] = root
+        labels.append(root)
 
     groups: Dict[int, Set[Clause]] = {}
-    constant_clauses: Set[Clause] = set()
-    for clause in dnf.clauses:
-        if not clause:
-            constant_clauses.add(clause)
+    constant: List[Set[Clause]] = []
+    for clause, label in zip(clauses, labels):
+        if label == -1:
+            constant = [{clause}]
             continue
-        root = find(next(iter(clause)))
-        groups.setdefault(root, set()).add(clause)
-    components = [DNF(clauses) for clauses in groups.values()]
-    if constant_clauses:
-        components.append(DNF(constant_clauses))
-    return components
+        while parent[label] != label:
+            label = parent[label]
+        group = groups.get(label)
+        if group is None:
+            group = groups[label] = set()
+        group.add(clause)
+    return list(groups.values()) + constant
+
+
+def _connected_components(dnf: DNF) -> List[DNF]:
+    """Split a DNF into sub-DNFs over disjoint variable sets (independent factors)."""
+    return [DNF(group) for group in _component_groups(dnf.clauses)]
 
 
 def dnf_probability(dnf: DNF, probabilities: Mapping[int, float]) -> float:

@@ -448,6 +448,12 @@ class NodeTable:
         the descent is irregular (per-node fan-out), and a single code path
         is what makes leaf choice — and with it step counts — trivially
         backend-independent.
+
+        A ``KIND_CLOSED`` child holds no leaf, so it is skipped *before* its
+        edge's influence — a product over all its siblings — is computed.
+        The test is on the kind only: an open row with a degenerate bracket,
+        or one under a zero-weight ⊙ edge, is still walked, so the leaves,
+        their order and their summed weights are those of a full walk.
         """
         kind_col = self.kind
         child_start = self.child_start
@@ -460,7 +466,7 @@ class NodeTable:
             begin = child_start[node]
             for slot in range(child_count[node]):
                 child = edge_child[begin + slot]
-                if child not in seen:
+                if child not in seen and kind_col[child] != KIND_CLOSED:
                     seen.add(child)
                     stack.append(child)
         accumulated = {node: 0.0 for node in seen}
@@ -476,5 +482,7 @@ class NodeTable:
                 continue
             begin = child_start[node]
             for slot in range(child_count[node]):
-                accumulated[edge_child[begin + slot]] += weight * self.influence(node, slot)
+                child = edge_child[begin + slot]
+                if kind_col[child] != KIND_CLOSED:
+                    accumulated[child] += weight * self.influence(node, slot)
         return found

@@ -60,7 +60,7 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from heapq import heappop, heappush
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.errors import ProbabilityError
 from repro.faults import fault_point
@@ -77,7 +77,7 @@ from repro.prob.dtree import (
     dnf_from_canonical,
     leaf_bounds,
 )
-from repro.prob.formulas import DNF, _connected_components
+from repro.prob.formulas import DNF, _component_groups
 from repro.prob.nodetable import (
     KIND_CLOSED,
     KIND_DET_OR,
@@ -102,21 +102,18 @@ DEFAULT_MAX_NODES = 2_000_000
 
 
 class ClauseInterner:
-    """Interns clause frozensets: one shared object and a dense id per clause.
+    """Interns clause frozensets: one shared object per clause.
 
     Candidate lineages in top-k/threshold workloads repeat the same clauses
     across many answer tuples; interning makes every occurrence share a
     single ``frozenset`` object (hashing and equality then hit the same
-    cached hash).  A dense integer id per clause is also available as a
-    compact handle — assigned lazily by :meth:`id_of`, so the hot
-    :meth:`intern` path carries no id bookkeeping.
+    cached hash).
     """
 
-    __slots__ = ("_canonical", "_ids")
+    __slots__ = ("_canonical",)
 
     def __init__(self) -> None:
         self._canonical: Dict[Clause, Clause] = {}
-        self._ids: Dict[Clause, int] = {}
 
     def __len__(self) -> int:
         return len(self._canonical)
@@ -129,16 +126,6 @@ class ClauseInterner:
             self._canonical[key] = key
             return key
         return found
-
-    def id_of(self, clause: Iterable[int]) -> int:
-        """The dense id of an interned clause (assigned lazily on first ask,
-        so callers that only ever :meth:`intern` pay nothing for ids)."""
-        key = self.intern(clause)
-        index = self._ids.get(key)
-        if index is None:
-            index = len(self._ids)
-            self._ids[key] = index
-        return index
 
 
 class SharedLineageStore:
@@ -301,16 +288,40 @@ class SharedLineageStore:
     def _constant(self, value: float) -> int:
         return self._new_node(KIND_CLOSED, value, value)
 
+    def _product(self, variables: Iterable[int]) -> int:
+        """A new closed row holding the product of the marginals; members are
+        recorded in fold order so a delta re-seed replays the same floats."""
+        members = tuple(variables)
+        weight = 1.0
+        for variable in members:
+            weight *= self.probabilities[variable]
+        nid = self._new_node(KIND_CLOSED, weight, weight)
+        self._const_vars[nid] = members
+        self._register_dependents(nid, members)
+        return nid
+
     def build(self, dnf: DNF) -> int:
         """The interned nid for a subsumption-free ``dnf`` (built on a miss).
 
         Mirrors ``DTree._build`` rule for rule: constants, single clause,
-        independent-and factoring of the common variable prefix,
-        independent-or splitting into connected components, open leaf
-        otherwise — except that every non-constant result is interned by its
-        clause set, so a subformula reached from several tuples (or several
-        cofactor paths of one tuple) is compiled and refined exactly once.
+        independent-and factoring of the common variables, independent-or
+        splitting into connected components, open leaf otherwise — except
+        that every non-constant result is interned by its clause set, so a
+        subformula reached from several tuples (or several cofactor paths of
+        one tuple) is compiled and refined exactly once.
+
+        ⊕ children, and with them nids, are created in
+        :func:`~repro.prob.formulas._component_groups` order: a single-clause
+        group closes in place, a multi-clause group is rebuilt as
+        ``DNF(group)`` (keeping the clause order it was filled in) and is not
+        split a second time.
         """
+        return self._build(dnf, False)
+
+    def _build(self, dnf: DNF, connected: bool) -> int:
+        """:meth:`build`; ``connected`` marks a component that was just split
+        off, which goes common factor → leaf.  Only the ``rest`` under a ⊗
+        can fall apart again and is split afresh."""
         if dnf.is_true():
             return self._constant(1.0)
         if dnf.is_false():
@@ -320,32 +331,37 @@ class SharedLineageStore:
             return nid
         clauses = list(dnf.clauses)
         if len(clauses) == 1:
-            members = tuple(clauses[0])
-            weight = 1.0
-            for variable in members:
-                weight *= self.probabilities[variable]
-            nid = self._new_node(KIND_CLOSED, weight, weight)
-            self._nodes[dnf.clauses] = nid
-            self._register_product(nid, members)
+            nid = self._nodes[dnf.clauses] = self._product(clauses[0])
             return nid
         common = frozenset.intersection(*clauses)
         if common:
-            members = tuple(common)
-            weight = 1.0
-            for variable in members:
-                weight *= self.probabilities[variable]
             rest = DNF(clause - common for clause in clauses)
-            constant = self._constant(weight)
-            self._register_product(constant, members)
-            return self._inner(
-                KIND_IND_AND, [constant, self.build(rest)], dnf.clauses
-            )
-        components = _connected_components(dnf)
-        if len(components) > 1:
-            children = [self.build(component) for component in components]
-            return self._inner(KIND_IND_OR, children, dnf.clauses)
+            constant = self._product(common)
+            children = [constant, self._build(rest, False)]
+            return self._inner(KIND_IND_AND, children, dnf.clauses)
+        if not connected:
+            groups = _component_groups(clauses)
+            if len(groups) > 1:
+                children = [self._build_group(group) for group in groups]
+                return self._inner(KIND_IND_OR, children, dnf.clauses)
         nid = self._leaf(dnf)
         self._nodes[dnf.clauses] = nid
+        return nid
+
+    def _build_group(self, group: Set[Clause]) -> int:
+        """One component's nid.  A single clause becomes its closed product
+        row in place — constant test, intern probe under ``frozenset({clause})``,
+        ``tuple(clause)`` fold, as ``build`` of its one-clause DNF would;
+        larger groups recurse as connected."""
+        if len(group) > 1:
+            return self._build(DNF(group), True)
+        (clause,) = group
+        if not clause:
+            return self._constant(1.0)
+        key = frozenset((clause,))
+        nid = self._nodes.get(key)
+        if nid is None:
+            nid = self._nodes[key] = self._product(clause)
         return nid
 
     def _inner(
@@ -366,11 +382,6 @@ class SharedLineageStore:
         index = self._var_index
         for variable in variables:
             index.setdefault(variable, []).append(nid)
-
-    def _register_product(self, nid: int, members: Tuple[int, ...]) -> None:
-        """Record a closed product row's members (in build fold order)."""
-        self._const_vars[nid] = members
-        self._register_dependents(nid, members)
 
     def _leaf(self, dnf: DNF) -> int:
         """An open leaf with the construction bounds of ``dtree._Leaf``."""

@@ -24,7 +24,14 @@ from repro import Atom, ConjunctiveQuery, ProbabilisticDatabase  # noqa: E402
 from repro.algebra import Comparison, conjunction_of  # noqa: E402
 from repro.storage import Relation, Schema  # noqa: E402
 
-__all__ = ["build_paper_database", "paper_query", "assert_confidences_close"]
+__all__ = [
+    "build_paper_database",
+    "paper_query",
+    "assert_confidences_close",
+    "oracle_dnf",
+    "oracle_connected_components",
+    "oracle_minimised",
+]
 
 
 def build_paper_database() -> ProbabilisticDatabase:
@@ -82,3 +89,62 @@ def assert_confidences_close(actual, expected, tolerance: float = 1e-9) -> None:
     )
     for key, value in expected.items():
         assert actual[key] == pytest.approx(value, abs=tolerance), f"confidence of {key} differs"
+
+
+def oracle_dnf(clauses):
+    """A DNF frozen the way ``DNF.__init__`` froze at ``f09e991`` (generator
+    expression, one add per clause), bypassing the shipped constructor."""
+    from repro.prob.formulas import DNF
+
+    dnf = DNF()
+    dnf.clauses = frozenset(frozenset(c) for c in clauses)
+    return dnf
+
+
+def oracle_connected_components(dnf):
+    """The per-variable union-find that ``repro.prob.formulas`` shipped up to
+    commit ``f09e991``, body verbatim (only ``DNF`` → :func:`oracle_dnf`): the
+    oracle ``_component_groups`` is held to — same components, same order,
+    same clause iteration order inside each."""
+    parent = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    for clause in dnf.clauses:
+        for variable in clause:
+            parent.setdefault(variable, variable)
+        clause_list = list(clause)
+        for first, second in zip(clause_list, clause_list[1:]):
+            union(first, second)
+
+    groups = {}
+    constant_clauses = set()
+    for clause in dnf.clauses:
+        if not clause:
+            constant_clauses.add(clause)
+            continue
+        root = find(next(iter(clause)))
+        groups.setdefault(root, set()).add(clause)
+    components = [oracle_dnf(clauses) for clauses in groups.values()]
+    if constant_clauses:
+        components.append(oracle_dnf(constant_clauses))
+    return components
+
+
+def oracle_minimised(dnf):
+    """``DNF.minimised`` as of ``f09e991``: the full O(n²) subset sweep."""
+    clauses = sorted(dnf.clauses, key=len)
+    kept = []
+    for clause in clauses:
+        if not any(other <= clause for other in kept):
+            kept.append(clause)
+    return oracle_dnf(kept)

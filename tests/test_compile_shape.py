@@ -1,0 +1,137 @@
+"""The compile shape of the ``unsafe_cold`` query family, pinned to recorded values.
+
+The lineage compile kernel (``_component_groups``, ``DTree._build``,
+``SharedLineageStore.build``, the influence descents) promises results that
+are *bit-identical* across rewrites: same nids, same step counts, same
+floats.  The differential tests only compare the engines with each other, so
+a kernel change that moved both in step would pass them.  This module
+compares against numbers recorded at commit ``f09e991`` — before the
+structure-aware kernel landed — for the benchmark's unsafe
+``part ⋈ partsupp ⋈ supplier`` shape at SF 0.001 (``ps_availqty < 3000``):
+table length, store steps, ``refine_steps``, and a digest of the raw bound
+columns (or, for the per-tuple ``evaluate`` path, of every confidence and
+bracket plus the trees' node counts).
+
+A kernel PR that changes any of these on purpose re-records them here and
+says why; one that changes them by accident is caught.  Variable ids are
+ints, so none of this depends on ``PYTHONHASHSEED`` (recorded on CPython
+3.11; the ``set`` layout the fold orders hang off is the same on 3.12).
+"""
+
+import hashlib
+import struct
+
+import pytest
+
+from repro import Atom, ConjunctiveQuery, SproutEngine
+from repro.algebra import Comparison
+from repro.prob.backend import HAS_NUMPY
+from repro.prob.dtree import DTree
+
+PROJECTIONS = ("p_brand", "p_type", "p_container")
+
+VECTORIZE_LEGS = [
+    False,
+    pytest.param(
+        True,
+        marks=pytest.mark.skipif(not HAS_NUMPY, reason="NumPy backend not installed"),
+    ),
+]
+
+#: projection -> (table rows, store steps, refine_steps, bound-column digest),
+#: recorded at f09e991 with a fresh engine per decision.
+TOPK = {
+    "p_brand": (562, 53, 53, "5a47d4be47ad3463"),
+    "p_type": (567, 17, 17, "ecb69e5eca8f4a24"),
+    "p_container": (1576, 266, 266, "066c027e468ec7bb"),
+}
+THRESHOLD = {
+    "p_brand": (960, 95, 95, "29d04817215c5dcb"),
+    "p_type": (592, 20, 20, "2d13131af6bb7637"),
+    "p_container": (1576, 266, 266, "066c027e468ec7bb"),
+}
+#: projection -> (refine_steps, summed DTree.node_count, answer digest).
+EVALUATE = {
+    "p_brand": (96, 1200, "78fb92906b442a3b"),
+    "p_type": (26, 710, "6938944ed72a8383"),
+    "p_container": (640, 8393, "e5c74ab5640c8b70"),
+}
+
+
+def unsafe_query(projection):
+    return ConjunctiveQuery(
+        "unsafe_" + projection,
+        [
+            Atom("part", ["partkey", projection]),
+            Atom("partsupp", ["partkey", "suppkey", "ps_availqty"]),
+            Atom("supplier", ["suppkey"]),
+        ],
+        projection=[projection],
+        selections=Comparison("ps_availqty", "<", 3000),
+    )
+
+
+def fresh_engine(db, vectorize):
+    """In-process, shared-store engine whatever ``REPRO_WORKERS`` /
+    ``REPRO_SHARED_LINEAGE`` the CI leg sets: the shape lives in the
+    driver-side store.  (``REPRO_LANES`` may vary — lanes are bit-identical.)"""
+    return SproutEngine(
+        db, execution="batch", vectorize=vectorize, workers=0, shared_lineage=True
+    )
+
+
+def _digest(*chunks: bytes) -> str:
+    return hashlib.sha256(b"".join(chunks)).hexdigest()[:16]
+
+
+def _decision_shape(engine, result):
+    store = engine.dtree_cache.store
+    return (
+        len(store.table),
+        store.steps,
+        result.refine_steps,
+        _digest(store.table.bounds_fingerprint()),
+    )
+
+
+@pytest.mark.parametrize("vectorize", VECTORIZE_LEGS)
+@pytest.mark.parametrize("projection", PROJECTIONS)
+class TestCompileShape:
+    def test_topk(self, tpch_db, projection, vectorize):
+        engine = fresh_engine(tpch_db, vectorize)
+        try:
+            result = engine.evaluate_topk(unsafe_query(projection), k=10)
+            assert result.decided
+            assert _decision_shape(engine, result) == TOPK[projection]
+        finally:
+            engine.close()
+
+    def test_threshold(self, tpch_db, projection, vectorize):
+        engine = fresh_engine(tpch_db, vectorize)
+        try:
+            result = engine.evaluate_threshold(unsafe_query(projection), tau=0.5)
+            assert result.decided
+            assert _decision_shape(engine, result) == THRESHOLD[projection]
+        finally:
+            engine.close()
+
+    def test_exact_evaluate(self, tpch_db, projection, vectorize):
+        engine = fresh_engine(tpch_db, vectorize)
+        try:
+            query = unsafe_query(projection)
+            result = engine.evaluate(query)
+            chunks = []
+            for data, confidence in sorted(result.confidences().items(), key=repr):
+                lower, upper = result.bounds[data]
+                chunks.append(repr(data).encode())
+                chunks.append(struct.pack("<ddd", confidence, lower, upper))
+            # The per-tuple path keeps no store; its shape is the trees'.
+            answer = engine._answer_lineage(query, None, "batch")
+            nodes = 0
+            for dnf in answer.lineage.values():
+                tree = DTree(dnf, answer.probabilities)
+                tree.refine()
+                nodes += tree.node_count
+            assert (result.refine_steps, nodes, _digest(*chunks)) == EVALUATE[projection]
+        finally:
+            engine.close()

@@ -335,7 +335,9 @@ class TestLaneKnobs:
 
     def test_engine_close_releases_the_pool(self):
         build_db, make_query = CORPUS["unsafe_bool"]
-        engine = SproutEngine(build_db(), refine_lanes=2)
+        # workers=0 pins the in-process route against REPRO_WORKERS: the
+        # driver-side pool only exists there (offload is the next test).
+        engine = SproutEngine(build_db(), refine_lanes=2, workers=0)
         engine.evaluate_topk(make_query(), k=1, plan="dtree")
         pool = engine._lane_pool
         assert pool is not None
@@ -345,6 +347,19 @@ class TestLaneKnobs:
         assert engine._lane_pool is None
         assert pool._pool is None  # supervision discarded the inner pool...
         assert inner._executor._shutdown  # ...and its threads are released
+
+    def test_engine_close_under_worker_offload(self):
+        """Offloaded decisions nest their lanes inside the worker: the driver
+        never creates a lane pool, and close() releases the executor."""
+        build_db, make_query = CORPUS["unsafe_bool"]
+        engine = SproutEngine(build_db(), refine_lanes=2, workers=1)
+        result = engine.evaluate_topk(make_query(), k=1, plan="dtree")
+        assert result.decided
+        assert engine._lane_pool is None
+        assert list(engine._executors) == [1]
+        engine.close()
+        assert engine._lane_pool is None
+        assert engine._executors == {}
 
     def test_explicit_argument_beats_the_env(self, monkeypatch):
         build_db, _ = CORPUS["single"]

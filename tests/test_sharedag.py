@@ -70,14 +70,6 @@ class TestClauseInterner:
         assert first is second
         assert len(interner) == 1
 
-    def test_ids_are_dense_and_stable(self):
-        interner = ClauseInterner()
-        a = interner.id_of([1, 2])
-        b = interner.id_of([3])
-        assert (a, b) == (0, 1)
-        assert interner.id_of([2, 1]) == 0
-        assert interner.id_of([3]) == 1
-
 
 # ---------------------------------------------------------------------------
 # store: hash-consed construction
