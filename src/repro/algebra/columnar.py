@@ -141,14 +141,39 @@ class ColumnBatch:
 
     def take(self, indices: Sequence[int]) -> "ColumnBatch":
         """Gather the rows at ``indices`` (in the given order)."""
+        return ColumnBatch(self.schema, _gather(self.columns, indices), len(indices))
+
+    def project(self, names: Sequence[str]) -> "ColumnBatch":
+        """Bag projection onto ``names``: re-references the kept column lists."""
+        indices = self.schema.indices_of(names)
         return ColumnBatch(
-            self.schema,
-            [[column[i] for i in indices] for column in self.columns],
-            len(indices),
+            self.schema.project(names), [self.columns[i] for i in indices], self.length
         )
 
     def to_relation(self, name: str = "result") -> Relation:
         return Relation.from_columns(name, self.schema, self.columns, length=self.length)
+
+
+def _row_keys(columns: Sequence[Column], length: int) -> Sequence[object]:
+    """One hashable key per row over ``columns`` (join and grouping keys)."""
+    if len(columns) == 1:
+        return columns[0]  # single-attribute keys skip tuple packing
+    if not columns:
+        # Zero attributes (cross join, global group): every row has the empty
+        # key, like the row operators (zip of zero columns would yield none).
+        return [()] * length
+    return list(zip(*columns))
+
+
+def _naturally_ordered(column: Column) -> bool:
+    """True when Python's own ``<`` orders ``column`` exactly as ``sort_key_for`` does.
+
+    That holds when the exact value types are within ``{int, float}`` (the key
+    is ``(1, value)``) or are all ``str`` (the key is ``(2, value)``); ``bool``,
+    ``None`` and mixed columns need the key function.
+    """
+    types = set(map(type, column))
+    return types <= {int, float} or types == {str}
 
 
 # ---------------------------------------------------------------------------
@@ -324,36 +349,24 @@ class BatchScanOp(BatchOperator):
 
 
 class BatchMaterializedOp(BatchOperator):
-    """Wrap an already-materialised relation or batch as a plan leaf."""
+    """Wrap an already-materialised batch as a plan leaf (emitted whole).
 
-    def __init__(
-        self,
-        source,
-        label: str = "BatchMaterialized",
-        batch_size: int = DEFAULT_BATCH_ROWS,
-    ):
+    A stored :class:`Relation` enters a columnar plan through
+    :class:`BatchScanOp`, which reads its cached column view.
+    """
+
+    def __init__(self, source: ColumnBatch, label: str = "BatchMaterialized"):
         super().__init__()
         self.source = source
         self._label = label
-        self.batch_size = batch_size
 
     @property
     def schema(self) -> Schema:
         return self.source.schema
 
     def _execute(self) -> Iterator[ColumnBatch]:
-        if isinstance(self.source, ColumnBatch):
-            if self.source.length:
-                yield self.source
-            return
-        columns = self.source.columns_cached()
-        schema = self.source.schema
-        total = len(self.source)
-        for start in range(0, total, self.batch_size):
-            end = min(start + self.batch_size, total)
-            yield ColumnBatch(
-                schema, [column[start:end] for column in columns], end - start
-            )
+        if self.source.length:
+            yield self.source
 
     def label(self) -> str:
         return f"{self._label}({len(self.source)} rows)"
@@ -421,14 +434,64 @@ class BatchProjectOp(BatchOperator):
         return f"BatchProject({', '.join(self.names)})"
 
 
+def _match_keys(
+    build_keys: Sequence[object], probe_keys: Sequence[object], composite: bool
+) -> Tuple[Sequence[int], Sequence[int]]:
+    """Hash ``build_keys``, stream ``probe_keys`` through: ``(probe, build)`` index pairs.
+
+    Pairs come in probe row order and, within one probe row, in build row
+    order.  A key that is ``None`` (``composite``: contains ``None``) matches
+    nothing.  When every build key is distinct the probe is one C-speed
+    ``map`` plus a ``None`` filter, and the probe indices are a ``range`` if
+    every probe row matched — the caller then reuses columns, not gathers.
+    """
+    table: Dict[object, object] = dict(zip(build_keys, range(len(build_keys))))
+    distinct = len(table) == len(build_keys)
+    if not distinct:
+        first_rows, buckets = _bucket_rows(build_keys)
+        table = dict(zip(map(build_keys.__getitem__, first_rows), buckets))
+    if composite:
+        for key in [key for key in table if any(value is None for value in key)]:
+            del table[key]
+    else:
+        table.pop(None, None)
+    hits = list(map(table.get, probe_keys))
+    if distinct:
+        if None not in hits:
+            return range(len(hits)), hits
+        matched = [hit is not None for hit in hits]
+        return list(compress(range(len(hits)), matched)), list(compress(hits, matched))
+    probe_indices: List[int] = []
+    build_indices: List[int] = []
+    for position, bucket in enumerate(hits):
+        if bucket is not None:
+            probe_indices.extend([position] * len(bucket))
+            build_indices.extend(bucket)
+    return probe_indices, build_indices
+
+
+def _gather(columns: Sequence[Column], indices: Sequence[int]) -> List[Column]:
+    """The rows at ``indices`` of each column; the identity range re-references them."""
+    if columns and indices == range(len(columns[0])):
+        return list(columns)
+    return [list(map(column.__getitem__, indices)) for column in columns]
+
+
 class BatchHashJoinOp(BatchOperator):
-    """Build/probe natural hash join over batches (builds on the right input).
+    """Build/probe natural hash join over batches; hashes the smaller input.
 
     Matches :class:`repro.algebra.joins.HashJoinOp` exactly: the same default
     join attributes, rows with a ``None`` join key are dropped on both sides,
     the output keeps the left columns followed by the right columns minus the
     join attributes, and the output order is (left row order) x (right
     insertion order within a key bucket).
+
+    Both inputs are consumed whole and the build side is chosen by size alone
+    (``left.length < right.length`` hashes the left).  Probing the left
+    through a right-side table yields that order directly; probing the right
+    through a left-side table yields (right order) x (left order), and a
+    stable sort of the matched pairs by left index restores the documented
+    order, because the right indices of one left row already ascend.
     """
 
     def __init__(
@@ -468,103 +531,34 @@ class BatchHashJoinOp(BatchOperator):
         condition = ", ".join(self.on) if self.on else "cross"
         return f"BatchHashJoin({condition})"
 
-    def _keys(self, batch: ColumnBatch, key_indices: Sequence[int]) -> List[Tuple[object, ...]]:
-        key_columns = [batch.columns[i] for i in key_indices]
-        if len(key_columns) == 1:
-            return key_columns[0]  # single-attribute keys skip tuple packing
-        if not key_columns:
-            # Cross join: every row hashes to the empty key, like the row
-            # HashJoinOp (zip of zero columns would yield no keys at all).
-            return [()] * batch.length
-        return list(zip(*key_columns))
-
     def _execute(self) -> Iterator[ColumnBatch]:
-        single = len(self._left_key_indices) == 1
-        # Build side: concatenate the right input and hash its keys.
-        build = ColumnBatch.concat(self.right.schema, list(self.right.batches()))
-        table: Dict[object, List[int]] = {}
-        build_keys = self._keys(build, self._right_key_indices)
-        if single:
-            for position, key in enumerate(build_keys):
-                if key is None:
-                    continue
-                bucket = table.get(key)
-                if bucket is None:
-                    table[key] = [position]
-                else:
-                    bucket.append(position)
+        left = ColumnBatch.concat(self.left.schema, list(self.left.batches()))
+        right = ColumnBatch.concat(self.right.schema, list(self.right.batches()))
+        composite = len(self.on) != 1
+        left_keys = _row_keys([left.columns[i] for i in self._left_key_indices], left.length)
+        right_keys = _row_keys([right.columns[i] for i in self._right_key_indices], right.length)
+        if left.length < right.length:
+            right_indices, left_indices = _match_keys(left_keys, right_keys, composite)
+            order = sorted(range(len(left_indices)), key=left_indices.__getitem__)
+            left_indices = [left_indices[i] for i in order]
+            right_indices = [right_indices[i] for i in order]
         else:
-            for position, key in enumerate(build_keys):
-                if any(value is None for value in key):
-                    continue
-                bucket = table.get(key)
-                if bucket is None:
-                    table[key] = [position]
-                else:
-                    bucket.append(position)
-        build_columns = [build.columns[i] for i in self._right_keep_indices]
-
-        # Probe side: one output batch per input batch.
-        get = table.get
-        for batch in self.left.batches():
-            probe_keys = self._keys(batch, self._left_key_indices)
-            left_indices: List[int] = []
-            right_indices: List[int] = []
-            append_left = left_indices.append
-            append_right = right_indices.append
-            if single:
-                for position, key in enumerate(probe_keys):
-                    if key is None:
-                        continue
-                    bucket = get(key)
-                    if bucket is None:
-                        continue
-                    if len(bucket) == 1:
-                        append_left(position)
-                        append_right(bucket[0])
-                    else:
-                        left_indices.extend([position] * len(bucket))
-                        right_indices.extend(bucket)
-            else:
-                for position, key in enumerate(probe_keys):
-                    if any(value is None for value in key):
-                        continue
-                    bucket = get(key)
-                    if bucket is None:
-                        continue
-                    if len(bucket) == 1:
-                        append_left(position)
-                        append_right(bucket[0])
-                    else:
-                        left_indices.extend([position] * len(bucket))
-                        right_indices.extend(bucket)
-            if not left_indices:
-                continue
-            columns = [[column[i] for i in left_indices] for column in batch.columns]
-            columns += [[column[j] for j in right_indices] for column in build_columns]
-            yield ColumnBatch(self._schema, columns, len(left_indices))
+            left_indices, right_indices = _match_keys(right_keys, left_keys, composite)
+        if not left_indices:
+            return
+        columns = _gather(left.columns, left_indices)
+        columns += _gather([right.columns[i] for i in self._right_keep_indices], right_indices)
+        yield ColumnBatch(self._schema, columns, len(left_indices))
 
 
-def build_group_buckets(
-    batch: ColumnBatch, group_indices: Sequence[int]
-) -> Tuple[List[Column], List[int], List[List[int]]]:
-    """Hash rows into insertion-ordered groups by the columns at ``group_indices``.
+def _bucket_rows(keys: Sequence[object]) -> Tuple[List[int], List[List[int]]]:
+    """Insertion-ordered groups of equal ``keys``: ``(first_rows, buckets)``.
 
-    Returns ``(group_columns, first_rows, buckets)``: the grouping columns,
-    the row index of each group's first occurrence, and each group's row
-    indices in row order.  This is the single definition of the grouping
-    order every columnar aggregation shares — it must stay in lockstep with
+    The single definition of the grouping order every columnar aggregation
+    shares — it must stay in lockstep with
     :class:`repro.algebra.aggregate.GroupByOp` for the bit-identical
     row/batch guarantee.
     """
-    group_columns = [batch.columns[i] for i in group_indices]
-    if len(group_columns) == 1:
-        keys: Sequence[object] = group_columns[0]
-    elif group_columns:
-        keys = list(zip(*group_columns))
-    else:
-        keys = [()] * batch.length
-
     positions: Dict[object, int] = {}
     buckets: List[List[int]] = []
     first_rows: List[int] = []
@@ -576,7 +570,24 @@ def build_group_buckets(
             first_rows.append(row)
         else:
             buckets[slot].append(row)
+    return first_rows, buckets
+
+
+def build_group_buckets(
+    batch: ColumnBatch, group_indices: Sequence[int]
+) -> Tuple[List[Column], List[int], List[List[int]]]:
+    """Hash rows into insertion-ordered groups by the columns at ``group_indices``.
+
+    Returns ``(group_columns, first_rows, buckets)``: the grouping columns,
+    the row index of each group's first occurrence, and each group's row
+    indices in row order.
+    """
+    group_columns = [batch.columns[i] for i in group_indices]
+    first_rows, buckets = _bucket_rows(_row_keys(group_columns, batch.length))
     return group_columns, first_rows, buckets
+
+
+_BUILTIN_EXTREMA = {"min": min, "max": max}
 
 
 def group_by_columns(
@@ -591,20 +602,41 @@ def group_by_columns(
     schema is the grouping attributes followed by one column per aggregate
     (same dtype/role inheritance), groups appear in first-occurrence order, and
     each aggregate sees its group's values in row order.
+
+    The keys are checked for distinctness first (``len(set(keys)) == length``).
+    Eager aggregation over a keyed base table finds every row already its own
+    group — the paper's point that such aggregations are useless — and then no
+    bucket is built: the grouping columns pass through, ``min``/``max`` of a
+    single value is the value, and every other aggregate maps over the column.
+    ``prob`` is ``1.0 - (1.0 - p)`` there, never ``p``: that is the arithmetic
+    ``prob_or([p])`` performs, and the two differ in the last bit for many
+    ``p``.  Otherwise rows are bucketed, and ``min``/``max`` over a column that
+    is :func:`_naturally_ordered` use the builtin without ``sort_key_for``.
     """
     child_schema = batch.schema
     if schema is None:
         schema = aggregate_output_schema(child_schema, group_by, aggregates)
-    group_indices = child_schema.indices_of(group_by)
-    aggregate_indices = [child_schema.index_of(s.input_attribute) for s in aggregates]
-
-    group_columns, first_rows, buckets = build_group_buckets(batch, group_indices)
-    out_columns: List[Column] = [
-        [column[i] for i in first_rows] for column in group_columns
-    ]
-    for spec, index in zip(aggregates, aggregate_indices):
-        function = AGGREGATE_FUNCTIONS[spec.function]
-        column = batch.columns[index]
+    group_columns = [batch.columns[i] for i in child_schema.indices_of(group_by)]
+    inputs = [batch.columns[child_schema.index_of(s.input_attribute)] for s in aggregates]
+    keys = _row_keys(group_columns, batch.length)
+    if len(set(keys)) == batch.length:
+        out_columns: List[Column] = list(group_columns)
+        for spec, column in zip(aggregates, inputs):
+            if spec.function in _BUILTIN_EXTREMA:
+                out_columns.append(column)
+            elif spec.function == "prob":
+                out_columns.append([1.0 - (1.0 - p) for p in column])
+            else:
+                function = AGGREGATE_FUNCTIONS[spec.function]
+                out_columns.append([function([value]) for value in column])
+        return ColumnBatch(schema, out_columns, batch.length)
+    first_rows, buckets = _bucket_rows(keys)
+    out_columns = _gather(group_columns, first_rows)
+    for spec, column in zip(aggregates, inputs):
+        if spec.function in _BUILTIN_EXTREMA and _naturally_ordered(column):
+            function = _BUILTIN_EXTREMA[spec.function]
+        else:
+            function = AGGREGATE_FUNCTIONS[spec.function]
         out_columns.append([function([column[i] for i in bucket]) for bucket in buckets])
     return ColumnBatch(schema, out_columns, len(buckets))
 
@@ -648,16 +680,18 @@ def sort_batch(batch: ColumnBatch, names: Sequence[str]) -> ColumnBatch:
 
     Uses the same per-value total order as :meth:`Relation.sorted_by`
     (``sort_key_for``), so the resulting permutation is identical to the row
-    engine's sort.
+    engine's sort.  A key column that is :func:`_naturally_ordered`
+    (homogeneously numeric or ``str``) is its own sort key; only ``None``,
+    ``bool`` and mixed columns are mapped through ``sort_key_for``.
     """
     key_indices = batch.schema.indices_of(names)
     if not key_indices or batch.length <= 1:
         return batch
-    mapped = [list(map(sort_key_for, batch.columns[i])) for i in key_indices]
-    if len(mapped) == 1:
-        keys: Sequence[object] = mapped[0]
-    else:
-        keys = list(zip(*mapped))
+    key_columns = [
+        column if _naturally_ordered(column) else list(map(sort_key_for, column))
+        for column in map(batch.columns.__getitem__, key_indices)
+    ]
+    keys = _row_keys(key_columns, batch.length)
     order = sorted(range(batch.length), key=keys.__getitem__)
     if order == list(range(batch.length)):
         return batch

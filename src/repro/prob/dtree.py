@@ -24,9 +24,16 @@ open (not yet compiled) leaf carries cheap lower/upper bounds on its
 probability, the bounds propagate through the d-tree node types to bracket the
 root probability, and compilation repeatedly expands the open leaf with the
 largest influence on the root gap until the caller's absolute or relative
-error budget ``epsilon`` is met.  The bounds are monotone: every expansion
-step tightens (never widens) the root interval, so stopping early always
-yields a sound bracket.
+error budget ``epsilon`` is met.  The bounds are sound at every step: each
+expansion replaces one leaf's bracket by a bracket that still contains that
+leaf's probability, so stopping early always yields a sound root interval,
+and at closure it is exact.  They are not monotone on both sides.  The upper
+bound does not rise (``prod (1 - p * c_i)`` is convex in ``p``, so a Shannon
+step can only lower the independent-or estimate; the property tests assert
+it), but the lower bound may drop for a step: the greedy disjoint pick of the
+two cofactors can be worse than the parent's pick.  For
+``{0 1 5, 0 3, 1 2, 4 5}`` with ``p(5) = 0.75`` and the rest ``0.5`` the root
+bracket goes ``[0.6484, 0.7144] -> [0.6094, 0.6924] -> 0.671875``.
 
 Open-leaf bounds for a positive DNF with clause probabilities ``c_i``:
 

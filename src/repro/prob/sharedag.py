@@ -528,9 +528,10 @@ class SharedLineageStore:
         ``deadline`` (a :class:`repro.deadline.Deadline`) is consulted once,
         at entry — *before* the round is planned, so an expired deadline
         returns 0 with the table untouched and every bound exactly where the
-        previous round left it (sound by monotonicity).  A round is never
-        interrupted mid-flight: that is the invariant that keeps step-metered
-        results bit-identical while only the stopping point tracks the clock.
+        previous round left it (sound: every completed round leaves sound
+        bounds).  A round is never interrupted mid-flight: that is the
+        invariant that keeps step-metered results bit-identical while only
+        the stopping point tracks the clock.
 
         The ``store.propagate`` fault seam also fires here at entry, before
         any mutation, so an injected fault leaves the store consistent: the

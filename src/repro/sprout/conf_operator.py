@@ -19,10 +19,11 @@ tested against and as the slow side of the ablation benchmark
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import QueryError
 from repro.algebra.aggregate import AggregateSpec, GroupByOp
+from repro.algebra.columnar import ColumnBatch, group_by_columns
 from repro.algebra.operators import MaterializedOp
 from repro.query.signature import ConcatSig, Signature, StarSig, TableSig
 from repro.storage.relation import Relation
@@ -126,11 +127,11 @@ def grp_statements(signature: Signature) -> List[str]:
 
 
 def reduce_relation(
-    answer: Relation,
+    answer: Union[Relation, ColumnBatch],
     signature: Signature,
     steps: Optional[List[ConfStep]] = None,
     execution: str = "row",
-) -> Tuple[Relation, str]:
+) -> Tuple[Union[Relation, ColumnBatch], str]:
     """Run the aggregation/propagation sequence of ``signature`` on ``answer``.
 
     Returns the reduced relation (data columns plus a single surviving V/P
@@ -138,14 +139,16 @@ def reduce_relation(
     name.  This is the building block shared by the lazy GRP semantics
     (:func:`apply_semantics`) and by the eager/hybrid planners, which apply it
     at intermediate plan nodes with the node's restricted signature
-    (Section V.B).  ``execution="batch"`` runs each aggregation/propagation
-    pass columnar (identical results, fewer per-row interpreter trips).
+    (Section V.B).  Under ``execution="row"`` ``answer`` and the result are
+    relations; under ``execution="batch"`` both are
+    :class:`repro.algebra.columnar.ColumnBatch` and every pass runs columnar
+    (batch in, batch out: identical values, no row form in between).
     """
     current = answer
     recorded: List[ConfStep] = steps if steps is not None else []
     batch_mode = execution == "batch"
 
-    def aggregate(relation: Relation, table: str, signature_text: str) -> Relation:
+    def aggregate(relation, table: str, signature_text: str):
         """GRP by every column except ``table``'s V/P pair (operator ``[α*]``)."""
         schema = relation.schema
         var_column = _var_column(schema, table)
@@ -156,11 +159,7 @@ def reduce_relation(
             AggregateSpec("prob", prob_column, prob_column),
         ]
         if batch_mode:
-            from repro.algebra.columnar import ColumnBatch, group_by_columns
-
-            result = group_by_columns(
-                ColumnBatch.from_relation(relation), group_by, aggregates
-            ).to_relation(relation.name)
+            result = group_by_columns(relation, group_by, aggregates)
         else:
             operator = GroupByOp(MaterializedOp(relation), group_by, aggregates)
             result = operator.to_relation(relation.name)
@@ -175,7 +174,7 @@ def reduce_relation(
         )
         return result
 
-    def propagate(relation: Relation, keep_table: str, drop_table: str) -> Relation:
+    def propagate(relation, keep_table: str, drop_table: str):
         """Multiply ``drop_table``'s probability into ``keep_table``'s and drop its pair."""
         schema = relation.schema
         keep_prob = _prob_column(schema, keep_table)
@@ -187,15 +186,13 @@ def reduce_relation(
         new_schema = Schema(kept_attributes)
         kept_indices = [schema.index_of(a.name) for a in kept_attributes]
         if batch_mode:
-            columns = relation.to_columns()
+            columns = relation.columns
             kept_columns = [columns[i] for i in kept_indices]
             kept_columns[new_schema.index_of(keep_prob)] = [
                 keep * drop
                 for keep, drop in zip(columns[keep_prob_index], columns[drop_prob_index])
             ]
-            result = Relation.from_columns(
-                relation.name, new_schema, kept_columns, length=len(relation)
-            )
+            result = ColumnBatch(new_schema, kept_columns, relation.length)
         else:
             result = Relation(relation.name, new_schema)
             for row in relation:
@@ -294,10 +291,15 @@ def apply_semantics(
     ``answer`` must contain the data columns of the (projected) query answer
     plus one variable/probability pair per table in ``signature``.  The result
     relation has the data columns plus a ``conf`` column with the exact
-    probability of each distinct data tuple.
+    probability of each distinct data tuple.  ``execution="batch"`` transposes
+    ``answer`` once at entry and runs every step on a ``ColumnBatch``.
     """
     steps: List[ConfStep] = []
-    current, leader = reduce_relation(answer, signature, steps, execution=execution)
+    batch_mode = execution == "batch"
+    current = ColumnBatch.from_relation(answer) if batch_mode else answer
+    current, leader = reduce_relation(current, signature, steps, execution=execution)
+    if batch_mode:
+        current = current.to_relation(answer.name)
 
     # Final projection: keep the data columns and the leader's probability as "conf".
     schema = current.schema

@@ -1412,7 +1412,7 @@ class SproutEngine:
         final = _aggregate_pair(final, node_result.leader, execution=execution)
         elapsed = perf_counter() - started
 
-        relation = self._finalize(final, query)
+        relation = self._finalize(final, query, execution)
         return EvaluationResult(
             query_name=query.name,
             plan_style=plan,
@@ -1547,8 +1547,13 @@ class SproutEngine:
             relation.append(tuple(data) + (confidence,))
         return relation
 
-    def _finalize(self, relation: Relation, query: ConjunctiveQuery) -> Relation:
-        """Rename the surviving probability column to ``conf`` and drop variables."""
+    def _finalize(self, relation, query: ConjunctiveQuery, execution: str) -> Relation:
+        """Rename the surviving probability column to ``conf`` and drop variables.
+
+        ``relation`` is the eager/hybrid plan's final :class:`Relation`
+        (``execution="row"``) or ``ColumnBatch`` (``"batch"``, which leaves
+        the columnar form here through one ``Relation.from_columns``).
+        """
         pairs = relation.schema.var_prob_pairs()
         if len(pairs) != 1:
             raise PlanningError(
@@ -1559,8 +1564,11 @@ class SproutEngine:
         schema = Schema(
             [relation.schema[name] for name in data_names] + [Attribute("conf", "float")]
         )
-        result = Relation(query.name, schema)
         data_indices = relation.schema.indices_of(data_names)
+        if execution == "batch":
+            columns = [relation.columns[i] for i in (*data_indices, pair.prob_index)]
+            return Relation.from_columns(query.name, schema, columns, length=relation.length)
+        result = Relation(query.name, schema)
         for row in relation:
             result.append(tuple(row[i] for i in data_indices) + (row[pair.prob_index],))
         return result

@@ -17,7 +17,7 @@ propagation steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.errors import PlanningError
 from repro.algebra.aggregate import AggregateSpec, GroupByOp
@@ -283,20 +283,24 @@ def evaluate_deterministic(query: ConjunctiveQuery, instance: Dict[str, Relation
 
 @dataclass
 class EagerNodeResult:
-    """Intermediate result of eager evaluation: a relation plus its leader pair."""
+    """Intermediate result of eager evaluation: a relation plus its leader pair.
 
-    relation: Relation
+    ``relation`` is a :class:`Relation` under ``execution="row"`` and a
+    :class:`ColumnBatch` under ``execution="batch"``.
+    """
+
+    relation: Union[Relation, ColumnBatch]
     leader: str
     rows_processed: int = 0
     aggregation_rows: int = 0
 
 
-def _pairs_of(schema: Schema) -> List[str]:
-    return [pair.source for pair in schema.var_prob_pairs()]
+def _aggregate_pair(relation, leader: str, execution: str = "row"):
+    """Operator ``[leader*]``: GRP by every other column, min(V) / prob(P).
 
-
-def _aggregate_pair(relation: Relation, leader: str, execution: str = "row") -> Relation:
-    """Operator ``[leader*]``: GRP by every other column, min(V) / prob(P)."""
+    Relation in, relation out under ``execution="row"``; batch in, batch out
+    under ``execution="batch"``.
+    """
     schema = relation.schema
     pair = next(p for p in schema.var_prob_pairs() if p.source == leader)
     group_by = [
@@ -309,29 +313,9 @@ def _aggregate_pair(relation: Relation, leader: str, execution: str = "row") -> 
         AggregateSpec("prob", pair.prob_name, pair.prob_name),
     ]
     if execution == "batch":
-        batch = group_by_columns(ColumnBatch.from_relation(relation), group_by, aggregates)
-        return batch.to_relation(relation.name)
+        return group_by_columns(relation, group_by, aggregates)
     operator = GroupByOp(MaterializedOp(relation), group_by, aggregates)
     return operator.to_relation(relation.name)
-
-
-def _propagate_pairs(relation: Relation, keep: str, drop: str) -> Relation:
-    """Fold ``drop``'s probability into ``keep``'s and remove ``drop``'s pair."""
-    schema = relation.schema
-    keep_pair = next(p for p in schema.var_prob_pairs() if p.source == keep)
-    drop_pair = next(p for p in schema.var_prob_pairs() if p.source == drop)
-    kept_attributes = [
-        a for a in schema if a.name not in (drop_pair.var_name, drop_pair.prob_name)
-    ]
-    new_schema = Schema(kept_attributes)
-    result = Relation(relation.name, new_schema)
-    kept_indices = [schema.index_of(a.name) for a in kept_attributes]
-    keep_prob_position = new_schema.index_of(keep_pair.prob_name)
-    for row in relation:
-        values = [row[i] for i in kept_indices]
-        values[keep_prob_position] = row[keep_pair.prob_index] * row[drop_pair.prob_index]
-        result.append(tuple(values))
-    return result
 
 
 def eager_evaluation(
@@ -352,20 +336,19 @@ def eager_evaluation(
     tables are dropped (they are expensive on large tables and useless under
     selective joins) but intermediate join results are still aggregated.
 
-    ``execution="batch"`` runs the joins and aggregations columnar.
-    Intermediate node results are still materialised as row relations between
-    steps (the hierarchy recursion and :func:`reduce_relation` exchange
-    relations), so each node pays a row<->column transposition; keeping the
-    intermediates columnar end-to-end is a known follow-up optimisation — the
-    lazy plan, which is the paper's fast path, already avoids all of it.
+    ``execution="batch"`` keeps every intermediate a :class:`ColumnBatch`,
+    from the base-table scans to the returned node result: leaves come out of
+    ``plan.to_batch``, projections re-reference column lists, and the joins,
+    :func:`_aggregate_pair` and :func:`reduce_relation` take and return
+    batches — no row form exists between nodes, as in the lazy plan.
 
     At every inner node the probability computation operator placed there uses
     the signature obtained by the placement rules of Section V.B: the query
     signature restricted to the tables of the subplan, with the signatures of
     operators already executed below replaced by their leftmost table name.
-    The returned relation has the query's head attributes as data columns plus
-    a single V/P pair; the caller turns the probability column into the final
-    ``conf`` column.
+    The returned relation (batch, in batch mode) has the query's head
+    attributes as data columns plus a single V/P pair; the caller turns the
+    probability column into the final ``conf`` column.
     """
     from repro.query.signature import restrict_signature  # avoids a module cycle
     from repro.sprout.conf_operator import reduce_relation
@@ -394,9 +377,10 @@ def eager_evaluation(
             table = node.atom.table
             if batch:
                 plan = base_table_plan_batch(database, query, table, batch_size)
+                relation = plan.to_batch(table)
             else:
                 plan = base_table_plan(database, query, table)
-            relation = plan.to_relation(table)
+                relation = plan.to_relation(table)
             rows_processed += plan.total_rows_processed()
             keep = columns_to_keep(relation.schema, parent_attributes)
             if keep != list(relation.schema.names):
@@ -411,16 +395,15 @@ def eager_evaluation(
 
         child_results = [evaluate(child, node.attributes) for child in node.children]
         if batch:
-            plan = BatchMaterializedOp(child_results[0].relation, batch_size=batch_size)
+            plan = BatchMaterializedOp(child_results[0].relation)
             for child in child_results[1:]:
-                plan = BatchHashJoinOp(
-                    plan, BatchMaterializedOp(child.relation, batch_size=batch_size)
-                )
+                plan = BatchHashJoinOp(plan, BatchMaterializedOp(child.relation))
+            joined = plan.to_batch(query.name)
         else:
             plan = MaterializedOp(child_results[0].relation)
             for child in child_results[1:]:
                 plan = HashJoinOp(plan, MaterializedOp(child.relation))
-        joined = plan.to_relation(query.name)
+            joined = plan.to_relation(query.name)
         rows_processed += plan.total_rows_processed()
 
         keep = columns_to_keep(joined.schema, parent_attributes)

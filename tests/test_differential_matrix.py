@@ -320,7 +320,9 @@ def test_lane_axis_is_bit_identical(case, confidence):
     tau = sorted(truth.values())[len(truth) // 2] if truth else 0.5
     fingerprints = {}
     for lanes in (0, 2):
-        engine = SproutEngine(build_db(), epsilon=EPSILON, refine_lanes=lanes)
+        engine = SproutEngine(
+            build_db(), epsilon=EPSILON, refine_lanes=lanes, shared_lineage=True
+        )
         plain = engine.evaluate(make_query(), plan="dtree", confidence=confidence)
         top = engine.evaluate_topk(
             make_query(), k=2, plan="dtree", confidence=confidence

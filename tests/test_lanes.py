@@ -53,7 +53,11 @@ def _decision_fingerprint(case, confidence, vectorize, lanes):
     columns, which subsume every per-tuple bracket.
     """
     build_db, make_query = CORPUS[case]
-    engine = SproutEngine(build_db(), vectorize=vectorize, refine_lanes=lanes)
+    # shared_lineage=True pins the shared store against REPRO_SHARED_LINEAGE=0
+    # (here and below): lanes, and ``dtree_cache.store``, only exist there.
+    engine = SproutEngine(
+        build_db(), vectorize=vectorize, refine_lanes=lanes, shared_lineage=True
+    )
     try:
         top = engine.evaluate_topk(
             make_query(), k=2, plan="dtree", confidence=confidence
@@ -237,7 +241,7 @@ class TestRoundInterleavingProperty:
 class TestStandingQueryLanes:
     def _watch(self, lanes):
         build_db, make_query = CORPUS["unsafe_proj"]
-        engine = SproutEngine(build_db(), refine_lanes=lanes)
+        engine = SproutEngine(build_db(), refine_lanes=lanes, shared_lineage=True)
         return engine, engine.watch_topk(make_query(), k=2)
 
     def test_delta_stream_is_bit_identical(self):
@@ -337,7 +341,7 @@ class TestLaneKnobs:
         build_db, make_query = CORPUS["unsafe_bool"]
         # workers=0 pins the in-process route against REPRO_WORKERS: the
         # driver-side pool only exists there (offload is the next test).
-        engine = SproutEngine(build_db(), refine_lanes=2, workers=0)
+        engine = SproutEngine(build_db(), refine_lanes=2, workers=0, shared_lineage=True)
         engine.evaluate_topk(make_query(), k=1, plan="dtree")
         pool = engine._lane_pool
         assert pool is not None
@@ -352,7 +356,7 @@ class TestLaneKnobs:
         """Offloaded decisions nest their lanes inside the worker: the driver
         never creates a lane pool, and close() releases the executor."""
         build_db, make_query = CORPUS["unsafe_bool"]
-        engine = SproutEngine(build_db(), refine_lanes=2, workers=1)
+        engine = SproutEngine(build_db(), refine_lanes=2, workers=1, shared_lineage=True)
         result = engine.evaluate_topk(make_query(), k=1, plan="dtree")
         assert result.decided
         assert engine._lane_pool is None

@@ -11,8 +11,9 @@ random lineage families refined along arbitrary interleavings, that
   columns behind — same bounds, same structure, same step counts,
 * a full :meth:`repro.prob.nodetable.NodeTable.refresh_all_bounds` sweep is
   idempotent on a propagated table under either backend, and
-* every view's bounds stay sound (bracketing enumeration truth) and
-  monotone along the interleaving.
+* every view's bounds stay sound (bracketing enumeration truth) along the
+  interleaving and its upper bound never rises (the lower bound can drop
+  for a step; ``tests/test_sharedag.py`` pins the case).
 """
 
 import pickle
@@ -263,8 +264,10 @@ class TestPropagationProperties:
             views[index].refine(steps)
             for position, view in enumerate(views):
                 lower, upper = view.bounds()
-                previous_lower, previous_upper = brackets[position]
-                assert lower >= previous_lower - TOLERANCE
+                _, previous_upper = brackets[position]
+                # Not asserted: lower >= previous_lower.  A Shannon step can
+                # lower a leaf's greedy-disjoint bound (0.390625 -> 0.3125
+                # was found here); soundness is the contract.
                 assert upper <= previous_upper + TOLERANCE
                 assert lower - TOLERANCE <= truths[position] <= upper + TOLERANCE
                 brackets[position] = (lower, upper)

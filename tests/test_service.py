@@ -23,19 +23,31 @@ from repro.service import (
     arequest,
 )
 from repro.service.__main__ import demo_database
+from repro.sprout import SproutEngine
 
 SQL = "SELECT room, conf() FROM alarm, uplink, zone_ok"
 
 
+def shared_store_service():
+    """The default service, its engine pinned to the shared store.
+
+    ``shared_lineage=True`` holds against ``REPRO_SHARED_LINEAGE=0``: delta
+    reports and the ``/stats`` store counters only exist on the shared store.
+    """
+    database = demo_database()
+    engine = SproutEngine(database, workers=0, shared_lineage=True)
+    return QueryService(database, engine=engine)
+
+
 @pytest.fixture
 def service():
-    with QueryService(demo_database()) as svc:
+    with shared_store_service() as svc:
         yield svc
 
 
 @pytest.fixture
 def server():
-    with ServiceServer(QueryService(demo_database())) as srv:
+    with ServiceServer(shared_store_service()) as srv:
         yield srv
 
 
