@@ -203,8 +203,9 @@ class QueryService:
         in-process refinement is what reuses the shared store across
         requests (a shipped worker segment deliberately does not) — the
         config's ``refine_lanes`` (turning the single refinement lane into
-        a lane pool inside each request), and the engine's own
-        ``shared_lineage``/``vectorize`` env-knob defaults.
+        a lane pool inside each request), the engine's default
+        ``execution="batch"`` (a request may still name ``"row"``), and the
+        engine's own ``shared_lineage``/``vectorize`` env-knob defaults.
 
     Lifecycle: :meth:`start` spawns the refinement lane, :meth:`close`
     drains it and closes the engine (both idempotent; the class is a

@@ -78,7 +78,12 @@ async def _read_request(
             break
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    length = int(headers.get("content-length", "0") or "0")
+    declared = headers.get("content-length") or "0"
+    # Digits only, and few enough that int() converts them (it refuses
+    # strings of thousands of digits, which the header limit would admit).
+    if not (declared.isascii() and declared.isdigit() and len(declared) <= 18):
+        raise _BadRequest(f"Content-Length {declared[:32]!r} is not a plain byte count")
+    length = int(declared)
     if length > _MAX_BODY_BYTES:
         raise _BadRequest(f"body of {length} bytes exceeds the {_MAX_BODY_BYTES} limit")
     body = await reader.readexactly(length) if length else b""

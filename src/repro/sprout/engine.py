@@ -37,13 +37,14 @@ the ablation benchmark.
 
 Orthogonally to both, the *execution mode* selects the physical backend:
 
+``batch``
+    The default.  The columnar backend (:mod:`repro.algebra.columnar`):
+    operators exchange ~4k-row column chunks, selections/joins/aggregations
+    run column-wise, and the confidence operator scans a single ColumnBatch.
 ``row``
     The original iterator-model operators — one Python tuple at a time.
-``batch``
-    The columnar backend (:mod:`repro.algebra.columnar`): operators exchange
-    ~4k-row column chunks, selections/joins/aggregations run column-wise, and
-    the confidence operator scans a single ColumnBatch.  Produces bit-identical
-    answers; severalfold faster on TPC-H-sized inputs.
+    Bit-identical answers, severalfold slower on TPC-H-sized inputs; kept
+    selectable per engine and per call as the differential oracle.
 
 Finally, ``workers`` (engine-wide or per call) spreads per-tuple d-tree and
 Monte Carlo confidence work across worker processes via the parallel
@@ -63,6 +64,7 @@ per-tuple mode; the number of logical refinement steps is what shrinks.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -291,9 +293,17 @@ def _default_refine_lanes() -> int:
     return env_int("REPRO_LANES", default=0, minimum=0)
 
 
+#: Entries the answer-lineage memo keeps (LRU).  A constant on purpose: the
+#: memo lives and dies with ``dtree_cache``, whose node budget is the knob.
+ANSWER_MEMO_ENTRIES = 32
+
+
 @dataclass
 class _AnswerLineage:
-    """A materialised answer reduced to what the lineage routes consume."""
+    """A materialised answer reduced to what the lineage routes consume.
+
+    Shared between calls by the engine's answer memo: treat as read-only.
+    """
 
     schema: Schema
     order: List[str]
@@ -311,9 +321,10 @@ class SproutEngine:
     database
         The tuple-independent probabilistic database to evaluate against.
     execution
-        Default physical backend for every evaluation: ``"row"`` (the
-        iterator-model operators) or ``"batch"`` (the columnar backend
-        processing ~``batch_size``-row column chunks).
+        Default physical backend for every evaluation: ``"batch"`` (the
+        default: the columnar backend processing ~``batch_size``-row column
+        chunks) or ``"row"`` (the iterator-model operators, the oracle the
+        batch path is tested against).
     confidence
         Default confidence mode: ``"exact"`` (operator paths for tractable
         queries, fully compiled d-trees for unsafe ones) or ``"approx"``
@@ -391,7 +402,7 @@ class SproutEngine:
     def __init__(
         self,
         database: ProbabilisticDatabase,
-        execution: str = "row",
+        execution: str = "batch",
         batch_size: int = DEFAULT_BATCH_ROWS,
         confidence: str = "exact",
         epsilon: float = 0.01,
@@ -465,6 +476,11 @@ class SproutEngine:
             if self.shared_lineage
             else DTreeCache(max_nodes=dtree_cache_size)
         )
+        #: Answers of the lineage routes already computed since the last
+        #: close(): same lifetime as ``dtree_cache`` (see _answer_lineage).
+        self._answer_memo: "OrderedDict[tuple, _AnswerLineage]" = OrderedDict()
+        self.answer_hits = 0
+        self.answer_misses = 0
         self.planner = JoinOrderPlanner(database)
         self.refine_lanes = refine_lanes
         #: Lazily created engine-lifetime lane pool (``refine_lanes >= 1``);
@@ -523,9 +539,9 @@ class SproutEngine:
         broken pool: executor shutdown failures are swallowed — close()
         never raises on a pool that is already broken or gone.  The first
         close snapshots the cache counters (:meth:`cache_stats` keeps
-        answering from the snapshot) and clears the cache to release the
-        store's node table; the engine transparently reopens — fresh
-        executors, cold cache — on the next evaluation.
+        answering from the snapshot) and clears the cache and the answer
+        memo to release the store's node table; the engine transparently
+        reopens — fresh executors, cold cache — on the next evaluation.
         """
         executors, self._executors = dict(self._executors), {}
         for executor in executors.values():
@@ -546,6 +562,8 @@ class SproutEngine:
             self._closed_stats = self._live_cache_stats()
             self._closed_stats["closed"] = True
             self.dtree_cache.clear()
+            self._answer_memo.clear()
+            self.answer_hits = self.answer_misses = 0
             self._closed = True
 
     def _reopen(self) -> None:
@@ -568,6 +586,10 @@ class SproutEngine:
             "misses": self.dtree_cache.misses,
             "evictions": self.dtree_cache.evictions,
             "entries": len(self.dtree_cache),
+            # The answer-lineage memo: requests that skipped the relational work.
+            "answer_hits": self.answer_hits,
+            "answer_misses": self.answer_misses,
+            "answer_entries": len(self._answer_memo),
             "shared_lineage": self.shared_lineage,
             "backend": self.backend,
             # Views marked stale vs. frontiers measured at a peek (0 in legacy mode).
@@ -1239,6 +1261,45 @@ class SproutEngine:
         )
 
     def _answer_lineage(
+        self,
+        query: ConjunctiveQuery,
+        join_order: Optional[Sequence[str]],
+        execution: str,
+    ) -> _AnswerLineage:
+        """The answer's per-tuple lineage, computed once per engine lifetime.
+
+        The paper's lazy thesis applied across requests: a (query, join
+        order, execution) this engine has answered since its last
+        :meth:`close` is served from a small LRU memo as long as every
+        referenced base table is the same relation with the same row count —
+        the evidence :meth:`Relation.columns_cached` already trusts.  Only
+        the lineage routes are memoised; operator plans always run.  A hit
+        still looks every tuple up in ``dtree_cache``, so the view cache's
+        guards and counters see exactly the calls they saw without the memo.
+        """
+        key = (
+            query,
+            tuple(join_order) if join_order else None,
+            execution,
+            # The database keeps its relations alive, so ids are stable.
+            tuple(
+                (id(relation), len(relation))
+                for relation in map(self.database.relation, query.table_names())
+            ),
+        )
+        answer = self._answer_memo.get(key)
+        if answer is not None:
+            self.answer_hits += 1
+            self._answer_memo.move_to_end(key)
+            return answer
+        self.answer_misses += 1
+        answer = self._compute_answer_lineage(query, join_order, execution)
+        self._answer_memo[key] = answer
+        if len(self._answer_memo) > ANSWER_MEMO_ENTRIES:
+            self._answer_memo.popitem(last=False)
+        return answer
+
+    def _compute_answer_lineage(
         self,
         query: ConjunctiveQuery,
         join_order: Optional[Sequence[str]],

@@ -10,10 +10,41 @@ name instead of the ambiguous ``conftest`` (which clashes with
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from helpers import build_paper_database, paper_query
 
 from repro import ConjunctiveQuery, ProbabilisticDatabase, SproutEngine
+
+# Tier-1 is a gate that is compared run against run (this commit against its
+# parent), so by default every property test draws the same examples each
+# time.  ``--hypothesis-profile=explore`` (CI's non-gating step) puts the
+# random seed back and multiplies every test's own example budget.
+EXPLORE_BUDGET_FACTOR = 5
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("explore", derandomize=False, print_blob=True)
+
+
+def pytest_configure(config):
+    # Profiles must be in force before the test modules are imported: an
+    # ``@settings(max_examples=...)`` decorator inherits everything it does
+    # not name from the profile current at import time.
+    if not config.getoption("hypothesis_profile", None):
+        settings.load_profile("tier1")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("hypothesis_profile", None) != "explore":
+        return
+    for item in items:
+        test = getattr(item, "obj", None)
+        test = getattr(test, "__func__", test)  # methods: set it on the function
+        # Hypothesis keeps a test's own settings here; no public setter exists.
+        own = getattr(test, "_hypothesis_internal_use_settings", None)
+        if own is not None:
+            test._hypothesis_internal_use_settings = settings(
+                own, max_examples=own.max_examples * EXPLORE_BUDGET_FACTOR
+            )
 
 
 @pytest.fixture

@@ -25,6 +25,7 @@ from repro.sprout import (
 from repro.algebra.columnar import ColumnBatch
 
 from helpers import assert_confidences_close, build_paper_database, paper_query
+from test_differential_matrix import CORPUS
 from test_properties import three_table_database, two_table_database
 
 ALL_PLANS = ("lazy", "eager", "hybrid", "lineage")
@@ -43,8 +44,34 @@ def assert_identical_results(row_result, batch_result):
 
 
 class TestExecutionModeSelection:
-    def test_engine_default_is_row(self, paper_db):
-        assert SproutEngine(paper_db).execution == "row"
+    def test_engine_default_is_batch(self, paper_db, paper_q):
+        engine = SproutEngine(paper_db)
+        assert engine.execution == "batch"
+        assert engine.evaluate(paper_q).execution == "batch"
+
+    @pytest.mark.parametrize("case", sorted(CORPUS))
+    def test_row_stays_selectable_per_engine_and_per_call(self, case):
+        """``row`` is the differential oracle: accepted as an engine default
+        and as a per-call override, and in agreement with the batch default
+        on every corpus query (operator plan and lineage route alike)."""
+        build_db, make_query = CORPUS[case]
+        query = make_query()
+        batch = SproutEngine(build_db())
+        row_engine = SproutEngine(build_db(), execution="row")
+        assert row_engine.execution == "row"
+        for plan in ("lazy", "dtree"):
+            default = batch.evaluate(query, plan=plan)
+            per_engine = row_engine.evaluate(query, plan=plan)
+            per_call = batch.evaluate(query, plan=plan, execution="row")
+            modes = [result.execution for result in (default, per_engine, per_call)]
+            assert modes == ["batch", "row", "row"]
+            assert_identical_results(per_engine, default)
+            assert_identical_results(per_call, default)
+        topk = batch.evaluate_topk(query, k=2, plan="dtree")
+        topk_row = batch.evaluate_topk(query, k=2, plan="dtree", execution="row")
+        assert (topk.execution, topk_row.execution) == ("batch", "row")
+        assert topk.confidences() == topk_row.confidences()
+        assert topk.decided and topk_row.decided
 
     def test_unknown_engine_mode_rejected(self, paper_db):
         with pytest.raises(PlanningError):
@@ -62,7 +89,8 @@ class TestExecutionModeSelection:
         engine = SproutEngine(paper_db, execution="batch")
         result = engine.evaluate(paper_q)
         assert result.execution == "batch"
-        row = SproutEngine(paper_db).evaluate(paper_q)
+        row = SproutEngine(paper_db, execution="row").evaluate(paper_q)
+        assert row.execution == "row"
         assert_identical_results(row, result)
 
     def test_modes_are_published(self):

@@ -7,9 +7,11 @@ from repro import Atom, ConjunctiveQuery, ProbabilisticDatabase, SproutEngine
 from repro.algebra import Comparison, Disjunction
 from repro.prob import confidences_by_enumeration
 from repro.sprout import evaluate_deterministic
+from repro.sprout.engine import ANSWER_MEMO_ENTRIES
 from repro.storage import Relation, Schema
 
 from helpers import assert_confidences_close, build_paper_database, paper_query
+from test_differential_matrix import CORPUS
 
 
 ALL_PLANS = ("lazy", "eager", "hybrid", "lineage")
@@ -247,6 +249,9 @@ class TestEngineInstrumentation:
                 "misses": 0,
                 "evictions": 0,
                 "entries": 0,
+                "answer_hits": 0,
+                "answer_misses": 0,
+                "answer_entries": 0,
                 "shared_lineage": shared,
                 "backend": engine.backend,
                 "closed": False,
@@ -279,8 +284,9 @@ class TestEngineInstrumentation:
         # The snapshot freezes the last live counters (entries included, even
         # though close() cleared the cache itself) and marks itself closed.
         assert snapshot["closed"] is True
-        for key in ("hits", "misses", "evictions", "entries"):
+        for key in ("hits", "misses", "evictions", "entries", "answer_misses", "answer_entries"):
             assert snapshot[key] == live[key]
+        assert snapshot["answer_entries"] == 1
         engine.close()  # idempotent: a second close keeps the same snapshot
         assert engine.cache_stats() == snapshot
 
@@ -317,3 +323,204 @@ class TestEngineInstrumentation:
         with SproutEngine(paper_db) as default:
             default_result = default.evaluate(paper_q, plan="dtree")
         assert scalar_result.confidences() == default_result.confidences()
+
+
+def _fingerprint(result):
+    """Every deterministic field of a result (the wall-clock ones excluded)."""
+    return {
+        "schema": result.relation.schema.names,
+        "rows": list(result.relation.rows),
+        "bounds": result.bounds,
+        "decided": result.decided,
+        "degraded": result.degraded,
+        "refine_steps": result.refine_steps,
+        "delta_steps": result.delta_steps,
+        "answer_rows": result.answer_rows,
+        "rows_processed": result.rows_processed,
+        "join_order": result.join_order,
+        "plan_style": result.plan_style,
+        "execution": result.execution,
+        "confidence": result.confidence,
+        "epsilon": result.epsilon,
+        "k": result.k,
+        "tau": result.tau,
+    }
+
+
+def _topk(engine, query, k=2):
+    return _fingerprint(engine.evaluate_topk(query, k=k, plan="dtree"))
+
+
+def _threshold(engine, query):
+    return _fingerprint(engine.evaluate_threshold(query, tau=0.3, plan="dtree"))
+
+
+def _approx(engine, query):
+    return _fingerprint(engine.evaluate(query, confidence="approx", epsilon=0.01))
+
+
+def _watch(engine, query):
+    watch = engine.watch_topk(query, k=2)
+    found = {
+        "result": _fingerprint(watch.result),
+        "selected": watch.selected,
+        "total_steps": watch.total_steps,
+        "delta_steps": watch.delta_steps,
+        "lineage": dict(watch.lineage),
+        "probabilities": dict(watch.probabilities),
+    }
+    watch.close()
+    return found
+
+
+#: The lineage-route calls the memo serves.  The last two keep no engine
+#: state between requests, so they also equal a brand-new engine's answer.
+MEMO_CALLS = (_topk, _threshold, _approx, _watch)
+STATELESS_CALLS = (_approx, _watch)
+
+
+def _view_counters(engine):
+    stats = engine.cache_stats()
+    return [stats[key] for key in ("hits", "misses", "evictions", "entries")]
+
+
+def _answer_counters(engine):
+    """``[answer_hits, answer_misses, answer_entries]``."""
+    stats = engine.cache_stats()
+    return [stats[key] for key in ("answer_hits", "answer_misses", "answer_entries")]
+
+
+class TestAnswerMemo:
+    """The engine's answer-lineage memo: a query the engine has answered since
+    its last ``close()`` skips the relational work and nothing else.
+
+    The control in the differential cases is a twin engine whose memo is
+    emptied before every call — the engine as it was before the memo.
+    """
+
+    @pytest.mark.parametrize("shared", (True, False))
+    @pytest.mark.parametrize("execution", ("row", "batch"))
+    @pytest.mark.parametrize("case", sorted(CORPUS))
+    def test_a_hit_is_bit_identical_to_recomputing(self, case, execution, shared):
+        build_db, make_query = CORPUS[case]
+        query = make_query()
+        options = {"execution": execution, "shared_lineage": shared}
+        memo = SproutEngine(build_db(), **options)
+        control = SproutEngine(build_db(), **options)
+        with memo, control:
+            for _repeat in range(3):
+                for call in MEMO_CALLS:
+                    control._answer_memo.clear()
+                    assert call(memo, query) == call(control, query), call.__name__
+                    # The view cache saw the same lookups with and without the memo.
+                    assert _view_counters(memo) == _view_counters(control), call.__name__
+            assert _answer_counters(memo) == [3 * len(MEMO_CALLS) - 1, 1, 1]
+            for call in STATELESS_CALLS:
+                with SproutEngine(build_db(), **options) as fresh:
+                    assert call(memo, query) == call(fresh, query), call.__name__
+
+    def test_close_drops_the_memo_and_recompiles_cold(self):
+        db, query = TestEngineInstrumentation.unsafe_workload()
+        engine = SproutEngine(db, workers=0, shared_lineage=True)
+        cold = _topk(engine, query, k=1)
+        assert cold["refine_steps"] > 0  # the first call paid for the decision
+        assert _topk(engine, query, k=1)["refine_steps"] == 0
+        engine.close()
+        assert _answer_counters(engine) == [1, 1, 1]  # the closed-engine snapshot
+        assert len(engine._answer_memo) == 0
+        assert _topk(engine, query, k=1) == cold
+        assert _answer_counters(engine) == [0, 1, 1]
+        with SproutEngine(db, workers=0, shared_lineage=True) as fresh:
+            assert _topk(fresh, query, k=1) == cold
+        engine.close()
+
+    def test_append_join_order_and_execution_are_misses(self):
+        db, query = TestEngineInstrumentation.unsafe_workload()
+        with SproutEngine(db) as engine:
+            engine.evaluate_topk(query, k=3)
+            engine.evaluate_topk(query, k=3)
+            assert _answer_counters(engine) == [1, 1, 1]
+            # An explicit join order and the other execution mode are their
+            # own entries, even when they produce the same answer.
+            engine.evaluate_topk(query, k=3, join_order=["T", "S", "R"])
+            assert _answer_counters(engine) == [1, 2, 2]
+            engine.evaluate_topk(query, k=3, execution="row")
+            assert _answer_counters(engine) == [1, 3, 3]
+            # A new base-table row (a = 2 joins x = 0) must show up at once.
+            stale = engine.evaluate_topk(query, k=3).confidences()
+            assert (2,) not in stale
+            variable = db.registry.fresh("R", 0.5)
+            db.relation("R").append((2, 0, variable, 0.5))
+            grown = engine.evaluate_topk(query, k=3)
+            assert _answer_counters(engine) == [2, 4, 4]
+            assert (2,) in grown.confidences()
+            with SproutEngine(db) as fresh:
+                expected = fresh.evaluate_topk(query, k=3)
+            assert expected.confidences() == grown.confidences()
+            assert expected.bounds == grown.bounds
+
+    @pytest.mark.parametrize("shared", (True, False))
+    def test_standing_query_deltas_never_leak_into_the_memo(self, shared):
+        db, query = TestEngineInstrumentation.unsafe_workload()
+        engine = SproutEngine(db, shared_lineage=shared)
+        control = SproutEngine(db, shared_lineage=shared)
+        with engine, control:
+            before = _topk(engine, query)
+            assert _topk(control, query) == before
+            watch = engine.watch_topk(query, k=1)
+            assert _answer_counters(engine) == [1, 1, 1]  # the watch was a hit
+            watch.update_probability(next(iter(watch.probabilities)), 0.01)
+            watch.delete_tuple((0,))
+            watch.insert_tuple((7,), [[900, 901]], {900: 0.5, 901: 0.25})
+            watch.refresh()
+            assert (7,) in watch.lineage and (0,) not in watch.lineage
+            watch.close()
+            # The watch copied what it was given: the engine still answers
+            # from the database, and the next watch starts from it too.
+            after = _topk(engine, query)
+            assert after == _topk(control, query)
+            assert (after["rows"], after["bounds"]) == (before["rows"], before["bounds"])
+            assert _watch(engine, query) == _watch(control, query)
+
+    def test_store_epoch_resets_between_repeats_stay_bit_identical(self):
+        build_db, make_query = CORPUS["unsafe_proj"]
+        query = make_query()
+        options = {"workers": 0, "shared_lineage": True, "dtree_cache_size": 4}
+        memo = SproutEngine(build_db(), **options)
+        control = SproutEngine(build_db(), **options)
+        with memo, control:
+            for _repeat in range(4):
+                for call in (_topk, _threshold):
+                    control._answer_memo.clear()
+                    assert call(memo, query) == call(control, query), call.__name__
+            # The tiny node budget really did wipe the store under the memo.
+            assert memo.dtree_cache.store.reset_epoch > 0
+            assert memo.dtree_cache.store.reset_epoch == control.dtree_cache.store.reset_epoch
+            assert _answer_counters(memo) == [7, 1, 1]
+
+    def test_lru_bound_holds(self):
+        build_db, _ = CORPUS["single"]
+        queries = [
+            ConjunctiveQuery(
+                "single",
+                [Atom("Obs", ["sensor", "value"])],
+                projection=["sensor"],
+                selections=Comparison("value", "<", cut),
+            )
+            for cut in range(ANSWER_MEMO_ENTRIES + 8)
+        ]
+        with SproutEngine(build_db()) as engine:
+            for query in queries:
+                engine.evaluate(query, plan="dtree")
+            assert _answer_counters(engine) == [0, len(queries), ANSWER_MEMO_ENTRIES]
+            engine.evaluate(queries[-1], plan="dtree")  # most recent: still there
+            assert _answer_counters(engine) == [1, len(queries), ANSWER_MEMO_ENTRIES]
+            engine.evaluate(queries[0], plan="dtree")  # oldest: evicted
+            assert _answer_counters(engine) == [1, len(queries) + 1, ANSWER_MEMO_ENTRIES]
+
+    def test_operator_plans_are_never_memoised(self, paper_db, paper_q):
+        with SproutEngine(paper_db) as engine:
+            for plan in ("lazy", "eager", "hybrid", "lineage"):
+                engine.evaluate(paper_q, plan=plan)
+                engine.evaluate(paper_q, plan=plan)
+            assert _answer_counters(engine) == [0, 0, 0]

@@ -172,6 +172,27 @@ class TestServiceCore:
         assert stats["store"]["mutations"] > 0
         assert stats["store"]["reset_epoch"] == 0
 
+    def test_stats_report_what_the_answer_memo_served(self):
+        """N repeats of one SQL text answer it once; the view cache's own
+        counters advance exactly as they do with the memo emptied each time."""
+        repeats = 5
+        with shared_store_service() as memo, shared_store_service() as control:
+            for _ in range(repeats):
+                control.engine._answer_memo.clear()
+                served = memo.execute("topk", {"sql": SQL, "k": 2})
+                expected = control.execute("topk", {"sql": SQL, "k": 2})
+                assert served == expected  # nothing about the memo is in a payload
+                cache, plain = memo.stats()["cache"], control.stats()["cache"]
+                for key in ("hits", "misses", "evictions", "entries"):
+                    assert cache[key] == plain[key]
+            assert cache["answer_misses"] == 1
+            assert cache["answer_hits"] == repeats - 1
+            assert cache["answer_entries"] == 1
+            assert plain["answer_misses"] == repeats
+        # The closed-engine snapshot keeps the counters.
+        assert memo.stats()["cache"]["answer_misses"] == 1
+        assert memo.stats()["cache"]["closed"] is True
+
     def test_config_validation(self):
         with pytest.raises(PlanningError):
             ServiceConfig(max_pending=0)
@@ -234,6 +255,28 @@ class TestServiceHTTP:
             sock.sendall(b"BOGUS\r\n\r\n")
             response = sock.recv(4096)
         assert b"400" in response.split(b"\r\n", 1)[0]
+
+    @pytest.mark.parametrize("declared", [b"abc", b"-5", b"+5", b"1e3", b"\xb2", b"9" * 5000])
+    def test_bad_content_length_gets_400(self, server, declared):
+        """A Content-Length that is not a plain byte count is the
+        client's error: a structured 400 and a closed connection, never an
+        unhandled exception in the connection callback."""
+        import json
+        import socket
+
+        with socket.create_connection((server.host, server.port), timeout=10) as sock:
+            sock.sendall(
+                b"POST /topk HTTP/1.1\r\nContent-Length: " + declared + b"\r\n\r\n{}"
+            )
+            response = b""
+            while chunk := sock.recv(4096):  # the server closes after a 400
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert "Content-Length" in json.loads(body)["error"]
+        # The server is still serving.
+        assert ServiceClient(server.host, server.port).healthz() == {"ok": True}
 
 
 class TestDeterminismStress:

@@ -100,7 +100,11 @@ class TestServiceRecovery:
         # must come from the snapshot written at close().
         with shared_service(config) as reborn:
             assert reborn.snapshot_restored is True
+            # The snapshot carries the view cache, never the answer memo: the
+            # reborn engine runs the query once and finds its views warm.
+            assert reborn.stats()["cache"]["answer_entries"] == 0
             warm = reborn.execute("topk", {"sql": SQL, "k": 2})
+            assert reborn.stats()["cache"]["answer_misses"] == 1
         assert warm["refine_steps"] <= 1
         assert warm["rows"] == cold["rows"]
         assert warm["decided"] is True
