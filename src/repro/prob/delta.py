@@ -109,7 +109,7 @@ def apply_probability_update(
     store.probabilities[variable] = probability
     if previous == probability:
         return DeltaReport(variable, probability, 0, frozenset())
-    dependents = store._var_index.get(variable)
+    dependents = store.dependents_index().get(variable)
     if not dependents:
         return DeltaReport(variable, probability, 0, frozenset())
     table = store.table

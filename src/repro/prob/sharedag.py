@@ -189,14 +189,15 @@ class SharedLineageStore:
         #: (:mod:`repro.prob.delta`).  ``_const_vars`` records, per closed
         #: product row, the member variables *in the fold order of the
         #: original build* (so a re-seed replays the same float sequence);
-        #: ``_branch_var`` the Shannon variable of each ⊙ row; ``_var_index``
-        #: maps a variable to every row registered as depending on it
-        #: directly (append-only — stale entries, e.g. a leaf later expanded,
-        #: are filtered by kind at update time).  Like ``_leaf_dnf``, these
-        #: survive :meth:`reset_nodes`: live views keep being updatable.
+        #: ``_branch_var`` the Shannon variable of each ⊙ row.  Like
+        #: ``_leaf_dnf``, these survive :meth:`reset_nodes`: live views keep
+        #: being updatable.  ``_var_index`` maps a variable to every row
+        #: depending on it directly; only a delta reads it, so it stays
+        #: ``None`` until something asks (:meth:`dependents_index`) — a store
+        #: that is compiled, refined and dropped never pays for it.
         self._const_vars: Dict[int, Tuple[int, ...]] = {}
         self._branch_var: Dict[int, int] = {}
-        self._var_index: Dict[int, List[int]] = {}
+        self._var_index: Optional[Dict[int, List[int]]] = None
         #: Concurrency discipline (the query service's contract).  The
         #: re-entrant lock serialises every mutating entry point —
         #: construction, expansion, delta updates, retirement, epoch resets
@@ -297,7 +298,8 @@ class SharedLineageStore:
             weight *= self.probabilities[variable]
         nid = self._new_node(KIND_CLOSED, weight, weight)
         self._const_vars[nid] = members
-        self._register_dependents(nid, members)
+        if self._var_index is not None:
+            self._register_dependents(nid, members)
         return nid
 
     def build(self, dnf: DNF) -> int:
@@ -378,17 +380,37 @@ class SharedLineageStore:
         return nid
 
     def _register_dependents(self, nid: int, variables: Iterable[int]) -> None:
-        """Index ``nid`` under each variable its stored numbers depend on."""
+        """Index ``nid`` under each variable its stored numbers depend on.
+
+        Builders call this only once the index exists; entries are
+        append-only (a leaf's stay behind when it is expanded) and
+        :func:`repro.prob.delta.apply_probability_update` filters by kind.
+        """
         index = self._var_index
         for variable in variables:
             index.setdefault(variable, []).append(nid)
+
+    def dependents_index(self) -> Dict[int, List[int]]:
+        """The variable→rows index, built on the first call — a store's first
+        delta — by replaying the three registries that define it."""
+        with self._lock:
+            if self._var_index is None:
+                self._var_index = {}
+                for nid, members in self._const_vars.items():
+                    self._register_dependents(nid, members)
+                for nid, branch in self._branch_var.items():
+                    self._register_dependents(nid, (branch,))
+                for nid, dnf in self._leaf_dnf.items():
+                    self._register_dependents(nid, dnf.variables())
+            return self._var_index
 
     def _leaf(self, dnf: DNF) -> int:
         """An open leaf with the construction bounds of ``dtree._Leaf``."""
         lower, upper = leaf_bounds(dnf, self.probabilities)
         nid = self._new_node(KIND_LEAF, lower, upper)
         self._leaf_dnf[nid] = dnf
-        self._register_dependents(nid, dnf.variables())
+        if self._var_index is not None:
+            self._register_dependents(nid, dnf.variables())
         return nid
 
     def build_root(self, dnf: DNF) -> int:
@@ -422,7 +444,8 @@ class SharedLineageStore:
         table.kind[leaf] = KIND_DET_OR
         table.attach_children(leaf, children, [p, 1.0 - p])
         self._branch_var[leaf] = branch
-        self._register_dependents(leaf, (branch,))
+        if self._var_index is not None:
+            self._register_dependents(leaf, (branch,))
         self.steps += 1
 
     def expand_leaf(self, leaf: int) -> None:
@@ -648,18 +671,11 @@ class SharedLineageStore:
             "node_count": self.node_count,
             "max_nodes": self.max_nodes,
             # Delta-update registries: product members in build fold order
-            # (ints, so the tuples ship safely), ⊙ branch variables, and the
-            # variable→dependent-rows index verbatim.  The index *could* be
-            # replayed from the other registries, but a replay loses the
-            # original registration order and the stale leaf-era entries of
-            # expanded rows — shipping it keeps every registry byte-for-byte
-            # across the round trip, so a lane-shipped segment's delta
-            # behaviour is the exporting store's by construction.
+            # (ints, so the tuples ship safely) and ⊙ branch variables.  The
+            # variable→rows index is not shipped: the receiver replays it
+            # from these at its first delta, like any other store.
             "const_vars": [(nid, members) for nid, members in self._const_vars.items()],
             "branch_vars": list(self._branch_var.items()),
-            "var_index": [
-                (variable, list(nids)) for variable, nids in self._var_index.items()
-            ],
             "retired_nodes": self.retired_nodes,
         }
 
@@ -685,22 +701,8 @@ class SharedLineageStore:
         }
         store._branch_var = dict(segment.get("branch_vars", []))
         store.retired_nodes = segment.get("retired_nodes", 0)
-        var_index = segment.get("var_index")
-        if var_index is not None:
-            store._var_index = {
-                variable: list(nids) for variable, nids in var_index
-            }
-        else:
-            # Pre-PR-9 segment: replay registration from the other
-            # registries.  Equivalent for delta updates (stale entries are
-            # skipped and reseed order never shows in results), but not
-            # byte-for-byte — the verbatim index above is.
-            for nid, members in store._const_vars.items():
-                store._register_dependents(nid, members)
-            for nid, branch in store._branch_var.items():
-                store._register_dependents(nid, (branch,))
-            for nid, dnf in store._leaf_dnf.items():
-                store._register_dependents(nid, dnf.variables())
+        # A ``var_index`` key (segments written before the index became
+        # lazy) is ignored: the replay at the first delta is equivalent.
         return store
 
 

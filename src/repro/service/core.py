@@ -46,6 +46,7 @@ queries arrive as SQL text parsed by :func:`repro.query.parser.parse_query`.
 
 from __future__ import annotations
 
+import math
 import os
 import queue
 import threading
@@ -516,9 +517,13 @@ class QueryService:
         epsilon = params.get("epsilon")
         if epsilon is None:
             return None
-        if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool) or epsilon < 0:
+        if (
+            not isinstance(epsilon, (int, float))
+            or isinstance(epsilon, bool)
+            or not 0 <= epsilon < math.inf  # NaN fails both comparisons
+        ):
             raise ServiceError(
-                f"'epsilon' must be a non-negative number, got {epsilon!r}"
+                f"'epsilon' must be a finite non-negative number, got {epsilon!r}"
             )
         return float(epsilon)
 

@@ -50,20 +50,25 @@ Finally, ``workers`` (engine-wide or per call) spreads per-tuple d-tree and
 Monte Carlo confidence work across worker processes via the parallel
 confidence executor (:mod:`repro.sprout.parallel`).  ``workers=0`` — the
 default, overridable with the ``REPRO_WORKERS`` environment variable — keeps
-everything in-process; any worker count produces bit-identical results on a
-fresh engine.
+everything in-process; every worker count ``>= 1`` produces bit-identical
+results on a fresh engine.
 
-In-process top-k/threshold scheduling additionally runs in **shared-lineage
-mode** by default (``shared_lineage=True``, ``REPRO_SHARED_LINEAGE``):
-candidate lineages are compiled into one hash-consed DAG
-(:mod:`repro.prob.sharedag`) in which common subformulas exist once across
-answer tuples, and the scheduler expands the globally most valuable shared
-node per step.  Decided sets and exact confidences are bit-identical to the
-per-tuple mode; the number of logical refinement steps is what shrinks.
+In-process evaluation — d-tree ``evaluate`` as well as top-k/threshold
+scheduling — additionally runs in **shared-lineage mode** by default
+(``shared_lineage=True``, ``REPRO_SHARED_LINEAGE``): lineages are compiled
+into the engine's one hash-consed DAG (:mod:`repro.prob.sharedag`) in which
+common subformulas exist once across answer tuples and across requests, so
+refinement is never redone: a repeat, or an ``evaluate`` after a decision on
+the same lineage, pays only for what is still open.  Decided sets and exact
+confidences are bit-identical to the per-tuple mode; approximate brackets
+are sound and within the budget but may be tighter than a cold run's; the
+number of logical refinement steps is what shrinks.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -163,8 +168,9 @@ class EvaluationResult:
     * ``k`` / ``tau`` / ``decided`` — top-k/threshold metadata: the request,
       and whether the answer set is provably decided (``decided=False`` only
       when a ``max_steps`` budget ran out first).
-    * ``refine_steps`` — total d-tree expansions spent (across all workers,
-      when the evaluation ran with ``workers >= 1``).
+    * ``refine_steps`` — d-tree expansions spent *by this call* (across all
+      workers, when the evaluation ran with ``workers >= 1``); refinement the
+      engine's shared store already held is not counted again.
     * ``backend`` — the numeric backend the refinement core ran on
       (``"numpy"`` when the vectorized bound-propagation passes were active,
       ``"python"`` for the scalar fallback; see
@@ -293,9 +299,47 @@ def _default_refine_lanes() -> int:
     return env_int("REPRO_LANES", default=0, minimum=0)
 
 
+def _check_epsilon(epsilon: float) -> None:
+    """Reject a negative or non-finite error budget: NaN never compares as
+    met (every tuple would be refined to exactness) and infinity is met by
+    the vacuous bracket."""
+    if not 0.0 <= epsilon < math.inf:
+        raise PlanningError(
+            f"epsilon must be a finite non-negative number, got {epsilon}"
+        )
+
+
 #: Entries the answer-lineage memo keeps (LRU).  A constant on purpose: the
 #: memo lives and dies with ``dtree_cache``, whose node budget is the knob.
 ANSWER_MEMO_ENTRIES = 32
+
+
+def _memoised_analysis(method):
+    """Memoise a ``(query, use_fds)`` static-analysis method per engine.
+
+    Keyed on the method, the (frozen) query and the functional dependencies
+    the analysis reads — a dependency declared later is a different key.
+    The memo holds at most :data:`ANSWER_MEMO_ENTRIES` results (LRU) and dies
+    with the answer memo at :meth:`SproutEngine.close`; an analysis that
+    raises is not kept.
+    """
+
+    @functools.wraps(method)
+    def analysed(self, query, use_fds=True):
+        fds = self.functional_dependencies(query, use_fds)
+        key = (method.__name__, query, tuple(fds))
+        memo = self._analysis_memo
+        if key in memo:
+            self.analysis_hits += 1
+            memo.move_to_end(key)
+            return memo[key]
+        self.analysis_misses += 1
+        value = memo[key] = method(self, query, use_fds)
+        if len(memo) > ANSWER_MEMO_ENTRIES:
+            memo.popitem(last=False)
+        return value
+
+    return analysed
 
 
 @dataclass
@@ -342,25 +386,23 @@ class SproutEngine:
         computes in-process; ``N >= 1`` fans the answer tuples out to a
         process pool kept for the engine's lifetime (release it with
         :meth:`close` or by using the engine as a context manager).  On a
-        fresh engine, plain :meth:`evaluate` results are bit-identical for
-        every worker count, and top-k/threshold results for every worker
-        count ``>= 1`` (``workers=0`` runs the serial cached-tree scheduler
-        instead: same decided set — and exact-mode selected confidences —
-        but step counts and non-selected bounds may differ).
+        fresh engine, results are bit-identical for every worker count
+        ``>= 1`` (``workers=0`` refines the engine's shared store instead:
+        same exact confidences and decided sets, but step counts,
+        approximate brackets and non-selected bounds may differ).
     shared_lineage
-        Whether the serial (``workers=0``) top-k/threshold scheduler
-        compiles candidate lineages into one shared hash-consed DAG
-        (:mod:`repro.prob.sharedag`) instead of per-tuple d-trees.  Default
-        on (overridable with the ``REPRO_SHARED_LINEAGE`` environment
-        variable): common subformulas are compiled once across answer
-        tuples and every refinement step tightens all tuples containing
-        the refined node.  Process workers always run isolated per-tuple
-        tasks — isolation is what makes parallel results placement- and
-        worker-count-independent — so the switch does not affect
-        ``workers >= 1`` scheduling or plain :meth:`evaluate` (whose
-        results stay bit-identical for every worker count).  Decided
-        top-k/threshold sets and exact confidences are bit-identical with
-        sharing on or off; only the work to reach them changes.
+        Whether in-process (``workers=0``) d-tree :meth:`evaluate` and the
+        top-k/threshold scheduler compile lineages into one shared
+        hash-consed DAG (:mod:`repro.prob.sharedag`) instead of per-tuple
+        d-trees.  Default on (overridable with the ``REPRO_SHARED_LINEAGE``
+        environment variable): common subformulas are compiled once across
+        answer tuples and requests, and every refinement step tightens all
+        tuples containing the refined node.  Process workers always run
+        isolated per-tuple tasks for plain :meth:`evaluate` — isolation is
+        what makes those results placement- and worker-count-independent.
+        Decided top-k/threshold sets and exact confidences are bit-identical
+        with sharing on or off; only the work to reach them changes, and
+        with it how tight an approximate bracket already is.
     dtree_cache_size
         Node budget for the engine-lifetime lineage cache (shared store or
         per-tuple tree cache), default
@@ -388,11 +430,12 @@ class SproutEngine:
     In-process evaluation (``workers=0``) keeps one lineage cache for the
     engine's lifetime (:class:`repro.prob.sharedag.SharedDTreeCache`, or
     :class:`repro.prob.dtree.DTreeCache` with ``shared_lineage=False``):
-    the top-k/threshold scheduler reuses and keeps refining the structures
-    compiled for previously seen lineage.  Parallel runs (and the plain
-    d-tree evaluation route under every worker count) instead compute each
-    tuple in isolation — that is what makes results independent of the
-    worker count and of evaluation history.
+    d-tree :meth:`evaluate` (shared mode only) and the top-k/threshold
+    scheduler reuse and keep refining the structures compiled for
+    previously seen lineage.  Parallel runs (and plain d-tree evaluation
+    with ``shared_lineage=False``) instead compute each tuple in isolation
+    — that is what makes their results independent of the worker count and
+    of evaluation history.
 
     Raises :class:`repro.errors.PlanningError` for invalid modes or
     parameters, and :class:`repro.errors.ParallelExecutionError` if a worker
@@ -425,8 +468,7 @@ class SproutEngine:
             raise PlanningError(
                 f"unknown confidence mode {confidence!r}; choose from {CONFIDENCE_MODES}"
             )
-        if epsilon < 0.0:
-            raise PlanningError(f"epsilon must be non-negative, got {epsilon}")
+        _check_epsilon(epsilon)
         if workers is None:
             workers = _default_workers()
         if workers < 0:
@@ -481,6 +523,10 @@ class SproutEngine:
         self._answer_memo: "OrderedDict[tuple, _AnswerLineage]" = OrderedDict()
         self.answer_hits = 0
         self.answer_misses = 0
+        #: Static analyses (see ``_memoised_analysis``): same bound and lifetime.
+        self._analysis_memo: "OrderedDict[tuple, object]" = OrderedDict()
+        self.analysis_hits = 0
+        self.analysis_misses = 0
         self.planner = JoinOrderPlanner(database)
         self.refine_lanes = refine_lanes
         #: Lazily created engine-lifetime lane pool (``refine_lanes >= 1``);
@@ -539,9 +585,10 @@ class SproutEngine:
         broken pool: executor shutdown failures are swallowed — close()
         never raises on a pool that is already broken or gone.  The first
         close snapshots the cache counters (:meth:`cache_stats` keeps
-        answering from the snapshot) and clears the cache and the answer
-        memo to release the store's node table; the engine transparently
-        reopens — fresh executors, cold cache — on the next evaluation.
+        answering from the snapshot) and clears the cache, the answer memo
+        and the analysis memo to release the store's node table; the engine
+        transparently reopens — fresh executors, cold cache — on the next
+        evaluation.
         """
         executors, self._executors = dict(self._executors), {}
         for executor in executors.values():
@@ -564,6 +611,8 @@ class SproutEngine:
             self.dtree_cache.clear()
             self._answer_memo.clear()
             self.answer_hits = self.answer_misses = 0
+            self._analysis_memo.clear()
+            self.analysis_hits = self.analysis_misses = 0
             self._closed = True
 
     def _reopen(self) -> None:
@@ -590,6 +639,9 @@ class SproutEngine:
             "answer_hits": self.answer_hits,
             "answer_misses": self.answer_misses,
             "answer_entries": len(self._answer_memo),
+            # Static query analyses served from / added to the analysis memo.
+            "analysis_hits": self.analysis_hits,
+            "analysis_misses": self.analysis_misses,
             "shared_lineage": self.shared_lineage,
             "backend": self.backend,
             # Views marked stale vs. frontiers measured at a peek (0 in legacy mode).
@@ -608,7 +660,9 @@ class SproutEngine:
         the engine's :class:`repro.prob.sharedag.SharedDTreeCache` (or
         legacy :class:`repro.prob.dtree.DTreeCache`); benchmarks and the
         bench report use them to attribute warm-vs-cold step counts instead
-        of inferring them from timings.  On a closed engine this returns
+        of inferring them from timings; ``answer_*`` and ``analysis_*`` count
+        the answer-lineage and query-analysis memos.  On a closed engine this
+        returns
         the snapshot taken at :meth:`close` (with ``"closed": True``)
         instead of touching the released cache; a live engine reports
         ``"closed": False``.
@@ -638,12 +692,14 @@ class SproutEngine:
             return []
         return self.database.catalog.functional_dependencies(query.table_names())
 
+    @_memoised_analysis
     def signature_for(self, query: ConjunctiveQuery, use_fds: bool = True) -> Signature:
         """The effective signature used to process ``query`` (Section IV)."""
         fds = self.functional_dependencies(query, use_fds)
         table_attributes = catalog_table_attributes(self.database.catalog, query.table_names())
         return effective_signature(query, fds, table_attributes)
 
+    @_memoised_analysis
     def is_tractable(self, query: ConjunctiveQuery, use_fds: bool = True) -> bool:
         return is_tractable(query, self.functional_dependencies(query, use_fds))
 
@@ -665,6 +721,7 @@ class SproutEngine:
         head = self.planning_head(query, use_fds) & frozenset(chased.attributes())
         return chased.with_projection(sorted(head), name=f"plan({query.name})")
 
+    @_memoised_analysis
     def hierarchy_for(self, query: ConjunctiveQuery, use_fds: bool = True) -> HierarchyNode:
         """Hierarchy tree used by the eager/hybrid (safe-plan-shaped) planners.
 
@@ -798,8 +855,8 @@ class SproutEngine:
             )
         if epsilon is None:
             epsilon = self.epsilon
-        elif epsilon < 0.0:
-            raise PlanningError(f"epsilon must be non-negative, got {epsilon}")
+        else:
+            _check_epsilon(epsilon)
         return execution, confidence, epsilon
 
     def _check_supported(self, query: ConjunctiveQuery) -> None:
@@ -1543,11 +1600,22 @@ class SproutEngine:
         cap is hit first); ``"approx"`` stops at the ``epsilon`` budget and
         records guaranteed bounds in :attr:`EvaluationResult.bounds`.
 
-        Each distinct answer tuple is an isolated work unit of the parallel
-        confidence executor, with its Karp–Luby fallback seed derived from
-        the engine seed and the tuple's lineage — which is why a fresh
-        engine returns bit-identical results for every ``workers`` setting
-        (the serial backend runs the very same work units in-process).
+        In-process with ``shared_lineage`` on (the default engine) the
+        tuples are views over the engine's one shared store
+        (:func:`compute_confidences` is handed ``dtree_cache`` instead of an
+        executor): refinement done here, or by an earlier
+        top-k/threshold/evaluate over the same lineage, is never redone,
+        ``refine_steps`` counts this call's expansions only, and an
+        approximate bracket is sound and at most ``2 * epsilon`` wide but may
+        be *tighter* than a cold run's.  Exact confidences are bit-identical
+        to a fresh engine's.
+
+        The ``workers >= 1`` and ``shared_lineage=False`` routes still make
+        each distinct answer tuple an isolated work unit of the parallel
+        confidence executor — a fresh tree per task, which is why those
+        routes return bit-identical results for every ``workers`` setting.
+        All routes derive the Karp–Luby fallback seed from the engine seed
+        and the tuple's lineage.
         """
         started = perf_counter()
         answer = self._answer_lineage(query, join_order, execution)
@@ -1557,7 +1625,11 @@ class SproutEngine:
         results = compute_confidences(
             answer.lineage,
             answer.probabilities,
-            self._executor_for(workers),
+            # In-process shared mode refines views of the engine's one store;
+            # every other route runs isolated per-tuple tasks.
+            self.dtree_cache
+            if workers == 0 and self.shared_lineage
+            else self._executor_for(workers),
             epsilon=0.0 if confidence == "exact" else epsilon,
             max_steps=self.dtree_max_steps,
             monte_carlo_samples=(
@@ -1567,14 +1639,14 @@ class SproutEngine:
         )
         prob_seconds = perf_counter() - started
 
-        ordered = sorted(results.items(), key=lambda item: repr(item[0]))
+        # Both routes return the tuples in ``repr`` order.
         relation = self._confidence_relation(
             answer.schema,
             query.name,
-            ((data, result.probability) for data, result in ordered),
+            ((data, result.probability) for data, result in results.items()),
         )
         bounds: Dict[Tuple[object, ...], Tuple[float, float]] = {
-            tuple(data): (result.lower, result.upper) for data, result in ordered
+            tuple(data): (result.lower, result.upper) for data, result in results.items()
         }
         return EvaluationResult(
             query_name=query.name,

@@ -15,11 +15,13 @@ worker processes:
 * :class:`ConfidenceExecutor` — the backend abstraction.
   :class:`SerialExecutor` runs tasks in-process; :class:`ProcessExecutor`
   ships them to a ``concurrent.futures`` process pool.  Both call the very
-  same :func:`execute_task`, which is what makes ``workers=0``, ``1`` and
-  ``N`` produce bit-identical results.
-* :func:`compute_confidences` — the fan-out/merge driver for plain
-  evaluation: one task per distinct answer tuple, results merged back into
-  :class:`repro.prob.dtree.ApproxResult` form.
+  same :func:`execute_task`, which is what makes every backend produce
+  bit-identical results.
+* :func:`compute_confidences` — the driver for plain evaluation: one task
+  per distinct answer tuple, fanned out and merged back into
+  :class:`repro.prob.dtree.ApproxResult` form — or, handed the engine's
+  shared cache instead of an executor, the same per-tuple routine
+  (:func:`budget_confidence`) on views of the one store, in-process.
 * :class:`ParallelRefinementScheduler` — round-based multi-tuple refinement
   for top-k/threshold queries: each round picks a *frontier batch* of gating
   tuples (the generalisation of the serial scheduler's crossing pair),
@@ -37,7 +39,8 @@ computes depends on *where* or *when* it runs:
    count, and both report the same bracket (:meth:`DTree.refine_to_target`).
 2. Epsilon-budget tasks always compile a fresh, isolated tree (own memo), so
    the stopping bracket cannot depend on which other tuples a process
-   happened to evaluate earlier.
+   happened to evaluate earlier.  This describes the executor routes only;
+   the in-process shared route deliberately keeps what it refined.
 3. The Karp–Luby fallback seed is derived per tuple from the engine seed and
    the tuple's canonical lineage (:func:`derive_task_seed`), not drawn from a
    shared generator, so the estimate is independent of scheduling order.
@@ -61,7 +64,7 @@ import random
 import traceback
 from dataclasses import dataclass
 from heapq import nlargest
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.errors import (
     ApproximationBudgetError,
@@ -105,6 +108,7 @@ __all__ = [
     "SupervisedLanePool",
     "SharedRunTask",
     "SharedRunOutcome",
+    "budget_confidence",
     "compute_confidences",
     "confidence_tasks",
     "derive_task_seed",
@@ -270,6 +274,51 @@ def derive_task_seed(
     return int.from_bytes(digest.digest()[:8], "big")
 
 
+def budget_confidence(
+    tree,
+    dnf: DNF,
+    probabilities: Mapping[int, float],
+    *,
+    epsilon: float,
+    relative: bool,
+    max_steps: Optional[int],
+    monte_carlo_samples: Optional[int],
+    base_seed: Optional[int],
+) -> ApproxResult:
+    """One tuple of plain evaluation, on whichever tree holds its lineage.
+
+    ``tree`` is a fresh :class:`DTree` (the executor routes) or a view of the
+    engine's shared store (the in-process default): it is refined until the
+    ``epsilon`` budget is met, at most ``max_steps`` expansions in this call,
+    and the result's ``steps`` are this call's.  When the cap runs out first
+    the Karp–Luby estimate (``monte_carlo_samples`` draws, seeded by
+    :func:`derive_task_seed`) clamped into the sound bracket is the point
+    estimate; with sampling disabled the
+    :class:`repro.errors.ApproximationBudgetError` propagates.
+    """
+    try:
+        return refine_to_budget(
+            tree, epsilon=epsilon, relative=relative, max_steps=max_steps
+        )
+    except ApproximationBudgetError as error:
+        if monte_carlo_samples is None:
+            raise
+        clauses = canonical_clauses(dnf)
+        estimator = karp_luby_probability(
+            dnf_from_canonical(clauses),
+            probabilities,
+            samples=monte_carlo_samples,
+            rng=random.Random(derive_task_seed(base_seed, clauses)),
+        )
+        return ApproxResult(
+            probability=min(max(estimator.estimate, error.lower), error.upper),
+            lower=error.lower,
+            upper=error.upper,
+            steps=error.steps,
+            exact=False,
+        )
+
+
 # ---------------------------------------------------------------------------
 # work units
 # ---------------------------------------------------------------------------
@@ -283,10 +332,11 @@ class ConfidenceTask:
     * **budget mode** (``target_steps is None``) — compile a fresh, isolated
       d-tree and refine until the ``epsilon`` budget is met (``epsilon=0``
       compiles to exactness), capped at ``max_steps`` expansions.  On cap
-      exhaustion the Karp–Luby estimator (``monte_carlo_samples`` draws
-      seeded with ``seed``) supplies the point estimate, or — when sampling
-      is disabled — a structured budget payload is returned for the driver
-      to re-raise.
+      exhaustion the Karp–Luby estimator (``monte_carlo_samples`` draws;
+      ``seed`` is the engine's, from which :func:`derive_task_seed` derives
+      this tuple's only when it is needed) supplies the point estimate, or
+      — when sampling is disabled — a structured budget payload is returned
+      for the driver to re-raise.
     * **target mode** (``target_steps`` set) — refine the tuple's d-tree to
       a *cumulative* expansion count.  Workers cache trees per ``run_id`` so
       successive rounds of the same scheduler run resume instead of
@@ -585,6 +635,11 @@ def execute_task(task: ConfidenceTask) -> "TaskOutcome":
     :class:`SharedRunTask` work units dispatch to
     :func:`execute_shared_run` (returning a :class:`SharedRunOutcome`);
     everything below handles the per-tuple :class:`ConfidenceTask` modes.
+    Budget mode compiles a fresh, isolated tree per task and leaves nothing
+    behind — the pool route (``workers >= 1``) and ``shared_lineage=False``;
+    the default engine's ``evaluate`` instead hands :func:`compute_confidences`
+    its shared cache, and the same :func:`budget_confidence` refines views of
+    the one store.
     """
     if isinstance(task, SharedRunTask):
         return execute_shared_run(task)
@@ -606,34 +661,23 @@ def execute_task(task: ConfidenceTask) -> "TaskOutcome":
     dnf = dnf_from_canonical(task.clauses)
     tree = DTree(dnf, task.probabilities)
     try:
-        result = refine_to_budget(
+        result = budget_confidence(
             tree,
+            dnf,
+            task.probabilities,
             epsilon=task.epsilon,
             relative=task.relative,
             max_steps=task.max_steps,
+            monte_carlo_samples=task.monte_carlo_samples,
+            base_seed=task.seed,
         )
     except ApproximationBudgetError as error:
-        if task.monte_carlo_samples is None:
-            return TaskOutcome(
-                key=task.key,
-                kind="budget",
-                lower=error.lower,
-                upper=error.upper,
-                probability=0.5 * (error.lower + error.upper),
-                steps=tree.steps,
-                performed=error.steps,
-            )
-        estimator = karp_luby_probability(
-            dnf,
-            task.probabilities,
-            samples=task.monte_carlo_samples,
-            rng=random.Random(task.seed) if task.seed is not None else random.Random(),
-        )
         return TaskOutcome(
             key=task.key,
+            kind="budget",
             lower=error.lower,
             upper=error.upper,
-            probability=min(max(estimator.estimate, error.lower), error.upper),
+            probability=0.5 * (error.lower + error.upper),
             steps=tree.steps,
             performed=error.steps,
         )
@@ -882,7 +926,7 @@ def confidence_tasks(
                 relative=relative,
                 max_steps=max_steps,
                 monte_carlo_samples=monte_carlo_samples,
-                seed=derive_task_seed(base_seed, clauses),
+                seed=base_seed,
             )
         )
     return ordered, tasks
@@ -900,7 +944,7 @@ def _raise_for_failure(outcome: TaskOutcome, data: DataTuple) -> None:
 def compute_confidences(
     lineage: Mapping[DataTuple, DNF],
     probabilities: Mapping[int, float],
-    executor: ConfidenceExecutor,
+    executor: Union[ConfidenceExecutor, SharedDTreeCache],
     *,
     epsilon: float = 0.0,
     relative: bool = False,
@@ -908,26 +952,40 @@ def compute_confidences(
     monte_carlo_samples: Optional[int] = None,
     base_seed: Optional[int] = None,
 ) -> Dict[DataTuple, ApproxResult]:
-    """Per-tuple confidence of an extracted lineage map, fanned out and merged.
+    """Per-tuple confidence of an extracted lineage map, in ``repr`` order.
 
-    The parallel counterpart of
+    The driver of plain evaluation.  With a :class:`ConfidenceExecutor` it is
+    the parallel counterpart of
     :func:`repro.prob.lineage.approximate_confidences_from_lineage`: one
-    budget-mode task per distinct tuple, executed by ``executor``, merged
-    back into :class:`ApproxResult` form in the input tuples' ``repr``
-    order.  Budget exhaustion without a Monte Carlo fallback re-raises
-    :class:`repro.errors.ApproximationBudgetError` exactly like the serial
-    code path; a worker failure raises
+    budget-mode task per distinct tuple, each on a fresh tree, fanned out
+    and merged back into :class:`ApproxResult` form.  Handed the engine's
+    :class:`repro.prob.sharedag.SharedDTreeCache` instead, the tuples are
+    views of its one store, refined right here under the store's
+    ``pinned()`` guard (every expansion takes the store lock, as in
+    :func:`repro.sprout.topk.run_decision`): what an earlier evaluation or
+    decision refined is neither redone nor reported again, so a bracket is
+    sound and within the budget but may be tighter than a cold run's.
+
+    Either way :func:`budget_confidence` is the per-tuple routine.  Budget
+    exhaustion without a Monte Carlo fallback raises
+    :class:`repro.errors.ApproximationBudgetError`; a worker failure raises
     :class:`repro.errors.ParallelExecutionError`.
     """
-    ordered, tasks = confidence_tasks(
-        lineage,
-        probabilities,
+    budget = dict(
         epsilon=epsilon,
         relative=relative,
         max_steps=max_steps,
         monte_carlo_samples=monte_carlo_samples,
         base_seed=base_seed,
     )
+    if isinstance(executor, SharedDTreeCache):
+        trees = dtrees_from_dnfs(lineage, probabilities, cache=executor)
+        with executor.store.pinned():
+            return {
+                data: budget_confidence(trees[data], lineage[data], probabilities, **budget)
+                for data in sorted(trees, key=repr)
+            }
+    ordered, tasks = confidence_tasks(lineage, probabilities, **budget)
     outcomes = executor.run(tasks)
     results: Dict[DataTuple, ApproxResult] = {}
     for data, outcome in zip(ordered, outcomes):

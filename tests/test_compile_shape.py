@@ -9,8 +9,14 @@ compares against numbers recorded at commit ``f09e991`` — before the
 structure-aware kernel landed — for the benchmark's unsafe
 ``part ⋈ partsupp ⋈ supplier`` shape at SF 0.001 (``ps_availqty < 3000``):
 table length, store steps, ``refine_steps``, and a digest of the raw bound
-columns (or, for the per-tuple ``evaluate`` path, of every confidence and
-bracket plus the trees' node counts).
+columns — and, for exact ``evaluate``, a digest of every confidence and
+bracket plus the step and node counts of the per-tuple ``DTree`` oracle.
+
+Exact ``evaluate`` went through per-tuple trees when those numbers were
+recorded; since it refines the engine's shared store its confidences are
+still the recorded ones bit for bit, while its own shape (``EVALUATE_STORE``,
+recorded when the route moved) is a store's: ``p_container`` closes in 266
+shared steps where 640 per-tuple expansions were needed.
 
 A kernel PR that changes any of these on purpose re-records them here and
 says why; one that changes them by accident is caught.  Variable ids are
@@ -50,11 +56,17 @@ THRESHOLD = {
     "p_type": (592, 20, 20, "2d13131af6bb7637"),
     "p_container": (1576, 266, 266, "066c027e468ec7bb"),
 }
-#: projection -> (refine_steps, summed DTree.node_count, answer digest).
+#: projection -> (summed DTree.steps, summed DTree.node_count, answer digest).
 EVALUATE = {
     "p_brand": (96, 1200, "78fb92906b442a3b"),
     "p_type": (26, 710, "6938944ed72a8383"),
     "p_container": (640, 8393, "e5c74ab5640c8b70"),
+}
+#: projection -> the store's shape after a fresh engine's exact ``evaluate``.
+EVALUATE_STORE = {
+    "p_brand": (960, 95, 95, "52a7e94d18f99021"),
+    "p_type": (617, 23, 23, "10c7d6732ad46860"),
+    "p_container": (1576, 266, 266, "47e954c1f5c836c9"),
 }
 
 
@@ -125,13 +137,16 @@ class TestCompileShape:
                 lower, upper = result.bounds[data]
                 chunks.append(repr(data).encode())
                 chunks.append(struct.pack("<ddd", confidence, lower, upper))
-            # The per-tuple path keeps no store; its shape is the trees'.
+            assert _decision_shape(engine, result) == EVALUATE_STORE[projection]
+            # The per-tuple oracle: same answers from isolated trees.
             answer = engine._answer_lineage(query, None, "batch")
-            nodes = 0
-            for dnf in answer.lineage.values():
+            confidences = result.confidences()
+            steps = nodes = 0
+            for data, dnf in answer.lineage.items():
                 tree = DTree(dnf, answer.probabilities)
-                tree.refine()
+                steps += tree.refine()
                 nodes += tree.node_count
-            assert (result.refine_steps, nodes, _digest(*chunks)) == EVALUATE[projection]
+                assert confidences[data] == tree.lower
+            assert (steps, nodes, _digest(*chunks)) == EVALUATE[projection]
         finally:
             engine.close()

@@ -252,6 +252,8 @@ class TestEngineInstrumentation:
                 "answer_hits": 0,
                 "answer_misses": 0,
                 "answer_entries": 0,
+                "analysis_hits": 0,
+                "analysis_misses": 0,
                 "shared_lineage": shared,
                 "backend": engine.backend,
                 "closed": False,
@@ -272,7 +274,12 @@ class TestEngineInstrumentation:
             else:
                 assert warmed["frontier_marks"] == warmed["frontier_rebuilds"] == 0
             engine.evaluate_topk(query, k=1)
-            assert engine.cache_stats()["hits"] >= 1
+            repeat = engine.cache_stats()
+            assert repeat["hits"] >= 1
+            # Exact-mode top-k asks whether the query is tractable: analysed
+            # once, answered from the analysis memo on the repeat.
+            assert (warmed["analysis_hits"], warmed["analysis_misses"]) == (0, 1)
+            assert (repeat["analysis_hits"], repeat["analysis_misses"]) == (1, 1)
 
     def test_cache_stats_on_closed_engine_is_a_stable_snapshot(self):
         db, query = self.unsafe_workload()
@@ -373,10 +380,12 @@ def _watch(engine, query):
     return found
 
 
-#: The lineage-route calls the memo serves.  The last two keep no engine
-#: state between requests, so they also equal a brand-new engine's answer.
+#: The lineage-route calls the memo serves, each checked against the twin
+#: control.  A watch keeps no engine state between requests, so it also
+#: equals a brand-new engine's answer; an approximate evaluate does only on
+#: the per-tuple route — the shared store keeps what it refined.
 MEMO_CALLS = (_topk, _threshold, _approx, _watch)
-STATELESS_CALLS = (_approx, _watch)
+STATELESS_CALLS = (_watch,)
 
 
 def _view_counters(engine):
@@ -415,7 +424,7 @@ class TestAnswerMemo:
                     # The view cache saw the same lookups with and without the memo.
                     assert _view_counters(memo) == _view_counters(control), call.__name__
             assert _answer_counters(memo) == [3 * len(MEMO_CALLS) - 1, 1, 1]
-            for call in STATELESS_CALLS:
+            for call in STATELESS_CALLS if shared else (*STATELESS_CALLS, _approx):
                 with SproutEngine(build_db(), **options) as fresh:
                     assert call(memo, query) == call(fresh, query), call.__name__
 

@@ -1,13 +1,16 @@
 """The parallel confidence executor and its determinism contract.
 
-The headline guarantee: on a fresh engine, ``workers=0`` (in-process),
-``workers=1`` and ``workers=4`` (process pools) produce *bit-identical*
-results — same tuple sets, same confidences, same bounds, same step counts —
-across the differential corpus, for exact and approximate confidence, under
-both the row and the columnar backend.  Plus: executor units, round-based
-top-k/threshold scheduling, and the regression tests that a worker failure
-surfaces a structured :class:`repro.errors.ParallelExecutionError` instead of
-hanging the engine.
+The headline guarantee: on a fresh engine, the executor routes — the serial
+backend (``workers=0`` with ``shared_lineage=False``), ``workers=1`` and
+``workers=4`` (process pools) — produce *bit-identical* results — same tuple
+sets, same confidences, same bounds, same step counts — across the
+differential corpus, for exact and approximate confidence, under both the
+row and the columnar backend; the default in-process engine, which refines
+its shared store instead, agrees with them on every exact confidence and
+keeps approximate brackets sound and within budget.  Plus: executor units,
+round-based top-k/threshold scheduling, and the regression tests that a
+worker failure surfaces a structured
+:class:`repro.errors.ParallelExecutionError` instead of hanging the engine.
 """
 
 import os
@@ -185,7 +188,8 @@ class TestWorkerFailure:
             raise RuntimeError("injected worker failure")
 
         monkeypatch.setattr(parallel, "execute_task", explode)
-        engine = SproutEngine(chain_db, workers=0)  # serial backend, same layer
+        # The serial backend drives the same layer (the per-tuple route).
+        engine = SproutEngine(chain_db, workers=0, shared_lineage=False)
         with pytest.raises(ParallelExecutionError) as caught:
             engine.evaluate(unsafe_chain_query(), plan="dtree")
         assert caught.value.worker_error is not None
@@ -222,11 +226,14 @@ class TestWorkerFailure:
 
 @pytest.mark.parametrize("case", sorted(CORPUS))
 def test_evaluate_bit_identical_across_worker_counts(case):
-    """The 6-query corpus, exact and approx, row and batch: same bits."""
+    """The 6-query corpus, exact and approx, row and batch: the executor
+    routes return the same bits; the shared in-process route the same exact
+    confidences, and brackets that hold them within the budget."""
     build_db, make_query = CORPUS[case]
     fingerprints = {}
     for workers in WORKER_COUNTS:
-        with SproutEngine(build_db(), epsilon=EPSILON, workers=workers) as engine:
+        options = {"epsilon": EPSILON, "workers": workers, "shared_lineage": False}
+        with SproutEngine(build_db(), **options) as engine:
             for execution in ("row", "batch"):
                 for confidence in ("exact", "approx"):
                     result = engine.evaluate(
@@ -244,6 +251,18 @@ def test_evaluate_bit_identical_across_worker_counts(case):
                         )
                     else:
                         fingerprints[key] = fingerprint
+    for execution in ("row", "batch"):
+        exact = dict(fingerprints[execution, "exact"][1])
+        options = {"epsilon": EPSILON, "workers": 0, "shared_lineage": True}
+        # Approximate first: after the exact call the store would be closed.
+        with SproutEngine(build_db(), execution=execution, **options) as engine:
+            approx = engine.evaluate(make_query(), plan="dtree", confidence="approx")
+            shared = engine.evaluate(make_query(), plan="dtree")
+        assert shared.confidences() == exact
+        assert approx.bounds.keys() == exact.keys()
+        for data, (lower, upper) in approx.bounds.items():
+            assert lower <= exact[data] <= upper
+            assert upper - lower <= 2 * EPSILON
 
 
 @pytest.mark.parametrize("case", sorted(CORPUS))

@@ -47,8 +47,11 @@ class TestDeadline:
 
     def test_expired_deadline_degrades_with_sound_bounds(self):
         db, query = unsafe_query()
+        # The oracle is a second engine: an exact evaluate on the same one
+        # would leave the store closed, and the top-k nothing to degrade.
+        with SproutEngine(demo_database(), workers=0) as oracle:
+            exact = oracle.evaluate(query).confidences()
         with SproutEngine(db, workers=0) as engine:
-            exact = engine.evaluate(query).confidences()
             degraded = engine.evaluate_topk(
                 query, k=2, deadline=Deadline.after_ms(0)
             )

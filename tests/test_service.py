@@ -100,6 +100,13 @@ class TestServiceCore:
             with pytest.raises(ServiceError):
                 service.execute(kind, params)
 
+    @pytest.mark.parametrize("epsilon", ("NaN", "Infinity", "-Infinity"))
+    def test_non_finite_epsilon_is_rejected(self, service, epsilon):
+        params = {"sql": SQL, "confidence": "approx", "epsilon": float(epsilon)}
+        with pytest.raises(ServiceError, match="finite"):
+            service.execute("evaluate", params)
+        assert service.stats()["store"]["steps"] == 0  # nothing was refined
+
     def test_bad_sql_raises_a_query_error(self, service):
         from repro.errors import QueryError
 
@@ -227,6 +234,39 @@ class TestServiceHTTP:
         client.unsubscribe(sid)
         status, _ = client.request("GET", f"/subscriptions/{sid}")
         assert status == 400
+
+    def test_warm_approximate_evaluate_costs_no_steps(self, server):
+        """N approximate repeats: answered once, refined once, looked up N times."""
+        client = ServiceClient(server.host, server.port)
+        repeats = 4
+        first = client.evaluate(SQL, confidence="approx", epsilon=0.01)
+        assert first["refine_steps"] > 0
+        hits = client.stats()["cache"]["hits"]
+        for _ in range(repeats - 1):
+            repeat = client.evaluate(SQL, confidence="approx", epsilon=0.01)
+            assert repeat["refine_steps"] == repeat["delta_steps"] == 0
+            assert (repeat["rows"], repeat["bounds"]) == (first["rows"], first["bounds"])
+            cache = client.stats()["cache"]
+            assert cache["hits"] == hits + len(first["rows"])  # one per tuple view
+            hits = cache["hits"]
+        assert (cache["answer_misses"], cache["answer_hits"]) == (1, repeats - 1)
+        assert cache["misses"] == len(first["rows"])
+        # The decision that follows starts from what the evaluates refined.
+        assert client.stats()["store"]["steps"] == first["refine_steps"]
+
+    @pytest.mark.parametrize("epsilon", ("NaN", "Infinity", "-Infinity"))
+    def test_non_finite_epsilon_is_a_400(self, server, epsilon):
+        client = ServiceClient(server.host, server.port)
+        body = {"sql": SQL, "confidence": "approx", "epsilon": float(epsilon)}
+        status, payload = client.request("POST", "/evaluate", body)
+        assert status == 400 and "finite" in payload["error"]
+
+    def test_stats_count_the_analysis_memo(self, server):
+        client = ServiceClient(server.host, server.port)
+        for _ in range(3):
+            client.topk(SQL, k=2)  # exact mode asks is_tractable every time
+        cache = client.stats()["cache"]
+        assert (cache["analysis_misses"], cache["analysis_hits"]) == (1, 2)
 
     def test_http_error_mapping(self, server):
         client = ServiceClient(server.host, server.port)

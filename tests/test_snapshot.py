@@ -7,11 +7,18 @@ and a truncated or corrupt snapshot boots the service **cold with a
 structured warning** — never a crash, never a wrong answer.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import SnapshotError
 from repro.service import (
     QueryService,
+    ServiceClient,
     ServiceConfig,
     read_snapshot,
     write_snapshot,
@@ -195,3 +202,118 @@ class TestServiceRecovery:
             ServiceConfig(snapshot_every=3)  # no path to write to
         with pytest.raises(PlanningError):
             ServiceConfig(default_timeout_ms=-1)
+
+
+class TestKillNineAroundTheFirstDelta:
+    """A subscription's store is snapshotted without its variable→rows index
+    (every store replays its own, and none is ever shipped): a server killed
+    with SIGKILL before, and again after, the store's first delta must come
+    back processing deltas exactly as an uninterrupted service does."""
+
+    SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+    def launch(self, snapshot):
+        command = [sys.executable, "-m", "repro.service", "--snapshot", snapshot]
+        process = subprocess.Popen(
+            command + ["--snapshot-every", "1"],
+            env={"PYTHONPATH": self.SRC, "PATH": os.environ.get("PATH", "/usr/bin:/bin")},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+        )
+        ready = process.stdout.readline().split()
+        if ready[:2] != ["SERVICE", "READY"]:
+            process.kill()
+            process.wait(timeout=30)
+            process.stdout.close()
+            pytest.fail(f"server did not come up; first line: {ready}")
+        return process, ServiceClient(ready[2], int(ready[3]))
+
+    @staticmethod
+    def kill(process):
+        process.kill()  # SIGKILL: no close(), no final snapshot
+        process.wait(timeout=30)
+        process.stdout.close()
+
+    @staticmethod
+    def delta(payload):
+        """What a delta did, as it reads after the JSON round trip."""
+        payload = json.loads(json.dumps(payload))
+        return [
+            payload["report"],
+            payload["selected"],
+            payload["decided"],
+            payload["result"]["rows"],
+            payload["result"]["bounds"],
+        ]
+
+    def test_deltas_survive_two_kills(self, tmp_path):
+        snapshot = str(tmp_path / "service.snap")
+        with shared_service(ServiceConfig()) as control:
+            created = control.execute("subscribe", {"sql": SQL, "k": 2})
+            first, second = created["variables"][0], created["variables"][-1]
+            expected = [
+                self.delta(
+                    control.execute(
+                        "subscription_update",
+                        {"subscription": "sub-0", "variable": variable, "probability": p},
+                    )
+                )
+                for variable, p in ((first, 0.03), (second, 0.97))
+            ]
+
+        process, client = self.launch(snapshot)
+        try:
+            assert client.subscribe(SQL, k=2)["subscription"] == "sub-0"
+            # The lane is serial: once this returns, the subscribe's
+            # checkpoint — a store that never saw a delta — is on disk.
+            client.subscription("sub-0")
+        finally:
+            self.kill(process)
+        state = read_snapshot(snapshot)
+        ((_, watch_state),) = state["subscriptions"]
+        assert "var_index" not in watch_state["cache"]["segment"]
+
+        process, client = self.launch(snapshot)
+        try:
+            assert client.stats()["snapshot"]["restored"]
+            updated = client.update("sub-0", variable=first, probability=0.03)
+            client.subscription("sub-0")  # the update's checkpoint is durable
+        finally:
+            self.kill(process)
+        assert self.delta(updated) == expected[0]
+
+        process, client = self.launch(snapshot)
+        try:
+            assert client.stats()["snapshot"]["restored"]
+            updated = client.update("sub-0", variable=second, probability=0.97)
+        finally:
+            self.kill(process)
+        assert self.delta(updated) == expected[1]
+
+    def test_a_snapshot_that_carries_an_index_still_restores(self, tmp_path):
+        """Snapshots written before the index became lazy hold one; it is
+        accepted and ignored."""
+        config = ServiceConfig(snapshot_path=str(tmp_path / "service.snap"))
+        with shared_service(config) as service:
+            created = service.execute("subscribe", {"sql": SQL, "k": 2})
+            service.execute("topk", {"sql": SQL, "k": 2})
+        state = read_snapshot(config.snapshot_path)
+        segments = [state["engine_cache"]["segment"]]
+        segments += [watch["cache"]["segment"] for _, watch in state["subscriptions"]]
+        for segment in segments:
+            segment["var_index"] = [(0, [0])]  # not even a plausible one
+        write_snapshot(config.snapshot_path, state)
+        variable = created["variables"][0]
+        params = {"subscription": "sub-0", "variable": variable, "probability": 0.03}
+        with shared_service(ServiceConfig()) as control:
+            control.execute("subscribe", {"sql": SQL, "k": 2})
+            expected = control.execute("subscription_update", params)
+        with shared_service(config) as reborn:
+            assert reborn.snapshot_restored is True
+            assert reborn.execute("topk", {"sql": SQL, "k": 2})["refine_steps"] <= 1
+            found = reborn.execute("subscription_update", params)
+        assert found["report"] == expected["report"]
+        assert found["selected"] == expected["selected"]
+        assert found["result"]["rows"] == expected["result"]["rows"]
+

@@ -196,11 +196,11 @@ class TestSegmentRoundTrip:
 
     Lane-shipped segments (the shared-parallel route, `SharedRunTask`) carry
     the whole store across a process boundary; the worker's delta behaviour
-    is the driver's only if the PR 7 registries — `_var_index`,
-    `_const_vars`, `_leaf_dnf`, `_branch_var` — survive byte-for-byte, not
-    just up to semantic equivalence.  Regression guard: rehydration used to
-    *replay* the variable index from the other registries, which dropped
-    the stale leaf-era entries of expanded rows and reordered the rest.
+    is the driver's only if the PR 7 registries — `_const_vars`,
+    `_leaf_dnf`, `_branch_var` — survive byte-for-byte, not just up to
+    semantic equivalence.  The variable→rows index is not among them: every
+    store replays it from those three at its first delta, so a segment does
+    not carry one and a rebuilt store has none until it is asked.
     """
 
     def _warm_store(self):
@@ -240,9 +240,9 @@ class TestSegmentRoundTrip:
 
     def test_registries_survive_byte_for_byte(self):
         store = self._warm_store()
+        assert "var_index" not in store.export_segment()
         rebuilt = self._rehydrated(store)
-        assert rebuilt._var_index == store._var_index
-        assert list(rebuilt._var_index) == list(store._var_index)  # key order
+        assert rebuilt._var_index is None and store._var_index is None
         assert rebuilt._const_vars == store._const_vars
         assert list(rebuilt._const_vars) == list(store._const_vars)
         assert rebuilt._branch_var == store._branch_var

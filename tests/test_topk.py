@@ -281,6 +281,17 @@ class TestEngineTopK:
         with pytest.raises(PlanningError):
             engine.evaluate_topk(chain_query(), k=1, execution="warp")
 
+    @pytest.mark.parametrize("epsilon", (float("nan"), float("inf"), float("-inf"), -0.5))
+    def test_epsilon_must_be_finite_and_non_negative(self, chain_db, epsilon):
+        with pytest.raises(PlanningError, match="epsilon"):
+            SproutEngine(chain_db, epsilon=epsilon)
+        with SproutEngine(chain_db, workers=0, shared_lineage=True) as engine:
+            with pytest.raises(PlanningError, match="epsilon"):
+                engine.evaluate(chain_query(), confidence="approx", epsilon=epsilon)
+            # Rejected before any lineage was looked at, let alone refined.
+            assert engine.cache_stats()["answer_misses"] == 0
+            assert engine.dtree_cache.store.steps == 0
+
 
 @st.composite
 def chain_database(draw):

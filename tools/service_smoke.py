@@ -4,11 +4,12 @@
 CI's ``service-smoke`` job runs this: it launches ``python -m repro.service``
 as a subprocess (the demo smoke-monitor dataset), waits for the ``SERVICE
 READY <host> <port>`` line, and then exercises every route over real
-sockets — health, evaluate, top-k (cold and warm), threshold, and a full
-standing-query round trip (subscribe, probability update that moves the
-decided set, re-read, unsubscribe).  The script fails loudly on any
-deviation, including the warm-reuse contract (a repeated top-k request
-must cost zero additional logical steps).  Run locally from the
+sockets — health, top-k (cold and warm), evaluate (approximate twice, then
+exact), threshold, and a full standing-query round trip (subscribe,
+probability update that moves the decided set, re-read, unsubscribe).  The
+script fails loudly on any deviation, including the warm-reuse contract (a
+repeated top-k or approximate evaluate must cost zero additional logical
+steps, whichever request refined the lineage first).  Run locally from the
 repository root:
 
     python tools/service_smoke.py
@@ -41,9 +42,6 @@ def check(condition: bool, message: str) -> None:
 def run_script(client: ServiceClient) -> None:
     check(client.healthz() == {"ok": True}, "healthz did not answer ok")
 
-    evaluated = client.evaluate(SQL)
-    check(len(evaluated["rows"]) == 5, f"expected 5 rooms, got {evaluated['rows']}")
-
     cold = client.topk(SQL, k=2)
     check(cold["decided"], "cold top-k did not decide")
     check(cold["refine_steps"] > 0, "cold top-k reported zero steps")
@@ -53,6 +51,20 @@ def run_script(client: ServiceClient) -> None:
         warm["refine_steps"] == 0,
         f"warm top-k cost {warm['refine_steps']} steps; cross-request reuse broken",
     )
+
+    # Evaluates refine the store the top-k refined: the approximate repeat
+    # finds every bracket already within budget, and the exact one that
+    # follows closes what is left (after it a top-k would be free, too —
+    # which is why it does not run before the cold one above).
+    approx = client.evaluate(SQL, confidence="approx", epsilon=0.01)
+    again = client.evaluate(SQL, confidence="approx", epsilon=0.01)
+    check(
+        again["refine_steps"] == 0,
+        f"warm approximate evaluate cost {again['refine_steps']} steps",
+    )
+    check(again["rows"] == approx["rows"], "warm approximate evaluate changed the answer")
+    evaluated = client.evaluate(SQL)
+    check(len(evaluated["rows"]) == 5, f"expected 5 rooms, got {evaluated['rows']}")
 
     threshold = client.threshold(SQL, tau=TAU)
     check(
@@ -87,6 +99,7 @@ def run_script(client: ServiceClient) -> None:
 
     print(
         f"service smoke OK: cold={cold['refine_steps']} steps, warm=0, "
+        f"approx={approx['refine_steps']} then 0, "
         f"update moved {len(update['left'])} row(s) out, "
         f"store steps={stats['store']['steps']}"
     )
