@@ -7,7 +7,7 @@ Two complete physical backends with bit-identical semantics:
   iterator-model operators (scan, select, project, hash join, group-by with
   the ``prob`` disjunction aggregate, sort): one Python tuple at a time.
 * :mod:`repro.algebra.columnar` — the batch backend: operators exchange
-  :class:`repro.algebra.columnar.ColumnBatch` chunks (one Python list per
+  one whole :class:`repro.algebra.columnar.ColumnBatch` (one Python list per
   column) and evaluate selections/joins/aggregations column-wise.
 * :mod:`repro.algebra.expressions` — selection predicates shared by both.
 * :mod:`repro.algebra.stats` — table statistics and selectivity estimation
@@ -25,7 +25,6 @@ from repro.algebra.aggregate import (
     prob_or,
 )
 from repro.algebra.columnar import (
-    DEFAULT_BATCH_ROWS,
     BatchGroupByOp,
     BatchHashJoinOp,
     BatchMaterializedOp,
@@ -88,7 +87,6 @@ __all__ = [
     "ColumnBatch",
     "Comparison",
     "Conjunction",
-    "DEFAULT_BATCH_ROWS",
     "Disjunction",
     "DistinctOp",
     "compile_mask",

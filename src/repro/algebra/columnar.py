@@ -4,8 +4,8 @@ The iterator-model operators in :mod:`repro.algebra.operators` process one
 Python tuple at a time; every row travels through a chain of generator frames
 and is rebuilt by each projection.  At TPC-H scale the interpreter overhead of
 that per-row choreography dominates the runtime.  The operators here process
-:class:`ColumnBatch` chunks of ~4k rows instead: a batch is a list of column
-lists, transposition happens at C speed via ``zip``, selections evaluate one
+one whole :class:`ColumnBatch` at a time instead: a batch is a list of column
+lists, scans share the stored table's cached columns, selections evaluate one
 comparison per *column* with list comprehensions, and joins/projections gather
 values with per-column comprehensions instead of per-row tuple surgery.
 
@@ -38,7 +38,6 @@ from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 
 __all__ = [
-    "DEFAULT_BATCH_ROWS",
     "ColumnBatch",
     "BatchOperator",
     "BatchScanOp",
@@ -54,20 +53,18 @@ __all__ = [
     "sort_batch",
 ]
 
-#: Rows per batch.  Large enough to amortise per-batch Python overhead, small
-#: enough that a batch's columns stay cache-friendly.
-DEFAULT_BATCH_ROWS = 4096
-
 Column = List[object]
 
 
 class ColumnBatch:
-    """A chunk of rows stored column-wise: one Python list per attribute.
+    """A bag of rows stored column-wise: one Python list per attribute.
 
-    The columns are treated as immutable once the batch is constructed;
-    operators build new column lists instead of mutating their input.
-    ``length`` is stored explicitly so zero-column batches (Boolean query
-    answers) keep their row count.
+    Column lists are shared, read-only: a scan's batch holds the stored
+    relation's :meth:`Relation.columns_cached` lists themselves, and
+    projections, all-pass selections and identity gathers pass them on.
+    Operators build new lists, never edit an input column in place
+    (``tests/test_batch_execution.py`` guards the base tables).  ``length`` is
+    explicit so zero-column batches (Boolean answers) keep their row count.
     """
 
     __slots__ = ("schema", "columns", "length")
@@ -104,21 +101,6 @@ class ColumnBatch:
     @classmethod
     def from_relation(cls, relation: Relation) -> "ColumnBatch":
         return cls.from_rows(relation.schema, relation.rows)
-
-    @classmethod
-    def concat(cls, schema: Schema, batches: Sequence["ColumnBatch"]) -> "ColumnBatch":
-        """Concatenate batches of the same schema into one."""
-        if not batches:
-            return cls.empty(schema)
-        if len(batches) == 1:
-            return batches[0]
-        columns: List[Column] = []
-        for position in range(len(schema)):
-            merged: Column = []
-            for batch in batches:
-                merged.extend(batch.columns[position])
-            columns.append(merged)
-        return cls(schema, columns, sum(b.length for b in batches))
 
     # -- basic protocol -------------------------------------------------------
 
@@ -257,8 +239,9 @@ class BatchOperator(abc.ABC):
     """Base class of the columnar plan operators.
 
     Mirrors :class:`repro.algebra.operators.Operator`: ``schema``,
-    ``children``, a ``rows_out`` work counter (rows, not batches, so the
-    metric is comparable with the row engine), and materialisation helpers.
+    ``children``, a ``rows_out`` work counter (comparable with the row
+    engine's), and materialisation helpers.  An operator's whole output is
+    one batch; there is no chunked or streaming form.
     """
 
     def __init__(self) -> None:
@@ -274,23 +257,20 @@ class BatchOperator(abc.ABC):
         return []
 
     @abc.abstractmethod
-    def _execute(self) -> Iterator[ColumnBatch]:
-        """Yield output batches.  Subclasses implement this, not ``batches``."""
+    def _execute(self) -> ColumnBatch:
+        """Compute the output batch.  Subclasses implement this, not ``_run``."""
 
-    def batches(self) -> Iterator[ColumnBatch]:
-        self.rows_out = 0
-        for batch in self._execute():
-            self.rows_out += batch.length
-            yield batch
-
-    def __iter__(self) -> Iterator[ColumnBatch]:
-        return self.batches()
+    def _run(self) -> ColumnBatch:
+        # Children run through here, so a plan enters (traceable) ``to_batch`` once.
+        batch = self._execute()
+        self.rows_out = batch.length
+        return batch
 
     # -- execution helpers ----------------------------------------------------
 
     def to_batch(self, name: str = "result") -> ColumnBatch:
-        """Run the operator and concatenate its output into a single batch."""
-        return ColumnBatch.concat(self.schema, list(self.batches()))
+        """Run the operator and return its output batch."""
+        return self._run()
 
     def to_relation(self, name: str = "result") -> Relation:
         return self.to_batch(name).to_relation(name)
@@ -315,41 +295,43 @@ class BatchOperator(abc.ABC):
 
 
 class BatchScanOp(BatchOperator):
-    """Sequential scan of a stored relation, emitted in column chunks."""
+    """Scan of a stored relation: its cached columns, whole and by reference.
+
+    ``names`` prunes the scan to those attributes, in the order given (default:
+    every column).  Nothing is copied: the batch shares the lists that
+    :meth:`Relation.columns_cached` transposed once.
+    """
 
     def __init__(
         self,
         relation: Relation,
         alias: Optional[str] = None,
-        batch_size: int = DEFAULT_BATCH_ROWS,
+        names: Optional[Sequence[str]] = None,
     ):
         super().__init__()
         self.relation = relation
         self.alias = alias or relation.name
-        self.batch_size = batch_size
+        if names is None:
+            names = relation.schema.names
+        self._schema = relation.schema.project(names)
+        self._indices = relation.schema.indices_of(names)
 
     @property
     def schema(self) -> Schema:
-        return self.relation.schema
+        return self._schema
 
-    def _execute(self) -> Iterator[ColumnBatch]:
-        # Read the stored relation through its cached column view: the table
-        # is transposed once, batches are cheap column slices.
+    def _execute(self) -> ColumnBatch:
         columns = self.relation.columns_cached()
-        schema = self.relation.schema
-        total = len(self.relation)
-        for start in range(0, total, self.batch_size):
-            end = min(start + self.batch_size, total)
-            yield ColumnBatch(
-                schema, [column[start:end] for column in columns], end - start
-            )
+        return ColumnBatch(
+            self._schema, [columns[i] for i in self._indices], len(self.relation)
+        )
 
     def label(self) -> str:
         return f"BatchScan({self.alias}, {len(self.relation)} rows)"
 
 
 class BatchMaterializedOp(BatchOperator):
-    """Wrap an already-materialised batch as a plan leaf (emitted whole).
+    """Wrap an already-materialised batch as a plan leaf.
 
     A stored :class:`Relation` enters a columnar plan through
     :class:`BatchScanOp`, which reads its cached column view.
@@ -364,16 +346,15 @@ class BatchMaterializedOp(BatchOperator):
     def schema(self) -> Schema:
         return self.source.schema
 
-    def _execute(self) -> Iterator[ColumnBatch]:
-        if self.source.length:
-            yield self.source
+    def _execute(self) -> ColumnBatch:
+        return self.source
 
     def label(self) -> str:
         return f"{self._label}({len(self.source)} rows)"
 
 
 class BatchSelectOp(BatchOperator):
-    """Filter batches by a predicate compiled to a columnar mask."""
+    """Filter the child's batch by a predicate compiled to a columnar mask."""
 
     def __init__(self, child: BatchOperator, predicate: Predicate):
         super().__init__()
@@ -388,26 +369,22 @@ class BatchSelectOp(BatchOperator):
     def children(self) -> List[BatchOperator]:
         return [self.child]
 
-    def _execute(self) -> Iterator[ColumnBatch]:
-        mask_fn = compile_mask(self.predicate, self.child.schema)
-        for batch in self.child.batches():
-            mask = mask_fn(batch)
-            kept = sum(mask)
-            if kept == batch.length:
-                yield batch
-            elif kept:
-                yield ColumnBatch(
-                    batch.schema,
-                    [list(compress(column, mask)) for column in batch.columns],
-                    kept,
-                )
+    def _execute(self) -> ColumnBatch:
+        batch = self.child._run()
+        mask = compile_mask(self.predicate, batch.schema)(batch)
+        kept = sum(mask)
+        if kept == batch.length:
+            return batch
+        return ColumnBatch(
+            batch.schema, [list(compress(column, mask)) for column in batch.columns], kept
+        )
 
     def label(self) -> str:
         return f"BatchSelect({self.predicate})"
 
 
 class BatchProjectOp(BatchOperator):
-    """Bag projection: batches just re-reference the kept column lists."""
+    """Bag projection: the batch just re-references the kept column lists."""
 
     def __init__(self, child: BatchOperator, names: Sequence[str]):
         super().__init__()
@@ -424,11 +401,11 @@ class BatchProjectOp(BatchOperator):
     def children(self) -> List[BatchOperator]:
         return [self.child]
 
-    def _execute(self) -> Iterator[ColumnBatch]:
-        for batch in self.child.batches():
-            yield ColumnBatch(
-                self._schema, [batch.columns[i] for i in self._indices], batch.length
-            )
+    def _execute(self) -> ColumnBatch:
+        batch = self.child._run()
+        return ColumnBatch(
+            self._schema, [batch.columns[i] for i in self._indices], batch.length
+        )
 
     def label(self) -> str:
         return f"BatchProject({', '.join(self.names)})"
@@ -486,12 +463,12 @@ class BatchHashJoinOp(BatchOperator):
     join attributes, and the output order is (left row order) x (right
     insertion order within a key bucket).
 
-    Both inputs are consumed whole and the build side is chosen by size alone
-    (``left.length < right.length`` hashes the left).  Probing the left
-    through a right-side table yields that order directly; probing the right
-    through a left-side table yields (right order) x (left order), and a
-    stable sort of the matched pairs by left index restores the documented
-    order, because the right indices of one left row already ascend.
+    The build side is chosen by size alone (``left.length < right.length``
+    hashes the left).  Probing the left through a right-side table yields
+    that order directly; probing the right through a left-side table yields
+    (right order) x (left order), and a stable sort of the matched pairs by
+    left index restores the documented order, because the right indices of
+    one left row already ascend.
     """
 
     def __init__(
@@ -531,9 +508,9 @@ class BatchHashJoinOp(BatchOperator):
         condition = ", ".join(self.on) if self.on else "cross"
         return f"BatchHashJoin({condition})"
 
-    def _execute(self) -> Iterator[ColumnBatch]:
-        left = ColumnBatch.concat(self.left.schema, list(self.left.batches()))
-        right = ColumnBatch.concat(self.right.schema, list(self.right.batches()))
+    def _execute(self) -> ColumnBatch:
+        left = self.left._run()
+        right = self.right._run()
         composite = len(self.on) != 1
         left_keys = _row_keys([left.columns[i] for i in self._left_key_indices], left.length)
         right_keys = _row_keys([right.columns[i] for i in self._right_key_indices], right.length)
@@ -544,11 +521,9 @@ class BatchHashJoinOp(BatchOperator):
             right_indices = [right_indices[i] for i in order]
         else:
             left_indices, right_indices = _match_keys(right_keys, left_keys, composite)
-        if not left_indices:
-            return
         columns = _gather(left.columns, left_indices)
         columns += _gather([right.columns[i] for i in self._right_keep_indices], right_indices)
-        yield ColumnBatch(self._schema, columns, len(left_indices))
+        return ColumnBatch(self._schema, columns, len(left_indices))
 
 
 def _bucket_rows(keys: Sequence[object]) -> Tuple[List[int], List[List[int]]]:
@@ -587,9 +562,6 @@ def build_group_buckets(
     return group_columns, first_rows, buckets
 
 
-_BUILTIN_EXTREMA = {"min": min, "max": max}
-
-
 def group_by_columns(
     batch: ColumnBatch,
     group_by: Sequence[str],
@@ -610,8 +582,15 @@ def group_by_columns(
     single value is the value, and every other aggregate maps over the column.
     ``prob`` is ``1.0 - (1.0 - p)`` there, never ``p``: that is the arithmetic
     ``prob_or([p])`` performs, and the two differ in the last bit for many
-    ``p``.  Otherwise rows are bucketed, and ``min``/``max`` over a column that
-    is :func:`_naturally_ordered` use the builtin without ``sort_key_for``.
+    ``p``.
+
+    Otherwise, when every aggregate is ``prob`` or a ``min`` over a column
+    that is :func:`_naturally_ordered` — the ``[leader*]`` shape, the only one
+    the plans issue — one hash pass maps each row to its group's first row and
+    the aggregates fold into accumulators indexed by that row, in row order:
+    ``prob_or``'s multiplications in ``prob_or``'s order, and ``min``'s strict
+    ``<`` with its first-wins ties.  Any other shape is bucketed and handed to
+    ``AGGREGATE_FUNCTIONS`` group by group, which is the fold's oracle.
     """
     child_schema = batch.schema
     if schema is None:
@@ -622,7 +601,7 @@ def group_by_columns(
     if len(set(keys)) == batch.length:
         out_columns: List[Column] = list(group_columns)
         for spec, column in zip(aggregates, inputs):
-            if spec.function in _BUILTIN_EXTREMA:
+            if spec.function in ("min", "max"):
                 out_columns.append(column)
             elif spec.function == "prob":
                 out_columns.append([1.0 - (1.0 - p) for p in column])
@@ -630,19 +609,37 @@ def group_by_columns(
                 function = AGGREGATE_FUNCTIONS[spec.function]
                 out_columns.append([function([value]) for value in column])
         return ColumnBatch(schema, out_columns, batch.length)
+    if all(
+        spec.function == "prob" or (spec.function == "min" and _naturally_ordered(column))
+        for spec, column in zip(aggregates, inputs)
+    ):
+        first_row_of: Dict[object, int] = {}
+        group_of = list(map(first_row_of.setdefault, keys, range(batch.length)))
+        first_rows = list(first_row_of.values())
+        out_columns = _gather(group_columns, first_rows)
+        for spec, column in zip(aggregates, inputs):
+            if spec.function == "prob":
+                complements = [1.0] * batch.length
+                for group, p in zip(group_of, column):
+                    complements[group] *= 1.0 - p
+                out_columns.append([1.0 - complements[row] for row in first_rows])
+            else:
+                minima = list(column)
+                for group, value in zip(group_of, column):
+                    if value < minima[group]:
+                        minima[group] = value
+                out_columns.append([minima[row] for row in first_rows])
+        return ColumnBatch(schema, out_columns, len(first_rows))
     first_rows, buckets = _bucket_rows(keys)
     out_columns = _gather(group_columns, first_rows)
     for spec, column in zip(aggregates, inputs):
-        if spec.function in _BUILTIN_EXTREMA and _naturally_ordered(column):
-            function = _BUILTIN_EXTREMA[spec.function]
-        else:
-            function = AGGREGATE_FUNCTIONS[spec.function]
+        function = AGGREGATE_FUNCTIONS[spec.function]
         out_columns.append([function([column[i] for i in bucket]) for bucket in buckets])
     return ColumnBatch(schema, out_columns, len(buckets))
 
 
 class BatchGroupByOp(BatchOperator):
-    """Batched hash group-by; consumes the whole input, emits one batch."""
+    """Columnar hash group-by (:func:`group_by_columns` as a plan operator)."""
 
     def __init__(
         self,
@@ -664,11 +661,8 @@ class BatchGroupByOp(BatchOperator):
     def children(self) -> List[BatchOperator]:
         return [self.child]
 
-    def _execute(self) -> Iterator[ColumnBatch]:
-        gathered = ColumnBatch.concat(self.child.schema, list(self.child.batches()))
-        result = group_by_columns(gathered, self.group_by, self.aggregates, self._schema)
-        if result.length:
-            yield result
+    def _execute(self) -> ColumnBatch:
+        return group_by_columns(self.child._run(), self.group_by, self.aggregates, self._schema)
 
     def label(self) -> str:
         aggregates = ", ".join(str(spec) for spec in self.aggregates)
@@ -699,7 +693,7 @@ def sort_batch(batch: ColumnBatch, names: Sequence[str]) -> ColumnBatch:
 
 
 class BatchSortOp(BatchOperator):
-    """Sort the child's output (consumes everything, emits one sorted batch)."""
+    """Sort the child's output (:func:`sort_batch` as a plan operator)."""
 
     def __init__(self, child: BatchOperator, by: Sequence[str]):
         super().__init__()
@@ -715,10 +709,8 @@ class BatchSortOp(BatchOperator):
     def children(self) -> List[BatchOperator]:
         return [self.child]
 
-    def _execute(self) -> Iterator[ColumnBatch]:
-        gathered = ColumnBatch.concat(self.child.schema, list(self.child.batches()))
-        if gathered.length:
-            yield sort_batch(gathered, self.by)
+    def _execute(self) -> ColumnBatch:
+        return sort_batch(self.child._run(), self.by)
 
     def label(self) -> str:
         return f"BatchSort({', '.join(self.by)})"

@@ -72,22 +72,36 @@ class TableStatistics:
 
 
 class StatisticsCatalog:
-    """Statistics for a set of tables, computed lazily from their relations."""
+    """Statistics for a set of tables, computed lazily from their relations.
+
+    A table is scanned when its statistics are first asked for, and again
+    once ``len(relation)`` has changed (the :meth:`Relation.columns_cached`
+    staleness rule); never if no query touches it.  Collection is idempotent,
+    so threads racing on a first use store equal statistics.
+    """
 
     def __init__(self) -> None:
+        self._relations: Dict[str, Relation] = {}
         self._stats: Dict[str, TableStatistics] = {}
 
-    def register(self, relation: Relation, name: Optional[str] = None) -> TableStatistics:
-        stats = TableStatistics.from_relation(relation)
-        stats.table = name or relation.name
-        self._stats[stats.table] = stats
-        return stats
+    def register(self, relation: Relation, name: Optional[str] = None) -> None:
+        name = name or relation.name
+        self._relations[name] = relation
+        self._stats.pop(name, None)
 
     def get(self, table: str) -> Optional[TableStatistics]:
-        return self._stats.get(table)
+        relation = self._relations.get(table)
+        if relation is None:
+            return None
+        stats = self._stats.get(table)
+        if stats is None or stats.row_count != len(relation):
+            stats = TableStatistics.from_relation(relation)
+            stats.table = table
+            self._stats[table] = stats
+        return stats
 
     def row_count(self, table: str, default: int = 1000) -> int:
-        stats = self._stats.get(table)
+        stats = self.get(table)
         return stats.row_count if stats is not None else default
 
 

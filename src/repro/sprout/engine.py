@@ -39,7 +39,7 @@ Orthogonally to both, the *execution mode* selects the physical backend:
 
 ``batch``
     The default.  The columnar backend (:mod:`repro.algebra.columnar`):
-    operators exchange ~4k-row column chunks, selections/joins/aggregations
+    operators exchange whole ColumnBatches, selections/joins/aggregations
     run column-wise, and the confidence operator scans a single ColumnBatch.
 ``row``
     The original iterator-model operators — one Python tuple at a time.
@@ -82,7 +82,7 @@ from repro.errors import (
     PlanningError,
     UnsupportedQueryError,
 )
-from repro.algebra.columnar import DEFAULT_BATCH_ROWS, sort_batch
+from repro.algebra.columnar import sort_batch
 from repro.prob.backend import HAS_NUMPY, backend_name, default_vectorize
 from repro.prob.dtree import DEFAULT_MAX_STEPS, DTreeCache
 from repro.prob.sharedag import DEFAULT_MAX_NODES, SharedDTreeCache
@@ -366,8 +366,8 @@ class SproutEngine:
         The tuple-independent probabilistic database to evaluate against.
     execution
         Default physical backend for every evaluation: ``"batch"`` (the
-        default: the columnar backend processing ~``batch_size``-row column
-        chunks) or ``"row"`` (the iterator-model operators, the oracle the
+        default: the columnar backend, whole columns from scan to ``conf``)
+        or ``"row"`` (the iterator-model operators, the oracle the
         batch path is tested against).
     confidence
         Default confidence mode: ``"exact"`` (operator paths for tractable
@@ -446,7 +446,6 @@ class SproutEngine:
         self,
         database: ProbabilisticDatabase,
         execution: str = "batch",
-        batch_size: int = DEFAULT_BATCH_ROWS,
         confidence: str = "exact",
         epsilon: float = 0.01,
         dtree_max_steps: Optional[int] = DEFAULT_MAX_STEPS,
@@ -462,8 +461,6 @@ class SproutEngine:
             raise PlanningError(
                 f"unknown execution mode {execution!r}; choose from {EXECUTION_MODES}"
             )
-        if batch_size < 1:
-            raise PlanningError(f"batch_size must be positive, got {batch_size}")
         if confidence not in CONFIDENCE_MODES:
             raise PlanningError(
                 f"unknown confidence mode {confidence!r}; choose from {CONFIDENCE_MODES}"
@@ -489,7 +486,6 @@ class SproutEngine:
             )
         self.database = database
         self.execution = execution
-        self.batch_size = batch_size
         self.confidence = confidence
         self.epsilon = epsilon
         self.dtree_max_steps = dtree_max_steps
@@ -1313,9 +1309,7 @@ class SproutEngine:
         join_order: Optional[Sequence[str]],
         execution: str = "row",
     ) -> Tuple[Relation, List[str], int]:
-        return materialize_answer(
-            self.database, self.planner, query, join_order, execution, self.batch_size
-        )
+        return materialize_answer(self.database, self.planner, query, join_order, execution)
 
     def _answer_lineage(
         self,
@@ -1372,7 +1366,7 @@ class SproutEngine:
         """
         if execution == "batch":
             order = list(join_order) if join_order else self.planner.lazy_join_order(query)
-            plan = build_answer_plan_batch(self.database, query, order, self.batch_size)
+            plan = build_answer_plan_batch(self.database, query, order)
             plan = project_answer_columns(plan, query)
             batch = plan.to_batch(query.name)
             # In shared-lineage mode the clause frozensets are interned in
@@ -1463,7 +1457,7 @@ class SproutEngine:
 
         started = perf_counter()
         order = list(join_order) if join_order else self.planner.lazy_join_order(query)
-        plan = build_answer_plan_batch(self.database, query, order, self.batch_size)
+        plan = build_answer_plan_batch(self.database, query, order)
         plan = project_answer_columns(plan, query)
         answer = plan.to_batch(query.name)
         rows_processed = plan.total_rows_processed()
@@ -1516,7 +1510,6 @@ class SproutEngine:
             aggregate_leaves=(plan == "eager"),
             head_attributes=self.planning_head(query, use_fds),
             execution=execution,
-            batch_size=self.batch_size,
         )
         # Project away the functionally determined companions of the head that
         # were carried along for the joins, then aggregate by the true head so

@@ -22,7 +22,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 from repro.errors import PlanningError
 from repro.algebra.aggregate import AggregateSpec, GroupByOp
 from repro.algebra.columnar import (
-    DEFAULT_BATCH_ROWS,
     BatchHashJoinOp,
     BatchMaterializedOp,
     BatchOperator,
@@ -156,17 +155,24 @@ def base_table_plan_batch(
     database: ProbabilisticDatabase,
     query: ConjunctiveQuery,
     table: str,
-    batch_size: int = DEFAULT_BATCH_ROWS,
 ) -> BatchOperator:
-    """Columnar scan → select → project plan for one base probabilistic table."""
+    """Columnar scan → select → project plan for one base probabilistic table.
+
+    The operators of :func:`base_table_plan` (so the work counters agree),
+    late-materialising: the scan reads only the columns the selection or the
+    projection touches, none that the projection would merely drop.
+    """
     relation = database.relation(table)
-    plan: BatchOperator = BatchScanOp(relation, alias=table, batch_size=batch_size)
     selection = query.selections_on(table)
-    if not isinstance(selection, TruePredicate):
-        plan = BatchSelectOp(plan, selection)
     table_obj = database.table(table)
     keep = needed_data_attributes(query, table)
     keep = keep + [table_obj.var_column, table_obj.prob_column]
+    touched = selection.attributes().union(keep)
+    plan: BatchOperator = BatchScanOp(
+        relation, alias=table, names=[n for n in relation.schema.names if n in touched]
+    )
+    if not isinstance(selection, TruePredicate):
+        plan = BatchSelectOp(plan, selection)
     if list(keep) != list(relation.schema.names):
         plan = BatchProjectOp(plan, keep)
     return plan
@@ -194,7 +200,6 @@ def build_answer_plan_batch(
     database: ProbabilisticDatabase,
     query: ConjunctiveQuery,
     join_order: Sequence[str],
-    batch_size: int = DEFAULT_BATCH_ROWS,
 ) -> BatchOperator:
     """Columnar twin of :func:`build_answer_plan` (same shape, same order)."""
     if set(join_order) != set(query.table_names()):
@@ -202,9 +207,9 @@ def build_answer_plan_batch(
             f"join order {list(join_order)} does not cover the query tables "
             f"{query.table_names()}"
         )
-    plan = base_table_plan_batch(database, query, join_order[0], batch_size)
+    plan = base_table_plan_batch(database, query, join_order[0])
     for table in join_order[1:]:
-        right = base_table_plan_batch(database, query, table, batch_size)
+        right = base_table_plan_batch(database, query, table)
         plan = BatchHashJoinOp(plan, right)
     return plan
 
@@ -229,7 +234,6 @@ def materialize_answer(
     query: ConjunctiveQuery,
     join_order: Optional[Sequence[str]] = None,
     execution: str = "row",
-    batch_size: int = DEFAULT_BATCH_ROWS,
 ) -> Tuple[Relation, List[str], int]:
     """Materialise the answer rows of ``query`` (with V/P columns carried).
 
@@ -240,7 +244,7 @@ def materialize_answer(
     """
     order = list(join_order) if join_order else planner.lazy_join_order(query)
     if execution == "batch":
-        plan = build_answer_plan_batch(database, query, order, batch_size)
+        plan = build_answer_plan_batch(database, query, order)
     else:
         plan = build_answer_plan(database, query, order)
     plan = project_answer_columns(plan, query)
@@ -326,7 +330,6 @@ def eager_evaluation(
     aggregate_leaves: bool = True,
     head_attributes: Optional[Iterable[str]] = None,
     execution: str = "row",
-    batch_size: int = DEFAULT_BATCH_ROWS,
 ) -> EagerNodeResult:
     """Evaluate ``query`` with eager (or hybrid) aggregation along ``tree``.
 
@@ -376,7 +379,7 @@ def eager_evaluation(
         if node.is_leaf:
             table = node.atom.table
             if batch:
-                plan = base_table_plan_batch(database, query, table, batch_size)
+                plan = base_table_plan_batch(database, query, table)
                 relation = plan.to_batch(table)
             else:
                 plan = base_table_plan(database, query, table)

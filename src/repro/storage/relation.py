@@ -96,8 +96,8 @@ class Relation:
         The columnar scan operator reads base tables through this so that a
         table is transposed at most once, like a column store would keep it.
         The cache is keyed on the row count: appends invalidate it, and no
-        code path replaces rows without changing the count.  Treat the
-        returned lists as read-only.
+        code path replaces rows without changing the count.  The returned
+        lists are shared, read-only: batch plans carry these very objects.
         """
         cached = self._columns_cache
         if cached is not None and cached[0] == len(self._rows):

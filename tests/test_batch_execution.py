@@ -5,8 +5,11 @@ same answer relations, same confidences, same work metrics.  These tests pin
 that down on the paper's Fig. 1 database, on a TPC-H instance, and on
 Hypothesis-generated random tuple-independent databases; the scan-based
 confidence evaluators (recursive, streaming, columnar) are also checked
-against each other.
+against each other.  Batch plans read the stored tables' cached columns by
+reference, so a last class guards those columns against in-place edits.
 """
+
+import copy
 
 import pytest
 from hypothesis import given, settings
@@ -81,9 +84,9 @@ class TestExecutionModeSelection:
         with pytest.raises(PlanningError):
             paper_engine.evaluate(paper_q, execution="gpu")
 
-    def test_invalid_batch_size_rejected(self, paper_db):
-        with pytest.raises(PlanningError):
-            SproutEngine(paper_db, batch_size=0)
+    def test_batch_size_is_not_a_knob(self, paper_db):
+        with pytest.raises(TypeError):
+            SproutEngine(paper_db, batch_size=4096)
 
     def test_engine_level_batch_default(self, paper_db, paper_q):
         engine = SproutEngine(paper_db, execution="batch")
@@ -114,12 +117,6 @@ class TestPaperDatabase:
     def test_fd_toggle_bit_identical(self, paper_engine, paper_q, use_fds):
         row = paper_engine.evaluate(paper_q, use_fds=use_fds)
         batch = paper_engine.evaluate(paper_q, use_fds=use_fds, execution="batch")
-        assert_identical_results(row, batch)
-
-    @pytest.mark.parametrize("batch_size", [1, 2, 3, 4096])
-    def test_batch_size_does_not_change_results(self, paper_db, paper_q, batch_size):
-        row = SproutEngine(paper_db).evaluate(paper_q)
-        batch = SproutEngine(paper_db, execution="batch", batch_size=batch_size).evaluate(paper_q)
         assert_identical_results(row, batch)
 
     def test_empty_answer(self, paper_engine, paper_db):
@@ -224,7 +221,7 @@ class TestRandomDatabases:
     @given(two_table_database())
     @settings(max_examples=20, deadline=None)
     def test_two_table_row_vs_batch(self, db):
-        engine = SproutEngine(db, batch_size=2)
+        engine = SproutEngine(db)
         for projection in (["a"], ["b"], []):
             query = ConjunctiveQuery(
                 f"q{'-'.join(projection)}",
@@ -309,3 +306,41 @@ class TestScanEvaluatorsAgree:
             "scan-cmp2", [Atom("R", ["a"]), Atom("S", ["a", "b"])], projection=["a"]
         )
         self._compare_evaluators(engine, query)
+
+
+class TestBaseColumnsStayUntouched:
+    """A batch scan hands the stored relation's cached column lists to the
+    plan as they are; every evaluation route must leave them as it found them."""
+
+    @staticmethod
+    def assert_every_route_leaves_the_columns_alone(db, queries):
+        cached = {name: db.relation(name).columns_cached() for name in db.table_names()}
+        before = copy.deepcopy(cached)
+        engine = SproutEngine(db)
+        for query in queries:
+            for plan in ALL_PLANS:
+                engine.evaluate(query, plan=plan)
+            engine.evaluate(query, confidence="approx")
+            assert engine.evaluate_topk(query, k=2).execution == "batch"
+            engine.evaluate_threshold(query, tau=0.5)
+        for name, columns in cached.items():
+            relation = db.relation(name)
+            assert relation.columns_cached() is columns
+            assert columns == before[name]
+            assert columns == relation.to_columns()
+
+    def test_paper_database(self, paper_db, paper_q):
+        self.assert_every_route_leaves_the_columns_alone(paper_db, [paper_q])
+
+    @pytest.mark.parametrize("case", sorted(CORPUS))
+    def test_differential_corpus(self, case):
+        build_db, make_query = CORPUS[case]
+        self.assert_every_route_leaves_the_columns_alone(build_db(), [make_query()])
+
+    def test_tpch_figure_queries(self, tpch_db):
+        from repro.tpch import FIGURE9_KEYS, FIGURE10_KEYS, query_C, query_D, tpch_query
+
+        queries = [tpch_query(key).query for key in FIGURE9_KEYS + FIGURE10_KEYS]
+        self.assert_every_route_leaves_the_columns_alone(
+            tpch_db, queries + [query_C(), query_D()]
+        )

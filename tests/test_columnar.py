@@ -91,12 +91,6 @@ class TestColumnBatch:
         taken = batch.take([4, 0])
         assert list(taken.rows()) == [people.rows[4], people.rows[0]]
 
-    def test_concat(self, people):
-        batch = ColumnBatch.from_relation(people)
-        merged = ColumnBatch.concat(people.schema, [batch, batch])
-        assert len(merged) == 2 * len(people)
-        assert list(merged.rows()) == people.rows + people.rows
-
     def test_arity_mismatch_raises(self, people):
         with pytest.raises(SchemaError):
             ColumnBatch(people.schema, [[1, 2]])
@@ -116,11 +110,25 @@ class TestColumnBatch:
 
 class TestBatchScan:
     def test_emits_all_rows_in_order(self, people):
-        op = BatchScanOp(people, batch_size=2)
-        batches = list(op.batches())
-        assert [len(b) for b in batches] == [2, 2, 1]
+        op = BatchScanOp(people)
+        assert len(op.to_batch()) == op.rows_out == 5
+        assert_same_output(BatchScanOp(people), ScanOp(people))
+
+    def test_hands_over_the_cached_columns_themselves(self, people):
+        batch = BatchScanOp(people).to_batch()
+        assert all(a is b for a, b in zip(batch.columns, people.columns_cached()))
+
+    def test_names_prune_the_scan(self, people):
+        op = BatchScanOp(people, names=["city", "pid"])
+        assert op.schema == people.schema.project(["city", "pid"])
+        assert_same_output(op, ProjectOp(ScanOp(people), ["city", "pid"]))
         assert op.rows_out == 5
-        assert_same_output(BatchScanOp(people, batch_size=2), ScanOp(people))
+        assert op.to_batch().columns[0] is people.columns_cached()[3]
+
+    def test_empty_relation(self, people):
+        op = BatchScanOp(people.empty_like())
+        assert len(op.to_batch()) == op.rows_out == 0
+        assert op.to_batch().schema == people.schema
 
     def test_materialized_from_batch(self, people):
         batch = ColumnBatch.from_relation(people)
@@ -144,7 +152,7 @@ class TestBatchSelect:
     )
     def test_matches_row_select(self, people, predicate):
         assert_same_output(
-            BatchSelectOp(BatchScanOp(people, batch_size=2), predicate),
+            BatchSelectOp(BatchScanOp(people), predicate),
             SelectOp(ScanOp(people), predicate),
         )
 
@@ -159,7 +167,7 @@ class TestBatchProject:
     def test_matches_row_project(self, people):
         names = ["city", "pid"]
         assert_same_output(
-            BatchProjectOp(BatchScanOp(people, batch_size=2), names),
+            BatchProjectOp(BatchScanOp(people), names),
             ProjectOp(ScanOp(people), names),
         )
 
@@ -167,7 +175,7 @@ class TestBatchProject:
 class TestBatchHashJoin:
     def test_matches_row_hash_join(self, people, visits):
         assert_same_output(
-            BatchHashJoinOp(BatchScanOp(people, batch_size=2), BatchScanOp(visits, batch_size=4)),
+            BatchHashJoinOp(BatchScanOp(people), BatchScanOp(visits)),
             HashJoinOp(ScanOp(people), ScanOp(visits)),
         )
 
@@ -197,7 +205,7 @@ class TestBatchHashJoin:
         # No shared attributes -> empty join key -> full cross product,
         # exactly like the row HashJoinOp.
         other = Relation("tags", Schema.of("tag:str"), [("x",), ("y",)])
-        batch = BatchHashJoinOp(BatchScanOp(people, batch_size=2), BatchScanOp(other))
+        batch = BatchHashJoinOp(BatchScanOp(people), BatchScanOp(other))
         row = HashJoinOp(ScanOp(people), ScanOp(other))
         assert_same_output(batch, row)
         assert len(batch.to_relation()) == len(people) * len(other)
@@ -211,7 +219,7 @@ class TestBatchGroupBy:
             AggregateSpec("sum", "pid", "pid_sum"),
         ]
         assert_same_output(
-            BatchGroupByOp(BatchScanOp(people, batch_size=2), ["city"], aggregates),
+            BatchGroupByOp(BatchScanOp(people), ["city"], aggregates),
             GroupByOp(ScanOp(people), ["city"], aggregates),
         )
 
@@ -232,7 +240,7 @@ class TestBatchGroupBy:
 class TestBatchSort:
     def test_matches_relation_sort(self, people):
         by = ["city", "age"]
-        got = BatchSortOp(BatchScanOp(people, batch_size=2), by).to_relation()
+        got = BatchSortOp(BatchScanOp(people), by).to_relation()
         assert got.rows == people.sorted_by(by).rows
 
     def test_sort_batch_is_stable(self, people):
@@ -253,8 +261,8 @@ class TestWorkMetric:
         predicate = Comparison("age", ">", 20)
         row_plan = HashJoinOp(SelectOp(ScanOp(people), predicate), ScanOp(visits))
         batch_plan = BatchHashJoinOp(
-            BatchSelectOp(BatchScanOp(people, batch_size=2), predicate),
-            BatchScanOp(visits, batch_size=3),
+            BatchSelectOp(BatchScanOp(people), predicate),
+            BatchScanOp(visits),
         )
         row_plan.to_relation()
         batch_plan.to_relation()

@@ -1,11 +1,13 @@
-"""Oracle tests of the columnar kernels: join, group-by, typed order, eager plans.
+"""Oracle tests of the columnar kernels: scan, join, group-by, typed order, eager plans.
 
 Each kernel in :mod:`repro.algebra.columnar` takes shortcuts the row
-operators do not — the join hashes whichever input is smaller and restores
-the order afterwards, the group-by skips bucketing when every row is its own
-group, sorting and ``min``/``max`` drop ``sort_key_for`` on homogeneous
-columns.  The oracle is always the *row* operator (or ``sort_key_for``
-itself), and equality is on row **lists**: same rows, same order, same bits.
+operators do not — the base-table scan reads only the columns a query
+touches, the join hashes whichever input is smaller and restores the order
+afterwards, the group-by skips bucketing when every row is its own group and
+folds ``[leader*]`` aggregates in one hash pass, sorting and ``min``/``max``
+drop ``sort_key_for`` on homogeneous columns.  The oracle is always the *row*
+operator (or ``sort_key_for`` itself), and equality is on row **lists**: same
+rows, same order, same bits.
 """
 
 import math
@@ -14,22 +16,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Atom, ConjunctiveQuery, ProbabilisticDatabase
 from repro.algebra import (
     AGGREGATE_FUNCTIONS,
     AggregateSpec,
+    AttributeComparison,
     BatchHashJoinOp,
     BatchScanOp,
     ColumnBatch,
+    Comparison,
+    Conjunction,
+    Disjunction,
     GroupByOp,
     HashJoinOp,
     MaterializedOp,
+    Negation,
     ScanOp,
+    TruePredicate,
+    columnar,
     group_by_columns,
     sort_batch,
 )
 from repro.algebra.columnar import _naturally_ordered
 from repro.errors import NumericalError
 from repro.sprout import SproutEngine
+from repro.sprout.planner import base_table_plan, base_table_plan_batch
 from repro.storage import Relation, Schema
 from repro.storage.external_sort import sort_key_for
 
@@ -39,6 +50,100 @@ NAN = float("nan")
 
 # Join keys: None is dropped, True/1/1.0 and False/0 collide as dict keys.
 KEY_VALUES = st.sampled_from([None, True, 1, 1.0, False, 0, 2, "a", "b", 2.5])
+
+
+# ---------------------------------------------------------------------------
+# pruned base-table plan == ScanOp -> SelectOp -> ProjectOp
+# ---------------------------------------------------------------------------
+
+CELLS = st.sampled_from([None, 0, 1, 2, 3])
+
+atomic_predicates = st.one_of(
+    st.builds(
+        Comparison,
+        st.sampled_from(["a", "b", "c"]),
+        st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
+        st.sampled_from([0, 1, 2, 3]),
+    ),
+    st.builds(
+        AttributeComparison,
+        st.sampled_from(["a", "b"]),
+        st.sampled_from(["=", "<", ">="]),
+        st.sampled_from(["b", "c"]),
+    ),
+)
+predicates = st.recursive(
+    atomic_predicates,
+    lambda inner: st.one_of(
+        st.builds(Conjunction, st.lists(inner, min_size=2, max_size=3)),
+        st.builds(Disjunction, st.lists(inner, min_size=2, max_size=3)),
+        st.builds(Negation, inner),
+    ),
+    max_leaves=4,
+)
+
+
+def assert_pruned_plan_matches_row_plan(rows, projection, selection):
+    db = ProbabilisticDatabase("scan")
+    relation = Relation("T", Schema.of("a", "b", "c"), rows)
+    db.add_table(relation, probabilities=[0.5] * len(rows))
+    query = ConjunctiveQuery(
+        "q", [Atom("T", ["a", "b", "c"])], projection=projection, selections=selection
+    )
+    row_plan = base_table_plan(db, query, "T")
+    batch_plan = base_table_plan_batch(db, query, "T")
+    want = row_plan.to_relation("out")
+    got = batch_plan.to_relation("out")
+    assert got.schema == want.schema
+    assert got.rows == want.rows  # list equality: same rows in the same order
+    assert batch_plan.total_rows_processed() == row_plan.total_rows_processed()
+    assert batch_plan.explain().count("\n") == row_plan.explain().count("\n")  # same operators
+    scan = batch_plan
+    while scan.children:
+        scan = scan.children[0]
+    touched = set(projection) | selection.attributes() | {"T.V", "T.P"}
+    assert list(scan.schema.names) == [
+        n for n in db.relation("T").schema.names if n in touched
+    ]
+
+
+class TestPrunedScanAgainstRowPlan:
+    @given(
+        rows=st.lists(st.tuples(CELLS, CELLS, CELLS), max_size=8, unique=True),
+        projection=st.sampled_from([[], ["a"], ["b"], ["c", "a"], ["a", "b", "c"]]),
+        selection=st.one_of(st.just(TruePredicate()), predicates),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_rows_any_predicate_any_projection(self, rows, projection, selection):
+        assert_pruned_plan_matches_row_plan(rows, projection, selection)
+
+    ROWS = [(1, 2, 3), (None, 2, 0), (2, None, 3), (1, 0, None), (3, 3, 3)]
+
+    @pytest.mark.parametrize(
+        "projection,selection",
+        [
+            (["a"], Comparison("c", ">", 0)),  # predicate attribute outside the projection
+            (["a", "c"], Comparison("c", ">", 0)),  # ... inside it
+            (["b"], TruePredicate()),
+            (["a", "b", "c"], TruePredicate()),  # nothing to project away
+            (["b"], Conjunction([Comparison("a", ">=", 1), Comparison("c", "=", 3)])),
+            (["b"], Disjunction([Comparison("a", "=", 3), Comparison("b", "=", 2)])),
+            (["c"], Negation(Comparison("a", "=", 1))),  # None rows: NOT(None = 1) holds
+            ([], AttributeComparison("a", "<", "b")),  # None on either side
+            (["a"], Comparison("b", ">=", 0)),  # None-bearing predicate column
+            (["a"], Comparison("c", "<=", 99)),  # every non-None row kept
+            (["a"], Negation(Comparison("c", ">", 99))),  # all rows kept: batch passes through
+            (["a"], Comparison("c", ">", 99)),  # none kept
+        ],
+    )
+    def test_named_shapes(self, projection, selection):
+        assert_pruned_plan_matches_row_plan(self.ROWS, projection, selection)
+
+    @pytest.mark.parametrize(
+        "selection", [TruePredicate(), Comparison("c", ">", 0)], ids=["true", "selective"]
+    )
+    def test_empty_relation(self, selection):
+        assert_pruned_plan_matches_row_plan([], ["a"], selection)
 
 
 # ---------------------------------------------------------------------------
@@ -61,11 +166,9 @@ def _join_inputs(arity, left_keys, right_keys):
     return left, right
 
 
-def assert_join_matches_row_join(left, right, batch_size):
+def assert_join_matches_row_join(left, right):
     row_plan = HashJoinOp(ScanOp(left), ScanOp(right))
-    batch_plan = BatchHashJoinOp(
-        BatchScanOp(left, batch_size=batch_size), BatchScanOp(right, batch_size=batch_size)
-    )
+    batch_plan = BatchHashJoinOp(BatchScanOp(left), BatchScanOp(right))
     want = row_plan.to_relation("out")
     got = batch_plan.to_relation("out")
     assert got.schema == want.schema
@@ -81,28 +184,24 @@ class TestJoinAgainstRowJoin:
         arity=st.integers(0, 2),
         left_keys=key_rows,
         right_keys=key_rows,
-        batch_size=st.sampled_from([2, 4096]),
     )
     @settings(max_examples=300, deadline=None)
-    def test_any_sizes_any_keys(self, arity, left_keys, right_keys, batch_size):
+    def test_any_sizes_any_keys(self, arity, left_keys, right_keys):
         left, right = _join_inputs(arity, left_keys, right_keys)
-        assert_join_matches_row_join(left, right, batch_size)
+        assert_join_matches_row_join(left, right)
 
-    @pytest.mark.parametrize("batch_size", [2, 4096])
     @pytest.mark.parametrize(
         "left_size,right_size", [(3, 9), (9, 3), (6, 6), (0, 4), (4, 0), (0, 0), (1, 1)]
     )
     @pytest.mark.parametrize("arity", [0, 1, 2])
-    def test_each_build_side_with_duplicates_on_both_sides(
-        self, arity, left_size, right_size, batch_size
-    ):
+    def test_each_build_side_with_duplicates_on_both_sides(self, arity, left_size, right_size):
         # Keys cycle through a short pool, so both inputs repeat keys, hold a
         # None key and hold the True/1/1.0 collision, whichever side is hashed.
         pool = [(1, "x"), (True, "x"), (None, "x"), (2, None), (1.0, "x"), (2, "y")]
         left_keys = [pool[i % len(pool)] for i in range(left_size)]
         right_keys = [pool[(2 * i + 1) % len(pool)] for i in range(right_size)]
         left, right = _join_inputs(arity, left_keys, right_keys)
-        assert_join_matches_row_join(left, right, batch_size)
+        assert_join_matches_row_join(left, right)
 
     @pytest.mark.parametrize("left_size,right_size", [(4, 12), (12, 4), (8, 8)])
     def test_distinct_build_keys_with_unmatched_probe_rows(self, left_size, right_size):
@@ -111,10 +210,10 @@ class TestJoinAgainstRowJoin:
         left, right = _join_inputs(
             1, [(i, None) for i in range(left_size)], [(i, None) for i in range(2, 2 + right_size)]
         )
-        assert_join_matches_row_join(left, right, 4096)
+        assert_join_matches_row_join(left, right)
         ascending = [(i, None) for i in range(left_size)]
         same, other = _join_inputs(1, ascending, ascending[::-1])
-        assert_join_matches_row_join(same, other, 2)
+        assert_join_matches_row_join(same, other)
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +328,127 @@ class TestGroupByAgainstRowGroupBy:
         assert row is kernel is TypeError
 
 
+#: Grouping keys that collide as dict keys across types, plus ``None``.
+COLLIDING_KEYS = st.sampled_from([1, 1.0, True, 0, 0.0, False, None, 2, "x"])
+#: ``min`` inputs the fold takes (naturally ordered, with cross-type ties) ...
+ORDERED_NUMBERS = st.sampled_from([1, 1.0, 0, -0.0, 0.0, 2, 2.0, -3, 2.5, 2**70, NAN])
+ORDERED_STRINGS = st.sampled_from(["", "a", "b", "ab", "B"])
+#: ... and the ones that must keep the bucket path and ``sort_key_for``.
+UNORDERED = st.sampled_from([None, True, False, 1, 1.0, "a", 2.5])
+
+LEADER_AGGREGATES = {
+    "min,prob": [AggregateSpec("min", "v", "v"), AggregateSpec("prob", "p", "p")],
+    "prob,min": [AggregateSpec("prob", "p", "p"), AggregateSpec("min", "v", "v")],
+    "prob": [AggregateSpec("prob", "p", "p")],
+    "min,min": [AggregateSpec("min", "v", "lo"), AggregateSpec("min", "v", "v")],
+}
+
+
+@st.composite
+def leader_case(draw, min_inputs):
+    size = draw(st.integers(0, 9))
+    shape = draw(st.sampled_from(["all_distinct", "one_group", "mixed"]))
+    if shape == "all_distinct":
+        groups = [(i, "g") for i in range(size)]
+    elif shape == "one_group":
+        groups = [(1.0, None)] * size
+    else:
+        groups = draw(
+            st.lists(st.tuples(COLLIDING_KEYS, COLLIDING_KEYS), min_size=size, max_size=size)
+        )
+    values = draw(st.lists(min_inputs, min_size=size, max_size=size))
+    chances = draw(st.lists(PROBABILITIES, min_size=size, max_size=size))
+    relation = Relation(
+        "t",
+        Schema.of("g0", "g1", "v", "p:float"),
+        [group + (value, chance) for group, value, chance in zip(groups, values, chances)],
+    )
+    return relation, ["g0", "g1"][: draw(st.integers(0, 2))]
+
+
+class TestOnePassFoldAgainstRowGroupBy:
+    """``[leader*]``-shaped aggregation: exact (``_bits``) equality with the row operator."""
+
+    @pytest.mark.parametrize("aggregates", sorted(LEADER_AGGREGATES))
+    @pytest.mark.parametrize("kind", ["numbers", "strings"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_fold_equals_the_row_operator(self, aggregates, kind, data):
+        inputs = ORDERED_NUMBERS if kind == "numbers" else ORDERED_STRINGS
+        relation, group_by = data.draw(leader_case(inputs))
+        row, kernel = _run_both(relation, group_by, LEADER_AGGREGATES[aggregates])
+        assert kernel == row
+
+    @pytest.mark.parametrize("function", ["sum", "count", "max"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_other_aggregates_beside_the_pair_keep_the_bucket_path(self, function, data):
+        relation, group_by = data.draw(leader_case(st.sampled_from([0, 1, -3, 2.5, 7])))
+        aggregates = LEADER_AGGREGATES["min,prob"] + [AggregateSpec(function, "v", "out")]
+        row, kernel = _run_both(relation, group_by, aggregates)
+        assert kernel == row
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_min_over_none_bool_or_mixed_columns_keeps_the_key_function(self, data):
+        relation, group_by = data.draw(leader_case(UNORDERED))
+        row, kernel = _run_both(relation, group_by, LEADER_AGGREGATES["min,prob"])
+        assert kernel == row
+
+    def test_which_path_runs(self, monkeypatch):
+        calls = []
+        bucket_rows = columnar._bucket_rows
+        monkeypatch.setattr(
+            columnar, "_bucket_rows", lambda keys: calls.append(1) or bucket_rows(keys)
+        )
+        pair = LEADER_AGGREGATES["min,prob"]
+
+        def run(values, aggregates):
+            rows = [(g, v, 0.5) for g, v in zip([1, 1, 2, 2], values)]
+            batch = ColumnBatch.from_rows(Schema.of("g", "v", "p:float"), rows)
+            group_by_columns(batch, ["g"], aggregates)
+            return len(calls)
+
+        assert run([3, 1, 2, 2], pair) == 0  # the fold
+        assert run(["b", "a", "c", "c"], pair) == 0
+        assert run([3, None, 2, 2], pair) == 1  # min over a None-bearing column
+        assert run([3, True, 2, 2], pair) == 2  # ... over bool
+        assert run([3, 1, 2, 2], pair + [AggregateSpec("count", "v", "n")]) == 3
+
+    def test_first_occurrence_represents_a_group_of_hash_equal_keys(self):
+        rows = [(1.0, 5, 0.5), (1, 4, 0.5), (True, 6, 0.5), (0, 1, 0.5), (False, 0, 0.5)]
+        relation = Relation("t", Schema.of("g", "v", "p:float"), rows)
+        row, kernel = _run_both(relation, ["g"], LEADER_AGGREGATES["min,prob"])
+        assert kernel == row
+        assert [r[0] for r in kernel[1]] == [_bits(1.0), _bits(0)]
+
+    def test_min_ties_keep_the_first_of_equal_values(self):
+        rows = [("g", 2, 0.5), ("g", 1.0, 0.5), ("g", 1, 0.5), ("g", True + 0, 0.5)]
+        relation = Relation("t", Schema.of("g", "v", "p:float"), rows)
+        row, kernel = _run_both(relation, ["g"], LEADER_AGGREGATES["min,prob"])
+        assert kernel == row
+        assert kernel[1][0][1] == _bits(1.0)
+
+    def test_prob_multiplies_in_row_order(self):
+        # Float products are not associative: the two orders below differ in
+        # the last bit, and each must equal prob_or over its own row order.
+        prob_or = AGGREGATE_FUNCTIONS["prob"]
+        chances = [0.3, 0.7, 0.95]
+        assert prob_or(chances) != prob_or(chances[::-1])
+        for order in (chances, chances[::-1]):
+            rows = [("g", 0, p) for p in order] + [("h", 0, 0.3)]
+            batch = ColumnBatch.from_rows(Schema.of("g", "v", "p:float"), rows)
+            out = group_by_columns(batch, ["g"], LEADER_AGGREGATES["min,prob"])
+            assert out.columns[2] == [prob_or(order), prob_or([0.3])]
+
+    @pytest.mark.parametrize("group_by", [[], ["g0"], ["g0", "g1"]])
+    def test_empty_input(self, group_by):
+        relation = Relation("t", Schema.of("g0", "g1", "v", "p:float"), [])
+        row, kernel = _run_both(relation, group_by, LEADER_AGGREGATES["min,prob"])
+        assert kernel == row
+        assert kernel[1] == []
+
+
 # ---------------------------------------------------------------------------
 # the typed-order predicate
 # ---------------------------------------------------------------------------
@@ -319,14 +539,3 @@ class TestEagerAndHybridBatchEqualsRow:
         special = {"C": query_C, "D": query_D}
         query = special[key]() if key in special else tpch_query(key).query
         assert_batch_equals_row(tpch_engine, query, plan)
-
-    def test_small_batches_do_not_change_the_answer(self, tpch_db, plan):
-        from repro.tpch import tpch_query
-
-        query = tpch_query("18").query
-        whole = SproutEngine(tpch_db).evaluate(query, plan=plan, execution="batch")
-        chunked = SproutEngine(tpch_db, batch_size=7).evaluate(
-            query, plan=plan, execution="batch"
-        )
-        assert chunked.relation.rows == whole.relation.rows
-        assert chunked.rows_processed == whole.rows_processed
