@@ -98,7 +98,7 @@ def apply_probability_update(
     under the new marginals would hold, and every open leaf carries its
     construction bounds against the new space.  Returns a
     :class:`DeltaReport`; updating a variable to its current value, or one
-    the store has never interned, is a cheap no-op.
+    the store has never interned, is a no-op that records nothing.
     """
     probability = float(probability)
     if not 0.0 <= probability <= 1.0:
@@ -106,9 +106,10 @@ def apply_probability_update(
             f"probability must be within [0, 1], got {probability}"
         )
     previous = store.probabilities.get(variable)
-    store.probabilities[variable] = probability
-    if previous == probability:
+    if previous is None or previous == probability:
         return DeltaReport(variable, probability, 0, frozenset())
+    store.probabilities[variable] = probability
+    store.space_version += 1
     dependents = store.dependents_index().get(variable)
     if not dependents:
         return DeltaReport(variable, probability, 0, frozenset())

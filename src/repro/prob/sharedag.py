@@ -60,7 +60,8 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from heapq import heappop, heappush
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence
+from typing import Set, Tuple
 
 from repro.errors import ProbabilityError
 from repro.faults import fault_point
@@ -92,6 +93,7 @@ __all__ = [
     "SharedLineageStore",
     "SharedDTree",
     "SharedDTreeCache",
+    "SpaceProof",
 ]
 
 Clause = FrozenSet[int]
@@ -175,6 +177,8 @@ class SharedLineageStore:
         #: accounting (the table is append-only); crossing ``max_nodes``
         #: triggers an epoch reset.  Zeroed by :meth:`reset_nodes`.
         self.retired_nodes = 0
+        #: Bumped when a delta moves a recorded marginal: voids older SpaceProofs.
+        self.space_version = 0
         #: Frontier accounting over every view of this store: views marked
         #: stale (:meth:`SharedDTree.resync`; every new view starts marked)
         #: vs. frontiers actually measured at a peek.  The gap is work saved.
@@ -262,11 +266,12 @@ class SharedLineageStore:
     def add_probabilities(self, dnf: DNF, probabilities: Mapping[int, float]) -> None:
         """Record the marginals ``dnf`` needs, guarding the shared space."""
         with self._lock:
-            self._add_probabilities(dnf, probabilities)
+            self._record(dnf.variables(), probabilities)
 
-    def _add_probabilities(self, dnf: DNF, probabilities: Mapping[int, float]) -> None:
+    def _record(self, variables: Iterable[int], probabilities: Mapping[int, float]) -> None:
+        """The space guard: record each marginal, raise on a missing one or a conflict."""
         recorded = self.probabilities
-        for variable in dnf.variables():
+        for variable in variables:
             value = probabilities.get(variable)
             if value is None:
                 raise ProbabilityError(f"no probability for variable {variable}")
@@ -928,6 +933,19 @@ class SharedDTree:
         )
 
 
+class SpaceProof(NamedTuple):
+    """A marginal mapping checked against one store at one ``space_version``
+    (:meth:`SharedDTreeCache.prove`); its holder must not mutate the mapping."""
+
+    probabilities: Mapping[int, float]
+    store: SharedLineageStore
+    version: int
+
+    def holds(self, probabilities: Mapping[int, float], store: SharedLineageStore) -> bool:
+        same = self.probabilities is probabilities and self.store is store
+        return same and self.version == store.space_version
+
+
 class SharedDTreeCache:
     """Engine-side lineage → :class:`SharedDTree` cache over one shared store.
 
@@ -968,6 +986,7 @@ class SharedDTreeCache:
         self.store = SharedLineageStore(max_nodes=max_nodes, vectorize=vectorize)
         self._views: Dict[FrozenSet[Clause], SharedDTree] = {}
         self._epoch = self.store.reset_epoch
+        self._proof: Optional[SpaceProof] = None
 
     def __len__(self) -> int:
         return len(self._views)
@@ -975,6 +994,17 @@ class SharedDTreeCache:
     @property
     def interner(self) -> ClauseInterner:
         return self.store.interner
+
+    def prove(self, probabilities: Mapping[int, float], proof=None) -> SpaceProof:
+        """Guard a whole marginal mapping in one pass over its variables (or
+        none, while ``proof`` holds): until another mapping is proven, ``get``
+        with this mapping object skips its per-tuple guard."""
+        with self.store.lock:
+            if proof is None or not proof.holds(probabilities, self.store):
+                self.store._record(probabilities, probabilities)
+                proof = SpaceProof(probabilities, self.store, self.store.space_version)
+            self._proof = proof
+            return proof
 
     def get(self, dnf: DNF, probabilities: Mapping[int, float]) -> SharedDTree:
         """The (possibly already refined) view for ``dnf``, building on a miss.
@@ -986,7 +1016,9 @@ class SharedDTreeCache:
         stats readers share this cache).
         """
         with self.store.lock:
-            self.store.add_probabilities(dnf, probabilities)
+            proof = self._proof
+            if proof is None or not proof.holds(probabilities, self.store):
+                self.store.add_probabilities(dnf, probabilities)
             # Enforce the node budget on *every* access, not just misses:
             # refinement between calls grows the store, and the store's own
             # in-refinement check only fires while expansions are running.
@@ -1022,6 +1054,7 @@ class SharedDTreeCache:
             )
             self._views.clear()
             self._epoch = self.store.reset_epoch
+            self._proof = None
             self.hits = 0
             self.misses = 0
             self.evictions = 0

@@ -85,7 +85,7 @@ from repro.errors import (
 from repro.algebra.columnar import sort_batch
 from repro.prob.backend import HAS_NUMPY, backend_name, default_vectorize
 from repro.prob.dtree import DEFAULT_MAX_STEPS, DTreeCache
-from repro.prob.sharedag import DEFAULT_MAX_NODES, SharedDTreeCache
+from repro.prob.sharedag import DEFAULT_MAX_NODES, SharedDTreeCache, SpaceProof
 from repro.prob.formulas import DNF
 from repro.prob.lineage import (
     confidences_from_lineage,
@@ -346,7 +346,8 @@ def _memoised_analysis(method):
 class _AnswerLineage:
     """A materialised answer reduced to what the lineage routes consume.
 
-    Shared between calls by the engine's answer memo: treat as read-only.
+    Shared between calls by the engine's answer memo: treat as read-only
+    (``proof`` aside, see :meth:`SproutEngine._proven_cache`).
     """
 
     schema: Schema
@@ -355,6 +356,7 @@ class _AnswerLineage:
     answer_rows: int
     lineage: Dict[Tuple[object, ...], DNF]
     probabilities: Dict[int, float]
+    proof: Optional[SpaceProof] = None
 
 
 class SproutEngine:
@@ -1208,7 +1210,7 @@ class SproutEngine:
         ``REPRO_SHARED_LINEAGE=0``).
         """
         trees = dtrees_from_dnfs(
-            answer.lineage, answer.probabilities, cache=self.dtree_cache
+            answer.lineage, answer.probabilities, cache=self._proven_cache(answer)
         )
         candidates = [TupleCandidate(data, tree=tree) for data, tree in trees.items()]
         # run_decision is the single decision+finishing routine shared with
@@ -1326,7 +1328,8 @@ class SproutEngine:
         the evidence :meth:`Relation.columns_cached` already trusts.  Only
         the lineage routes are memoised; operator plans always run.  A hit
         still looks every tuple up in ``dtree_cache``, so the view cache's
-        guards and counters see exactly the calls they saw without the memo.
+        counters see exactly the calls they saw without the memo; its
+        probability guard holds through the entry's proof (:meth:`_proven_cache`).
         """
         key = (
             query,
@@ -1349,6 +1352,14 @@ class SproutEngine:
         if len(self._answer_memo) > ANSWER_MEMO_ENTRIES:
             self._answer_memo.popitem(last=False)
         return answer
+
+    def _proven_cache(self, answer: _AnswerLineage):
+        """``dtree_cache``, the answer's marginals guarded against its store
+        once per (answer, store, space version), not per tuple per request."""
+        cache = self.dtree_cache
+        if isinstance(cache, SharedDTreeCache):
+            answer.proof = cache.prove(answer.probabilities, answer.proof)
+        return cache
 
     def _compute_answer_lineage(
         self,
@@ -1620,7 +1631,7 @@ class SproutEngine:
             answer.probabilities,
             # In-process shared mode refines views of the engine's one store;
             # every other route runs isolated per-tuple tasks.
-            self.dtree_cache
+            self._proven_cache(answer)
             if workers == 0 and self.shared_lineage
             else self._executor_for(workers),
             epsilon=0.0 if confidence == "exact" else epsilon,

@@ -23,7 +23,8 @@ Two evaluators are provided:
 from __future__ import annotations
 
 from itertools import groupby
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from math import prod
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ProbabilityError, QueryError
 from repro.query.signature import (
@@ -49,6 +50,7 @@ __all__ = [
     "OneScanState",
     "streaming_scan_confidences",
     "columnar_bag_probability",
+    "compile_bag_probability",
     "columnar_lineage",
     "columnar_scan_confidences",
     "one_scan_operator_columns",
@@ -158,14 +160,16 @@ def group_probability(signature: Signature, rows: Sequence[Row], columns: Column
 
 
 def _single_table_probability(table: str, rows: Sequence[Row], columns: ColumnMap) -> float:
-    variables = {columns.var_of(row, table) for row in rows}
-    if len(variables) != 1:
+    _check_single(table, len({columns.var_of(row, table) for row in rows}))
+    return columns.prob_of(rows[0], table)
+
+
+def _check_single(table: str, found: int) -> None:
+    if found != 1:
         raise ProbabilityError(
             f"signature promises a single {table} variable per group but found "
-            f"{len(variables)}; the signature (or its FD refinement) is too precise "
-            "for this data"
+            f"{found}; the signature (or its FD refinement) is too precise for this data"
         )
-    return columns.prob_of(rows[0], table)
 
 
 def _or_over_distinct_variables(table: str, rows: Sequence[Row], columns: ColumnMap) -> float:
@@ -252,111 +256,126 @@ def one_scan_operator(
 #
 # The batch execution backend hands the operator one ColumnBatch of the sorted
 # answer instead of row tuples.  Bags and partitions are then ranges/lists of
-# *row indices* into the shared column lists, so no row tuples are ever built
-# and each recursion step touches only the one or two columns it needs.  The
-# arithmetic (and its order) is identical to ``group_probability``, which
-# makes the two paths produce bit-identical confidences.
+# *row indices* into the shared column lists, so no row tuples are ever built,
+# and the signature is compiled into closures once per batch, so a bag pays
+# for its arithmetic only.  The arithmetic (and its order) is identical to
+# ``group_probability``, which makes the two paths bit-identical.
 
 
-def columnar_bag_probability(
+def compile_bag_probability(
     signature: Signature,
-    indices: Sequence[int],
     var_columns: Dict[str, Sequence[object]],
     prob_columns: Dict[str, Sequence[float]],
-) -> float:
-    """Probability of one bag of duplicates given as row indices into columns.
+) -> Callable[[Sequence[int]], float]:
+    """Compile ``signature`` once per batch into ``bag_probability(indices)``:
+    :func:`group_probability`'s arithmetic in its order, with node kinds,
+    columns, leaders and distinct keys (and the row path's errors) resolved here."""
+    evaluate = _compile_node(signature, var_columns, prob_columns)
 
-    Mirrors :func:`group_probability` exactly — same traversal, same grouping
-    order, same multiplication order — over column-oriented storage.
-    """
-    if not indices:
-        raise ProbabilityError("cannot compute the probability of an empty bag")
+    def bag_probability(indices: Sequence[int]) -> float:
+        if not indices:
+            raise ProbabilityError("cannot compute the probability of an empty bag")
+        return evaluate(indices)
+
+    return bag_probability
+
+
+def columnar_bag_probability(signature, indices, var_columns, prob_columns) -> float:
+    """Probability of one bag of duplicates given as row indices into columns."""
+    return compile_bag_probability(signature, var_columns, prob_columns)(indices)
+
+
+def _variable_column(var_columns: Dict[str, Sequence[object]], table: str) -> Sequence[object]:
+    try:
+        return var_columns[table]
+    except KeyError:
+        raise QueryError(f"no variable column for table {table!r}") from None
+
+
+def _compile_node(signature, var_columns, prob_columns) -> Callable[[Sequence[int]], float]:
+    """One signature node as a closure over its columns (non-empty bags only)."""
     if isinstance(signature, TableSig):
-        variable_column = var_columns[signature.table]
-        variables = {variable_column[i] for i in indices}
-        if len(variables) != 1:
-            raise ProbabilityError(
-                f"signature promises a single {signature.table} variable per group but found "
-                f"{len(variables)}; the signature (or its FD refinement) is too precise "
-                "for this data"
-            )
-        return prob_columns[signature.table][indices[0]]
+        table = signature.table
+        variables = _variable_column(var_columns, table)
+        probabilities = prob_columns[table]
+
+        def single(indices):
+            _check_single(table, len({variables[i] for i in indices}))
+            return probabilities[indices[0]]
+
+        return single
     if isinstance(signature, ConcatSig):
-        probability = 1.0
-        for part in signature.parts:
-            probability *= columnar_bag_probability(
-                part, _distinct_indices(part, indices, var_columns), var_columns, prob_columns
-            )
-        return probability
-    if isinstance(signature, StarSig):
-        inner = signature.inner
-        if isinstance(inner, TableSig):
-            variable_column = var_columns[inner.table]
-            probability_column = prob_columns[inner.table]
+        factors = [_compile_factor(part, var_columns, prob_columns) for part in signature.parts]
+        return lambda indices: prod((factor(indices) for factor in factors), start=1.0)
+    if not isinstance(signature, StarSig):
+        raise QueryError(f"unknown signature node {signature!r}")
+    inner = signature.inner
+    if isinstance(inner, TableSig):
+        variables = _variable_column(var_columns, inner.table)
+        probabilities = prob_columns[inner.table]
+
+        def any_distinct(indices):
             none_true = 1.0
             seen = set()
             for i in indices:
-                variable = variable_column[i]
-                if variable in seen:
-                    continue
-                seen.add(variable)
-                none_true *= 1.0 - probability_column[i]
+                variable = variables[i]
+                if variable not in seen:
+                    seen.add(variable)
+                    none_true *= 1.0 - probabilities[i]
             return 1.0 - none_true
-        parts = inner.top_level_parts()
-        leader = next((p.table for p in parts if isinstance(p, TableSig)), None)
-        if leader is None:
-            raise QueryError(
-                f"signature {signature} lacks the 1scan property; "
-                "pre-aggregate with repro.sprout.scans first"
-            )
-        leader_column = var_columns[leader]
+
+        return any_distinct
+    parts = inner.top_level_parts()
+    leader = next((p for p in parts if isinstance(p, TableSig)), None)
+    if leader is None:
+        raise QueryError(
+            f"signature {signature} lacks the 1scan property; "
+            "pre-aggregate with repro.sprout.scans first"
+        )
+    leader_column = _variable_column(var_columns, leader.table)
+    leader_probabilities = prob_columns[leader.table]
+    # A partition holds one leader variable by construction: read its marginal.
+    factors = [
+        (lambda partition: leader_probabilities[partition[0]])
+        if part is leader
+        else _compile_factor(part, var_columns, prob_columns)
+        for part in parts
+    ]
+
+    def partitioned(indices):
+        # Partitions are the leader's variables, in first-occurrence order.
         partitions: Dict[object, List[int]] = {}
         for i in indices:
             partitions.setdefault(leader_column[i], []).append(i)
         none_true = 1.0
-        for partition_indices in partitions.values():
-            partition_probability = 1.0
-            for part in parts:
-                partition_probability *= columnar_bag_probability(
-                    part,
-                    _distinct_indices(part, partition_indices, var_columns),
-                    var_columns,
-                    prob_columns,
-                )
-            none_true *= 1.0 - partition_probability
+        for partition in partitions.values():
+            probability = 1.0
+            for factor in factors:
+                probability *= factor(partition)
+            none_true *= 1.0 - probability
         return 1.0 - none_true
-    raise QueryError(f"unknown signature node {signature!r}")
+
+    return partitioned
 
 
-def _distinct_indices(
-    part: Signature,
-    indices: Sequence[int],
-    var_columns: Dict[str, Sequence[object]],
-) -> List[int]:
-    """Row indices distinct with respect to the variable columns of ``part``.
+def _compile_factor(part, var_columns, prob_columns) -> Callable[[Sequence[int]], float]:
+    """``part`` over the indices distinct on its variable columns, first
+    occurrence first (:func:`_distinct_for`); ``T`` and ``T*`` de-duplicate
+    on their one column themselves, same first index, so they skip it."""
+    evaluate = _compile_node(part, var_columns, prob_columns)
+    if isinstance(part, TableSig) or (
+        isinstance(part, StarSig) and isinstance(part.inner, TableSig)
+    ):
+        return evaluate
+    columns = [var_columns[table] for table in part.tables()]  # all checked above
 
-    The columnar counterpart of :func:`_distinct_for`: first occurrence wins,
-    order is preserved.  The common single-table case avoids tuple packing.
-    """
-    columns = [var_columns[table] for table in part.tables() if table in var_columns]
-    seen = set()
-    result: List[int] = []
-    if len(columns) == 1:
-        column = columns[0]
-        for i in indices:
-            key = column[i]
-            if key in seen:
-                continue
-            seen.add(key)
-            result.append(i)
-        return result
-    for i in indices:
-        key = tuple(column[i] for column in columns)
-        if key in seen:
-            continue
-        seen.add(key)
-        result.append(i)
-    return result
+    def distinct(indices):
+        first: Dict[object, int] = {}
+        for key, i in zip(zip(*[map(column.__getitem__, indices) for column in columns]), indices):
+            first.setdefault(key, i)
+        return evaluate(list(first.values()))
+
+    return distinct
 
 
 def columnar_scan_confidences(
@@ -375,6 +394,7 @@ def columnar_scan_confidences(
     total = len(batch)
     if total == 0:
         return
+    bag_probability = compile_bag_probability(signature, var_columns, prob_columns)
     if data_columns:
         if len(data_columns) == 1:
             keys: Sequence[Tuple[object, ...]] = [(v,) for v in data_columns[0]]
@@ -386,13 +406,9 @@ def columnar_scan_confidences(
     start = 0
     for position in range(1, total):
         if keys[position] != keys[start]:
-            yield keys[start], columnar_bag_probability(
-                signature, range(start, position), var_columns, prob_columns
-            )
+            yield keys[start], bag_probability(range(start, position))
             start = position
-    yield keys[start], columnar_bag_probability(
-        signature, range(start, total), var_columns, prob_columns
-    )
+    yield keys[start], bag_probability(range(start, total))
 
 
 def one_scan_operator_columns(

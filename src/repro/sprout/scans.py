@@ -26,7 +26,7 @@ from repro.query.signature import (
 )
 from repro.sprout.onescan import (
     ColumnMap,
-    columnar_bag_probability,
+    compile_bag_probability,
     one_scan_operator,
     one_scan_operator_columns,
 )
@@ -265,12 +265,8 @@ def _run_pre_aggregation_columns(batch, step: ScanStep):
     representative_var = var_columns[representative]
     out_columns = [[column[i] for i in first_rows] for column in group_columns]
     out_columns.append([min(representative_var[i] for i in bucket) for bucket in buckets])
-    out_columns.append(
-        [
-            columnar_bag_probability(part, bucket, var_columns, prob_columns)
-            for bucket in buckets
-        ]
-    )
+    bag_probability = compile_bag_probability(part, var_columns, prob_columns)
+    out_columns.append([bag_probability(bucket) for bucket in buckets])
     return ColumnBatch(kept_schema, out_columns, len(buckets))
 
 

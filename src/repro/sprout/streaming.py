@@ -288,16 +288,18 @@ class StandingQuery:
             raise ProbabilityError(
                 f"probability must be within [0, 1], got {probability}"
             )
+        # An unknown variable is not recorded: updates must not grow the space.
+        known = variable in self.probabilities
         if not self.shared_lineage:
-            previous = self.probabilities.get(variable)
-            self.probabilities[variable] = probability
-            if previous != probability:
+            if known and self.probabilities[variable] != probability:
+                self.probabilities[variable] = probability
                 self._stale_probabilities = True
             return None
         store = self._store
         with store.lock:  # repair and marks are one step to a concurrent refresh
             report = store.update_probability(variable, probability)
-            self.probabilities[variable] = probability
+            if known:
+                self.probabilities[variable] = probability
             for root in self._views_by_root.keys() & report.touched:
                 for tree in self._views_by_root[root]:
                     tree.resync()

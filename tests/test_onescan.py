@@ -5,18 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algebra.columnar import ColumnBatch
 from repro.errors import ProbabilityError, QueryError
 from repro.prob.formulas import DNF, dnf_probability
-from repro.query.signature import parse_signature
+from repro.query.signature import ConcatSig, StarSig, TableSig, parse_signature
 from repro.sprout.onescan import (
     ColumnMap,
     OneScanState,
+    compile_bag_probability,
     group_probability,
     one_scan_operator,
+    one_scan_operator_columns,
     scan_confidences,
     sort_column_order,
     streaming_scan_confidences,
 )
+from repro.sprout.scans import apply_scan_schedule, apply_scan_schedule_columns
 from repro.storage.relation import Relation
 from repro.storage.schema import Attribute, ColumnRole, Schema
 
@@ -181,3 +185,167 @@ class TestScanOperator:
         result = one_scan_operator(relation, parse_signature("R*"))
         assert len(result) == 1
         assert result.rows[0][-1] == pytest.approx(1 - 0.7 * 0.5)
+
+
+# ---------------------------------------------------------------------------
+# The compiled columnar evaluator against the row oracle, bit for bit
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def signatures_with_leaders(draw, depth=0, names=None):
+    """Nested Table/Concat/Star signatures over fresh table names; every
+    starred composite leads with a star-free table (the 1scan shape)."""
+    names = names if names is not None else iter(f"T{i}" for i in range(100))
+    kinds = ["table", "star", "concat", "group"] if depth < 2 else ["table", "star"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "table":
+        return TableSig(next(names))
+    if kind == "star":
+        return StarSig(TableSig(next(names)))
+    parts = [
+        draw(signatures_with_leaders(depth + 1, names))
+        for _ in range(draw(st.integers(1 if kind == "group" else 2, 2)))
+    ]
+    if kind == "group":
+        return StarSig(ConcatSig([TableSig(next(names))] + parts))
+    return ConcatSig(parts)
+
+
+@st.composite
+def bags_for(draw, signature):
+    """Answer rows of one bag shaped like ``signature``'s lineage: a star
+    repeats its inner part over fresh variables, a concatenation is the
+    cross product of its parts.  Rows are shuffled (so leader partitions are
+    not contiguous) and some are repeated; variable ids are sparse."""
+    counter = iter(range(7, 10_000, 13))
+    probabilities = {}
+
+    def instances(node):
+        if isinstance(node, TableSig):
+            variable = next(counter)
+            probabilities[variable] = draw(st.floats(0.01, 0.99))
+            return [{node.table: variable}]
+        if isinstance(node, StarSig):
+            return [
+                row for _ in range(draw(st.integers(1, 3))) for row in instances(node.inner)
+            ]
+        rows = [{}]
+        for part in node.parts:
+            part_rows = instances(part)
+            rows = [{**left, **right} for left in rows for right in part_rows]
+        return rows
+
+    tables = signature.tables()
+    rows = [
+        ("d",) + tuple(x for table in tables for x in (row[table], probabilities[row[table]]))
+        for row in instances(signature)
+    ]
+    rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    return make_relation(tables, draw(st.permutations(rows)))
+
+
+def columns_of(relation):
+    batch = ColumnBatch.from_relation(relation)
+    columns = ColumnMap(batch.schema)
+    return (
+        {table: batch.columns[i] for table, i in columns.var_index.items()},
+        {table: batch.columns[i] for table, i in columns.prob_index.items()},
+    )
+
+
+def outcome(evaluate):
+    """A float's exact bits, or the error a path raised."""
+    try:
+        return evaluate().hex()
+    except (ProbabilityError, QueryError) as error:
+        return type(error), str(error)
+
+
+class TestCompiledEvaluator:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_group_probability_bit_for_bit(self, data):
+        signature = data.draw(signatures_with_leaders())
+        relation = data.draw(bags_for(signature))
+        var_columns, prob_columns = columns_of(relation)
+        compiled = compile_bag_probability(signature, var_columns, prob_columns)
+        row = outcome(
+            lambda: group_probability(signature, relation.rows, ColumnMap(relation.schema))
+        )
+        assert outcome(lambda: compiled(range(len(relation)))) == row
+        assert isinstance(row, str)  # the bag is shaped like the signature
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_pre_aggregation_buckets_equal_the_row_scans(self, data):
+        # ((A ...)* (B ...)*)* has no top-level table: the first composite is
+        # pre-aggregated per bucket by the compiled evaluator.
+        names = iter(f"T{i}" for i in range(100))
+        groups = [
+            StarSig(
+                ConcatSig([TableSig(next(names)), data.draw(signatures_with_leaders(1, names))])
+            )
+            for _ in range(2)
+        ]
+        signature = StarSig(ConcatSig(groups))
+        relation = data.draw(bags_for(signature))
+        assert apply_scan_schedule(relation, signature)[1].pre_aggregations
+        row, _ = apply_scan_schedule(relation, signature)
+        batch, _ = apply_scan_schedule_columns(ColumnBatch.from_relation(relation), signature)
+        assert [r[:-1] + (r[-1].hex(),) for r in batch.rows] == [
+            r[:-1] + (r[-1].hex(),) for r in row.rows
+        ]
+
+    def test_single_row_partitions_and_repeated_variables(self):
+        signature = parse_signature("(Cust (Ord Item*)*)*")
+        rows = [
+            ("a", 30, 0.5, 5, 0.25, 7, 0.125),
+            ("a", 10, 0.3, 6, 0.75, 8, 0.2),
+            ("a", 30, 0.5, 5, 0.25, 7, 0.125),  # the same clause again
+            ("a", 20, 0.9, 9, 0.6, 11, 0.35),
+            ("a", 10, 0.3, 6, 0.75, 12, 0.45),  # leader 10 again, not adjacent
+        ]
+        relation = make_relation(["Cust", "Ord", "Item"], rows)
+        compiled = compile_bag_probability(signature, *columns_of(relation))
+        expected = group_probability(signature, rows, ColumnMap(relation.schema))
+        assert compiled(range(len(rows))).hex() == expected.hex()
+        assert compiled([1]).hex() == group_probability(
+            signature, rows[1:2], ColumnMap(relation.schema)
+        ).hex()
+
+    def test_a_table_with_several_variables_raises_like_the_row_path(self):
+        rows = [("d", 1, 0.5), ("d", 2, 0.5)]
+        relation = make_relation(["R"], rows)
+        compiled = compile_bag_probability(parse_signature("R"), *columns_of(relation))
+        with pytest.raises(ProbabilityError) as batch_error:
+            compiled(range(2))
+        with pytest.raises(ProbabilityError) as row_error:
+            group_probability(parse_signature("R"), rows, ColumnMap(relation.schema))
+        assert str(batch_error.value) == str(row_error.value)
+
+    def test_a_signature_without_a_leader_raises_at_compile_time(self):
+        rows = [("d", 1, 0.5, 2, 0.5)]
+        relation = make_relation(["R", "S"], rows)
+        with pytest.raises(QueryError) as batch_error:
+            compile_bag_probability(parse_signature("(R* S*)*"), *columns_of(relation))
+        with pytest.raises(QueryError) as row_error:
+            group_probability(parse_signature("(R* S*)*"), rows, ColumnMap(relation.schema))
+        assert str(batch_error.value) == str(row_error.value)
+
+    def test_an_empty_bag_is_rejected(self):
+        relation = make_relation(["R"], [("d", 1, 0.5)])
+        compiled = compile_bag_probability(parse_signature("R*"), *columns_of(relation))
+        with pytest.raises(ProbabilityError):
+            compiled([])
+
+    def test_a_missing_variable_column_is_the_row_paths_query_error(self):
+        # The batch holds only R's pair; the signature names S.
+        relation = make_relation(["R"], [("d", 1, 0.5), ("d", 2, 0.25)])
+        signature = StarSig(TableSig("s"))
+        with pytest.raises(QueryError) as row_error:
+            one_scan_operator(relation, signature)
+        with pytest.raises(QueryError) as batch_error:
+            one_scan_operator_columns(ColumnBatch.from_relation(relation), signature)
+        assert str(batch_error.value) == str(row_error.value)
+        assert str(row_error.value) == "no variable column for table 's'"

@@ -168,6 +168,24 @@ class TestServiceCore:
         with pytest.raises(ServiceError):
             service.execute("subscription_get", {"subscription": "sub-0"})
 
+    def test_an_update_of_an_unknown_variable_changes_nothing(self, service):
+        sub = service.execute("subscribe", {"sql": SQL, "tau": 0.5})
+        before = service.execute("subscription_get", {"subscription": "sub-0"})
+        store = service._subscriptions["sub-0"]._store
+        recorded, version = dict(store.probabilities), store.space_version
+        unknown = max(sub["variables"]) + 1
+        for offset in range(50):
+            update = service.execute(
+                "subscription_update",
+                {"subscription": "sub-0", "variable": unknown + offset, "probability": 0.5},
+            )
+            assert update["report"] == {"reseeded": 0, "touched": 0, "noop": True}
+            assert update["selected"] == sub["selected"]
+        after = service.execute("subscription_get", {"subscription": "sub-0"})
+        assert after["variables"] == before["variables"] == sub["variables"]
+        assert store.probabilities == recorded
+        assert store.space_version == version
+
     def test_stats_surface(self, service):
         service.execute("topk", {"sql": SQL, "k": 1})
         stats = service.stats()

@@ -126,8 +126,12 @@ class TestStoreDeltas:
         store.add_probabilities(dnf, {0: 0.5, 1: 0.4, 2: 0.3})
         SharedDTree(store, dnf)
         assert store.update_probability(0, 0.5).is_noop  # unchanged value
-        assert store.update_probability(99, 0.7).is_noop  # no dependent rows
-        assert store.probabilities[99] == 0.7  # but the space did move
+        assert store.update_probability(99, 0.7).is_noop  # never interned
+        # A true no-op: nothing recorded, no proof invalidated.
+        assert 99 not in store.probabilities
+        assert store.space_version == 0
+        assert not store.update_probability(0, 0.25).is_noop
+        assert store.space_version == 1
 
     @given(lineage_family(), st.integers(0, 3), st.floats(0.05, 0.95))
     @settings(max_examples=40, deadline=None)
@@ -291,6 +295,25 @@ class TestStandingQueryValidation:
             query.insert_tuple((1,), DNF([[0]]), probabilities={0: 0.9})
         query.insert_tuple((1,), DNF([[0, 9]]), probabilities={9: 0.25})
         assert query.probabilities[9] == 0.25
+
+    @pytest.mark.parametrize("shared", (True, False))
+    def test_an_unknown_variable_update_records_nothing(self, shared):
+        query = StandingQuery({(0,): DNF([[0]])}, {0: 0.5}, k=1, shared_lineage=shared)
+        for variable in range(100, 120):
+            report = query.update_probability(variable, 0.5)
+            assert report is None if not shared else report.is_noop
+        assert query.probabilities == {0: 0.5}
+        if shared:
+            assert query._store.probabilities == {0: 0.5}
+
+    @pytest.mark.parametrize("shared", (True, False))
+    def test_a_known_variable_not_yet_interned_stays_updatable(self, shared):
+        query = StandingQuery({(0,): DNF([[0]])}, {0: 0.5, 7: 0.5}, k=2, shared_lineage=shared)
+        query.update_probability(7, 0.75)
+        assert query.probabilities[7] == 0.75
+        query.insert_tuple((1,), DNF([[7]]))
+        result = query.refresh()
+        assert result.confidences()[(1,)] == 0.75
 
 
 class TestStandingQueryDeltas:

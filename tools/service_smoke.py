@@ -6,7 +6,8 @@ as a subprocess (the demo smoke-monitor dataset), waits for the ``SERVICE
 READY <host> <port>`` line, and then exercises every route over real
 sockets — health, top-k (cold and warm), evaluate (approximate twice, then
 exact), threshold, and a full standing-query round trip (subscribe,
-probability update that moves the decided set, re-read, unsubscribe).  The
+probability update that moves the decided set, re-read, an update of an
+unknown variable that must change nothing, unsubscribe).  The
 script fails loudly on any deviation, including the warm-reuse contract (a
 repeated top-k or approximate evaluate must cost zero additional logical
 steps, whichever request refined the lineage first).  Run locally from the
@@ -87,6 +88,15 @@ def run_script(client: ServiceClient) -> None:
 
     reread = client.subscription(sid)
     check(reread["selected"] == update["selected"], "re-read disagrees with update")
+
+    # An update of a variable outside the space is a true no-op: it must not
+    # grow the subscription's state.
+    unknown = client.update(sid, variable=max(sub["variables"]) + 1, probability=0.5)
+    check(unknown["report"]["noop"] is True, "an unknown-variable update was not a no-op")
+    check(
+        client.subscription(sid)["variables"] == reread["variables"],
+        "an unknown-variable update grew the subscription's variables",
+    )
     client.unsubscribe(sid)
     status, _ = client.request("GET", f"/subscriptions/{sid}")
     check(status == 400, f"deleted subscription still answers (status {status})")
