@@ -34,7 +34,7 @@ from repro.algebra.columnar import (
     BatchSelectOp,
     BatchSortOp,
     ColumnBatch,
-    compile_mask,
+    compile_selection,
     group_by_columns,
     sort_batch,
 )
@@ -89,7 +89,7 @@ __all__ = [
     "Conjunction",
     "Disjunction",
     "DistinctOp",
-    "compile_mask",
+    "compile_selection",
     "group_by_columns",
     "sort_batch",
     "ExecutionResult",

@@ -5,9 +5,9 @@ Python tuple at a time; every row travels through a chain of generator frames
 and is rebuilt by each projection.  At TPC-H scale the interpreter overhead of
 that per-row choreography dominates the runtime.  The operators here process
 one whole :class:`ColumnBatch` at a time instead: a batch is a list of column
-lists, scans share the stored table's cached columns, selections evaluate one
-comparison per *column* with list comprehensions, and joins/projections gather
-values with per-column comprehensions instead of per-row tuple surgery.
+lists, scans share the stored table's cached columns, selections hand the ids
+of the surviving rows from conjunct to conjunct and gather each column once,
+and joins/projections gather values per column instead of per-row tuple surgery.
 
 Semantics are kept deliberately identical to the row operators — same output
 order, same ``None`` handling in predicates and join keys, same
@@ -18,7 +18,7 @@ bit-identical answer relations (see ``tests/test_batch_execution.py``).
 from __future__ import annotations
 
 import abc
-from itertools import compress
+from itertools import compress, filterfalse
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import SchemaError
@@ -48,7 +48,7 @@ __all__ = [
     "BatchGroupByOp",
     "BatchSortOp",
     "build_group_buckets",
-    "compile_mask",
+    "compile_selection",
     "group_by_columns",
     "sort_batch",
 ]
@@ -163,71 +163,85 @@ def _naturally_ordered(column: Column) -> bool:
 # ---------------------------------------------------------------------------
 
 
-MaskFn = Callable[[ColumnBatch], List[bool]]
+def compile_selection(predicate: Predicate, schema: Schema) -> Callable[..., Sequence[int]]:
+    """Compile ``predicate`` to ``rows(batch, candidates)``: the ascending surviving row ids.
 
-
-def compile_mask(predicate: Predicate, schema: Schema) -> MaskFn:
-    """Compile ``predicate`` to a per-batch boolean-mask function.
-
-    The known predicate classes are evaluated column-wise with one list
-    comprehension per atomic comparison; anything else falls back to binding
-    the row predicate and evaluating it over the transposed batch.  ``None``
-    handling matches :meth:`Predicate.bind` exactly (``None`` never satisfies
-    a comparison).
+    ``candidates`` are ascending row ids (``range(batch.length)``: every row).
+    A comparison is one comprehension over them; a conjunction hands each part
+    the rows its predecessors kept, a disjunction the rows no earlier part
+    accepted, a negation keeps what its part rejected — the row engine's
+    short-circuiting ``all``/``any``.  ``None`` never satisfies a comparison,
+    as in :meth:`Predicate.bind`, which unknown predicate classes fall back to.
     """
     if isinstance(predicate, TruePredicate):
-        return lambda batch: [True] * batch.length
+        return lambda batch, candidates: candidates
     if isinstance(predicate, Comparison):
         index = schema.index_of(predicate.attribute)
         fn, value = predicate._fn, predicate.value
         if predicate.op == "=" and value is not None:
-            # `None == constant` is already False, so the None guard that the
-            # ordered comparisons need (they would raise on None) can be
-            # dropped — one comparison per element instead of two.
-            return lambda batch: [v == value for v in batch.columns[index]]
-        return lambda batch: [
-            v is not None and fn(v, value) for v in batch.columns[index]
-        ]
+            # `None == constant` is already False: no None guard, one comparison per row.
+            def equal_rows(batch, candidates):
+                column = batch.columns[index]
+                return [i for i in candidates if column[i] == value]
+
+            return equal_rows
+
+        def comparison_rows(batch, candidates):
+            column = batch.columns[index]
+            return [i for i in candidates if (v := column[i]) is not None and fn(v, value)]
+
+        return comparison_rows
     if isinstance(predicate, AttributeComparison):
         left = schema.index_of(predicate.left)
         right = schema.index_of(predicate.right)
         fn = predicate._fn
-        return lambda batch: [
-            a is not None and b is not None and fn(a, b)
-            for a, b in zip(batch.columns[left], batch.columns[right])
-        ]
+
+        def attribute_rows(batch, candidates):
+            lefts, rights = batch.columns[left], batch.columns[right]
+            return [
+                i
+                for i in candidates
+                if (a := lefts[i]) is not None and (b := rights[i]) is not None and fn(a, b)
+            ]
+
+        return attribute_rows
     if isinstance(predicate, Conjunction):
-        parts = [compile_mask(part, schema) for part in predicate.parts]
+        conjuncts = [compile_selection(part, schema) for part in predicate.parts]
 
-        def conjunction_mask(batch: ColumnBatch) -> List[bool]:
-            if not parts:
-                return [True] * batch.length
-            mask = parts[0](batch)
-            for part in parts[1:]:
-                other = part(batch)
-                mask = [a and b for a, b in zip(mask, other)]
-            return mask
+        def conjunction_rows(batch, candidates):
+            for part in conjuncts:
+                candidates = part(batch, candidates)
+            return candidates
 
-        return conjunction_mask
+        return conjunction_rows
     if isinstance(predicate, Disjunction):
-        parts = [compile_mask(part, schema) for part in predicate.parts]
+        if not predicate.parts:
+            return lambda batch, candidates: []
+        *leading, last = [compile_selection(part, schema) for part in predicate.parts]
 
-        def disjunction_mask(batch: ColumnBatch) -> List[bool]:
-            if not parts:
-                return [False] * batch.length
-            mask = parts[0](batch)
-            for part in parts[1:]:
-                other = part(batch)
-                mask = [a or b for a, b in zip(mask, other)]
-            return mask
+        def disjunction_rows(batch, candidates):
+            kept: List[int] = []
+            for part in leading:
+                hits = part(batch, candidates)
+                if hits:
+                    kept += hits
+                    candidates = _without(candidates, hits)
+            kept += last(batch, candidates)
+            return sorted(kept)  # disjoint ascending runs: a linear merge
 
-        return disjunction_mask
+        return disjunction_rows
     if isinstance(predicate, Negation):
-        inner = compile_mask(predicate.part, schema)
-        return lambda batch: [not flag for flag in inner(batch)]
+        inner = compile_selection(predicate.part, schema)
+        return lambda batch, candidates: _without(candidates, inner(batch, candidates))
     # Unknown predicate class: row-at-a-time fallback with identical semantics.
     bound = predicate.bind(schema)
-    return lambda batch: [bound(row) for row in batch.rows()]
+    return lambda batch, candidates: [
+        i for i in candidates if bound(tuple([column[i] for column in batch.columns]))
+    ]
+
+
+def _without(candidates: Sequence[int], hits: Sequence[int]) -> List[int]:
+    return list(filterfalse(set(hits).__contains__, candidates))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +368,7 @@ class BatchMaterializedOp(BatchOperator):
 
 
 class BatchSelectOp(BatchOperator):
-    """Filter the child's batch by a predicate compiled to a columnar mask."""
+    """Filter the child's batch by a predicate compiled to surviving row ids."""
 
     def __init__(self, child: BatchOperator, predicate: Predicate):
         super().__init__()
@@ -371,13 +385,10 @@ class BatchSelectOp(BatchOperator):
 
     def _execute(self) -> ColumnBatch:
         batch = self.child._run()
-        mask = compile_mask(self.predicate, batch.schema)(batch)
-        kept = sum(mask)
-        if kept == batch.length:
+        kept = compile_selection(self.predicate, batch.schema)(batch, range(batch.length))
+        if len(kept) == batch.length:
             return batch
-        return ColumnBatch(
-            batch.schema, [list(compress(column, mask)) for column in batch.columns], kept
-        )
+        return batch.take(kept)
 
     def label(self) -> str:
         return f"BatchSelect({self.predicate})"
@@ -451,7 +462,7 @@ def _gather(columns: Sequence[Column], indices: Sequence[int]) -> List[Column]:
     """The rows at ``indices`` of each column; the identity range re-references them."""
     if columns and indices == range(len(columns[0])):
         return list(columns)
-    return [list(map(column.__getitem__, indices)) for column in columns]
+    return [[column[i] for i in indices] for column in columns]
 
 
 class BatchHashJoinOp(BatchOperator):

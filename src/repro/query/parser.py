@@ -26,6 +26,7 @@ from repro.errors import QueryError
 from repro.algebra.expressions import Comparison, Predicate, conjunction_of
 from repro.query.conjunctive import Atom, ConjunctiveQuery
 from repro.storage.catalog import Catalog
+from repro.storage.relation import Relation
 
 __all__ = ["ParsedQuery", "parse_query"]
 
@@ -80,6 +81,7 @@ def parse_query(sql: str, catalog: Catalog, name: str = "query") -> ParsedQuery:
         atoms.append(Atom(resolved, catalog.table(resolved).schema.data_names()))
 
     known_attributes = {attr for atom in atoms for attr in atom.attributes}
+    owners = {attr: atom.table for atom in atoms for attr in atom.attributes}
 
     wants_confidence = False
     projection: List[str] = []
@@ -99,6 +101,7 @@ def parse_query(sql: str, catalog: Catalog, name: str = "query") -> ParsedQuery:
         for condition in re.split(r"\s+and\s+", where_clause, flags=re.IGNORECASE):
             predicate = _parse_condition(condition, known_attributes, table_lookup)
             if predicate is not None:
+                _check_orderable(predicate, catalog.table(owners[predicate.attribute]).relation)
                 selections.append(predicate)
 
     query = ConjunctiveQuery(
@@ -172,6 +175,29 @@ def _parse_literal(text: str) -> object:
     except ValueError:
         pass
     raise QueryError(f"cannot parse literal {text!r} (strings need quotes)")
+
+
+def _check_orderable(predicate: Comparison, relation: Optional[Relation]) -> None:
+    """Refuse ``<``/``<=``/``>``/``>=`` whose literal the stored column cannot order against.
+
+    The stored values decide, not the declared dtype: ``Schema.of`` defaults to
+    ``str`` and rows are not validated against it.  The literal is compared
+    with the column's first non-``None`` value, so only a column that mixes
+    mutually unorderable types can still fail when the query runs.
+    """
+    if predicate.op in ("=", "!=") or relation is None:
+        return
+    index = relation.schema.index_of(predicate.attribute)
+    sample = next((row[index] for row in relation if row[index] is not None), None)
+    if sample is None:
+        return
+    try:
+        predicate._fn(sample, predicate.value)
+    except TypeError:
+        raise QueryError(
+            f"cannot order attribute {predicate.attribute!r} "
+            f"({type(sample).__name__} values) against {predicate.value!r}"
+        ) from None
 
 
 def _parse_condition(

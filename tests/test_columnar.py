@@ -29,7 +29,7 @@ from repro.algebra import (
     ScanOp,
     SelectOp,
     TruePredicate,
-    compile_mask,
+    compile_selection,
     group_by_columns,
     sort_batch,
 )
@@ -156,11 +156,12 @@ class TestBatchSelect:
             SelectOp(ScanOp(people), predicate),
         )
 
-    def test_mask_handles_none_like_bind(self, people):
+    def test_selection_handles_none_like_bind(self, people):
         # None never satisfies a comparison, matching Predicate.bind.
-        mask = compile_mask(Comparison("age", ">", 0), people.schema)
+        rows = compile_selection(Comparison("age", ">", 0), people.schema)
         batch = ColumnBatch.from_relation(people)
-        assert mask(batch) == [True, True, False, True, True]
+        assert rows(batch, range(batch.length)) == [0, 1, 3, 4]
+        assert rows(batch, [1, 2, 4]) == [1, 4]  # only the candidates are looked at
 
 
 class TestBatchProject:

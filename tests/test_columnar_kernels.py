@@ -1,11 +1,12 @@
-"""Oracle tests of the columnar kernels: scan, join, group-by, typed order, eager plans.
+"""Oracle tests of the columnar kernels: scan, select, join, group-by, typed order, eager plans.
 
 Each kernel in :mod:`repro.algebra.columnar` takes shortcuts the row
 operators do not — the base-table scan reads only the columns a query
-touches, the join hashes whichever input is smaller and restores the order
-afterwards, the group-by skips bucketing when every row is its own group and
-folds ``[leader*]`` aggregates in one hash pass, sorting and ``min``/``max``
-drop ``sort_key_for`` on homogeneous columns.  The oracle is always the *row*
+touches, a selection hands surviving row ids from part to part, the join
+hashes whichever input is smaller and restores the order afterwards, the
+group-by skips bucketing when every row is its own group, folds
+``[leader*]`` aggregates in one hash pass, sorting and ``min``/``max`` drop
+``sort_key_for`` on homogeneous columns.  The oracle is always the *row*
 operator (or ``sort_key_for`` itself), and equality is on row **lists**: same
 rows, same order, same bits.
 """
@@ -23,6 +24,7 @@ from repro.algebra import (
     AttributeComparison,
     BatchHashJoinOp,
     BatchScanOp,
+    BatchSelectOp,
     ColumnBatch,
     Comparison,
     Conjunction,
@@ -31,7 +33,9 @@ from repro.algebra import (
     HashJoinOp,
     MaterializedOp,
     Negation,
+    Predicate,
     ScanOp,
+    SelectOp,
     TruePredicate,
     columnar,
     group_by_columns,
@@ -144,6 +148,104 @@ class TestPrunedScanAgainstRowPlan:
     )
     def test_empty_relation(self, selection):
         assert_pruned_plan_matches_row_plan([], ["a"], selection)
+
+
+# ---------------------------------------------------------------------------
+# BatchSelectOp == SelectOp, over None cells and mixed types
+# ---------------------------------------------------------------------------
+
+MIXED_CELLS = st.sampled_from([None, 0, 1, 2, 2.5, True, "a", "b"])
+MIXED_CONSTANTS = st.sampled_from([None, 0, 1, 2.5, True, "a"])
+COMPARISON_OPS = st.sampled_from(["=", "!=", "<", "<=", ">", ">="])
+COLUMN_NAMES = st.sampled_from(["a", "b", "c"])
+
+mixed_predicates = st.recursive(
+    st.one_of(
+        st.builds(Comparison, COLUMN_NAMES, COMPARISON_OPS, MIXED_CONSTANTS),
+        st.builds(AttributeComparison, COLUMN_NAMES, COMPARISON_OPS, COLUMN_NAMES),
+        st.just(TruePredicate()),
+    ),
+    lambda inner: st.one_of(
+        st.builds(Conjunction, st.lists(inner, max_size=3)),
+        st.builds(Disjunction, st.lists(inner, max_size=3)),
+        st.builds(Negation, inner),
+    ),
+    max_leaves=6,
+)
+
+
+def _select_both(relation, predicate):
+    """``(rows, rows_out, total_rows_processed)`` or the exception type, row then batch."""
+    outcomes = []
+    for plan in (
+        SelectOp(ScanOp(relation), predicate),
+        BatchSelectOp(BatchScanOp(relation), predicate),
+    ):
+        try:
+            rows = [tuple(map(_bits, row)) for row in plan.to_relation("s").rows]
+            outcomes.append((rows, plan.rows_out, plan.total_rows_processed()))
+        except Exception as error:  # the batch must fail exactly as the row select does
+            outcomes.append(type(error))
+    return outcomes
+
+
+class TestSelectionAgainstRowSelect:
+    @given(
+        rows=st.lists(st.tuples(MIXED_CELLS, MIXED_CELLS, MIXED_CELLS), max_size=8),
+        predicate=mixed_predicates,
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_any_rows_any_predicate(self, rows, predicate):
+        row, batch = _select_both(Relation("t", Schema.of("a", "b", "c"), rows), predicate)
+        assert batch == row
+
+    ROWS = [(1, "x"), (2, None), (3, 5)]
+
+    @pytest.mark.parametrize(
+        "predicate,kept",
+        [
+            # `b < 10` on 'x' would raise; `a = 3` already rejected that row.
+            (Conjunction([Comparison("a", "=", 3), Comparison("b", "<", 10)]), [(3, 5)]),
+            # `b < 10` on 'x' would raise; `a < 3` already accepted that row.
+            (Disjunction([Comparison("a", "<", 3), Comparison("b", "<", 10)]), ROWS),
+        ],
+        ids=["conjunction", "disjunction"],
+    )
+    def test_a_settled_row_is_never_compared_again(self, predicate, kept):
+        relation = Relation("t", Schema.of("a:int", "b:str"), self.ROWS)
+        row, batch = _select_both(relation, predicate)
+        assert batch == row
+        assert BatchSelectOp(BatchScanOp(relation), predicate).to_relation().rows == kept
+
+    def test_both_raise_when_an_unsettled_row_cannot_compare(self):
+        relation = Relation("t", Schema.of("a:int", "b:str"), self.ROWS)
+        predicate = Conjunction([Comparison("a", "<", 3), Comparison("b", "<", 10)])
+        assert _select_both(relation, predicate) == [TypeError, TypeError]
+
+    def test_unknown_predicate_class_sees_only_the_candidates(self):
+        seen = []
+
+        class Recorded(Predicate):
+            def evaluate(self, row):
+                raise NotImplementedError
+
+            def bind(self, schema):
+                return lambda row: seen.append(row) or row[0] % 2 == 1
+
+            def attributes(self):
+                return frozenset({"a"})
+
+        relation = Relation("t", Schema.of("a:int"), [(i,) for i in range(6)])
+        predicate = Conjunction([Comparison("a", ">=", 2), Recorded()])
+        got = BatchSelectOp(BatchScanOp(relation), predicate).to_relation().rows
+        assert got == [(3,), (5,)]
+        assert seen == [(2,), (3,), (4,), (5,)]
+
+    def test_every_row_surviving_passes_the_batch_through(self):
+        relation = Relation("t", Schema.of("a:int"), [(1,), (2,)])
+        scan = BatchScanOp(relation)
+        batch = BatchSelectOp(scan, Negation(Comparison("a", ">", 5))).to_batch()
+        assert batch.columns[0] is relation.columns_cached()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -447,6 +549,67 @@ class TestOnePassFoldAgainstRowGroupBy:
         row, kernel = _run_both(relation, group_by, LEADER_AGGREGATES["min,prob"])
         assert kernel == row
         assert kernel[1] == []
+
+
+class TestMinFoldOverOrderedColumns:
+    """The one-pass ``min`` fold on sorted, descending and ``NaN`` columns: the row operator's bits."""
+
+    @staticmethod
+    def _run(groups, values, group_by=("g",)):
+        relation = Relation(
+            "t", Schema.of("g", "v", "p:float"), [(g, v, 0.5) for g, v in zip(groups, values)]
+        )
+        row, kernel = _run_both(relation, list(group_by), LEADER_AGGREGATES["min,prob"])
+        assert kernel == row
+        return kernel
+
+    @given(
+        data=st.data(),
+        kind=st.sampled_from(["numbers", "strings"]),
+        ordered=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_row_operator(self, data, kind, ordered):
+        pool = ORDERED_NUMBERS if kind == "numbers" else ORDERED_STRINGS
+        size = data.draw(st.integers(0, 9))
+        values = data.draw(st.lists(pool, min_size=size, max_size=size))
+        if ordered:
+            values = sorted(value for value in values if value == value)  # NaN-free, ascending
+        groups = data.draw(st.lists(COLLIDING_KEYS, min_size=len(values), max_size=len(values)))
+        self._run(groups, values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1, 1.0, 2],  # tied int/float: the first object wins
+            [1.0, 1, 2],
+            [0.0, -0.0, 1],  # tied zeros: the bits of the first
+            [-0.0, 0.0, 1],
+            [1, 2, 2.5],
+            [3, 2, 1],  # a descent
+            [1, NAN, 2],
+            [NAN, 1, 2],
+            ["a", "ab", "b"],
+            ["b", "a", "c"],
+        ],
+    )
+    def test_named_columns(self, values):
+        # Groups g={rows 0, 1}, h={row 2}: one two-row group beside a single-row group.
+        self._run(["g", "g", "h"], values)
+
+    def test_nan_hides_a_descent_from_neighbour_checks(self):
+        # No adjacent pair of [2, NaN, 1] descends under `<`, yet the minimum is 1.
+        kernel = self._run(["g"] * 3, [2, NAN, 1])
+        assert kernel[1][0][1] == _bits(1)
+
+    def test_single_row_groups_beside_a_long_one(self):
+        values = [0, 1, 1, 2, 3, 5, 8]
+        kernel = self._run(["a", "b", "c", "c", "c", "d", "c"], values)
+        assert [r[1] for r in kernel[1]] == [_bits(v) for v in (0, 1, 1, 5)]
+
+    @pytest.mark.parametrize("group_by", [[], ["g"]])
+    def test_empty_input(self, group_by):
+        assert self._run([], [], group_by)[1] == []
 
 
 # ---------------------------------------------------------------------------

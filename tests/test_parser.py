@@ -6,17 +6,24 @@ from repro.errors import QueryError
 from repro.algebra.expressions import Comparison
 from repro.query.parser import parse_query
 from repro.storage.catalog import Catalog
+from repro.storage.relation import Relation
 from repro.storage.schema import Schema
+
+
+def _register(catalog, name, specs, rows, **keys):
+    schema = Schema.of(*specs)
+    catalog.register_table(name, schema, relation=Relation(name, schema, rows), **keys)
 
 
 @pytest.fixture
 def catalog():
     catalog = Catalog()
-    catalog.register_table("cust", Schema.of("ckey:int", "cname:str"), primary_key=["ckey"])
-    catalog.register_table(
-        "ord", Schema.of("okey:int", "ckey:int", "odate:date"), primary_key=["okey"]
+    _register(catalog, "cust", ["ckey:int", "cname:str"], [(1, "Joe")], primary_key=["ckey"])
+    _register(
+        catalog, "ord", ["okey:int", "ckey:int", "odate:date"], [(1, 1, "1995-01-10")],
+        primary_key=["okey"],
     )
-    catalog.register_table("item", Schema.of("okey:int", "discount:float"))
+    _register(catalog, "item", ["okey:int", "discount:float"], [(1, 0.05)])
     return catalog
 
 
@@ -96,3 +103,56 @@ class TestParseErrors:
     def test_malformed_condition(self, catalog):
         with pytest.raises(QueryError):
             parse_query("SELECT cname FROM cust WHERE cname LIKE 'J%'", catalog)
+
+    @pytest.mark.parametrize(
+        "condition",
+        [
+            "cname < 5",  # number against str
+            "odate >= 19950101",  # ... against date
+            "cname > true",  # bool is a number
+            "ckey < 'x'",  # string against int
+            "discount <= '0.05'",  # ... against float
+        ],
+    )
+    def test_unorderable_literal_rejected(self, catalog, condition):
+        with pytest.raises(QueryError, match="cannot order"):
+            parse_query(f"SELECT cname FROM cust, ord, item WHERE {condition}", catalog)
+
+    @pytest.mark.parametrize(
+        "condition",
+        [
+            "cname = 5",  # = and != with a mismatched literal are false or true
+            "cname != 5",
+            "ckey = 'x'",
+            "ckey <> 'x'",
+            "ckey < 5.5",  # int and float order against each other
+            "discount > 0",
+            "odate < '1995-01-01'",
+        ],
+    )
+    def test_orderable_or_equality_literal_accepted(self, catalog, condition):
+        parsed = parse_query(f"SELECT cname FROM cust, ord, item WHERE {condition}", catalog)
+        assert len(parsed.query.selection_predicates()) == 1
+
+    def test_stored_values_decide_not_the_declared_dtype(self):
+        # `Schema.of` declares `str` by default and rows are not validated
+        # against it: an undeclared column of ints orders against numbers, and
+        # an `int` column holding strings does not.
+        catalog = Catalog()
+        _register(catalog, "people", ["name", "age"], [("ann", 30), ("bob", None)])
+        _register(catalog, "codes", ["code:int"], [(None,), ("a",)])
+        parse_query("SELECT name FROM people WHERE age > 25", catalog)
+        with pytest.raises(QueryError, match="cannot order"):
+            parse_query("SELECT name FROM people WHERE age < 'x'", catalog)
+        with pytest.raises(QueryError, match="cannot order"):
+            parse_query("SELECT code FROM codes WHERE code < 5", catalog)
+
+    def test_nothing_stored_nothing_to_refuse(self):
+        # No value could raise when the query runs: no stored relation, no
+        # rows, or only None cells.
+        catalog = Catalog()
+        catalog.register_table("bare", Schema.of("a:int"))
+        _register(catalog, "empty", ["b:int"], [])
+        _register(catalog, "nulls", ["c:int"], [(None,)])
+        for table, attribute in (("bare", "a"), ("empty", "b"), ("nulls", "c")):
+            parse_query(f"SELECT {attribute} FROM {table} WHERE {attribute} < 'x'", catalog)

@@ -113,6 +113,55 @@ class TestServiceCore:
         with pytest.raises(QueryError):
             service.execute("evaluate", {"sql": "DROP TABLE alarm"})
 
+    @pytest.mark.parametrize("execution", ["row", "batch"])
+    @pytest.mark.parametrize(
+        "condition", ["room < 5", "room >= 2.5", "sensor < 'x'", "sensor > '3'"]
+    )
+    def test_unorderable_literal_is_a_query_error(self, service, execution, condition):
+        # Without the check the comparison raised a bare TypeError (HTTP 500).
+        from repro.errors import QueryError
+
+        sql = f"SELECT room, conf() FROM alarm WHERE {condition}"
+        with pytest.raises(QueryError, match="cannot order"):
+            service.execute("evaluate", {"sql": sql, "execution": execution})
+
+    @pytest.mark.parametrize("execution", ["row", "batch"])
+    def test_mismatched_equality_and_mixed_numbers_stay_legal(self, service, execution):
+        def rooms(condition):
+            sql = f"SELECT room, conf() FROM alarm WHERE {condition}"
+            payload = service.execute("evaluate", {"sql": sql, "execution": execution})
+            return sorted(row[0] for row in payload["rows"])
+
+        assert rooms("room = 5") == []
+        assert rooms("sensor = 'x'") == []
+        assert len(rooms("room != 5")) == 5
+        assert rooms("sensor < 1.5") == ["kitchen", "lobby"]
+
+    @pytest.mark.parametrize("execution", ["row", "batch"])
+    def test_undeclared_numbers_still_order(self, execution):
+        # `Schema.of("name", "age")` declares both columns `str`; the stored
+        # ints decide, so `age > 25` answers and `age < 'x'` is refused.
+        from repro import ProbabilisticDatabase
+        from repro.errors import QueryError
+        from repro.storage.relation import Relation
+        from repro.storage.schema import Schema
+
+        database = ProbabilisticDatabase("people")
+        people = Relation("people", Schema.of("name", "age"), [("ann", 30), ("bob", 20)])
+        database.add_table(people, probabilities=[0.5, 0.5])
+        with QueryService(database) as svc:
+            payload = svc.execute(
+                "evaluate",
+                {"sql": "SELECT name, conf() FROM people WHERE age > 25", "execution": execution},
+            )
+            assert [row[0] for row in payload["rows"]] == ["ann"]
+            with pytest.raises(QueryError, match="cannot order"):
+                svc.execute(
+                    "evaluate",
+                    {"sql": "SELECT name, conf() FROM people WHERE age < 'x'",
+                     "execution": execution},
+                )
+
     def test_max_steps_ceiling(self):
         config = ServiceConfig(max_steps_ceiling=10)
         with QueryService(demo_database(), config=config) as svc:

@@ -7,7 +7,8 @@ READY <host> <port>`` line, and then exercises every route over real
 sockets — health, top-k (cold and warm), evaluate (approximate twice, then
 exact), threshold, and a full standing-query round trip (subscribe,
 probability update that moves the decided set, re-read, an update of an
-unknown variable that must change nothing, unsubscribe).  The
+unknown variable that must change nothing, unsubscribe), and two
+mismatched-type queries that must answer 400 with ``QueryError``.  The
 script fails loudly on any deviation, including the warm-reuse contract (a
 repeated top-k or approximate evaluate must cost zero additional logical
 steps, whichever request refined the lineage first).  Run locally from the
@@ -101,10 +102,22 @@ def run_script(client: ServiceClient) -> None:
     status, _ = client.request("GET", f"/subscriptions/{sid}")
     check(status == 400, f"deleted subscription still answers (status {status})")
 
+    # An ordered comparison whose literal the column cannot order against is
+    # the client's mistake: a 400 naming QueryError, not a 500 TypeError.
+    for condition in ("room < 5", "sensor < 'x'"):
+        status, payload = client.request(
+            "POST", "/evaluate", {"sql": f"SELECT room, conf() FROM alarm WHERE {condition}"}
+        )
+        check(
+            status == 400 and payload.get("type") == "QueryError",
+            f"mismatched-type SQL {condition!r} answered {status} {payload}",
+        )
+
     stats = client.stats()
-    # Exactly one failed request: the deliberate probe of the deleted
-    # subscription above (rejected requests count as failed on the lane).
-    check(stats["failed"] == 1, f"unexpected failure count: {stats}")
+    # Three failed requests: the deliberate probe of the deleted subscription
+    # and the two mismatched-type queries above (rejected requests count as
+    # failed on the lane).
+    check(stats["failed"] == 3, f"unexpected failure count: {stats}")
     check(stats["store"]["steps"] > 0, "the shared store did no refinement work")
 
     print(
