@@ -329,6 +329,41 @@ class NodeTable:
                 changed.add(node)
         return seen
 
+    def repair_outside(self, changed: set, inside: set) -> None:
+        """Refresh the ancestors of ``changed`` that lie outside ``inside``.
+
+        The closing pass of a sweep that already refreshed every row of
+        ``inside`` (a sub-DAG closed under children) bottom-up: only rows
+        above it — other roots sharing its nodes — still hold old bounds.
+        :meth:`propagate_from_many` cannot repair them, because its
+        changed-set early exit starts empty and the swept rows now refresh
+        to the values they already hold.  Here ``changed`` (updated in
+        place) seeds that test instead: one ascending level pass over the
+        outside ancestors, each refreshed only if a child moved.
+        """
+        outside = set()
+        stack = list(changed)
+        edge_parent = self.edge_parent
+        edge_next = self.edge_next
+        in_head = self.in_head
+        while stack:
+            edge = in_head[stack.pop()]
+            while edge != -1:
+                parent = edge_parent[edge]
+                if parent not in inside and parent not in outside:
+                    outside.add(parent)
+                    stack.append(parent)
+                edge = edge_next[edge]
+        level = self.level
+        child_start = self.child_start
+        child_count = self.child_count
+        edge_child = self.edge_child
+        for node in sorted(outside, key=lambda node: (level[node], node)):
+            begin = child_start[node]
+            if any(edge_child[begin + slot] in changed for slot in range(child_count[node])):
+                if self.refresh_one(node):
+                    changed.add(node)
+
     def bounds_fingerprint(self) -> bytes:
         """The bound columns as raw IEEE-754 bytes — the bit-identity witness.
 

@@ -29,7 +29,11 @@ otherwise; bit-identical either way).
   :class:`repro.prob.dtree.DTree` (``lower``/``upper``, ``bounds``/``gap``/
   ``is_exact``/``refine``/``refine_to_target``/``result``), so the
   top-k/threshold scheduler and the exact finishing driver
-  :func:`repro.prob.dtree.refine_to_budget` run on views unchanged.
+  :func:`repro.prob.dtree.refine_to_budget` run on views unchanged;
+* exact closure (``refine`` with ``epsilon == 0``) ranks nothing: the
+  store closes the view's sub-DAG in one post-order sweep
+  (:meth:`SharedLineageStore.close`), expanding the leaves the ranked
+  frontier would, in another order.
 
 The decomposition rules, branch-variable choice, and bound arithmetic mirror
 :mod:`repro.prob.dtree` operation for operation (the table's scalar and
@@ -466,18 +470,93 @@ class SharedLineageStore:
         with self._lock:
             if self.table.kind[leaf] != KIND_LEAF:
                 raise ProbabilityError("expand_leaf() called on a non-leaf shared node")
-            dnf = self._leaf_dnf[leaf]
-            branch = branch_variable(dnf)
-            self._commit_expansion(
-                leaf, branch, _cofactor_true(dnf, branch), dnf.condition(branch, False)
-            )
+            self._commit_expansion(leaf, *self._cofactors(leaf))
             self.table.propagate_from(leaf)
-            if self.max_nodes is not None and self.node_count > self.max_nodes:
-                # Keep the documented bound even for one giant compilation:
-                # the intern table is a pure accelerator, so dropping it
-                # mid-refinement costs only future sharing — live nids stay
-                # valid in the columnar table.  (Deferred while pinned.)
-                self.reset_nodes()
+            self._enforce_node_budget()
+
+    def _cofactors(self, leaf: int) -> Tuple[int, DNF, DNF]:
+        """An open leaf's branch variable and its two cofactor DNFs: a pure
+        function of the leaf's DNF, safe to run on any lane."""
+        dnf = self._leaf_dnf[leaf]
+        branch = branch_variable(dnf)
+        return branch, _cofactor_true(dnf, branch), dnf.condition(branch, False)
+
+    def _enforce_node_budget(self) -> None:
+        """Reset the intern table once expansions grew it past ``max_nodes``.
+
+        Keeps the documented bound even for one giant compilation: the
+        intern table is a pure accelerator, so dropping it mid-refinement
+        costs only future sharing — live nids stay valid in the columnar
+        table.  (Deferred while pinned.)
+        """
+        if self.max_nodes is not None and self.node_count > self.max_nodes:
+            self.reset_nodes()
+
+    def close(self, root: int, max_steps: Optional[int] = None) -> int:
+        """Close ``root`` exactly by one post-order sweep; expansions performed.
+
+        An exact closure's result does not depend on the order its leaves
+        are expanded in, so nothing is ranked.  The sweep walks the sub-DAG
+        below ``root`` depth-first, through every row that is not closed —
+        the rows :meth:`~repro.prob.nodetable.NodeTable.open_leaf_influences`
+        walks, zero-gap inner rows and zero-weight ⊙ edges included.  It
+        expands each open leaf with a positive gap exactly as
+        :meth:`expand_leaf` does, sweeps the new children next, and refreshes
+        each inner row once, after its children.  The ranked loop of
+        ``expand_once`` expands the same leaves, in another order, and
+        creates the same rows under other nids.  A final
+        :meth:`~repro.prob.nodetable.NodeTable.repair_outside` pass brings
+        the rows above the sub-DAG (other roots sharing its nodes) up to
+        date.
+
+        ``max_steps`` caps the expansions; past it the sweep still refreshes
+        the rest of the sub-DAG, so a cut-short closure leaves sound
+        brackets everywhere.  The node budget of :meth:`expand_leaf` is
+        enforced after every expansion (a reset is deferred while pinned).
+        """
+        with self._lock:
+            table = self.table
+            kind = table.kind
+            lower = table.lower
+            upper = table.upper
+            child_start = table.child_start
+            child_count = table.child_count
+            edge_child = table.edge_child
+            performed = 0
+            swept: Set[int] = set()
+            changed: Set[int] = set()
+            # A node is pushed once to be visited and once more, as ``~node``,
+            # to be refreshed after every child it pushed has been.
+            stack = [root]
+            while stack:
+                node = stack.pop()
+                if node < 0:
+                    if table.refresh_one(~node):
+                        changed.add(~node)
+                    continue
+                if node in swept:
+                    continue
+                swept.add(node)
+                node_kind = kind[node]
+                if node_kind == KIND_CLOSED:
+                    continue
+                if node_kind == KIND_LEAF:
+                    if upper[node] <= lower[node] or (
+                        max_steps is not None and performed >= max_steps
+                    ):
+                        continue
+                    self._commit_expansion(node, *self._cofactors(node))
+                    performed += 1
+                    self._enforce_node_budget()
+                stack.append(~node)
+                begin = child_start[node]
+                for slot in range(child_count[node] - 1, -1, -1):
+                    child = edge_child[begin + slot]
+                    if child not in swept and kind[child] != KIND_CLOSED:
+                        stack.append(child)
+            if changed:
+                table.repair_outside(changed, swept)
+            return performed
 
     def plan_round(
         self, views: Sequence["SharedDTree"], width: int
@@ -574,25 +653,17 @@ class SharedLineageStore:
             if not plan:
                 return 0
             leaves = [leaf for leaf, _ in plan]
-            leaf_dnf = self._leaf_dnf
-
-            def cofactors(leaf: int) -> Tuple[int, DNF, DNF]:
-                dnf = leaf_dnf[leaf]
-                branch = branch_variable(dnf)
-                return branch, _cofactor_true(dnf, branch), dnf.condition(branch, False)
-
             if lane_pool is None:
-                computed = [cofactors(leaf) for leaf in leaves]
+                computed = [self._cofactors(leaf) for leaf in leaves]
             else:
-                computed = lane_pool.map(cofactors, leaves)
+                computed = lane_pool.map(self._cofactors, leaves)
             for leaf, (branch, positive, negative) in zip(leaves, computed):
                 self._commit_expansion(leaf, branch, positive, negative)
             self.table.propagate_from_many(leaves)
             for leaf, contributors in plan:
                 for view, weight in contributors:
                     view._absorb_expansion(leaf, weight)
-            if self.max_nodes is not None and self.node_count > self.max_nodes:
-                self.reset_nodes()
+            self._enforce_node_budget()
             return len(plan)
 
     def refine_most_valuable(self, views: Sequence["SharedDTree"]) -> int:
@@ -908,7 +979,22 @@ class SharedDTree:
         Same contract as :meth:`repro.prob.dtree.DTree.refine` — except that
         bounds may already be tighter than any local expansion explains,
         because other views refined shared nodes in between.
+
+        ``epsilon == 0`` asks for closure, which :meth:`SharedLineageStore.close`
+        reaches by one unranked sweep (``steps`` caps its expansions); only
+        ``epsilon > 0`` walks the influence-ranked frontier, where the order
+        decides where the loop stops.
         """
+        if epsilon == 0.0:
+            if self.upper <= self.lower or (steps is not None and steps <= 0):
+                return 0
+            performed = self.store.close(self.root, steps)
+            self.steps += performed
+            # Every entry now names an expanded leaf or misses the new ones;
+            # an empty heap is re-measured at the next peek of an open root.
+            self._heap = []
+            self._weights = {}
+            return performed
         performed = 0
         while steps is None or performed < steps:
             if self.is_exact or _budget_met(self.lower, self.upper, epsilon, relative):

@@ -13,7 +13,8 @@ are built in:
 
 The process prints ``SERVICE READY <host> <port>`` on stdout once the
 socket is bound — tools (``tools/service_smoke.py``, CI's service-smoke
-job) wait for that line before connecting.  Try::
+job) wait for that line before connecting.  SIGINT and SIGTERM both shut it
+down gracefully: the refinement lane drains and ``--snapshot`` is written.  Try::
 
     python -m repro.service --port 8080 &
     curl -s localhost:8080/healthz
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import signal
 import sys
 
 from repro.prob.pdb import ProbabilisticDatabase
@@ -146,6 +148,12 @@ def main(argv=None) -> int:
 
     async def run() -> None:
         server = await serve(service, host=args.host, port=args.port)
+        # SIGTERM, what process managers send, stops serving the way SIGINT
+        # does: the main task is cancelled, and ``service.close()`` below
+        # drains the lane and writes the snapshot.
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel
+        )
         host, port = server.sockets[0].getsockname()[:2]
         print(f"SERVICE READY {host} {port}", flush=True)
         async with server:
@@ -153,7 +161,7 @@ def main(argv=None) -> int:
 
     try:
         asyncio.run(run())
-    except KeyboardInterrupt:
+    except (KeyboardInterrupt, asyncio.CancelledError):
         pass
     finally:
         service.close()

@@ -18,6 +18,15 @@ still the recorded ones bit for bit, while its own shape (``EVALUATE_STORE``,
 recorded when the route moved) is a store's: ``p_container`` closes in 266
 shared steps where 640 per-tuple expansions were needed.
 
+Each store shape also carries a digest of the sorted ``(kind, lower,
+upper)`` rows, which does not depend on the order nids were assigned in.
+When exact closure became an unranked post-order sweep (the commit after
+``a2990f0``), the same leaves were expanded and the same rows created, in
+another order, so every bound-column digest was re-recorded.  The row
+digests were recorded at ``a2990f0``, before the sweep, and did not move,
+nor did any table length, step count, ``refine_steps`` or answer digest:
+the re-record is a pure permutation of nids.
+
 A kernel PR that changes any of these on purpose re-records them here and
 says why; one that changes them by accident is caught.  Variable ids are
 ints, so none of this depends on ``PYTHONHASHSEED`` (recorded on CPython
@@ -44,17 +53,19 @@ VECTORIZE_LEGS = [
     ),
 ]
 
-#: projection -> (table rows, store steps, refine_steps, bound-column digest),
-#: recorded at f09e991 with a fresh engine per decision.
+#: projection -> (table rows, store steps, refine_steps, bound-column digest,
+#: sorted-row digest), recorded at f09e991 with a fresh engine per decision;
+#: bound-column digests re-recorded for the closure sweep, row digests
+#: recorded at a2990f0.
 TOPK = {
-    "p_brand": (562, 53, 53, "5a47d4be47ad3463"),
-    "p_type": (567, 17, 17, "ecb69e5eca8f4a24"),
-    "p_container": (1576, 266, 266, "066c027e468ec7bb"),
+    "p_brand": (562, 53, 53, "11ba1bf790d9d5dd", "fd2f0e11de842b40"),
+    "p_type": (567, 17, 17, "d7168bf345754210", "2b34ac34a1efc7ff"),
+    "p_container": (1576, 266, 266, "cfea258fd47bbfc5", "8aa6756d288271b0"),
 }
 THRESHOLD = {
-    "p_brand": (960, 95, 95, "29d04817215c5dcb"),
-    "p_type": (592, 20, 20, "2d13131af6bb7637"),
-    "p_container": (1576, 266, 266, "066c027e468ec7bb"),
+    "p_brand": (960, 95, 95, "4cc8d0faa5ef32cd", "5a4d90769db1fd3a"),
+    "p_type": (592, 20, 20, "0312579d3fb3b377", "a7ac2494e9fe5754"),
+    "p_container": (1576, 266, 266, "cfea258fd47bbfc5", "8aa6756d288271b0"),
 }
 #: projection -> (summed DTree.steps, summed DTree.node_count, answer digest).
 EVALUATE = {
@@ -64,9 +75,9 @@ EVALUATE = {
 }
 #: projection -> the store's shape after a fresh engine's exact ``evaluate``.
 EVALUATE_STORE = {
-    "p_brand": (960, 95, 95, "52a7e94d18f99021"),
-    "p_type": (617, 23, 23, "10c7d6732ad46860"),
-    "p_container": (1576, 266, 266, "47e954c1f5c836c9"),
+    "p_brand": (960, 95, 95, "daa8cac7491649eb", "5a4d90769db1fd3a"),
+    "p_type": (617, 23, 23, "fc6256fc2f5cc509", "97c0c0323ca39e40"),
+    "p_container": (1576, 266, 266, "3383ee96c3f8af2e", "8aa6756d288271b0"),
 }
 
 
@@ -96,6 +107,12 @@ def _digest(*chunks: bytes) -> str:
     return hashlib.sha256(b"".join(chunks)).hexdigest()[:16]
 
 
+def _rows_digest(table):
+    """The table's rows as a multiset: independent of nid assignment order."""
+    rows = sorted(zip(table.kind, table.lower, table.upper))
+    return _digest(b"".join(struct.pack("<bdd", *row) for row in rows))
+
+
 def _decision_shape(engine, result):
     store = engine.dtree_cache.store
     return (
@@ -103,6 +120,7 @@ def _decision_shape(engine, result):
         store.steps,
         result.refine_steps,
         _digest(store.table.bounds_fingerprint()),
+        _rows_digest(store.table),
     )
 
 

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""SIGKILL a real query-service process and prove the snapshot revives it.
+"""SIGKILL and SIGTERM a real query-service process; the snapshot revives it.
 
 CI's ``tests-chaos`` job runs this: it launches ``python -m repro.service``
 with ``--snapshot PATH --snapshot-every 1`` (a checkpoint after every
@@ -9,8 +9,11 @@ second server over the *same* snapshot path must restore the checkpoint at
 boot and re-decide the warm query in at most one logical step with exactly
 the same rows.  Finally the snapshot is stomped (truncated mid-payload) and
 a third server must boot **cold with a warning, not a crash**, and still
-serve.  The script fails loudly on any deviation.  Run locally from the
-repository root:
+serve.  Last, a server without periodic checkpoints is warmed and sent
+SIGTERM, the signal process managers stop services with: it must exit 0
+having drained and written its snapshot on the way out, and a fourth server
+over that snapshot must re-decide warm.  The script fails loudly on any
+deviation.  Run locally from the repository root:
 
     python tools/chaos_smoke.py
 """
@@ -39,17 +42,12 @@ def check(condition: bool, message: str) -> None:
         raise SmokeError(message)
 
 
-def launch(snapshot: str) -> tuple[subprocess.Popen, ServiceClient]:
+def launch(snapshot: str, every: bool = True) -> tuple[subprocess.Popen, ServiceClient]:
+    command = [sys.executable, "-m", "repro.service", "--snapshot", snapshot]
+    if every:
+        command += ["--snapshot-every", "1"]
     process = subprocess.Popen(
-        [
-            sys.executable,
-            "-m",
-            "repro.service",
-            "--snapshot",
-            snapshot,
-            "--snapshot-every",
-            "1",
-        ],
+        command,
         cwd=REPO,
         env={"PYTHONPATH": str(REPO / "src"), "PATH": "/usr/bin:/bin"},
         stdout=subprocess.PIPE,
@@ -117,10 +115,37 @@ def main() -> int:
             process.terminate()
             process.wait(timeout=30)
 
+        # Phase 4: no periodic checkpoint, so only a graceful shutdown can
+        # write the snapshot.  SIGTERM must drain, snapshot and exit 0.
+        snapshot = str(Path(scratch) / "terminated.snap")
+        process, client = launch(snapshot, every=False)
+        try:
+            warmed = client.topk(SQL, k=2)
+            check(warmed["refine_steps"] > 0, "pre-SIGTERM top-k was not cold")
+            check(not Path(snapshot).exists(), "snapshot written before shutdown")
+        finally:
+            process.terminate()  # SIGTERM
+            code = process.wait(timeout=30)
+        check(code == 0, f"SIGTERM exit code {code}, expected a graceful 0")
+        check(Path(snapshot).exists(), "SIGTERM shutdown wrote no snapshot")
+        process, client = launch(snapshot, every=False)
+        try:
+            check(client.stats()["snapshot"]["restored"], "post-SIGTERM server did not restore")
+            after_term = client.topk(SQL, k=2)
+            check(
+                after_term["refine_steps"] <= 1,
+                f"post-SIGTERM top-k cost {after_term['refine_steps']} steps; recovery is cold",
+            )
+            check(after_term["rows"] == warmed["rows"], "SIGTERM recovery changed the answer")
+        finally:
+            process.terminate()
+            process.wait(timeout=30)
+
         print(
             f"chaos smoke OK: cold={cold['refine_steps']} steps, "
             f"post-SIGKILL={revived['refine_steps']} step(s), "
-            f"corrupt snapshot booted cold and served"
+            f"corrupt snapshot booted cold and served, "
+            f"post-SIGTERM={after_term['refine_steps']} step(s)"
         )
     return 0
 
