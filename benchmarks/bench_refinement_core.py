@@ -20,10 +20,7 @@ pinned to SF 0.001, and asserts the acceptance contract:
 * the two backends are **bit-identical**: the sweep leaves float-for-float
   the same bound columns behind, and full engine runs (top-k decision plus
   exact confidences) agree on confidences, bounds, decided sets, and step
-  counts with ``vectorize`` on and off;
-* shared-lineage top-k with ``workers=4`` returns bit-identical results
-  *and step counts* to ``workers=0`` — the columnar store ships to the
-  worker as a segment and replays the identical logical schedule.
+  counts with ``vectorize`` on and off.
 """
 
 from __future__ import annotations
@@ -74,7 +71,7 @@ def refined_store(db):
     lifted so every partsupp clause participates (~10k table rows at
     SF 0.001); the decision-phase tests below keep the selective cut.
     """
-    with SproutEngine(db, workers=0, shared_lineage=True) as engine:
+    with SproutEngine(db, shared_lineage=True) as engine:
         answer = engine._answer_lineage(brand_query(10**9), None, "row")
     cache = SharedDTreeCache(vectorize=False)
     trees = dtrees_from_dnfs(answer.lineage, answer.probabilities, cache=cache)
@@ -133,7 +130,7 @@ def test_backends_bit_identical_end_to_end(benchmark, core_db):
     """Engine runs with ``vectorize`` on and off agree to the bit."""
     def decide(vectorize):
         with SproutEngine(
-            core_db, workers=0, shared_lineage=True, vectorize=vectorize
+            core_db, shared_lineage=True, vectorize=vectorize
         ) as engine:
             topk = engine.evaluate_topk(brand_query(), k=K)
             approx = engine.evaluate_topk(brand_query(), k=K, confidence="approx")
@@ -145,21 +142,3 @@ def test_backends_bit_identical_end_to_end(benchmark, core_db):
     benchmark.extra_info["refine_steps"] = scalar[2]
     benchmark.extra_info["backends_identical"] = scalar == vectorized
     assert scalar == vectorized
-
-
-def test_shared_parallel_matches_serial_step_counts(benchmark, core_db):
-    """workers=4 with shared lineage: same answer, same logical steps."""
-    def decide(workers):
-        with SproutEngine(
-            core_db, workers=workers, shared_lineage=True
-        ) as engine:
-            return result_fingerprint(engine.evaluate_topk(brand_query(), k=K))
-
-    serial = decide(0)
-    parallel = run_benchmark(benchmark, decide, 4)
-    benchmark.extra_info["k"] = K
-    benchmark.extra_info["workers"] = 4
-    benchmark.extra_info["refine_steps"] = serial[2]
-    benchmark.extra_info["parallel_identical"] = serial == parallel
-    assert serial == parallel
-    assert serial[3] and parallel[3]

@@ -50,7 +50,7 @@ def _decide(db, deadline_ms):
     """One fresh-engine top-k decision; returns (result, fingerprint, secs)."""
     started = perf_counter()
     deadline = None if deadline_ms is None else Deadline.after_ms(deadline_ms)
-    with SproutEngine(db, workers=0) as engine:
+    with SproutEngine(db) as engine:
         result = engine.evaluate_topk(
             brand_query(), k=K, confidence="approx", deadline=deadline
         )
@@ -95,7 +95,7 @@ def test_expired_deadline_degrades_inside_the_monotone_envelope(
     full, _, _ = _decide(robustness_db, None)
     # Ground truth for *every* answer: the top-k result keeps confidences
     # only for decided tuples, so the envelope check needs full marginals.
-    with SproutEngine(robustness_db, workers=0) as engine:
+    with SproutEngine(robustness_db) as engine:
         exact = engine.evaluate(brand_query()).confidences()
     cut, _, _ = run_benchmark(benchmark, _decide, robustness_db, 0.0)
 

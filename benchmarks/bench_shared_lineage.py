@@ -1,6 +1,6 @@
 """Shared-lineage DAG scheduling vs. per-tuple refinement (the PR 5 claim).
 
-The serial top-k/threshold scheduler now compiles candidate lineages into
+The top-k/threshold scheduler compiles candidate lineages into
 one hash-consed DAG and, per logical step, expands the shared node with the
 largest bound-width mass over the gating tuples (``shared_lineage=True``,
 the default).  This benchmark quantifies the claim on the unsafe TPC-H
@@ -11,15 +11,10 @@ brand query of ``bench_topk_pruning.py``
 
 and asserts the acceptance contract:
 
-* deciding the top-10 brand set takes **≥ 2× fewer logical refinement
-  steps** than the PR 4 per-tuple scheduler (the round-based
-  frontier-batch ``ParallelRefinementScheduler``, measured at workers=1
-  with ``shared_lineage=False`` — with sharing on, parallel runs now take
-  the shared-store offload and match the serial step counts exactly), and
-  no more steps than the legacy serial per-tuple crossing-pair scheduler
-  (``shared_lineage=False``);
+* deciding the top-10 brand set takes no more logical refinement steps
+  than the per-tuple crossing-pair scheduler (``shared_lineage=False``);
 * the decided sets and the exact confidences are **bit-identical** across
-  all three paths — sharing changes the work, never the answer.
+  both paths — sharing changes the work, never the answer.
 
 The instance is pinned to SF 0.001 (independent of ``REPRO_TPCH_SF``):
 step counts are a property of this exact workload and the contrast claim
@@ -30,8 +25,8 @@ builds a fresh engine so no run starts from another's refined store.
 
 ``test_canonical_clause_caching`` additionally pins the satellite
 micro-optimisation: the canonical clause serialisation is cached on the
-DNF object, so re-canonicalising the same lineage (what the parallel
-executor does on every task build) is O(1) after the first call.
+DNF object, so re-canonicalising the same lineage (seed derivation and
+snapshots) is O(1) after the first call.
 """
 
 from __future__ import annotations
@@ -51,7 +46,6 @@ from conftest import run_benchmark
 K = 10
 TAU = 0.9
 AVAILQTY_CUT = 3000
-SPEEDUP_FLOOR = 2.0
 
 
 @pytest.fixture(scope="module")
@@ -72,67 +66,52 @@ def brand_query() -> ConjunctiveQuery:
     )
 
 
-def decide_topk(db, workers=0, shared_lineage=True):
+def decide_topk(db, shared_lineage=True):
     """Decision phase only (approx mode: no exact-finishing steps mixed in).
 
-    Every knob is pinned explicitly — the contrast must not silently change
-    scheduler when ``REPRO_WORKERS`` / ``REPRO_SHARED_LINEAGE`` are set in
-    the environment (CI runs legs with both).
+    ``shared_lineage`` is pinned explicitly — the contrast must not silently
+    change scheduler when ``REPRO_SHARED_LINEAGE`` is set in the environment
+    (CI runs a leg with it).
     """
-    with SproutEngine(db, workers=workers, shared_lineage=shared_lineage) as engine:
+    with SproutEngine(db, shared_lineage=shared_lineage) as engine:
         return engine.evaluate_topk(brand_query(), k=K, confidence="approx")
 
 
-def test_topk_shared_vs_per_tuple_schedulers(benchmark, shared_db):
-    """The headline: ≥ 2× fewer logical steps than the per-tuple scheduler."""
-    per_tuple_parallel = decide_topk(shared_db, workers=1, shared_lineage=False)
-    per_tuple_serial = decide_topk(shared_db, shared_lineage=False)
+def test_topk_shared_vs_per_tuple_scheduler(benchmark, shared_db):
+    """The headline: no more logical steps than the per-tuple scheduler."""
+    per_tuple = decide_topk(shared_db, shared_lineage=False)
     shared = run_benchmark(benchmark, decide_topk, shared_db)
-    assert shared.decided and per_tuple_parallel.decided and per_tuple_serial.decided
+    assert shared.decided and per_tuple.decided
 
     benchmark.extra_info["k"] = K
     benchmark.extra_info["shared_steps"] = shared.refine_steps
-    benchmark.extra_info["per_tuple_scheduler_steps"] = per_tuple_parallel.refine_steps
-    benchmark.extra_info["legacy_serial_steps"] = per_tuple_serial.refine_steps
-    benchmark.extra_info["speedup_vs_per_tuple"] = (
-        per_tuple_parallel.refine_steps / max(1, shared.refine_steps)
-    )
+    benchmark.extra_info["legacy_serial_steps"] = per_tuple.refine_steps
     benchmark.extra_info["speedup_vs_legacy_serial"] = (
-        per_tuple_serial.refine_steps / max(1, shared.refine_steps)
+        per_tuple.refine_steps / max(1, shared.refine_steps)
     )
 
-    # The acceptance claim: the shared-DAG scheduler decides the top-10 set
-    # in at least 2x fewer logical refinement steps than the PR 4 per-tuple
-    # (round-based frontier-batch) scheduler...
-    assert shared.refine_steps * SPEEDUP_FLOOR <= per_tuple_parallel.refine_steps
-    # ... and never regresses against the legacy serial crossing-pair path.
-    assert shared.refine_steps <= per_tuple_serial.refine_steps
-
-    # Same decided set under all three schedulers; all are proven decisions.
-    assert set(shared.confidences()) == set(per_tuple_parallel.confidences())
-    assert set(shared.confidences()) == set(per_tuple_serial.confidences())
+    # The shared-DAG scheduler never regresses against the per-tuple
+    # crossing-pair path, and both prove the same decided set.
+    assert shared.refine_steps <= per_tuple.refine_steps
+    assert set(shared.confidences()) == set(per_tuple.confidences())
 
 
 def test_topk_exact_confidences_bit_identical(benchmark, shared_db):
-    """Exact mode: shared on/off and the workers=1 path agree to the bit."""
+    """Exact mode: shared on and off agree to the bit."""
     result = run_benchmark(
         benchmark,
-        lambda: SproutEngine(shared_db, workers=0, shared_lineage=True).evaluate_topk(
+        lambda: SproutEngine(shared_db, shared_lineage=True).evaluate_topk(
             brand_query(), k=K
         ),
     )
-    legacy = SproutEngine(shared_db, workers=0, shared_lineage=False).evaluate_topk(
+    legacy = SproutEngine(shared_db, shared_lineage=False).evaluate_topk(
         brand_query(), k=K
     )
-    with SproutEngine(shared_db, workers=1, shared_lineage=False) as engine:
-        parallel = engine.evaluate_topk(brand_query(), k=K)
     benchmark.extra_info["shared_steps"] = result.refine_steps
     benchmark.extra_info["legacy_steps"] = legacy.refine_steps
-    benchmark.extra_info["parallel_steps"] = parallel.refine_steps
-    assert result.decided and legacy.decided and parallel.decided
+    assert result.decided and legacy.decided
     # Bit-identical: same tuples, and float-for-float the same confidences.
     assert result.confidences() == legacy.confidences()
-    assert result.confidences() == parallel.confidences()
     for data in result.confidences():
         lower, upper = result.bounds[data]
         assert upper - lower <= 1e-12
@@ -140,30 +119,25 @@ def test_topk_exact_confidences_bit_identical(benchmark, shared_db):
 
 def test_threshold_shared_step_reduction(benchmark, shared_db):
     """τ-partition: tracked alongside top-k (no 2x gate; ratio recorded)."""
-    def decide(workers=0, shared_lineage=True):
-        with SproutEngine(
-            shared_db, workers=workers, shared_lineage=shared_lineage
-        ) as engine:
+    def decide(shared_lineage=True):
+        with SproutEngine(shared_db, shared_lineage=shared_lineage) as engine:
             return engine.evaluate_threshold(
                 brand_query(), tau=TAU, confidence="approx"
             )
 
     legacy = decide(shared_lineage=False)
-    per_tuple_parallel = decide(workers=1, shared_lineage=False)
     shared = run_benchmark(benchmark, decide)
     benchmark.extra_info["tau"] = TAU
     benchmark.extra_info["shared_steps"] = shared.refine_steps
     benchmark.extra_info["legacy_serial_steps"] = legacy.refine_steps
-    benchmark.extra_info["per_tuple_scheduler_steps"] = per_tuple_parallel.refine_steps
-    assert shared.decided and legacy.decided and per_tuple_parallel.decided
+    assert shared.decided and legacy.decided
     assert set(shared.confidences()) == set(legacy.confidences())
-    assert set(shared.confidences()) == set(per_tuple_parallel.confidences())
     assert shared.refine_steps <= legacy.refine_steps
 
 
 def test_repeat_topk_reuses_shared_store(benchmark, shared_db):
     """A second top-k over the same lineage re-reads warm shared views."""
-    engine = SproutEngine(shared_db, workers=0, shared_lineage=True)
+    engine = SproutEngine(shared_db, shared_lineage=True)
     engine.evaluate_topk(brand_query(), k=K)  # warm the store
 
     result = run_benchmark(benchmark, engine.evaluate_topk, brand_query(), K)

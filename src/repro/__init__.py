@@ -25,19 +25,18 @@ roles, relations, heap files), :mod:`repro.algebra` (row and columnar
 physical operators), :mod:`repro.query` (conjunctive queries, hierarchies,
 FDs, signatures), :mod:`repro.prob` (probabilistic model, lineage, d-trees,
 possible worlds), :mod:`repro.sprout` (the engine: planners, confidence
-operator, top-k/threshold, the parallel executor), :mod:`repro.safeplans`
+operator, top-k/threshold, streaming), :mod:`repro.safeplans`
 (the MystiQ-style baseline), and :mod:`repro.tpch` (the experimental
 workload).  The ``docs/`` tree documents the architecture
 (``docs/architecture.md``), the confidence-computation routing and its
-epsilon/bounds semantics (``docs/confidence.md``), multi-core evaluation
-(``docs/parallelism.md``), and the benchmark suite (``docs/benchmarks.md``).
+epsilon/bounds semantics (``docs/confidence.md``), and the benchmark suite
+(``docs/benchmarks.md``).
 """
 
 from repro.errors import (
     ApproximationBudgetError,
     NonHierarchicalQueryError,
     NumericalError,
-    ParallelExecutionError,
     PlanningError,
     ProbabilityError,
     QueryError,
@@ -77,7 +76,6 @@ __all__ = [
     "MystiqEngine",
     "NonHierarchicalQueryError",
     "NumericalError",
-    "ParallelExecutionError",
     "PlanningError",
     "ProbabilisticDatabase",
     "ProbabilisticTable",

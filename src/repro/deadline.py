@@ -8,9 +8,9 @@ out of time simply stops refining and reports the bounds it holds, with
 
 The one rule that keeps the determinism contract intact: a deadline is
 checked **between** refinement rounds, never inside one.  A round — plan,
-compute cofactors (possibly across lanes), commit, propagate — is the atomic
-unit of the PR 9 bit-identity contract; interrupting it mid-flight could
-leave lane counts observable in the result.  Checking only at round
+compute cofactors, commit, propagate — is the atomic unit of the
+bit-identity contract; interrupting it mid-flight would make the refinement
+trajectory depend on the clock.  Checking only at round
 boundaries means the wall clock chooses a *stopping point* along the exact
 same refinement trajectory every configuration walks, so any two runs that
 stop at the same point hold bit-identical bounds, and a run with no deadline

@@ -130,28 +130,6 @@ class ProbabilityError(ReproError):
     """Raised for invalid probabilities or failed confidence computations."""
 
 
-class ParallelExecutionError(ReproError):
-    """Raised when the parallel confidence executor cannot complete its tasks.
-
-    Covers both a task that failed inside a worker process (``task_key`` and
-    ``worker_error`` identify the failed work unit and carry the remote
-    traceback text) and a worker process that died outright (e.g. killed by
-    the OOM killer), in which case the underlying pool is broken and the
-    engine discards it so the next call starts a fresh one.  The error is
-    raised promptly — a dead worker never causes the driving process to hang.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        task_key: Optional[object] = None,
-        worker_error: Optional[str] = None,
-    ):
-        super().__init__(message)
-        self.task_key = task_key
-        self.worker_error = worker_error
-
-
 class NumericalError(ProbabilityError):
     """Raised when a numerically fragile method (e.g. MystiQ's log-sum trick)
     fails at runtime, mirroring the runtime errors reported in Section VII."""

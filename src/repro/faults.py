@@ -2,14 +2,13 @@
 
 Robust systems are only as trustworthy as the failures they have actually
 survived.  This module gives the test suite a way to *script* failures at the
-seams where real ones occur — a refinement-lane thread pool dying mid-round, a
-confidence worker process killed by the OOM killer, a propagation pass
-interrupted, a client connection dropping mid-request, a snapshot write
-failing on a full disk — and to replay the exact same failure schedule on
-every run.  Determinism matters twice over: the chaos tests must not flake,
-and the PR 9 bit-identity contract means a retried round after a fault must
-land the same answer as the no-fault run, which is only checkable when the
-fault itself is reproducible.
+seams where real ones occur — a propagation pass interrupted, a client
+connection dropping mid-request, a snapshot write failing on a full disk —
+and to replay the exact same failure schedule on every run.  Determinism
+matters twice over: the chaos tests must not flake, and the bit-identity
+contract means a retried request after a fault must land the same answer as
+the no-fault run, which is only checkable when the fault itself is
+reproducible.
 
 The mechanism is deliberately tiny.  Production call sites invoke
 :func:`fault_point` with a seam name; when no plan is installed (the default,
@@ -21,12 +20,6 @@ on the scripted 1-based call numbers of each scripted seam.
 
 Seams (the only valid names, typo-guarded):
 
-``lane_pool.submit``
-    Entry of :meth:`RefinementLanePool.map` — before any cofactor work runs,
-    so the store is never left mid-round.  Supervision retries/respawns.
-``worker_pool.run``
-    Entry of :meth:`ProcessExecutor.run`.  Supervision respawns the pool and
-    ultimately falls back to the serial executor (bit-identical by contract).
 ``store.propagate``
     Entry of :meth:`SharedLineageStore.refine_round` — before the round is
     planned or committed, so bounds stay exactly where the previous round
@@ -40,7 +33,7 @@ Seams (the only valid names, typo-guarded):
 
 ``REPRO_FAULTS`` grammar (parsed per call, like every other knob)::
 
-    seam:calls[;seam:calls...]   e.g.  "lane_pool.submit:1,3;http.read:2"
+    seam:calls[;seam:calls...]   e.g.  "store.propagate:1,3;http.read:2"
     seed:<int>                   a seeded pseudo-random plan over all seams
 
 A malformed spec raises :class:`repro.errors.ConfigurationError` with the
@@ -67,8 +60,6 @@ __all__ = [
 ]
 
 SEAMS = (
-    "lane_pool.submit",
-    "worker_pool.run",
     "store.propagate",
     "http.read",
     "snapshot.write",

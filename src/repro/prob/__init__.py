@@ -11,9 +11,9 @@ Everything about *probability*, independent of query processing:
   answer relations that carry ``V``/``P`` columns.
 * :mod:`repro.prob.dtree` — the anytime decomposition-tree engine: exact
   when compilation closes, guaranteed lower/upper bounds when stopped
-  early, plus the Karp–Luby Monte Carlo fallback.  Its deterministic,
-  resumable refinement is what the parallel executor
-  (:mod:`repro.sprout.parallel`) distributes across worker processes.
+  early, plus the Karp–Luby Monte Carlo fallback.  Its refinement is
+  deterministic and resumable, which the top-k/threshold scheduler
+  (:mod:`repro.sprout.topk`) relies on.
 * :mod:`repro.prob.sharedag` — the shared-lineage DAG: hash-consed
   subformula nodes shared *across* answer tuples, with per-tuple
   :class:`SharedDTree` views whose bounds tighten whenever any tuple

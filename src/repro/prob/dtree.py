@@ -78,10 +78,10 @@ __all__ = [
 Clause = FrozenSet[int]
 
 #: The picklable, order-canonical form of a DNF's clause set: clauses as
-#: sorted tuples of variable ids, sorted among each other.  This is the wire
-#: format of the parallel executor's work units (:mod:`repro.sprout.parallel`)
-#: — ``frozenset`` iteration order is salted per process, so anything derived
-#: from it (seeds, partition assignment) must go through this form instead.
+#: sorted tuples of variable ids, sorted among each other.  Snapshots and
+#: per-tuple Monte Carlo seeds (:mod:`repro.sprout.parallel`) use it —
+#: ``frozenset`` iteration order is salted per process, so anything derived
+#: from it must go through this form instead.
 CanonicalClauses = Tuple[Tuple[int, ...], ...]
 
 #: Default cap on the number of leaf expansions before an anytime run gives up
@@ -96,8 +96,7 @@ def canonical_clauses(dnf: DNF) -> CanonicalClauses:
     which makes it usable as a cross-process cache key and as seed material
     for per-tuple Monte Carlo derivation (see
     :func:`repro.sprout.parallel.derive_task_seed`).  The serialisation is
-    cached on the DNF object: the parallel executor re-canonicalises the
-    same lineage on every task build, so repeated calls are O(1).
+    cached on the DNF object, so repeated calls are O(1).
     """
     cached = dnf._canonical
     if cached is None:
@@ -357,11 +356,9 @@ class DTree:
     The tree is *resumable*: :meth:`refine` performs a bounded number of
     expansions and may be called again later to tighten the bounds further —
     the multi-tuple top-k/threshold scheduler relies on this to interleave
-    refinement across candidate tuples.  Expansion order is deterministic,
-    which :meth:`refine_to_target` turns into a cross-process protocol: the
-    bounds after ``T`` cumulative expansions are a pure function of the
-    lineage, so the parallel executor can hand the same tuple to different
-    workers across rounds and still merge identical brackets.  ``memo`` may
+    refinement across candidate tuples.  Expansion order is deterministic, so
+    the bounds after ``T`` cumulative expansions are a pure function of the
+    lineage.  ``memo`` may
     be a dictionary shared between several trees over the same variable
     space (see :class:`DTreeCache`) so that closed subformulas compiled for
     one tuple's lineage are reused verbatim by every other tuple that
@@ -604,20 +601,6 @@ class DTree:
                 break
             performed += 1
         return performed
-
-    def refine_to_target(self, target_steps: int) -> int:
-        """Refine until the tree's *cumulative* step count reaches ``target_steps``.
-
-        The unit of work of the round-based parallel top-k/threshold
-        scheduler: because leaf expansion order is deterministic, a tree
-        refined to a given cumulative step count has the same bounds no
-        matter which process performed which portion of the expansions — a
-        worker holding a warm tree pays only the difference, a worker
-        rebuilding from scratch pays the full count, and both report
-        identical brackets.  A tree already at or past the target performs
-        nothing.  Returns the number of expansions performed by this call.
-        """
-        return self.refine(max(0, target_steps - self.steps))
 
     def result(self) -> ApproxResult:
         """The current bracket packaged as an :class:`ApproxResult`."""

@@ -285,9 +285,8 @@ class DNF:
     self-joins), but :meth:`minimised` is available.
 
     ``_canonical`` caches the order-canonical serialisation computed by
-    :func:`repro.prob.dtree.canonical_clauses` — the parallel executor
-    serialises the same lineage once per *task* it builds, so the sort is
-    paid once per DNF object instead.
+    :func:`repro.prob.dtree.canonical_clauses`, so the sort is paid once per
+    DNF object.
     """
 
     __slots__ = ("clauses", "_canonical")

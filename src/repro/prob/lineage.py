@@ -204,10 +204,7 @@ def dtrees_from_dnfs(
     in earlier evaluations come back with their refinement intact; a
     :class:`repro.prob.sharedag.SharedDTreeCache` additionally hash-conses the
     trees into one columnar node table
-    (:class:`repro.prob.nodetable.NodeTable`), which is how the shared-lineage
-    parallel path compiles lineage before exporting the store segment to its
-    worker.  (The per-tuple parallel executor does *not* go through here — it
-    ships the DNFs themselves to its workers as picklable work units.)
+    (:class:`repro.prob.nodetable.NodeTable`).
     """
     return {
         data: (

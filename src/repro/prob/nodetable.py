@@ -39,9 +39,8 @@ vectorized axis of ``tests/test_differential_matrix.py`` pin this).
 
 Because the table is append-only and node mutation is in place (a leaf
 becomes a ⊙ node under the same nid), nids remain valid for the lifetime of
-the store — which is what lets :mod:`repro.sprout.parallel` ship whole store
-segments (these columns, pickled) to worker processes instead of pickled
-per-tuple trees.
+the store — which is what lets a snapshot ship whole store segments (these
+columns, pickled) and restore them with every nid intact.
 """
 
 from __future__ import annotations
@@ -110,7 +109,7 @@ class NodeTable:
         self.mutations = 0
 
     # arrays pickle natively; spelling the state out keeps the wire format
-    # explicit for the parallel executor's store-segment shipping.
+    # of store-segment snapshots explicit.
     def __getstate__(self):
         return {name: getattr(self, name) for name in self.__slots__}
 
@@ -369,9 +368,9 @@ class NodeTable:
 
         Two tables fingerprint equal iff every node's ``[lower, upper]``
         bracket is *bit*-identical (not merely approximately equal), which is
-        the currency of the repo's determinism contracts: the lane tests and
-        ``benchmarks/bench_lanes.py`` compare stores refined under different
-        lane counts by this digest rather than by walking rows.
+        the currency of the repo's determinism contracts: the backend and
+        round-interleaving tests compare stores refined along different
+        paths by this digest rather than by walking rows.
         """
         return self.lower.tobytes() + self.upper.tobytes()
 
@@ -427,8 +426,8 @@ class NodeTable:
 
         Accumulates slot-by-slot in ascending order with elementwise
         multiply/add — exactly the loop structure of
-        :func:`repro.prob.dtree.combine_bounds` — so every lane computes the
-        same float sequence the scalar path would.
+        :func:`repro.prob.dtree.combine_bounds` — so every node gets the
+        same float sequence the scalar path would compute.
         """
         kind_v, lower_v, upper_v, start_v, count_v, child_v, weight_v = views
         ids = np.fromiter(sorted(nodes), dtype=np.int64, count=len(nodes))

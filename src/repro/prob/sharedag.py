@@ -27,7 +27,7 @@ otherwise; bit-identical either way).
   plus a private influence-ordered frontier, measured lazily — at the first
   peek after the view was built or marked stale.  It is call-compatible with
   :class:`repro.prob.dtree.DTree` (``lower``/``upper``, ``bounds``/``gap``/
-  ``is_exact``/``refine``/``refine_to_target``/``result``), so the
+  ``is_exact``/``refine``/``result``), so the
   top-k/threshold scheduler and the exact finishing driver
   :func:`repro.prob.dtree.refine_to_budget` run on views unchanged;
 * exact closure (``refine`` with ``epsilon == 0``) ranks nothing: the
@@ -45,8 +45,8 @@ how much work is performed, never a single float of the answer.
 Because nids stay valid for the store's lifetime (the table is append-only;
 mutation is in place), a store is *shippable*: :meth:`export_segment` /
 :meth:`from_segment` serialise the columns plus the open-leaf DNFs and the
-intern map, which is how :mod:`repro.sprout.parallel` moves whole stores to
-worker processes instead of pickling per-tuple trees.
+intern map, which is how the query service's snapshots carry a warm store
+across a restart.
 
 :class:`ClauseInterner` deduplicates the clause frozensets themselves (the
 batch pipeline's :func:`repro.sprout.onescan.columnar_lineage` emits interned
@@ -429,25 +429,24 @@ class SharedLineageStore:
 
     # -- shared refinement --------------------------------------------------
 
-    def _commit_expansion(
-        self, leaf: int, branch: int, positive: DNF, negative: DNF
-    ) -> None:
-        """Commit one precomputed Shannon cobranch, deferring propagation.
+    def _commit_expansion(self, leaf: int) -> None:
+        """One Shannon cobranch of open leaf ``leaf``, deferring propagation.
 
-        The serial half of a refinement round: the branch variable and the
-        two cofactor DNFs were computed outside (a pure function of the
-        leaf's DNF, safe to run on any lane), but node creation must stay
-        sequential — nids are assigned in creation order, and that order is
-        the scheduler's deterministic tiebreak.  Bound propagation is *not*
-        performed here; the caller flushes all of a round's expansions in
-        one batched :meth:`~repro.prob.nodetable.NodeTable.propagate_from_many`
+        The branch variable and the two cofactor DNFs are a pure function of
+        the leaf's DNF; the children are built positive first, and nids are
+        assigned in creation order — the scheduler's deterministic tiebreak.
+        Bound propagation is *not* performed here; the caller flushes its
+        expansions in one :meth:`~repro.prob.nodetable.NodeTable.propagate_from`
+        or batched :meth:`~repro.prob.nodetable.NodeTable.propagate_from_many`
         pass (propagation is idempotent bottom-up recomputation, so batching
         lands on the same columns as per-expansion passes).
         """
         table = self.table
         if table.kind[leaf] != KIND_LEAF:
             raise ProbabilityError("expansion committed on a non-leaf shared node")
-        del self._leaf_dnf[leaf]
+        dnf = self._leaf_dnf.pop(leaf)
+        branch = branch_variable(dnf)
+        positive, negative = _cofactor_true(dnf, branch), dnf.condition(branch, False)
         p = self.probabilities[branch]
         children = [self.build(positive), self.build(negative)]
         table.kind[leaf] = KIND_DET_OR
@@ -470,16 +469,9 @@ class SharedLineageStore:
         with self._lock:
             if self.table.kind[leaf] != KIND_LEAF:
                 raise ProbabilityError("expand_leaf() called on a non-leaf shared node")
-            self._commit_expansion(leaf, *self._cofactors(leaf))
+            self._commit_expansion(leaf)
             self.table.propagate_from(leaf)
             self._enforce_node_budget()
-
-    def _cofactors(self, leaf: int) -> Tuple[int, DNF, DNF]:
-        """An open leaf's branch variable and its two cofactor DNFs: a pure
-        function of the leaf's DNF, safe to run on any lane."""
-        dnf = self._leaf_dnf[leaf]
-        branch = branch_variable(dnf)
-        return branch, _cofactor_true(dnf, branch), dnf.condition(branch, False)
 
     def _enforce_node_budget(self) -> None:
         """Reset the intern table once expansions grew it past ``max_nodes``.
@@ -545,7 +537,7 @@ class SharedLineageStore:
                         max_steps is not None and performed >= max_steps
                     ):
                         continue
-                    self._commit_expansion(node, *self._cofactors(node))
+                    self._commit_expansion(node)
                     performed += 1
                     self._enforce_node_budget()
                 stack.append(~node)
@@ -563,21 +555,20 @@ class SharedLineageStore:
     ) -> List[Tuple[int, List[Tuple["SharedDTree", float]]]]:
         """Plan one refinement round: up to ``width`` leaves, most valuable first.
 
-        The frontier partitioner of the lane machinery.  Each gating view
-        contributes its current most influential open leaf (influence ×
+        Each gating view contributes its current most influential open leaf (influence ×
         bound gap, measured against *that view's* root); contributions to
         the same shared nid add up — the "bound-width mass summed over the
         tuples it gates".  The plan is the top ``width`` distinct leaves by
         summed score, ties towards the oldest nid (creation order), listed
         in rank order — which is also the commit order.  A pure function of
-        the frozen table state and the views' frontiers, which is what makes
-        the round schedule — and with it every decided set, bound, and step
-        count — independent of how many lanes later compute the cofactors.
+        the table state and the views' frontiers: the round width fixes the
+        refinement schedule, so every decided set, bound, step count and nid
+        depends on it.
 
         Each entry is ``(leaf nid, [(view, path weight), ...])``; the leaves
         are distinct by construction (every view contributes at most one
         entry and equal leaves merge), so the planned expansions touch
-        disjoint rows and their compute phases are independent.
+        disjoint rows.
 
         Must be called under the store lock (every public caller is).
         """
@@ -604,29 +595,23 @@ class SharedLineageStore:
         self,
         views: Sequence["SharedDTree"],
         width: int,
-        lane_pool: Optional["object"] = None,
         deadline: Optional["object"] = None,
     ) -> int:
-        """One data-parallel refinement round over the gating ``views``.
+        """One refinement round over the gating ``views``.
 
-        Four phases, metered as one logical step per committed expansion no
-        matter how many lanes ran or how many tuples each expansion serves:
+        Three phases under the store lock, metered as one logical step per
+        committed expansion no matter how many tuples each expansion serves:
 
-        1. **plan** (under the lock): :meth:`plan_round` freezes up to
-           ``width`` distinct most-valuable leaves, in commit order;
-        2. **compute** (the only parallel phase): each planned leaf's branch
-           variable and cofactor DNFs are derived from its open-leaf DNF — a
-           pure computation that never touches the table — either inline
-           (``lane_pool=None``, the lanes=0 schedule) or fanned across the
-           pool's lanes, which own disjoint slices of the plan;
-        3. **commit** (serial, in plan order): each expansion mutates its
-           leaf row in place via :meth:`_commit_expansion` — node creation
-           order, and with it every nid, is identical for lanes=0/1/N;
-        4. **flush + absorb**: one batched
+        1. **plan**: :meth:`plan_round` fixes up to ``width`` distinct
+           most-valuable leaves, in commit order;
+        2. **commit** (in plan order): each expansion mutates its leaf row
+           in place via :meth:`_commit_expansion`, so node creation order —
+           and with it every nid — follows the plan;
+        3. **flush + absorb**: one batched
            :meth:`~repro.prob.nodetable.NodeTable.propagate_from_many` pass
-           repairs the joint ancestor closure (the per-lane bound updates
-           buffered by the deferred commits), then every contributing view
-           absorbs its expansion in plan order.
+           repairs the joint ancestor closure (the bound updates buffered by
+           the deferred commits), then every contributing view absorbs its
+           expansion in plan order.
 
         Returns the expansions performed (0 when no gating view has an open
         frontier left).  ``refine_round(views, 1)`` is exactly the legacy
@@ -653,12 +638,8 @@ class SharedLineageStore:
             if not plan:
                 return 0
             leaves = [leaf for leaf, _ in plan]
-            if lane_pool is None:
-                computed = [self._cofactors(leaf) for leaf in leaves]
-            else:
-                computed = lane_pool.map(self._cofactors, leaves)
-            for leaf, (branch, positive, negative) in zip(leaves, computed):
-                self._commit_expansion(leaf, branch, positive, negative)
+            for leaf in leaves:
+                self._commit_expansion(leaf)
             self.table.propagate_from_many(leaves)
             for leaf, contributors in plan:
                 for view, weight in contributors:
@@ -727,9 +708,8 @@ class SharedLineageStore:
     def export_segment(self) -> dict:
         """The store's full state as a picklable segment.
 
-        Ships the columnar table as-is (flat arrays pickle cheaply — this is
-        the payload the parallel scheduler sends instead of per-tuple
-        trees), plus the open-leaf DNFs and the intern map in canonical
+        Ships the columnar table as-is (flat arrays pickle cheaply), plus
+        the open-leaf DNFs and the intern map in canonical
         clause form (``frozenset`` iteration order is salted per process, so
         raw frozensets must not cross the process boundary).
         """
@@ -757,8 +737,8 @@ class SharedLineageStore:
 
     @classmethod
     def from_segment(cls, segment: dict) -> "SharedLineageStore":
-        """Rebuild a store around a shipped segment (the worker-side inverse
-        of :meth:`export_segment`): same table, same nids, same intern map —
+        """Rebuild a store around a shipped segment (the inverse of
+        :meth:`export_segment`): same table, same nids, same intern map —
         refinement continues exactly where the exporting process stood."""
         store = cls(max_nodes=segment["max_nodes"])
         store.table = segment["table"]
@@ -787,11 +767,10 @@ class SharedDTree:
 
     Call-compatible with :class:`repro.prob.dtree.DTree` where the engine
     and schedulers touch it: ``lower``/``upper``, ``bounds()``, ``gap``,
-    ``is_exact``, ``steps``, ``refine()``, ``refine_to_target()`` and
-    ``result()``.  The view owns nothing but a frontier: a lazy max-heap of
-    (influence, leaf nid) entries where influence is the midpoint-linearised
-    derivative of *this view's root* with respect to the leaf, summed over
-    all DAG paths.  Refinement performed through any other view of the same
+    ``is_exact``, ``steps``, ``refine()`` and ``result()``.  The view owns
+    nothing but a frontier: a lazy max-heap of (influence, leaf nid) entries
+    where influence is the midpoint-linearised derivative of *this view's
+    root* with respect to the leaf, summed over all DAG paths.  Refinement performed through any other view of the same
     store is observed for free — entries whose leaf was expanded elsewhere
     are skipped on pop, and the geometric frontier rebuild (same schedule as
     ``DTree``) re-measures influence against the shared table state.
@@ -814,10 +793,10 @@ class SharedDTree:
     def from_root(cls, store: SharedLineageStore, root: int) -> "SharedDTree":
         """A view over an already-built root nid (no compilation performed).
 
-        The worker-side constructor for shipped store segments: the driver
-        compiled the roots, the segment carried the table, and the frontier
-        is measured at the view's first peek, from the column state then —
-        exactly what a fresh in-process view over the same store computes.
+        The constructor for restored store segments: the exporter compiled
+        the roots, the segment carried the table, and the frontier is
+        measured at the view's first peek, from the column state then —
+        exactly what a fresh view over the same store computes.
         """
         view = object.__new__(cls)
         view.store = store
@@ -1004,10 +983,6 @@ class SharedDTree:
             performed += 1
         return performed
 
-    def refine_to_target(self, target_steps: int) -> int:
-        """Refine until this view's cumulative step count reaches the target."""
-        return self.refine(max(0, target_steps - self.steps))
-
     def result(self) -> ApproxResult:
         lower, upper = self.bounds()
         return ApproxResult(
@@ -1150,11 +1125,10 @@ class SharedDTreeCache:
     def export_state(self) -> dict:
         """The cache's full warm state as a picklable dict.
 
-        The snapshot payload of the query service: the store segment (the
-        same :meth:`SharedLineageStore.export_segment` the parallel
-        scheduler ships) plus every cached view as ``(canonical clauses,
-        root nid)`` — frozensets never cross the process boundary, their
-        iteration order is salted per process.  Taken under the store lock,
+        The snapshot payload of the query service: the store segment
+        (:meth:`SharedLineageStore.export_segment`) plus every cached view as
+        ``(canonical clauses, root nid)`` — frozensets never cross the process
+        boundary, their iteration order is salted per process.  Taken under the store lock,
         so the segment and the view table are one consistent cut.
         """
         with self.store.lock:

@@ -22,12 +22,7 @@ Concurrency model — **admission is concurrent, refinement is serial**:
   engine.  The store's lock/epoch discipline
   (:meth:`repro.prob.sharedag.SharedLineageStore.pinned`) additionally
   keeps every mutation serialised and defers node-budget epoch resets to
-  request boundaries.  With :attr:`ServiceConfig.refine_lanes` the single
-  lane becomes a lane *pool*: requests still execute one at a time in
-  admission order, but each request's shared refinement rounds fan their
-  pure compute phase across N data-parallel lanes
-  (:class:`repro.sprout.parallel.RefinementLanePool`) — the round schedule
-  is planned before any lane runs, so responses stay bit-identical.
+  request boundaries.
 
 This is what makes the **determinism contract** hold: the decided sets,
 confidences, bounds, and step counts of an interleaved request sequence are
@@ -85,11 +80,7 @@ class ServiceConfig:
     request asking for more is rejected with a 400); ``default_max_steps``
     applies when a request names no budget at all (``None`` keeps the
     engine's own budget arithmetic: per-tuple default cap, exhaustion
-    raised).  ``refine_lanes`` turns the single refinement lane into a lane
-    *pool*: requests still execute one at a time in admission order, but
-    each request's shared refinement rounds fan their compute phase across
-    N data-parallel lanes — responses stay bit-identical to ``0`` (``None``
-    defers to the engine default, i.e. the ``REPRO_LANES`` env var).
+    raised).
 
     ``default_timeout_ms`` is the wall-clock deadline applied to every
     decision request (top-k, threshold, subscribe, subscription update)
@@ -111,7 +102,6 @@ class ServiceConfig:
     max_pending: int = 32
     max_steps_ceiling: Optional[int] = None
     default_max_steps: Optional[int] = None
-    refine_lanes: Optional[int] = None
     default_timeout_ms: Optional[float] = None
     snapshot_path: Optional[str] = None
     snapshot_every: Optional[int] = None
@@ -124,10 +114,6 @@ class ServiceConfig:
         if self.max_steps_ceiling is not None and self.max_steps_ceiling < 0:
             raise PlanningError(
                 f"max_steps_ceiling must be non-negative, got {self.max_steps_ceiling}"
-            )
-        if self.refine_lanes is not None and self.refine_lanes < 0:
-            raise PlanningError(
-                f"refine_lanes must be non-negative, got {self.refine_lanes}"
             )
         if self.default_timeout_ms is not None and self.default_timeout_ms < 0:
             raise PlanningError(
@@ -200,13 +186,10 @@ class QueryService:
         The :class:`ServiceConfig` (admission depth, budget ceiling).
     engine
         Optionally a pre-built :class:`~repro.sprout.engine.SproutEngine`.
-        By default the service builds one with ``workers=0`` — serial
-        in-process refinement is what reuses the shared store across
-        requests (a shipped worker segment deliberately does not) — the
-        config's ``refine_lanes`` (turning the single refinement lane into
-        a lane pool inside each request), the engine's default
-        ``execution="batch"`` (a request may still name ``"row"``), and the
-        engine's own ``shared_lineage``/``vectorize`` env-knob defaults.
+        By default the service builds one with the engine's default
+        ``execution="batch"`` (a request may still name ``"row"``) and the
+        engine's own ``shared_lineage``/``vectorize`` env-knob defaults; its
+        shared store is what every request reuses.
 
     Lifecycle: :meth:`start` spawns the refinement lane, :meth:`close`
     drains it and closes the engine (both idempotent; the class is a
@@ -226,13 +209,7 @@ class QueryService:
         engine: Optional[SproutEngine] = None,
     ):
         self.config = config if config is not None else ServiceConfig()
-        self.engine = (
-            engine
-            if engine is not None
-            else SproutEngine(
-                database, workers=0, refine_lanes=self.config.refine_lanes
-            )
-        )
+        self.engine = engine if engine is not None else SproutEngine(database)
         self.database = self.engine.database
         self._queue: "queue.Queue[Optional[_Job]]" = queue.Queue(
             maxsize=self.config.max_pending
@@ -290,9 +267,7 @@ class QueryService:
             # The lane has drained, so the warm state is quiescent — the
             # shutdown snapshot captures every completed request's refinement.
             self._write_snapshot()
-        subscriptions, self._subscriptions = dict(self._subscriptions), {}
-        for watch in subscriptions.values():
-            watch.close()
+        self._subscriptions = {}
         self.engine.close()
 
     def __enter__(self) -> "QueryService":
@@ -446,8 +421,6 @@ class QueryService:
             self._subscription_seq = int(state.get("subscription_seq", 0))
             self.snapshot_restored = True
         except Exception as error:  # noqa: BLE001 - any defect means boot cold
-            for watch in restored.values():
-                watch.close()
             self._subscriptions.clear()
             self._subscription_seq = 0
             self.snapshot_failed += 1
@@ -544,7 +517,6 @@ class QueryService:
             execution=params.get("execution"),
             confidence=self._checked_confidence(params),
             epsilon=self._checked_epsilon(params),
-            workers=0,  # the lane IS the serialisation point; never fan out
         )
         payload = result_payload(result)
         payload["kind"] = "evaluate"
@@ -561,7 +533,6 @@ class QueryService:
             execution=params.get("execution"),
             confidence=self._checked_confidence(params),
             max_steps=self._checked_max_steps(params),
-            workers=0,
             deadline=self._checked_deadline(params),
         )
         payload = result_payload(result)
@@ -579,7 +550,6 @@ class QueryService:
             execution=params.get("execution"),
             confidence=self._checked_confidence(params),
             max_steps=self._checked_max_steps(params),
-            workers=0,
             deadline=self._checked_deadline(params),
         )
         payload = result_payload(result)
@@ -675,7 +645,6 @@ class QueryService:
     def _do_subscription_delete(self, params: Dict[str, Any]) -> Dict[str, Any]:
         subscription, watch = self._subscription_for(params)
         del self._subscriptions[subscription]
-        watch.close()  # releases the standing query's lane pool, if any
         return {"kind": "unsubscribe", "subscription": subscription}
 
     # -- observability (any thread) -----------------------------------------
@@ -696,7 +665,6 @@ class QueryService:
             "in_flight": self.in_flight(),
             "max_pending": self.config.max_pending,
             "subscriptions": len(self._subscriptions),
-            "refine_lanes": self.engine.refine_lanes,
             "cache": self.engine.cache_stats(),
             "snapshot": {
                 "path": self.config.snapshot_path,

@@ -22,12 +22,12 @@ Reads verify magic, length, and digest; any mismatch (truncation, bit rot, a
 foreign file) raises :class:`repro.errors.SnapshotError` — the service
 catches it at boot, warns, and starts cold rather than crashing.
 
-Snapshots use :mod:`pickle` because the store segment already crosses process
-boundaries pickled (the PR 8 parallel scheduler); the checksum guards
-integrity, not authenticity — load snapshots only from paths the operator
-controls, like any pickle.  The ``snapshot.write`` fault seam fires before
-the temp file is renamed, so an injected write failure never clobbers the
-previous snapshot.
+Snapshots use :mod:`pickle` because the store segment is a pickled set of
+flat columns (:meth:`repro.prob.sharedag.SharedLineageStore.export_segment`);
+the checksum guards integrity, not authenticity — load snapshots only from
+paths the operator controls, like any pickle.  The ``snapshot.write`` fault
+seam fires before the temp file is renamed, so an injected write failure
+never clobbers the previous snapshot.
 """
 
 from __future__ import annotations

@@ -5,8 +5,8 @@ with confidences:
 
 * :mod:`repro.sprout.engine` — :class:`SproutEngine`, the public entry
   point: plan styles (lazy/eager/hybrid/lineage/dtree), row vs. batch
-  execution, exact vs. anytime-approximate confidence, top-k/threshold
-  APIs, and the ``workers=N`` parallelism knob.
+  execution, exact vs. anytime-approximate confidence, and the
+  top-k/threshold APIs.
 * :mod:`repro.sprout.planner` — join ordering, answer-plan construction,
   and the eager/hybrid evaluation that interleaves joins with aggregation.
 * :mod:`repro.sprout.conf_operator` — the probability-computation
@@ -16,15 +16,14 @@ with confidences:
   scheduling and the single-pass operator for 1scan signatures, in row and
   columnar variants.
 * :mod:`repro.sprout.topk` — bound-driven top-k/threshold refinement
-  scheduling over per-tuple d-tree brackets (serial, in-process).
+  scheduling over per-tuple d-tree brackets.
 * :mod:`repro.sprout.streaming` — standing top-k/threshold queries over
   delta feeds: :class:`StandingQuery` keeps the decided set live across
   probability updates and tuple inserts/deletes, re-deciding warm on the
   shared DAG (``docs/streaming.md``).
-* :mod:`repro.sprout.parallel` — the parallel confidence executor:
-  picklable per-tuple work units, serial/multiprocessing backends, and the
-  round-based parallel top-k/threshold scheduler, with results
-  bit-identical for every worker count.
+* :mod:`repro.sprout.parallel` — per-tuple confidence of plain d-tree
+  evaluation (:func:`compute_confidences`) and the seeded Karp–Luby
+  fallback it shares across routes.
 
 ``docs/architecture.md`` walks the full pipeline end to end.
 """
@@ -69,18 +68,7 @@ from repro.sprout.planner import (
     materialize_answer,
     needed_data_attributes,
 )
-from repro.sprout.parallel import (
-    ConfidenceExecutor,
-    ConfidenceTask,
-    ParallelCandidate,
-    ParallelOutcome,
-    ParallelRefinementScheduler,
-    ProcessExecutor,
-    SerialExecutor,
-    TaskOutcome,
-    compute_confidences,
-    derive_task_seed,
-)
+from repro.sprout.parallel import compute_confidences, derive_task_seed
 from repro.sprout.streaming import StandingQuery
 from repro.sprout.topk import (
     RefinementScheduler,
@@ -104,24 +92,16 @@ __all__ = [
     "ColumnMap",
     "ConfOperatorResult",
     "ConfStep",
-    "ConfidenceExecutor",
-    "ConfidenceTask",
     "EvaluationResult",
     "JoinOrderPlanner",
     "OneScanState",
     "PLAN_STYLES",
-    "ParallelCandidate",
-    "ParallelOutcome",
-    "ParallelRefinementScheduler",
-    "ProcessExecutor",
     "RefinementScheduler",
     "ScanSchedule",
     "ScanStep",
     "SchedulerOutcome",
-    "SerialExecutor",
     "SproutEngine",
     "StandingQuery",
-    "TaskOutcome",
     "TupleCandidate",
     "compute_confidences",
     "derive_task_seed",

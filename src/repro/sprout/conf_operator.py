@@ -257,11 +257,9 @@ def compute_answer_confidences(
     Returns ``(relation, scan schedule or None, scans used)``.
 
     This operator path serves *tractable* queries only and is a small number
-    of sequential scans, so it stays in-process: the d-tree routes (unsafe
-    queries, ``confidence="approx"``, top-k/threshold scheduling) are where
-    per-tuple confidence work dominates, and they are what
-    ``SproutEngine(workers=N)`` spreads across cores via
-    :mod:`repro.sprout.parallel`.
+    of sequential scans; the d-tree routes (unsafe queries,
+    ``confidence="approx"``, top-k/threshold scheduling) are where per-tuple
+    confidence work dominates.
     """
     from repro.sprout.scans import apply_scan_schedule, apply_scan_schedule_columns
 

@@ -46,20 +46,13 @@ Orthogonally to both, the *execution mode* selects the physical backend:
     Bit-identical answers, severalfold slower on TPC-H-sized inputs; kept
     selectable per engine and per call as the differential oracle.
 
-Finally, ``workers`` (engine-wide or per call) spreads per-tuple d-tree and
-Monte Carlo confidence work across worker processes via the parallel
-confidence executor (:mod:`repro.sprout.parallel`).  ``workers=0`` — the
-default, overridable with the ``REPRO_WORKERS`` environment variable — keeps
-everything in-process; every worker count ``>= 1`` produces bit-identical
-results on a fresh engine.
-
-In-process evaluation — d-tree ``evaluate`` as well as top-k/threshold
-scheduling — additionally runs in **shared-lineage mode** by default
-(``shared_lineage=True``, ``REPRO_SHARED_LINEAGE``): lineages are compiled
-into the engine's one hash-consed DAG (:mod:`repro.prob.sharedag`) in which
-common subformulas exist once across answer tuples and across requests, so
-refinement is never redone: a repeat, or an ``evaluate`` after a decision on
-the same lineage, pays only for what is still open.  Decided sets and exact
+D-tree ``evaluate`` as well as top-k/threshold scheduling run in
+**shared-lineage mode** by default (``shared_lineage=True``,
+``REPRO_SHARED_LINEAGE``): lineages are compiled into the engine's one
+hash-consed DAG (:mod:`repro.prob.sharedag`) in which common subformulas
+exist once across answer tuples and across requests, so refinement is never
+redone: a repeat, or an ``evaluate`` after a decision on the same lineage,
+pays only for what is still open.  Decided sets and exact
 confidences are bit-identical to the per-tuple mode; approximate brackets
 are sound and within the budget but may be tighter than a cold run's; the
 number of logical refinement steps is what shrinks.
@@ -105,15 +98,7 @@ from repro.query.rewrite import (
 from repro.query.signature import Signature, num_scans
 from repro.sprout.conf_operator import compute_answer_confidences
 from repro.sprout.onescan import columnar_lineage, sort_column_order
-from repro.sprout.parallel import (
-    ConfidenceExecutor,
-    ParallelRefinementScheduler,
-    SupervisedExecutor,
-    SupervisedLanePool,
-    compute_confidences,
-    finish_exact,
-    run_shared_scheduled,
-)
+from repro.sprout.parallel import compute_confidences
 from repro.sprout.planner import (
     JoinOrderPlanner,
     _aggregate_pair,
@@ -168,9 +153,8 @@ class EvaluationResult:
     * ``k`` / ``tau`` / ``decided`` — top-k/threshold metadata: the request,
       and whether the answer set is provably decided (``decided=False`` only
       when a ``max_steps`` budget ran out first).
-    * ``refine_steps`` — d-tree expansions spent *by this call* (across all
-      workers, when the evaluation ran with ``workers >= 1``); refinement the
-      engine's shared store already held is not counted again.
+    * ``refine_steps`` — d-tree expansions spent *by this call*; refinement
+      the engine's shared store already held is not counted again.
     * ``backend`` — the numeric backend the refinement core ran on
       (``"numpy"`` when the vectorized bound-propagation passes were active,
       ``"python"`` for the scalar fallback; see
@@ -258,25 +242,12 @@ class EvaluationResult:
         )
 
 
-def _default_workers() -> int:
-    """Engine-wide worker default: the ``REPRO_WORKERS`` env var, else 0.
-
-    The environment hook is what lets CI run the whole tier-1 suite with the
-    parallel confidence path switched on, without touching any test.  Parsed
-    by the one shared knob parser (:mod:`repro.config`), so a malformed value
-    raises the documented :class:`repro.errors.ConfigurationError` (a
-    ``PlanningError`` *and* ``ValueError`` subclass) with the same wording as
-    every other knob.
-    """
-    return env_int("REPRO_WORKERS", default=0, minimum=0)
-
-
 def _default_shared_lineage() -> bool:
     """Shared-lineage default: the ``REPRO_SHARED_LINEAGE`` env var, else on.
 
     ``REPRO_SHARED_LINEAGE=0`` is the CI hook that runs the whole tier-1
     suite on the legacy per-tuple d-tree scheduler, keeping that path
-    exercised now that sharing is the serial default.
+    exercised now that sharing is the default.
     """
     return env_flag("REPRO_SHARED_LINEAGE", default=True)
 
@@ -285,18 +256,6 @@ def _default_dtree_cache_size() -> int:
     """Lineage-cache node budget: the ``REPRO_DTREE_CACHE`` env var, else
     :data:`repro.prob.sharedag.DEFAULT_MAX_NODES` nodes."""
     return env_int("REPRO_DTREE_CACHE", default=DEFAULT_MAX_NODES, minimum=1)
-
-
-def _default_refine_lanes() -> int:
-    """Refinement-lane default: the ``REPRO_LANES`` env var, else 0.
-
-    ``REPRO_LANES=N`` switches every shared refinement round's compute phase
-    onto an ``N``-lane thread pool without touching any call site — the CI
-    hook that runs the whole tier-1 suite multi-lane.  Decided sets, bounds,
-    and step counts are bit-identical for every value, so this is purely a
-    throughput knob.
-    """
-    return env_int("REPRO_LANES", default=0, minimum=0)
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -378,33 +337,20 @@ class SproutEngine:
     dtree_max_steps
         Cap on d-tree compilation per tuple; when the cap is hit in approx
         mode the Karp–Luby estimator (``monte_carlo_samples`` draws, seeded
-        per tuple from ``seed`` so approximate results are reproducible for
-        any worker count; ``seed=None`` draws fresh entropy) supplies the
-        point estimate within the sound d-tree bracket.
-    workers
-        Number of worker processes for per-tuple confidence computation on
-        the d-tree routes (plain evaluation, top-k, threshold).  ``0`` — the
-        default, or the ``REPRO_WORKERS`` environment variable when set —
-        computes in-process; ``N >= 1`` fans the answer tuples out to a
-        process pool kept for the engine's lifetime (release it with
-        :meth:`close` or by using the engine as a context manager).  On a
-        fresh engine, results are bit-identical for every worker count
-        ``>= 1`` (``workers=0`` refines the engine's shared store instead:
-        same exact confidences and decided sets, but step counts,
-        approximate brackets and non-selected bounds may differ).
+        per tuple from ``seed`` so approximate results are reproducible
+        whatever was evaluated before; ``seed=None`` draws fresh entropy)
+        supplies the point estimate within the sound d-tree bracket.
     shared_lineage
-        Whether in-process (``workers=0``) d-tree :meth:`evaluate` and the
-        top-k/threshold scheduler compile lineages into one shared
-        hash-consed DAG (:mod:`repro.prob.sharedag`) instead of per-tuple
-        d-trees.  Default on (overridable with the ``REPRO_SHARED_LINEAGE``
-        environment variable): common subformulas are compiled once across
-        answer tuples and requests, and every refinement step tightens all
-        tuples containing the refined node.  Process workers always run
-        isolated per-tuple tasks for plain :meth:`evaluate` — isolation is
-        what makes those results placement- and worker-count-independent.
-        Decided top-k/threshold sets and exact confidences are bit-identical
-        with sharing on or off; only the work to reach them changes, and
-        with it how tight an approximate bracket already is.
+        Whether d-tree :meth:`evaluate` and the top-k/threshold scheduler
+        compile lineages into one shared hash-consed DAG
+        (:mod:`repro.prob.sharedag`) instead of per-tuple d-trees.  Default
+        on (overridable with the ``REPRO_SHARED_LINEAGE`` environment
+        variable): common subformulas are compiled once across answer tuples
+        and requests, and every refinement step tightens all tuples
+        containing the refined node.  Decided top-k/threshold sets and exact
+        confidences are bit-identical with sharing on or off; only the work
+        to reach them changes, and with it how tight an approximate bracket
+        already is.
     dtree_cache_size
         Node budget for the engine-lifetime lineage cache (shared store or
         per-tuple tree cache), default
@@ -412,36 +358,21 @@ class SproutEngine:
         ``REPRO_DTREE_CACHE`` environment variable.  Eviction is by *node
         count*, not entry count, so a handful of huge lineages cannot blow
         memory.
-    refine_lanes
-        Data-parallel lane count for shared refinement rounds.  ``0`` — the
-        default, or the ``REPRO_LANES`` environment variable when set —
-        computes every round inline; ``N >= 1`` fans each round's pure
-        cofactor computation across an ``N``-thread lane pool kept for the
-        engine's lifetime (released by :meth:`close`).  The round schedule
-        is planned before any lane runs, so decided sets, confidences,
-        bounds, and step counts are **bit-identical** for ``refine_lanes``
-        0/1/N — unlike ``workers``, lanes never even change the work done
-        to decide.  Lanes ride the shared-lineage scheduler (serial route
-        when ``shared_lineage`` is on, and inside the shared worker run for
-        ``workers >= 1``); the legacy per-tuple path has no rounds to fan
-        out and ignores the knob.
 
-    Each :meth:`evaluate` call may override ``execution``, ``confidence``,
-    ``epsilon``, and ``workers``.
+    Each :meth:`evaluate` call may override ``execution``, ``confidence``
+    and ``epsilon``.
 
-    In-process evaluation (``workers=0``) keeps one lineage cache for the
-    engine's lifetime (:class:`repro.prob.sharedag.SharedDTreeCache`, or
+    The engine keeps one lineage cache for its lifetime
+    (:class:`repro.prob.sharedag.SharedDTreeCache`, or
     :class:`repro.prob.dtree.DTreeCache` with ``shared_lineage=False``):
     d-tree :meth:`evaluate` (shared mode only) and the top-k/threshold
     scheduler reuse and keep refining the structures compiled for
-    previously seen lineage.  Parallel runs (and plain d-tree evaluation
-    with ``shared_lineage=False``) instead compute each tuple in isolation
-    — that is what makes their results independent of the worker count and
-    of evaluation history.
+    previously seen lineage.  Plain d-tree evaluation with
+    ``shared_lineage=False`` instead compiles each tuple in isolation, so
+    its results are independent of evaluation history.
 
     Raises :class:`repro.errors.PlanningError` for invalid modes or
-    parameters, and :class:`repro.errors.ParallelExecutionError` if a worker
-    process fails mid-evaluation.
+    parameters.
     """
 
     def __init__(
@@ -453,11 +384,9 @@ class SproutEngine:
         dtree_max_steps: Optional[int] = DEFAULT_MAX_STEPS,
         monte_carlo_samples: Optional[int] = 10_000,
         seed: Optional[int] = 0,
-        workers: Optional[int] = None,
         shared_lineage: Optional[bool] = None,
         dtree_cache_size: Optional[int] = None,
         vectorize: Optional[bool] = None,
-        refine_lanes: Optional[int] = None,
     ):
         if execution not in EXECUTION_MODES:
             raise PlanningError(
@@ -468,10 +397,6 @@ class SproutEngine:
                 f"unknown confidence mode {confidence!r}; choose from {CONFIDENCE_MODES}"
             )
         _check_epsilon(epsilon)
-        if workers is None:
-            workers = _default_workers()
-        if workers < 0:
-            raise PlanningError(f"workers must be non-negative, got {workers}")
         if shared_lineage is None:
             shared_lineage = _default_shared_lineage()
         if dtree_cache_size is None:
@@ -480,12 +405,6 @@ class SproutEngine:
             raise PlanningError(
                 f"dtree_cache_size must be positive, got {dtree_cache_size}"
             )
-        if refine_lanes is None:
-            refine_lanes = _default_refine_lanes()
-        if refine_lanes < 0:
-            raise PlanningError(
-                f"refine_lanes must be non-negative, got {refine_lanes}"
-            )
         self.database = database
         self.execution = execution
         self.confidence = confidence
@@ -493,7 +412,6 @@ class SproutEngine:
         self.dtree_max_steps = dtree_max_steps
         self.monte_carlo_samples = monte_carlo_samples
         self.seed = seed
-        self.workers = workers
         self.shared_lineage = bool(shared_lineage)
         self.dtree_cache_size = dtree_cache_size
         # Numeric backend of the refinement core: vectorized NumPy passes
@@ -506,8 +424,8 @@ class SproutEngine:
         else:
             self.vectorize = bool(vectorize) and HAS_NUMPY
         self.backend = backend_name(self.vectorize)
-        # The engine-lifetime lineage cache the serial top-k/threshold
-        # scheduler refines across calls.  Shared-lineage mode swaps the
+        # The engine-lifetime lineage cache the top-k/threshold scheduler
+        # refines across calls.  Shared-lineage mode swaps the
         # per-tuple tree cache for views over one hash-consed DAG; both are
         # bounded by dtree_cache_size *nodes* (not entries), so huge
         # lineages cannot blow memory through a small number of entries.
@@ -526,83 +444,23 @@ class SproutEngine:
         self.analysis_hits = 0
         self.analysis_misses = 0
         self.planner = JoinOrderPlanner(database)
-        self.refine_lanes = refine_lanes
-        #: Lazily created engine-lifetime lane pool (``refine_lanes >= 1``);
-        #: threads cost nothing until the first shared round asks for them.
-        self._lane_pool: Optional[SupervisedLanePool] = None
-        self._executors: Dict[int, ConfidenceExecutor] = {}
         #: Lifecycle flag plus the cache-counter snapshot taken at close():
         #: a closed engine answers :meth:`cache_stats` from the snapshot
         #: instead of touching the released cache, and transparently reopens
-        #: (fresh executors, cold cache) on the next evaluation.
+        #: (cold cache) on the next evaluation.
         self._closed = False
         self._closed_stats: Optional[Dict[str, object]] = None
 
-    # -- parallel executor lifecycle --------------------------------------------
-
-    def _executor_for(self, workers: int) -> ConfidenceExecutor:
-        """The (lazily created, reused) executor backing ``workers`` processes.
-
-        Process-backed executors come supervised: a dead pool is respawned
-        with capped retries and ultimately degrades to the serial backend —
-        bit-identical results by contract, with the events counted in
-        :meth:`cache_stats` (``pool_respawns`` / ``pool_fallbacks``).
-        """
-        executor = self._executors.get(workers)
-        if executor is None:
-            executor = (
-                SupervisedExecutor(workers) if workers >= 1 else ConfidenceExecutor.create(0)
-            )
-            self._executors[workers] = executor
-        return executor
-
-    def _resolve_workers(self, workers: Optional[int]) -> int:
-        if workers is None:
-            return self.workers
-        if workers < 0:
-            raise PlanningError(f"workers must be non-negative, got {workers}")
-        return workers
-
-    def _lane_pool_for_rounds(self) -> Optional[SupervisedLanePool]:
-        """The engine-lifetime lane pool, or ``None`` with ``refine_lanes=0``.
-
-        Supervised: a broken pool is respawned with capped retries and then
-        degrades to inline (lanes=0) compute — same results by contract.
-        """
-        if self.refine_lanes < 1:
-            return None
-        if self._lane_pool is None:
-            self._lane_pool = SupervisedLanePool(self.refine_lanes)
-        return self._lane_pool
+    # -- lifecycle ----------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down worker pools and release the lineage cache (idempotent).
+        """Release the lineage cache (idempotent).
 
-        Safe to call twice, and safe after a
-        :class:`repro.errors.ParallelExecutionError` already discarded a
-        broken pool: executor shutdown failures are swallowed — close()
-        never raises on a pool that is already broken or gone.  The first
-        close snapshots the cache counters (:meth:`cache_stats` keeps
-        answering from the snapshot) and clears the cache, the answer memo
-        and the analysis memo to release the store's node table; the engine
-        transparently reopens — fresh executors, cold cache — on the next
-        evaluation.
+        The first close snapshots the cache counters (:meth:`cache_stats`
+        keeps answering from the snapshot) and clears the cache, the answer
+        memo and the analysis memo to release the store's node table; the
+        engine transparently reopens — cold cache — on the next evaluation.
         """
-        executors, self._executors = dict(self._executors), {}
-        for executor in executors.values():
-            try:
-                executor.close()
-            except Exception:
-                # A pool that broke mid-run (dead worker, interpreter
-                # shutdown) may refuse a second shutdown; close() promises
-                # not to propagate that.
-                pass
-        lane_pool, self._lane_pool = self._lane_pool, None
-        if lane_pool is not None:
-            try:
-                lane_pool.close()
-            except Exception:
-                pass
         if not self._closed:
             self._closed_stats = self._live_cache_stats()
             self._closed_stats["closed"] = True
@@ -620,13 +478,6 @@ class SproutEngine:
             self._closed_stats = None
 
     def _live_cache_stats(self) -> Dict[str, object]:
-        respawns = fallbacks = 0
-        if self._lane_pool is not None:
-            respawns += self._lane_pool.respawns
-            fallbacks += self._lane_pool.fallbacks
-        for executor in self._executors.values():
-            respawns += getattr(executor, "respawns", 0)
-            fallbacks += getattr(executor, "fallbacks", 0)
         store = self.dtree_cache.store if self.shared_lineage else None
         return {
             "hits": self.dtree_cache.hits,
@@ -645,10 +496,6 @@ class SproutEngine:
             # Views marked stale vs. frontiers measured at a peek (0 in legacy mode).
             "frontier_marks": store.frontier_marks if store is not None else 0,
             "frontier_rebuilds": store.frontier_rebuilds if store is not None else 0,
-            # Supervision counters: pools (lanes or workers) replaced after a
-            # failure, and rounds/batches that degraded to the serial backend.
-            "pool_respawns": respawns,
-            "pool_fallbacks": fallbacks,
         }
 
     def cache_stats(self) -> Dict[str, object]:
@@ -783,37 +630,28 @@ class SproutEngine:
         execution: Optional[str] = None,
         confidence: Optional[str] = None,
         epsilon: Optional[float] = None,
-        workers: Optional[int] = None,
     ) -> EvaluationResult:
         """Compute the distinct answer tuples of ``query`` and their confidences.
 
         ``execution`` overrides the engine's default backend for this call
         (``"row"`` or ``"batch"``); ``confidence`` and ``epsilon`` override
-        the engine's confidence mode and error budget; ``workers`` overrides
-        the engine's parallelism for the per-tuple confidence work on the
-        d-tree routes (operator plans for tractable queries are single
-        sequential scans and ignore it).  Unsafe queries (no hierarchical
-        FD-reduct) are routed to the d-tree engine regardless of the
-        requested plan style.
+        the engine's confidence mode and error budget.  Unsafe queries (no
+        hierarchical FD-reduct) are routed to the d-tree engine regardless
+        of the requested plan style.
         """
         self._reopen()
         execution, confidence, epsilon = self._resolve_modes(
             plan, conf_method, execution, confidence, epsilon
         )
-        workers = self._resolve_workers(workers)
         self._check_supported(query)
         if plan == "dtree" or confidence == "approx":
-            return self._evaluate_dtree(
-                query, join_order, execution, confidence, epsilon, workers
-            )
+            return self._evaluate_dtree(query, join_order, execution, confidence, epsilon)
         if plan == "lineage":
             return self._evaluate_lineage(query, join_order, execution)
         if not self.is_tractable(query, use_fds):
             # Unsafe query: no safe plan and no hierarchical FD-reduct exists.
             # Route to the anytime d-tree engine instead of raising.
-            return self._evaluate_dtree(
-                query, join_order, execution, confidence, epsilon, workers
-            )
+            return self._evaluate_dtree(query, join_order, execution, confidence, epsilon)
         if plan == "lazy":
             if execution == "batch":
                 return self._evaluate_lazy_batch(
@@ -878,7 +716,6 @@ class SproutEngine:
         execution: Optional[str] = None,
         confidence: Optional[str] = None,
         max_steps: Optional[int] = None,
-        workers: Optional[int] = None,
         deadline: Optional[Deadline] = None,
     ) -> EvaluationResult:
         """The ``k`` most probable answer tuples of ``query``.
@@ -888,14 +725,9 @@ class SproutEngine:
         selection is a sort); everything else routes to a bound-driven
         refinement scheduler, which interleaves d-tree refinement across the
         candidate tuples and stops as soon as the top-k set is provably
-        decided — no tuple is refined further than the decision requires.
-        With ``workers=0`` that is the serial crossing-pair scheduler
+        decided — no tuple is refined further than the decision requires
         (:class:`repro.sprout.topk.RefinementScheduler`, reusing the
-        engine's d-tree cache across calls); with ``workers >= 1`` it is the
-        round-based parallel scheduler
-        (:class:`repro.sprout.parallel.ParallelRefinementScheduler`), which
-        refines a frontier batch of gating tuples concurrently per round and
-        gives identical results for every worker count >= 1.
+        engine's d-tree cache across calls).
 
         The result relation holds the selected tuples, most probable first;
         :attr:`EvaluationResult.bounds` brackets *every* candidate and
@@ -912,13 +744,11 @@ class SproutEngine:
         finishing exhausts the engine-default step cap.
 
         ``deadline`` (a :class:`repro.deadline.Deadline`) bounds the
-        wall-clock spent on the serial scheduler route: checked between
+        wall-clock spent on the scheduler route: checked between
         refinement rounds, never inside one, so expiry returns the current
         sound bounds with ``decided=False`` / ``degraded="deadline"``
         instead of raising — anytime degradation, the paper's central
-        contract put to work.  Only honoured with ``workers=0`` (the route
-        the query service runs); the parallel route ships the whole decision
-        to a worker and ignores it.
+        contract put to work.
         """
         if k < 1:
             raise PlanningError(f"k must be positive, got {k}")
@@ -933,7 +763,6 @@ class SproutEngine:
             execution=execution,
             confidence=confidence,
             max_steps=max_steps,
-            workers=workers,
             deadline=deadline,
         )
 
@@ -948,16 +777,14 @@ class SproutEngine:
         execution: Optional[str] = None,
         confidence: Optional[str] = None,
         max_steps: Optional[int] = None,
-        workers: Optional[int] = None,
         deadline: Optional[Deadline] = None,
     ) -> EvaluationResult:
         """The answer tuples whose confidence is at least ``tau``.
 
         Same routing as :meth:`evaluate_topk`: exact operator plans for
-        tractable queries, a refinement scheduler otherwise (serial at
-        ``workers=0``, round-based parallel at ``workers >= 1``) — each
-        candidate is refined only until its bracket clears τ on one side.
-        ``deadline`` degrades the serial route exactly as in
+        tractable queries, a refinement scheduler otherwise — each candidate
+        is refined only until its bracket clears τ on one side.
+        ``deadline`` degrades the scheduler route exactly as in
         :meth:`evaluate_topk`.
         """
         if not 0.0 <= tau <= 1.0:
@@ -973,7 +800,6 @@ class SproutEngine:
             execution=execution,
             confidence=confidence,
             max_steps=max_steps,
-            workers=workers,
             deadline=deadline,
         )
 
@@ -1058,7 +884,6 @@ class SproutEngine:
             shared_lineage=self.shared_lineage,
             cache_nodes=self.dtree_cache_size,
             vectorize=self.vectorize,
-            refine_lanes=self.refine_lanes,
             schema=answer.schema,
             name=query.name,
             execution=execution,
@@ -1077,14 +902,12 @@ class SproutEngine:
         execution: Optional[str],
         confidence: Optional[str],
         max_steps: Optional[int],
-        workers: Optional[int],
         deadline: Optional[Deadline] = None,
     ) -> EvaluationResult:
         self._reopen()
         execution, confidence, _ = self._resolve_modes(
             plan, conf_method, execution, confidence, None
         )
-        workers = self._resolve_workers(workers)
         self._check_supported(query)
         if (
             confidence == "exact"
@@ -1102,8 +925,7 @@ class SproutEngine:
             )
             return self._select_from_exact(result, k, tau)
         return self._evaluate_scheduled(
-            query, k, tau, join_order, execution, confidence, max_steps, workers,
-            deadline,
+            query, k, tau, join_order, execution, confidence, max_steps, deadline
         )
 
     def _select_from_exact(
@@ -1135,30 +957,17 @@ class SproutEngine:
         execution: str,
         confidence: str,
         max_steps: Optional[int],
-        workers: int,
         deadline: Optional[Deadline] = None,
     ) -> EvaluationResult:
-        """Multi-tuple bound-driven refinement over the lineage d-trees.
-
-        ``workers=0`` runs the serial crossing-pair scheduler on live trees
-        from the engine's d-tree cache; ``workers >= 1`` runs the
-        deterministic round-based parallel scheduler (the trees live in the
-        workers, the engine tracks bounds).  ``deadline`` is honoured on the
-        serial route only.
-        """
+        """Multi-tuple bound-driven refinement over the lineage d-trees."""
         started = perf_counter()
         answer = self._answer_lineage(query, join_order, execution)
         tuples_seconds = perf_counter() - started
 
         started = perf_counter()
-        if workers == 0:
-            outcome, finishing_steps = self._run_serial_scheduler(
-                answer, k, tau, confidence, max_steps, deadline
-            )
-        else:
-            outcome, finishing_steps = self._run_parallel_scheduler(
-                answer, k, tau, confidence, max_steps, workers
-            )
+        outcome, finishing_steps = self._run_scheduler(
+            answer, k, tau, confidence, max_steps, deadline
+        )
         prob_seconds = perf_counter() - started
 
         ordered = sorted(outcome.selected, key=lambda c: (-c.midpoint, repr(c.data)))
@@ -1191,7 +1000,7 @@ class SproutEngine:
             degraded=outcome.degraded,
         )
 
-    def _run_serial_scheduler(
+    def _run_scheduler(
         self,
         answer: _AnswerLineage,
         k: Optional[int],
@@ -1200,7 +1009,7 @@ class SproutEngine:
         max_steps: Optional[int],
         deadline: Optional[Deadline] = None,
     ):
-        """The in-process route: live cached trees + bound-driven scheduling.
+        """Live cached trees + bound-driven scheduling.
 
         With ``shared_lineage`` on (the default) the candidates are views
         over the engine's hash-consed lineage DAG and the scheduler picks
@@ -1214,13 +1023,12 @@ class SproutEngine:
         )
         candidates = [TupleCandidate(data, tree=tree) for data, tree in trees.items()]
         # run_decision is the single decision+finishing routine shared with
-        # the shared-parallel worker: with the default engine budget each
-        # selected tuple gets dtree_max_steps of exact finishing (the same
-        # per-tuple cap exact-mode evaluate() grants) and exhaustion raises
+        # standing queries: with the default engine budget each selected
+        # tuple gets dtree_max_steps of exact finishing (the same per-tuple
+        # cap exact-mode evaluate() grants) and exhaustion raises
         # ApproximationBudgetError; an explicit per-call max_steps instead
         # caps the whole call (leftover after the decision, shared across
         # tuples) and is reported, never raised.
-        shared = self.shared_lineage
         return run_decision(
             candidates,
             k,
@@ -1228,80 +1036,9 @@ class SproutEngine:
             confidence,
             max_steps,
             self.dtree_max_steps,
-            store=self.dtree_cache.store if shared else None,
-            lane_pool=self._lane_pool_for_rounds() if shared else None,
+            store=self.dtree_cache.store if self.shared_lineage else None,
             deadline=deadline,
         )
-
-    def _run_parallel_scheduler(
-        self,
-        answer: _AnswerLineage,
-        k: Optional[int],
-        tau: Optional[float],
-        confidence: str,
-        max_steps: Optional[int],
-        workers: int,
-    ):
-        """The parallel route: ship refinement work to a worker pool.
-
-        With ``shared_lineage`` on (the default) the entire decision is
-        compiled into one columnar store segment and offloaded to a single
-        worker, which runs the very same
-        :func:`repro.sprout.topk.run_decision` routine as the serial route —
-        shared grants pick the *globally* most valuable node, which couples
-        all candidates into one sequential decision, and shipping the whole
-        run is what keeps decided sets, confidences, and step counts
-        bit-identical for workers 0/1/N on a fresh engine (the serial route
-        additionally reuses its cache across calls, which a shipped segment
-        deliberately does not).
-
-        With ``shared_lineage=False`` the round-based frontier scheduler
-        refines isolated per-tuple trees across the pool.  Its exact-mode
-        finishing grants each selected tuple the engine-default per-tuple
-        cap (raising on exhaustion like the serial route); an explicit
-        ``max_steps`` instead grants each tuple the budget left after the
-        decision and reports midpoints — per tuple rather than shared
-        sequentially, so the behaviour does not depend on worker scheduling.
-        """
-        executor = self._executor_for(workers)
-        if self.shared_lineage:
-            return run_shared_scheduled(
-                answer.lineage,
-                answer.probabilities,
-                executor,
-                k=k,
-                tau=tau,
-                confidence=confidence,
-                max_steps=max_steps,
-                default_cap=self.dtree_max_steps,
-                max_nodes=self.dtree_cache_size,
-                vectorize=self.vectorize,
-                refine_lanes=self.refine_lanes,
-            )
-        scheduler = ParallelRefinementScheduler(
-            answer.lineage,
-            answer.probabilities,
-            executor,
-            max_steps=self.dtree_max_steps if max_steps is None else max_steps,
-        )
-        outcome = scheduler.run_topk(k) if k is not None else scheduler.run_threshold(tau)
-        finishing_steps = 0
-        if confidence == "exact":
-            if max_steps is None:
-                finishing_steps = finish_exact(
-                    outcome,
-                    executor,
-                    per_tuple_cap=self.dtree_max_steps,
-                    raise_on_budget=True,
-                )
-            else:
-                finishing_steps = finish_exact(
-                    outcome,
-                    executor,
-                    per_tuple_cap=max(0, max_steps - outcome.steps),
-                    raise_on_budget=False,
-                )
-        return outcome, finishing_steps
 
     # -- lazy plans -------------------------------------------------------------------
 
@@ -1595,7 +1332,6 @@ class SproutEngine:
         execution: str,
         confidence: str,
         epsilon: float,
-        workers: int,
     ) -> EvaluationResult:
         """Evaluate via lineage + decomposition trees.
 
@@ -1604,22 +1340,19 @@ class SproutEngine:
         cap is hit first); ``"approx"`` stops at the ``epsilon`` budget and
         records guaranteed bounds in :attr:`EvaluationResult.bounds`.
 
-        In-process with ``shared_lineage`` on (the default engine) the
-        tuples are views over the engine's one shared store
-        (:func:`compute_confidences` is handed ``dtree_cache`` instead of an
-        executor): refinement done here, or by an earlier
+        With ``shared_lineage`` on (the default engine) the tuples are views
+        over the engine's one shared store (:func:`compute_confidences` is
+        handed ``dtree_cache``): refinement done here, or by an earlier
         top-k/threshold/evaluate over the same lineage, is never redone,
         ``refine_steps`` counts this call's expansions only, and an
         approximate bracket is sound and at most ``2 * epsilon`` wide but may
         be *tighter* than a cold run's.  Exact confidences are bit-identical
         to a fresh engine's.
 
-        The ``workers >= 1`` and ``shared_lineage=False`` routes still make
-        each distinct answer tuple an isolated work unit of the parallel
-        confidence executor — a fresh tree per task, which is why those
-        routes return bit-identical results for every ``workers`` setting.
-        All routes derive the Karp–Luby fallback seed from the engine seed
-        and the tuple's lineage.
+        With ``shared_lineage=False`` each distinct answer tuple compiles a
+        fresh, isolated tree, so results do not depend on evaluation
+        history.  Both routes derive the Karp–Luby fallback seed from the
+        engine seed and the tuple's lineage.
         """
         started = perf_counter()
         answer = self._answer_lineage(query, join_order, execution)
@@ -1629,11 +1362,7 @@ class SproutEngine:
         results = compute_confidences(
             answer.lineage,
             answer.probabilities,
-            # In-process shared mode refines views of the engine's one store;
-            # every other route runs isolated per-tuple tasks.
-            self._proven_cache(answer)
-            if workers == 0 and self.shared_lineage
-            else self._executor_for(workers),
+            self._proven_cache(answer) if self.shared_lineage else None,
             epsilon=0.0 if confidence == "exact" else epsilon,
             max_steps=self.dtree_max_steps,
             monte_carlo_samples=(

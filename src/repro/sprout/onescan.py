@@ -604,7 +604,7 @@ def streaming_scan_confidences(
 
 # ---------------------------------------------------------------------------
 # Columnar lineage extraction (the batch pipeline's hand-off to the d-tree
-# and parallel-confidence paths)
+# paths)
 # ---------------------------------------------------------------------------
 
 
@@ -619,9 +619,8 @@ def columnar_lineage(
     stays in column form (one zip across the VAR columns per clause) and the
     result is bit-identical to the row path — the clause *sets* and
     probability floats are the same objects the row extraction would build.
-    Used by the d-tree and parallel-confidence routes under
-    ``execution="batch"``.  Returns ``(data tuple → set of clause frozensets,
-    variable → probability)``.
+    Used by the d-tree routes under ``execution="batch"``.  Returns ``(data
+    tuple → set of clause frozensets, variable → probability)``.
 
     With ``interner`` (a :class:`repro.prob.sharedag.ClauseInterner`) the
     emitted clauses are interned ids-and-objects directly: every recurrence

@@ -44,8 +44,8 @@ structure, so there is nothing to delta-propagate).
 
 Determinism: every delta is a deterministic function of (store state, delta),
 and :meth:`refresh` ranks touched views on frontiers measured at peek time —
-a pure function of the table state then, never of timing or lane count — so the
-decided set, the exact confidences of selected tuples, and the *bounds after
+a pure function of the table state then, never of timing — so the decided
+set, the exact confidences of selected tuples, and the *bounds after
 closing every candidate* end bit-identical to compiling the final state from
 scratch — under either numeric backend, with backend-independent step
 counts.  (Intermediate open-leaf brackets are the one thing history leaves a
@@ -104,14 +104,12 @@ class StandingQuery:
         :class:`repro.errors.ApproximationBudgetError`); an explicit
         ``max_steps`` caps the whole refresh and is reported via
         ``decided=False``, never raised.
-    shared_lineage / cache_nodes / vectorize / refine_lanes
+    shared_lineage / cache_nodes / vectorize
         The substrate knobs, mirroring the engine's: shared mode (default)
         compiles candidates into one private hash-consed store and is what
         makes deltas incremental; ``cache_nodes`` bounds it (node count);
-        ``vectorize`` picks the numeric backend; ``refine_lanes`` fans
-        each refresh's shared refinement rounds across a lane pool owned by
-        the standing query (results are bit-identical whatever the backend
-        or lane count).
+        ``vectorize`` picks the numeric backend (results are bit-identical
+        whatever the backend).
     schema / name / execution
         Result-shaping metadata for the returned
         :class:`~repro.sprout.engine.EvaluationResult`; ``schema`` defaults
@@ -137,7 +135,6 @@ class StandingQuery:
         shared_lineage: bool = True,
         cache_nodes: Optional[int] = DEFAULT_MAX_NODES,
         vectorize: Optional[bool] = None,
-        refine_lanes: int = 0,
         schema: Optional[Schema] = None,
         name: str = "standing",
         execution: str = "row",
@@ -152,10 +149,6 @@ class StandingQuery:
         if confidence not in ("exact", "approx"):
             raise PlanningError(
                 f"unknown confidence mode {confidence!r}; choose from ('exact', 'approx')"
-            )
-        if refine_lanes < 0:
-            raise PlanningError(
-                f"refine_lanes must be non-negative, got {refine_lanes}"
             )
         self.k = k
         self.tau = tau
@@ -172,10 +165,6 @@ class StandingQuery:
             else DTreeCache(max_nodes=cache_nodes)
         )
         self._cache_nodes = cache_nodes
-        self.refine_lanes = refine_lanes
-        #: Lazily created lane pool for shared refreshes; the standing query
-        #: owns it (its store is private), released by :meth:`close`.
-        self._lane_pool = None
         self.probabilities: Dict[int, float] = dict(probabilities)
         self.lineage: Dict[DataTuple, DNF] = {}
         self._candidates: Dict[DataTuple, TupleCandidate] = {}
@@ -204,31 +193,6 @@ class StandingQuery:
     @property
     def _store(self):
         return self._cache.store if self.shared_lineage else None
-
-    def _lane_pool_for_rounds(self):
-        """The standing lane pool, or ``None`` (``refine_lanes=0`` / legacy mode).
-
-        Supervised (:class:`repro.sprout.parallel.SupervisedLanePool`): a
-        broken pool respawns with capped retries, then degrades to inline
-        compute — bit-identical results either way.
-        """
-        if self.refine_lanes < 1 or not self.shared_lineage:
-            return None
-        if self._lane_pool is None:
-            from repro.sprout.parallel import SupervisedLanePool
-
-            self._lane_pool = SupervisedLanePool(self.refine_lanes)
-        return self._lane_pool
-
-    def close(self) -> None:
-        """Release the standing lane pool (idempotent; a no-op without one).
-
-        The pool is recreated lazily if the query refreshes again, so close
-        is safe at any point in the standing query's life.
-        """
-        pool, self._lane_pool = self._lane_pool, None
-        if pool is not None:
-            pool.close()
 
     @property
     def _interner(self):
@@ -408,7 +372,6 @@ class StandingQuery:
             self.max_steps,
             self.default_cap,
             store=self._store,
-            lane_pool=self._lane_pool_for_rounds(),
             deadline=deadline,
         )
         delta_steps = outcome.steps + finishing_steps
@@ -466,7 +429,6 @@ class StandingQuery:
             "default_cap": self.default_cap,
             "shared_lineage": self.shared_lineage,
             "cache_nodes": self._cache_nodes,
-            "refine_lanes": self.refine_lanes,
             "schema": self._schema,
             "name": self.name,
             "execution": self._execution,
@@ -494,6 +456,8 @@ class StandingQuery:
         track against the snapshotted selection, so an unchanged decided
         set reports no transitions across the restart.  Legacy mode falls
         back to the cold constructor (per-tuple trees are not shippable).
+        Keys this version no longer reads, such as the refinement-lane
+        count older snapshots carried, are ignored.
         """
         lineage = {
             tuple(data): dnf_from_canonical(clauses)
@@ -506,7 +470,6 @@ class StandingQuery:
             max_steps=state["max_steps"],
             default_cap=state["default_cap"],
             cache_nodes=state["cache_nodes"],
-            refine_lanes=state["refine_lanes"],
             schema=state["schema"],
             name=state["name"],
             execution=state["execution"],
@@ -527,8 +490,6 @@ class StandingQuery:
         query._execution = common["execution"]
         query._cache = SharedDTreeCache.from_state(state["cache"])
         query._cache_nodes = common["cache_nodes"]
-        query.refine_lanes = common["refine_lanes"]
-        query._lane_pool = None
         query.probabilities = dict(state["probabilities"])
         query.lineage = {}
         query._candidates = {}

@@ -23,9 +23,9 @@ many expansions, both loops terminate without any epsilon — the optional
 ``max_steps`` budget only guards against pathological lineage, reporting
 ``decided=False`` with the best partition so far instead of running away.
 
-This scheduler refines gating tuples on live, in-process trees (and is what
-``SproutEngine(workers=0)`` runs, reusing the engine's lineage cache across
-calls).  It has two refinement modes:
+This scheduler refines gating tuples on live trees (and is what
+:class:`repro.sprout.engine.SproutEngine` runs, reusing the engine's lineage
+cache across calls).  It has two refinement modes:
 
 * **per-tuple** (``store=None``) — the candidates are independent
   :class:`repro.prob.dtree.DTree`\\ s and each grant refines the wider
@@ -38,11 +38,6 @@ calls).  It has two refinement modes:
   (:meth:`repro.prob.sharedag.SharedLineageStore.refine_most_valuable`).
   One logical step can tighten many brackets at once, so decisions take
   measurably fewer steps on overlapping lineage.
-
-Its parallel counterpart,
-:class:`repro.sprout.parallel.ParallelRefinementScheduler`, generalises the
-single gating tuple to a *frontier batch* refined concurrently per round on
-a worker pool; all modes share the same decision rules.
 """
 
 from __future__ import annotations
@@ -160,7 +155,7 @@ class SchedulerOutcome:
 
 
 class RefinementScheduler:
-    """Interleave d-tree refinement across candidate tuples (in-process).
+    """Interleave d-tree refinement across candidate tuples.
 
     Parameters
     ----------
@@ -184,14 +179,6 @@ class RefinementScheduler:
         the shared nodes with the largest bound-width mass summed over the
         gating tuples — and every expansion is counted as one logical step
         no matter how many tuples it tightens.
-    lane_pool
-        Optional data-parallel lane pool (any object with a ``map(fn,
-        items)`` method, e.g. :class:`repro.sprout.parallel.RefinementLanePool`)
-        handed to the store's :meth:`~repro.prob.sharedag.SharedLineageStore.refine_round`.
-        Lanes parallelise only the pure cofactor computation inside a round;
-        the round *schedule* is planned before any lane runs, so outcomes
-        are bit-identical with and without a pool.  Ignored when ``store``
-        is ``None``.
     deadline
         Optional wall-clock :class:`repro.deadline.Deadline`, checked at the
         top of each decision loop and between shared refinement rounds —
@@ -205,7 +192,7 @@ class RefinementScheduler:
     :class:`repro.errors.PlanningError` for invalid ``k``/``tau``.  Ties at
     the decision boundary resolve on the data tuple's ``repr``, so the
     selected set is identical no matter what order the candidates arrived in
-    (row vs. batch pipelines) — and identical to the parallel scheduler's.
+    (row vs. batch pipelines).
     """
 
     def __init__(
@@ -214,7 +201,6 @@ class RefinementScheduler:
         chunk: int = DEFAULT_CHUNK,
         max_steps: Optional[int] = None,
         store: Optional[SharedLineageStore] = None,
-        lane_pool: Optional[object] = None,
         deadline: Optional[Deadline] = None,
     ):
         if chunk < 1:
@@ -225,7 +211,6 @@ class RefinementScheduler:
         self.chunk = chunk
         self.max_steps = max_steps
         self.store = store
-        self.lane_pool = lane_pool
         self.deadline = deadline
         self.steps = 0
         # Rank tiebreak on the data tuple's repr, precomputed once as a
@@ -255,8 +240,7 @@ class RefinementScheduler:
         tuples it gates" — so a clause block recurring under many candidates
         is refined once *for all of them*.  Up to :data:`DEFAULT_SHARED_CHUNK`
         expansions run as one planned round between re-rankings (batched
-        bound propagation, optionally computed on data-parallel lanes):
-        frequent re-checks keep the step count near-minimal without paying
+        bound propagation): frequent re-checks keep the step count near-minimal without paying
         the full ranking pass on every single expansion.  Returns the steps
         performed (0 only when no gating view has an open frontier left).
         """
@@ -273,9 +257,7 @@ class RefinementScheduler:
             # stopping point along the deterministic trajectory.
             if _deadline_expired(self.deadline):
                 break
-            advanced = self.store.refine_round(
-                views, budget - performed, self.lane_pool, self.deadline
-            )
+            advanced = self.store.refine_round(views, budget - performed, self.deadline)
             if advanced == 0:
                 break
             performed += advanced
@@ -406,16 +388,12 @@ def run_decision(
     max_steps: Optional[int],
     default_cap: Optional[int],
     store: Optional[SharedLineageStore] = None,
-    lane_pool: Optional[object] = None,
     deadline: Optional[Deadline] = None,
 ) -> Tuple[SchedulerOutcome, int]:
     """One complete bound-driven decision: schedule, decide, finish exact.
 
-    The single in-process decision routine shared by the serial engine route
-    (``workers=0``) and the shared-parallel worker (which runs it against a
-    store rebuilt from a shipped segment) — factoring it guarantees the two
-    routes are the same code, which is what makes their decided sets,
-    confidences, and step counts bit-identical.
+    The single decision routine shared by the engine's top-k/threshold route
+    and standing-query refreshes (:mod:`repro.sprout.streaming`).
 
     Runs :class:`RefinementScheduler` over ``candidates`` (top-k when ``k``
     is given, threshold otherwise) and, in exact confidence mode, refines
@@ -437,11 +415,6 @@ def run_decision(
     finishes, which keeps interleaved requests over one store (the query
     service) bit-identical to running them serially.
 
-    ``lane_pool`` fans each shared round's cofactor computation across
-    data-parallel lanes (see :class:`RefinementScheduler`); because the
-    round schedule is fixed before any lane runs, the returned outcome is
-    bit-identical for no pool / 1 lane / N lanes.
-
     ``deadline`` bounds the wall-clock spent: checked between rounds in the
     scheduler and between candidates in exact finishing, expiry returns the
     current sound bounds with ``decided=False`` / ``degraded="deadline"``
@@ -451,13 +424,11 @@ def run_decision(
         return SchedulerOutcome(selected=[], candidates=[], decided=True, steps=0), 0
     if store is None:
         return _run_decision_unpinned(
-            candidates, k, tau, confidence, max_steps, default_cap, store,
-            lane_pool, deadline,
+            candidates, k, tau, confidence, max_steps, default_cap, store, deadline
         )
     with store.pinned():
         return _run_decision_unpinned(
-            candidates, k, tau, confidence, max_steps, default_cap, store,
-            lane_pool, deadline,
+            candidates, k, tau, confidence, max_steps, default_cap, store, deadline
         )
 
 
@@ -469,14 +440,12 @@ def _run_decision_unpinned(
     max_steps: Optional[int],
     default_cap: Optional[int],
     store: Optional[SharedLineageStore],
-    lane_pool: Optional[object] = None,
     deadline: Optional[Deadline] = None,
 ) -> Tuple[SchedulerOutcome, int]:
     scheduler = RefinementScheduler(
         candidates,
         max_steps=default_cap if max_steps is None else max_steps,
         store=store,
-        lane_pool=lane_pool,
         deadline=deadline,
     )
     outcome = scheduler.run_topk(k) if k is not None else scheduler.run_threshold(tau)

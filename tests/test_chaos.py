@@ -4,9 +4,9 @@ The battery walks the named seams (``repro.faults.SEAMS``) and proves the
 PR 10 robustness contract for each: an injected failure yields either a
 clean structured error or a correctly *degraded* answer with sound bounds —
 never a hang, never a silently wrong bound — and wherever the answer is not
-degraded it is **bit-identical** to the no-fault run (supervision retries
-exploit the purity of the compute phases, so a respawned pool or an inline
-fallback cannot change a single bit).
+degraded it is **bit-identical** to the no-fault run (the store seam fires
+before a round plans or commits anything, so a retried request cannot
+change a single bit).
 """
 
 import pytest
@@ -26,24 +26,22 @@ def unsafe_query():
     return db, parse_query(SQL, db.catalog).query
 
 
-def topk_payload(db, query, *, refine_lanes=0, workers=0):
-    # shared_lineage pinned: the lane/worker/store seams under test live in
-    # the shared-store path, so the battery must not silently degrade to the
+def topk_payload(db, query):
+    # shared_lineage pinned: the store seam under test lives in the
+    # shared-store path, so the battery must not silently degrade to the
     # legacy per-tuple scheduler on the REPRO_SHARED_LINEAGE=0 CI leg.
-    with SproutEngine(
-        db, workers=workers, refine_lanes=refine_lanes, shared_lineage=True
-    ) as engine:
-        result = engine.evaluate_topk(query, k=2, workers=workers)
+    with SproutEngine(db, shared_lineage=True) as engine:
+        result = engine.evaluate_topk(query, k=2)
         return result_payload(result), engine.cache_stats()
 
 
 class TestFaultPlan:
     def test_parse_grammar(self):
-        plan = FaultPlan.parse("lane_pool.submit:1,3;http.read:2")
+        plan = FaultPlan.parse("store.propagate:1,3;http.read:2")
         with injected(plan):
             with pytest.raises(InjectedFault):
-                fault_point("lane_pool.submit")  # call 1 is scripted
-            fault_point("lane_pool.submit")  # call 2 is not
+                fault_point("store.propagate")  # call 1 is scripted
+            fault_point("store.propagate")  # call 2 is not
             fault_point("http.read")  # call 1 is not
             with pytest.raises(InjectedFault):
                 fault_point("http.read")  # call 2 is scripted
@@ -66,7 +64,7 @@ class TestFaultPlan:
         assert set(FaultPlan.seeded(7).schedule) == set(SEAMS)
 
     def test_malformed_specs_rejected(self):
-        for spec in ("nope:1", "lane_pool.submit", "lane_pool.submit:x", "seed:x"):
+        for spec in ("nope:1", "store.propagate", "store.propagate:x", "seed:x"):
             with pytest.raises(ConfigurationError):
                 FaultPlan.parse(spec)
 
@@ -81,7 +79,7 @@ class TestFaultPlan:
     def test_env_var_activates_a_plan(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "store.propagate:1")
         db, query = unsafe_query()
-        with SproutEngine(db, workers=0, shared_lineage=True) as engine:
+        with SproutEngine(db, shared_lineage=True) as engine:
             with pytest.raises(InjectedFault):
                 engine.evaluate_topk(query, k=2)
 
@@ -91,66 +89,13 @@ class TestFaultPlan:
             fault_point("store.propagate")
 
 
-class TestLanePoolSeam:
-    """lane_pool.submit: respawn is invisible, exhaustion degrades to inline."""
-
-    def test_one_fault_respawns_bit_identically(self):
-        db, query = unsafe_query()
-        clean, _ = topk_payload(db, query, refine_lanes=2)
-        with injected(FaultPlan.parse("lane_pool.submit:1")):
-            faulted, stats = topk_payload(demo_database(), query, refine_lanes=2)
-        assert faulted == clean
-        assert stats["pool_respawns"] == 1
-        assert stats["pool_fallbacks"] == 0
-
-    def test_repeated_faults_fall_back_inline_bit_identically(self):
-        db, query = unsafe_query()
-        clean, _ = topk_payload(db, query, refine_lanes=2)
-        # Scripted to outlive max_respawns: every retry fails too.
-        calls = ",".join(str(n) for n in range(1, 8))
-        with injected(FaultPlan.parse(f"lane_pool.submit:{calls}")):
-            faulted, stats = topk_payload(demo_database(), query, refine_lanes=2)
-        assert faulted == clean
-        assert stats["pool_respawns"] == 2  # the cap
-        assert stats["pool_fallbacks"] >= 1
-
-    def test_lanes_match_serial_under_faults(self):
-        db, query = unsafe_query()
-        serial, _ = topk_payload(db, query, refine_lanes=0)
-        with injected(FaultPlan.parse("lane_pool.submit:1,2,3,4,5")):
-            faulted, _ = topk_payload(demo_database(), query, refine_lanes=2)
-        assert faulted == serial
-
-
-@pytest.mark.slow
-class TestWorkerPoolSeam:
-    """worker_pool.run: the shipped-segment route under a dying pool."""
-
-    def test_one_fault_respawns_bit_identically(self):
-        db, query = unsafe_query()
-        clean, _ = topk_payload(db, query, workers=0)
-        with injected(FaultPlan.parse("worker_pool.run:1")):
-            faulted, stats = topk_payload(demo_database(), query, workers=1)
-        assert faulted == clean
-        assert stats["pool_respawns"] == 1
-
-    def test_exhausted_respawns_degrade_to_serial_bit_identically(self):
-        db, query = unsafe_query()
-        clean, _ = topk_payload(db, query, workers=0)
-        with injected(FaultPlan.parse("worker_pool.run:1,2,3")):
-            faulted, stats = topk_payload(demo_database(), query, workers=1)
-        assert faulted == clean
-        assert stats["pool_respawns"] == 2
-        assert stats["pool_fallbacks"] == 1
-
-
 class TestStorePropagateSeam:
     """store.propagate: fires at round entry, so the store is never torn."""
 
     def test_fault_is_structured_and_store_stays_sound(self):
         db, query = unsafe_query()
         clean, _ = topk_payload(db, query)
-        engine = SproutEngine(demo_database(), workers=0, shared_lineage=True)
+        engine = SproutEngine(demo_database(), shared_lineage=True)
         with injected(FaultPlan.parse("store.propagate:1")):
             with pytest.raises(InjectedFault):
                 engine.evaluate_topk(query, k=2)
@@ -163,7 +108,7 @@ class TestStorePropagateSeam:
     def test_mid_run_fault_leaves_sound_monotone_bounds(self):
         db, query = unsafe_query()
         clean, _ = topk_payload(db, query)
-        engine = SproutEngine(demo_database(), workers=0, shared_lineage=True)
+        engine = SproutEngine(demo_database(), shared_lineage=True)
         with injected(FaultPlan.parse("store.propagate:3")):
             with pytest.raises(InjectedFault):
                 engine.evaluate_topk(query, k=2)
@@ -176,7 +121,7 @@ class TestStorePropagateSeam:
 
     def test_service_keeps_serving_after_a_store_fault(self):
         db = demo_database()
-        engine = SproutEngine(db, workers=0, shared_lineage=True)
+        engine = SproutEngine(db, shared_lineage=True)
         with QueryService(db, engine=engine) as service:
             with injected(FaultPlan.parse("store.propagate:1")):
                 with pytest.raises(InjectedFault):

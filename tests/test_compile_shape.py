@@ -95,12 +95,9 @@ def unsafe_query(projection):
 
 
 def fresh_engine(db, vectorize):
-    """In-process, shared-store engine whatever ``REPRO_WORKERS`` /
-    ``REPRO_SHARED_LINEAGE`` the CI leg sets: the shape lives in the
-    driver-side store.  (``REPRO_LANES`` may vary — lanes are bit-identical.)"""
-    return SproutEngine(
-        db, execution="batch", vectorize=vectorize, workers=0, shared_lineage=True
-    )
+    """Shared-store engine whatever ``REPRO_SHARED_LINEAGE`` the CI leg sets:
+    the shape lives in the engine's store."""
+    return SproutEngine(db, execution="batch", vectorize=vectorize, shared_lineage=True)
 
 
 def _digest(*chunks: bytes) -> str:

@@ -12,6 +12,7 @@ from repro import ProbabilisticDatabase, SproutEngine
 from repro.config import env_flag, env_int
 from repro.errors import ConfigurationError, PlanningError
 from repro.prob.backend import default_vectorize
+from repro.service import QueryService, ServiceConfig
 from repro.storage import Relation, Schema
 
 
@@ -74,10 +75,22 @@ class TestEnvInt:
 
 
 class TestEngineKnobsThroughTheSharedParser:
-    def test_malformed_workers_rejected_at_construction(self, tiny_db, monkeypatch):
+    def test_retired_pool_knobs_are_not_read(self, tiny_db, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "a few")
-        with pytest.raises(ConfigurationError):
-            SproutEngine(tiny_db)
+        monkeypatch.setenv("REPRO_LANES", "many")
+        SproutEngine(tiny_db).close()
+
+    @pytest.mark.parametrize("knob", ("workers", "refine_lanes"))
+    def test_retired_pool_arguments_are_rejected(self, tiny_db, knob):
+        """No compatibility shim swallows the old pool sizes silently."""
+        with pytest.raises(TypeError):
+            SproutEngine(tiny_db, **{knob: 2})
+
+    def test_service_config_has_no_lane_count(self, tiny_db):
+        with pytest.raises(TypeError):
+            ServiceConfig(refine_lanes=2)
+        with QueryService(tiny_db) as service:
+            assert "refine_lanes" not in service.stats()
 
     def test_malformed_dtree_cache_rejected(self, tiny_db, monkeypatch):
         monkeypatch.setenv("REPRO_DTREE_CACHE", "0")
@@ -95,10 +108,8 @@ class TestEngineKnobsThroughTheSharedParser:
             default_vectorize()
 
     def test_well_formed_knobs_still_apply(self, tiny_db, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "0")
         monkeypatch.setenv("REPRO_DTREE_CACHE", "123")
         monkeypatch.setenv("REPRO_SHARED_LINEAGE", "1")
         engine = SproutEngine(tiny_db)
-        assert engine.workers == 0
         assert engine.dtree_cache_size == 123
         assert engine.shared_lineage is True

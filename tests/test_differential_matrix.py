@@ -10,6 +10,8 @@ therefore with every other configuration.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import Atom, ConjunctiveQuery, ProbabilisticDatabase, SproutEngine
 from repro.algebra import Comparison, conjunction_of
@@ -304,48 +306,84 @@ def test_vectorized_axis_is_bit_identical(case, confidence):
 
 @pytest.mark.parametrize("case", sorted(CORPUS))
 @pytest.mark.parametrize("confidence", ["exact", "approx"])
-def test_lane_axis_is_bit_identical(case, confidence):
-    """Multi-lane vs. serial refinement: nothing may move a bit.
+def test_execution_axis_is_bit_identical(case, confidence):
+    """Row vs. batch pipelines on fresh engines: the bounded APIs must agree
+    bit for bit, not just on answer sets.
 
-    The round plan is frozen before any lane runs and commits land in plan
-    order, so data-parallel refinement (``refine_lanes=2``) is — like the
-    vectorize axis above — a throughput choice, never a semantic one.  The
-    deep per-round interleaving coverage lives in ``tests/test_lanes.py``;
-    this leg keeps the lane axis inside the differential matrix so a future
-    axis interaction (lanes × confidence × query shape) cannot regress
-    unnoticed.
+    Both pipelines extract the same lineage, and the scheduler breaks ties on
+    the data tuple's ``repr``, so the refinement trajectory — and with it
+    every bound, step count, answer row and, over the shared store, the raw
+    bound columns — may not depend on the order the pipeline produced the
+    candidates in.  Checked with the shared store on and off.
     """
     build_db, make_query = CORPUS[case]
     truth = _truth(case)
     tau = sorted(truth.values())[len(truth) // 2] if truth else 0.5
-    fingerprints = {}
-    for lanes in (0, 2):
-        engine = SproutEngine(
-            build_db(), epsilon=EPSILON, refine_lanes=lanes, shared_lineage=True
-        )
-        plain = engine.evaluate(make_query(), plan="dtree", confidence=confidence)
-        top = engine.evaluate_topk(
-            make_query(), k=2, plan="dtree", confidence=confidence
-        )
-        threshold = engine.evaluate_threshold(
-            make_query(), tau=tau, plan="dtree", confidence=confidence
-        )
-        fingerprints[lanes] = (
-            sorted(plain.confidences().items()),
-            sorted(plain.bounds.items()),
-            plain.refine_steps,
-            sorted(top.confidences().items()),
-            sorted(top.bounds.items()),
-            top.decided,
-            top.refine_steps,
-            sorted(threshold.confidences().items()),
-            sorted(threshold.bounds.items()),
-            threshold.decided,
-            threshold.refine_steps,
-            engine.dtree_cache.store.table.bounds_fingerprint(),
-        )
-        engine.close()
-    assert fingerprints[2] == fingerprints[0]
+    for shared in (False, True):
+        fingerprints = {}
+        for execution in ("row", "batch"):
+            engine = SproutEngine(build_db(), execution=execution, shared_lineage=shared)
+            top = engine.evaluate_topk(
+                make_query(), k=2, plan="dtree", confidence=confidence
+            )
+            threshold = engine.evaluate_threshold(
+                make_query(), tau=tau, plan="dtree", confidence=confidence
+            )
+            fingerprints[execution] = (
+                list(top.relation.rows),
+                sorted(top.bounds.items()),
+                top.decided,
+                top.refine_steps,
+                list(threshold.relation.rows),
+                sorted(threshold.bounds.items()),
+                threshold.decided,
+                threshold.refine_steps,
+                engine.dtree_cache.store.table.bounds_fingerprint() if shared else None,
+            )
+            engine.close()
+        assert fingerprints["row"] == fingerprints["batch"], f"shared_lineage={shared}"
+
+
+@pytest.mark.parametrize("case", sorted(CORPUS))
+@pytest.mark.parametrize("confidence", ["exact", "approx"])
+@given(data=st.data())
+@settings(max_examples=8, deadline=None)
+def test_any_k_and_tau_decide_the_enumerated_truth(case, confidence, data):
+    """Whatever ``k`` and ``tau`` are asked for, the decided sets are the ones
+    possible-world enumeration justifies, and every bracket holds the truth.
+
+    Top-k: ``min(k, n)`` tuples, none of them less probable than a tuple left
+    out.  Threshold: every tuple clearly above τ is in, every tuple clearly
+    below is out.  Exact mode reports the selected confidences themselves.
+    """
+    build_db, make_query = CORPUS[case]
+    truth = _truth(case)
+    k = data.draw(st.integers(1, len(truth) + 1), label="k")
+    tau = data.draw(st.floats(0.0, 1.0, allow_nan=False), label="tau")
+    engine = SproutEngine(build_db())
+    top = engine.evaluate_topk(make_query(), k=k, plan="dtree", confidence=confidence)
+    threshold = engine.evaluate_threshold(
+        make_query(), tau=tau, plan="dtree", confidence=confidence
+    )
+    assert top.decided and threshold.decided
+    selected = set(top.confidences())
+    assert len(selected) == min(k, len(truth))
+    left_out = set(truth) - selected
+    for data_tuple in selected:
+        for other in left_out:
+            assert truth[data_tuple] >= truth[other] - TOLERANCE
+    chosen = set(threshold.confidences())
+    for data_tuple, expected in truth.items():
+        if expected >= tau + TOLERANCE:
+            assert data_tuple in chosen
+        elif expected < tau - TOLERANCE:
+            assert data_tuple not in chosen
+    for result in (top, threshold):
+        for data_tuple, confidence_value in result.confidences().items():
+            lower, upper = result.bounds[data_tuple]
+            assert lower - TOLERANCE <= truth[data_tuple] <= upper + TOLERANCE
+            if confidence == "exact":
+                assert confidence_value == pytest.approx(truth[data_tuple], abs=TOLERANCE)
 
 
 @pytest.mark.parametrize("case", sorted(CORPUS))

@@ -73,7 +73,7 @@ def run(store, script):
 class TestLazyIndex:
     def test_a_store_that_saw_no_delta_has_no_index(self, tpch_db):
         query = unsafe_query("p_brand")
-        with SproutEngine(tpch_db, workers=0, shared_lineage=True) as engine:
+        with SproutEngine(tpch_db, shared_lineage=True) as engine:
             engine.evaluate_topk(query, k=10)
             engine.evaluate(query, confidence="approx", epsilon=0.01)
             engine.evaluate(query)
@@ -91,7 +91,6 @@ class TestLazyIndex:
             watch.update_probability(variable, 0.5 * watch.probabilities[variable])
             assert watch._store._var_index is not None
             assert store._var_index is None
-            watch.close()
 
     def test_the_first_delta_builds_it_and_builders_keep_it_current(self):
         store = SharedLineageStore()

@@ -18,7 +18,6 @@ import pytest
 
 from repro.deadline import Deadline
 from repro.errors import ServiceConnectionError, ServiceError
-from repro.faults import FaultPlan, injected
 from repro.query.parser import parse_query
 from repro.service import (
     QueryService,
@@ -49,9 +48,9 @@ class TestDeadline:
         db, query = unsafe_query()
         # The oracle is a second engine: an exact evaluate on the same one
         # would leave the store closed, and the top-k nothing to degrade.
-        with SproutEngine(demo_database(), workers=0) as oracle:
+        with SproutEngine(demo_database()) as oracle:
             exact = oracle.evaluate(query).confidences()
-        with SproutEngine(db, workers=0) as engine:
+        with SproutEngine(db) as engine:
             degraded = engine.evaluate_topk(
                 query, k=2, deadline=Deadline.after_ms(0)
             )
@@ -66,9 +65,9 @@ class TestDeadline:
 
     def test_generous_deadline_is_bit_identical_to_none(self):
         db, query = unsafe_query()
-        with SproutEngine(db, workers=0) as engine:
+        with SproutEngine(db) as engine:
             without = result_payload(engine.evaluate_topk(query, k=2))
-        with SproutEngine(demo_database(), workers=0) as engine:
+        with SproutEngine(demo_database()) as engine:
             with_deadline = result_payload(
                 engine.evaluate_topk(query, k=2, deadline=Deadline.after_ms(60_000))
             )
@@ -77,7 +76,7 @@ class TestDeadline:
 
     def test_threshold_and_exact_mode_degrade_too(self):
         db, query = unsafe_query()
-        with SproutEngine(db, workers=0) as engine:
+        with SproutEngine(db) as engine:
             # tau=0.5 partitions this workload from the *initial* bounds, so
             # the decision itself lands in 0 steps — but exact-mode finishing
             # is deadline-cut, and the payload says so.
@@ -96,9 +95,9 @@ class TestDeadline:
         # A later deadline can only shrink brackets: width(t=0) >= width(t=inf),
         # bracket(t=0) contains bracket(t=inf) per tuple.
         db, query = unsafe_query()
-        with SproutEngine(db, workers=0) as engine:
+        with SproutEngine(db) as engine:
             wide = engine.evaluate_topk(query, k=2, deadline=Deadline.after_ms(0))
-        with SproutEngine(demo_database(), workers=0) as engine:
+        with SproutEngine(demo_database()) as engine:
             done = engine.evaluate_topk(query, k=2)
         for data, (lower, upper) in done.bounds.items():
             wide_lower, wide_upper = wide.bounds[data]
@@ -322,7 +321,7 @@ class TestClientRetries:
 
 
 class TestShutdownOrdering:
-    """The shutdown trio: no hangs, no dropped admitted jobs."""
+    """Shutdown: no hangs, no dropped admitted jobs."""
 
     def test_close_during_in_flight_deadline_degraded_requests(self):
         service = QueryService(demo_database()).start()
@@ -338,42 +337,3 @@ class TestShutdownOrdering:
             assert payload["degraded"] == "deadline"
         with pytest.raises(ServiceError):
             service.submit("topk", {"sql": SQL, "k": 2})
-
-    def test_standing_query_close_races_a_delta(self):
-        db, query = unsafe_query()
-        engine = SproutEngine(db, workers=0, refine_lanes=2)
-        watch = engine.watch_topk(query, k=2)
-        variables = sorted(watch.probabilities)
-        failures = []
-
-        def hammer():
-            try:
-                for i in range(20):
-                    watch.update_probability(variables[i % len(variables)], 0.4)
-                    watch.refresh()
-            except Exception as error:  # pragma: no cover - the test's assertion
-                failures.append(error)
-
-        thread = threading.Thread(target=hammer)
-        thread.start()
-        for _ in range(10):
-            watch.close()  # idempotent; races the refresh loop's lane pool
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-        assert not failures
-        watch.refresh()  # still functional after every close
-        watch.close()
-        engine.close()
-
-    def test_engine_close_after_respawned_pool(self):
-        db, query = unsafe_query()
-        # shared_lineage pinned: lane pools (and their supervision) exist only
-        # over the shared store, so this must hold on the
-        # REPRO_SHARED_LINEAGE=0 leg too.
-        engine = SproutEngine(db, workers=0, refine_lanes=2, shared_lineage=True)
-        with injected(FaultPlan.parse("lane_pool.submit:1")):
-            engine.evaluate_topk(query, k=2)
-        assert engine.cache_stats()["pool_respawns"] == 1
-        began = time.monotonic()
-        engine.close()  # the respawned pool joins without hanging
-        assert time.monotonic() - began < 30

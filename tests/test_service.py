@@ -35,7 +35,7 @@ def shared_store_service():
     reports and the ``/stats`` store counters only exist on the shared store.
     """
     database = demo_database()
-    engine = SproutEngine(database, workers=0, shared_lineage=True)
+    engine = SproutEngine(database, shared_lineage=True)
     return QueryService(database, engine=engine)
 
 
@@ -71,7 +71,7 @@ class TestServiceCore:
 
         served = service.execute("evaluate", {"sql": SQL})
         db = demo_database()
-        direct = SproutEngine(db, workers=0).evaluate(parse_query(SQL, db.catalog).query)
+        direct = SproutEngine(db).evaluate(parse_query(SQL, db.catalog).query)
         assert {
             tuple(row[:-1]): row[-1] for row in served["rows"]
         } == direct.confidences()
@@ -390,11 +390,6 @@ class TestDeterminismStress:
     """Interleaved execution must be bit-identical to serial replay."""
 
     CLIENTS = 5
-    #: ServiceConfig for the interleaved ("live") server and the serial
-    #: replay server.  ``None`` means the service default; the multi-lane
-    #: subclass points the live side at a lane pool while replaying serial.
-    LIVE_CONFIG = None
-    REPLAY_CONFIG = None
 
     async def _client_script(self, host, port, index, records):
         """One client's conversation; every response is recorded verbatim."""
@@ -424,9 +419,7 @@ class TestDeterminismStress:
 
     def test_interleaved_matches_serial_replay(self):
         records = []
-        with ServiceServer(
-            QueryService(demo_database(), config=self.LIVE_CONFIG)
-        ) as live:
+        with ServiceServer(QueryService(demo_database())) as live:
 
             async def storm():
                 await asyncio.gather(
@@ -446,9 +439,7 @@ class TestDeterminismStress:
         # Serial replay: the same requests, one at a time, in admission
         # order, against a fresh service over the same database.
         replayed = {}
-        with ServiceServer(
-            QueryService(demo_database(), config=self.REPLAY_CONFIG)
-        ) as replay:
+        with ServiceServer(QueryService(demo_database())) as replay:
             client = ServiceClient(replay.host, replay.port)
             for seq, method, path, body, _payload in sorted(records):
                 replayed[seq] = client.must(method, path, body)
@@ -457,30 +448,3 @@ class TestDeterminismStress:
         # subscription ids, and sequence numbers all round-trip exactly.
         concurrent = {seq: payload for seq, _m, _p, _b, payload in records}
         assert replayed == concurrent
-
-
-class TestMultiLaneDeterminismStress(TestDeterminismStress):
-    """The stress battery again, with the live server refining on lanes.
-
-    The interleaved run executes against a ``refine_lanes=2`` service —
-    concurrent clients *and* data-parallel refinement rounds inside each
-    request — while the serial replay runs on a fully serial
-    ``refine_lanes=0`` service.  Every payload must still round-trip
-    bit-identically: the lane pool may change thread timing, never
-    confidences, bounds, decided sets, step counts, or admission order.
-    """
-
-    CLIENTS = 6
-    LIVE_CONFIG = ServiceConfig(refine_lanes=2)
-    REPLAY_CONFIG = ServiceConfig(refine_lanes=0)
-
-    def test_stats_report_the_lane_count(self):
-        with QueryService(demo_database(), config=self.LIVE_CONFIG) as svc:
-            assert svc.stats()["refine_lanes"] == 2
-        with QueryService(demo_database()) as svc:
-            # config default defers to the engine default (REPRO_LANES).
-            assert svc.stats()["refine_lanes"] == svc.engine.refine_lanes
-
-    def test_config_rejects_negative_lanes(self):
-        with pytest.raises(PlanningError):
-            ServiceConfig(refine_lanes=-1)

@@ -12,8 +12,8 @@ everything; and the per-call per-tuple step cap, the exact-mode
 :class:`ApproximationBudgetError` and the seeded Karp–Luby fallback are the
 per-tuple route's.
 
-Every engine here pins ``shared_lineage=True, workers=0`` so that the CI
-legs that flip those defaults through the environment still run the route.
+Every engine here pins ``shared_lineage=True`` so that the CI leg that flips
+that default through the environment still runs the route.
 """
 
 import random
@@ -32,7 +32,7 @@ EPSILON = 0.01
 
 
 def shared_engine(db, **options):
-    return SproutEngine(db, workers=0, shared_lineage=True, **options)
+    return SproutEngine(db, shared_lineage=True, **options)
 
 
 def widths(result):
@@ -150,7 +150,7 @@ class TestStepCap:
         engine, query = self.capped(seed=seed)
         build_db, _ = CORPUS["unsafe_bool"]
         legacy = SproutEngine(
-            build_db(), workers=0, shared_lineage=False, dtree_max_steps=1, seed=seed
+            build_db(), shared_lineage=False, dtree_max_steps=1, seed=seed
         )
         with engine, legacy:
             result = engine.evaluate(query, confidence="approx", epsilon=EPSILON)

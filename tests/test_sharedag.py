@@ -7,14 +7,17 @@ of overlapping lineages, that (a) interning is idempotent, (b) bounds of
 view performs the refinement, and their upper bounds never rise (lower
 bounds may: see ``test_lower_bound_can_drop_but_stays_sound``), (c) the exact
 probability a view compiles to is bit-identical to the per-tuple
-:class:`repro.prob.dtree.DTree`'s, and (d) views survive cache eviction
-fully functional (eviction only forgets sharing, never correctness).
+:class:`repro.prob.dtree.DTree`'s, (d) views survive cache eviction
+fully functional (eviction only forgets sharing, never correctness), and
+(e) refinement rounds over arbitrary view subsets and widths count every
+view once, however often it is named.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import SproutEngine
 from repro.errors import ProbabilityError
 from repro.prob.dtree import DTree, refine_to_budget
 from repro.prob.formulas import DNF, dnf_probability_enumeration
@@ -25,6 +28,8 @@ from repro.prob.sharedag import (
     SharedLineageStore,
 )
 from repro.sprout import RefinementScheduler, TupleCandidate
+
+from test_differential_matrix import CORPUS, _truth
 
 TOLERANCE = 1e-9
 
@@ -423,3 +428,183 @@ class TestSharedScheduling:
         outcome = RefinementScheduler(candidates, max_steps=0, store=store).run_topk(1)
         assert not outcome.decided
         assert outcome.steps == 0
+
+
+# ---------------------------------------------------------------------------
+# refinement rounds: view subsets, widths, duplicates, identical lineage
+# ---------------------------------------------------------------------------
+
+
+def build_views(members, probabilities):
+    store = SharedLineageStore()
+    views = []
+    for dnf in members:
+        store.add_probabilities(dnf, probabilities)
+        views.append(SharedDTree(store, dnf))
+    return store, views
+
+
+class TestRefinementRounds:
+    """The store primitive under arbitrary round interleavings.
+
+    Two stores are built from the same lineage family.  Each round draws a
+    view subset and a width; one store is handed the subset twice over, the
+    other with every repeat removed.  A view named twice must count once, so
+    the stores must agree *after every round*: advanced count, global step
+    meter, raw bound columns, and each view's bracket and step count.
+    """
+
+    @given(lineage_family(), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_interleaved_rounds_count_each_view_once(self, family, data):
+        members, probabilities = family
+        named_store, named_views = build_views(members, probabilities)
+        once_store, once_views = build_views(members, probabilities)
+        assert (
+            named_store.table.bounds_fingerprint()
+            == once_store.table.bounds_fingerprint()
+        )
+        for _ in range(data.draw(st.integers(1, 8))):
+            chosen = data.draw(
+                st.lists(
+                    st.integers(0, len(members) - 1),
+                    min_size=1,
+                    max_size=2 * len(members),
+                )
+            )
+            width = data.draw(st.integers(1, 4))
+            advanced_named = named_store.refine_round(
+                [named_views[i] for i in chosen + chosen], width
+            )
+            advanced_once = once_store.refine_round(
+                [once_views[i] for i in dict.fromkeys(chosen)], width
+            )
+            assert advanced_named == advanced_once
+            assert named_store.steps == once_store.steps
+            assert named_store.node_count == once_store.node_count
+            assert (
+                named_store.table.bounds_fingerprint()
+                == once_store.table.bounds_fingerprint()
+            )
+        for named_view, once_view in zip(named_views, once_views):
+            assert named_view.bounds() == once_view.bounds()
+            assert named_view.steps == once_view.steps
+
+    @given(lineage_family())
+    @settings(max_examples=15, deadline=None)
+    def test_width1_round_is_the_legacy_primitive(self, family):
+        """refine_most_valuable ≡ refine_round(width=1)."""
+        members, probabilities = family
+
+        def drain(step):
+            store, views = build_views(members, probabilities)
+            while step(store, views):
+                pass
+            return store.steps, store.table.bounds_fingerprint()
+
+        legacy = drain(lambda store, views: store.refine_most_valuable(views))
+        rounds = drain(lambda store, views: store.refine_round(views, 1))
+        assert rounds == legacy
+
+    def test_identical_lineage_candidates_do_not_alias_in_plan_round(self):
+        """Two views over one lineage each absorb every expansion once.
+
+        Distinct views of one root both contribute to the round plan (their
+        scores add up) and each counts the expansion; the same view named
+        twice is processed once, so its step count never runs ahead of the
+        store's.
+        """
+        clauses = [[j, j + 1] for j in range(10)]
+        probabilities = {j: 0.4 for j in range(11)}
+        store, (twin_a, twin_b) = build_views(
+            [DNF(clauses), DNF(clauses)], probabilities
+        )
+        assert twin_a.root == twin_b.root and twin_a is not twin_b
+        assert store.plan_round([twin_a, twin_a], 4) == store.plan_round([twin_a], 4)
+        rounds = 0
+        while store.refine_round([twin_a, twin_b, twin_a, twin_b], 2):
+            rounds += 1
+            assert twin_a.steps == twin_b.steps == store.steps
+            assert twin_a.bounds() == twin_b.bounds()
+        assert rounds > 0
+        assert twin_a.is_exact and twin_b.is_exact
+        assert twin_a.result().probability == exact_value(DNF(clauses), probabilities)
+
+    def test_identical_lineage_candidates_decide_identically(self):
+        """τ=0.7 sits inside the twins' construction bracket (~[0.58, 0.83]),
+        so both must genuinely refine before the threshold decides."""
+        clauses = [[j, j + 1] for j in range(10)]
+        probabilities = {j: 0.4 for j in range(11)}
+        cache = SharedDTreeCache()
+        candidates = [
+            TupleCandidate(data, tree=cache.get(DNF(clauses), probabilities))
+            for data in (("twin_a",), ("twin_b",))
+        ]
+        outcome = RefinementScheduler(
+            candidates, max_steps=64, store=cache.store
+        ).run_threshold(0.7)
+        assert outcome.steps > 0
+        twin_a, twin_b = outcome.candidates
+        assert (twin_a.lower, twin_a.upper) == (twin_b.lower, twin_b.upper)
+
+
+# ---------------------------------------------------------------------------
+# one-shot engine views: first-peek frontier measurement
+# ---------------------------------------------------------------------------
+
+
+def _decision_fingerprint(case, confidence, vectorize):
+    """One fresh engine's complete decision state for ``case``, as plain data:
+    decided sets (via the sorted confidence items), confidences, bounds,
+    per-call step counts, the store's global step meter and its raw
+    IEEE-754 bound columns, which subsume every per-tuple bracket."""
+    build_db, make_query = CORPUS[case]
+    truth = _truth(case)
+    tau = sorted(truth.values())[len(truth) // 2] if truth else 0.5
+    # shared_lineage=True pins the shared store against REPRO_SHARED_LINEAGE=0.
+    engine = SproutEngine(build_db(), vectorize=vectorize, shared_lineage=True)
+    try:
+        top = engine.evaluate_topk(make_query(), k=2, plan="dtree", confidence=confidence)
+        threshold = engine.evaluate_threshold(
+            make_query(), tau=tau, plan="dtree", confidence=confidence
+        )
+        store = engine.dtree_cache.store
+        return (
+            sorted(top.confidences().items()),
+            sorted(top.bounds.items()),
+            top.decided,
+            top.refine_steps,
+            sorted(threshold.confidences().items()),
+            sorted(threshold.bounds.items()),
+            threshold.decided,
+            threshold.refine_steps,
+            store.steps,
+            store.table.bounds_fingerprint(),
+        )
+    finally:
+        engine.close()
+
+
+@pytest.mark.parametrize("vectorize", [False, True], ids=["scalar", "vectorized"])
+@pytest.mark.parametrize("case", sorted(CORPUS))
+@pytest.mark.parametrize("confidence", ["exact", "approx"])
+def test_first_peek_frontier_matches_measuring_at_construction(
+    case, confidence, vectorize, monkeypatch
+):
+    """One-shot engine views: lazy first measurement ≡ eager at construction.
+
+    A view's first frontier is measured at its first peek, possibly against a
+    table other views refined since it was built (the threshold call runs
+    over the store the top-k call refined).  Peeking every view the moment
+    it is constructed is the eager behaviour; step counts and the raw bound
+    columns must not tell the two apart, under either numeric backend.
+    """
+    lazy = _decision_fingerprint(case, confidence, vectorize)
+    init = SharedDTree._init_frontier
+
+    def measure_at_construction(view):
+        init(view)
+        view._peek()
+
+    monkeypatch.setattr(SharedDTree, "_init_frontier", measure_at_construction)
+    assert _decision_fingerprint(case, confidence, vectorize) == lazy

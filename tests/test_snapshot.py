@@ -38,7 +38,7 @@ def shared_service(config):
     REPRO_SHARED_LINEAGE=0 CI leg (which has no exportable warm state).
     """
     db = demo_database()
-    return QueryService(db, config=config, engine=SproutEngine(db, workers=0, shared_lineage=True))
+    return QueryService(db, config=config, engine=SproutEngine(db, shared_lineage=True))
 
 
 class TestSnapshotFormat:

@@ -194,13 +194,13 @@ class TestSortRunCorruption:
 class TestSegmentRoundTrip:
     """`export_segment`/`from_segment` must preserve the delta registries.
 
-    Lane-shipped segments (the shared-parallel route, `SharedRunTask`) carry
-    the whole store across a process boundary; the worker's delta behaviour
-    is the driver's only if the PR 7 registries — `_const_vars`,
-    `_leaf_dnf`, `_branch_var` — survive byte-for-byte, not just up to
-    semantic equivalence.  The variable→rows index is not among them: every
-    store replays it from those three at its first delta, so a segment does
-    not carry one and a rebuilt store has none until it is asked.
+    Snapshotted segments carry the whole store across a process boundary;
+    the restored store's delta behaviour is the exporter's only if the PR 7
+    registries — `_const_vars`, `_leaf_dnf`, `_branch_var` — survive
+    byte-for-byte, not just up to semantic equivalence.  The variable→rows
+    index is not among them: every store replays it from those three at its
+    first delta, so a segment does not carry one and a rebuilt store has none
+    until it is asked.
     """
 
     def _warm_store(self):

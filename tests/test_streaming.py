@@ -14,6 +14,7 @@ cover the ``watch_topk`` / ``watch_threshold`` entry points and the
 ``delta_steps`` field on one-shot results.
 """
 
+import pickle
 import random
 
 import pytest
@@ -28,6 +29,8 @@ from repro.prob.formulas import DNF
 from repro.prob.sharedag import SharedDTree, SharedLineageStore
 from repro.sprout.streaming import StandingQuery
 from repro.storage import Relation, Schema
+
+from test_differential_matrix import CORPUS
 
 # ---------------------------------------------------------------------------
 # strategies: lineage families plus delta scripts against them
@@ -266,6 +269,62 @@ def standing(members, probabilities, **kwargs) -> StandingQuery:
     return StandingQuery(lineage, probabilities, **kwargs)
 
 
+class TestStateCompatibility:
+    @pytest.mark.parametrize("shared", (True, False), ids=("shared", "legacy"))
+    def test_a_state_carrying_the_old_lane_count_restores_warm(self, shared):
+        """States written before the lane pools were removed carry
+        ``"refine_lanes"``; new states omit it and restoring ignores it."""
+        members = [
+            DNF([[i, i + 1] for i in range(0, 6)]),
+            DNF([[i, i + 1] for i in range(3, 9)]),
+            DNF([[i, i + 1] for i in range(6, 11)]),
+        ]
+        probabilities = {v: 0.35 + 0.05 * (v % 5) for v in range(12)}
+        query = standing(members, probabilities, k=2, shared_lineage=shared)
+        state = query.export_state()
+        assert "refine_lanes" not in state
+        state["refine_lanes"] = 2
+        restored = StandingQuery.from_state(pickle.loads(pickle.dumps(state)))
+        result = restored.refresh()
+        assert restored.decided
+        assert restored.selected == query.selected
+        assert result.confidences() == query.result.confidences()
+        assert result.delta_steps <= 1
+
+    @pytest.mark.parametrize("shared", (True, False), ids=("shared", "legacy"))
+    @pytest.mark.parametrize("confidence", ("exact", "approx"))
+    @pytest.mark.parametrize("case", sorted(CORPUS))
+    def test_a_restored_state_continues_the_delta_stream(self, case, confidence, shared):
+        """Export mid-stream, restore, feed both the same deltas: every later
+        refresh agrees with the live query on the answer, its cost and every
+        bound — a restart is invisible to the stream's consumers."""
+        build_db, make_query = CORPUS[case]
+        engine = SproutEngine(build_db(), shared_lineage=shared)
+        live = engine.watch_topk(make_query(), k=2, confidence=confidence)
+        variables = sorted(live.probabilities)
+        live.update_probability(variables[0], 0.9)
+        live.refresh()
+        restored = StandingQuery.from_state(pickle.loads(pickle.dumps(live.export_state())))
+        assert restored.selected == live.selected
+        assert restored.decided == live.decided
+        assert restored.result.confidences() == live.result.confidences()
+        for variable, probability in (
+            (variables[-1], 0.05),
+            (variables[len(variables) // 2], 0.7),
+            (variables[0], 0.3),
+        ):
+            live.update_probability(variable, probability)
+            restored.update_probability(variable, probability)
+            live_result = live.refresh()
+            restored_result = restored.refresh()
+            assert restored.selected == live.selected
+            assert restored.decided == live.decided
+            assert restored.delta_steps == live.delta_steps
+            assert restored_result.bounds == live_result.bounds
+            assert restored_result.confidences() == live_result.confidences()
+        engine.close()
+
+
 class TestStandingQueryValidation:
     def test_needs_exactly_one_goal(self):
         with pytest.raises(PlanningError):
@@ -469,34 +528,31 @@ def refresh_state(query: StandingQuery):
 
 
 class TestLazyFrontier:
-    @pytest.mark.parametrize("lanes", (0, 2))
+    @pytest.mark.parametrize("vectorize", (False, True), ids=("scalar", "vectorized"))
     @pytest.mark.parametrize("confidence", ("exact", "approx"))
     @pytest.mark.parametrize("goal", ("topk", "threshold"))
     @given(delta_script(), st.floats(0.1, 0.9))
     @settings(max_examples=15, deadline=None)
     def test_deferred_measurement_equals_eager_rebuild(
-        self, goal, confidence, lanes, script, tau
+        self, goal, confidence, vectorize, script, tau
     ):
         """Same script, one twin measuring every marked view right away:
-        every refresh must agree on the answer, its cost, and every bound."""
+        every refresh must agree on the answer, its cost, and every bound,
+        under either numeric backend."""
         members, probabilities, ops = script
-        options = {"confidence": confidence, "refine_lanes": lanes}
+        options = {"confidence": confidence, "vectorize": vectorize}
         options.update({"k": min(2, len(members))} if goal == "topk" else {"tau": tau})
         lazy = standing(members, probabilities, **options)
         eager = standing(members, probabilities, **options)
-        try:
-            inserted = 0
-            for op in list(ops) + [("refresh",)]:
-                measure_marked_views(eager)
-                if op[0] == "refresh":
-                    assert refresh_state(lazy) == refresh_state(eager)
-                    continue
-                apply_delta(lazy, op, inserted)
-                apply_delta(eager, op, inserted)
-                inserted += op[0] == "insert"
-        finally:
-            lazy.close()
-            eager.close()
+        inserted = 0
+        for op in list(ops) + [("refresh",)]:
+            measure_marked_views(eager)
+            if op[0] == "refresh":
+                assert refresh_state(lazy) == refresh_state(eager)
+                continue
+            apply_delta(lazy, op, inserted)
+            apply_delta(eager, op, inserted)
+            inserted += op[0] == "insert"
 
     def test_first_peek_of_a_stale_view_equals_a_fresh_views(self):
         # One dominant tuple decides the top-1 at once; two dense lineages
@@ -588,6 +644,27 @@ def chain_db():
 
 
 class TestEngineWatch:
+    def test_delta_stream_is_bit_identical_across_engines(self, chain_db):
+        """Two engines' standing queries fed one delta stream: every refresh
+        agrees on the answer, its cost and every bound, bit for bit."""
+        first = SproutEngine(chain_db, shared_lineage=True).watch_topk(chain_query(), k=2)
+        second = SproutEngine(chain_db, shared_lineage=True).watch_topk(chain_query(), k=2)
+        for variable, probability in ((0, 0.9), (5, 0.05), (3, 0.6)):
+            first.update_probability(variable, probability)
+            second.update_probability(variable, probability)
+            first_result = first.refresh()
+            second_result = second.refresh()
+            assert second.selected == first.selected
+            assert second.decided == first.decided
+            assert second.total_steps == first.total_steps
+            assert second.delta_steps == first.delta_steps
+            assert second_result.bounds == first_result.bounds
+            assert second_result.confidences() == first_result.confidences()
+            assert (
+                second._store.table.bounds_fingerprint()
+                == first._store.table.bounds_fingerprint()
+            )
+
     def test_watch_topk_matches_one_shot(self, chain_db):
         engine = SproutEngine(chain_db)
         query = chain_query()

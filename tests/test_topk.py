@@ -14,9 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Atom, ConjunctiveQuery, PlanningError, ProbabilisticDatabase, SproutEngine
+from repro.errors import ProbabilityError
 from repro.prob import DTree, confidences_by_enumeration
+from repro.prob.dtree import canonical_clauses
 from repro.prob.formulas import DNF
 from repro.sprout import RefinementScheduler, TupleCandidate, evaluate_deterministic
+from repro.sprout.parallel import compute_confidences, derive_task_seed
 from repro.storage import Relation, Schema
 
 TOLERANCE = 1e-9
@@ -257,10 +260,7 @@ class TestEngineTopK:
         assert result.refine_steps == 0
 
     def test_shared_cache_reuses_refinement(self, chain_db):
-        # The shared d-tree cache is an in-process feature: pin workers=0 so
-        # the test keeps exercising it under the REPRO_WORKERS CI leg (the
-        # parallel scheduler trades this cross-call reuse for determinism).
-        engine = SproutEngine(chain_db, workers=0)
+        engine = SproutEngine(chain_db)
         first = engine.evaluate_topk(chain_query(), k=2)
         assert engine.dtree_cache.misses > 0
         hits_before = engine.dtree_cache.hits
@@ -285,12 +285,36 @@ class TestEngineTopK:
     def test_epsilon_must_be_finite_and_non_negative(self, chain_db, epsilon):
         with pytest.raises(PlanningError, match="epsilon"):
             SproutEngine(chain_db, epsilon=epsilon)
-        with SproutEngine(chain_db, workers=0, shared_lineage=True) as engine:
+        with SproutEngine(chain_db, shared_lineage=True) as engine:
             with pytest.raises(PlanningError, match="epsilon"):
                 engine.evaluate(chain_query(), confidence="approx", epsilon=epsilon)
             # Rejected before any lineage was looked at, let alone refined.
             assert engine.cache_stats()["answer_misses"] == 0
             assert engine.dtree_cache.store.steps == 0
+
+
+class TestSeedDerivation:
+    """The Karp–Luby fallback's per-tuple seed (shared by every route)."""
+
+    def test_stable_and_distinct(self):
+        clauses_a = canonical_clauses(DNF([[1, 2], [3]]))
+        clauses_b = canonical_clauses(DNF([[1, 2], [4]]))
+        assert derive_task_seed(7, clauses_a) == derive_task_seed(7, clauses_a)
+        assert derive_task_seed(7, clauses_a) != derive_task_seed(7, clauses_b)
+        assert derive_task_seed(7, clauses_a) != derive_task_seed(8, clauses_a)
+        assert derive_task_seed(None, clauses_a) is None
+
+    def test_canonical_form_is_order_independent(self):
+        assert canonical_clauses(DNF([[2, 1], [3]])) == canonical_clauses(
+            DNF([[3], [1, 2]])
+        )
+
+
+def test_missing_probability_is_a_probability_error_on_the_per_tuple_route():
+    """``shared_lineage=False`` evaluation restricts each tuple's marginals
+    to its own variables; a variable without one is a structured error."""
+    with pytest.raises(ProbabilityError):
+        compute_confidences({(1,): DNF([[0, 1]])}, {0: 0.5}, None)
 
 
 @st.composite

@@ -1,14 +1,14 @@
 #!/usr/bin/env python3
 """Consolidated benchmark reports: run an SF 0.001 suite, emit one JSON.
 
-Five suites, each pinned to scale factor 0.001 with one round per benchmark
+Four suites, each pinned to scale factor 0.001 with one round per benchmark
 (the asserted quantities are deterministic step counts, not timings):
 
 * ``core`` (default) — the refinement-core, shared-lineage, and top-k
   pruning benchmarks, consolidated into ``BENCH_refinement_core.json``:
   the vectorized-vs-scalar bound-propagation sweep ratio of the columnar
   node table, and the logical steps to decide the unsafe TPC-H brand
-  top-10 under the shared-DAG scheduler vs. the per-tuple schedulers.
+  top-10 under the shared-DAG scheduler vs. the per-tuple scheduler.
 * ``streaming`` — the delta re-decide benchmarks
   (``benchmarks/bench_streaming.py``), consolidated into
   ``BENCH_streaming.json``: the warm-vs-cold step contrast of a standing
@@ -20,12 +20,6 @@ Five suites, each pinned to scale factor 0.001 with one round per benchmark
   HTTP stack — a repeated top-10 request re-decides within one logical
   step, concurrent clients share one store, and a served standing query
   absorbs deltas warm.
-* ``lanes`` — the data-parallel refinement-lane benchmarks
-  (``benchmarks/bench_lanes.py``), consolidated into ``BENCH_lanes.json``:
-  lanes 0/1/4 decide the brand top-10 and τ-partition bit-identically
-  (asserted on every run), per-lane wall times are tracked, and the round
-  planner's frontier batching is pinned (fewer propagation passes at
-  width 4, same logical steps).
 * ``robustness`` — the deadline-degradation benchmarks
   (``benchmarks/bench_robustness.py``), consolidated into
   ``BENCH_robustness.json``: a generous deadline decides the brand top-10
@@ -39,7 +33,7 @@ perf trajectory tracks.  CI uploads both files as artifacts on every push
 (``smoke-benchmark`` job), seeding a comparable series of step counts and
 wall times across commits.  Run locally from the repository root:
 
-    python tools/bench_report.py [--suite core|streaming|service|lanes|robustness] [output.json]
+    python tools/bench_report.py [--suite core|streaming|service|robustness] [output.json]
 
 The report fails loudly: a missing raw-result file, a benchmark that did
 not run, or an ``extra_info`` counter that a benchmark stopped recording
@@ -160,13 +154,8 @@ def wall_clock_summary(summary: dict, raw: dict, benchmarks: list) -> dict:
 
 def consolidate_core(raw_json: Path) -> dict:
     raw, benchmarks, extra = collect(raw_json)
-    shared_steps = extra("test_topk_shared_vs_per_tuple_schedulers", "shared_steps")
-    per_tuple_steps = extra(
-        "test_topk_shared_vs_per_tuple_schedulers", "per_tuple_scheduler_steps"
-    )
-    legacy_steps = extra(
-        "test_topk_shared_vs_per_tuple_schedulers", "legacy_serial_steps"
-    )
+    shared_steps = extra("test_topk_shared_vs_per_tuple_scheduler", "shared_steps")
+    legacy_steps = extra("test_topk_shared_vs_per_tuple_scheduler", "legacy_serial_steps")
     summary = {
         "workload": "unsafe TPC-H brand top-10, SF 0.001",
         "refinement_core": {
@@ -185,16 +174,11 @@ def consolidate_core(raw_json: Path) -> dict:
             "backends_bit_identical": extra(
                 "test_backends_bit_identical_end_to_end", "backends_identical"
             ),
-            "shared_parallel_bit_identical": extra(
-                "test_shared_parallel_matches_serial_step_counts", "parallel_identical"
-            ),
         },
         "topk_decision_steps": {
             "shared_dag": shared_steps,
-            "per_tuple_scheduler": per_tuple_steps,
             "legacy_serial": legacy_steps,
         },
-        "speedup_vs_per_tuple_scheduler": per_tuple_steps / max(1, shared_steps),
         "speedup_vs_legacy_serial": legacy_steps / max(1, shared_steps),
         "canonical_cache_speedup": extra(
             "test_canonical_clause_caching", "cache_speedup"
@@ -252,40 +236,6 @@ def consolidate_service(raw_json: Path) -> dict:
     return {"summary": summary, "benchmarks": benchmarks}
 
 
-def consolidate_lanes(raw_json: Path) -> dict:
-    raw, benchmarks, extra = collect(raw_json)
-    summary = {
-        "workload": "unsafe TPC-H brand decisions across refinement lanes, SF 0.001",
-        "lane_axis": extra("test_topk_lane_axis", "lane_axis"),
-        "topk": {
-            "refine_steps": extra("test_topk_lane_axis", "refine_steps"),
-            "store_steps": extra("test_topk_lane_axis", "store_steps"),
-            "seconds_by_lanes": extra("test_topk_lane_axis", "seconds_by_lanes"),
-            "speedup_lanes4": extra("test_topk_lane_axis", "speedup_lanes4"),
-        },
-        "threshold": {
-            "refine_steps": extra("test_threshold_lane_axis", "refine_steps"),
-            "store_steps": extra("test_threshold_lane_axis", "store_steps"),
-            "seconds_by_lanes": extra("test_threshold_lane_axis", "seconds_by_lanes"),
-            "speedup_lanes4": extra("test_threshold_lane_axis", "speedup_lanes4"),
-        },
-        "round_batching": {
-            "serial_rounds": extra("test_round_width_batches_the_frontier", "serial_rounds"),
-            "batched_rounds": extra(
-                "test_round_width_batches_the_frontier", "batched_rounds"
-            ),
-            "steps": extra("test_round_width_batches_the_frontier", "steps"),
-        },
-        "cores": extra("test_topk_lane_axis", "cores"),
-        "speedup_asserted": extra("test_topk_lane_axis", "speedup_asserted"),
-        # The contract the benchmarks assert unconditionally: lanes 0/1/4
-        # are bit-identical; reaching this summary means the gate held.
-        "lanes_bit_identical": True,
-    }
-    wall_clock_summary(summary, raw, benchmarks)
-    return {"summary": summary, "benchmarks": benchmarks}
-
-
 def consolidate_robustness(raw_json: Path) -> dict:
     raw, benchmarks, extra = collect(raw_json)
     generous = "test_generous_deadline_is_free_and_bit_identical"
@@ -320,7 +270,6 @@ def print_core(summary: dict, output: Path) -> None:
     print(
         f"bench report OK: sweep speedup={core['vector_speedup']:.2f}x "
         f"({core['backend']} backend), shared={steps['shared_dag']} steps, "
-        f"per-tuple scheduler={steps['per_tuple_scheduler']}, "
         f"legacy serial={steps['legacy_serial']} -> {output}"
     )
 
@@ -342,16 +291,6 @@ def print_service(summary: dict, output: Path) -> None:
         f"cold request={steps['cold_request']} over HTTP, "
         f"warm storm={steps['warm_storm']} "
         f"({summary['concurrent_clients']} clients) -> {output}"
-    )
-
-
-def print_lanes(summary: dict, output: Path) -> None:
-    batching = summary["round_batching"]
-    print(
-        f"bench report OK: lanes {summary['lane_axis']} bit-identical, "
-        f"topk={summary['topk']['refine_steps']} steps, "
-        f"rounds {batching['serial_rounds']}->{batching['batched_rounds']} "
-        f"at width 4 ({summary['cores']} cores) -> {output}"
     )
 
 
@@ -388,12 +327,6 @@ SUITES = {
         "output": "BENCH_service.json",
         "consolidate": consolidate_service,
         "print": print_service,
-    },
-    "lanes": {
-        "benchmarks": ["benchmarks/bench_lanes.py"],
-        "output": "BENCH_lanes.json",
-        "consolidate": consolidate_lanes,
-        "print": print_lanes,
     },
     "robustness": {
         "benchmarks": ["benchmarks/bench_robustness.py"],
