@@ -3,7 +3,7 @@
 The service multiplexes every client over ONE engine and ONE shared-lineage
 store, so refinement work done for any request is standing capital for all
 later ones.  This benchmark drives the *full* stack — asyncio HTTP server,
-JSON round trip, admission queue, refinement lane — on the unsafe TPC-H
+JSON round trip, execution on the event-loop thread — on the unsafe TPC-H
 brand top-10 of ``bench_shared_lineage.py`` at pinned SF 0.001, and asserts
 the acceptance contract:
 

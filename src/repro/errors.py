@@ -89,9 +89,10 @@ class ServiceError(ReproError):
 
 
 class ServiceOverloadedError(ServiceError):
-    """Raised when admission control rejects a request because the bounded
-    refinement queue is full.  The HTTP layer maps it to ``429`` — the
-    client should retry after the in-flight work drains."""
+    """Raised by :class:`repro.service.ServiceClient` when a server answers
+    ``429 Too Many Requests`` and the client's retry budget is spent.  The
+    bundled server executes each request as it reads it and never sends
+    429; a proxy or another HTTP server in front of it may."""
 
 
 class ServiceConnectionError(ServiceError):

@@ -72,9 +72,9 @@ class FaultPlan:
     """A deterministic schedule of injected failures, keyed by seam.
 
     ``schedule`` maps a seam name to the *1-based* call numbers that must
-    raise.  Call counting is per-plan and thread-safe: the service handles
-    requests on one lane thread but reads connections on the asyncio thread,
-    and both may consult the same plan.
+    raise.  Call counting is per-plan and thread-safe: a served request runs
+    on its event-loop thread, but an in-process caller may drive the same
+    plan from threads of its own.
     """
 
     def __init__(self, schedule: Dict[str, FrozenSet[int]]):

@@ -3,17 +3,17 @@
 The library so far is single-caller: one thread owns the engine, the shared
 :class:`~repro.prob.sharedag.SharedLineageStore`, and the d-tree cache.
 This package turns that warm state into a *served* resource — an asyncio
-HTTP/JSON front end (:mod:`repro.service.http`) multiplexing concurrent
-``evaluate`` / ``topk`` / ``threshold`` requests and standing-query
-subscriptions over **one** engine (:mod:`repro.service.core`), so every
+HTTP/JSON front end (:mod:`repro.service.http`) serving ``evaluate`` /
+``topk`` / ``threshold`` requests and standing-query subscriptions from
+many clients over **one** engine (:mod:`repro.service.core`), so every
 client benefits from every other client's refinement work.
 
-The design splits concurrency from computation: transports admit requests
-concurrently under bounded admission control (queue full ⇒ HTTP 429), and a
-single refinement lane executes them in admission order against the shared
-store — which is exactly why the service is deterministic: an interleaved
-request sequence produces bit-identical decided sets, bounds, and step
-counts to a serial replay in admission order.  See ``docs/service.md``.
+One thread serves: the event loop reads a request and executes it on the
+spot against the shared store, one request at a time, each tagged with the
+next sequence number ``seq`` — which is exactly why the service is
+deterministic: an interleaved request sequence produces bit-identical
+decided sets, bounds, and step counts to a serial replay in ``seq`` order.
+See ``docs/service.md``.
 
 Run one with ``python -m repro.service`` (see :mod:`repro.service.__main__`)
 or embed :class:`QueryService` / :class:`ServiceServer` directly.

@@ -14,7 +14,8 @@ are built in:
 The process prints ``SERVICE READY <host> <port>`` on stdout once the
 socket is bound — tools (``tools/service_smoke.py``, CI's service-smoke
 job) wait for that line before connecting.  SIGINT and SIGTERM both shut it
-down gracefully: the refinement lane drains and ``--snapshot`` is written.  Try::
+down gracefully: the request executing finishes, then ``--snapshot`` is
+written.  Try::
 
     python -m repro.service --port 8080 &
     curl -s localhost:8080/healthz
@@ -100,12 +101,6 @@ def main(argv=None) -> int:
         "--scale", type=float, default=0.001, help="TPC-H scale factor (default %(default)s)"
     )
     parser.add_argument(
-        "--max-pending",
-        type=int,
-        default=32,
-        help="admission-queue depth before requests get 429 (default %(default)s)",
-    )
-    parser.add_argument(
         "--max-steps-ceiling",
         type=int,
         default=None,
@@ -138,7 +133,6 @@ def main(argv=None) -> int:
     service = QueryService(
         database,
         config=ServiceConfig(
-            max_pending=args.max_pending,
             max_steps_ceiling=args.max_steps_ceiling,
             default_timeout_ms=args.timeout_ms,
             snapshot_path=args.snapshot,
@@ -150,7 +144,7 @@ def main(argv=None) -> int:
         server = await serve(service, host=args.host, port=args.port)
         # SIGTERM, what process managers send, stops serving the way SIGINT
         # does: the main task is cancelled, and ``service.close()`` below
-        # drains the lane and writes the snapshot.
+        # writes the snapshot.
         asyncio.get_running_loop().add_signal_handler(
             signal.SIGTERM, asyncio.current_task().cancel
         )

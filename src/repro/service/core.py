@@ -1,35 +1,32 @@
-"""The query service core: one engine, one shared store, one refinement lane.
+"""The query service core: one engine, one shared store, one thread.
 
-:class:`QueryService` multiplexes concurrent ``evaluate`` / ``topk`` /
-``threshold`` requests and standing-query subscriptions over **one** shared
+:class:`QueryService` serves ``evaluate`` / ``topk`` / ``threshold``
+requests and standing-query subscriptions over **one** shared
 :class:`repro.sprout.engine.SproutEngine` — and therefore one
 :class:`repro.prob.sharedag.ClauseInterner` and one
 :class:`repro.prob.sharedag.SharedLineageStore`.  That sharing is the whole
-point: PR 5/7 showed warm-store repeats deciding in 0–1 logical steps, and
-the service is what makes the warm state reachable from many clients at once
-instead of being locked inside a single-threaded library.
+point: warm-store repeats decide in 0–1 logical steps, and the service is
+what makes the warm state reachable from many clients at once instead of
+being locked inside a single-threaded library.
 
-Concurrency model — **admission is concurrent, refinement is serial**:
+Concurrency model — **one request at a time, on the caller's thread**:
+:meth:`QueryService.execute` is the only execution path.  Under one lock it
+checks the request kind, assigns the next *sequence number* (``seq``) and
+runs the request to completion against the shared engine.  The HTTP layer
+(:mod:`repro.service.http`) calls it on its event-loop thread right after
+reading a request, so a server is one thread and nothing queues inside it:
+under the GIL a hand-off to a worker thread would buy no parallelism, only
+a second thread switch per request.  The store's lock/epoch discipline
+(:meth:`repro.prob.sharedag.SharedLineageStore.pinned`) additionally keeps
+every mutation serialised and defers node-budget epoch resets to request
+boundaries.
 
-* any number of transport threads/coroutines call :meth:`submit`
-  concurrently; each successful submit assigns the request the next
-  *admission sequence number* (``seq``) and enqueues it on a **bounded**
-  FIFO queue (admission control: a full queue rejects the request with
-  :class:`repro.errors.ServiceOverloadedError`, HTTP 429, instead of
-  letting refinement work pile up without bound);
-* one dedicated refinement lane (a worker thread) drains the queue in
-  admission order and runs each request to completion against the shared
-  engine.  The store's lock/epoch discipline
-  (:meth:`repro.prob.sharedag.SharedLineageStore.pinned`) additionally
-  keeps every mutation serialised and defers node-budget epoch resets to
-  request boundaries.
-
-This is what makes the **determinism contract** hold: the decided sets,
-confidences, bounds, and step counts of an interleaved request sequence are
-bit-identical to executing the same requests serially in admission order —
-concurrency changes *when* a request runs, never what it computes.  (A
-response's ``seq`` field is the replay order; ``tests/test_service.py``
-proves the contract with N interleaved asyncio clients.)
+This is what makes the **determinism contract** hold: ``seq`` order is
+execution order, so the decided sets, confidences, bounds, and step counts
+of an interleaved request sequence are bit-identical to executing the same
+requests serially in ``seq`` order — concurrency changes *when* a request
+runs, never what it computes.  (``tests/test_service.py`` proves the
+contract with N interleaved asyncio clients.)
 
 Per-request budgets ride each request: ``epsilon`` for approximate
 evaluation, ``max_steps`` for top-k/threshold/subscription refinement,
@@ -43,20 +40,13 @@ from __future__ import annotations
 
 import math
 import os
-import queue
 import threading
 import warnings
-from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 from repro.deadline import Deadline
-from repro.errors import (
-    PlanningError,
-    ServiceError,
-    ServiceOverloadedError,
-    SnapshotError,
-)
+from repro.errors import PlanningError, ServiceError, SnapshotError
 from repro.prob.pdb import ProbabilisticDatabase
 from repro.prob.sharedag import SharedDTreeCache
 from repro.query.conjunctive import ConjunctiveQuery
@@ -72,10 +62,6 @@ __all__ = ["QueryService", "ServiceConfig", "result_payload"]
 class ServiceConfig:
     """Server-wide knobs of one :class:`QueryService`.
 
-    ``max_pending`` bounds the admission queue — the refinement work a
-    client can park on the server — and is the admission-control knob: a
-    submit against a full queue raises
-    :class:`repro.errors.ServiceOverloadedError` (HTTP 429) immediately.
     ``max_steps_ceiling`` clamps the per-request ``max_steps`` budget (a
     request asking for more is rejected with a 400); ``default_max_steps``
     applies when a request names no budget at all (``None`` keeps the
@@ -87,19 +73,20 @@ class ServiceConfig:
     that names no ``timeout_ms`` of its own: an expired request stops
     refining at the next round boundary and returns HTTP 200 with
     ``decided: false``, ``degraded: "deadline"``, and the current sound
-    bounds — anytime degradation instead of hogging the lane (``None``
+    bounds — anytime degradation instead of hogging the server (``None``
     disables the default; a request-level ``timeout_ms`` always wins).
 
     ``snapshot_path``/``snapshot_every`` enable crash recovery: the warm
     engine cache and every standing subscription are written atomically to
     ``snapshot_path`` every ``snapshot_every`` completed requests (counted,
-    not timed — deterministic) and once more at :meth:`QueryService.close`;
+    not timed — deterministic; written before :meth:`QueryService.execute`
+    returns, so a client holding its answer holds that checkpoint too) and
+    once more at :meth:`QueryService.close`;
     a snapshot found at boot is restored, so a killed-and-restarted server
     re-decides warm queries in ≤1 step.  A truncated or corrupt snapshot
     logs a structured warning and boots cold — never crashes.
     """
 
-    max_pending: int = 32
     max_steps_ceiling: Optional[int] = None
     default_max_steps: Optional[int] = None
     default_timeout_ms: Optional[float] = None
@@ -107,10 +94,6 @@ class ServiceConfig:
     snapshot_every: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.max_pending < 1:
-            raise PlanningError(
-                f"max_pending must be positive, got {self.max_pending}"
-            )
         if self.max_steps_ceiling is not None and self.max_steps_ceiling < 0:
             raise PlanningError(
                 f"max_steps_ceiling must be non-negative, got {self.max_steps_ceiling}"
@@ -162,18 +145,6 @@ def result_payload(result: EvaluationResult) -> Dict[str, Any]:
     return payload
 
 
-class _Job:
-    """One admitted request: kind, params, and the future its client awaits."""
-
-    __slots__ = ("seq", "kind", "params", "future")
-
-    def __init__(self, seq: int, kind: str, params: Dict[str, Any]):
-        self.seq = seq
-        self.kind = kind
-        self.params = params
-        self.future: "Future[Dict[str, Any]]" = Future()
-
-
 class QueryService:
     """Multiplex evaluate/topk/threshold/subscription requests over one engine.
 
@@ -183,7 +154,7 @@ class QueryService:
         The tuple-independent probabilistic database the service answers
         queries against.
     config
-        The :class:`ServiceConfig` (admission depth, budget ceiling).
+        The :class:`ServiceConfig` (budgets, deadlines, snapshots).
     engine
         Optionally a pre-built :class:`~repro.sprout.engine.SproutEngine`.
         By default the service builds one with the engine's default
@@ -191,14 +162,14 @@ class QueryService:
         engine's own ``shared_lineage``/``vectorize`` env-knob defaults; its
         shared store is what every request reuses.
 
-    Lifecycle: :meth:`start` spawns the refinement lane, :meth:`close`
-    drains it and closes the engine (both idempotent; the class is a
-    context manager).  Transport layers call :meth:`submit` and await the
-    returned future; :meth:`execute` is the synchronous path tests and the
-    serial-replay oracle use.
+    Lifecycle: :meth:`start` returns the service (it starts nothing — the
+    caller's thread does the work), :meth:`close` waits for the request
+    that is executing, writes the shutdown snapshot and closes the engine
+    (idempotent; the class is a context manager).  Transports and tests
+    alike call :meth:`execute`.
     """
 
-    #: Request kinds the refinement lane executes, in one dispatch table.
+    #: Request kinds :meth:`execute` accepts, in one dispatch table.
     KINDS = ("evaluate", "topk", "threshold", "subscribe",
              "subscription_get", "subscription_update", "subscription_delete")
 
@@ -211,18 +182,16 @@ class QueryService:
         self.config = config if config is not None else ServiceConfig()
         self.engine = engine if engine is not None else SproutEngine(database)
         self.database = self.engine.database
-        self._queue: "queue.Queue[Optional[_Job]]" = queue.Queue(
-            maxsize=self.config.max_pending
-        )
-        self._admission_lock = threading.Lock()
+        # Held for the whole of one request: seq assignment, execution, the
+        # periodic snapshot.  close() takes it too, so it waits for the
+        # request that is executing.
+        self._lock = threading.Lock()
         self._seq = 0
-        self._lane: Optional[threading.Thread] = None
         self._closed = False
-        self._executing = False
         self._subscriptions: Dict[str, StandingQuery] = {}
         self._subscription_seq = 0
-        # Monotonic counters, surfaced by stats(); admitted/rejected move
-        # under the admission lock, completed/failed only on the lane.
+        # Monotonic counters, surfaced by stats(); all move under the lock.
+        # rejected counts requests refused by a closed service.
         self.admitted = 0
         self.rejected = 0
         self.completed = 0
@@ -238,37 +207,22 @@ class QueryService:
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> "QueryService":
-        """Spawn the refinement lane (idempotent)."""
-        if self._lane is None or not self._lane.is_alive():
-            self._closed = False
-            self._lane = threading.Thread(
-                target=self._drain, name="repro-service-lane", daemon=True
-            )
-            self._lane.start()
+        """Return the service; requests run on their caller's thread."""
         return self
 
     def close(self) -> None:
-        """Stop the lane (after the queued work drains) and close the engine.
+        """Wait for the executing request, snapshot, and close the engine.
 
-        Idempotent.  The closed flag flips under the admission lock, so every
-        job admitted before close precedes the shutdown sentinel in the FIFO
-        queue — in-flight futures all resolve before the lane exits.
+        Idempotent.  The closed flag flips under the request lock, so the
+        shutdown snapshot captures every completed request's refinement and
+        every later :meth:`execute` raises :class:`repro.errors.ServiceError`.
         """
-        with self._admission_lock:
-            was_closed = self._closed
-            self._closed = True
-        lane = self._lane
-        if lane is not None and lane.is_alive():
-            if not was_closed:
-                self._queue.put(None)  # FIFO: lands behind all admitted jobs
-            lane.join(timeout=60)
-        self._lane = None
-        if not was_closed:
-            # The lane has drained, so the warm state is quiescent — the
-            # shutdown snapshot captures every completed request's refinement.
-            self._write_snapshot()
-        self._subscriptions = {}
-        self.engine.close()
+        with self._lock:
+            if not self._closed:
+                self._closed = True
+                self._write_snapshot()
+            self._subscriptions = {}
+            self.engine.close()
 
     def __enter__(self) -> "QueryService":
         return self.start()
@@ -276,75 +230,40 @@ class QueryService:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    # -- admission ----------------------------------------------------------
+    # -- execution ----------------------------------------------------------
 
-    def submit(
-        self, kind: str, params: Optional[Dict[str, Any]] = None
-    ) -> "Future[Dict[str, Any]]":
-        """Admit one request; returns the future the refinement lane resolves.
+    def execute(self, kind: str, params: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
+        """Run one request to completion and return its payload.
 
-        Assigns the admission sequence number under the admission lock and
-        enqueues without blocking: a full queue raises
-        :class:`repro.errors.ServiceOverloadedError` *immediately* — the
-        caller gets back-pressure, not an unbounded backlog.
+        Requests from any number of threads run one at a time, each tagged
+        with the next ``seq`` — so ``seq`` order is execution order, and a
+        serial replay in ``seq`` order reproduces every payload.  With
+        ``snapshot_every`` set, the periodic snapshot is on disk before the
+        payload is returned.
         """
         if kind not in self.KINDS:
             raise ServiceError(f"unknown request kind {kind!r}; choose from {self.KINDS}")
-        with self._admission_lock:
+        handler = getattr(self, "_do_" + kind)
+        with self._lock:
             if self._closed:
-                raise ServiceError("the service is closed")
-            job = _Job(self._seq, kind, dict(params or {}))
-            try:
-                self._queue.put_nowait(job)
-            except queue.Full:
                 self.rejected += 1
-                raise ServiceOverloadedError(
-                    f"admission queue full ({self.config.max_pending} pending "
-                    f"request(s)); retry after in-flight refinement drains"
-                ) from None
+                raise ServiceError("the service is closed")
+            seq = self._seq
             self._seq += 1
             self.admitted += 1
-        return job.future
-
-    def execute(self, kind: str, params: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
-        """Submit and wait — the synchronous client path, and the serial-replay
-        oracle the stress test compares interleaved runs against."""
-        return self.submit(kind, params).result()
-
-    def in_flight(self) -> int:
-        """Queued plus currently-executing requests (approximate by nature)."""
-        return self._queue.qsize() + (1 if self._executing else 0)
-
-    # -- the refinement lane ------------------------------------------------
-
-    def _drain(self) -> None:
-        while True:
-            job = self._queue.get()
-            if job is None:
-                # The shutdown sentinel is enqueued after the closed flag
-                # flips, so FIFO order guarantees every admitted job has
-                # already been executed by the time it surfaces here.
-                return
-            self._executing = True
             try:
-                job.future.set_result(self._execute(job))
-                self.completed += 1
-            except BaseException as error:  # noqa: BLE001 - forwarded to the client
+                payload = handler(params or {})
+            except BaseException:
                 self.failed += 1
-                job.future.set_exception(error)
-            finally:
-                self._executing = False
+                raise
+            payload["seq"] = seq
+            self.completed += 1
             every = self.config.snapshot_every
-            if every is not None and self.completed and self.completed % every == 0:
+            if every is not None and self.completed % every == 0:
                 # Periodic checkpoint, counted in completed requests (never
                 # wall time) so when snapshots happen is deterministic too.
                 self._write_snapshot()
-
-    def _execute(self, job: _Job) -> Dict[str, Any]:
-        handler = getattr(self, "_do_" + job.kind)
-        payload = handler(job.params)
-        payload["seq"] = job.seq
-        return payload
+            return payload
 
     # -- crash recovery -----------------------------------------------------
 
@@ -369,8 +288,8 @@ class QueryService:
     def _write_snapshot(self) -> None:
         """Write a snapshot if configured; failures count, never propagate.
 
-        Runs on the refinement lane (periodic) or after the lane has joined
-        (shutdown), so the engine cache and subscriptions are quiescent.
+        Runs under the request lock (periodic, or at shutdown), so the
+        engine cache and subscriptions are quiescent.
         """
         path = self.config.snapshot_path
         if path is None:
@@ -380,7 +299,7 @@ class QueryService:
             self.snapshots_written += 1
         except SnapshotError as error:
             # Snapshotting is best-effort durability: a failed write must
-            # never take down a serving lane.  The previous snapshot (if
+            # never fail the request it follows.  The previous snapshot (if
             # any) is still intact on disk.
             self.snapshot_errors += 1
             warnings.warn(f"service snapshot failed: {error}", RuntimeWarning)
@@ -458,10 +377,10 @@ class QueryService:
         return max_steps
 
     def _checked_deadline(self, params: Dict[str, Any]) -> Optional[Deadline]:
-        """The request's wall-clock deadline, started *now* — on the lane.
+        """The request's wall-clock deadline, started *now*.
 
-        The clock starts when execution starts, not at admission: queueing
-        time is the server's problem, the budget covers refinement.  A
+        The clock starts when execution starts: waiting for the request
+        ahead is the server's problem, the budget covers refinement.  A
         request-level ``timeout_ms`` overrides the config default;
         ``timeout_ms: null``/absent falls back to the default (or none).
         """
@@ -500,7 +419,7 @@ class QueryService:
             )
         return float(epsilon)
 
-    # -- request handlers (refinement-lane only) ----------------------------
+    # -- request handlers (under the request lock) --------------------------
 
     def _do_evaluate(self, params: Dict[str, Any]) -> Dict[str, Any]:
         query = self._parse_sql(params)
@@ -577,7 +496,7 @@ class QueryService:
             if not isinstance(tau, (int, float)) or isinstance(tau, bool) or not 0.0 <= tau <= 1.0:
                 raise ServiceError(f"'tau' must be a number within [0, 1], got {tau!r}")
             watch = self.engine.watch_threshold(query, tau=float(tau), **kwargs)
-        # Ids are assigned on the lane, in admission order, so a serial
+        # Ids are assigned in execution (seq) order, so a serial
         # replay of the same request sequence reproduces them exactly.
         subscription = f"sub-{self._subscription_seq}"
         self._subscription_seq += 1
@@ -652,7 +571,7 @@ class QueryService:
     def stats(self) -> Dict[str, Any]:
         """Service counters plus the shared store's state, lock-consistently.
 
-        Safe to call from any thread while the lane refines: the store
+        Safe to call from any thread while a request executes: the store
         counters are read under the store lock, and the node table's
         ``mutations`` counter lets callers detect that refinement moved
         between two reads.
@@ -662,8 +581,6 @@ class QueryService:
             "rejected": self.rejected,
             "completed": self.completed,
             "failed": self.failed,
-            "in_flight": self.in_flight(),
-            "max_pending": self.config.max_pending,
             "subscriptions": len(self._subscriptions),
             "cache": self.engine.cache_stats(),
             "snapshot": {

@@ -5,14 +5,15 @@ deliberately small HTTP/1.1 subset (request line, headers, ``Content-Length``
 bodies, keep-alive): enough for the bundled client, ``curl``, and any HTTP
 library, without pulling a web framework into the repro.
 
-The transport is intentionally thin: handlers decode the JSON body, call
-:meth:`~repro.service.core.QueryService.submit`, and ``await
-asyncio.wrap_future`` on the returned future — so the event loop keeps
-accepting and admitting requests from any number of sockets while the
-service's single refinement lane works through them in admission order.
-Back-pressure surfaces as status 429
-(:class:`repro.errors.ServiceOverloadedError`); request mistakes (bad SQL,
-bad parameters, unknown subscription) as 400; everything else as 500.
+The transport is intentionally thin: a connection handler reads one
+request, decodes the JSON body and calls
+:meth:`~repro.service.core.QueryService.execute` right there, on the event
+loop's thread — one thread serves every socket, and requests execute in
+the order the loop read them.  While one request executes the loop reads
+nothing else, so ``/healthz`` and ``/stats`` answer once it finishes;
+``timeout_ms`` bounds decision requests.  Nothing queues inside the server,
+so there is no overload status: request mistakes (bad SQL, bad parameters,
+unknown subscription) map to 400, everything else to 500.
 
 Routes::
 
@@ -35,7 +36,7 @@ import json
 import threading
 from typing import Any, Dict, Optional, Tuple
 
-from repro.errors import InjectedFault, ReproError, ServiceError, ServiceOverloadedError
+from repro.errors import InjectedFault, ReproError, ServiceError
 from repro.faults import fault_point
 
 from .core import QueryService
@@ -104,27 +105,22 @@ def _json_body(body: bytes) -> Dict[str, Any]:
 
 def _response(status: int, payload: Dict[str, Any], keep_alive: bool) -> bytes:
     reason = {200: "OK", 400: "Bad Request", 404: "Not Found",
-              405: "Method Not Allowed", 429: "Too Many Requests",
-              500: "Internal Server Error"}.get(status, "OK")
+              405: "Method Not Allowed", 500: "Internal Server Error"}.get(status, "OK")
     body = json.dumps(payload).encode("utf-8")
-    # 429 carries Retry-After so well-behaved clients (the bundled
-    # ServiceClient honours it) back off instead of hammering admission.
-    retry_after = "Retry-After: 1\r\n" if status == 429 else ""
     head = (
         f"HTTP/1.1 {status} {reason}\r\n"
         f"Content-Type: application/json\r\n"
         f"Content-Length: {len(body)}\r\n"
-        f"{retry_after}"
         f"Connection: {'keep-alive' if keep_alive else 'close'}\r\n"
         f"\r\n"
     )
     return head.encode("latin-1") + body
 
 
-async def _dispatch(
+def _dispatch(
     service: QueryService, method: str, path: str, body: bytes
 ) -> Tuple[int, Dict[str, Any]]:
-    """Route one request; returns ``(status, payload)``."""
+    """Route and execute one request; returns ``(status, payload)``."""
     if path == "/healthz" and method == "GET":
         return 200, {"ok": True}
     if path == "/stats" and method == "GET":
@@ -152,9 +148,7 @@ async def _dispatch(
     if kind is None:
         return 404, {"error": f"no route for {method} {path}"}
 
-    future = service.submit(kind, params)
-    result = await asyncio.wrap_future(future)
-    return 200, result
+    return 200, service.execute(kind, params)
 
 
 async def _handle_connection(
@@ -176,9 +170,7 @@ async def _handle_connection(
             method, path, headers, body = request
             keep_alive = headers.get("connection", "keep-alive").lower() != "close"
             try:
-                status, payload = await _dispatch(service, method, path, body)
-            except ServiceOverloadedError as error:
-                status, payload = 429, {"error": str(error)}
+                status, payload = _dispatch(service, method, path, body)
             except ReproError as error:
                 # ServiceError, QueryError, PlanningError, ProbabilityError ...
                 # — the request was wrong, not the server.
@@ -206,10 +198,9 @@ async def serve(
     """Bind the service to ``host:port`` (0 picks a free port) and start it.
 
     Returns the :class:`asyncio.AbstractServer`; the caller owns the loop
-    (``async with server: await server.serve_forever()``).  The service's
-    refinement lane is started if it is not running yet.
+    (``async with server: await server.serve_forever()``), and every request
+    executes on it.
     """
-    service.start()
 
     async def handler(reader, writer):
         await _handle_connection(service, reader, writer)

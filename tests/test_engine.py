@@ -85,11 +85,17 @@ class TestMoreQueriesAgainstEnumeration:
             ),
         )
 
+    # Possible-world truth per query name: it does not depend on the plan,
+    # and enumerating it dominates each parametrization's run time.
+    TRUTH = {}
+
     @pytest.mark.parametrize("plan", ALL_PLANS)
     def test_against_enumeration(self, paper_db, plan):
         engine = SproutEngine(paper_db)
         for query in self.queries():
-            truth = enumerate_truth(paper_db, query)
+            truth = self.TRUTH.get(query.name)
+            if truth is None:
+                truth = self.TRUTH[query.name] = enumerate_truth(paper_db, query)
             result = engine.evaluate(query, plan=plan)
             assert_confidences_close(result.confidences(), truth)
 

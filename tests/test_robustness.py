@@ -321,19 +321,36 @@ class TestClientRetries:
 
 
 class TestShutdownOrdering:
-    """Shutdown: no hangs, no dropped admitted jobs."""
+    """Shutdown: no hangs, and the executing request is never cut off."""
 
-    def test_close_during_in_flight_deadline_degraded_requests(self):
-        service = QueryService(demo_database()).start()
-        futures = [
-            service.submit("topk", {"sql": SQL, "k": 2, "timeout_ms": 0})
-            for _ in range(3)
-        ]
+    def test_close_waits_for_the_executing_request(self):
+        service = QueryService(demo_database())
+        entered, release = threading.Event(), threading.Event()
+        run_topk = service._do_topk
+
+        def held_topk(params):
+            entered.set()
+            release.wait(timeout=30)
+            return run_topk(params)
+
+        service._do_topk = held_topk
+        answers = []
+        caller = threading.Thread(
+            target=lambda: answers.append(service.execute("topk", {"sql": SQL, "k": 2}))
+        )
+        caller.start()
+        assert entered.wait(timeout=30)
+        closer = threading.Thread(target=service.close)
+        closer.start()
+        closer.join(timeout=0.2)
+        assert closer.is_alive()  # close() waits for the executing request
+        release.set()
         began = time.monotonic()
-        service.close()  # drains the admitted jobs, then stops the lane
-        assert time.monotonic() - began < 30
-        for future in futures:
-            payload = future.result(timeout=0)  # already resolved by close
-            assert payload["degraded"] == "deadline"
-        with pytest.raises(ServiceError):
-            service.submit("topk", {"sql": SQL, "k": 2})
+        closer.join(timeout=30)
+        caller.join(timeout=30)
+        assert not closer.is_alive() and time.monotonic() - began < 30
+        assert answers[0]["decided"] is True and answers[0]["seq"] == 0
+        assert service.completed == 1
+        with pytest.raises(ServiceError, match="closed"):
+            service.execute("topk", {"sql": SQL, "k": 2})
+        assert service.rejected == 1

@@ -11,10 +11,11 @@ concurrency changes when a request runs, never what it computes.
 """
 
 import asyncio
+import threading
 
 import pytest
 
-from repro.errors import PlanningError, ServiceError, ServiceOverloadedError
+from repro.errors import PlanningError, ServiceError
 from repro.service import (
     QueryService,
     ServiceClient,
@@ -82,7 +83,7 @@ class TestServiceCore:
 
     def test_unknown_kind_rejected(self, service):
         with pytest.raises(ServiceError):
-            service.submit("explode", {})
+            service.execute("explode", {})
 
     def test_request_validation(self, service):
         for kind, params in [
@@ -170,26 +171,45 @@ class TestServiceCore:
             with pytest.raises(ServiceError):
                 svc.execute("topk", {"sql": SQL, "k": 1, "max_steps": 11})
 
-    def test_admission_control_rejects_when_full(self):
-        svc = QueryService(demo_database(), config=ServiceConfig(max_pending=2))
-        # The lane is deliberately not started: admitted jobs stay queued.
-        first = svc.submit("topk", {"sql": SQL, "k": 1})
-        second = svc.submit("topk", {"sql": SQL, "k": 1})
-        with pytest.raises(ServiceOverloadedError):
-            svc.submit("topk", {"sql": SQL, "k": 1})
-        assert svc.rejected == 1
-        assert svc.admitted == 2
-        svc.start()  # the queued work drains and both futures resolve
-        assert first.result(timeout=30)["seq"] == 0
-        assert second.result(timeout=30)["seq"] == 1
-        svc.close()
+    def test_concurrent_callers_get_consecutive_seqs_and_serial_payloads(self):
+        """Two threads call ``execute`` at once: each request runs whole, the
+        ``seq``s are consecutive, and a serial replay in ``seq`` order on a
+        fresh service reproduces every payload."""
+        requests = [
+            [("topk", {"sql": SQL, "k": 2}), ("threshold", {"sql": SQL, "tau": 0.4}),
+             ("subscribe", {"sql": SQL, "k": 1}), ("topk", {"sql": SQL, "k": 3})],
+            [("evaluate", {"sql": SQL, "confidence": "approx", "epsilon": 0.05}),
+             ("subscribe", {"sql": SQL, "tau": 0.5}), ("threshold", {"sql": SQL, "tau": 0.6}),
+             ("topk", {"sql": SQL, "k": 1})],
+        ]
+        records = []
+        barrier = threading.Barrier(len(requests))
+
+        def caller(mine):
+            barrier.wait()
+            for kind, params in mine:
+                records.append((kind, params, svc.execute(kind, params)))
+
+        with shared_store_service() as svc:
+            threads = [threading.Thread(target=caller, args=(mine,)) for mine in requests]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            stats = svc.stats()
+        assert sorted(payload["seq"] for _, _, payload in records) == list(range(8))
+        assert (stats["admitted"], stats["completed"], stats["rejected"]) == (8, 8, 0)
+        with shared_store_service() as replay:
+            for kind, params, payload in sorted(records, key=lambda r: r[2]["seq"]):
+                assert replay.execute(kind, params) == payload
 
     def test_closed_service_rejects_submissions(self):
         svc = QueryService(demo_database())
         svc.start()
         svc.close()
-        with pytest.raises(ServiceError):
-            svc.submit("evaluate", {"sql": SQL})
+        with pytest.raises(ServiceError, match="closed"):
+            svc.execute("evaluate", {"sql": SQL})
+        assert svc.rejected == 1
         svc.close()  # idempotent
 
     def test_subscription_lifecycle(self, service):
@@ -269,8 +289,6 @@ class TestServiceCore:
 
     def test_config_validation(self):
         with pytest.raises(PlanningError):
-            ServiceConfig(max_pending=0)
-        with pytest.raises(PlanningError):
             ServiceConfig(max_steps_ceiling=-1)
 
 
@@ -279,7 +297,9 @@ class TestServiceHTTP:
         client = ServiceClient(server.host, server.port)
         assert client.healthz() == {"ok": True}
         stats = client.stats()
-        assert stats["max_pending"] == 32
+        # Neither route is a service request: nothing was executed.
+        assert (stats["admitted"], stats["completed"], stats["rejected"]) == (0, 0, 0)
+        assert "max_pending" not in stats and "in_flight" not in stats
 
     def test_query_routes(self, server):
         client = ServiceClient(server.host, server.port)
@@ -344,16 +364,27 @@ class TestServiceHTTP:
         status, payload = client.request("POST", "/topk", {"sql": SQL})
         assert status == 400  # missing k
 
-    def test_overload_maps_to_429(self, server, monkeypatch):
-        def overloaded(kind, params=None):
-            raise ServiceOverloadedError("queue full")
+    def test_a_storm_gets_only_200s(self, server):
+        """Nothing queues inside the server, so however many requests arrive
+        at once, every one is answered with a 200."""
+        storm = 48
 
-        monkeypatch.setattr(server.service, "submit", overloaded)
-        client = ServiceClient(server.host, server.port)
-        status, payload = client.request("POST", "/evaluate", {"sql": SQL})
-        assert status == 429
-        with pytest.raises(ServiceOverloadedError):
-            client.evaluate(SQL)
+        async def fire():
+            return await asyncio.gather(
+                *(
+                    arequest(
+                        server.host, server.port, "POST", "/topk", {"sql": SQL, "k": i % 3 + 1}
+                    )
+                    for i in range(storm)
+                )
+            )
+
+        answers = asyncio.run(fire())
+        assert [status for status, _ in answers] == [200] * storm
+        assert sorted(payload["seq"] for _, payload in answers) == list(range(storm))
+        stats = ServiceClient(server.host, server.port).stats()
+        assert (stats["admitted"], stats["completed"]) == (storm, storm)
+        assert (stats["rejected"], stats["failed"]) == (0, 0)
 
     def test_malformed_http_gets_400(self, server):
         import socket

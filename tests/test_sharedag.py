@@ -47,16 +47,21 @@ def exact_value(dnf, probabilities):
 
 @st.composite
 def lineage_family(draw):
-    """2–4 DNFs drawing clauses from one shared pool (≤ 10 variables)."""
-    nvars = draw(st.integers(4, 10))
+    """2–4 DNFs drawing clauses from one shared pool (≤ 7 variables).
+
+    Clauses of two or three variables over few variables overlap, so most
+    members are not read-once and their views stay open after construction:
+    the refinement properties below then genuinely refine.
+    """
+    nvars = draw(st.integers(4, 7))
     probability = st.floats(min_value=0.05, max_value=0.95, allow_nan=False)
     probabilities = {v: draw(probability) for v in range(nvars)}
-    clause = st.sets(st.integers(0, nvars - 1), min_size=1, max_size=3).map(frozenset)
-    pool = draw(st.lists(clause, min_size=2, max_size=6, unique=True))
+    clause = st.sets(st.integers(0, nvars - 1), min_size=2, max_size=3).map(frozenset)
+    pool = draw(st.lists(clause, min_size=3, max_size=6, unique=True))
     members = []
     for _ in range(draw(st.integers(2, 4))):
         shared = draw(
-            st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool), unique=True)
+            st.lists(st.sampled_from(pool), min_size=2, max_size=len(pool), unique=True)
         )
         private = draw(st.lists(clause, min_size=0, max_size=3))
         members.append(DNF(shared + private))

@@ -20,6 +20,7 @@ from repro.service import (
     QueryService,
     ServiceClient,
     ServiceConfig,
+    ServiceServer,
     read_snapshot,
     write_snapshot,
 )
@@ -185,13 +186,36 @@ class TestServiceRecovery:
         with shared_service(config) as service:
             for _ in range(4):
                 service.execute("topk", {"sql": SQL, "k": 2})
-            # Request 4 runs after request 2's checkpoint; at least that one
-            # is guaranteed visible from here (the lane is serial).
-            assert service.stats()["snapshot"]["written"] >= 1
+            # Requests 2 and 4 each wrote one before they returned.
+            assert service.stats()["snapshot"]["written"] == 2
         # close() writes the final snapshot on top.
         state = read_snapshot(str(tmp_path / "service.snap"))
         assert state["version"] == 1
         assert state["engine_cache"] is not None
+
+    def test_every_response_follows_its_snapshot(self, tmp_path):
+        """With ``snapshot_every=1`` the checkpoint is written before the
+        response: whatever a client has been answered is already on disk."""
+        path = str(tmp_path / "service.snap")
+        config = ServiceConfig(snapshot_path=path, snapshot_every=1)
+        with ServiceServer(shared_service(config)) as server:
+            client = ServiceClient(server.host, server.port)
+            created = client.subscribe(SQL, k=2)
+            on_disk = read_snapshot(path)
+            assert [sid for sid, _ in on_disk["subscriptions"]] == ["sub-0"]
+            assert on_disk["subscription_seq"] == 1
+            for variable, probability in zip(created["variables"], (0.01, 0.9, 0.3)):
+                answer = client.update("sub-0", variable, probability)
+                (_, watch), = read_snapshot(path)["subscriptions"]
+                assert watch["probabilities"][variable] == probability
+                assert [list(data) for data in watch["selected"]] == answer["selected"]
+                assert watch["total_steps"] == answer["total_steps"]
+            assert client.topk(SQL, k=2)["refine_steps"] > 0
+            hits, misses, _ = read_snapshot(path)["engine_cache"]["counters"]
+            stats = client.stats()
+            assert misses > 0
+            assert (hits, misses) == (stats["cache"]["hits"], stats["cache"]["misses"])
+            assert stats["snapshot"]["written"] == 5
 
     def test_snapshot_config_validation(self, tmp_path):
         from repro.errors import PlanningError

@@ -11,7 +11,7 @@ the same rows.  Finally the snapshot is stomped (truncated mid-payload) and
 a third server must boot **cold with a warning, not a crash**, and still
 serve.  Last, a server without periodic checkpoints is warmed and sent
 SIGTERM, the signal process managers stop services with: it must exit 0
-having drained and written its snapshot on the way out, and a fourth server
+having finished its request and written its snapshot on the way out, and a fourth server
 over that snapshot must re-decide warm.  The script fails loudly on any
 deviation.  Run locally from the repository root:
 
@@ -66,9 +66,9 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="repro_chaos_") as scratch:
         snapshot = str(Path(scratch) / "service.snap")
 
-        # Phase 1: warm the store, then SIGKILL mid-flight.  The refinement
-        # lane is serial, so once the second request returns the first
-        # request's checkpoint is durably on disk — the kill cannot race it.
+        # Phase 1: warm the store, then SIGKILL mid-flight.  The periodic
+        # checkpoint is written before each response, so once a request has
+        # returned its checkpoint is durably on disk — the kill cannot race it.
         process, client = launch(snapshot)
         try:
             cold = client.topk(SQL, k=2)
@@ -116,7 +116,7 @@ def main() -> int:
             process.wait(timeout=30)
 
         # Phase 4: no periodic checkpoint, so only a graceful shutdown can
-        # write the snapshot.  SIGTERM must drain, snapshot and exit 0.
+        # write the snapshot.  SIGTERM must snapshot and exit 0.
         snapshot = str(Path(scratch) / "terminated.snap")
         process, client = launch(snapshot, every=False)
         try:

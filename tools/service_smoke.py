@@ -115,8 +115,8 @@ def run_script(client: ServiceClient) -> None:
 
     stats = client.stats()
     # Three failed requests: the deliberate probe of the deleted subscription
-    # and the two mismatched-type queries above (rejected requests count as
-    # failed on the lane).
+    # and the two mismatched-type queries above (requests that raise count
+    # as failed).
     check(stats["failed"] == 3, f"unexpected failure count: {stats}")
     check(stats["store"]["steps"] > 0, "the shared store did no refinement work")
 
