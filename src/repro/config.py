@@ -1,15 +1,14 @@
 """One shared parser for the ``REPRO_*`` environment knobs.
 
 Every environment variable the library reads — ``REPRO_SHARED_LINEAGE``,
-``REPRO_DTREE_CACHE``, ``REPRO_VECTORIZE``, the benchmark knobs — goes
+``REPRO_DTREE_CACHE``, the benchmark knobs — goes
 through the two parsers here, so a malformed value raises the same
 documented :class:`repro.errors.ConfigurationError` (a :class:`ValueError`
 subclass) with the same wording no matter which call site reads it first.
 Before this module each knob had its own inline parser and the behaviour
 drifted: engine knobs raised ``PlanningError`` with per-knob phrasing while
-``REPRO_VECTORIZE`` silently *ignored* malformed values, which made
-``REPRO_VECTORIZE=fale`` (a typo for ``false``) run vectorized without a
-word.
+another knob silently *ignored* malformed values, so a typo for ``false``
+ran as the default without a word.
 
 Both parsers re-read the environment per call (never cached) so tests and
 CI legs can flip a variable without re-importing anything, and both treat

@@ -75,10 +75,10 @@ class ConfigurationError(PlanningError, ValueError):
 
     Every ``REPRO_*`` environment knob is parsed by the one shared parser in
     :mod:`repro.config`, and a malformed value raises this class everywhere —
-    at engine construction, at backend selection, and at service start-up —
-    with uniform wording.  It derives from both :class:`PlanningError` (the
-    historical type engine construction raised for bad knobs) and the
-    documented :class:`ValueError`, so both catch styles keep working.
+    at engine construction and at service start-up — with uniform wording.
+    It derives from both :class:`PlanningError` (the historical type engine
+    construction raised for bad knobs) and the documented
+    :class:`ValueError`, so both catch styles keep working.
     """
 
 

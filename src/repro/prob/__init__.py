@@ -24,11 +24,9 @@ Everything about *probability*, independent of query processing:
   repairs their ancestor closure in one multi-source pass; deleted views
   are retired with epoch-based garbage accounting.  The substrate of the
   streaming layer (:mod:`repro.sprout.streaming`).
-* :mod:`repro.prob.backend` / :mod:`repro.prob.nodetable` — the columnar
-  refinement core: node kinds, child ranges, and bound columns in parallel
-  flat arrays, propagated in batched per-level passes (NumPy kernels when
-  available, a bit-identical ``array``-module sweep otherwise;
-  :func:`backend_info` reports which backend is active).
+* :mod:`repro.prob.nodetable` — the columnar refinement core: node kinds,
+  child ranges, and bound columns in parallel flat ``array``-module
+  columns, propagated in scalar per-level passes.
 * :mod:`repro.prob.worlds` — brute-force possible-worlds enumeration, the
   ground truth every other evaluator is differentially tested against.
 * :mod:`repro.prob.synthetic` — synthetic lineage generators for stress
@@ -38,7 +36,6 @@ Everything about *probability*, independent of query processing:
 evaluators and what the epsilon/bounds semantics guarantee.
 """
 
-from repro.prob.backend import HAS_NUMPY, backend_info
 from repro.prob.delta import DeltaReport, apply_probability_update, retire_view
 from repro.prob.dtree import (
     ApproxResult,
@@ -82,6 +79,17 @@ from repro.prob.synthetic import bipartite_lineage, hub_lineage
 from repro.prob.variables import VariableInfo, VariableRegistry
 from repro.prob.worlds import confidences_by_enumeration
 
+
+def backend_info() -> dict:
+    """The refinement core's numeric backend, for benchmark environment records.
+
+    Bound propagation has one scalar implementation, so this is constant.
+    It stays only while the benchmark harness still imports it; retire it
+    together with that import.
+    """
+    return {"backend": "python"}
+
+
 __all__ = [
     "And",
     "ApproxResult",
@@ -92,7 +100,6 @@ __all__ = [
     "DTreeCache",
     "DeltaReport",
     "Formula",
-    "HAS_NUMPY",
     "MonteCarloResult",
     "Or",
     "PossibleWorld",

@@ -27,8 +27,7 @@ re-seed recipe:
 Inner ⊗/⊕/⊙ bounds are pure functions of their children, so after the
 re-seeds one multi-source per-level pass
 (:meth:`repro.prob.nodetable.NodeTable.propagate_from_many`) repairs every
-ancestor — and therefore every tuple view — in one sweep, under either
-numeric backend, bit-identically.
+ancestor — and therefore every tuple view — in one sweep.
 
 Deletion is *accounting*, not compaction: the columnar table is append-only
 (nids must stay valid for live views), so retiring a view counts its

@@ -1,4 +1,4 @@
-"""Columnar node table: flat-array node storage with batched bound propagation.
+"""Columnar node table: flat-array node storage with per-level bound propagation.
 
 The shared-lineage DAG (:mod:`repro.prob.sharedag`) stores its nodes here,
 the way :mod:`repro.algebra.columnar` stores relations: one struct-of-arrays
@@ -21,21 +21,17 @@ and edges live in four parallel edge columns (``edge_child``,
 ``edge_parent``, ``edge_weight`` — the ⊙ cobranch weights — and
 ``edge_next`` linking each child's in-edges).  Child slot ``t`` of node
 ``n`` is edge ``child_start[n] + t``: the out-edges of a node are contiguous,
-so per-slot batch kernels address them with pure arithmetic.
+so a node's children are addressed with pure arithmetic.
 
 Bound propagation is **per level, not per node**: refining a node refreshes
 its ancestor closure grouped by ``level`` in ascending order — every node's
 children live on strictly smaller levels, so one pass per level replaces the
-per-node topological bookkeeping of the old object graph.  With NumPy
-installed (``pip install .[fast]``) a whole-table sweep
-(:meth:`NodeTable.refresh_all_bounds`) refreshes each level as masked
-per-slot array kernels over zero-copy ``np.frombuffer`` views of the columns;
-incremental closures — a handful of rows a level — and everything without
-NumPy run as plain Python loops.  Both paths replicate the float64 arithmetic
-of :func:`repro.prob.dtree.combine_bounds` operation for operation — same
-accumulation order, same ``min`` placement — so switching the backend never
-changes a single bit of any bound (``tests/test_node_table.py`` and the
-vectorized axis of ``tests/test_differential_matrix.py`` pin this).
+per-node topological bookkeeping of the old object graph.  Every refresh is
+the scalar :meth:`NodeTable.refresh_one`, which replicates the float64
+arithmetic of :func:`repro.prob.dtree.combine_bounds` operation for
+operation — same accumulation order, same ``min`` placement — so a table's
+bounds are bit-identical to the per-tuple d-tree's
+(``tests/test_node_table.py`` pins this).
 
 Because the table is append-only and node mutation is in place (a leaf
 becomes a ⊙ node under the same nid), nids remain valid for the lifetime of
@@ -46,9 +42,7 @@ columns, pickled) and restore them with every nid intact.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Sequence, Tuple
-
-from repro.prob.backend import default_vectorize, numpy_or_none
+from typing import List, Optional, Sequence, Tuple
 
 __all__ = [
     "KIND_CLOSED",
@@ -81,11 +75,10 @@ class NodeTable:
         "edge_parent",
         "edge_weight",
         "edge_next",
-        "vectorize",
         "mutations",
     )
 
-    def __init__(self, vectorize: Optional[bool] = None):
+    def __init__(self):
         self.kind = array("b")
         self.lower = array("d")
         self.upper = array("d")
@@ -97,9 +90,6 @@ class NodeTable:
         self.edge_parent = array("q")
         self.edge_weight = array("d")
         self.edge_next = array("q")
-        if vectorize is None:
-            vectorize = default_vectorize()
-        self.vectorize = bool(vectorize) and numpy_or_none() is not None
         #: Structural mutation counter: bumped on every node append and every
         #: child attachment (including the in-place leaf → ⊙ expansion).  A
         #: concurrent reader — the query service's stats endpoint, a test
@@ -114,9 +104,12 @@ class NodeTable:
         return {name: getattr(self, name) for name in self.__slots__}
 
     def __setstate__(self, state):
-        self.mutations = 0  # absent from segments shipped by older builds
-        for name, value in state.items():
-            setattr(self, name, value)
+        # Segments shipped by older builds may lack ``mutations`` or carry a
+        # retired slot (the numeric-backend flag): only current slots load.
+        self.mutations = 0
+        for name in self.__slots__:
+            if name in state:
+                setattr(self, name, state[name])
 
     def __len__(self) -> int:
         return len(self.kind)
@@ -191,7 +184,7 @@ class NodeTable:
     # These replicate repro.prob.dtree.combine_bounds / influence_weight
     # expression for expression (same accumulation order, same min
     # placement) — the bit-identity contract between the per-tuple d-tree
-    # and every node-table backend depends on it.
+    # and the node table depends on it.
 
     def child(self, nid: int, slot: int) -> int:
         return self.edge_child[self.child_start[nid] + slot]
@@ -292,17 +285,14 @@ class NodeTable:
 
         One ascending sweep for all sources together (a probability update
         re-seeds every row carrying the variable, then repairs all their
-        ancestors at once), on the scalar ``refresh_one`` walk under both
-        backends: incremental closures are a few rows a level, far below
-        where a NumPy kernel call pays for itself (``docs/refinement_core.md``
-        has the measurement), and the walk keeps the changed-set early exit —
-        a node whose in-closure children all kept their bounds is skipped.
+        ancestors at once), on the scalar ``refresh_one`` walk.  The walk
+        keeps the changed-set early exit — a node whose in-closure children
+        all kept their bounds is skipped.
 
         Every start is refreshed unconditionally (its stored value or edge
         weights were just rewritten, so the changed-set test would not see
         the mutation); the returned closure is a pure function of the DAG
-        shape, which is what lets callers reason about "touched" nodes
-        without backend caveats.
+        shape, which is what lets callers reason about "touched" nodes.
         """
         sources = set(starts)
         seen = self.ancestors_of_many(sources)
@@ -368,107 +358,23 @@ class NodeTable:
 
         Two tables fingerprint equal iff every node's ``[lower, upper]``
         bracket is *bit*-identical (not merely approximately equal), which is
-        the currency of the repo's determinism contracts: the backend and
+        the currency of the repo's determinism contracts: the
         round-interleaving tests compare stores refined along different
         paths by this digest rather than by walking rows.
         """
         return self.lower.tobytes() + self.upper.tobytes()
 
-    def refresh_all_bounds(self, vectorize: Optional[bool] = None) -> None:
+    def refresh_all_bounds(self) -> None:
         """Recompute every inner node bottom-up (one full per-level sweep).
 
-        The whole-table twin of :meth:`propagate_from` — the benchmark
-        quantity of ``benchmarks/bench_refinement_core.py`` and a
-        consistency pass for rehydrated store segments.  ``vectorize``
-        overrides the table's backend for this call only (so the scalar and
-        NumPy passes can be timed against each other on the same table).
+        The whole-table twin of :meth:`propagate_from`: the consistency
+        oracle the node-table tests compare incremental propagation against.
         """
-        if vectorize is None:
-            use_numpy = self.vectorize
-        else:
-            use_numpy = bool(vectorize) and numpy_or_none() is not None
+        level = self.level
         inner = [node for node in range(len(self.kind)) if self.child_count[node]]
-        if use_numpy:
-            self._refresh_levels(inner)
-            return
-        inner.sort(key=lambda node: (self.level[node], node))
+        inner.sort(key=lambda node: (level[node], node))
         for node in inner:
             self.refresh_one(node)
-
-    # -- NumPy kernels ------------------------------------------------------
-
-    def _refresh_levels(self, nodes: List[int]) -> None:
-        """Refresh ``nodes`` (all inner) as per-level masked array kernels."""
-        if not nodes:
-            return
-        np = numpy_or_none()
-        by_level: Dict[int, List[int]] = {}
-        level = self.level
-        for node in nodes:
-            by_level.setdefault(level[node], []).append(node)
-        # Views are rebuilt per pass, never cached: appending to an array
-        # column reallocates its buffer and would leave a stale view behind.
-        views = (
-            np.frombuffer(self.kind, dtype=np.int8),
-            np.frombuffer(self.lower, dtype=np.float64),
-            np.frombuffer(self.upper, dtype=np.float64),
-            np.frombuffer(self.child_start, dtype=np.int64),
-            np.frombuffer(self.child_count, dtype=np.int64),
-            np.frombuffer(self.edge_child, dtype=np.int64),
-            np.frombuffer(self.edge_weight, dtype=np.float64),
-        )
-        for key in sorted(by_level):
-            self._refresh_batch(np, views, by_level[key])
-
-    @staticmethod
-    def _refresh_batch(np, views, nodes: List[int]) -> None:
-        """One level's refresh: per-kind, per-slot masked float64 kernels.
-
-        Accumulates slot-by-slot in ascending order with elementwise
-        multiply/add — exactly the loop structure of
-        :func:`repro.prob.dtree.combine_bounds` — so every node gets the
-        same float sequence the scalar path would compute.
-        """
-        kind_v, lower_v, upper_v, start_v, count_v, child_v, weight_v = views
-        ids = np.fromiter(sorted(nodes), dtype=np.int64, count=len(nodes))
-        kinds = kind_v[ids]
-        for code in (KIND_IND_AND, KIND_IND_OR, KIND_DET_OR):
-            sub = ids[kinds == code]
-            if not sub.size:
-                continue
-            starts = start_v[sub]
-            counts = count_v[sub]
-            width = int(counts.max())
-            if code == KIND_DET_OR:
-                lower = np.zeros(sub.size)
-                upper = np.zeros(sub.size)
-                for slot in range(width):
-                    mask = counts > slot
-                    edges = starts[mask] + slot
-                    children = child_v[edges]
-                    weights = weight_v[edges]
-                    lower[mask] = lower[mask] + weights * lower_v[children]
-                    upper[mask] = upper[mask] + weights * upper_v[children]
-                lower_v[sub] = lower
-                upper_v[sub] = np.minimum(1.0, upper)
-                continue
-            lower = np.ones(sub.size)
-            upper = np.ones(sub.size)
-            for slot in range(width):
-                mask = counts > slot
-                children = child_v[starts[mask] + slot]
-                if code == KIND_IND_AND:
-                    lower[mask] = lower[mask] * lower_v[children]
-                    upper[mask] = upper[mask] * upper_v[children]
-                else:
-                    lower[mask] = lower[mask] * (1.0 - lower_v[children])
-                    upper[mask] = upper[mask] * (1.0 - upper_v[children])
-            if code == KIND_IND_AND:
-                lower_v[sub] = lower
-                upper_v[sub] = np.minimum(1.0, upper)
-            else:
-                lower_v[sub] = 1.0 - lower
-                upper_v[sub] = np.minimum(1.0, 1.0 - upper)
 
     # -- influence descent --------------------------------------------------
 
@@ -478,10 +384,7 @@ class NodeTable:
         Walks the reachable sub-DAG in descending level order (parents
         strictly above children), accumulating path derivatives, so a leaf
         shared by several paths gets the *sum* of its path weights in one
-        entry.  Deliberately one scalar implementation for both backends:
-        the descent is irregular (per-node fan-out), and a single code path
-        is what makes leaf choice — and with it step counts — trivially
-        backend-independent.
+        entry.
 
         A ``KIND_CLOSED`` child holds no leaf, so it is skipped *before* its
         edge's influence — a product over all its siblings — is computed.

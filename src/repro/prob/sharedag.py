@@ -9,9 +9,8 @@ per probability space — and since PR 6 the DAG is not an object graph but a
 :class:`repro.prob.nodetable.NodeTable`: node kind, child ranges, levels and
 lower/upper bounds live in parallel flat arrays, a node is an integer id
 (``nid``, assigned in creation order — the deterministic scheduler
-tiebreak), and bound propagation runs as batched per-level passes over the
-columns (NumPy kernels when the ``fast`` extra is installed, plain loops
-otherwise; bit-identical either way).
+tiebreak), and bound propagation runs as per-level passes over the
+columns.
 
 * every subformula (a subsumption-free positive DNF) is interned in a
   :class:`SharedLineageStore` keyed by its clause set, so structurally equal
@@ -36,8 +35,8 @@ otherwise; bit-identical either way).
   frontier would, in another order.
 
 The decomposition rules, branch-variable choice, and bound arithmetic mirror
-:mod:`repro.prob.dtree` operation for operation (the table's scalar and
-vectorized refresh kernels replicate ``combine_bounds`` exactly), so the
+:mod:`repro.prob.dtree` operation for operation (the table's refresh
+replicates ``combine_bounds`` exactly), so the
 exact probability the DAG computes for a clause set is **bit-identical** to
 what a per-tuple d-tree computes for the same clause set — sharing changes
 how much work is performed, never a single float of the answer.
@@ -159,11 +158,10 @@ class SharedLineageStore:
         self,
         interner: Optional[ClauseInterner] = None,
         max_nodes: Optional[int] = None,
-        vectorize: Optional[bool] = None,
     ):
         self.probabilities: Dict[int, float] = {}
         self.interner = interner if interner is not None else ClauseInterner()
-        self.table = NodeTable(vectorize=vectorize)
+        self.table = NodeTable()
         self.steps = 0
         self.node_count = 0
         #: Intern-table budget enforced *during refinement* too: every leaf
@@ -1032,7 +1030,6 @@ class SharedDTreeCache:
         self,
         max_entries: Optional[int] = 4096,
         max_nodes: Optional[int] = DEFAULT_MAX_NODES,
-        vectorize: Optional[bool] = None,
     ):
         if max_entries is not None and max_entries < 1:
             raise ProbabilityError(f"max_entries must be positive, got {max_entries}")
@@ -1040,11 +1037,10 @@ class SharedDTreeCache:
             raise ProbabilityError(f"max_nodes must be positive, got {max_nodes}")
         self.max_entries = max_entries
         self.max_nodes = max_nodes
-        self.vectorize = vectorize
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.store = SharedLineageStore(max_nodes=max_nodes, vectorize=vectorize)
+        self.store = SharedLineageStore(max_nodes=max_nodes)
         self._views: Dict[FrozenSet[Clause], SharedDTree] = {}
         self._epoch = self.store.reset_epoch
         self._proof: Optional[SpaceProof] = None
@@ -1110,9 +1106,7 @@ class SharedDTreeCache:
 
     def clear(self) -> None:
         with self.store.lock:
-            self.store = SharedLineageStore(
-                max_nodes=self.max_nodes, vectorize=self.vectorize
-            )
+            self.store = SharedLineageStore(max_nodes=self.max_nodes)
             self._views.clear()
             self._epoch = self.store.reset_epoch
             self._proof = None
@@ -1144,7 +1138,6 @@ class SharedDTreeCache:
                 "counters": (self.hits, self.misses, self.evictions),
                 "max_entries": self.max_entries,
                 "max_nodes": self.max_nodes,
-                "vectorize": self.vectorize,
             }
 
     @classmethod
@@ -1156,13 +1149,10 @@ class SharedDTreeCache:
         rebuilt over its original root via :meth:`SharedDTree.from_root` —
         so the first repeat of a previously decided query is a cache hit on
         already-closed bounds: the ≤1-step warm re-decide the service's
-        crash recovery promises.
+        crash recovery promises.  Keys of older builds' states that no
+        longer configure anything (the numeric-backend flag) are ignored.
         """
-        cache = cls(
-            max_entries=state["max_entries"],
-            max_nodes=state["max_nodes"],
-            vectorize=state["vectorize"],
-        )
+        cache = cls(max_entries=state["max_entries"], max_nodes=state["max_nodes"])
         cache.store = SharedLineageStore.from_segment(state["segment"])
         for clauses, root in state["views"]:
             key = dnf_from_canonical(clauses).clauses

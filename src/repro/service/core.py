@@ -131,7 +131,6 @@ def result_payload(result: EvaluationResult) -> Dict[str, Any]:
         "delta_steps": result.delta_steps,
         "k": result.k,
         "tau": result.tau,
-        "backend": result.backend,
         "answer_rows": result.answer_rows,
         # None for full-fidelity answers; "deadline" when a wall-clock budget
         # stopped refinement early (bounds stay sound — anytime degradation).
@@ -159,7 +158,7 @@ class QueryService:
         Optionally a pre-built :class:`~repro.sprout.engine.SproutEngine`.
         By default the service builds one with the engine's default
         ``execution="batch"`` (a request may still name ``"row"``) and the
-        engine's own ``shared_lineage``/``vectorize`` env-knob defaults; its
+        engine's own ``shared_lineage`` env-knob default; its
         shared store is what every request reuses.
 
     Lifecycle: :meth:`start` returns the service (it starts nothing — the

@@ -76,7 +76,6 @@ from repro.errors import (
     UnsupportedQueryError,
 )
 from repro.algebra.columnar import sort_batch
-from repro.prob.backend import HAS_NUMPY, backend_name, default_vectorize
 from repro.prob.dtree import DEFAULT_MAX_STEPS, DTreeCache
 from repro.prob.sharedag import DEFAULT_MAX_NODES, SharedDTreeCache, SpaceProof
 from repro.prob.formulas import DNF
@@ -155,11 +154,6 @@ class EvaluationResult:
       when a ``max_steps`` budget ran out first).
     * ``refine_steps`` — d-tree expansions spent *by this call*; refinement
       the engine's shared store already held is not counted again.
-    * ``backend`` — the numeric backend the refinement core ran on
-      (``"numpy"`` when the vectorized bound-propagation passes were active,
-      ``"python"`` for the scalar fallback; see
-      :func:`repro.prob.backend.backend_info`).  Results are bit-identical
-      either way — this records throughput provenance, not semantics.
     * ``tuples_seconds`` / ``prob_seconds`` / ``answer_rows`` /
       ``rows_processed`` / ``scans_used`` — the paper's cost metrics: time to
       materialise the answer vs. time to compute confidences, the number of
@@ -196,9 +190,6 @@ class EvaluationResult:
     #: cost of that refresh alone while ``refine_steps`` stays cumulative —
     #: the warm/cold contrast ``benchmarks/bench_streaming.py`` asserts on.
     delta_steps: int = 0
-    #: Numeric backend of the refinement core for this evaluation ("numpy"
-    #: when vectorized passes were active, "python" otherwise).
-    backend: str = "python"
     #: ``None`` for a full-fidelity answer; ``"deadline"`` when a wall-clock
     #: deadline stopped refinement early (anytime degradation: ``bounds`` are
     #: still sound, ``decided`` may be False, and only the stopping point —
@@ -386,7 +377,6 @@ class SproutEngine:
         seed: Optional[int] = 0,
         shared_lineage: Optional[bool] = None,
         dtree_cache_size: Optional[int] = None,
-        vectorize: Optional[bool] = None,
     ):
         if execution not in EXECUTION_MODES:
             raise PlanningError(
@@ -414,23 +404,13 @@ class SproutEngine:
         self.seed = seed
         self.shared_lineage = bool(shared_lineage)
         self.dtree_cache_size = dtree_cache_size
-        # Numeric backend of the refinement core: vectorized NumPy passes
-        # when available (and not disabled via REPRO_VECTORIZE or the
-        # explicit parameter), scalar Python loops otherwise.  Requesting
-        # vectorize=True without NumPy degrades to scalar — the backends are
-        # bit-identical, so this is a throughput choice, never a semantic one.
-        if vectorize is None:
-            self.vectorize = default_vectorize()
-        else:
-            self.vectorize = bool(vectorize) and HAS_NUMPY
-        self.backend = backend_name(self.vectorize)
         # The engine-lifetime lineage cache the top-k/threshold scheduler
         # refines across calls.  Shared-lineage mode swaps the
         # per-tuple tree cache for views over one hash-consed DAG; both are
         # bounded by dtree_cache_size *nodes* (not entries), so huge
         # lineages cannot blow memory through a small number of entries.
         self.dtree_cache = (
-            SharedDTreeCache(max_nodes=dtree_cache_size, vectorize=self.vectorize)
+            SharedDTreeCache(max_nodes=dtree_cache_size)
             if self.shared_lineage
             else DTreeCache(max_nodes=dtree_cache_size)
         )
@@ -492,14 +472,13 @@ class SproutEngine:
             "analysis_hits": self.analysis_hits,
             "analysis_misses": self.analysis_misses,
             "shared_lineage": self.shared_lineage,
-            "backend": self.backend,
             # Views marked stale vs. frontiers measured at a peek (0 in legacy mode).
             "frontier_marks": store.frontier_marks if store is not None else 0,
             "frontier_rebuilds": store.frontier_rebuilds if store is not None else 0,
         }
 
     def cache_stats(self) -> Dict[str, object]:
-        """Lineage-cache counters and the active numeric backend.
+        """Lineage-cache counters.
 
         ``hits`` / ``misses`` / ``evictions`` are cheap ints maintained by
         the engine's :class:`repro.prob.sharedag.SharedDTreeCache` (or
@@ -824,7 +803,7 @@ class SproutEngine:
         inserts, and deletes — re-deciding incrementally over its own
         shared-lineage store instead of re-running the query.  The standing
         query inherits this engine's substrate knobs (``shared_lineage``,
-        ``dtree_cache_size``, ``vectorize``, ``dtree_max_steps``) but owns a
+        ``dtree_cache_size``, ``dtree_max_steps``) but owns a
         *private* store: its probability space is mutable, the engine's is
         bound to the database.  Standing queries always run on the
         refinement substrate — tractable queries do not short-circuit to an
@@ -883,7 +862,6 @@ class SproutEngine:
             default_cap=self.dtree_max_steps,
             shared_lineage=self.shared_lineage,
             cache_nodes=self.dtree_cache_size,
-            vectorize=self.vectorize,
             schema=answer.schema,
             name=query.name,
             execution=execution,
@@ -996,7 +974,6 @@ class SproutEngine:
             decided=outcome.decided,
             refine_steps=outcome.steps + finishing_steps,
             delta_steps=outcome.steps + finishing_steps,
-            backend=self.backend,
             degraded=outcome.degraded,
         )
 
@@ -1183,7 +1160,6 @@ class SproutEngine:
             rows_processed=rows_processed,
             scans_used=scans_used,
             scan_schedule=schedule,
-            backend=self.backend,
         )
 
     def _evaluate_lazy_batch(
@@ -1237,7 +1213,6 @@ class SproutEngine:
             rows_processed=rows_processed,
             scans_used=scans_used,
             scan_schedule=schedule,
-            backend=self.backend,
         )
 
     # -- eager / hybrid plans ------------------------------------------------------------
@@ -1284,7 +1259,6 @@ class SproutEngine:
             answer_rows=len(final),
             rows_processed=node_result.rows_processed,
             scans_used=0,
-            backend=self.backend,
         )
 
     # -- lineage fallback ---------------------------------------------------------------
@@ -1320,7 +1294,6 @@ class SproutEngine:
             answer_rows=len(answer),
             rows_processed=rows_processed,
             scans_used=1,
-            backend=self.backend,
         )
 
     # -- d-tree path (unsafe queries and anytime approximation) -------------------------
@@ -1398,7 +1371,6 @@ class SproutEngine:
             bounds=bounds,
             refine_steps=sum(result.steps for result in results.values()),
             delta_steps=sum(result.steps for result in results.values()),
-            backend=self.backend,
         )
 
     # -- helpers -----------------------------------------------------------------------

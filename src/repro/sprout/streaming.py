@@ -47,8 +47,7 @@ and :meth:`refresh` ranks touched views on frontiers measured at peek time —
 a pure function of the table state then, never of timing — so the decided
 set, the exact confidences of selected tuples, and the *bounds after
 closing every candidate* end bit-identical to compiling the final state from
-scratch — under either numeric backend, with backend-independent step
-counts.  (Intermediate open-leaf brackets are the one thing history leaves a
+scratch.  (Intermediate open-leaf brackets are the one thing history leaves a
 mark on: a warm store has refined more than a cold compile of the final
 state, so non-selected bounds may be tighter — never looser than sound.)
 See ``docs/streaming.md`` for the full update model.
@@ -59,7 +58,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import PlanningError, ProbabilityError
-from repro.prob.backend import backend_name
 from repro.prob.delta import DeltaReport
 from repro.prob.dtree import (
     DEFAULT_MAX_STEPS,
@@ -104,12 +102,10 @@ class StandingQuery:
         :class:`repro.errors.ApproximationBudgetError`); an explicit
         ``max_steps`` caps the whole refresh and is reported via
         ``decided=False``, never raised.
-    shared_lineage / cache_nodes / vectorize
+    shared_lineage / cache_nodes
         The substrate knobs, mirroring the engine's: shared mode (default)
         compiles candidates into one private hash-consed store and is what
-        makes deltas incremental; ``cache_nodes`` bounds it (node count);
-        ``vectorize`` picks the numeric backend (results are bit-identical
-        whatever the backend).
+        makes deltas incremental; ``cache_nodes`` bounds it (node count).
     schema / name / execution
         Result-shaping metadata for the returned
         :class:`~repro.sprout.engine.EvaluationResult`; ``schema`` defaults
@@ -134,7 +130,6 @@ class StandingQuery:
         default_cap: Optional[int] = DEFAULT_MAX_STEPS,
         shared_lineage: bool = True,
         cache_nodes: Optional[int] = DEFAULT_MAX_NODES,
-        vectorize: Optional[bool] = None,
         schema: Optional[Schema] = None,
         name: str = "standing",
         execution: str = "row",
@@ -160,7 +155,7 @@ class StandingQuery:
         self._schema = schema
         self._execution = execution
         self._cache: Union[SharedDTreeCache, DTreeCache] = (
-            SharedDTreeCache(max_nodes=cache_nodes, vectorize=vectorize)
+            SharedDTreeCache(max_nodes=cache_nodes)
             if self.shared_lineage
             else DTreeCache(max_nodes=cache_nodes)
         )
@@ -222,15 +217,10 @@ class StandingQuery:
             "evictions": self._cache.evictions,
             "entries": len(self._cache),
             "shared_lineage": self.shared_lineage,
-            "backend": self._backend(),
             # Views marked stale vs. frontiers measured at a peek (0 in legacy mode).
             "frontier_marks": store.frontier_marks if store is not None else 0,
             "frontier_rebuilds": store.frontier_rebuilds if store is not None else 0,
         }
-
-    def _backend(self) -> str:
-        store = self._store
-        return backend_name(store.table.vectorize if store is not None else False)
 
     # -- deltas --------------------------------------------------------------
 
@@ -404,7 +394,6 @@ class StandingQuery:
             decided=outcome.decided,
             refine_steps=self.total_steps,
             delta_steps=delta_steps,
-            backend=self._backend(),
             degraded=outcome.degraded,
         )
         return self.result

@@ -40,18 +40,10 @@ import pytest
 
 from repro import Atom, ConjunctiveQuery, SproutEngine
 from repro.algebra import Comparison
-from repro.prob.backend import HAS_NUMPY
 from repro.prob.dtree import DTree
 
 PROJECTIONS = ("p_brand", "p_type", "p_container")
-
-VECTORIZE_LEGS = [
-    False,
-    pytest.param(
-        True,
-        marks=pytest.mark.skipif(not HAS_NUMPY, reason="NumPy backend not installed"),
-    ),
-]
+EXECUTIONS = ("row", "batch")
 
 #: projection -> (table rows, store steps, refine_steps, bound-column digest,
 #: sorted-row digest), recorded at f09e991 with a fresh engine per decision;
@@ -94,10 +86,12 @@ def unsafe_query(projection):
     )
 
 
-def fresh_engine(db, vectorize):
+def fresh_engine(db, execution):
     """Shared-store engine whatever ``REPRO_SHARED_LINEAGE`` the CI leg sets:
-    the shape lives in the engine's store."""
-    return SproutEngine(db, execution="batch", vectorize=vectorize, shared_lineage=True)
+    the shape lives in the engine's store.  Row and batch pipelines extract
+    the same lineage and the scheduler breaks ties on the tuple's ``repr``,
+    so both must reproduce the recorded shape."""
+    return SproutEngine(db, execution=execution, shared_lineage=True)
 
 
 def _digest(*chunks: bytes) -> str:
@@ -121,11 +115,11 @@ def _decision_shape(engine, result):
     )
 
 
-@pytest.mark.parametrize("vectorize", VECTORIZE_LEGS)
+@pytest.mark.parametrize("execution", EXECUTIONS)
 @pytest.mark.parametrize("projection", PROJECTIONS)
 class TestCompileShape:
-    def test_topk(self, tpch_db, projection, vectorize):
-        engine = fresh_engine(tpch_db, vectorize)
+    def test_topk(self, tpch_db, projection, execution):
+        engine = fresh_engine(tpch_db, execution)
         try:
             result = engine.evaluate_topk(unsafe_query(projection), k=10)
             assert result.decided
@@ -133,8 +127,8 @@ class TestCompileShape:
         finally:
             engine.close()
 
-    def test_threshold(self, tpch_db, projection, vectorize):
-        engine = fresh_engine(tpch_db, vectorize)
+    def test_threshold(self, tpch_db, projection, execution):
+        engine = fresh_engine(tpch_db, execution)
         try:
             result = engine.evaluate_threshold(unsafe_query(projection), tau=0.5)
             assert result.decided
@@ -142,8 +136,8 @@ class TestCompileShape:
         finally:
             engine.close()
 
-    def test_exact_evaluate(self, tpch_db, projection, vectorize):
-        engine = fresh_engine(tpch_db, vectorize)
+    def test_exact_evaluate(self, tpch_db, projection, execution):
+        engine = fresh_engine(tpch_db, execution)
         try:
             query = unsafe_query(projection)
             result = engine.evaluate(query)
@@ -154,7 +148,7 @@ class TestCompileShape:
                 chunks.append(struct.pack("<ddd", confidence, lower, upper))
             assert _decision_shape(engine, result) == EVALUATE_STORE[projection]
             # The per-tuple oracle: same answers from isolated trees.
-            answer = engine._answer_lineage(query, None, "batch")
+            answer = engine._answer_lineage(query, None, execution)
             confidences = result.confidences()
             steps = nodes = 0
             for data, dnf in answer.lineage.items():

@@ -11,8 +11,10 @@ import pytest
 from repro import ProbabilisticDatabase, SproutEngine
 from repro.config import env_flag, env_int
 from repro.errors import ConfigurationError, PlanningError
-from repro.prob.backend import default_vectorize
+from repro.prob.formulas import DNF
+from repro.prob.sharedag import SharedDTreeCache, SharedLineageStore
 from repro.service import QueryService, ServiceConfig
+from repro.sprout.streaming import StandingQuery
 from repro.storage import Relation, Schema
 
 
@@ -102,10 +104,22 @@ class TestEngineKnobsThroughTheSharedParser:
         with pytest.raises(ConfigurationError):
             SproutEngine(tiny_db)
 
-    def test_malformed_vectorize_rejected(self, monkeypatch):
+    def test_retired_vectorize_knob_is_not_read(self, tiny_db, monkeypatch):
+        # Bound propagation has one scalar path, so nothing parses the
+        # variable: a value the shared parser would reject is ignored.
         monkeypatch.setenv("REPRO_VECTORIZE", "fast")
-        with pytest.raises(ConfigurationError):
-            default_vectorize()
+        SproutEngine(tiny_db).close()
+
+    def test_retired_vectorize_argument_is_rejected(self, tiny_db):
+        """No compatibility shim swallows the old backend switch silently."""
+        with pytest.raises(TypeError):
+            SproutEngine(tiny_db, vectorize=False)
+        with pytest.raises(TypeError):
+            StandingQuery({(1,): DNF([frozenset({0})])}, {0: 0.5}, k=1, vectorize=False)
+        with pytest.raises(TypeError):
+            SharedLineageStore(vectorize=False)
+        with pytest.raises(TypeError):
+            SharedDTreeCache(vectorize=False)
 
     def test_well_formed_knobs_still_apply(self, tiny_db, monkeypatch):
         monkeypatch.setenv("REPRO_DTREE_CACHE", "123")

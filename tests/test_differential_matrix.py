@@ -9,6 +9,8 @@ exact configurations, within the epsilon budget for approximate ones) and
 therefore with every other configuration.
 """
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from repro import Atom, ConjunctiveQuery, ProbabilisticDatabase, SproutEngine
 from repro.algebra import Comparison, conjunction_of
 from repro.prob import confidences_by_enumeration
+from repro.prob.sharedag import SharedDTreeCache
 from repro.sprout import evaluate_deterministic
 from repro.storage import Relation, Schema
 
@@ -265,47 +268,6 @@ def test_topk_and_threshold_shared_axis(case, confidence):
 
 @pytest.mark.parametrize("case", sorted(CORPUS))
 @pytest.mark.parametrize("confidence", ["exact", "approx"])
-def test_vectorized_axis_is_bit_identical(case, confidence):
-    """Vectorized vs. scalar bound propagation: nothing may move a bit.
-
-    The NumPy kernels replicate the scalar combine-bounds arithmetic
-    operation for operation (same accumulation order, same float64 ops), so
-    confidences, bounds, decided sets, *and step counts* must be identical —
-    the backend is a throughput choice, never a semantic one.  Without NumPy
-    installed ``vectorize=True`` degrades to the scalar path and the
-    comparison is trivially satisfied (that leg still pins the fallback).
-    """
-    build_db, make_query = CORPUS[case]
-    truth = _truth(case)
-    tau = sorted(truth.values())[len(truth) // 2] if truth else 0.5
-    fingerprints = {}
-    for vectorize in (False, True):
-        engine = SproutEngine(build_db(), epsilon=EPSILON, vectorize=vectorize)
-        plain = engine.evaluate(make_query(), plan="dtree", confidence=confidence)
-        top = engine.evaluate_topk(
-            make_query(), k=2, plan="dtree", confidence=confidence
-        )
-        threshold = engine.evaluate_threshold(
-            make_query(), tau=tau, plan="dtree", confidence=confidence
-        )
-        fingerprints[vectorize] = (
-            sorted(plain.confidences().items()),
-            sorted(plain.bounds.items()),
-            plain.refine_steps,
-            sorted(top.confidences().items()),
-            sorted(top.bounds.items()),
-            top.decided,
-            top.refine_steps,
-            sorted(threshold.confidences().items()),
-            sorted(threshold.bounds.items()),
-            threshold.decided,
-            threshold.refine_steps,
-        )
-    assert fingerprints[True] == fingerprints[False]
-
-
-@pytest.mark.parametrize("case", sorted(CORPUS))
-@pytest.mark.parametrize("confidence", ["exact", "approx"])
 def test_execution_axis_is_bit_identical(case, confidence):
     """Row vs. batch pipelines on fresh engines: the bounded APIs must agree
     bit for bit, not just on answer sets.
@@ -342,6 +304,47 @@ def test_execution_axis_is_bit_identical(case, confidence):
             )
             engine.close()
         assert fingerprints["row"] == fingerprints["batch"], f"shared_lineage={shared}"
+
+
+@pytest.mark.parametrize("case", sorted(CORPUS))
+@pytest.mark.parametrize("confidence", ["exact", "approx"])
+def test_restart_axis_is_bit_identical(case, confidence):
+    """A restart between two bounded calls must not move a bit.
+
+    One engine answers top-k, then threshold.  Its twin answers the same
+    top-k, pickles its cache state (what the query service snapshots), and a
+    fresh engine restored from that state answers the threshold.  The
+    restored store continues where the exported one stood, so the threshold
+    answer, its bounds and step count, the store's step meter and the raw
+    bound columns all equal the uninterrupted engine's.
+    """
+    build_db, make_query = CORPUS[case]
+    truth = _truth(case)
+    tau = sorted(truth.values())[len(truth) // 2] if truth else 0.5
+
+    def threshold_fingerprint(engine):
+        threshold = engine.evaluate_threshold(
+            make_query(), tau=tau, plan="dtree", confidence=confidence
+        )
+        store = engine.dtree_cache.store
+        return (
+            list(threshold.relation.rows),
+            sorted(threshold.bounds.items()),
+            threshold.decided,
+            threshold.refine_steps,
+            store.steps,
+            store.table.bounds_fingerprint(),
+        )
+
+    with SproutEngine(build_db(), shared_lineage=True) as live:
+        live.evaluate_topk(make_query(), k=2, plan="dtree", confidence=confidence)
+        expected = threshold_fingerprint(live)
+    with SproutEngine(build_db(), shared_lineage=True) as before:
+        before.evaluate_topk(make_query(), k=2, plan="dtree", confidence=confidence)
+        state = pickle.loads(pickle.dumps(before.dtree_cache.export_state()))
+    with SproutEngine(build_db(), shared_lineage=True) as reborn:
+        reborn.dtree_cache = SharedDTreeCache.from_state(state)
+        assert threshold_fingerprint(reborn) == expected
 
 
 @pytest.mark.parametrize("case", sorted(CORPUS))

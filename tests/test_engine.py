@@ -1,11 +1,16 @@
 """End-to-end tests of the SPROUT engine against possible-worlds enumeration."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.errors import NonHierarchicalQueryError, PlanningError, UnsupportedQueryError
 from repro import Atom, ConjunctiveQuery, ProbabilisticDatabase, SproutEngine
 from repro.algebra import Comparison, Disjunction
-from repro.prob import confidences_by_enumeration
+from repro.prob import backend_info, confidences_by_enumeration
 from repro.sprout import evaluate_deterministic
 from repro.sprout.engine import ANSWER_MEMO_ENTRIES
 from repro.storage import Relation, Schema
@@ -15,6 +20,7 @@ from test_differential_matrix import CORPUS
 
 
 ALL_PLANS = ("lazy", "eager", "hybrid", "lineage")
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def enumerate_truth(db, query):
@@ -221,7 +227,7 @@ class TestEngineValidation:
 
 
 class TestEngineInstrumentation:
-    """The cache-counter and backend surfaces added with the columnar core."""
+    """The cache-counter surface added with the columnar core."""
 
     @staticmethod
     def unsafe_workload():
@@ -261,7 +267,6 @@ class TestEngineInstrumentation:
                 "analysis_hits": 0,
                 "analysis_misses": 0,
                 "shared_lineage": shared,
-                "backend": engine.backend,
                 "closed": False,
                 "frontier_marks": 0,
                 "frontier_rebuilds": 0,
@@ -313,20 +318,29 @@ class TestEngineInstrumentation:
         assert engine.cache_stats()["closed"] is False
         engine.close()
 
-    def test_results_surface_the_backend(self, paper_db, paper_q):
+    def test_results_carry_no_backend(self, paper_db, paper_q):
+        """Propagation has one scalar path, so nothing records a backend;
+        ``backend_info`` stays constant for the bench harness that reads it."""
         with SproutEngine(paper_db) as engine:
-            result = engine.evaluate(paper_q)
-            assert result.backend == engine.backend
-            assert engine.backend in ("numpy", "python")
+            result = engine.evaluate(paper_q, plan="dtree")
+            assert not hasattr(result, "backend")
+            assert "backend" not in engine.cache_stats()
+        assert backend_info() == {"backend": "python"}
 
-    def test_vectorize_off_forces_python_backend(self, paper_db, paper_q):
-        with SproutEngine(paper_db, vectorize=False) as scalar:
-            assert scalar.backend == "python"
-            scalar_result = scalar.evaluate(paper_q, plan="dtree")
-            assert scalar_result.backend == "python"
-        with SproutEngine(paper_db) as default:
-            default_result = default.evaluate(paper_q, plan="dtree")
-        assert scalar_result.confidences() == default_result.confidences()
+    def test_importing_the_package_loads_no_numpy(self):
+        """Engine, streaming and service processes never load NumPy."""
+        code = (
+            "import sys, repro, repro.sprout.streaming, repro.service; "
+            "print('numpy' in sys.modules)"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH", "")])
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 def _fingerprint(result):

@@ -147,10 +147,10 @@ class TestEnqueueSubtreeParity:
 
 
 class TestOpenLeafInfluencesParity:
-    @given(st.lists(lineage(), min_size=1, max_size=3), st.integers(0, 30), st.booleans())
+    @given(st.lists(lineage(), min_size=1, max_size=3), st.integers(0, 30))
     @settings(max_examples=150, deadline=None)
-    def test_descents_match_along_refinement(self, cases, steps, vectorize):
-        store = SharedLineageStore(vectorize=vectorize)
+    def test_descents_match_along_refinement(self, cases, steps):
+        store = SharedLineageStore()
         probabilities = {}
         for _, space in cases:
             # one shared space: later cases may not contradict earlier ones
@@ -180,7 +180,7 @@ class TestOpenLeafInfluencesParity:
         # root ⊙ —0.0→ mid ⊕ → {open leaf, closed};  root ⊙ —1.0→ closed.
         # The leaf's influence is exactly 0.0 — and it must still be listed:
         # "skip kind-closed" is not "skip weightless".
-        table = NodeTable(vectorize=False)
+        table = NodeTable()
         leaf = table.new_node(KIND_LEAF, 0.2, 0.6)
         closed = table.new_node(KIND_CLOSED, 0.3, 0.3)
         mid = table.new_node(KIND_IND_OR)
@@ -188,7 +188,7 @@ class TestOpenLeafInfluencesParity:
         other = table.new_node(KIND_CLOSED, 0.9, 0.9)
         root = table.new_node(KIND_DET_OR)
         table.attach_children(root, [mid, other], weights=[0.0, 1.0])
-        table.refresh_all_bounds(vectorize=False)
+        table.refresh_all_bounds()
         found = table.open_leaf_influences(root, 1.0)
         assert found == [(leaf, 0.0)]
         assert found == naive_open_leaf_influences(table, root, 1.0)
@@ -198,7 +198,7 @@ class TestOpenLeafInfluencesParity:
         second = table.new_node(KIND_LEAF, 0.1, 0.5)
         top = table.new_node(KIND_IND_OR)
         table.attach_children(top, [root, second])
-        table.refresh_all_bounds(vectorize=False)
+        table.refresh_all_bounds()
         found = table.open_leaf_influences(top, 1.0)
         assert found == naive_open_leaf_influences(table, top, 1.0)
         assert [nid for nid, _ in found] == [leaf, second]
@@ -209,7 +209,7 @@ class TestOpenLeafInfluencesParity:
         probabilities = {v: 0.5 for v in range(1, 8)}
         probabilities[2] = 1.0
         dnf = DNF([[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [6, 7], [2, 7]])
-        store = SharedLineageStore(vectorize=False)
+        store = SharedLineageStore()
         store.add_probabilities(dnf, probabilities)
         view = SharedDTree(store, dnf)
         assert view.expand_once()

@@ -1,4 +1,4 @@
-"""The columnar node table: layout, kernels, and backend bit-identity.
+"""The columnar node table: layout, propagation, and snapshot compatibility.
 
 Unit tests pin the storage primitives (append, contiguous edges, in-edge
 threading, level lifting, pickling) and the per-node arithmetic against
@@ -7,10 +7,8 @@ random lineage families refined along arbitrary interleavings, that
 
 * the topological level invariant ``level(parent) > level(child)`` survives
   every in-place leaf expansion,
-* the vectorized (NumPy) and scalar propagation backends leave bit-identical
-  columns behind — same bounds, same structure, same step counts,
 * a full :meth:`repro.prob.nodetable.NodeTable.refresh_all_bounds` sweep is
-  idempotent on a propagated table under either backend, and
+  idempotent on a table propagated incrementally, and
 * every view's bounds stay sound (bracketing enumeration truth) along the
   interleaving and its upper bound never rises (the lower bound can drop
   for a step; ``tests/test_sharedag.py`` pins the case).
@@ -21,7 +19,6 @@ import pickle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.prob.backend import HAS_NUMPY
 from repro.prob.dtree import DTree, combine_bounds, refine_to_budget
 from repro.prob.formulas import DNF, dnf_probability_enumeration
 from repro.prob.nodetable import (
@@ -74,9 +71,9 @@ def family_with_interleaving(draw):
     return members, probabilities, schedule
 
 
-def build_and_refine(members, probabilities, schedule, vectorize):
+def build_and_refine(members, probabilities, schedule):
     """One store + views for the family, refined along the schedule."""
-    store = SharedLineageStore(vectorize=vectorize)
+    store = SharedLineageStore()
     for dnf in members:
         store.add_probabilities(dnf, probabilities)
     views = [SharedDTree(store, dnf) for dnf in members]
@@ -113,7 +110,7 @@ def column_fingerprint(table):
 class TestTablePrimitives:
     def build_small_dag(self):
         """⊗(leaf, ⊕(leaf, leaf)) with hand-set bounds."""
-        table = NodeTable(vectorize=False)
+        table = NodeTable()
         a = table.new_node(KIND_LEAF, 0.2, 0.6)
         b = table.new_node(KIND_LEAF, 0.1, 0.3)
         c = table.new_node(KIND_LEAF, 0.4, 0.9)
@@ -156,7 +153,7 @@ class TestTablePrimitives:
 
     def test_refresh_one_matches_combine_bounds(self):
         table, a, b, c, disj, root = self.build_small_dag()
-        table.refresh_all_bounds(vectorize=False)
+        table.refresh_all_bounds()
 
         class Node:
             def __init__(self, lower, upper):
@@ -171,7 +168,7 @@ class TestTablePrimitives:
 
     def test_influence_matches_det_or_weights_and_ind_midpoints(self):
         table, a, b, c, disj, root = self.build_small_dag()
-        table.refresh_all_bounds(vectorize=False)
+        table.refresh_all_bounds()
         weighted = table.new_node(KIND_DET_OR)
         table.attach_children(weighted, [a, disj], weights=[0.25, 0.75])
         assert table.influence(weighted, 0) == 0.25
@@ -184,12 +181,22 @@ class TestTablePrimitives:
         table, *_ = self.build_small_dag()
         clone = pickle.loads(pickle.dumps(table))
         assert column_fingerprint(clone) == column_fingerprint(table)
-        assert clone.vectorize == table.vectorize
+
+    def test_state_with_the_retired_backend_slot_restores(self):
+        # Segments written before propagation had one scalar path pickled a
+        # numeric-backend flag with the columns; it must be ignored.
+        table, *_ = self.build_small_dag()
+        state = table.__getstate__()
+        state["vectorize"] = True
+        clone = NodeTable.__new__(NodeTable)
+        clone.__setstate__(state)
+        assert column_fingerprint(clone) == column_fingerprint(table)
+        assert not hasattr(clone, "vectorize")
 
     def test_open_leaf_influences_sums_shared_paths(self):
         # One leaf reachable through two paths must appear once, with the
         # summed path weight.
-        table = NodeTable(vectorize=False)
+        table = NodeTable()
         leaf = table.new_node(KIND_LEAF, 0.2, 0.8)
         left = table.new_node(KIND_DET_OR)
         table.attach_children(left, [leaf], weights=[0.5])
@@ -214,7 +221,7 @@ class TestPropagationProperties:
     @settings(max_examples=40, deadline=None)
     def test_level_invariant_survives_interleavings(self, family):
         members, probabilities, schedule = family
-        store, _ = build_and_refine(members, probabilities, schedule, vectorize=False)
+        store, _ = build_and_refine(members, probabilities, schedule)
         table = store.table
         for edge in range(len(table.edge_child)):
             parent = table.edge_parent[edge]
@@ -222,39 +229,19 @@ class TestPropagationProperties:
             assert table.level[parent] > table.level[child]
 
     @given(family_with_interleaving())
-    @settings(max_examples=40, deadline=None)
-    def test_vectorized_and_scalar_tables_are_bit_identical(self, family):
-        members, probabilities, schedule = family
-        scalar_store, scalar_views = build_and_refine(
-            members, probabilities, schedule, vectorize=False
-        )
-        vector_store, vector_views = build_and_refine(
-            members, probabilities, schedule, vectorize=True
-        )
-        assert column_fingerprint(scalar_store.table) == column_fingerprint(
-            vector_store.table
-        )
-        assert scalar_store.steps == vector_store.steps
-        for scalar_view, vector_view in zip(scalar_views, vector_views):
-            assert scalar_view.bounds() == vector_view.bounds()
-            assert scalar_view.steps == vector_view.steps
-
-    @given(family_with_interleaving())
     @settings(max_examples=30, deadline=None)
-    def test_refresh_all_bounds_is_idempotent_on_both_backends(self, family):
+    def test_refresh_all_bounds_is_idempotent(self, family):
         members, probabilities, schedule = family
-        store, _ = build_and_refine(members, probabilities, schedule, vectorize=False)
+        store, _ = build_and_refine(members, probabilities, schedule)
         before = column_fingerprint(store.table)
-        store.table.refresh_all_bounds(vectorize=False)
-        assert column_fingerprint(store.table) == before
-        store.table.refresh_all_bounds(vectorize=True)  # scalar without NumPy
+        store.table.refresh_all_bounds()
         assert column_fingerprint(store.table) == before
 
     @given(family_with_interleaving())
     @settings(max_examples=30, deadline=None)
     def test_bounds_stay_sound_and_monotone_along_the_schedule(self, family):
         members, probabilities, schedule = family
-        store = SharedLineageStore(vectorize=False)
+        store = SharedLineageStore()
         for dnf in members:
             store.add_probabilities(dnf, probabilities)
         views = [SharedDTree(store, dnf) for dnf in members]
@@ -276,31 +263,25 @@ class TestPropagationProperties:
     @settings(max_examples=30, deadline=None)
     def test_closure_is_bit_identical_to_the_per_tuple_dtree(self, family):
         members, probabilities = family
-        for vectorize in (False, True):
-            store = SharedLineageStore(vectorize=vectorize)
-            for dnf in members:
-                store.add_probabilities(dnf, probabilities)
-            for dnf in members:
-                view = SharedDTree(store, dnf)
-                view.refine(None)
-                assert view.is_exact
-                reference = refine_to_budget(
-                    DTree(dnf, probabilities), epsilon=0.0, max_steps=None
-                ).probability
-                assert view.result().probability == reference
+        store = SharedLineageStore()
+        for dnf in members:
+            store.add_probabilities(dnf, probabilities)
+        for dnf in members:
+            view = SharedDTree(store, dnf)
+            view.refine(None)
+            assert view.is_exact
+            reference = refine_to_budget(
+                DTree(dnf, probabilities), epsilon=0.0, max_steps=None
+            ).probability
+            assert view.result().probability == reference
 
 
 # ---------------------------------------------------------------------------
-# backend wiring
+# wire format
 # ---------------------------------------------------------------------------
 
 
-class TestBackendSelection:
-    def test_vectorize_flag_requires_numpy(self):
-        table = NodeTable(vectorize=True)
-        assert table.vectorize == HAS_NUMPY
-        assert NodeTable(vectorize=False).vectorize is False
-
+class TestKindCodes:
     def test_kind_codes_are_distinct_and_stable(self):
         codes = [KIND_CLOSED, KIND_LEAF, KIND_IND_AND, KIND_IND_OR, KIND_DET_OR]
         assert codes == [0, 1, 2, 3, 4]

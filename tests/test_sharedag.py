@@ -558,7 +558,7 @@ class TestRefinementRounds:
 # ---------------------------------------------------------------------------
 
 
-def _decision_fingerprint(case, confidence, vectorize):
+def _decision_fingerprint(case, confidence, execution):
     """One fresh engine's complete decision state for ``case``, as plain data:
     decided sets (via the sorted confidence items), confidences, bounds,
     per-call step counts, the store's global step meter and its raw
@@ -567,7 +567,7 @@ def _decision_fingerprint(case, confidence, vectorize):
     truth = _truth(case)
     tau = sorted(truth.values())[len(truth) // 2] if truth else 0.5
     # shared_lineage=True pins the shared store against REPRO_SHARED_LINEAGE=0.
-    engine = SproutEngine(build_db(), vectorize=vectorize, shared_lineage=True)
+    engine = SproutEngine(build_db(), execution=execution, shared_lineage=True)
     try:
         top = engine.evaluate_topk(make_query(), k=2, plan="dtree", confidence=confidence)
         threshold = engine.evaluate_threshold(
@@ -590,11 +590,11 @@ def _decision_fingerprint(case, confidence, vectorize):
         engine.close()
 
 
-@pytest.mark.parametrize("vectorize", [False, True], ids=["scalar", "vectorized"])
+@pytest.mark.parametrize("execution", ["row", "batch"])
 @pytest.mark.parametrize("case", sorted(CORPUS))
 @pytest.mark.parametrize("confidence", ["exact", "approx"])
 def test_first_peek_frontier_matches_measuring_at_construction(
-    case, confidence, vectorize, monkeypatch
+    case, confidence, execution, monkeypatch
 ):
     """One-shot engine views: lazy first measurement ≡ eager at construction.
 
@@ -602,9 +602,10 @@ def test_first_peek_frontier_matches_measuring_at_construction(
     table other views refined since it was built (the threshold call runs
     over the store the top-k call refined).  Peeking every view the moment
     it is constructed is the eager behaviour; step counts and the raw bound
-    columns must not tell the two apart, under either numeric backend.
+    columns must not tell the two apart, whichever pipeline (row or batch)
+    built the views and in whatever order it handed them over.
     """
-    lazy = _decision_fingerprint(case, confidence, vectorize)
+    lazy = _decision_fingerprint(case, confidence, execution)
     init = SharedDTree._init_frontier
 
     def measure_at_construction(view):
@@ -612,4 +613,4 @@ def test_first_peek_frontier_matches_measuring_at_construction(
         view._peek()
 
     monkeypatch.setattr(SharedDTree, "_init_frontier", measure_at_construction)
-    assert _decision_fingerprint(case, confidence, vectorize) == lazy
+    assert _decision_fingerprint(case, confidence, execution) == lazy

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.errors import SnapshotError
+from repro.prob.nodetable import NodeTable
 from repro.service import (
     QueryService,
     ServiceClient,
@@ -341,3 +342,43 @@ class TestKillNineAroundTheFirstDelta:
         assert found["selected"] == expected["selected"]
         assert found["result"]["rows"] == expected["result"]["rows"]
 
+
+
+class _TableWithBackendFlag:
+    """Pickles as the node table did while it carried a numeric-backend slot."""
+
+    def __init__(self, table):
+        self.state = dict(table.__getstate__(), vectorize=True)
+
+    def __reduce__(self):
+        return (object.__new__, (NodeTable,), self.state)
+
+
+def test_a_snapshot_that_carries_the_backend_flag_still_restores(tmp_path):
+    """Snapshots written while propagation had a second (vectorized) path
+    carry a ``vectorize`` key in every cache state and a ``vectorize`` slot
+    in every node table; both are ignored and the restore stays warm."""
+    config = ServiceConfig(snapshot_path=str(tmp_path / "service.snap"))
+    with shared_service(config) as service:
+        created = service.execute("subscribe", {"sql": SQL, "k": 2})
+        cold = service.execute("topk", {"sql": SQL, "k": 2})
+    state = read_snapshot(config.snapshot_path)
+    caches = [state["engine_cache"]] + [watch["cache"] for _, watch in state["subscriptions"]]
+    for cache in caches:
+        cache["vectorize"] = True
+        cache["segment"]["table"] = _TableWithBackendFlag(cache["segment"]["table"])
+    write_snapshot(config.snapshot_path, state)
+    variable = created["variables"][0]
+    params = {"subscription": "sub-0", "variable": variable, "probability": 0.03}
+    with shared_service(ServiceConfig()) as control:
+        control.execute("subscribe", {"sql": SQL, "k": 2})
+        expected = control.execute("subscription_update", params)
+    with shared_service(config) as reborn:
+        assert reborn.snapshot_restored is True
+        warm = reborn.execute("topk", {"sql": SQL, "k": 2})
+        found = reborn.execute("subscription_update", params)
+    assert warm["refine_steps"] <= 1
+    assert warm["rows"] == cold["rows"]
+    assert found["report"] == expected["report"]
+    assert found["selected"] == expected["selected"]
+    assert found["result"]["rows"] == expected["result"]["rows"]

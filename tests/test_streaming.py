@@ -6,8 +6,8 @@ to a from-scratch compilation under the final probability space.  Standing
 query tests run scripted and Hypothesis-generated delta interleavings
 (updates, inserts, deletes, in any order, refreshed at any point) and assert
 the warm answer — decided set, selected exact confidences, decided flag —
-equals a fresh :class:`StandingQuery` built from the final state, under either
-numeric backend with backend-independent step counts, and that deferring a
+equals a fresh :class:`StandingQuery` built from the final state, that a
+replayed script reproduces its step counts, and that deferring a
 touched view's frontier measurement to its first peek is indistinguishable
 from rebuilding it eagerly after every delta.  Engine-level tests
 cover the ``watch_topk`` / ``watch_threshold`` entry points and the
@@ -23,9 +23,9 @@ from hypothesis import strategies as st
 
 from repro import Atom, ConjunctiveQuery, ProbabilisticDatabase, SproutEngine
 from repro.errors import PlanningError, ProbabilityError
-from repro.prob import HAS_NUMPY
 from repro.prob.dtree import DTree, refine_to_budget
 from repro.prob.formulas import DNF
+from repro.prob.nodetable import NodeTable
 from repro.prob.sharedag import SharedDTree, SharedLineageStore
 from repro.sprout.streaming import StandingQuery
 from repro.storage import Relation, Schema
@@ -269,6 +269,16 @@ def standing(members, probabilities, **kwargs) -> StandingQuery:
     return StandingQuery(lineage, probabilities, **kwargs)
 
 
+class TableWithBackendFlag:
+    """Pickles as the node table did while it carried a numeric-backend slot."""
+
+    def __init__(self, table):
+        self.state = dict(table.__getstate__(), vectorize=True)
+
+    def __reduce__(self):
+        return (object.__new__, (NodeTable,), self.state)
+
+
 class TestStateCompatibility:
     @pytest.mark.parametrize("shared", (True, False), ids=("shared", "legacy"))
     def test_a_state_carrying_the_old_lane_count_restores_warm(self, shared):
@@ -290,6 +300,41 @@ class TestStateCompatibility:
         assert restored.selected == query.selected
         assert result.confidences() == query.result.confidences()
         assert result.delta_steps <= 1
+
+    @pytest.mark.parametrize("confidence", ("exact", "approx"))
+    @pytest.mark.parametrize("goal", ("topk", "threshold"))
+    def test_a_state_carrying_the_backend_flag_restores_warm(self, goal, confidence):
+        """States written while propagation had a second (vectorized) path
+        carry ``"vectorize"`` in the cache state and a ``vectorize`` slot in
+        the pickled node table; restoring ignores both, stays warm, and
+        answers the next delta as the live query does."""
+        members = [
+            DNF([[i, i + 1] for i in range(0, 6)]),
+            DNF([[i, i + 1] for i in range(3, 9)]),
+            DNF([[i, i + 1] for i in range(6, 11)]),
+        ]
+        probabilities = {v: 0.35 + 0.05 * (v % 5) for v in range(12)}
+        options = {"k": 2} if goal == "topk" else {"tau": 0.3}
+        query = standing(members, probabilities, confidence=confidence, **options)
+        state = query.export_state()
+        assert "vectorize" not in state["cache"]
+        state["cache"]["vectorize"] = True
+        segment = state["cache"]["segment"]
+        segment["table"] = TableWithBackendFlag(segment["table"])
+        restored = StandingQuery.from_state(pickle.loads(pickle.dumps(state)))
+        assert not hasattr(restored._store.table, "vectorize")
+        result = restored.refresh()
+        assert restored.decided == query.decided
+        assert restored.selected == query.selected
+        assert result.confidences() == query.result.confidences()
+        assert result.delta_steps <= 1
+        query.update_probability(4, 0.9)
+        restored.update_probability(4, 0.9)
+        live_result = query.refresh()
+        restored_result = restored.refresh()
+        assert restored.selected == query.selected
+        assert restored_result.bounds == live_result.bounds
+        assert restored_result.confidences() == live_result.confidences()
 
     @pytest.mark.parametrize("shared", (True, False), ids=("shared", "legacy"))
     @pytest.mark.parametrize("confidence", ("exact", "approx"))
@@ -441,15 +486,14 @@ class TestStandingQueryDeltas:
             selected_confidences(fresh), key=repr
         )
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="needs both numeric backends")
     @given(delta_script())
     @settings(max_examples=15, deadline=None)
-    def test_backends_agree_on_steps_and_answers(self, script):
+    def test_replays_agree_on_steps_and_answers(self, script):
         members, probabilities, ops = script
         k = min(2, len(members))
         runs = []
-        for vectorize in (False, True):
-            query = standing(members, probabilities, k=k, vectorize=vectorize)
+        for _ in range(2):
+            query = standing(members, probabilities, k=k)
             apply_script(query, ops)
             runs.append(
                 (
@@ -528,19 +572,17 @@ def refresh_state(query: StandingQuery):
 
 
 class TestLazyFrontier:
-    @pytest.mark.parametrize("vectorize", (False, True), ids=("scalar", "vectorized"))
     @pytest.mark.parametrize("confidence", ("exact", "approx"))
     @pytest.mark.parametrize("goal", ("topk", "threshold"))
     @given(delta_script(), st.floats(0.1, 0.9))
     @settings(max_examples=15, deadline=None)
     def test_deferred_measurement_equals_eager_rebuild(
-        self, goal, confidence, vectorize, script, tau
+        self, goal, confidence, script, tau
     ):
         """Same script, one twin measuring every marked view right away:
-        every refresh must agree on the answer, its cost, and every bound,
-        under either numeric backend."""
+        every refresh must agree on the answer, its cost, and every bound."""
         members, probabilities, ops = script
-        options = {"confidence": confidence, "vectorize": vectorize}
+        options = {"confidence": confidence}
         options.update({"k": min(2, len(members))} if goal == "topk" else {"tau": tau})
         lazy = standing(members, probabilities, **options)
         eager = standing(members, probabilities, **options)

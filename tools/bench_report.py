@@ -6,8 +6,8 @@ Four suites, each pinned to scale factor 0.001 with one round per benchmark
 
 * ``core`` (default) — the refinement-core, shared-lineage, and top-k
   pruning benchmarks, consolidated into ``BENCH_refinement_core.json``:
-  the vectorized-vs-scalar bound-propagation sweep ratio of the columnar
-  node table, and the logical steps to decide the unsafe TPC-H brand
+  the full-table bound-propagation sweep time of the columnar node
+  table, and the logical steps to decide the unsafe TPC-H brand
   top-10 under the shared-DAG scheduler vs. the per-tuple scheduler.
 * ``streaming`` — the delta re-decide benchmarks
   (``benchmarks/bench_streaming.py``), consolidated into
@@ -159,21 +159,8 @@ def consolidate_core(raw_json: Path) -> dict:
     summary = {
         "workload": "unsafe TPC-H brand top-10, SF 0.001",
         "refinement_core": {
-            "backend": extra("test_vectorized_sweep_throughput", "backend"),
-            "numpy_available": extra(
-                "test_vectorized_sweep_throughput", "numpy_available"
-            ),
-            "table_nodes": extra("test_vectorized_sweep_throughput", "table_nodes"),
-            "scalar_sweep_seconds": extra(
-                "test_vectorized_sweep_throughput", "scalar_sweep_seconds"
-            ),
-            "vector_sweep_seconds": extra(
-                "test_vectorized_sweep_throughput", "vector_sweep_seconds"
-            ),
-            "vector_speedup": extra("test_vectorized_sweep_throughput", "vector_speedup"),
-            "backends_bit_identical": extra(
-                "test_backends_bit_identical_end_to_end", "backends_identical"
-            ),
+            "table_nodes": extra("test_propagation_sweep", "table_nodes"),
+            "sweep_seconds": extra("test_propagation_sweep", "sweep_seconds"),
         },
         "topk_decision_steps": {
             "shared_dag": shared_steps,
@@ -268,8 +255,8 @@ def print_core(summary: dict, output: Path) -> None:
     core = summary["refinement_core"]
     steps = summary["topk_decision_steps"]
     print(
-        f"bench report OK: sweep speedup={core['vector_speedup']:.2f}x "
-        f"({core['backend']} backend), shared={steps['shared_dag']} steps, "
+        f"bench report OK: sweep={core['sweep_seconds'] * 1000:.2f} ms over "
+        f"{core['table_nodes']} nodes, shared={steps['shared_dag']} steps, "
         f"legacy serial={steps['legacy_serial']} -> {output}"
     )
 
