@@ -60,7 +60,7 @@ def refined_store(db):
     hash-consed DAG for every candidate with partially refined bounds —
     the table a propagation sweep has to traverse.
     """
-    with SproutEngine(db, shared_lineage=True) as engine:
+    with SproutEngine(db) as engine:
         answer = engine._answer_lineage(brand_query(), None, "row")
     cache = SharedDTreeCache()
     trees = dtrees_from_dnfs(answer.lineage, answer.probabilities, cache=cache)

@@ -1,27 +1,31 @@
 """Shared-lineage DAG scheduling vs. per-tuple refinement (the PR 5 claim).
 
-The top-k/threshold scheduler compiles candidate lineages into
-one hash-consed DAG and, per logical step, expands the shared node with the
-largest bound-width mass over the gating tuples (``shared_lineage=True``,
-the default).  This benchmark quantifies the claim on the unsafe TPC-H
-brand query of ``bench_topk_pruning.py``
+The top-k/threshold scheduler compiles candidate lineages into one
+hash-consed DAG and, per logical step, expands the shared node with the
+largest bound-width mass over the gating tuples.  This benchmark quantifies
+the claim on the unsafe TPC-H brand query of ``bench_topk_pruning.py``
 
     q(p_brand) :- part(partkey, p_brand), partsupp(partkey, suppkey,
                   ps_availqty), supplier(suppkey), ps_availqty < 3000
 
 and asserts the acceptance contract:
 
-* deciding the top-10 brand set takes no more logical refinement steps
-  than the per-tuple crossing-pair scheduler (``shared_lineage=False``);
-* the decided sets and the exact confidences are **bit-identical** across
-  both paths — sharing changes the work, never the answer.
+* deciding the top-10 brand set (and the τ = 0.9 partition) takes no more
+  logical refinement steps than the per-tuple crossing-pair scheduler did.
+  That scheduler was removed with the per-tuple compiler; its step counts on
+  this exact instance, measured at commit 750851d, are the recorded
+  ceilings :data:`PER_TUPLE_TOPK_STEPS` and :data:`PER_TUPLE_THRESHOLD_STEPS`;
+* the decided sets and the exact confidences agree with the exact
+  lineage evaluator (``plan="lineage"``: memoised Shannon expansion over
+  each tuple's DNF, independent of the d-tree code) — sharing changes the
+  work, never the answer.
 
 The instance is pinned to SF 0.001 (independent of ``REPRO_TPCH_SF``):
 step counts are a property of this exact workload and the contrast claim
-is calibrated on it.  Logical steps are Shannon expansions — in shared
-mode an expansion of a node contained in many candidate lineages counts
-once, which is exactly the saving being measured.  Every measured call
-builds a fresh engine so no run starts from another's refined store.
+is calibrated on it.  Logical steps are Shannon expansions — an expansion
+of a node contained in many candidate lineages counts once, which is
+exactly the saving being measured.  Every measured call builds a fresh
+engine so no run starts from another's refined store.
 
 ``test_canonical_clause_caching`` additionally pins the satellite
 micro-optimisation: the canonical clause serialisation is cached on the
@@ -46,6 +50,14 @@ from conftest import run_benchmark
 K = 10
 TAU = 0.9
 AVAILQTY_CUT = 3000
+TOLERANCE = 1e-12
+
+#: Logical steps the per-tuple crossing-pair scheduler took on this instance
+#: (commit 750851d): the approximate top-10 decision, the exact top-10
+#: (decision plus finishing) and the approximate τ = 0.9 partition.
+PER_TUPLE_TOPK_STEPS = 21
+PER_TUPLE_EXACT_TOPK_STEPS = 48
+PER_TUPLE_THRESHOLD_STEPS = 23
 
 
 @pytest.fixture(scope="module")
@@ -66,78 +78,84 @@ def brand_query() -> ConjunctiveQuery:
     )
 
 
-def decide_topk(db, shared_lineage=True):
-    """Decision phase only (approx mode: no exact-finishing steps mixed in).
+@pytest.fixture(scope="module")
+def exact_confidences(shared_db):
+    """Every brand's exact confidence from the lineage evaluator."""
+    with SproutEngine(shared_db) as engine:
+        return engine.evaluate(brand_query(), plan="lineage").confidences()
 
-    ``shared_lineage`` is pinned explicitly — the contrast must not silently
-    change scheduler when ``REPRO_SHARED_LINEAGE`` is set in the environment
-    (CI runs a leg with it).
-    """
-    with SproutEngine(db, shared_lineage=shared_lineage) as engine:
+
+def decide_topk(db):
+    """Decision phase only (approx mode: no exact-finishing steps mixed in)."""
+    with SproutEngine(db) as engine:
         return engine.evaluate_topk(brand_query(), k=K, confidence="approx")
 
 
-def test_topk_shared_vs_per_tuple_scheduler(benchmark, shared_db):
+def assert_valid_topk(selected, exact):
+    """``selected`` is *a* top-K set of ``exact`` (tie-tolerant)."""
+    assert len(selected) == min(K, len(exact))
+    weakest = min(exact[data] for data in selected)
+    for data in set(exact) - set(selected):
+        assert exact[data] <= weakest + TOLERANCE
+
+
+def test_topk_shared_vs_per_tuple_scheduler(benchmark, shared_db, exact_confidences):
     """The headline: no more logical steps than the per-tuple scheduler."""
-    per_tuple = decide_topk(shared_db, shared_lineage=False)
     shared = run_benchmark(benchmark, decide_topk, shared_db)
-    assert shared.decided and per_tuple.decided
+    assert shared.decided
 
     benchmark.extra_info["k"] = K
     benchmark.extra_info["shared_steps"] = shared.refine_steps
-    benchmark.extra_info["legacy_serial_steps"] = per_tuple.refine_steps
+    benchmark.extra_info["legacy_serial_steps"] = PER_TUPLE_TOPK_STEPS
     benchmark.extra_info["speedup_vs_legacy_serial"] = (
-        per_tuple.refine_steps / max(1, shared.refine_steps)
+        PER_TUPLE_TOPK_STEPS / max(1, shared.refine_steps)
     )
 
     # The shared-DAG scheduler never regresses against the per-tuple
-    # crossing-pair path, and both prove the same decided set.
-    assert shared.refine_steps <= per_tuple.refine_steps
-    assert set(shared.confidences()) == set(per_tuple.confidences())
+    # crossing-pair path, and it proves a top-K set of the exact answer.
+    assert shared.refine_steps <= PER_TUPLE_TOPK_STEPS
+    assert_valid_topk(shared.confidences(), exact_confidences)
 
 
-def test_topk_exact_confidences_bit_identical(benchmark, shared_db):
-    """Exact mode: shared on and off agree to the bit."""
+def test_topk_exact_confidences_match_the_lineage_evaluator(
+    benchmark, shared_db, exact_confidences
+):
+    """Exact mode: the winners' confidences are the lineage evaluator's."""
     result = run_benchmark(
-        benchmark,
-        lambda: SproutEngine(shared_db, shared_lineage=True).evaluate_topk(
-            brand_query(), k=K
-        ),
-    )
-    legacy = SproutEngine(shared_db, shared_lineage=False).evaluate_topk(
-        brand_query(), k=K
+        benchmark, lambda: SproutEngine(shared_db).evaluate_topk(brand_query(), k=K)
     )
     benchmark.extra_info["shared_steps"] = result.refine_steps
-    benchmark.extra_info["legacy_steps"] = legacy.refine_steps
-    assert result.decided and legacy.decided
-    # Bit-identical: same tuples, and float-for-float the same confidences.
-    assert result.confidences() == legacy.confidences()
-    for data in result.confidences():
+    benchmark.extra_info["legacy_steps"] = PER_TUPLE_EXACT_TOPK_STEPS
+    assert result.decided
+    assert_valid_topk(result.confidences(), exact_confidences)
+    for data, confidence in result.confidences().items():
+        assert confidence == pytest.approx(exact_confidences[data], abs=TOLERANCE)
         lower, upper = result.bounds[data]
         assert upper - lower <= 1e-12
 
 
-def test_threshold_shared_step_reduction(benchmark, shared_db):
+def test_threshold_shared_step_reduction(benchmark, shared_db, exact_confidences):
     """τ-partition: tracked alongside top-k (no 2x gate; ratio recorded)."""
-    def decide(shared_lineage=True):
-        with SproutEngine(shared_db, shared_lineage=shared_lineage) as engine:
+    def decide():
+        with SproutEngine(shared_db) as engine:
             return engine.evaluate_threshold(
                 brand_query(), tau=TAU, confidence="approx"
             )
 
-    legacy = decide(shared_lineage=False)
     shared = run_benchmark(benchmark, decide)
     benchmark.extra_info["tau"] = TAU
     benchmark.extra_info["shared_steps"] = shared.refine_steps
-    benchmark.extra_info["legacy_serial_steps"] = legacy.refine_steps
-    assert shared.decided and legacy.decided
-    assert set(shared.confidences()) == set(legacy.confidences())
-    assert shared.refine_steps <= legacy.refine_steps
+    benchmark.extra_info["legacy_serial_steps"] = PER_TUPLE_THRESHOLD_STEPS
+    assert shared.decided
+    assert set(shared.confidences()) == {
+        data for data, confidence in exact_confidences.items() if confidence >= TAU
+    }
+    assert shared.refine_steps <= PER_TUPLE_THRESHOLD_STEPS
 
 
 def test_repeat_topk_reuses_shared_store(benchmark, shared_db):
     """A second top-k over the same lineage re-reads warm shared views."""
-    engine = SproutEngine(shared_db, shared_lineage=True)
+    engine = SproutEngine(shared_db)
     engine.evaluate_topk(brand_query(), k=K)  # warm the store
 
     result = run_benchmark(benchmark, engine.evaluate_topk, brand_query(), K)

@@ -69,7 +69,7 @@ def brand_query() -> ConjunctiveQuery:
 
 def standing_watch(db) -> StandingQuery:
     """A standing brand top-10 with every knob pinned (CI legs vary the env)."""
-    engine = SproutEngine(db, shared_lineage=True)
+    engine = SproutEngine(db)
     return engine.watch_topk(brand_query(), k=K)
 
 

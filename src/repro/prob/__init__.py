@@ -9,16 +9,17 @@ Everything about *probability*, independent of query processing:
   and exact weighted model counting by memoised Shannon expansion.
 * :mod:`repro.prob.lineage` — extraction of per-tuple DNF lineage from
   answer relations that carry ``V``/``P`` columns.
-* :mod:`repro.prob.dtree` — the anytime decomposition-tree engine: exact
-  when compilation closes, guaranteed lower/upper bounds when stopped
-  early, plus the Karp–Luby Monte Carlo fallback.  Its refinement is
-  deterministic and resumable, which the top-k/threshold scheduler
-  (:mod:`repro.sprout.topk`) relies on.
-* :mod:`repro.prob.sharedag` — the shared-lineage DAG: hash-consed
+* :mod:`repro.prob.dtree` — the decomposition-tree rules every compile
+  shares: node bound arithmetic, open-leaf bounds, the Shannon branch
+  rule, the refinement driver (exact when compilation closes, guaranteed
+  lower/upper bounds when stopped early), plus the Karp–Luby Monte Carlo
+  fallback.
+* :mod:`repro.prob.sharedag` — the one lineage compiler: hash-consed
   subformula nodes shared *across* answer tuples, with per-tuple
   :class:`SharedDTree` views whose bounds tighten whenever any tuple
-  refines a shared node.  What the serial top-k/threshold scheduler runs
-  on by default (``shared_lineage=True``).
+  refines a shared node.  Its refinement is deterministic and resumable,
+  which d-tree evaluation and the top-k/threshold scheduler
+  (:mod:`repro.sprout.topk`) rely on.
 * :mod:`repro.prob.delta` — delta updates over the shared DAG: a
   probability update re-seeds exactly the rows carrying the variable and
   repairs their ancestor closure in one multi-source pass; deleted views
@@ -39,10 +40,7 @@ evaluators and what the epsilon/bounds semantics guarantee.
 from repro.prob.delta import DeltaReport, apply_probability_update, retire_view
 from repro.prob.dtree import (
     ApproxResult,
-    DTree,
-    DTreeCache,
     MonteCarloResult,
-    dtree_probability,
     karp_luby_probability,
     refine_to_budget,
 )
@@ -59,9 +57,7 @@ from repro.prob.formulas import (
     is_read_once,
 )
 from repro.prob.lineage import (
-    approximate_confidences_from_lineage,
     confidences_from_lineage,
-    dtrees_from_lineage,
     interned_dnf,
     lineage_by_tuple,
     probabilities_from_answer,
@@ -96,8 +92,6 @@ __all__ = [
     "Bottom",
     "ClauseInterner",
     "DNF",
-    "DTree",
-    "DTreeCache",
     "DeltaReport",
     "Formula",
     "MonteCarloResult",
@@ -113,15 +107,12 @@ __all__ = [
     "VariableInfo",
     "VariableRegistry",
     "apply_probability_update",
-    "approximate_confidences_from_lineage",
     "backend_info",
     "bipartite_lineage",
     "confidences_by_enumeration",
     "confidences_from_lineage",
     "dnf_probability",
     "dnf_probability_enumeration",
-    "dtree_probability",
-    "dtrees_from_lineage",
     "hub_lineage",
     "interned_dnf",
     "is_read_once",

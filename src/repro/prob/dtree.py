@@ -1,4 +1,4 @@
-"""Decomposition trees: anytime confidence computation for arbitrary DNF lineage.
+"""Decomposition-tree arithmetic: the rules every lineage compile shares.
 
 Exact confidence computation is #P-hard for non-hierarchical (unsafe) queries,
 so SPROUT's follow-on line of work compiles the lineage of each answer tuple
@@ -19,21 +19,21 @@ probability computation:
 Compilation interleaves the cheap decomposition steps (factoring, component
 splitting) with Shannon cobranching until every leaf is a literal or constant,
 at which point the evaluation is **exact**.  Because full compilation is
-worst-case exponential, the engine also runs in an **anytime** mode: every
-open (not yet compiled) leaf carries cheap lower/upper bounds on its
-probability, the bounds propagate through the d-tree node types to bracket the
-root probability, and compilation repeatedly expands the open leaf with the
-largest influence on the root gap until the caller's absolute or relative
-error budget ``epsilon`` is met.  The bounds are sound at every step: each
-expansion replaces one leaf's bracket by a bracket that still contains that
-leaf's probability, so stopping early always yields a sound root interval,
-and at closure it is exact.  They are not monotone on both sides.  The upper
-bound does not rise (``prod (1 - p * c_i)`` is convex in ``p``, so a Shannon
-step can only lower the independent-or estimate; the property tests assert
-it), but the lower bound may drop for a step: the greedy disjoint pick of the
-two cofactors can be worse than the parent's pick.  For
-``{0 1 5, 0 3, 1 2, 4 5}`` with ``p(5) = 0.75`` and the rest ``0.5`` the root
-bracket goes ``[0.6484, 0.7144] -> [0.6094, 0.6924] -> 0.671875``.
+worst-case exponential, it also runs **anytime**: every open (not yet
+compiled) leaf carries cheap lower/upper bounds on its probability, the
+bounds propagate through the node types to bracket the root probability, and
+compilation repeatedly expands the open leaf with the largest influence on
+the root gap until the caller's absolute or relative error budget
+``epsilon`` is met.  The bounds are sound at every step: each expansion
+replaces one leaf's bracket by a bracket that still contains that leaf's
+probability, so stopping early always yields a sound root interval, and at
+closure it is exact.  They are not monotone on both sides.  The upper bound
+does not rise (``prod (1 - p * c_i)`` is convex in ``p``, so a Shannon step
+can only lower the independent-or estimate; the property tests assert it),
+but the lower bound may drop for a step: the greedy disjoint pick of the two
+cofactors can be worse than the parent's pick.  For ``{0 1 5, 0 3, 1 2, 4 5}``
+with ``p(5) = 0.75`` and the rest ``0.5`` the root bracket goes
+``[0.6484, 0.7144] -> [0.6094, 0.6924] -> 0.671875``.
 
 Open-leaf bounds for a positive DNF with clause probabilities ``c_i``:
 
@@ -45,9 +45,14 @@ Open-leaf bounds for a positive DNF with clause probabilities ``c_i``:
   positively correlated (FKG), so treating them as independent overestimates
   the probability of the disjunction.
 
-A Karp–Luby-style Monte Carlo estimator (:func:`karp_luby_probability`) is
-provided as a cross-check and as a last-resort fallback for adversarial
-lineage on which the d-tree frontier converges too slowly.
+The one compiler that applies these rules is the hash-consed store of
+:mod:`repro.prob.sharedag` over the columnar node table of
+:mod:`repro.prob.nodetable`; this module holds what it shares — the bound
+arithmetic, the branch rule, the cofactor, the refinement driver
+:func:`refine_to_budget`, the order-canonical clause form — so that those
+rules exist once.  A Karp–Luby-style Monte Carlo estimator
+(:func:`karp_luby_probability`) is the last-resort fallback for adversarial
+lineage on which the frontier converges too slowly.
 """
 
 from __future__ import annotations
@@ -56,21 +61,17 @@ import math
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from heapq import heappop, heappush
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.errors import ApproximationBudgetError, ProbabilityError
-from repro.prob.formulas import DNF, _component_groups
+from repro.prob.formulas import DNF
 
 __all__ = [
     "ApproxResult",
     "MonteCarloResult",
-    "DTree",
-    "DTreeCache",
     "CanonicalClauses",
     "canonical_clauses",
     "dnf_from_canonical",
-    "dtree_probability",
     "karp_luby_probability",
     "refine_to_budget",
 ]
@@ -165,7 +166,7 @@ class MonteCarloResult:
 
 
 # ---------------------------------------------------------------------------
-# d-tree nodes
+# node arithmetic
 # ---------------------------------------------------------------------------
 
 _IND_AND = "ind_and"
@@ -173,10 +174,11 @@ _IND_OR = "ind_or"
 _DET_OR = "det_or"
 
 
-# The bound arithmetic and the branch-variable rule are shared, as module
-# functions, with the shared-lineage DAG (:mod:`repro.prob.sharedag`): both
-# engines promise *bit-identical* exact probabilities for the same clause
-# set, and one implementation is the only way that contract cannot drift.
+# The bound arithmetic and the branch-variable rule are module functions so
+# that the store (:mod:`repro.prob.sharedag`, whose node table replicates
+# ``combine_bounds`` operation for operation) and the per-tuple tree the
+# tests keep as its oracle apply one definition: their exact probabilities
+# for the same clause set must be bit-identical.
 
 
 def combine_bounds(kind, children, weights) -> Tuple[float, float]:
@@ -247,71 +249,6 @@ def branch_variable(dnf: DNF) -> int:
     return min(counts, key=lambda v: (-counts[v], v))
 
 
-class _Node:
-    """Shared fields: bounds plus the link to the parent slot holding us."""
-
-    __slots__ = ("lower", "upper", "parent", "slot")
-
-    def __init__(self) -> None:
-        self.lower = 0.0
-        self.upper = 1.0
-        self.parent: Optional["_Inner"] = None
-        self.slot = 0
-
-
-class _Closed(_Node):
-    """A fully compiled subtree, reduced to its exact probability."""
-
-    __slots__ = ()
-
-    def __init__(self, value: float):
-        super().__init__()
-        self.lower = self.upper = value
-
-
-class _Leaf(_Node):
-    """An open leaf: a DNF not yet decomposed, with cheap probability bounds."""
-
-    __slots__ = ("dnf", "expanded", "heap_gen")
-
-    def __init__(self, dnf: DNF, probabilities: Mapping[int, float]):
-        super().__init__()
-        self.dnf = dnf
-        self.expanded = False
-        self.heap_gen = -1
-        self.lower, self.upper = leaf_bounds(dnf, probabilities)
-
-
-class _Inner(_Node):
-    """An ⊗ / ⊕ / ⊙ node over already constructed children."""
-
-    __slots__ = ("kind", "children", "weights", "origin")
-
-    def __init__(
-        self,
-        kind: str,
-        children: List[_Node],
-        weights: Optional[Sequence[float]] = None,
-        origin: Optional[FrozenSet[Clause]] = None,
-    ):
-        super().__init__()
-        self.kind = kind
-        self.children = children
-        self.weights = list(weights) if weights is not None else None
-        self.origin = origin  # clause set this subtree computes, for memoisation
-        for slot, child in enumerate(children):
-            child.parent = self
-            child.slot = slot
-        self.refresh_bounds()
-
-    def refresh_bounds(self) -> None:
-        self.lower, self.upper = combine_bounds(self.kind, self.children, self.weights)
-
-    def child_weight(self, slot: int) -> float:
-        """Midpoint-linearised derivative of this node w.r.t. child ``slot``."""
-        return influence_weight(self.kind, self.children, self.weights, slot)
-
-
 # ---------------------------------------------------------------------------
 # compilation
 # ---------------------------------------------------------------------------
@@ -336,284 +273,6 @@ def _cofactor_true(dnf: DNF, variable: int) -> DNF:
     return DNF(shrunk + kept)
 
 
-class DTree:
-    """An incrementally compiled decomposition tree for one DNF.
-
-    Construction applies the cheap decomposition steps eagerly;
-    :meth:`expand_once` performs one Shannon cobranching step on the open leaf
-    with the largest estimated influence on the root bounds; :meth:`bounds`
-    returns the current root interval.  :func:`dtree_probability` drives the
-    loop — use it unless you need step-by-step control.
-
-    Bounds are maintained incrementally: an expansion splices the replacement
-    subtree into the leaf's parent slot and recomputes bounds along the path
-    to the root only (stopping early when nothing changes).  The frontier is a
-    lazy max-heap of (influence, leaf) entries whose influence weights are
-    recomputed globally on a geometric schedule (:data:`_REFRESH_BASE`,
-    :data:`_REFRESH_FACTOR`), so a single step costs O(path length) rather
-    than O(tree size).
-
-    The tree is *resumable*: :meth:`refine` performs a bounded number of
-    expansions and may be called again later to tighten the bounds further —
-    the multi-tuple top-k/threshold scheduler relies on this to interleave
-    refinement across candidate tuples.  Expansion order is deterministic, so
-    the bounds after ``T`` cumulative expansions are a pure function of the
-    lineage.  ``memo`` may
-    be a dictionary shared between several trees over the same variable
-    space (see :class:`DTreeCache`) so that closed subformulas compiled for
-    one tuple's lineage are reused verbatim by every other tuple that
-    contains them.
-    """
-
-    def __init__(
-        self,
-        dnf: DNF,
-        probabilities: Mapping[int, float],
-        memo: Optional[Dict[FrozenSet[Clause], float]] = None,
-    ):
-        self.probabilities = probabilities
-        self.memo: Dict[FrozenSet[Clause], float] = {} if memo is None else memo
-        for variable in dnf.variables():
-            if variable not in probabilities:
-                raise ProbabilityError(f"no probability for variable {variable}")
-        self.steps = 0
-        #: Number of tree nodes ever constructed — the memory-proportional
-        #: size measure :class:`DTreeCache` evicts by (splice replacements
-        #: are not discounted, so this slightly over-approximates the live
-        #: tree, which is the safe direction for an eviction bound).
-        self.node_count = 0
-        self._heap: List[Tuple[float, int, _Leaf]] = []
-        self._heap_gen = 0
-        self._counter = 0
-        self._next_rebuild = _REFRESH_BASE
-        self.root = self._build(dnf.minimised())
-        self._rebuild_frontier()
-
-    # -- structural decomposition (independent partition steps) ---------------
-
-    def _product(self, variables: Iterable[int]) -> float:
-        """Product of the marginals, folded in ``variables`` iteration order."""
-        weight = 1.0
-        for variable in variables:
-            weight *= self.probabilities[variable]
-        return weight
-
-    def _build(self, dnf: DNF, connected: bool = False) -> _Node:
-        """Decompose ``dnf``: constant, memo hit, single clause, ⊗ factoring of
-        the common variables, ⊕ split into components, else an open leaf.
-
-        ⊕ children follow :func:`~repro.prob.formulas._component_groups`
-        order, and a multi-clause group is rebuilt as ``DNF(group)`` so that
-        its clause order — which leaf bounds and every later fold follow — is
-        the one the group was filled in.  ``connected`` marks a component
-        that was just split off: it goes common factor → leaf without a
-        second component pass; only the ``rest`` under a ⊗ can fall apart
-        again and is split afresh.
-        """
-        self.node_count += 1
-        if dnf.is_true():
-            return _Closed(1.0)
-        if dnf.is_false():
-            return _Closed(0.0)
-        cached = self.memo.get(dnf.clauses)
-        if cached is not None:
-            return _Closed(cached)
-        clauses = list(dnf.clauses)
-        if len(clauses) == 1:
-            return _Closed(self._product(clauses[0]))
-        # Independent-and: factor out variables common to every clause.
-        common = frozenset.intersection(*clauses)
-        if common:
-            rest = DNF(clause - common for clause in clauses)
-            self.node_count += 1  # the factored-out constant child
-            children = [_Closed(self._product(common)), self._build(rest)]
-            return _Inner(_IND_AND, children, origin=dnf.clauses)
-        # Independent-or: split into connected components.
-        if not connected:
-            groups = _component_groups(clauses)
-            if len(groups) > 1:
-                children = [self._build_group(group) for group in groups]
-                return _Inner(_IND_OR, children, origin=dnf.clauses)
-        return _Leaf(dnf, self.probabilities)
-
-    def _build_group(self, group: Set[Clause]) -> _Node:
-        """One component's subtree.  A single clause closes in place — node
-        count, constant test before memo probe, and fold order as in
-        ``_build`` of its one-clause DNF; larger groups recurse as connected."""
-        if len(group) > 1:
-            return self._build(DNF(group), True)
-        self.node_count += 1
-        (clause,) = group
-        if not clause:
-            return _Closed(1.0)
-        cached = self.memo.get(frozenset((clause,)))
-        return _Closed(self._product(clause) if cached is None else cached)
-
-    # -- Shannon variable cobranching -----------------------------------------
-
-    def _expand_leaf(self, leaf: _Leaf) -> None:
-        branch = branch_variable(leaf.dnf)
-        p = self.probabilities[branch]
-        positive = _cofactor_true(leaf.dnf, branch)
-        negative = leaf.dnf.condition(branch, False)
-        self.node_count += 1  # the ⊙ node itself; children count via _build
-        replacement = _Inner(
-            _DET_OR,
-            [self._build(positive), self._build(negative)],
-            weights=[p, 1.0 - p],
-            origin=leaf.dnf.clauses,
-        )
-        leaf.expanded = True
-        self.steps += 1
-        self._splice(leaf, replacement)
-        self._enqueue_subtree(replacement, self._path_weight(replacement))
-
-    # -- bound propagation and frontier management ----------------------------
-
-    def _splice(self, old: _Node, new: _Node) -> None:
-        """Replace ``old`` with ``new`` and propagate bounds up to the root."""
-        parent = old.parent
-        if parent is None:
-            self.root = new
-            new.parent = None
-            return
-        new.parent = parent
-        new.slot = old.slot
-        parent.children[old.slot] = new
-        node: Optional[_Inner] = parent
-        while node is not None:
-            before = (node.lower, node.upper)
-            node.refresh_bounds()
-            if all(isinstance(child, _Closed) for child in node.children):
-                if node.origin is not None:
-                    self.memo[node.origin] = node.lower
-                closed = _Closed(node.lower)
-                grand = node.parent
-                if grand is None:
-                    self.root = closed
-                    return
-                closed.parent = grand
-                closed.slot = node.slot
-                grand.children[node.slot] = closed
-                node = grand
-                continue
-            if (node.lower, node.upper) == before:
-                return
-            node = node.parent
-
-    def _path_weight(self, node: _Node) -> float:
-        weight = 1.0
-        while node.parent is not None:
-            weight *= node.parent.child_weight(node.slot)
-            node = node.parent
-        return weight
-
-    def _enqueue_subtree(self, node: _Node, weight: float) -> None:
-        """Push every open leaf under ``node`` with its influence estimate."""
-        if isinstance(node, _Closed):
-            return
-        if isinstance(node, _Leaf):
-            if not node.expanded:
-                node.heap_gen = self._heap_gen
-                self._counter += 1
-                heappush(
-                    self._heap,
-                    (-(weight * (node.upper - node.lower)), self._counter, node),
-                )
-            return
-        assert isinstance(node, _Inner)
-        for slot, child in enumerate(node.children):
-            # A closed child holds no leaf and its weight is never read.
-            # (Kind-closed only: a leaf with a degenerate bracket is pushed.)
-            if not isinstance(child, _Closed):
-                self._enqueue_subtree(child, weight * node.child_weight(slot))
-
-    def _rebuild_frontier(self) -> None:
-        """Recompute all influence weights from scratch (heals heap staleness)."""
-        self._heap = []
-        self._heap_gen += 1
-        self._counter = 0
-        self._enqueue_subtree(self.root, 1.0)
-
-    def bounds(self) -> Tuple[float, float]:
-        return self.root.lower, self.root.upper
-
-    @property
-    def lower(self) -> float:
-        """Current root lower bound (the tree-level surface schedulers use,
-        shared with :class:`repro.prob.sharedag.SharedDTree`, whose root is
-        a table nid rather than a node object)."""
-        return self.root.lower
-
-    @property
-    def upper(self) -> float:
-        return self.root.upper
-
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.root, _Closed)
-
-    @property
-    def gap(self) -> float:
-        return self.root.upper - self.root.lower
-
-    def expand_once(self) -> bool:
-        """Expand the most influential open leaf; False if the tree is closed."""
-        if self.steps >= self._next_rebuild:
-            self._rebuild_frontier()
-            self._next_rebuild = int(self.steps * _REFRESH_FACTOR) + _REFRESH_BASE
-        while self._heap:
-            _, _, leaf = heappop(self._heap)
-            if leaf.expanded or leaf.heap_gen != self._heap_gen:
-                continue
-            cached = self.memo.get(leaf.dnf.clauses)
-            if cached is not None:
-                leaf.expanded = True
-                self._splice(leaf, _Closed(cached))
-                continue
-            self._expand_leaf(leaf)
-            return True
-        return False
-
-    def refine(
-        self,
-        steps: Optional[int] = None,
-        *,
-        epsilon: float = 0.0,
-        relative: bool = False,
-    ) -> int:
-        """Perform up to ``steps`` leaf expansions; return how many were done.
-
-        Stops early as soon as the tree closes (exact value reached) or the
-        root interval meets the ``epsilon`` budget.  ``steps=None`` removes
-        the per-call cap, so ``refine(epsilon=0.0)`` compiles to exactness.
-        The method is resumable: successive calls continue tightening the
-        same monotone bracket, which is what lets a multi-tuple scheduler
-        hand out refinement quanta to whichever tuple needs them most.
-        """
-        performed = 0
-        while steps is None or performed < steps:
-            if self.is_exact or _budget_met(
-                self.root.lower, self.root.upper, epsilon, relative
-            ):
-                break
-            if not self.expand_once():
-                break
-            performed += 1
-        return performed
-
-    def result(self) -> ApproxResult:
-        """The current bracket packaged as an :class:`ApproxResult`."""
-        lower, upper = self.bounds()
-        return ApproxResult(
-            probability=0.5 * (lower + upper),
-            lower=lower,
-            upper=upper,
-            steps=self.steps,
-            exact=self.is_exact or upper == lower,
-        )
-
-
 def _budget_met(
     lower: float, upper: float, epsilon: float, relative: bool
 ) -> bool:
@@ -626,7 +285,7 @@ def _budget_met(
 
 
 def refine_to_budget(
-    tree: DTree,
+    tree,
     *,
     epsilon: float = 0.0,
     relative: bool = False,
@@ -634,6 +293,8 @@ def refine_to_budget(
 ) -> ApproxResult:
     """Drive ``tree`` until the ``epsilon`` budget is met or it closes.
 
+    ``tree`` is a :class:`repro.prob.sharedag.SharedDTree` view (anything
+    with ``refine``, ``bounds`` and ``is_exact`` will do).
     ``max_steps`` caps the expansions performed *by this call*, and the
     returned :class:`ApproxResult`'s ``steps`` counts this call's expansions
     only (a cached tree may already carry refinement from earlier
@@ -663,165 +324,6 @@ def refine_to_budget(
         steps=spent,
         exact=tree.is_exact or upper == lower,
     )
-
-
-def dtree_probability(
-    dnf: DNF,
-    probabilities: Mapping[int, float],
-    *,
-    epsilon: float = 0.0,
-    relative: bool = False,
-    max_steps: Optional[int] = DEFAULT_MAX_STEPS,
-    cache: Optional["DTreeCache"] = None,
-) -> ApproxResult:
-    """Probability of a positive DNF via anytime d-tree compilation.
-
-    With ``epsilon == 0`` the compilation runs to completion and the result is
-    exact.  With ``epsilon > 0`` the loop stops as soon as the midpoint of the
-    root interval is guaranteed within ``epsilon`` of the true probability
-    (absolutely, or relatively to it when ``relative`` is true).  If
-    ``max_steps`` leaf expansions do not reach the budget, a structured
-    :class:`repro.errors.ApproximationBudgetError` carrying the best bounds so
-    far is raised; pass ``max_steps=None`` to disable the cap.  ``cache``
-    reuses (and keeps refining) the tree compiled for the same lineage by an
-    earlier call.
-    """
-    tree = cache.get(dnf, probabilities) if cache is not None else DTree(dnf, probabilities)
-    return refine_to_budget(tree, epsilon=epsilon, relative=relative, max_steps=max_steps)
-
-
-class DTreeCache:
-    """A shared lineage → :class:`DTree` cache.
-
-    Repeated evaluations over overlapping candidate sets (successive top-k
-    calls, threshold sweeps with different τ, an exact re-check after an
-    anytime run) keep hitting the same per-tuple lineage.  The cache hands
-    back the *same* incrementally compiled tree, so refinement accumulates
-    across calls instead of restarting from scratch, and all trees share one
-    closed-subformula memo, so a subformula compiled under one tuple closes
-    instantly under every other tuple.
-
-    All lookups must use probabilities from the same variable space (one
-    probabilistic database): entries are keyed by the clause set alone.
-    ``max_entries`` bounds the tree cache with LRU eviction; ``max_nodes``
-    additionally bounds the *summed node count* of the cached trees — entry
-    counts are blind to lineage size, so one workload of huge d-trees could
-    otherwise blow memory long before 4096 entries.  The shared memo (whose
-    entries are not attributable to a single tree) is capped at
-    ``memo_limit`` and simply reset when it overflows — it is a pure
-    accelerator, so dropping it never affects correctness.
-    """
-
-    def __init__(
-        self,
-        max_entries: Optional[int] = 4096,
-        memo_limit: Optional[int] = 1_000_000,
-        max_nodes: Optional[int] = None,
-    ):
-        if max_entries is not None and max_entries < 1:
-            raise ProbabilityError(f"max_entries must be positive, got {max_entries}")
-        if memo_limit is not None and memo_limit < 1:
-            raise ProbabilityError(f"memo_limit must be positive, got {memo_limit}")
-        if max_nodes is not None and max_nodes < 1:
-            raise ProbabilityError(f"max_nodes must be positive, got {max_nodes}")
-        self.max_entries = max_entries
-        self.memo_limit = memo_limit
-        self.max_nodes = max_nodes
-        self.hits = 0
-        self.misses = 0
-        #: Entries dropped (LRU or node-budget) — cheap int, surfaced by the
-        #: engine's cache statistics so benchmarks can attribute warm-vs-cold
-        #: step counts instead of inferring them.
-        self.evictions = 0
-        self._trees: Dict[FrozenSet[Clause], DTree] = {}
-        #: Last-seen node count per entry plus the running total — node
-        #: budget enforcement must be O(1) per access (cache hits are on
-        #: the per-tuple hot path), so totals are adjusted by delta when an
-        #: entry is touched rather than re-summed over all entries.
-        self._node_counts: Dict[FrozenSet[Clause], int] = {}
-        self._total_nodes = 0
-        self._memo: Dict[FrozenSet[Clause], float] = {}
-        #: Every (variable, probability) pair the cache has ever seen: both the
-        #: cached trees *and* the shared memo are only valid under these values,
-        #: so a lookup that contradicts them is a misuse and raises.
-        self._probabilities: Dict[int, float] = {}
-
-    def __len__(self) -> int:
-        return len(self._trees)
-
-    def _check_space(self, dnf: DNF, probabilities: Mapping[int, float]) -> None:
-        recorded = self._probabilities
-        for variable in dnf.variables():
-            value = probabilities.get(variable)
-            existing = recorded.get(variable)
-            if existing is None:
-                if value is not None:
-                    recorded[variable] = value
-            elif existing != value:
-                raise ProbabilityError(
-                    f"DTreeCache is bound to one probability space: variable "
-                    f"{variable} was cached with probability {existing}, "
-                    f"now given {value}"
-                )
-
-    def get(self, dnf: DNF, probabilities: Mapping[int, float]) -> DTree:
-        """The (possibly already refined) tree for ``dnf``, building on a miss."""
-        self._check_space(dnf, probabilities)
-        key = dnf.clauses
-        tree = self._trees.get(key)
-        if tree is not None:
-            self.hits += 1
-            self._trees[key] = self._trees.pop(key)  # mark most recently used
-            self._account(key, tree)
-            self._enforce_node_budget()
-            return tree
-        self.misses += 1
-        if self.memo_limit is not None and len(self._memo) > self.memo_limit:
-            # Live trees keep their reference to the dict; rebinding gives new
-            # trees a fresh one instead of mutating it out from under them.
-            self._memo = {}
-        tree = DTree(dnf, probabilities, memo=self._memo)
-        self._trees[key] = tree
-        self._account(key, tree)
-        if self.max_entries is not None and len(self._trees) > self.max_entries:
-            self._evict(next(iter(self._trees)))
-        self._enforce_node_budget()
-        return tree
-
-    def _account(self, key, tree: DTree) -> None:
-        """Fold the entry's current node count into the running total."""
-        before = self._node_counts.get(key, 0)
-        self._total_nodes += tree.node_count - before
-        self._node_counts[key] = tree.node_count
-
-    def _evict(self, key) -> None:
-        self._trees.pop(key)
-        self._total_nodes -= self._node_counts.pop(key, 0)
-        self.evictions += 1
-
-    def _enforce_node_budget(self) -> None:
-        """Evict (LRU) until the tracked node total fits ``max_nodes``.
-
-        Trees grow after insertion — callers refine them in place — so each
-        entry's count is refreshed whenever it is accessed (the O(1) delta
-        in :meth:`_account`; counts of untouched entries may lag until
-        their next access).  The most recently accessed tree may be evicted
-        too: the caller holds it, the cache just forgets it.
-        """
-        if self.max_nodes is None:
-            return
-        while self._total_nodes > self.max_nodes and self._trees:
-            self._evict(next(iter(self._trees)))
-
-    def clear(self) -> None:
-        self._trees.clear()
-        self._node_counts.clear()
-        self._total_nodes = 0
-        self._memo.clear()
-        self._probabilities.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
 
 # ---------------------------------------------------------------------------

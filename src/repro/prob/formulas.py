@@ -411,8 +411,8 @@ def dnf_probability_enumeration(dnf: DNF, probabilities: Mapping[int, float]) ->
 def _component_groups(clauses: Collection[Clause]) -> List[Set[Clause]]:
     """Partition ``clauses`` into groups over pairwise disjoint variable sets.
 
-    The one grouping primitive of the compile kernel (``DTree._build``,
-    ``SharedLineageStore.build``) and of :func:`dnf_probability`: a clause
+    The one grouping primitive of the compile kernel
+    (``SharedLineageStore.build``) and of :func:`dnf_probability`: a clause
     takes the label of an already-labelled variable, and a union-find over
     the few *labels* merges those a later clause bridges.
 

@@ -11,21 +11,15 @@ is checked against.
 
 from __future__ import annotations
 
-import random
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
-from repro.errors import ApproximationBudgetError, ProbabilityError
-from repro.prob.dtree import (
-    DEFAULT_MAX_STEPS,
-    ApproxResult,
-    DTree,
-    DTreeCache,
-    dtree_probability,
-    karp_luby_probability,
-)
+from repro.errors import ProbabilityError
 from repro.prob.formulas import DNF, dnf_probability
 from repro.storage.relation import Relation
 from repro.storage.schema import ColumnRole, Schema
+
+if TYPE_CHECKING:
+    from repro.prob.sharedag import SharedDTree, SharedDTreeCache
 
 __all__ = [
     "split_answer_columns",
@@ -33,9 +27,7 @@ __all__ = [
     "interned_dnf",
     "probabilities_from_answer",
     "confidences_from_lineage",
-    "approximate_confidences_from_lineage",
     "dtrees_from_dnfs",
-    "dtrees_from_lineage",
 ]
 
 DataTuple = Tuple[object, ...]
@@ -137,92 +129,20 @@ def confidences_from_lineage(
     }
 
 
-def approximate_confidences_from_lineage(
-    answer: Relation,
-    probabilities: Optional[Mapping[int, float]] = None,
-    *,
-    epsilon: float = 0.0,
-    relative: bool = False,
-    max_steps: Optional[int] = DEFAULT_MAX_STEPS,
-    monte_carlo_samples: Optional[int] = 10_000,
-    rng: Optional[random.Random] = None,
-    cache: Optional[DTreeCache] = None,
-) -> Dict[DataTuple, ApproxResult]:
-    """Anytime d-tree confidence of every distinct data tuple in ``answer``.
-
-    Each tuple's DNF lineage is compiled into a decomposition tree until the
-    ``epsilon`` budget is met (``epsilon == 0`` compiles to exactness); the
-    result maps each tuple to an :class:`repro.prob.dtree.ApproxResult` with
-    guaranteed lower/upper bounds.  When compilation exhausts ``max_steps``
-    and ``monte_carlo_samples`` is set, the Karp–Luby estimator (drawing from
-    ``rng``, for reproducibility across runs) supplies the point estimate
-    (clamped into the d-tree's sound bracket) instead of propagating
-    :class:`repro.errors.ApproximationBudgetError`.  ``cache`` reuses the
-    incrementally compiled trees across evaluations of overlapping candidate
-    sets.
-    """
-    if probabilities is None:
-        probabilities = probabilities_from_answer(answer)
-    results: Dict[DataTuple, ApproxResult] = {}
-    for data, dnf in lineage_by_tuple(answer).items():
-        try:
-            results[data] = dtree_probability(
-                dnf,
-                probabilities,
-                epsilon=epsilon,
-                relative=relative,
-                max_steps=max_steps,
-                cache=cache,
-            )
-        except ApproximationBudgetError as error:
-            if monte_carlo_samples is None:
-                raise
-            estimate = karp_luby_probability(
-                dnf, probabilities, samples=monte_carlo_samples, rng=rng
-            ).estimate
-            results[data] = ApproxResult(
-                probability=min(max(estimate, error.lower), error.upper),
-                lower=error.lower,
-                upper=error.upper,
-                steps=error.steps,
-                exact=False,
-            )
-    return results
-
-
 def dtrees_from_dnfs(
     lineage: Mapping[DataTuple, DNF],
     probabilities: Mapping[int, float],
     *,
-    cache: Optional[DTreeCache] = None,
-) -> Dict[DataTuple, DTree]:
-    """One (resumable) decomposition tree per entry of an extracted lineage map.
+    cache: "SharedDTreeCache",
+) -> Dict[DataTuple, "SharedDTree"]:
+    """One resumable view of ``cache``'s store per entry of a lineage map.
 
-    The entry point of the top-k/threshold scheduler: it needs live
-    :class:`repro.prob.dtree.DTree` handles it can refine selectively, rather
-    than results refined to a uniform budget.  With ``cache`` set, tuples seen
-    in earlier evaluations come back with their refinement intact; a
-    :class:`repro.prob.sharedag.SharedDTreeCache` additionally hash-conses the
-    trees into one columnar node table
-    (:class:`repro.prob.nodetable.NodeTable`).
+    The entry point of the top-k/threshold scheduler and of plain d-tree
+    evaluation: both need live handles they can refine selectively, rather
+    than results refined to a uniform budget.  Tuples seen in earlier
+    evaluations come back with their refinement intact, and every tuple is
+    hash-consed into the one columnar node table
+    (:class:`repro.prob.nodetable.NodeTable`) of the
+    :class:`repro.prob.sharedag.SharedDTreeCache`.
     """
-    return {
-        data: (
-            cache.get(dnf, probabilities)
-            if cache is not None
-            else DTree(dnf, probabilities)
-        )
-        for data, dnf in lineage.items()
-    }
-
-
-def dtrees_from_lineage(
-    answer: Relation,
-    probabilities: Optional[Mapping[int, float]] = None,
-    *,
-    cache: Optional[DTreeCache] = None,
-) -> Dict[DataTuple, DTree]:
-    """:func:`dtrees_from_dnfs` over the lineage extracted from ``answer``."""
-    if probabilities is None:
-        probabilities = probabilities_from_answer(answer)
-    return dtrees_from_dnfs(lineage_by_tuple(answer), probabilities, cache=cache)
+    return {data: cache.get(dnf, probabilities) for data, dnf in lineage.items()}

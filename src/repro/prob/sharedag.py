@@ -1,16 +1,15 @@
-"""Shared-lineage DAG on a columnar node table: compile once, refine in passes.
+"""The lineage compiler: one shared DAG on a columnar node table.
 
-The per-tuple decomposition trees of :mod:`repro.prob.dtree` treat every
-answer tuple's lineage as an island: identical subformulas that occur under
-several tuples (the same supplier/partsupp clauses recurring under many
-brands in the TPC-H workloads) are Shannon-expanded and bounded once *per
-tuple*.  This module replaces the islands with one **hash-consed AND/OR DAG**
-per probability space — and since PR 6 the DAG is not an object graph but a
-:class:`repro.prob.nodetable.NodeTable`: node kind, child ranges, levels and
-lower/upper bounds live in parallel flat arrays, a node is an integer id
-(``nid``, assigned in creation order — the deterministic scheduler
-tiebreak), and bound propagation runs as per-level passes over the
-columns.
+Compiling each answer tuple's lineage on its own treats it as an island:
+identical subformulas that occur under several tuples (the same
+supplier/partsupp clauses recurring under many brands in the TPC-H
+workloads) would be Shannon-expanded and bounded once *per tuple*.  This
+module compiles every tuple into one **hash-consed AND/OR DAG** per
+probability space, held in a :class:`repro.prob.nodetable.NodeTable`: node
+kind, child ranges, levels and lower/upper bounds live in parallel flat
+arrays, a node is an integer id (``nid``, assigned in creation order — the
+deterministic scheduler tiebreak), and bound propagation runs as per-level
+passes over the columns.
 
 * every subformula (a subsumption-free positive DNF) is interned in a
   :class:`SharedLineageStore` keyed by its clause set, so structurally equal
@@ -24,22 +23,22 @@ columns.
   therefore to every tuple whose lineage contains the refined node;
 * a :class:`SharedDTree` is a per-tuple *view* over the store: a root nid
   plus a private influence-ordered frontier, measured lazily — at the first
-  peek after the view was built or marked stale.  It is call-compatible with
-  :class:`repro.prob.dtree.DTree` (``lower``/``upper``, ``bounds``/``gap``/
-  ``is_exact``/``refine``/``result``), so the
-  top-k/threshold scheduler and the exact finishing driver
-  :func:`repro.prob.dtree.refine_to_budget` run on views unchanged;
+  peek after the view was built or marked stale.  It offers the anytime
+  tree surface (``lower``/``upper``, ``bounds``/``gap``/``is_exact``/
+  ``refine``/``result``) that the top-k/threshold scheduler and the
+  refinement driver :func:`repro.prob.dtree.refine_to_budget` run on;
 * exact closure (``refine`` with ``epsilon == 0``) ranks nothing: the
   store closes the view's sub-DAG in one post-order sweep
   (:meth:`SharedLineageStore.close`), expanding the leaves the ranked
   frontier would, in another order.
 
-The decomposition rules, branch-variable choice, and bound arithmetic mirror
-:mod:`repro.prob.dtree` operation for operation (the table's refresh
-replicates ``combine_bounds`` exactly), so the
-exact probability the DAG computes for a clause set is **bit-identical** to
-what a per-tuple d-tree computes for the same clause set — sharing changes
-how much work is performed, never a single float of the answer.
+The decomposition rules, branch-variable choice, and bound arithmetic are
+those of :mod:`repro.prob.dtree` operation for operation (the table's
+refresh replicates ``combine_bounds`` exactly), so the exact probability the
+DAG computes for a clause set is **bit-identical** to what a tuple's own,
+unshared d-tree computes for the same clause set — sharing changes how much
+work is performed, never a single float of the answer.  The tests hold that
+per-tuple tree as the oracle.
 
 Because nids stay valid for the store's lifetime (the table is append-only;
 mutation is in place), a store is *shippable*: :meth:`export_segment` /
@@ -49,13 +48,11 @@ across a restart.
 
 :class:`ClauseInterner` deduplicates the clause frozensets themselves (the
 batch pipeline's :func:`repro.sprout.onescan.columnar_lineage` emits interned
-clauses directly), and :class:`SharedDTreeCache` is the engine-side drop-in
-for :class:`repro.prob.dtree.DTreeCache` when shared-lineage mode is on:
-same ``get``/``hits``/``misses``/``evictions``/``clear`` surface,
-node-count-bounded.
+clauses directly), and :class:`SharedDTreeCache` is the engine's lineage
+cache: ``get``/``hits``/``misses``/``evictions``/``clear``, node-count-bounded.
 
-See ``docs/shared_lineage.md`` and ``docs/refinement_core.md`` for the
-user-facing guides.
+See the shared-lineage guide under ``docs/`` and ``docs/refinement_core.md``
+for the user-facing guides.
 """
 
 from __future__ import annotations
@@ -150,8 +147,7 @@ class SharedLineageStore:
     ``node_count`` counts nids created since the last :meth:`reset_nodes`
     (the budget quantity); ``len(store.table)`` is the total table length.
     All lookups must use probabilities from one probabilistic database
-    (:meth:`add_probabilities` guards this, like
-    :class:`repro.prob.dtree.DTreeCache` does).
+    (:meth:`add_probabilities` guards this).
     """
 
     def __init__(
@@ -312,7 +308,8 @@ class SharedLineageStore:
     def build(self, dnf: DNF) -> int:
         """The interned nid for a subsumption-free ``dnf`` (built on a miss).
 
-        Mirrors ``DTree._build`` rule for rule: constants, single clause,
+        The decomposition rules of a per-tuple d-tree (the tests'
+        ``oracles.dtree.DTree._build``), rule for rule: constants, single clause,
         independent-and factoring of the common variables, independent-or
         splitting into connected components, open leaf otherwise — except
         that every non-constant result is interned by its clause set, so a
@@ -421,7 +418,7 @@ class SharedLineageStore:
         return nid
 
     def build_root(self, dnf: DNF) -> int:
-        """The interned root nid for a raw lineage DNF (minimised, like ``DTree``)."""
+        """The interned root nid for a raw lineage DNF (minimised first)."""
         with self._lock:
             return self.build(dnf.minimised())
 
@@ -458,9 +455,9 @@ class SharedLineageStore:
         """One Shannon cobranch: mutate leaf ``nid`` into a ⊙ row, propagate bounds.
 
         The branch variable is the most frequent one (smallest id on ties) —
-        the deterministic rule of ``DTree._expand_leaf`` — so the compiled
-        shape, and with it the exact probability, of a clause set is the
-        same as the per-tuple engine's.  The in-place mutation is what makes
+        :func:`repro.prob.dtree.branch_variable` — so the compiled shape,
+        and with it the exact probability, of a clause set is the same as a
+        per-tuple d-tree's.  The in-place mutation is what makes
         the refinement *shared*: every parent, under every tuple, sees the
         tightened bounds via the per-level propagation pass.
         """
@@ -612,8 +609,8 @@ class SharedLineageStore:
            expansion in plan order.
 
         Returns the expansions performed (0 when no gating view has an open
-        frontier left).  ``refine_round(views, 1)`` is exactly the legacy
-        most-valuable-node primitive.
+        frontier left).  ``refine_round(views, 1)`` expands the single most
+        valuable node.
 
         ``deadline`` (a :class:`repro.deadline.Deadline`) is consulted once,
         at entry — *before* the round is planned, so an expired deadline
@@ -763,23 +760,23 @@ class SharedLineageStore:
 class SharedDTree:
     """A per-tuple view over a :class:`SharedLineageStore`.
 
-    Call-compatible with :class:`repro.prob.dtree.DTree` where the engine
-    and schedulers touch it: ``lower``/``upper``, ``bounds()``, ``gap``,
-    ``is_exact``, ``steps``, ``refine()`` and ``result()``.  The view owns
+    The anytime tree surface the engine and schedulers touch:
+    ``lower``/``upper``, ``bounds()``, ``gap``, ``is_exact``, ``steps``,
+    ``refine()`` and ``result()``.  The view owns
     nothing but a frontier: a lazy max-heap of (influence, leaf nid) entries
     where influence is the midpoint-linearised derivative of *this view's
     root* with respect to the leaf, summed over all DAG paths.  Refinement performed through any other view of the same
     store is observed for free — entries whose leaf was expanded elsewhere
-    are skipped on pop, and the geometric frontier rebuild (same schedule as
-    ``DTree``) re-measures influence against the shared table state.
+    are skipped on pop, and the geometric frontier rebuild
+    (:data:`repro.prob.dtree._REFRESH_BASE`) re-measures influence against
+    the shared table state.
     """
 
     __slots__ = ("store", "root", "steps", "_heap", "_weights", "_counter", "_next_rebuild")
 
     def __init__(self, store: SharedLineageStore, dnf: DNF):
-        # Same upfront validation (and error type) as DTree.__init__: the
-        # view promises call-compatibility, so a missing marginal must be a
-        # structured ProbabilityError, not a KeyError from deep in build().
+        # Validate upfront: a missing marginal must be a structured
+        # ProbabilityError, not a KeyError from deep in build().
         for variable in dnf.variables():
             if variable not in store.probabilities:
                 raise ProbabilityError(f"no probability for variable {variable}")
@@ -903,7 +900,7 @@ class SharedDTree:
                 self._rebuild_frontier()
         return None
 
-    # -- DTree-compatible surface -------------------------------------------
+    # -- anytime tree surface ------------------------------------------------
 
     @property
     def lower(self) -> float:
@@ -953,9 +950,11 @@ class SharedDTree:
     ) -> int:
         """Up to ``steps`` expansions through this view; count performed.
 
-        Same contract as :meth:`repro.prob.dtree.DTree.refine` — except that
-        bounds may already be tighter than any local expansion explains,
-        because other views refined shared nodes in between.
+        Stops early as soon as the view closes or its bracket meets the
+        ``epsilon`` budget (``steps=None`` removes the per-call cap), and may
+        be called again to keep tightening; bounds may already be tighter
+        than any local expansion explains, because other views refined
+        shared nodes in between.
 
         ``epsilon == 0`` asks for closure, which :meth:`SharedLineageStore.close`
         reaches by one unranked sweep (``steps`` caps its expansions); only
@@ -1008,22 +1007,20 @@ class SpaceProof(NamedTuple):
 class SharedDTreeCache:
     """Engine-side lineage → :class:`SharedDTree` cache over one shared store.
 
-    The drop-in replacement for :class:`repro.prob.dtree.DTreeCache` when
-    the engine runs with ``shared_lineage=True``: the same
     ``get(dnf, probabilities)`` / ``hits`` / ``misses`` / ``evictions`` /
-    ``clear()`` surface (so :func:`repro.prob.lineage.dtrees_from_dnfs` and
-    the engine's cache-statistics consumers work unchanged), but entries are
-    views over one hash-consed columnar DAG, so refinement performed for one
-    tuple tightens every other tuple sharing subformulas — across calls, too.
+    ``clear()`` (what :func:`repro.prob.lineage.dtrees_from_dnfs` and the
+    engine's cache-statistics consumers use); entries are views over one
+    hash-consed columnar DAG, so refinement performed for one tuple
+    tightens every other tuple sharing subformulas — across calls, too.
 
     Memory is bounded by **node count**, not entry count: when the store's
     intern table exceeds ``max_nodes`` interned nodes it is reset and the
     view table cleared.  Eviction never invalidates a live view — views
     hold nids into the append-only table and keep refining correctly; only
     the *sharing* with future builds is lost (the intern table is a pure
-    accelerator).  ``max_entries`` additionally bounds the view table, LRU,
-    for parity with the legacy cache.  ``evictions`` counts views dropped
-    for either reason (cheap int, surfaced by the engine and benchmarks).
+    accelerator).  ``max_entries`` additionally bounds the view table, LRU.
+    ``evictions`` counts views dropped for either reason (cheap int,
+    surfaced by the engine and benchmarks).
     """
 
     def __init__(

@@ -157,8 +157,7 @@ class QueryService:
     engine
         Optionally a pre-built :class:`~repro.sprout.engine.SproutEngine`.
         By default the service builds one with the engine's default
-        ``execution="batch"`` (a request may still name ``"row"``) and the
-        engine's own ``shared_lineage`` env-knob default; its
+        ``execution="batch"`` (a request may still name ``"row"``); its
         shared store is what every request reuses.
 
     Lifecycle: :meth:`start` returns the service (it starts nothing — the
@@ -270,11 +269,7 @@ class QueryService:
         """The warm state worth surviving a restart, as one picklable dict."""
         state: Dict[str, Any] = {
             "version": 1,
-            "engine_cache": (
-                self.engine.dtree_cache.export_state()
-                if self.engine.shared_lineage
-                else None
-            ),
+            "engine_cache": self.engine.dtree_cache.export_state(),
             "subscriptions": [
                 (subscription, self._subscriptions[subscription].export_state())
                 for subscription in sorted(self._subscriptions)
@@ -308,7 +303,10 @@ class QueryService:
 
         Any defect — unreadable file, truncation, checksum mismatch, or a
         payload this build cannot rehydrate — warns and leaves the service
-        in its cold-boot state; it never crashes the boot.
+        in its cold-boot state; it never crashes the boot.  A snapshot
+        without an engine cache (older builds wrote ``None`` when their
+        engine compiled per tuple) restores its subscriptions, and the
+        engine cache boots cold.
         """
         path = self.config.snapshot_path
         if path is None or not os.path.exists(path):
@@ -327,9 +325,7 @@ class QueryService:
             # part-way leaves the service exactly in its cold-boot state.
             cache_state = state.get("engine_cache")
             new_cache = (
-                SharedDTreeCache.from_state(cache_state)
-                if cache_state is not None and self.engine.shared_lineage
-                else None
+                None if cache_state is None else SharedDTreeCache.from_state(cache_state)
             )
             for subscription, watch_state in state.get("subscriptions", ()):
                 restored[subscription] = StandingQuery.from_state(watch_state)
@@ -590,7 +586,7 @@ class QueryService:
                 "errors": self.snapshot_errors,
             },
         }
-        if self.engine.shared_lineage and not getattr(self.engine, "_closed", False):
+        if not getattr(self.engine, "_closed", False):
             store = self.engine.dtree_cache.store
             with store.lock:
                 payload["store"] = {

@@ -16,7 +16,7 @@ with confidences:
   scheduling and the single-pass operator for 1scan signatures, in row and
   columnar variants.
 * :mod:`repro.sprout.topk` — bound-driven top-k/threshold refinement
-  scheduling over per-tuple d-tree brackets.
+  scheduling over the brackets of views of one shared lineage store.
 * :mod:`repro.sprout.streaming` — standing top-k/threshold queries over
   delta feeds: :class:`StandingQuery` keeps the decided set live across
   probability updates and tuple inserts/deletes, re-deciding warm on the

@@ -46,16 +46,14 @@ Orthogonally to both, the *execution mode* selects the physical backend:
     Bit-identical answers, severalfold slower on TPC-H-sized inputs; kept
     selectable per engine and per call as the differential oracle.
 
-D-tree ``evaluate`` as well as top-k/threshold scheduling run in
-**shared-lineage mode** by default (``shared_lineage=True``,
-``REPRO_SHARED_LINEAGE``): lineages are compiled into the engine's one
-hash-consed DAG (:mod:`repro.prob.sharedag`) in which common subformulas
-exist once across answer tuples and across requests, so refinement is never
-redone: a repeat, or an ``evaluate`` after a decision on the same lineage,
-pays only for what is still open.  Decided sets and exact
-confidences are bit-identical to the per-tuple mode; approximate brackets
-are sound and within the budget but may be tighter than a cold run's; the
-number of logical refinement steps is what shrinks.
+D-tree ``evaluate`` as well as top-k/threshold scheduling compile lineages
+into the engine's one hash-consed store (:mod:`repro.prob.sharedag`), in
+which common subformulas exist once across answer tuples and across
+requests, so refinement is never redone: a repeat, or an ``evaluate`` after
+a decision on the same lineage, pays only for what is still open.  Decided
+sets and exact confidences are those of compiling each tuple alone;
+approximate brackets are sound and within the budget but may be tighter
+than a cold run's.
 """
 
 from __future__ import annotations
@@ -67,16 +65,15 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.config import env_flag, env_int
+from repro.config import env_int
 from repro.deadline import Deadline
 from repro.errors import (
-    ApproximationBudgetError,
     NonHierarchicalQueryError,
     PlanningError,
     UnsupportedQueryError,
 )
 from repro.algebra.columnar import sort_batch
-from repro.prob.dtree import DEFAULT_MAX_STEPS, DTreeCache
+from repro.prob.dtree import DEFAULT_MAX_STEPS
 from repro.prob.sharedag import DEFAULT_MAX_NODES, SharedDTreeCache, SpaceProof
 from repro.prob.formulas import DNF
 from repro.prob.lineage import (
@@ -107,7 +104,7 @@ from repro.sprout.planner import (
     project_answer_columns,
 )
 from repro.sprout.scans import ScanSchedule
-from repro.sprout.topk import RefinementScheduler, TupleCandidate, run_decision
+from repro.sprout.topk import TupleCandidate, run_decision
 from repro.storage.heapfile import HeapFile
 from repro.storage.relation import Relation
 from repro.storage.schema import Attribute, ColumnRole, Schema
@@ -233,16 +230,6 @@ class EvaluationResult:
         )
 
 
-def _default_shared_lineage() -> bool:
-    """Shared-lineage default: the ``REPRO_SHARED_LINEAGE`` env var, else on.
-
-    ``REPRO_SHARED_LINEAGE=0`` is the CI hook that runs the whole tier-1
-    suite on the legacy per-tuple d-tree scheduler, keeping that path
-    exercised now that sharing is the default.
-    """
-    return env_flag("REPRO_SHARED_LINEAGE", default=True)
-
-
 def _default_dtree_cache_size() -> int:
     """Lineage-cache node budget: the ``REPRO_DTREE_CACHE`` env var, else
     :data:`repro.prob.sharedag.DEFAULT_MAX_NODES` nodes."""
@@ -331,20 +318,8 @@ class SproutEngine:
         per tuple from ``seed`` so approximate results are reproducible
         whatever was evaluated before; ``seed=None`` draws fresh entropy)
         supplies the point estimate within the sound d-tree bracket.
-    shared_lineage
-        Whether d-tree :meth:`evaluate` and the top-k/threshold scheduler
-        compile lineages into one shared hash-consed DAG
-        (:mod:`repro.prob.sharedag`) instead of per-tuple d-trees.  Default
-        on (overridable with the ``REPRO_SHARED_LINEAGE`` environment
-        variable): common subformulas are compiled once across answer tuples
-        and requests, and every refinement step tightens all tuples
-        containing the refined node.  Decided top-k/threshold sets and exact
-        confidences are bit-identical with sharing on or off; only the work
-        to reach them changes, and with it how tight an approximate bracket
-        already is.
     dtree_cache_size
-        Node budget for the engine-lifetime lineage cache (shared store or
-        per-tuple tree cache), default
+        Node budget for the engine-lifetime lineage store, default
         :data:`repro.prob.sharedag.DEFAULT_MAX_NODES` or the
         ``REPRO_DTREE_CACHE`` environment variable.  Eviction is by *node
         count*, not entry count, so a handful of huge lineages cannot blow
@@ -354,13 +329,11 @@ class SproutEngine:
     and ``epsilon``.
 
     The engine keeps one lineage cache for its lifetime
-    (:class:`repro.prob.sharedag.SharedDTreeCache`, or
-    :class:`repro.prob.dtree.DTreeCache` with ``shared_lineage=False``):
-    d-tree :meth:`evaluate` (shared mode only) and the top-k/threshold
-    scheduler reuse and keep refining the structures compiled for
-    previously seen lineage.  Plain d-tree evaluation with
-    ``shared_lineage=False`` instead compiles each tuple in isolation, so
-    its results are independent of evaluation history.
+    (:class:`repro.prob.sharedag.SharedDTreeCache`): d-tree :meth:`evaluate`
+    and the top-k/threshold scheduler compile lineages into its one
+    hash-consed store, where common subformulas exist once across answer
+    tuples and requests, every refinement step tightens all tuples
+    containing the refined node, and nothing refined is refined again.
 
     Raises :class:`repro.errors.PlanningError` for invalid modes or
     parameters.
@@ -375,7 +348,6 @@ class SproutEngine:
         dtree_max_steps: Optional[int] = DEFAULT_MAX_STEPS,
         monte_carlo_samples: Optional[int] = 10_000,
         seed: Optional[int] = 0,
-        shared_lineage: Optional[bool] = None,
         dtree_cache_size: Optional[int] = None,
     ):
         if execution not in EXECUTION_MODES:
@@ -387,8 +359,6 @@ class SproutEngine:
                 f"unknown confidence mode {confidence!r}; choose from {CONFIDENCE_MODES}"
             )
         _check_epsilon(epsilon)
-        if shared_lineage is None:
-            shared_lineage = _default_shared_lineage()
         if dtree_cache_size is None:
             dtree_cache_size = _default_dtree_cache_size()
         elif dtree_cache_size < 1:
@@ -402,18 +372,13 @@ class SproutEngine:
         self.dtree_max_steps = dtree_max_steps
         self.monte_carlo_samples = monte_carlo_samples
         self.seed = seed
-        self.shared_lineage = bool(shared_lineage)
         self.dtree_cache_size = dtree_cache_size
-        # The engine-lifetime lineage cache the top-k/threshold scheduler
-        # refines across calls.  Shared-lineage mode swaps the
-        # per-tuple tree cache for views over one hash-consed DAG; both are
-        # bounded by dtree_cache_size *nodes* (not entries), so huge
-        # lineages cannot blow memory through a small number of entries.
-        self.dtree_cache = (
-            SharedDTreeCache(max_nodes=dtree_cache_size)
-            if self.shared_lineage
-            else DTreeCache(max_nodes=dtree_cache_size)
-        )
+        # The engine-lifetime lineage cache that d-tree evaluate and the
+        # top-k/threshold scheduler refine across calls: views over one
+        # hash-consed store, bounded by dtree_cache_size *nodes* (not
+        # entries), so huge lineages cannot blow memory through a small
+        # number of entries.
+        self.dtree_cache = SharedDTreeCache(max_nodes=dtree_cache_size)
         #: Answers of the lineage routes already computed since the last
         #: close(): same lifetime as ``dtree_cache`` (see _answer_lineage).
         self._answer_memo: "OrderedDict[tuple, _AnswerLineage]" = OrderedDict()
@@ -458,7 +423,7 @@ class SproutEngine:
             self._closed_stats = None
 
     def _live_cache_stats(self) -> Dict[str, object]:
-        store = self.dtree_cache.store if self.shared_lineage else None
+        store = self.dtree_cache.store
         return {
             "hits": self.dtree_cache.hits,
             "misses": self.dtree_cache.misses,
@@ -471,25 +436,22 @@ class SproutEngine:
             # Static query analyses served from / added to the analysis memo.
             "analysis_hits": self.analysis_hits,
             "analysis_misses": self.analysis_misses,
-            "shared_lineage": self.shared_lineage,
-            # Views marked stale vs. frontiers measured at a peek (0 in legacy mode).
-            "frontier_marks": store.frontier_marks if store is not None else 0,
-            "frontier_rebuilds": store.frontier_rebuilds if store is not None else 0,
+            # Views marked stale vs. frontiers measured at a peek.
+            "frontier_marks": store.frontier_marks,
+            "frontier_rebuilds": store.frontier_rebuilds,
         }
 
     def cache_stats(self) -> Dict[str, object]:
         """Lineage-cache counters.
 
         ``hits`` / ``misses`` / ``evictions`` are cheap ints maintained by
-        the engine's :class:`repro.prob.sharedag.SharedDTreeCache` (or
-        legacy :class:`repro.prob.dtree.DTreeCache`); benchmarks and the
-        bench report use them to attribute warm-vs-cold step counts instead
-        of inferring them from timings; ``answer_*`` and ``analysis_*`` count
-        the answer-lineage and query-analysis memos.  On a closed engine this
-        returns
-        the snapshot taken at :meth:`close` (with ``"closed": True``)
-        instead of touching the released cache; a live engine reports
-        ``"closed": False``.
+        the engine's :class:`repro.prob.sharedag.SharedDTreeCache`;
+        benchmarks and the bench report use them to attribute warm-vs-cold
+        step counts instead of inferring them from timings; ``answer_*`` and
+        ``analysis_*`` count the answer-lineage and query-analysis memos.  On
+        a closed engine this returns the snapshot taken at :meth:`close`
+        (with ``"closed": True``) instead of touching the released cache; a
+        live engine reports ``"closed": False``.
         """
         if self._closed and self._closed_stats is not None:
             return dict(self._closed_stats)
@@ -802,8 +764,8 @@ class SproutEngine:
         the decided set maintained across probability updates, tuple
         inserts, and deletes — re-deciding incrementally over its own
         shared-lineage store instead of re-running the query.  The standing
-        query inherits this engine's substrate knobs (``shared_lineage``,
-        ``dtree_cache_size``, ``dtree_max_steps``) but owns a
+        query inherits this engine's substrate knobs (``dtree_cache_size``,
+        ``dtree_max_steps``) but owns a
         *private* store: its probability space is mutable, the engine's is
         bound to the database.  Standing queries always run on the
         refinement substrate — tractable queries do not short-circuit to an
@@ -860,7 +822,6 @@ class SproutEngine:
             confidence=confidence,
             max_steps=max_steps,
             default_cap=self.dtree_max_steps,
-            shared_lineage=self.shared_lineage,
             cache_nodes=self.dtree_cache_size,
             schema=answer.schema,
             name=query.name,
@@ -986,14 +947,11 @@ class SproutEngine:
         max_steps: Optional[int],
         deadline: Optional[Deadline] = None,
     ):
-        """Live cached trees + bound-driven scheduling.
+        """Live cached views + bound-driven scheduling.
 
-        With ``shared_lineage`` on (the default) the candidates are views
-        over the engine's hash-consed lineage DAG and the scheduler picks
-        the globally most valuable shared node each step; with it off they
-        are independent per-tuple d-trees refined by crossing-pair chunks
-        (the pre-shared behaviour, kept selectable for comparison and via
-        ``REPRO_SHARED_LINEAGE=0``).
+        The candidates are views over the engine's hash-consed lineage store,
+        and the scheduler expands the shared nodes the gating tuples value
+        most (:func:`repro.sprout.topk.run_decision`).
         """
         trees = dtrees_from_dnfs(
             answer.lineage, answer.probabilities, cache=self._proven_cache(answer)
@@ -1013,7 +971,7 @@ class SproutEngine:
             confidence,
             max_steps,
             self.dtree_max_steps,
-            store=self.dtree_cache.store if self.shared_lineage else None,
+            store=self.dtree_cache.store,
             deadline=deadline,
         )
 
@@ -1071,8 +1029,7 @@ class SproutEngine:
         """``dtree_cache``, the answer's marginals guarded against its store
         once per (answer, store, space version), not per tuple per request."""
         cache = self.dtree_cache
-        if isinstance(cache, SharedDTreeCache):
-            answer.proof = cache.prove(answer.probabilities, answer.proof)
+        answer.proof = cache.prove(answer.probabilities, answer.proof)
         return cache
 
     def _compute_answer_lineage(
@@ -1094,12 +1051,13 @@ class SproutEngine:
             plan = build_answer_plan_batch(self.database, query, order)
             plan = project_answer_columns(plan, query)
             batch = plan.to_batch(query.name)
-            # In shared-lineage mode the clause frozensets are interned in
-            # the engine's store as they are extracted, so every recurrence
-            # of a clause — across rows, tuples, and later evaluations — is
-            # one shared object with one cached hash.
-            interner = self.dtree_cache.interner if self.shared_lineage else None
-            clause_sets, probabilities = columnar_lineage(batch, interner=interner)
+            # The clause frozensets are interned in the engine's store as
+            # they are extracted, so every recurrence of a clause — across
+            # rows, tuples, and later evaluations — is one shared object with
+            # one cached hash.
+            clause_sets, probabilities = columnar_lineage(
+                batch, interner=self.dtree_cache.interner
+            )
             return _AnswerLineage(
                 schema=batch.schema,
                 order=order,
@@ -1313,19 +1271,14 @@ class SproutEngine:
         cap is hit first); ``"approx"`` stops at the ``epsilon`` budget and
         records guaranteed bounds in :attr:`EvaluationResult.bounds`.
 
-        With ``shared_lineage`` on (the default engine) the tuples are views
-        over the engine's one shared store (:func:`compute_confidences` is
-        handed ``dtree_cache``): refinement done here, or by an earlier
-        top-k/threshold/evaluate over the same lineage, is never redone,
-        ``refine_steps`` counts this call's expansions only, and an
-        approximate bracket is sound and at most ``2 * epsilon`` wide but may
-        be *tighter* than a cold run's.  Exact confidences are bit-identical
-        to a fresh engine's.
-
-        With ``shared_lineage=False`` each distinct answer tuple compiles a
-        fresh, isolated tree, so results do not depend on evaluation
-        history.  Both routes derive the Karp–Luby fallback seed from the
-        engine seed and the tuple's lineage.
+        The tuples are views over the engine's one shared store
+        (:func:`compute_confidences` is handed ``dtree_cache``): refinement
+        done here, or by an earlier top-k/threshold/evaluate over the same
+        lineage, is never redone, ``refine_steps`` counts this call's
+        expansions only, and an approximate bracket is sound and at most
+        ``2 * epsilon`` wide but may be *tighter* than a cold run's.  Exact
+        confidences are bit-identical to a fresh engine's.  The Karp–Luby
+        fallback seed derives from the engine seed and the tuple's lineage.
         """
         started = perf_counter()
         answer = self._answer_lineage(query, join_order, execution)
@@ -1335,7 +1288,7 @@ class SproutEngine:
         results = compute_confidences(
             answer.lineage,
             answer.probabilities,
-            self._proven_cache(answer) if self.shared_lineage else None,
+            self._proven_cache(answer),
             epsilon=0.0 if confidence == "exact" else epsilon,
             max_steps=self.dtree_max_steps,
             monte_carlo_samples=(
@@ -1345,7 +1298,7 @@ class SproutEngine:
         )
         prob_seconds = perf_counter() - started
 
-        # Both routes return the tuples in ``repr`` order.
+        # compute_confidences returns the tuples in ``repr`` order.
         relation = self._confidence_relation(
             answer.schema,
             query.name,

@@ -6,12 +6,9 @@ error budget is met, one tuple after the other, in ``repr`` order.
 
 * :func:`compute_confidences` — the driver.  Handed the engine's
   :class:`repro.prob.sharedag.SharedDTreeCache`, the tuples are views of its
-  one store and keep what earlier requests refined; handed ``None``
-  (``shared_lineage=False``), each tuple compiles a fresh, isolated
-  :class:`repro.prob.dtree.DTree` from its order-canonical clauses, so the
-  result never depends on evaluation history.
-* :func:`budget_confidence` — the per-tuple routine both routes share,
-  including the Karp–Luby fallback when the step cap runs out first.
+  one store and keep what earlier requests refined.
+* :func:`budget_confidence` — the per-tuple routine, including the
+  Karp–Luby fallback when the step cap runs out first.
 * :func:`derive_task_seed` — that fallback's per-tuple seed, derived from
   the engine seed and the tuple's canonical lineage, so an estimate does not
   depend on which other tuples were evaluated before it.
@@ -23,12 +20,11 @@ import hashlib
 import random
 from typing import Dict, Mapping, Optional, Tuple
 
-from repro.errors import ApproximationBudgetError, ProbabilityError
+from repro.errors import ApproximationBudgetError
 from repro.prob.dtree import (
     DEFAULT_MAX_STEPS,
     ApproxResult,
     CanonicalClauses,
-    DTree,
     canonical_clauses,
     dnf_from_canonical,
     karp_luby_probability,
@@ -78,10 +74,9 @@ def budget_confidence(
     monte_carlo_samples: Optional[int],
     base_seed: Optional[int],
 ) -> ApproxResult:
-    """One tuple of plain evaluation, on whichever tree holds its lineage.
+    """One tuple of plain evaluation, on the store view that holds its lineage.
 
-    ``tree`` is a fresh :class:`DTree` (``shared_lineage=False``) or a view
-    of the engine's shared store (the default): it is refined until the
+    ``tree`` is a view of the engine's shared store: it is refined until the
     ``epsilon`` budget is met, at most ``max_steps`` expansions in this call,
     and the result's ``steps`` are this call's.  When the cap runs out first
     the Karp–Luby estimate (``monte_carlo_samples`` draws, seeded by
@@ -112,25 +107,10 @@ def budget_confidence(
         )
 
 
-def _restricted_probabilities(
-    clauses: CanonicalClauses, probabilities: Mapping[int, float]
-) -> Dict[int, float]:
-    try:
-        return {
-            variable: probabilities[variable]
-            for clause in clauses
-            for variable in clause
-        }
-    except KeyError as missing:
-        raise ProbabilityError(
-            f"no probability for variable {missing.args[0]}"
-        ) from None
-
-
 def compute_confidences(
     lineage: Mapping[DataTuple, DNF],
     probabilities: Mapping[int, float],
-    cache: Optional[SharedDTreeCache],
+    cache: SharedDTreeCache,
     *,
     epsilon: float = 0.0,
     relative: bool = False,
@@ -146,14 +126,10 @@ def compute_confidences(
     :func:`repro.sprout.topk.run_decision`): what an earlier evaluation or
     decision refined is neither redone nor reported again, so a bracket is
     sound and within the budget but may be tighter than a cold run's.
+    Exact confidences are those of a cold compile of each tuple alone.
 
-    With ``cache=None`` every tuple compiles a fresh :class:`DTree` over its
-    order-canonical clauses and the marginals of exactly the variables they
-    mention (a missing marginal is a :class:`repro.errors.ProbabilityError`),
-    so the result depends on nothing but the lineage.
-
-    Either way :func:`budget_confidence` is the per-tuple routine.  Budget
-    exhaustion without a Monte Carlo fallback raises
+    :func:`budget_confidence` is the per-tuple routine.  Budget exhaustion
+    without a Monte Carlo fallback raises
     :class:`repro.errors.ApproximationBudgetError`.
     """
     budget = dict(
@@ -163,19 +139,9 @@ def compute_confidences(
         monte_carlo_samples=monte_carlo_samples,
         base_seed=base_seed,
     )
-    if cache is not None:
-        trees = dtrees_from_dnfs(lineage, probabilities, cache=cache)
-        with cache.store.pinned():
-            return {
-                data: budget_confidence(trees[data], lineage[data], probabilities, **budget)
-                for data in sorted(trees, key=repr)
-            }
-    results: Dict[DataTuple, ApproxResult] = {}
-    for data in sorted(lineage, key=repr):
-        clauses = canonical_clauses(lineage[data])
-        restricted = _restricted_probabilities(clauses, probabilities)
-        dnf = dnf_from_canonical(clauses)
-        results[data] = budget_confidence(
-            DTree(dnf, restricted), dnf, restricted, **budget
-        )
-    return results
+    trees = dtrees_from_dnfs(lineage, probabilities, cache=cache)
+    with cache.store.pinned():
+        return {
+            data: budget_confidence(trees[data], lineage[data], probabilities, **budget)
+            for data in sorted(trees, key=repr)
+        }

@@ -13,9 +13,9 @@ re-checked — and usually re-confirmed — in a handful of logical steps.
 :class:`StandingQuery` is that loop, packaged:
 
 * it owns a **private** lineage cache (a
-  :class:`repro.prob.sharedag.SharedDTreeCache` in shared mode) — never the
-  engine's, whose store is bound to the unmutated database probability
-  space — holding one live view per candidate tuple;
+  :class:`repro.prob.sharedag.SharedDTreeCache`) — never the engine's,
+  whose store is bound to the unmutated database probability space —
+  holding one live view per candidate tuple;
 * :meth:`update_probability` / :meth:`insert_tuple` / :meth:`delete_tuple`
   apply deltas: updates delta-propagate through the store and mark stale
   exactly the views whose root the delta touched — re-measured if and when
@@ -36,11 +36,7 @@ re-checked — and usually re-confirmed — in a handful of logical steps.
 
 Construct one via :meth:`repro.sprout.engine.SproutEngine.watch_topk` /
 ``watch_threshold`` (which materialise the query's answer lineage first), or
-directly from a lineage map for lineage-level monitoring.  With
-``shared_lineage=False`` the layer stays functional but non-incremental:
-probability updates flag a full rebuild of the per-tuple tree cache on the
-next refresh (the legacy object-graph trees bake marginals into their
-structure, so there is nothing to delta-propagate).
+directly from a lineage map for lineage-level monitoring.
 
 Determinism: every delta is a deterministic function of (store state, delta),
 and :meth:`refresh` ranks touched views on frontiers measured at peek time —
@@ -59,14 +55,9 @@ from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import PlanningError, ProbabilityError
 from repro.prob.delta import DeltaReport
-from repro.prob.dtree import (
-    DEFAULT_MAX_STEPS,
-    DTreeCache,
-    canonical_clauses,
-    dnf_from_canonical,
-)
+from repro.prob.dtree import DEFAULT_MAX_STEPS, canonical_clauses, dnf_from_canonical
 from repro.prob.formulas import DNF
-from repro.prob.lineage import dtrees_from_dnfs, interned_dnf
+from repro.prob.lineage import interned_dnf
 from repro.prob.sharedag import DEFAULT_MAX_NODES, SharedDTree, SharedDTreeCache
 from repro.sprout.topk import TupleCandidate, run_decision
 from repro.storage.relation import Relation
@@ -102,10 +93,9 @@ class StandingQuery:
         :class:`repro.errors.ApproximationBudgetError`); an explicit
         ``max_steps`` caps the whole refresh and is reported via
         ``decided=False``, never raised.
-    shared_lineage / cache_nodes
-        The substrate knobs, mirroring the engine's: shared mode (default)
-        compiles candidates into one private hash-consed store and is what
-        makes deltas incremental; ``cache_nodes`` bounds it (node count).
+    cache_nodes
+        The node budget of the private hash-consed store the candidates are
+        compiled into (the engine's ``dtree_cache_size``).
     schema / name / execution
         Result-shaping metadata for the returned
         :class:`~repro.sprout.engine.EvaluationResult`; ``schema`` defaults
@@ -128,7 +118,6 @@ class StandingQuery:
         confidence: str = "exact",
         max_steps: Optional[int] = None,
         default_cap: Optional[int] = DEFAULT_MAX_STEPS,
-        shared_lineage: bool = True,
         cache_nodes: Optional[int] = DEFAULT_MAX_NODES,
         schema: Optional[Schema] = None,
         name: str = "standing",
@@ -150,26 +139,17 @@ class StandingQuery:
         self.confidence = confidence
         self.max_steps = max_steps
         self.default_cap = default_cap
-        self.shared_lineage = bool(shared_lineage)
         self.name = name
         self._schema = schema
         self._execution = execution
-        self._cache: Union[SharedDTreeCache, DTreeCache] = (
-            SharedDTreeCache(max_nodes=cache_nodes)
-            if self.shared_lineage
-            else DTreeCache(max_nodes=cache_nodes)
-        )
+        self._cache = SharedDTreeCache(max_nodes=cache_nodes)
         self._cache_nodes = cache_nodes
         self.probabilities: Dict[int, float] = dict(probabilities)
         self.lineage: Dict[DataTuple, DNF] = {}
         self._candidates: Dict[DataTuple, TupleCandidate] = {}
-        #: Shared mode: root nid → the candidate views rooted there, so a
-        #: delta marks ``touched ∩ roots`` instead of scanning every candidate.
+        #: Root nid → the candidate views rooted there, so a delta marks
+        #: ``touched ∩ roots`` instead of scanning every candidate.
         self._views_by_root: Dict[int, List[SharedDTree]] = {}
-        #: Legacy-mode (shared_lineage=False) rebuild flag: per-tuple trees
-        #: bake marginals into their structure, so a probability update
-        #: forces a fresh compile of every candidate on the next refresh.
-        self._stale_probabilities = False
         self.selected: List[DataTuple] = []
         self.decided = True
         self.last_entered: List[DataTuple] = []
@@ -187,23 +167,14 @@ class StandingQuery:
 
     @property
     def _store(self):
-        return self._cache.store if self.shared_lineage else None
-
-    @property
-    def _interner(self):
-        return self._cache.interner if self.shared_lineage else None
+        return self._cache.store
 
     def _admit(self, data: DataTuple, dnf: DNF) -> None:
-        if self._stale_probabilities:
-            # Legacy cache is bound to the pre-update probability space; a
-            # pending rebuild must land before it can admit a new tree.
-            self._rebuild_legacy()
-        dnf = interned_dnf(dnf.clauses, self._interner)
+        dnf = interned_dnf(dnf.clauses, self._cache.interner)
         self.lineage[data] = dnf
         tree = self._cache.get(dnf, self.probabilities)
         self._candidates[data] = TupleCandidate(data, tree=tree)
-        if self.shared_lineage:
-            self._views_by_root.setdefault(tree.root, []).append(tree)
+        self._views_by_root.setdefault(tree.root, []).append(tree)
 
     def __len__(self) -> int:
         return len(self._candidates)
@@ -216,26 +187,24 @@ class StandingQuery:
             "misses": self._cache.misses,
             "evictions": self._cache.evictions,
             "entries": len(self._cache),
-            "shared_lineage": self.shared_lineage,
-            # Views marked stale vs. frontiers measured at a peek (0 in legacy mode).
-            "frontier_marks": store.frontier_marks if store is not None else 0,
-            "frontier_rebuilds": store.frontier_rebuilds if store is not None else 0,
+            # Views marked stale vs. frontiers measured at a peek.
+            "frontier_marks": store.frontier_marks,
+            "frontier_rebuilds": store.frontier_rebuilds,
         }
 
     # -- deltas --------------------------------------------------------------
 
-    def update_probability(self, variable: int, probability: float) -> Optional[DeltaReport]:
+    def update_probability(self, variable: int, probability: float) -> DeltaReport:
         """Move one marginal; delta-propagate and mark touched views stale.
 
-        Shared mode re-seeds the store rows carrying ``variable``, repairs
-        their ancestor closure in one multi-source pass, and marks stale
-        exactly the views whose root lies in the touched closure (a marked
-        view re-measures its frontier when a refresh next peeks at it, and
-        never if none does) — a decided tuple whose lineage does not reach
-        an updated node keeps its frontier and its decision.  Returns the
-        store's :class:`~repro.prob.delta.DeltaReport` (``None`` in legacy
-        mode, where the update schedules a full rebuild on the next
-        refresh).  The new answer set materialises on the next :meth:`refresh`.
+        Re-seeds the store rows carrying ``variable``, repairs their
+        ancestor closure in one multi-source pass, and marks stale exactly
+        the views whose root lies in the touched closure (a marked view
+        re-measures its frontier when a refresh next peeks at it, and never
+        if none does) — a decided tuple whose lineage does not reach an
+        updated node keeps its frontier and its decision.  Returns the
+        store's :class:`~repro.prob.delta.DeltaReport`.  The new answer set
+        materialises on the next :meth:`refresh`.
         """
         probability = float(probability)
         if not 0.0 <= probability <= 1.0:
@@ -244,11 +213,6 @@ class StandingQuery:
             )
         # An unknown variable is not recorded: updates must not grow the space.
         known = variable in self.probabilities
-        if not self.shared_lineage:
-            if known and self.probabilities[variable] != probability:
-                self.probabilities[variable] = probability
-                self._stale_probabilities = True
-            return None
         store = self._store
         with store.lock:  # repair and marks are one step to a concurrent refresh
             report = store.update_probability(variable, probability)
@@ -312,25 +276,13 @@ class StandingQuery:
         if candidate is None:
             raise PlanningError(f"unknown standing tuple {data!r}")
         self.lineage.pop(data, None)
-        store = self._store
-        if store is not None and candidate.tree is not None:
-            views = self._views_by_root[candidate.tree.root]
-            views.remove(candidate.tree)
-            if not views:
-                del self._views_by_root[candidate.tree.root]
-            return store.retire_view(candidate.tree)
-        return 0
+        views = self._views_by_root[candidate.tree.root]
+        views.remove(candidate.tree)
+        if not views:
+            del self._views_by_root[candidate.tree.root]
+        return self._store.retire_view(candidate.tree)
 
     # -- re-decide -----------------------------------------------------------
-
-    def _rebuild_legacy(self) -> None:
-        """Legacy-mode probability change: recompile every candidate fresh."""
-        self._cache = DTreeCache(max_nodes=self._cache_nodes)
-        trees = dtrees_from_dnfs(self.lineage, self.probabilities, cache=self._cache)
-        self._candidates = {
-            data: TupleCandidate(data, tree=tree) for data, tree in trees.items()
-        }
-        self._stale_probabilities = False
 
     def refresh(self, deadline=None):
         """Re-decide the answer set against the current (post-delta) state.
@@ -351,8 +303,6 @@ class StandingQuery:
         """
         from repro.sprout.engine import EvaluationResult
 
-        if self._stale_probabilities:
-            self._rebuild_legacy()
         candidates = list(self._candidates.values())
         outcome, finishing_steps = run_decision(
             candidates,
@@ -403,20 +353,18 @@ class StandingQuery:
     def export_state(self) -> dict:
         """The standing query's full state as a picklable dict.
 
-        Shared mode exports the private cache (store segment + views, see
-        :meth:`repro.prob.sharedag.SharedDTreeCache.export_state`) plus each
-        candidate's root nid, so :meth:`from_state` restores a *warm*
+        It carries the private cache (store segment + views, see
+        :meth:`repro.prob.sharedag.SharedDTreeCache.export_state`) beside the
+        lineage and marginals, so :meth:`from_state` restores a *warm*
         standing query whose next refresh re-confirms the decided set in
-        0–few steps.  Legacy mode exports only the lineage and marginals —
-        per-tuple object trees do not ship — and restores cold.
+        0–few steps.
         """
-        state = {
+        return {
             "k": self.k,
             "tau": self.tau,
             "confidence": self.confidence,
             "max_steps": self.max_steps,
             "default_cap": self.default_cap,
-            "shared_lineage": self.shared_lineage,
             "cache_nodes": self._cache_nodes,
             "schema": self._schema,
             "name": self.name,
@@ -428,25 +376,26 @@ class StandingQuery:
             "selected": list(self.selected),
             "decided": self.decided,
             "total_steps": self.total_steps,
+            "cache": self._cache.export_state(),
         }
-        if self.shared_lineage:
-            state["cache"] = self._cache.export_state()
-        return state
 
     @classmethod
     def from_state(cls, state: dict) -> "StandingQuery":
         """Rebuild a standing query from :meth:`export_state`.
 
-        Shared mode restores the warm store and re-admits every candidate
-        through the cache — each admit is a view-table hit on the restored
-        (possibly already closed) bounds — then runs one refresh to
-        re-establish ``result``; on a snapshot of a decided query that
-        refresh costs 0–few logical steps.  ``last_entered``/``last_left``
+        Restores the warm store and re-admits every candidate through the
+        cache — each admit is a view-table hit on the restored (possibly
+        already closed) bounds — then runs one refresh to re-establish
+        ``result``; on a snapshot of a decided query that refresh costs
+        0–few logical steps.  ``last_entered``/``last_left``
         track against the snapshotted selection, so an unchanged decided
-        set reports no transitions across the restart.  Legacy mode falls
-        back to the cold constructor (per-tuple trees are not shippable).
-        Keys this version no longer reads, such as the refinement-lane
-        count older snapshots carried, are ignored.
+        set reports no transitions across the restart.
+
+        Older builds could also write the state of a per-tuple compile,
+        which carries no ``"cache"``: such a state is compiled cold from its
+        lineage and marginals into a new standing query, which decides the
+        same set as a live one.  Keys this version no longer reads, such as
+        the refinement-lane count older snapshots carried, are ignored.
         """
         lineage = {
             tuple(data): dnf_from_canonical(clauses)
@@ -463,17 +412,14 @@ class StandingQuery:
             name=state["name"],
             execution=state["execution"],
         )
-        if not state["shared_lineage"]:
-            return cls(
-                lineage, state["probabilities"], shared_lineage=False, **common
-            )
+        if "cache" not in state:
+            return cls(lineage, state["probabilities"], **common)
         query = object.__new__(cls)
         query.k = common["k"]
         query.tau = common["tau"]
         query.confidence = common["confidence"]
         query.max_steps = common["max_steps"]
         query.default_cap = common["default_cap"]
-        query.shared_lineage = True
         query.name = common["name"]
         query._schema = common["schema"]
         query._execution = common["execution"]
@@ -483,7 +429,6 @@ class StandingQuery:
         query.lineage = {}
         query._candidates = {}
         query._views_by_root = {}
-        query._stale_probabilities = False
         query.selected = [tuple(data) for data in state["selected"]]
         query.decided = state["decided"]
         query.last_entered = []

@@ -1,7 +1,7 @@
 """Bound-driven top-k and threshold evaluation (multi-tuple refinement).
 
-The anytime d-tree engine (:mod:`repro.prob.dtree`) brackets each answer
-tuple's confidence with monotone lower/upper bounds.  For top-k and
+The anytime d-tree compile (:mod:`repro.prob.sharedag`) brackets each answer
+tuple's confidence with sound lower/upper bounds.  For top-k and
 τ-threshold queries the final answer is a *set*, not a number — so instead of
 refining every tuple to a uniform epsilon, the scheduler here interleaves
 refinement *across* tuples and stops the moment the answer set is provably
@@ -9,12 +9,12 @@ decided:
 
 * **top-k** is decided when the k tuples with the largest lower bounds all
   dominate everything else: ``min lower(selected) >= max upper(rest)``.  Until
-  then exactly two tuples gate the decision — the weakest selected tuple and
-  the strongest excluded one — and the scheduler refines whichever of the two
-  has the wider bracket (the multisimulation rule of Ré, Dalvi and Suciu,
-  ICDE 2007, transplanted onto d-tree brackets);
-* **threshold** is decided when no tuple's bracket straddles τ; until then the
-  scheduler refines the straddling tuple with the widest bracket.
+  then the weakest selected tuple and the strongest excluded one form a
+  *crossing pair*, and every non-exact bracket inside that contention window
+  gates the cut (the multisimulation rule of Ré, Dalvi and Suciu, ICDE 2007,
+  transplanted onto d-tree brackets);
+* **threshold** is decided when no tuple's bracket straddles τ; until then
+  the straddling tuples gate it.
 
 Tuples whose confidence is already known exactly (safe sub-plans, closed
 trees) participate with degenerate brackets and are never refined.  Because
@@ -23,37 +23,30 @@ many expansions, both loops terminate without any epsilon — the optional
 ``max_steps`` budget only guards against pathological lineage, reporting
 ``decided=False`` with the best partition so far instead of running away.
 
-This scheduler refines gating tuples on live trees (and is what
+This scheduler refines gating tuples on live views (and is what
 :class:`repro.sprout.engine.SproutEngine` runs, reusing the engine's lineage
-cache across calls).  It has two refinement modes:
-
-* **per-tuple** (``store=None``) — the candidates are independent
-  :class:`repro.prob.dtree.DTree`\\ s and each grant refines the wider
-  bracket of the crossing pair (top-k) or the widest straddler (threshold)
-  by a :data:`DEFAULT_CHUNK`-step quantum;
-* **shared-lineage** (``store`` set, the engine default) — the candidates
-  are :class:`repro.prob.sharedag.SharedDTree` views over one hash-consed
-  DAG, and each grant expands the single shared node with the largest
-  bound-width mass summed over *all* tuples gating the decision
-  (:meth:`repro.prob.sharedag.SharedLineageStore.refine_most_valuable`).
-  One logical step can tighten many brackets at once, so decisions take
-  measurably fewer steps on overlapping lineage.
+cache across calls).  The candidates are
+:class:`repro.prob.sharedag.SharedDTree` views over one hash-consed store,
+and each grant runs a refinement round over the shared nodes with the
+largest bound-width mass summed over *all* tuples gating the decision
+(:meth:`repro.prob.sharedag.SharedLineageStore.refine_round`).  One logical
+step can tighten many brackets at once, so decisions take fewer steps on
+overlapping lineage than refining each tuple alone would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import nlargest
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.deadline import Deadline
 from repro.deadline import expired as _deadline_expired
 from repro.errors import ApproximationBudgetError, PlanningError
-from repro.prob.dtree import DTree, refine_to_budget
+from repro.prob.dtree import refine_to_budget
 from repro.prob.sharedag import SharedDTree, SharedLineageStore
 
 __all__ = [
-    "DEFAULT_CHUNK",
     "TupleCandidate",
     "SchedulerOutcome",
     "RefinementScheduler",
@@ -63,16 +56,11 @@ __all__ = [
 
 DataTuple = Tuple[object, ...]
 
-#: Expansions granted per scheduling decision.  Large enough to amortise the
-#: candidate ranking between grants, small enough that refinement never
-#: overshoots the decision by much.
-DEFAULT_CHUNK = 16
-
-#: Expansions granted between re-rankings in *shared* mode.  Shared grants
-#: target the globally most valuable node, so they need re-ranking far more
-#: often than per-tuple chunks — but once per expansion would make the
-#: O(n log k) ranking pass the dominant cost on large candidate sets.  A
-#: small batch keeps the step frugality while amortising the ranking.
+#: Expansions granted between re-rankings.  Grants target the globally most
+#: valuable shared node, so they need frequent re-ranking — but once per
+#: expansion would make the O(n log k) ranking pass the dominant cost on
+#: large candidate sets.  A small batch keeps the step frugality while
+#: amortising the ranking.
 DEFAULT_SHARED_CHUNK = 4
 
 
@@ -80,8 +68,8 @@ class TupleCandidate:
     """One answer tuple competing for the result set.
 
     Backed either by an exact confidence (``value``) — a degenerate bracket
-    that never refines — or by a live, resumable :class:`DTree` (or
-    :class:`repro.prob.sharedag.SharedDTree` view) whose current root bounds
+    that never refines — or by a live, resumable
+    :class:`repro.prob.sharedag.SharedDTree` view whose current root bounds
     are the bracket.
     """
 
@@ -90,7 +78,7 @@ class TupleCandidate:
     def __init__(
         self,
         data: DataTuple,
-        tree: Optional[Union[DTree, SharedDTree]] = None,
+        tree: Optional[SharedDTree] = None,
         value: Optional[float] = None,
     ):
         if (tree is None) == (value is None):
@@ -120,12 +108,6 @@ class TupleCandidate:
     @property
     def midpoint(self) -> float:
         return self.value if self.tree is None else 0.5 * (self.lower + self.upper)
-
-    def refine(self, steps: int) -> int:
-        """Tighten the bracket by up to ``steps`` expansions; count performed."""
-        if self.tree is None:
-            return 0
-        return self.tree.refine(steps)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TupleCandidate({self.data!r}, [{self.lower:.4f}, {self.upper:.4f}])"
@@ -161,27 +143,22 @@ class RefinementScheduler:
     ----------
     candidates
         The competing :class:`TupleCandidate`\\ s — exact values and live,
-        resumable d-trees may be mixed freely.
-    chunk
-        Expansions granted per scheduling decision (scaled up automatically
-        on large candidate sets so the ranking pass stays amortised).
+        resumable views may be mixed freely.
+    store
+        The :class:`repro.prob.sharedag.SharedLineageStore` backing the
+        candidates' views.  Each grant runs a refinement *round* over the
+        shared nodes with the largest bound-width mass summed over the
+        gating tuples — and every expansion is counted as one logical step
+        no matter how many tuples it tightens.
     max_steps
         Optional total expansion budget across all tuples.  ``None`` refines
         until the answer set is decided, which always terminates because
         every tree closes after finitely many expansions; a finite budget
         that runs out yields ``decided=False`` with the best partition so
         far — never an exception.
-    store
-        The :class:`repro.prob.sharedag.SharedLineageStore` backing the
-        candidates' trees, when they are shared views.  Switches grants to
-        shared-node scheduling: instead of refining the crossing pair's
-        wider bracket by a chunk, each grant runs a refinement *round* over
-        the shared nodes with the largest bound-width mass summed over the
-        gating tuples — and every expansion is counted as one logical step
-        no matter how many tuples it tightens.
     deadline
         Optional wall-clock :class:`repro.deadline.Deadline`, checked at the
-        top of each decision loop and between shared refinement rounds —
+        top of each decision loop and between refinement rounds —
         never inside a round, so the refinement *trajectory* stays the
         deterministic one and only the stopping point along it depends on
         the clock.  Expiry yields ``decided=False`` with
@@ -198,17 +175,13 @@ class RefinementScheduler:
     def __init__(
         self,
         candidates: List[TupleCandidate],
-        chunk: int = DEFAULT_CHUNK,
+        store: SharedLineageStore,
         max_steps: Optional[int] = None,
-        store: Optional[SharedLineageStore] = None,
         deadline: Optional[Deadline] = None,
     ):
-        if chunk < 1:
-            raise PlanningError(f"chunk must be positive, got {chunk}")
         if max_steps is not None and max_steps < 0:
             raise PlanningError(f"max_steps must be non-negative, got {max_steps}")
         self.candidates = list(candidates)
-        self.chunk = chunk
         self.max_steps = max_steps
         self.store = store
         self.deadline = deadline
@@ -223,16 +196,7 @@ class RefinementScheduler:
 
     # -- shared plumbing ----------------------------------------------------
 
-    def _grant(self, candidate: TupleCandidate) -> None:
-        # Scale the grant with the population so the per-grant ranking pass
-        # (O(n log k)) stays amortised over the refinement work on large
-        # candidate sets; small sets keep the fine-grained chunk.
-        budget = max(self.chunk, len(self.candidates) // 64)
-        if self.max_steps is not None:
-            budget = min(budget, self.max_steps - self.steps)
-        self.steps += candidate.refine(budget)
-
-    def _grant_shared(self, gating: List[TupleCandidate]) -> int:
+    def _grant(self, gating: List[TupleCandidate]) -> int:
         """One shared refinement round for the gating set.
 
         Each expansion targets a node among those with the largest summed
@@ -294,9 +258,8 @@ class RefinementScheduler:
 
         Not decided means there is a *crossing pair*: the weakest tuple inside
         the provisional selection (smallest lower bound) and the strongest
-        outside it (largest upper bound) overlap.  At least one of the two has
-        a refinable bracket — two exact tuples in crossing position would
-        contradict the selection order — and the wider one gets the grant.
+        outside it (largest upper bound) overlap.  Every non-exact bracket
+        overlapping that contention window gates the cut and joins the grant.
         """
         if k < 1:
             raise PlanningError(f"k must be positive, got {k}")
@@ -321,29 +284,16 @@ class RefinementScheduler:
                 return self._outcome(selected, False, degraded="deadline")
             if self._exhausted():
                 return self._outcome(selected, False)
-            if self.store is not None:
-                # Shared mode: every non-exact bracket overlapping the
-                # contention window [weakest.lower, strongest.upper] gates
-                # the cut; expand the shared node those tuples value most.
-                gating = [
-                    c for c in selected if not c.exact and c.lower < strongest.upper
-                ]
-                gating += [
-                    c for c in rest if not c.exact and c.upper > weakest.lower
-                ]
-                if not gating or self._grant_shared(gating) == 0:
-                    if self._expired():
-                        return self._outcome(selected, False, degraded="deadline")
-                    # Nothing refinable gates the decision: bail rather than spin.
-                    return self._outcome(selected, False)
-                continue
-            # Refine the wider bracket of the crossing pair.
-            target = max((weakest, strongest), key=lambda c: c.gap)
-            if target.gap <= 0.0:
-                # Unreachable: two exact tuples in crossing position would
-                # contradict the lower-bound ranking.  Bail out rather than spin.
+            # Every non-exact bracket overlapping the contention window
+            # [weakest.lower, strongest.upper] gates the cut; expand the
+            # shared nodes those tuples value most.
+            gating = [c for c in selected if not c.exact and c.lower < strongest.upper]
+            gating += [c for c in rest if not c.exact and c.upper > weakest.lower]
+            if not gating or self._grant(gating) == 0:
+                if self._expired():
+                    return self._outcome(selected, False, degraded="deadline")
+                # Nothing refinable gates the decision: bail rather than spin.
                 return self._outcome(selected, False)
-            self._grant(target)
 
     # -- threshold ----------------------------------------------------------
 
@@ -351,8 +301,8 @@ class RefinementScheduler:
         """Partition candidates into confidence ``>= tau`` and ``< tau``.
 
         A candidate is decided-in once its lower bound reaches τ and
-        decided-out once its upper bound drops below τ; the scheduler refines
-        the straddling candidate with the widest bracket.  An exact candidate
+        decided-out once its upper bound drops below τ; the straddling
+        candidates gate the grant.  An exact candidate
         sitting precisely on τ counts as *in* (the answer is ``conf >= τ``).
         """
         if not 0.0 <= tau <= 1.0:
@@ -370,14 +320,11 @@ class RefinementScheduler:
             if self._exhausted():
                 selected = [c for c in self.candidates if c.lower >= tau]
                 return self._outcome(selected, False)
-            if self.store is not None:
-                if self._grant_shared(straddling) == 0:
-                    selected = [c for c in self.candidates if c.lower >= tau]
-                    if self._expired():
-                        return self._outcome(selected, False, degraded="deadline")
-                    return self._outcome(selected, False)
-                continue
-            self._grant(max(straddling, key=lambda c: c.gap))
+            if self._grant(straddling) == 0:
+                selected = [c for c in self.candidates if c.lower >= tau]
+                if self._expired():
+                    return self._outcome(selected, False, degraded="deadline")
+                return self._outcome(selected, False)
 
 
 def run_decision(
@@ -387,7 +334,7 @@ def run_decision(
     confidence: str,
     max_steps: Optional[int],
     default_cap: Optional[int],
-    store: Optional[SharedLineageStore] = None,
+    store: SharedLineageStore,
     deadline: Optional[Deadline] = None,
 ) -> Tuple[SchedulerOutcome, int]:
     """One complete bound-driven decision: schedule, decide, finish exact.
@@ -409,7 +356,7 @@ def run_decision(
     zero steps, for both top-k and threshold.  Guarded here (not just in the
     scheduler) so every caller of the single decision routine shares it.
 
-    With a shared ``store`` the whole decision runs *pinned*
+    The whole decision runs *pinned* on ``store``
     (:meth:`repro.prob.sharedag.SharedLineageStore.pinned`): a node-budget
     epoch reset triggered mid-decision is deferred until the decision
     finishes, which keeps interleaved requests over one store (the query
@@ -422,46 +369,27 @@ def run_decision(
     """
     if not candidates:
         return SchedulerOutcome(selected=[], candidates=[], decided=True, steps=0), 0
-    if store is None:
-        return _run_decision_unpinned(
-            candidates, k, tau, confidence, max_steps, default_cap, store, deadline
-        )
     with store.pinned():
-        return _run_decision_unpinned(
-            candidates, k, tau, confidence, max_steps, default_cap, store, deadline
+        scheduler = RefinementScheduler(
+            candidates,
+            store,
+            max_steps=default_cap if max_steps is None else max_steps,
+            deadline=deadline,
         )
-
-
-def _run_decision_unpinned(
-    candidates: List[TupleCandidate],
-    k: Optional[int],
-    tau: Optional[float],
-    confidence: str,
-    max_steps: Optional[int],
-    default_cap: Optional[int],
-    store: Optional[SharedLineageStore],
-    deadline: Optional[Deadline] = None,
-) -> Tuple[SchedulerOutcome, int]:
-    scheduler = RefinementScheduler(
-        candidates,
-        max_steps=default_cap if max_steps is None else max_steps,
-        store=store,
-        deadline=deadline,
-    )
-    outcome = scheduler.run_topk(k) if k is not None else scheduler.run_threshold(tau)
-    finishing_steps = finish_selected(
-        outcome.selected, confidence, max_steps, outcome.steps, default_cap,
-        deadline=deadline,
-    )
-    if (
-        confidence == "exact"
-        and outcome.degraded is None
-        and _deadline_expired(deadline)
-        and any(not c.exact for c in outcome.selected)
-    ):
-        # Exact finishing hit the deadline: the decision stands but some
-        # reported confidences are still brackets, so the payload must say so.
-        outcome.degraded = "deadline"
+        outcome = scheduler.run_topk(k) if k is not None else scheduler.run_threshold(tau)
+        finishing_steps = finish_selected(
+            outcome.selected, confidence, max_steps, outcome.steps, default_cap,
+            deadline=deadline,
+        )
+        if (
+            confidence == "exact"
+            and outcome.degraded is None
+            and _deadline_expired(deadline)
+            and any(not c.exact for c in outcome.selected)
+        ):
+            # Exact finishing hit the deadline: the decision stands but some
+            # reported confidences are still brackets, so the payload must say so.
+            outcome.degraded = "deadline"
     return outcome, finishing_steps
 
 

@@ -27,10 +27,7 @@ def unsafe_query():
 
 
 def topk_payload(db, query):
-    # shared_lineage pinned: the store seam under test lives in the
-    # shared-store path, so the battery must not silently degrade to the
-    # legacy per-tuple scheduler on the REPRO_SHARED_LINEAGE=0 CI leg.
-    with SproutEngine(db, shared_lineage=True) as engine:
+    with SproutEngine(db) as engine:
         result = engine.evaluate_topk(query, k=2)
         return result_payload(result), engine.cache_stats()
 
@@ -79,7 +76,7 @@ class TestFaultPlan:
     def test_env_var_activates_a_plan(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "store.propagate:1")
         db, query = unsafe_query()
-        with SproutEngine(db, shared_lineage=True) as engine:
+        with SproutEngine(db) as engine:
             with pytest.raises(InjectedFault):
                 engine.evaluate_topk(query, k=2)
 
@@ -95,7 +92,7 @@ class TestStorePropagateSeam:
     def test_fault_is_structured_and_store_stays_sound(self):
         db, query = unsafe_query()
         clean, _ = topk_payload(db, query)
-        engine = SproutEngine(demo_database(), shared_lineage=True)
+        engine = SproutEngine(demo_database())
         with injected(FaultPlan.parse("store.propagate:1")):
             with pytest.raises(InjectedFault):
                 engine.evaluate_topk(query, k=2)
@@ -108,7 +105,7 @@ class TestStorePropagateSeam:
     def test_mid_run_fault_leaves_sound_monotone_bounds(self):
         db, query = unsafe_query()
         clean, _ = topk_payload(db, query)
-        engine = SproutEngine(demo_database(), shared_lineage=True)
+        engine = SproutEngine(demo_database())
         with injected(FaultPlan.parse("store.propagate:3")):
             with pytest.raises(InjectedFault):
                 engine.evaluate_topk(query, k=2)
@@ -121,7 +118,7 @@ class TestStorePropagateSeam:
 
     def test_service_keeps_serving_after_a_store_fault(self):
         db = demo_database()
-        engine = SproutEngine(db, shared_lineage=True)
+        engine = SproutEngine(db)
         with QueryService(db, engine=engine) as service:
             with injected(FaultPlan.parse("store.propagate:1")):
                 with pytest.raises(InjectedFault):

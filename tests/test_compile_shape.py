@@ -40,7 +40,8 @@ import pytest
 
 from repro import Atom, ConjunctiveQuery, SproutEngine
 from repro.algebra import Comparison
-from repro.prob.dtree import DTree
+
+from oracles.dtree import DTree
 
 PROJECTIONS = ("p_brand", "p_type", "p_container")
 EXECUTIONS = ("row", "batch")
@@ -87,11 +88,10 @@ def unsafe_query(projection):
 
 
 def fresh_engine(db, execution):
-    """Shared-store engine whatever ``REPRO_SHARED_LINEAGE`` the CI leg sets:
-    the shape lives in the engine's store.  Row and batch pipelines extract
-    the same lineage and the scheduler breaks ties on the tuple's ``repr``,
-    so both must reproduce the recorded shape."""
-    return SproutEngine(db, execution=execution, shared_lineage=True)
+    """A fresh engine: the shape lives in its store.  Row and batch pipelines
+    extract the same lineage and the scheduler breaks ties on the tuple's
+    ``repr``, so both must reproduce the recorded shape."""
+    return SproutEngine(db, execution=execution)
 
 
 def _digest(*chunks: bytes) -> str:

@@ -1,14 +1,15 @@
-"""The in-process confidence routes and their determinism contract.
+"""The in-process confidence route and its determinism contract.
 
-Plain d-tree evaluation has two routes (:mod:`repro.sprout.parallel`): the
-default one refines views of the engine's shared store, and
-``shared_lineage=False`` compiles one fresh, isolated d-tree per answer
-tuple.  Bound-driven decisions (top-k, threshold) run the one serial
-scheduler of :mod:`repro.sprout.topk` over either kind of tree.  Pinned here:
+Plain d-tree evaluation (:mod:`repro.sprout.parallel`) refines views of the
+engine's shared store, and bound-driven decisions (top-k, threshold) run the
+one serial scheduler of :mod:`repro.sprout.topk` over the same views.  The
+per-tuple oracle (``oracles.dtree``) compiles one fresh, isolated d-tree per
+answer tuple.  Pinned here:
 
-* the per-tuple route is reproducible across fresh engines and pipelines,
-  matches possible-world enumeration, and agrees with the shared route on
-  every exact confidence while the shared route's brackets stay in budget;
+* evaluation is reproducible across fresh engines and pipelines, returns
+  the oracle's exact confidences bit for bit — also over a store an
+  approximate call warmed first — and keeps its brackets in budget; the
+  oracle itself matches possible-world enumeration;
 * the Karp–Luby fallback of a capped evaluation is seeded per tuple, so it
   is reproducible and always inside the sound bracket;
 * decisions are bit-identical under row and batch pipelines and across
@@ -20,16 +21,16 @@ scheduler of :mod:`repro.sprout.topk` over either kind of tree.  Pinned here:
 import pytest
 
 from repro import Atom, ConjunctiveQuery, ProbabilisticDatabase, SproutEngine
-from repro.prob import DNF, DTree, confidences_by_enumeration
+from repro.prob import DNF, confidences_by_enumeration
 from repro.prob.sharedag import SharedDTreeCache
 from repro.sprout import RefinementScheduler, TupleCandidate, evaluate_deterministic
 from repro.storage import Relation, Schema
 
+from oracles.dtree import oracle_evaluate
 from test_differential_matrix import CORPUS, _truth
 
 TOLERANCE = 1e-9
 EPSILON = 0.01
-ROUTES = pytest.mark.parametrize("shared", (True, False), ids=("shared", "per_tuple"))
 
 
 def unsafe_chain_query(projection=("a",)):
@@ -77,64 +78,63 @@ def result_fingerprint(result):
 
 
 # ---------------------------------------------------------------------------
-# plain evaluation: the per-tuple route against the shared one and the truth
+# plain evaluation: the shared store against the per-tuple oracle and the truth
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("case", sorted(CORPUS))
-def test_per_tuple_route_is_reproducible_and_agrees_with_shared(case):
-    """Fresh per-tuple engines return the same bits, row and batch alike; the
-    shared route, over a store an approximate call warmed first, returns the
-    same exact confidences and brackets that hold them within the budget."""
+def test_evaluate_is_reproducible_and_matches_the_oracle(case):
+    """Fresh engines return the same bits, row and batch alike, and their
+    exact confidences are the per-tuple oracle's; over a store an
+    approximate call warmed first, the exact call still returns the oracle's
+    bits, and the approximate brackets hold them within the budget."""
     build_db, make_query = CORPUS[case]
+    oracle = {d: r.probability for d, r in oracle_evaluate(build_db(), make_query()).items()}
     fingerprints = {}
     for _ in range(2):
-        with SproutEngine(build_db(), epsilon=EPSILON, shared_lineage=False) as engine:
-            for execution in ("row", "batch"):
-                for confidence in ("exact", "approx"):
+        for execution in ("row", "batch"):
+            for confidence in ("exact", "approx"):
+                with SproutEngine(build_db(), epsilon=EPSILON) as engine:
                     result = engine.evaluate(
                         make_query(),
                         plan="dtree",
                         execution=execution,
                         confidence=confidence,
                     )
-                    fingerprint = result_fingerprint(result)
-                    fingerprints.setdefault((execution, confidence), fingerprint)
-                    assert fingerprints[execution, confidence] == fingerprint
+                fingerprint = result_fingerprint(result)
+                fingerprints.setdefault((execution, confidence), fingerprint)
+                assert fingerprints[execution, confidence] == fingerprint
+            assert dict(fingerprints[execution, "exact"][1]) == oracle
     for execution in ("row", "batch"):
-        exact = dict(fingerprints[execution, "exact"][1])
-        options = {"epsilon": EPSILON, "execution": execution, "shared_lineage": True}
         # Approximate first: after the exact call the store would be closed.
-        with SproutEngine(build_db(), **options) as engine:
+        with SproutEngine(build_db(), epsilon=EPSILON, execution=execution) as engine:
             approx = engine.evaluate(make_query(), plan="dtree", confidence="approx")
-            shared = engine.evaluate(make_query(), plan="dtree")
-        assert shared.confidences() == exact
-        assert approx.bounds.keys() == exact.keys()
+            exact = engine.evaluate(make_query(), plan="dtree")
+        assert exact.confidences() == oracle
+        assert approx.bounds.keys() == oracle.keys()
         for data, (lower, upper) in approx.bounds.items():
-            assert lower <= exact[data] <= upper
+            assert lower <= oracle[data] <= upper
             assert upper - lower <= 2 * EPSILON
 
 
 @pytest.mark.parametrize("case", sorted(CORPUS))
-def test_per_tuple_route_matches_enumeration(case):
+def test_per_tuple_oracle_matches_enumeration(case):
     """The isolated per-tuple trees stay pinned to possible-world truth."""
     build_db, make_query = CORPUS[case]
     truth = _truth(case)
-    with SproutEngine(build_db(), epsilon=EPSILON, shared_lineage=False) as engine:
-        exact = engine.evaluate(make_query(), plan="dtree")
-        assert set(exact.confidences()) == set(truth)
-        for data, expected in truth.items():
-            assert exact.confidences()[data] == pytest.approx(expected, abs=TOLERANCE)
-        approx = engine.evaluate(make_query(), plan="dtree", confidence="approx")
-        for data, expected in truth.items():
-            assert abs(approx.confidences()[data] - expected) <= EPSILON + TOLERANCE
-            lower, upper = approx.bounds[data]
-            assert lower - TOLERANCE <= expected <= upper + TOLERANCE
+    exact = oracle_evaluate(build_db(), make_query())
+    assert set(exact) == set(truth)
+    for data, expected in truth.items():
+        assert exact[data].probability == pytest.approx(expected, abs=TOLERANCE)
+    approx = oracle_evaluate(build_db(), make_query(), epsilon=EPSILON)
+    for data, expected in truth.items():
+        assert abs(approx[data].probability - expected) <= EPSILON + TOLERANCE
+        assert approx[data].lower - TOLERANCE <= expected <= approx[data].upper + TOLERANCE
 
 
-@ROUTES
+@pytest.mark.parametrize("execution", ("row", "batch"))
 @pytest.mark.parametrize("case", sorted(CORPUS))
-def test_capped_evaluation_falls_back_reproducibly(case, shared):
+def test_capped_evaluation_falls_back_reproducibly(case, execution):
     """Where one expansion per tuple is too few for a tight budget, the point
     estimate is the seeded Karp–Luby fallback clamped into the bracket: a
     fresh engine with the same seed reports the same bits, and every
@@ -142,10 +142,10 @@ def test_capped_evaluation_falls_back_reproducibly(case, shared):
     build_db, make_query = CORPUS[case]
     truth = _truth(case)
     options = {
-        "shared_lineage": shared,
         "dtree_max_steps": 1,
         "monte_carlo_samples": 400,
         "seed": 3,
+        "execution": execution,
     }
     fingerprints = []
     for _ in range(2):
@@ -170,13 +170,13 @@ def test_decisions_over_a_warm_store_agree_with_fresh_engines(case):
     build_db, make_query = CORPUS[case]
     truth = _truth(case)
     tau = sorted(truth.values())[len(truth) // 2] if truth else 0.5
-    with SproutEngine(build_db(), shared_lineage=True) as warm:
+    with SproutEngine(build_db()) as warm:
         warm.evaluate(make_query(), plan="dtree", confidence="approx", epsilon=0.05)
         warm_top = warm.evaluate_topk(make_query(), k=2, plan="dtree")
         warm_threshold = warm.evaluate_threshold(make_query(), tau=tau, plan="dtree")
-    with SproutEngine(build_db(), shared_lineage=True) as cold:
+    with SproutEngine(build_db()) as cold:
         cold_top = cold.evaluate_topk(make_query(), k=2, plan="dtree")
-    with SproutEngine(build_db(), shared_lineage=True) as cold:
+    with SproutEngine(build_db()) as cold:
         cold_threshold = cold.evaluate_threshold(make_query(), tau=tau, plan="dtree")
     assert warm_top.decided and warm_threshold.decided
     assert set(warm_top.confidences()) == set(cold_top.confidences())
@@ -186,7 +186,7 @@ def test_decisions_over_a_warm_store_agree_with_fresh_engines(case):
 
 
 # ---------------------------------------------------------------------------
-# decisions: the serial scheduler over either kind of tree
+# decisions: the serial scheduler over the shared store
 # ---------------------------------------------------------------------------
 
 
@@ -204,11 +204,10 @@ class TestDecisions:
             )
         return _chain_truth
 
-    @ROUTES
-    def test_topk_is_identical_under_row_and_batch(self, chain_db, shared):
+    def test_topk_is_identical_under_row_and_batch(self, chain_db):
         fingerprints = set()
         for execution in ("row", "batch"):
-            with SproutEngine(chain_db, shared_lineage=shared) as engine:
+            with SproutEngine(chain_db) as engine:
                 result = engine.evaluate_topk(
                     unsafe_chain_query(), k=2, execution=execution
                 )
@@ -216,11 +215,11 @@ class TestDecisions:
             fingerprints.add(result_fingerprint(result))
         assert len(fingerprints) == 1
 
-    @ROUTES
-    def test_topk_agrees_with_truth(self, chain_db, shared):
+    @pytest.mark.parametrize("execution", ("row", "batch"))
+    def test_topk_agrees_with_truth(self, chain_db, execution):
         query = unsafe_chain_query()
         truth = self.enumerate_truth(chain_db, query)
-        with SproutEngine(chain_db, shared_lineage=shared) as engine:
+        with SproutEngine(chain_db, execution=execution) as engine:
             result = engine.evaluate_topk(query, k=2)
         assert result.decided
         assert set(result.confidences()) == set(
@@ -232,12 +231,12 @@ class TestDecisions:
         for data, (lower, upper) in result.bounds.items():
             assert lower - TOLERANCE <= truth[data] <= upper + TOLERANCE
 
-    @ROUTES
-    def test_threshold_agrees_with_truth(self, chain_db, shared):
+    @pytest.mark.parametrize("execution", ("row", "batch"))
+    def test_threshold_agrees_with_truth(self, chain_db, execution):
         query = unsafe_chain_query()
         truth = self.enumerate_truth(chain_db, query)
         tau = 0.35
-        with SproutEngine(chain_db, shared_lineage=shared) as engine:
+        with SproutEngine(chain_db, execution=execution) as engine:
             result = engine.evaluate_threshold(query, tau=tau)
         assert result.decided
         selected = set(result.confidences())
@@ -247,9 +246,9 @@ class TestDecisions:
             elif confidence < tau - TOLERANCE:
                 assert data not in selected
 
-    @ROUTES
-    def test_approx_mode_reports_midpoints_within_bounds(self, chain_db, shared):
-        with SproutEngine(chain_db, shared_lineage=shared) as engine:
+    @pytest.mark.parametrize("execution", ("row", "batch"))
+    def test_approx_mode_reports_midpoints_within_bounds(self, chain_db, execution):
+        with SproutEngine(chain_db, execution=execution) as engine:
             result = engine.evaluate_topk(
                 unsafe_chain_query(), k=2, confidence="approx"
             )
@@ -258,28 +257,28 @@ class TestDecisions:
             lower, upper = result.bounds[data]
             assert lower - TOLERANCE <= confidence <= upper + TOLERANCE
 
-    @ROUTES
-    def test_budget_exhaustion_is_reported_not_raised(self, chain_db, shared):
-        with SproutEngine(chain_db, shared_lineage=shared) as engine:
+    @pytest.mark.parametrize("execution", ("row", "batch"))
+    def test_budget_exhaustion_is_reported_not_raised(self, chain_db, execution):
+        with SproutEngine(chain_db, execution=execution) as engine:
             result = engine.evaluate_topk(
                 unsafe_chain_query(), k=1, confidence="approx", max_steps=0
             )
         assert isinstance(result.decided, bool)
         assert result.refine_steps == 0
 
-    @ROUTES
+    @pytest.mark.parametrize("execution", ("row", "batch"))
     @pytest.mark.parametrize("confidence", ("exact", "approx"))
     def test_decisions_are_reproducible_across_fresh_engines(
-        self, chain_db, confidence, shared
+        self, chain_db, confidence, execution
     ):
         """The full fingerprint — confidences, bounds, decided sets and step
         counts — of a top-k and a threshold decision on fresh engines."""
         query = unsafe_chain_query()
         prints = []
         for _ in range(2):
-            with SproutEngine(chain_db, shared_lineage=shared) as engine:
+            with SproutEngine(chain_db, execution=execution) as engine:
                 top = engine.evaluate_topk(query, k=2, confidence=confidence)
-            with SproutEngine(chain_db, shared_lineage=shared) as engine:
+            with SproutEngine(chain_db, execution=execution) as engine:
                 threshold = engine.evaluate_threshold(
                     query, tau=0.35, confidence=confidence
                 )
@@ -312,29 +311,22 @@ class TestSchedulerRuns:
             outcome.steps,
         )
 
-    def run_topk(self, shared):
+    def run(self, goal):
         lineage, probabilities = self.heavy_lineage()
-        if shared:
-            cache = SharedDTreeCache()
-            candidates = [
-                TupleCandidate(data, tree=cache.get(dnf, probabilities))
-                for data, dnf in lineage.items()
-            ]
-            store = cache.store
-        else:
-            candidates = [
-                TupleCandidate(data, tree=DTree(dnf, probabilities))
-                for data, dnf in lineage.items()
-            ]
-            store = None
-        return RefinementScheduler(candidates, max_steps=600, store=store).run_topk(3)
+        cache = SharedDTreeCache()
+        candidates = [
+            TupleCandidate(data, tree=cache.get(dnf, probabilities))
+            for data, dnf in lineage.items()
+        ]
+        scheduler = RefinementScheduler(candidates, cache.store, max_steps=600)
+        return scheduler.run_topk(3) if goal == "topk" else scheduler.run_threshold(0.87)
 
-    @ROUTES
-    def test_multi_round_refinement_replays_the_same_trajectory(self, shared):
-        """A budget-capped top-k over non-closing trees, run twice from
-        scratch: bounds, per-candidate step counts, total steps and
-        decidedness must be identical."""
-        first = self.run_topk(shared)
+    @pytest.mark.parametrize("goal", ("topk", "threshold"))
+    def test_multi_round_refinement_replays_the_same_trajectory(self, goal):
+        """A budget-capped top-k or threshold decision over non-closing
+        trees, run twice from scratch: bounds, per-candidate step counts,
+        total steps and decidedness must be identical."""
+        first = self.run(goal)
         assert first.steps > 0, "the check needs real refinement rounds"
-        second = self.run_topk(shared)
+        second = self.run(goal)
         assert self.scheduler_fingerprint(first) == self.scheduler_fingerprint(second)

@@ -8,8 +8,8 @@ and a :class:`repro.errors.PlanningError` (what engine callers catch).
 
 import pytest
 
-from repro import ProbabilisticDatabase, SproutEngine
-from repro.config import env_flag, env_int
+from repro import Atom, ConjunctiveQuery, ProbabilisticDatabase, SproutEngine
+from repro.config import env_int
 from repro.errors import ConfigurationError, PlanningError
 from repro.prob.formulas import DNF
 from repro.prob.sharedag import SharedDTreeCache, SharedLineageStore
@@ -23,36 +23,6 @@ def tiny_db():
     db = ProbabilisticDatabase("tiny")
     db.add_table(Relation("R", Schema.of("a:int"), [(1,)]), probabilities=[0.5])
     return db
-
-
-class TestEnvFlag:
-    def test_unset_and_empty_use_the_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TEST_FLAG", raising=False)
-        assert env_flag("REPRO_TEST_FLAG") is None
-        assert env_flag("REPRO_TEST_FLAG", default=True) is True
-        monkeypatch.setenv("REPRO_TEST_FLAG", "")
-        assert env_flag("REPRO_TEST_FLAG", default=False) is False
-
-    @pytest.mark.parametrize("value", ("1", "true", "YES", "On"))
-    def test_truthy_spellings(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_TEST_FLAG", value)
-        assert env_flag("REPRO_TEST_FLAG") is True
-
-    @pytest.mark.parametrize("value", ("0", "false", "NO", "Off"))
-    def test_falsy_spellings(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_TEST_FLAG", value)
-        assert env_flag("REPRO_TEST_FLAG", default=True) is False
-
-    def test_malformed_raises_the_documented_error(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_FLAG", "maybe")
-        with pytest.raises(ConfigurationError) as excinfo:
-            env_flag("REPRO_TEST_FLAG")
-        assert "REPRO_TEST_FLAG" in str(excinfo.value)
-        assert "'maybe'" in str(excinfo.value)
-        # The dual contract: a ValueError for library users, a PlanningError
-        # for everything that already catches engine configuration failures.
-        assert isinstance(excinfo.value, ValueError)
-        assert isinstance(excinfo.value, PlanningError)
 
 
 class TestEnvInt:
@@ -74,6 +44,11 @@ class TestEnvInt:
         with pytest.raises(ConfigurationError) as excinfo:
             env_int("REPRO_TEST_INT", minimum=0)
         assert "REPRO_TEST_INT" in str(excinfo.value)
+        assert repr(value) in str(excinfo.value)
+        # The dual contract: a ValueError for library users, a PlanningError
+        # for everything that already catches engine configuration failures.
+        assert isinstance(excinfo.value, ValueError)
+        assert isinstance(excinfo.value, PlanningError)
 
 
 class TestEngineKnobsThroughTheSharedParser:
@@ -99,10 +74,29 @@ class TestEngineKnobsThroughTheSharedParser:
         with pytest.raises(ConfigurationError):
             SproutEngine(tiny_db)
 
-    def test_malformed_shared_lineage_rejected(self, tiny_db, monkeypatch):
-        monkeypatch.setenv("REPRO_SHARED_LINEAGE", "sometimes")
-        with pytest.raises(ConfigurationError):
-            SproutEngine(tiny_db)
+    @pytest.mark.parametrize("value", ("0", "false", "off", "1", "", "sometimes"))
+    def test_retired_shared_lineage_knob_is_not_read(self, tiny_db, monkeypatch, value):
+        # Lineage has one compiler, the shared store: no spelling that once
+        # selected either compiler, and no malformed one, is parsed.
+        monkeypatch.setenv("REPRO_SHARED_LINEAGE", value)
+        with SproutEngine(tiny_db) as engine:
+            query = ConjunctiveQuery("q", [Atom("R", ["a"])], [])
+            engine.evaluate_topk(query, k=1, plan="dtree")
+            assert engine.cache_stats()["misses"] == 1
+            assert len(engine.dtree_cache.store.table) > 0
+
+    @pytest.mark.parametrize("value", (False, True))
+    @pytest.mark.parametrize("target", ("engine", "standing_query"))
+    def test_retired_shared_lineage_argument_is_rejected(self, tiny_db, target, value):
+        """No compatibility shim swallows the old compiler switch silently,
+        not even the value that named the one compiler left."""
+        with pytest.raises(TypeError):
+            if target == "engine":
+                SproutEngine(tiny_db, shared_lineage=value)
+            else:
+                StandingQuery(
+                    {(1,): DNF([frozenset({0})])}, {0: 0.5}, k=1, shared_lineage=value
+                )
 
     def test_retired_vectorize_knob_is_not_read(self, tiny_db, monkeypatch):
         # Bound propagation has one scalar path, so nothing parses the
@@ -123,7 +117,6 @@ class TestEngineKnobsThroughTheSharedParser:
 
     def test_well_formed_knobs_still_apply(self, tiny_db, monkeypatch):
         monkeypatch.setenv("REPRO_DTREE_CACHE", "123")
-        monkeypatch.setenv("REPRO_SHARED_LINEAGE", "1")
         engine = SproutEngine(tiny_db)
         assert engine.dtree_cache_size == 123
-        assert engine.shared_lineage is True
+        assert not hasattr(engine, "shared_lineage")

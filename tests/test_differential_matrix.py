@@ -22,6 +22,8 @@ from repro.prob.sharedag import SharedDTreeCache
 from repro.sprout import evaluate_deterministic
 from repro.storage import Relation, Schema
 
+from oracles.dtree import oracle_evaluate
+
 TOLERANCE = 1e-9
 EPSILON = 0.01
 
@@ -198,11 +200,10 @@ def test_configuration_agrees_with_enumeration(case, plan, execution, confidence
             assert lower - TOLERANCE <= expected <= upper + TOLERANCE
 
 
-#: The shared-lineage axis runs every plan style on the row backend for the
-#: exact mode, the d-tree-routed plans for the approx mode, and the columnar
-#: backend on the d-tree plan — the configurations whose serial scheduling
-#: the ``shared_lineage`` switch could conceivably touch.
-SHARED_AXIS = [
+#: The oracle axis runs every plan style on the row backend for the exact
+#: mode, the d-tree-routed plans for the approx mode, and the columnar
+#: backend on the d-tree plan.
+ORACLE_AXIS = [
     *((plan, "row", "exact") for plan in ("lazy", "eager", "hybrid", "lineage", "dtree")),
     ("dtree", "batch", "exact"),
     *((plan, "row", "approx") for plan in ("lazy", "dtree")),
@@ -210,60 +211,78 @@ SHARED_AXIS = [
 ]
 
 
+def _oracle(case, epsilon=0.0):
+    build_db, make_query = CORPUS[case]
+    return oracle_evaluate(build_db(), make_query(), epsilon=epsilon)
+
+
 @pytest.mark.parametrize("case", sorted(CORPUS))
 @pytest.mark.parametrize(
-    "plan,execution,confidence", SHARED_AXIS, ids=["-".join(c) for c in SHARED_AXIS]
+    "plan,execution,confidence", ORACLE_AXIS, ids=["-".join(c) for c in ORACLE_AXIS]
 )
-def test_shared_lineage_axis_is_bit_identical(case, plan, execution, confidence):
-    """``shared_lineage`` on vs. off: plain evaluation must not move a bit.
+def test_dtree_route_matches_the_per_tuple_oracle(case, plan, execution, confidence):
+    """Plain evaluation against one fresh oracle ``DTree`` per tuple.
 
-    Sharing compiles common subformulas once across tuples, but the
-    decomposition arithmetic is identical — so every confidence, bound, and
-    answer row must be float-for-float the same under both engines.
+    On a fresh engine the shared store compiles common subformulas once
+    across tuples, but its decomposition arithmetic is the oracle's — so
+    every confidence and bound the d-tree route reports must be
+    float-for-float the oracle's.  A configuration answered by an operator
+    plan instead must agree with the oracle's exact values within rounding.
     """
     build_db, make_query = CORPUS[case]
-    results = {}
-    for shared in (False, True):
-        engine = SproutEngine(build_db(), epsilon=EPSILON, shared_lineage=shared)
-        result = engine.evaluate(
-            make_query(), plan=plan, execution=execution, confidence=confidence
-        )
-        results[shared] = result
-    assert results[True].confidences() == results[False].confidences()
-    assert results[True].bounds == results[False].bounds
-    assert list(results[True].relation.rows) == list(results[False].relation.rows)
+    engine = SproutEngine(build_db(), epsilon=EPSILON)
+    result = engine.evaluate(
+        make_query(), plan=plan, execution=execution, confidence=confidence
+    )
+    oracle = _oracle(case, EPSILON if confidence == "approx" else 0.0)
+    assert set(result.confidences()) == set(oracle)
+    if result.plan_style == "dtree":
+        assert result.confidences() == {d: r.probability for d, r in oracle.items()}
+        assert result.bounds == {d: (r.lower, r.upper) for d, r in oracle.items()}
+        assert [row[:-1] for row in result.relation.rows] == sorted(oracle, key=repr)
+    else:
+        for data, expected in oracle.items():
+            assert result.confidences()[data] == pytest.approx(
+                expected.probability, abs=TOLERANCE
+            )
 
 
 @pytest.mark.parametrize("case", sorted(CORPUS))
 @pytest.mark.parametrize("confidence", ["exact", "approx"])
-def test_topk_and_threshold_shared_axis(case, confidence):
-    """Top-k/threshold under ``shared_lineage`` on vs. off: same decided sets,
-    and (in exact mode) bit-identical selected confidences.
+def test_topk_and_threshold_against_truth_and_oracle(case, confidence):
+    """Top-k/threshold decide the sets enumeration justifies, and (in exact
+    mode) report the oracle's selected confidences bit for bit.
 
-    The two modes refine along different trajectories, so non-selected
-    bounds and step counts may differ — but both stop only on *proven*
-    decisions, which pins the answer sets to each other."""
+    The scheduler stops only on *proven* decisions, which pins the answer
+    sets to the possible-world truth; exact finishing closes each winner's
+    view, whose value is then the per-tuple oracle's to the bit."""
     build_db, make_query = CORPUS[case]
     truth = _truth(case)
     tau = sorted(truth.values())[len(truth) // 2] if truth else 0.5
-    top_confidences = {}
-    threshold_sets = {}
-    for shared in (False, True):
-        engine = SproutEngine(build_db(), shared_lineage=shared)
-        top = engine.evaluate_topk(make_query(), k=2, plan="dtree", confidence=confidence)
-        assert top.decided
-        top_confidences[shared] = top.confidences()
-        threshold = engine.evaluate_threshold(
-            make_query(), tau=tau, plan="dtree", confidence=confidence
-        )
-        assert threshold.decided
-        threshold_sets[shared] = frozenset(threshold.confidences())
-    assert set(top_confidences[True]) == set(top_confidences[False])
-    assert threshold_sets[True] == threshold_sets[False]
+    engine = SproutEngine(build_db())
+    top = engine.evaluate_topk(make_query(), k=2, plan="dtree", confidence=confidence)
+    threshold = engine.evaluate_threshold(
+        make_query(), tau=tau, plan="dtree", confidence=confidence
+    )
+    assert top.decided and threshold.decided
+    selected = set(top.confidences())
+    assert len(selected) == min(2, len(truth))
+    for data_tuple in selected:
+        for other in set(truth) - selected:
+            assert truth[data_tuple] >= truth[other] - TOLERANCE
+    chosen = set(threshold.confidences())
+    for data_tuple, expected in truth.items():
+        if expected >= tau + TOLERANCE:
+            assert data_tuple in chosen
+        elif expected < tau - TOLERANCE:
+            assert data_tuple not in chosen
     if confidence == "exact":
         # Exact mode refines the winners to closure: the values themselves
         # must agree to the bit, not just the sets.
-        assert top_confidences[True] == top_confidences[False]
+        oracle = _oracle(case)
+        for result in (top, threshold):
+            for data_tuple, value in result.confidences().items():
+                assert value == oracle[data_tuple].probability
 
 
 @pytest.mark.parametrize("case", sorted(CORPUS))
@@ -274,36 +293,37 @@ def test_execution_axis_is_bit_identical(case, confidence):
 
     Both pipelines extract the same lineage, and the scheduler breaks ties on
     the data tuple's ``repr``, so the refinement trajectory — and with it
-    every bound, step count, answer row and, over the shared store, the raw
-    bound columns — may not depend on the order the pipeline produced the
-    candidates in.  Checked with the shared store on and off.
+    every bound, step count, answer row and the store's raw bound columns —
+    may not depend on the order the pipeline produced the candidates in.  In
+    exact mode the selected confidences are also the per-tuple oracle's.
     """
     build_db, make_query = CORPUS[case]
     truth = _truth(case)
     tau = sorted(truth.values())[len(truth) // 2] if truth else 0.5
-    for shared in (False, True):
-        fingerprints = {}
-        for execution in ("row", "batch"):
-            engine = SproutEngine(build_db(), execution=execution, shared_lineage=shared)
-            top = engine.evaluate_topk(
-                make_query(), k=2, plan="dtree", confidence=confidence
-            )
-            threshold = engine.evaluate_threshold(
-                make_query(), tau=tau, plan="dtree", confidence=confidence
-            )
-            fingerprints[execution] = (
-                list(top.relation.rows),
-                sorted(top.bounds.items()),
-                top.decided,
-                top.refine_steps,
-                list(threshold.relation.rows),
-                sorted(threshold.bounds.items()),
-                threshold.decided,
-                threshold.refine_steps,
-                engine.dtree_cache.store.table.bounds_fingerprint() if shared else None,
-            )
-            engine.close()
-        assert fingerprints["row"] == fingerprints["batch"], f"shared_lineage={shared}"
+    fingerprints = {}
+    for execution in ("row", "batch"):
+        engine = SproutEngine(build_db(), execution=execution)
+        top = engine.evaluate_topk(make_query(), k=2, plan="dtree", confidence=confidence)
+        threshold = engine.evaluate_threshold(
+            make_query(), tau=tau, plan="dtree", confidence=confidence
+        )
+        fingerprints[execution] = (
+            list(top.relation.rows),
+            sorted(top.bounds.items()),
+            top.decided,
+            top.refine_steps,
+            list(threshold.relation.rows),
+            sorted(threshold.bounds.items()),
+            threshold.decided,
+            threshold.refine_steps,
+            engine.dtree_cache.store.table.bounds_fingerprint(),
+        )
+        engine.close()
+    assert fingerprints["row"] == fingerprints["batch"]
+    if confidence == "exact":
+        oracle = _oracle(case)
+        for data_tuple, value in top.confidences().items():
+            assert value == oracle[data_tuple].probability
 
 
 @pytest.mark.parametrize("case", sorted(CORPUS))
@@ -336,13 +356,13 @@ def test_restart_axis_is_bit_identical(case, confidence):
             store.table.bounds_fingerprint(),
         )
 
-    with SproutEngine(build_db(), shared_lineage=True) as live:
+    with SproutEngine(build_db()) as live:
         live.evaluate_topk(make_query(), k=2, plan="dtree", confidence=confidence)
         expected = threshold_fingerprint(live)
-    with SproutEngine(build_db(), shared_lineage=True) as before:
+    with SproutEngine(build_db()) as before:
         before.evaluate_topk(make_query(), k=2, plan="dtree", confidence=confidence)
         state = pickle.loads(pickle.dumps(before.dtree_cache.export_state()))
-    with SproutEngine(build_db(), shared_lineage=True) as reborn:
+    with SproutEngine(build_db()) as reborn:
         reborn.dtree_cache = SharedDTreeCache.from_state(state)
         assert threshold_fingerprint(reborn) == expected
 

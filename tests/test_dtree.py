@@ -1,10 +1,14 @@
-"""Tests of the anytime d-tree confidence engine (repro.prob.dtree).
+"""Tests of the per-tuple d-tree oracle and the shared d-tree arithmetic.
 
-Differential tests pin the d-tree's exact evaluation to brute-force world
+The object-graph ``DTree`` (``oracles.dtree``) compiles one DNF with the
+rules of :mod:`repro.prob.dtree`, the ones the shared store applies too.
+Differential tests pin its exact evaluation to brute-force world
 enumeration; property tests check the anytime contract: the lower/upper
 bounds always bracket the true probability, shrink monotonically as the
 epsilon budget tightens, and the midpoint honours the requested error.
-The Karp–Luby estimator is validated as an unbiased cross-check.
+The Karp–Luby estimator is validated as an unbiased cross-check, and the
+oracle's per-tuple driver ``dtree_confidences`` is checked to make each
+tuple's answer a function of that tuple's lineage alone.
 """
 
 import pytest
@@ -12,15 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ApproximationBudgetError, ProbabilityError
-from repro.prob.dtree import (
-    ApproxResult,
-    DTree,
-    DTreeCache,
-    dtree_probability,
-    karp_luby_probability,
-)
+from repro.prob.dtree import ApproxResult, karp_luby_probability
 from repro.prob.formulas import DNF, dnf_probability, dnf_probability_enumeration
 from repro.prob.synthetic import bipartite_lineage, hub_lineage
+
+from oracles.dtree import DTree, dtree_confidences, dtree_probability
 
 
 @st.composite
@@ -202,46 +202,6 @@ class TestKarpLuby:
             karp_luby_probability(DNF([{1}]), {1: 0.5}, samples=0)
 
 
-class TestDTreeCache:
-    def test_hit_returns_the_same_tree(self):
-        cache = DTreeCache()
-        dnf, probs = bipartite_lineage(4, 4, 6, seed=11)
-        first = cache.get(dnf, probs)
-        second = cache.get(dnf, probs)
-        assert first is second
-        assert cache.hits == 1 and cache.misses == 1
-
-    def test_cached_refinement_is_reused(self):
-        cache = DTreeCache()
-        dnf, probs = bipartite_lineage(8, 8, 20, seed=11)
-        exact = dtree_probability(dnf, probs, cache=cache)
-        again = dtree_probability(dnf, probs, cache=cache)
-        assert again.probability == exact.probability
-        assert exact.steps > 0 and again.steps == 0  # steps count per call
-
-    def test_probability_space_is_guarded(self):
-        cache = DTreeCache()
-        cache.get(DNF([{1, 2}, {2, 3}]), {1: 0.5, 2: 0.5, 3: 0.5})
-        with pytest.raises(ProbabilityError):
-            # Same variables, different marginals — even under a clause set
-            # the cache has never seen (the shared memo would be stale).
-            cache.get(DNF([{1, 3}]), {1: 0.9, 3: 0.5})
-
-    def test_lru_eviction_bounds_the_cache(self):
-        cache = DTreeCache(max_entries=2)
-        probs = {i: 0.5 for i in range(9)}
-        for start in (0, 3, 6):
-            cache.get(DNF([{start, start + 1}, {start + 1, start + 2}]), probs)
-        assert len(cache) == 2
-
-    def test_clear_resets_everything(self):
-        cache = DTreeCache()
-        cache.get(DNF([{1, 2}]), {1: 0.5, 2: 0.5})
-        cache.clear()
-        assert len(cache) == 0 and cache.misses == 0
-        cache.get(DNF([{1, 2}]), {1: 0.9, 2: 0.5})  # new space is fine now
-
-
 class TestApproxResult:
     def test_str_and_gap(self):
         result = ApproxResult(0.5, 0.4, 0.6, steps=3, exact=False)
@@ -249,3 +209,50 @@ class TestApproxResult:
         assert "approx" in str(result)
         exact = ApproxResult(0.5, 0.5, 0.5, steps=0, exact=True)
         assert "exact" in str(exact)
+
+
+@st.composite
+def small_lineage(draw):
+    """Up to four answer tuples whose DNFs share one probability map."""
+    members = draw(st.lists(small_dnf(), min_size=1, max_size=4))
+    probabilities = {}
+    lineage = {}
+    for index, (dnf, probs) in enumerate(members):
+        # Shift each member onto its own variables, then let every other
+        # member reuse one of them, so tuples overlap as answer lineage does.
+        offset = 10 * index
+        clauses = [frozenset(v + offset for v in clause) for clause in dnf.clauses]
+        if index:
+            clauses.append(frozenset({offset, offset - 10}))
+        lineage[(index,)] = DNF(clauses)
+        probabilities.update({v + offset: p for v, p in probs.items()})
+    probabilities.setdefault(-10, 0.5)
+    return lineage, probabilities
+
+
+class TestOracleConfidences:
+    @given(small_lineage())
+    @settings(max_examples=30, deadline=None)
+    def test_each_tuple_depends_on_its_own_lineage_only(self, case):
+        """Neighbouring tuples and unused marginals change no bit of a
+        tuple's oracle result."""
+        lineage, probabilities = case
+        together = dtree_confidences(lineage, probabilities)
+        assert list(together) == sorted(lineage, key=repr)
+        for data, dnf in lineage.items():
+            alone = dtree_confidences({data: dnf}, dict(probabilities))
+            assert alone[data] == together[data]
+
+    @pytest.mark.parametrize("epsilon", (0.0, 0.01, 0.1))
+    def test_results_bracket_enumeration_within_the_budget(self, epsilon):
+        dnf, probabilities = bipartite_lineage(4, 4, 9, seed=5)
+        lineage = {("a",): dnf, ("b",): DNF(sorted(dnf.clauses, key=sorted)[:4])}
+        for data, result in dtree_confidences(
+            lineage, probabilities, epsilon=epsilon
+        ).items():
+            truth = dnf_probability_enumeration(lineage[data], probabilities)
+            assert result.lower - 1e-12 <= truth <= result.upper + 1e-12
+            assert abs(result.probability - truth) <= epsilon + 1e-12
+            assert result.exact == (result.lower == result.upper)
+            if epsilon == 0.0:
+                assert result.exact

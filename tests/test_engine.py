@@ -16,6 +16,7 @@ from repro.sprout.engine import ANSWER_MEMO_ENTRIES
 from repro.storage import Relation, Schema
 
 from helpers import assert_confidences_close, build_paper_database, paper_query
+from oracles.dtree import oracle_evaluate
 from test_differential_matrix import CORPUS
 
 
@@ -251,10 +252,9 @@ class TestEngineInstrumentation:
         )
         return db, query
 
-    @pytest.mark.parametrize("shared", (True, False))
-    def test_cache_stats_counters(self, shared):
+    def test_cache_stats_counters(self):
         db, query = self.unsafe_workload()
-        with SproutEngine(db, shared_lineage=shared) as engine:
+        with SproutEngine(db) as engine:
             stats = engine.cache_stats()
             assert stats == {
                 "hits": 0,
@@ -266,7 +266,6 @@ class TestEngineInstrumentation:
                 "answer_entries": 0,
                 "analysis_hits": 0,
                 "analysis_misses": 0,
-                "shared_lineage": shared,
                 "closed": False,
                 "frontier_marks": 0,
                 "frontier_rebuilds": 0,
@@ -275,13 +274,10 @@ class TestEngineInstrumentation:
             warmed = engine.cache_stats()
             assert warmed["misses"] >= 1
             assert warmed["entries"] >= 1
-            # Every shared view starts marked stale and is measured only if
-            # the decision peeks at it; the legacy cache has neither counter.
-            if shared:
-                assert warmed["frontier_marks"] == warmed["entries"]
-                assert warmed["frontier_rebuilds"] >= 1
-            else:
-                assert warmed["frontier_marks"] == warmed["frontier_rebuilds"] == 0
+            # Every view starts marked stale and is measured only if the
+            # decision peeks at it.
+            assert warmed["frontier_marks"] == warmed["entries"]
+            assert warmed["frontier_rebuilds"] >= 1
             engine.evaluate_topk(query, k=1)
             repeat = engine.cache_stats()
             assert repeat["hits"] >= 1
@@ -391,8 +387,8 @@ def _watch(engine, query):
 
 #: The lineage-route calls the memo serves, each checked against the twin
 #: control.  A watch keeps no engine state between requests, so it also
-#: equals a brand-new engine's answer; an approximate evaluate does only on
-#: the per-tuple route — the shared store keeps what it refined.
+#: equals a brand-new engine's answer; an approximate evaluate does not —
+#: the shared store keeps what it refined.
 MEMO_CALLS = (_topk, _threshold, _approx, _watch)
 STATELESS_CALLS = (_watch,)
 
@@ -416,13 +412,18 @@ class TestAnswerMemo:
     emptied before every call — the engine as it was before the memo.
     """
 
-    @pytest.mark.parametrize("shared", (True, False))
+    @pytest.mark.parametrize("cache_size", (None, 4), ids=("default_store", "tiny_store"))
     @pytest.mark.parametrize("execution", ("row", "batch"))
     @pytest.mark.parametrize("case", sorted(CORPUS))
-    def test_a_hit_is_bit_identical_to_recomputing(self, case, execution, shared):
+    def test_a_hit_is_bit_identical_to_recomputing(self, case, execution, cache_size):
+        """``tiny_store`` gives the store a node budget of 4, so on every
+        case whose lineage outgrows it the store is wiped between calls
+        while the memo keeps serving."""
         build_db, make_query = CORPUS[case]
         query = make_query()
-        options = {"execution": execution, "shared_lineage": shared}
+        options = {"execution": execution}
+        if cache_size is not None:
+            options["dtree_cache_size"] = cache_size
         memo = SproutEngine(build_db(), **options)
         control = SproutEngine(build_db(), **options)
         with memo, control:
@@ -433,13 +434,19 @@ class TestAnswerMemo:
                     # The view cache saw the same lookups with and without the memo.
                     assert _view_counters(memo) == _view_counters(control), call.__name__
             assert _answer_counters(memo) == [3 * len(MEMO_CALLS) - 1, 1, 1]
-            for call in STATELESS_CALLS if shared else (*STATELESS_CALLS, _approx):
+            assert memo.dtree_cache.store.reset_epoch == control.dtree_cache.store.reset_epoch
+            for call in STATELESS_CALLS:
                 with SproutEngine(build_db(), **options) as fresh:
                     assert call(memo, query) == call(fresh, query), call.__name__
+            # What the memo-served store refined leaves exact values alone:
+            # they are the per-tuple oracle's, bit for bit.
+            exact = memo.evaluate(query, plan="dtree").confidences()
+            oracle = oracle_evaluate(build_db(), make_query())
+            assert exact == {data: r.probability for data, r in oracle.items()}
 
     def test_close_drops_the_memo_and_recompiles_cold(self):
         db, query = TestEngineInstrumentation.unsafe_workload()
-        engine = SproutEngine(db, shared_lineage=True)
+        engine = SproutEngine(db)
         cold = _topk(engine, query, k=1)
         assert cold["refine_steps"] > 0  # the first call paid for the decision
         assert _topk(engine, query, k=1)["refine_steps"] == 0
@@ -448,7 +455,7 @@ class TestAnswerMemo:
         assert len(engine._answer_memo) == 0
         assert _topk(engine, query, k=1) == cold
         assert _answer_counters(engine) == [0, 1, 1]
-        with SproutEngine(db, shared_lineage=True) as fresh:
+        with SproutEngine(db) as fresh:
             assert _topk(fresh, query, k=1) == cold
         engine.close()
 
@@ -477,11 +484,10 @@ class TestAnswerMemo:
             assert expected.confidences() == grown.confidences()
             assert expected.bounds == grown.bounds
 
-    @pytest.mark.parametrize("shared", (True, False))
-    def test_standing_query_deltas_never_leak_into_the_memo(self, shared):
+    def test_standing_query_deltas_never_leak_into_the_memo(self):
         db, query = TestEngineInstrumentation.unsafe_workload()
-        engine = SproutEngine(db, shared_lineage=shared)
-        control = SproutEngine(db, shared_lineage=shared)
+        engine = SproutEngine(db)
+        control = SproutEngine(db)
         with engine, control:
             before = _topk(engine, query)
             assert _topk(control, query) == before
@@ -498,11 +504,15 @@ class TestAnswerMemo:
             assert after == _topk(control, query)
             assert (after["rows"], after["bounds"]) == (before["rows"], before["bounds"])
             assert _watch(engine, query) == _watch(control, query)
+            # ... and its exact winners are the per-tuple oracle's, bit for bit.
+            oracle = oracle_evaluate(db, query)
+            for *data, confidence in after["rows"]:
+                assert confidence == oracle[tuple(data)].probability
 
     def test_store_epoch_resets_between_repeats_stay_bit_identical(self):
         build_db, make_query = CORPUS["unsafe_proj"]
         query = make_query()
-        options = {"shared_lineage": True, "dtree_cache_size": 4}
+        options = {"dtree_cache_size": 4}
         memo = SproutEngine(build_db(), **options)
         control = SproutEngine(build_db(), **options)
         with memo, control:

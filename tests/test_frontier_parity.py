@@ -15,10 +15,11 @@ from heapq import heappop, heappush
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.prob.dtree import DTree, _Closed, _Inner, _Leaf
 from repro.prob.formulas import DNF
 from repro.prob.nodetable import KIND_CLOSED, KIND_DET_OR, KIND_IND_OR, KIND_LEAF, NodeTable
 from repro.prob.sharedag import SharedDTree, SharedLineageStore
+
+from oracles.dtree import DTree, _Closed, _Inner, _Leaf
 
 
 def naive_open_leaf_influences(table, start, start_weight):

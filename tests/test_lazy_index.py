@@ -73,7 +73,7 @@ def run(store, script):
 class TestLazyIndex:
     def test_a_store_that_saw_no_delta_has_no_index(self, tpch_db):
         query = unsafe_query("p_brand")
-        with SproutEngine(tpch_db, shared_lineage=True) as engine:
+        with SproutEngine(tpch_db) as engine:
             engine.evaluate_topk(query, k=10)
             engine.evaluate(query, confidence="approx", epsilon=0.01)
             engine.evaluate(query)

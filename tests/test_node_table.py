@@ -19,7 +19,7 @@ import pickle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.prob.dtree import DTree, combine_bounds, refine_to_budget
+from repro.prob.dtree import combine_bounds, refine_to_budget
 from repro.prob.formulas import DNF, dnf_probability_enumeration
 from repro.prob.nodetable import (
     KIND_CLOSED,
@@ -30,6 +30,8 @@ from repro.prob.nodetable import (
     NodeTable,
 )
 from repro.prob.sharedag import SharedDTree, SharedLineageStore
+
+from oracles.dtree import DTree
 
 TOLERANCE = 1e-9
 

@@ -30,14 +30,9 @@ SQL = "SELECT room, conf() FROM alarm, uplink, zone_ok"
 
 
 def shared_store_service():
-    """The default service, its engine pinned to the shared store.
-
-    ``shared_lineage=True`` holds against ``REPRO_SHARED_LINEAGE=0``: delta
-    reports and the ``/stats`` store counters only exist on the shared store.
-    """
+    """The default service over the demo database."""
     database = demo_database()
-    engine = SproutEngine(database, shared_lineage=True)
-    return QueryService(database, engine=engine)
+    return QueryService(database, engine=SproutEngine(database))
 
 
 @pytest.fixture

@@ -9,11 +9,8 @@ an approximate bracket is sound and at most ``2 * epsilon`` wide, but may be
 tighter than a cold run's and never widens again; exact confidences are
 bit-identical to a fresh engine's whatever ran before; ``close()`` forgets
 everything; and the per-call per-tuple step cap, the exact-mode
-:class:`ApproximationBudgetError` and the seeded Karp–Luby fallback are the
-per-tuple route's.
-
-Every engine here pins ``shared_lineage=True`` so that the CI leg that flips
-that default through the environment still runs the route.
+:class:`ApproximationBudgetError` and the seeded Karp–Luby fallback are
+those of the per-tuple oracle (``oracles.dtree``).
 """
 
 import random
@@ -23,16 +20,13 @@ import pytest
 from repro import SproutEngine
 from repro.errors import ApproximationBudgetError
 from repro.prob.dtree import canonical_clauses, dnf_from_canonical, karp_luby_probability
-from repro.sprout.parallel import derive_task_seed
+from repro.sprout.parallel import budget_confidence, derive_task_seed
 
+from oracles.dtree import DTree
 from test_compile_shape import unsafe_query
 from test_differential_matrix import CORPUS
 
 EPSILON = 0.01
-
-
-def shared_engine(db, **options):
-    return SproutEngine(db, shared_lineage=True, **options)
 
 
 def widths(result):
@@ -54,8 +48,8 @@ class TestOneRefinementState:
     def engines(self, case, execution):
         build_db, make_query = CORPUS[case]
         return (
-            shared_engine(build_db(), execution=execution),
-            shared_engine(build_db(), execution=execution),
+            SproutEngine(build_db(), execution=execution),
+            SproutEngine(build_db(), execution=execution),
             make_query(),
         )
 
@@ -131,7 +125,7 @@ class TestStepCap:
 
     def capped(self, **options):
         build_db, make_query = CORPUS["unsafe_bool"]
-        return shared_engine(build_db(), dtree_max_steps=1, **options), make_query()
+        return SproutEngine(build_db(), dtree_max_steps=1, **options), make_query()
 
     def test_exact_mode_raises(self):
         engine, query = self.capped()
@@ -148,13 +142,8 @@ class TestStepCap:
     @pytest.mark.parametrize("seed", (0, 7))
     def test_approx_mode_falls_back_to_the_seeded_karp_luby_estimate(self, seed):
         engine, query = self.capped(seed=seed)
-        build_db, _ = CORPUS["unsafe_bool"]
-        legacy = SproutEngine(
-            build_db(), shared_lineage=False, dtree_max_steps=1, seed=seed
-        )
-        with engine, legacy:
+        with engine:
             result = engine.evaluate(query, confidence="approx", epsilon=EPSILON)
-            parent = legacy.evaluate(query, confidence="approx", epsilon=EPSILON)
             assert result.refine_steps == 1
             answer = engine._answer_lineage(query, None, engine.execution)
             for data, (lower, upper) in result.bounds.items():
@@ -167,10 +156,22 @@ class TestStepCap:
                     rng=random.Random(derive_task_seed(seed, clauses)),
                 ).estimate
                 assert result.confidences()[data] == min(max(estimate, lower), upper)
-            # One tuple, one step: nothing was shared, so this is the
-            # per-tuple route's answer bit for bit.
-            assert result.bounds == parent.bounds
-            assert result.confidences() == parent.confidences()
+                # One tuple, one step: nothing was shared, so this is the
+                # per-tuple oracle's answer bit for bit.
+                dnf = dnf_from_canonical(clauses)
+                restricted = {v: answer.probabilities[v] for c in clauses for v in c}
+                oracle = budget_confidence(
+                    DTree(dnf, restricted),
+                    dnf,
+                    restricted,
+                    epsilon=EPSILON,
+                    relative=False,
+                    max_steps=1,
+                    monte_carlo_samples=engine.monte_carlo_samples,
+                    base_seed=seed,
+                )
+                assert (lower, upper) == (oracle.lower, oracle.upper)
+                assert result.confidences()[data] == oracle.probability
             # The cap is per call: the next call gets one more step.
             again = engine.evaluate(query, confidence="approx", epsilon=EPSILON)
             assert again.refine_steps == 1
@@ -181,7 +182,7 @@ class TestTpchLineage:
 
     def test_decision_then_evaluates(self, tpch_db):
         query = unsafe_query("p_brand")
-        with shared_engine(tpch_db) as engine, shared_engine(tpch_db) as fresh:
+        with SproutEngine(tpch_db) as engine, SproutEngine(tpch_db) as fresh:
             exact = fresh.evaluate(query)
             cold = exact.refine_steps
             topk = engine.evaluate_topk(query, k=10)
@@ -206,15 +207,15 @@ class TestTpchLineage:
         one that overruns it resets the epoch and evicts the warm decision
         views.  That costs later decisions their warmth, never their answer."""
         query = unsafe_query("p_brand")
-        with shared_engine(tpch_db) as fresh:
+        with SproutEngine(tpch_db) as fresh:
             topk = fresh.evaluate_topk(query, k=10)
             roomy = len(fresh.dtree_cache.store.table)
-        with shared_engine(tpch_db) as fresh:
+        with SproutEngine(tpch_db) as fresh:
             threshold = fresh.evaluate_threshold(query, tau=0.5)
-        with shared_engine(tpch_db) as fresh:
+        with SproutEngine(tpch_db) as fresh:
             exact = fresh.evaluate(query)
         # Room for the decision's views, not for the exact evaluate's rows.
-        with shared_engine(tpch_db, dtree_cache_size=roomy + 50) as engine:
+        with SproutEngine(tpch_db, dtree_cache_size=roomy + 50) as engine:
             store = engine.dtree_cache.store
             assert engine.evaluate_topk(query, k=10).refine_steps == topk.refine_steps
             assert store.reset_epoch == 0

@@ -6,8 +6,8 @@ of overlapping lineages, that (a) interning is idempotent, (b) bounds of
 *every* view always bracket brute-force enumeration truth no matter which
 view performs the refinement, and their upper bounds never rise (lower
 bounds may: see ``test_lower_bound_can_drop_but_stays_sound``), (c) the exact
-probability a view compiles to is bit-identical to the per-tuple
-:class:`repro.prob.dtree.DTree`'s, (d) views survive cache eviction
+probability a view compiles to is bit-identical to the per-tuple oracle
+``oracles.dtree.DTree``'s, (d) views survive cache eviction
 fully functional (eviction only forgets sharing, never correctness), and
 (e) refinement rounds over arbitrary view subsets and widths count every
 view once, however often it is named.
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from repro import SproutEngine
 from repro.errors import ProbabilityError
-from repro.prob.dtree import DTree, refine_to_budget
+from repro.prob.dtree import refine_to_budget
 from repro.prob.formulas import DNF, dnf_probability_enumeration
 from repro.prob.sharedag import (
     ClauseInterner,
@@ -29,6 +29,7 @@ from repro.prob.sharedag import (
 )
 from repro.sprout import RefinementScheduler, TupleCandidate
 
+from oracles.dtree import DTree
 from test_differential_matrix import CORPUS, _truth
 
 TOLERANCE = 1e-9
@@ -366,62 +367,55 @@ class TestSharedDTreeCache:
 
 
 # ---------------------------------------------------------------------------
-# scheduler integration: shared mode decides the same sets
+# scheduler integration: decided sets are the ones enumeration justifies
 # ---------------------------------------------------------------------------
 
 
 class TestSharedScheduling:
-    def build_candidates(self, members, probabilities, shared):
-        if shared:
-            cache = SharedDTreeCache()
-            return [
-                TupleCandidate((index,), tree=cache.get(dnf, probabilities))
-                for index, dnf in enumerate(members)
-            ], cache.store
+    def build_candidates(self, members, probabilities):
+        cache = SharedDTreeCache()
         return [
-            TupleCandidate((index,), tree=DTree(dnf, probabilities))
+            TupleCandidate((index,), tree=cache.get(dnf, probabilities))
             for index, dnf in enumerate(members)
-        ], None
+        ], cache.store
 
     @given(lineage_family(), st.integers(1, 3))
     @settings(max_examples=40, deadline=None)
-    def test_topk_selects_the_same_set_as_per_tuple_mode(self, family, k):
+    def test_topk_selects_a_set_enumeration_justifies(self, family, k):
         members, probabilities = family
         truths = {
             (index,): dnf_probability_enumeration(dnf, probabilities)
             for index, dnf in enumerate(members)
         }
-        selections = {}
-        steps = {}
-        for shared in (False, True):
-            candidates, store = self.build_candidates(members, probabilities, shared)
-            outcome = RefinementScheduler(candidates, store=store).run_topk(k)
-            assert outcome.decided
-            selections[shared] = {c.data for c in outcome.selected}
-            steps[shared] = outcome.steps
-            for candidate in outcome.candidates:
-                truth = truths[candidate.data]
-                assert candidate.lower - TOLERANCE <= truth <= candidate.upper + TOLERANCE
-        assert selections[False] == selections[True]
+        candidates, store = self.build_candidates(members, probabilities)
+        outcome = RefinementScheduler(candidates, store).run_topk(k)
+        assert outcome.decided
+        selected = {c.data for c in outcome.selected}
+        assert len(selected) == min(k, len(members))
+        for data in selected:
+            for other in set(truths) - selected:
+                assert truths[data] >= truths[other] - TOLERANCE
+        for candidate in outcome.candidates:
+            truth = truths[candidate.data]
+            assert candidate.lower - TOLERANCE <= truth <= candidate.upper + TOLERANCE
 
     @given(lineage_family(), st.floats(min_value=0.05, max_value=0.95))
     @settings(max_examples=40, deadline=None)
-    def test_threshold_partitions_identically(self, family, tau):
+    def test_threshold_partitions_like_enumeration(self, family, tau):
         members, probabilities = family
         truths = {
             (index,): dnf_probability_enumeration(dnf, probabilities)
             for index, dnf in enumerate(members)
         }
-        for shared in (False, True):
-            candidates, store = self.build_candidates(members, probabilities, shared)
-            outcome = RefinementScheduler(candidates, store=store).run_threshold(tau)
-            assert outcome.decided
-            selected = {c.data for c in outcome.selected}
-            for data, truth in truths.items():
-                if truth >= tau + TOLERANCE:
-                    assert data in selected
-                elif truth < tau - TOLERANCE:
-                    assert data not in selected
+        candidates, store = self.build_candidates(members, probabilities)
+        outcome = RefinementScheduler(candidates, store).run_threshold(tau)
+        assert outcome.decided
+        selected = {c.data for c in outcome.selected}
+        for data, truth in truths.items():
+            if truth >= tau + TOLERANCE:
+                assert data in selected
+            elif truth < tau - TOLERANCE:
+                assert data not in selected
 
     def test_shared_budget_exhaustion_reports_undecided(self):
         probabilities = {v: 0.5 for v in range(20)}
@@ -429,8 +423,8 @@ class TestSharedScheduling:
             DNF([[i, i + 1] for i in range(0, 8)]),
             DNF([[i, i + 1] for i in range(10, 18)]),
         ]
-        candidates, store = self.build_candidates(members, probabilities, True)
-        outcome = RefinementScheduler(candidates, max_steps=0, store=store).run_topk(1)
+        candidates, store = self.build_candidates(members, probabilities)
+        outcome = RefinementScheduler(candidates, store, max_steps=0).run_topk(1)
         assert not outcome.decided
         assert outcome.steps == 0
 
@@ -545,9 +539,7 @@ class TestRefinementRounds:
             TupleCandidate(data, tree=cache.get(DNF(clauses), probabilities))
             for data in (("twin_a",), ("twin_b",))
         ]
-        outcome = RefinementScheduler(
-            candidates, max_steps=64, store=cache.store
-        ).run_threshold(0.7)
+        outcome = RefinementScheduler(candidates, cache.store, max_steps=64).run_threshold(0.7)
         assert outcome.steps > 0
         twin_a, twin_b = outcome.candidates
         assert (twin_a.lower, twin_a.upper) == (twin_b.lower, twin_b.upper)
@@ -566,8 +558,7 @@ def _decision_fingerprint(case, confidence, execution):
     build_db, make_query = CORPUS[case]
     truth = _truth(case)
     tau = sorted(truth.values())[len(truth) // 2] if truth else 0.5
-    # shared_lineage=True pins the shared store against REPRO_SHARED_LINEAGE=0.
-    engine = SproutEngine(build_db(), execution=execution, shared_lineage=True)
+    engine = SproutEngine(build_db(), execution=execution)
     try:
         top = engine.evaluate_topk(make_query(), k=2, plan="dtree", confidence=confidence)
         threshold = engine.evaluate_threshold(

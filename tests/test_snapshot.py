@@ -33,14 +33,10 @@ SQL = "SELECT room, conf() FROM alarm, uplink, zone_ok"
 
 
 def shared_service(config):
-    """A service over a shared-lineage engine, regardless of env knobs.
-
-    The warm-restart contract snapshots the shared d-tree cache, so these
-    tests must not silently degrade to the legacy per-tuple path on the
-    REPRO_SHARED_LINEAGE=0 CI leg (which has no exportable warm state).
-    """
+    """A service over the demo database; its snapshots carry the engine's
+    shared d-tree cache, which the warm-restart contract is about."""
     db = demo_database()
-    return QueryService(db, config=config, engine=SproutEngine(db, shared_lineage=True))
+    return QueryService(db, config=config, engine=SproutEngine(db))
 
 
 class TestSnapshotFormat:
@@ -379,6 +375,47 @@ def test_a_snapshot_that_carries_the_backend_flag_still_restores(tmp_path):
         found = reborn.execute("subscription_update", params)
     assert warm["refine_steps"] <= 1
     assert warm["rows"] == cold["rows"]
+    assert found["report"] == expected["report"]
+    assert found["selected"] == expected["selected"]
+    assert found["result"]["rows"] == expected["result"]["rows"]
+
+
+@pytest.mark.parametrize(
+    "kind, goal", (("topk", {"k": 2}), ("threshold", {"tau": 0.3})), ids=("topk", "threshold")
+)
+def test_a_snapshot_without_an_engine_cache_restores_its_subscriptions(tmp_path, kind, goal):
+    """Builds that could compile lineage per tuple wrote ``engine_cache:
+    None`` and standing-query states without a store.  Such a snapshot
+    restores: each subscription is compiled cold from its lineage and
+    marginals, the engine cache boots cold, and both answer exactly as a
+    service that never restarted."""
+    config = ServiceConfig(snapshot_path=str(tmp_path / "service.snap"))
+    with shared_service(config) as service:
+        created = service.execute("subscribe", {"sql": SQL, **goal})
+        service.execute(kind, {"sql": SQL, **goal})
+    state = read_snapshot(config.snapshot_path)
+    state["engine_cache"] = None
+    for _, watch in state["subscriptions"]:
+        del watch["cache"]
+        watch["shared_lineage"] = False
+    write_snapshot(config.snapshot_path, state)
+    variable = created["variables"][0]
+    params = {"subscription": "sub-0", "variable": variable, "probability": 0.03}
+    with shared_service(ServiceConfig()) as control:
+        live = control.execute("subscribe", {"sql": SQL, **goal})
+        cold = control.execute(kind, {"sql": SQL, **goal})
+        expected = control.execute("subscription_update", params)
+    with shared_service(config) as reborn:
+        assert reborn.snapshot_restored is True
+        assert reborn.subscriptions() == ["sub-0"]
+        assert reborn.engine.dtree_cache.store.steps == 0
+        restored = reborn.execute("subscription_get", {"subscription": "sub-0"})
+        answer = reborn.execute(kind, {"sql": SQL, **goal})
+        found = reborn.execute("subscription_update", params)
+    assert live["selected"], "the check needs a non-empty decided set"
+    assert restored["selected"] == live["selected"]
+    assert restored["result"]["rows"] == live["result"]["rows"]
+    assert (answer["rows"], answer["refine_steps"]) == (cold["rows"], cold["refine_steps"])
     assert found["report"] == expected["report"]
     assert found["selected"] == expected["selected"]
     assert found["result"]["rows"] == expected["result"]["rows"]

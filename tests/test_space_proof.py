@@ -142,7 +142,7 @@ class TestCacheProof:
 
 def unsafe_engine():
     build_db, make_query = CORPUS["unsafe_proj"]
-    return SproutEngine(build_db(), shared_lineage=True), make_query()
+    return SproutEngine(build_db()), make_query()
 
 
 def memo_entry(engine):

@@ -23,13 +23,14 @@ from hypothesis import strategies as st
 
 from repro import Atom, ConjunctiveQuery, ProbabilisticDatabase, SproutEngine
 from repro.errors import PlanningError, ProbabilityError
-from repro.prob.dtree import DTree, refine_to_budget
+from repro.prob.dtree import refine_to_budget
 from repro.prob.formulas import DNF
 from repro.prob.nodetable import NodeTable
 from repro.prob.sharedag import SharedDTree, SharedLineageStore
 from repro.sprout.streaming import StandingQuery
 from repro.storage import Relation, Schema
 
+from oracles.dtree import DTree, dtree_confidences
 from test_differential_matrix import CORPUS
 
 # ---------------------------------------------------------------------------
@@ -279,9 +280,17 @@ class TableWithBackendFlag:
         return (object.__new__, (NodeTable,), self.state)
 
 
+def legacy_state(query: StandingQuery) -> dict:
+    """``query``'s state as a build with a per-tuple compile exported it: the
+    same keys, ``"shared_lineage": False``, and no store."""
+    state = query.export_state()
+    del state["cache"]
+    state["shared_lineage"] = False
+    return state
+
+
 class TestStateCompatibility:
-    @pytest.mark.parametrize("shared", (True, False), ids=("shared", "legacy"))
-    def test_a_state_carrying_the_old_lane_count_restores_warm(self, shared):
+    def test_a_state_carrying_the_old_lane_count_restores_warm(self):
         """States written before the lane pools were removed carry
         ``"refine_lanes"``; new states omit it and restoring ignores it."""
         members = [
@@ -290,7 +299,7 @@ class TestStateCompatibility:
             DNF([[i, i + 1] for i in range(6, 11)]),
         ]
         probabilities = {v: 0.35 + 0.05 * (v % 5) for v in range(12)}
-        query = standing(members, probabilities, k=2, shared_lineage=shared)
+        query = standing(members, probabilities, k=2)
         state = query.export_state()
         assert "refine_lanes" not in state
         state["refine_lanes"] = 2
@@ -336,37 +345,105 @@ class TestStateCompatibility:
         assert restored_result.bounds == live_result.bounds
         assert restored_result.confidences() == live_result.confidences()
 
-    @pytest.mark.parametrize("shared", (True, False), ids=("shared", "legacy"))
+    @pytest.mark.parametrize("execution", ("row", "batch"))
+    @pytest.mark.parametrize("confidence", ("exact", "approx"))
+    @pytest.mark.parametrize("goal", ("topk", "threshold"))
+    def test_a_per_tuple_state_compiles_cold_into_the_store(
+        self, goal, confidence, execution
+    ):
+        """A state exported while standing queries could compile per tuple
+        (``"shared_lineage": False``, no store) restores: it is compiled cold
+        from its lineage, marginals and options, decides what a live query
+        over the same lineage decides, with the same confidences and result
+        rows, and then follows the delta stream through the store like the
+        live query."""
+        members = [
+            DNF([[i, i + 1] for i in range(0, 6)]),
+            DNF([[i, i + 1] for i in range(3, 9)]),
+            DNF([[i, i + 1] for i in range(6, 11)]),
+        ]
+        probabilities = {v: 0.35 + 0.05 * (v % 5) for v in range(12)}
+        options = {"k": 2} if goal == "topk" else {"tau": 0.3}
+        options.update(confidence=confidence, execution=execution)
+        live = standing(members, probabilities, **options)
+        state = pickle.loads(pickle.dumps(legacy_state(live)))
+        restored = StandingQuery.from_state(state)
+        control = standing(members, probabilities, **options)
+        assert restored.decided and control.decided
+        assert restored.selected == control.selected
+        assert restored.result.relation.rows == control.result.relation.rows
+        assert restored.result.confidences() == control.result.confidences()
+        assert restored.result.bounds == control.result.bounds
+        for query in (restored, control):
+            assert not query.update_probability(4, 0.9).is_noop
+        assert restored.refresh().confidences() == control.refresh().confidences()
+        assert restored.selected == control.selected
+
+    @pytest.mark.parametrize("state_format", ("store", "per_tuple"))
     @pytest.mark.parametrize("confidence", ("exact", "approx"))
     @pytest.mark.parametrize("case", sorted(CORPUS))
-    def test_a_restored_state_continues_the_delta_stream(self, case, confidence, shared):
+    def test_a_restored_state_continues_the_delta_stream(
+        self, case, confidence, state_format
+    ):
         """Export mid-stream, restore, feed both the same deltas: every later
-        refresh agrees with the live query on the answer, its cost and every
-        bound — a restart is invisible to the stream's consumers."""
+        refresh agrees with the reference on the answer, its cost and every
+        bound — a restart is invisible to the stream's consumers — and exact
+        winners carry the per-tuple oracle's confidences for the final
+        marginals.  A state with its store restores warm, so the reference
+        is the live query; a per-tuple state (no store) compiles cold, so
+        the reference is a query compiled cold from the same lineage,
+        marginals and options at the moment of export."""
         build_db, make_query = CORPUS[case]
-        engine = SproutEngine(build_db(), shared_lineage=shared)
+        engine = SproutEngine(build_db())
         live = engine.watch_topk(make_query(), k=2, confidence=confidence)
         variables = sorted(live.probabilities)
         live.update_probability(variables[0], 0.9)
         live.refresh()
-        restored = StandingQuery.from_state(pickle.loads(pickle.dumps(live.export_state())))
-        assert restored.selected == live.selected
-        assert restored.decided == live.decided
-        assert restored.result.confidences() == live.result.confidences()
+        if state_format == "store":
+            state = live.export_state()
+            reference = live
+        else:
+            state = legacy_state(live)
+            reference = StandingQuery(
+                dict(live.lineage),
+                dict(live.probabilities),
+                k=live.k,
+                confidence=live.confidence,
+                max_steps=live.max_steps,
+                default_cap=live.default_cap,
+                cache_nodes=live._cache_nodes,
+                schema=live._schema,
+                name=live.name,
+                execution=live._execution,
+            )
+            assert set(reference.selected) == set(live.selected)
+        restored = StandingQuery.from_state(pickle.loads(pickle.dumps(state)))
+        assert restored.selected == reference.selected
+        assert restored.decided == reference.decided
+        assert restored.result.confidences() == reference.result.confidences()
         for variable, probability in (
             (variables[-1], 0.05),
             (variables[len(variables) // 2], 0.7),
             (variables[0], 0.3),
         ):
-            live.update_probability(variable, probability)
+            if reference is not live:
+                live.update_probability(variable, probability)
+            reference.update_probability(variable, probability)
             restored.update_probability(variable, probability)
-            live_result = live.refresh()
+            reference_result = reference.refresh()
             restored_result = restored.refresh()
-            assert restored.selected == live.selected
-            assert restored.decided == live.decided
-            assert restored.delta_steps == live.delta_steps
-            assert restored_result.bounds == live_result.bounds
-            assert restored_result.confidences() == live_result.confidences()
+            assert restored.selected == reference.selected
+            assert restored.decided == reference.decided
+            assert restored.delta_steps == reference.delta_steps
+            assert restored_result.bounds == reference_result.bounds
+            assert restored_result.confidences() == reference_result.confidences()
+        if reference is not live:
+            live.refresh()
+            assert set(restored.selected) == set(live.selected)
+        if confidence == "exact":
+            oracle = dtree_confidences(live.lineage, live.probabilities)
+            for data, value in live.result.confidences().items():
+                assert value == oracle[data].probability
         engine.close()
 
 
@@ -400,19 +477,17 @@ class TestStandingQueryValidation:
         query.insert_tuple((1,), DNF([[0, 9]]), probabilities={9: 0.25})
         assert query.probabilities[9] == 0.25
 
-    @pytest.mark.parametrize("shared", (True, False))
-    def test_an_unknown_variable_update_records_nothing(self, shared):
-        query = StandingQuery({(0,): DNF([[0]])}, {0: 0.5}, k=1, shared_lineage=shared)
+    @pytest.mark.parametrize("goal", ({"k": 1}, {"tau": 0.5}), ids=("topk", "threshold"))
+    def test_an_unknown_variable_update_records_nothing(self, goal):
+        query = StandingQuery({(0,): DNF([[0]])}, {0: 0.5}, **goal)
         for variable in range(100, 120):
-            report = query.update_probability(variable, 0.5)
-            assert report is None if not shared else report.is_noop
+            assert query.update_probability(variable, 0.5).is_noop
         assert query.probabilities == {0: 0.5}
-        if shared:
-            assert query._store.probabilities == {0: 0.5}
+        assert query._store.probabilities == {0: 0.5}
 
-    @pytest.mark.parametrize("shared", (True, False))
-    def test_a_known_variable_not_yet_interned_stays_updatable(self, shared):
-        query = StandingQuery({(0,): DNF([[0]])}, {0: 0.5, 7: 0.5}, k=2, shared_lineage=shared)
+    @pytest.mark.parametrize("goal", ({"k": 2}, {"tau": 0.5}), ids=("topk", "threshold"))
+    def test_a_known_variable_not_yet_interned_stays_updatable(self, goal):
+        query = StandingQuery({(0,): DNF([[0]])}, {0: 0.5, 7: 0.5}, **goal)
         query.update_probability(7, 0.75)
         assert query.probabilities[7] == 0.75
         query.insert_tuple((1,), DNF([[7]]))
@@ -507,15 +582,25 @@ class TestStandingQueryDeltas:
 
     @given(delta_script())
     @settings(max_examples=15, deadline=None)
-    def test_legacy_mode_agrees_with_shared_mode(self, script):
+    def test_any_interleaving_matches_the_per_tuple_oracle(self, script):
+        """After any delta script the warm winners are a top-k of the final
+        state by the per-tuple oracle's exact values, and carry them bit for
+        bit."""
         members, probabilities, ops = script
         k = min(2, len(members))
-        shared = standing(members, probabilities, k=k)
-        legacy = standing(members, probabilities, k=k, shared_lineage=False)
-        apply_script(shared, ops)
-        apply_script(legacy, ops)
-        assert legacy.selected == shared.selected
-        assert selected_confidences(legacy) == selected_confidences(shared)
+        query = standing(members, probabilities, k=k)
+        apply_script(query, ops)
+        oracle = {
+            data: result.probability
+            for data, result in dtree_confidences(query.lineage, query.probabilities).items()
+        }
+        assert query.decided
+        assert len(query.selected) == min(k, len(oracle))
+        for *data, confidence in selected_confidences(query):
+            assert confidence == oracle[tuple(data)]
+        weakest = min((oracle[data] for data in query.selected), default=1.0)
+        for data in set(oracle) - set(query.selected):
+            assert oracle[data] <= weakest
 
     @given(lineage_family())
     @settings(max_examples=20, deadline=None)
@@ -689,8 +774,8 @@ class TestEngineWatch:
     def test_delta_stream_is_bit_identical_across_engines(self, chain_db):
         """Two engines' standing queries fed one delta stream: every refresh
         agrees on the answer, its cost and every bound, bit for bit."""
-        first = SproutEngine(chain_db, shared_lineage=True).watch_topk(chain_query(), k=2)
-        second = SproutEngine(chain_db, shared_lineage=True).watch_topk(chain_query(), k=2)
+        first = SproutEngine(chain_db).watch_topk(chain_query(), k=2)
+        second = SproutEngine(chain_db).watch_topk(chain_query(), k=2)
         for variable, probability in ((0, 0.9), (5, 0.05), (3, 0.6)):
             first.update_probability(variable, probability)
             second.update_probability(variable, probability)

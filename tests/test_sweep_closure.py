@@ -24,9 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ApproximationBudgetError
-from repro.prob.dtree import DTree, refine_to_budget
+from repro.prob.dtree import refine_to_budget
 from repro.prob.formulas import DNF, dnf_probability_enumeration
 from repro.prob.sharedag import SharedDTree, SharedLineageStore
+
+from oracles.dtree import DTree
 
 TOLERANCE = 1e-9
 

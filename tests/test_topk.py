@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 
 from repro import Atom, ConjunctiveQuery, PlanningError, ProbabilisticDatabase, SproutEngine
 from repro.errors import ProbabilityError
-from repro.prob import DTree, confidences_by_enumeration
+from repro.prob import confidences_by_enumeration
 from repro.prob.dtree import canonical_clauses
 from repro.prob.formulas import DNF
+from repro.prob.sharedag import SharedDTreeCache, SharedLineageStore
 from repro.sprout import RefinementScheduler, TupleCandidate, evaluate_deterministic
 from repro.sprout.parallel import compute_confidences, derive_task_seed
 from repro.storage import Relation, Schema
@@ -81,20 +82,20 @@ class TestScheduler:
         with pytest.raises(PlanningError):
             TupleCandidate((1,))
         with pytest.raises(PlanningError):
-            TupleCandidate((1,), tree=DTree(DNF([[0]]), {0: 0.5}), value=0.5)
+            TupleCandidate((1,), tree=SharedDTreeCache().get(DNF([[0]]), {0: 0.5}), value=0.5)
 
     def test_exact_candidates_decide_without_refinement(self):
         candidates = [
             TupleCandidate((i,), value=p) for i, p in enumerate([0.9, 0.5, 0.1])
         ]
-        outcome = RefinementScheduler(candidates).run_topk(2)
+        outcome = RefinementScheduler(candidates, SharedLineageStore()).run_topk(2)
         assert outcome.decided
         assert outcome.steps == 0
         assert [c.data for c in outcome.selected] == [(0,), (1,)]
 
     def test_k_at_least_population_selects_everything(self):
         candidates = [TupleCandidate((i,), value=0.5) for i in range(3)]
-        outcome = RefinementScheduler(candidates).run_topk(5)
+        outcome = RefinementScheduler(candidates, SharedLineageStore()).run_topk(5)
         assert outcome.decided
         assert len(outcome.selected) == 3
 
@@ -102,7 +103,7 @@ class TestScheduler:
         candidates = [
             TupleCandidate((i,), value=p) for i, p in enumerate([0.9, 0.5, 0.1])
         ]
-        outcome = RefinementScheduler(candidates).run_threshold(0.5)
+        outcome = RefinementScheduler(candidates, SharedLineageStore()).run_threshold(0.5)
         assert outcome.decided
         assert {c.data for c in outcome.selected} == {(0,), (1,)}  # conf >= tau is in
 
@@ -112,25 +113,25 @@ class TestScheduler:
         clauses_a = [[i, i + 1] for i in range(0, 8)]
         clauses_b = [[i, i + 1] for i in range(10, 18)]
         probabilities = {i: 0.5 for i in range(20)}
+        cache = SharedDTreeCache()
         candidates = [
-            TupleCandidate(("a",), tree=DTree(DNF(clauses_a), probabilities)),
-            TupleCandidate(("b",), tree=DTree(DNF(clauses_b), probabilities)),
+            TupleCandidate(("a",), tree=cache.get(DNF(clauses_a), probabilities)),
+            TupleCandidate(("b",), tree=cache.get(DNF(clauses_b), probabilities)),
         ]
-        outcome = RefinementScheduler(candidates, chunk=1, max_steps=0).run_topk(1)
+        outcome = RefinementScheduler(candidates, cache.store, max_steps=0).run_topk(1)
         assert not outcome.decided
         assert outcome.steps == 0
         assert len(outcome.selected) == 1
 
     def test_validation(self):
         candidate = [TupleCandidate((0,), value=0.5)]
+        store = SharedLineageStore()
         with pytest.raises(PlanningError):
-            RefinementScheduler(candidate, chunk=0)
+            RefinementScheduler(candidate, store, max_steps=-1)
         with pytest.raises(PlanningError):
-            RefinementScheduler(candidate, max_steps=-1)
+            RefinementScheduler(candidate, store).run_topk(0)
         with pytest.raises(PlanningError):
-            RefinementScheduler(candidate).run_topk(0)
-        with pytest.raises(PlanningError):
-            RefinementScheduler(candidate).run_threshold(1.5)
+            RefinementScheduler(candidate, store).run_threshold(1.5)
 
 
 class TestEngineTopK:
@@ -285,7 +286,7 @@ class TestEngineTopK:
     def test_epsilon_must_be_finite_and_non_negative(self, chain_db, epsilon):
         with pytest.raises(PlanningError, match="epsilon"):
             SproutEngine(chain_db, epsilon=epsilon)
-        with SproutEngine(chain_db, shared_lineage=True) as engine:
+        with SproutEngine(chain_db) as engine:
             with pytest.raises(PlanningError, match="epsilon"):
                 engine.evaluate(chain_query(), confidence="approx", epsilon=epsilon)
             # Rejected before any lineage was looked at, let alone refined.
@@ -310,11 +311,13 @@ class TestSeedDerivation:
         )
 
 
-def test_missing_probability_is_a_probability_error_on_the_per_tuple_route():
-    """``shared_lineage=False`` evaluation restricts each tuple's marginals
-    to its own variables; a variable without one is a structured error."""
+def test_missing_probability_is_a_probability_error():
+    """A lineage variable without a marginal is a structured error, raised
+    before anything is compiled into the store."""
+    cache = SharedDTreeCache()
     with pytest.raises(ProbabilityError):
-        compute_confidences({(1,): DNF([[0, 1]])}, {0: 0.5}, None)
+        compute_confidences({(1,): DNF([[0, 1]])}, {0: 0.5}, cache)
+    assert len(cache.store.table) == 0
 
 
 @st.composite
