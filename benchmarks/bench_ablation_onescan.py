@@ -4,20 +4,22 @@ Not a figure of the paper, but the design choice Section V.C motivates: the
 semantics of the operator (Fig. 5) suggests one independent aggregation pass
 per signature star, whereas the implementation groups them into as few scans
 as the signature allows.  This ablation measures both on the same materialised
-answers.
+answers; the semantics side is the reference oracle the tests check the
+operator against (``tests/oracles/semantics.py``), so the scan side's
+confidences are asserted equal to it.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sprout.conf_operator import apply_semantics
 from repro.sprout.onescan import sort_column_order
 from repro.sprout.planner import build_answer_plan, project_answer_columns
 from repro.sprout.scans import apply_scan_schedule
 from repro.tpch import tpch_query
 
 from conftest import run_benchmark
+from oracles.semantics import apply_semantics
 
 KEYS = ["3", "18", "B17", "10"]
 
@@ -43,10 +45,14 @@ def test_conf_method_ablation(benchmark, sorted_answers, key, method):
 
     if method == "scans":
         result = run_benchmark(benchmark, apply_scan_schedule, answer, signature, presorted=True)
-        distinct = len(result[0])
+        relation = result[0]
     else:
-        result = run_benchmark(benchmark, apply_semantics, answer, signature)
-        distinct = len(result.relation)
+        relation = run_benchmark(benchmark, apply_semantics, answer, signature).relation
+    expected = apply_semantics(answer, signature).confidences()
+    found = {tuple(row[:-1]): row[-1] for row in relation}
+    assert found.keys() == expected.keys()
+    assert all(found[data] == pytest.approx(expected[data], abs=1e-9) for data in expected)
+    distinct = len(relation)
 
     benchmark.extra_info["query"] = key
     benchmark.extra_info["method"] = method

@@ -16,9 +16,9 @@ and asserts the acceptance contract:
   this exact instance, measured at commit 750851d, are the recorded
   ceilings :data:`PER_TUPLE_TOPK_STEPS` and :data:`PER_TUPLE_THRESHOLD_STEPS`;
 * the decided sets and the exact confidences agree with the exact
-  lineage evaluator (``plan="lineage"``: memoised Shannon expansion over
-  each tuple's DNF, independent of the d-tree code) — sharing changes the
-  work, never the answer.
+  lineage oracle (``tests/oracles/lineage.py``: memoised Shannon expansion
+  over each tuple's DNF, independent of the d-tree code) — sharing changes
+  the work, never the answer.
 
 The instance is pinned to SF 0.001 (independent of ``REPRO_TPCH_SF``):
 step counts are a property of this exact workload and the contrast claim
@@ -46,6 +46,7 @@ from repro.prob.formulas import DNF
 from repro.tpch import probabilistic_tpch
 
 from conftest import run_benchmark
+from oracles.lineage import lineage_evaluate
 
 K = 10
 TAU = 0.9
@@ -80,9 +81,8 @@ def brand_query() -> ConjunctiveQuery:
 
 @pytest.fixture(scope="module")
 def exact_confidences(shared_db):
-    """Every brand's exact confidence from the lineage evaluator."""
-    with SproutEngine(shared_db) as engine:
-        return engine.evaluate(brand_query(), plan="lineage").confidences()
+    """Every brand's exact confidence from the lineage oracle."""
+    return lineage_evaluate(shared_db, brand_query())
 
 
 def decide_topk(db):

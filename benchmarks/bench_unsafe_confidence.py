@@ -9,10 +9,11 @@ This benchmark tracks the latency of that path on the canonical unsafe query
 
 over the probabilistic TPC-H instance (800 partsupp clauses at SF 0.001),
 plus a synthetic hub-structured instance whose supplier dimension is wide
-enough that exact compilation (and the memoised Shannon fallback of
-``dnf_probability``) is intractable while the anytime bounds still converge
-in milliseconds; that instance is compiled on the production path, a view of
-a fresh :class:`repro.prob.sharedag.SharedDTreeCache` refined by
+enough that exact compilation (and the memoised Shannon expansion of the
+tests' lineage oracle, ``tests/oracles/lineage.py``) is intractable while
+the anytime bounds still converge in milliseconds; that instance is
+compiled on the production path, a view of a fresh
+:class:`repro.prob.sharedag.SharedDTreeCache` refined by
 :func:`repro.prob.dtree.refine_to_budget`.  ``extra_info`` records the
 achieved bound width so the CI artifact tracks approximation quality
 alongside latency.

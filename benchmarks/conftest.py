@@ -15,9 +15,11 @@ from pathlib import Path
 
 import pytest
 
-_SRC = Path(__file__).resolve().parents[1] / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+# ``src`` for the package, ``tests`` for the reference oracles
+# (``tests/oracles``) some benchmarks compare against.
+for _path in (Path(__file__).resolve().parents[1] / name for name in ("src", "tests")):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 from repro.safeplans import MystiqEngine  # noqa: E402
 from repro.sprout import SproutEngine  # noqa: E402

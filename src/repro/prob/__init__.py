@@ -6,7 +6,7 @@ Everything about *probability*, independent of query processing:
   :mod:`repro.prob.pdb` — Boolean variables with marginals, probabilistic
   tables, and the tuple-independent :class:`ProbabilisticDatabase`.
 * :mod:`repro.prob.formulas` — DNF lineage, one-occurrence-form formulas,
-  and exact weighted model counting by memoised Shannon expansion.
+  and the component grouping the lineage compiler decomposes by.
 * :mod:`repro.prob.lineage` — extraction of per-tuple DNF lineage from
   answer relations that carry ``V``/``P`` columns.
 * :mod:`repro.prob.dtree` — the decomposition-tree rules every compile
@@ -52,12 +52,9 @@ from repro.prob.formulas import (
     Or,
     Top,
     Var,
-    dnf_probability,
-    dnf_probability_enumeration,
     is_read_once,
 )
 from repro.prob.lineage import (
-    confidences_from_lineage,
     interned_dnf,
     lineage_by_tuple,
     probabilities_from_answer,
@@ -110,9 +107,6 @@ __all__ = [
     "backend_info",
     "bipartite_lineage",
     "confidences_by_enumeration",
-    "confidences_from_lineage",
-    "dnf_probability",
-    "dnf_probability_enumeration",
     "hub_lineage",
     "interned_dnf",
     "is_read_once",

@@ -47,8 +47,8 @@ Open-leaf bounds for a positive DNF with clause probabilities ``c_i``:
 
 The one compiler that applies these rules is the hash-consed store of
 :mod:`repro.prob.sharedag` over the columnar node table of
-:mod:`repro.prob.nodetable`; this module holds what it shares — the bound
-arithmetic, the branch rule, the cofactor, the refinement driver
+:mod:`repro.prob.nodetable`; this module holds what it shares — the open-leaf
+bounds, the branch rule, the cofactor, the refinement driver
 :func:`refine_to_budget`, the order-canonical clause form — so that those
 rules exist once.  A Karp–Luby-style Monte Carlo estimator
 (:func:`karp_luby_probability`) is the last-resort fallback for adversarial
@@ -169,50 +169,12 @@ class MonteCarloResult:
 # node arithmetic
 # ---------------------------------------------------------------------------
 
-_IND_AND = "ind_and"
-_IND_OR = "ind_or"
-_DET_OR = "det_or"
-
-
-# The bound arithmetic and the branch-variable rule are module functions so
-# that the store (:mod:`repro.prob.sharedag`, whose node table replicates
-# ``combine_bounds`` operation for operation) and the per-tuple tree the
-# tests keep as its oracle apply one definition: their exact probabilities
-# for the same clause set must be bit-identical.
-
-
-def combine_bounds(kind, children, weights) -> Tuple[float, float]:
-    """Interval combination for an ⊗ / ⊕ / ⊙ node over child bounds."""
-    if kind == _IND_AND:
-        lower = upper = 1.0
-        for child in children:
-            lower *= child.lower
-            upper *= child.upper
-    elif kind == _IND_OR:
-        lower = upper = 1.0
-        for child in children:
-            lower *= 1.0 - child.lower
-            upper *= 1.0 - child.upper
-        lower, upper = 1.0 - lower, 1.0 - upper
-    else:  # deterministic-or
-        lower = upper = 0.0
-        for weight, child in zip(weights, children):
-            lower += weight * child.lower
-            upper += weight * child.upper
-    return lower, min(1.0, upper)
-
-
-def influence_weight(kind, children, weights, slot: int) -> float:
-    """Midpoint-linearised derivative of a node w.r.t. child ``slot``."""
-    if kind == _DET_OR:
-        return weights[slot]
-    factor = 1.0
-    for index, child in enumerate(children):
-        if index == slot:
-            continue
-        mid = 0.5 * (child.lower + child.upper)
-        factor *= mid if kind == _IND_AND else 1.0 - mid
-    return factor
+# The open-leaf bounds and the branch-variable rule are module functions so
+# that the store (:mod:`repro.prob.sharedag`) and the per-tuple tree the tests
+# keep as its oracle apply one definition: their exact probabilities for the
+# same clause set must be bit-identical.  The inner-node arithmetic is the
+# node table's :meth:`~repro.prob.nodetable.NodeTable.refresh_one`; the
+# oracle's object-graph twin of it lives with the tests.
 
 
 def leaf_bounds(dnf: DNF, probabilities: Mapping[int, float]) -> Tuple[float, float]:

@@ -10,17 +10,18 @@ provides:
   form* (1OF) formulas, whose probability is computable in linear time because
   sub-formulas over disjoint variable sets are independent;
 * a :class:`DNF` container for positive-clause DNF lineage;
-* exact probability computation for arbitrary DNFs via Shannon expansion with
-  memoisation and independent-component decomposition (used as ground truth in
-  tests and as the fallback for intractable queries);
-* a brute-force enumeration evaluator used to validate everything else.
+* the independent-component grouping of a clause set that the lineage
+  compiler (:mod:`repro.prob.sharedag`) decomposes by.
+
+Exact model counting by memoised Shannon expansion and by enumeration — the
+ground truth the compiler is checked against — lives with the tests
+(``tests/oracles/lineage.py``).
 """
 
 from __future__ import annotations
 
 import abc
 
-from itertools import product as cartesian_product
 from typing import (
     Collection,
     Dict,
@@ -45,8 +46,6 @@ __all__ = [
     "Top",
     "Bottom",
     "DNF",
-    "dnf_probability",
-    "dnf_probability_enumeration",
     "is_read_once",
 ]
 
@@ -384,35 +383,15 @@ class DNF:
 
 
 # ---------------------------------------------------------------------------
-# Exact probability of arbitrary DNFs
+# Independent components
 # ---------------------------------------------------------------------------
-
-
-def dnf_probability_enumeration(dnf: DNF, probabilities: Mapping[int, float]) -> float:
-    """Probability by enumerating all assignments of the DNF's variables.
-
-    Exponential; used only to validate the other evaluators on small inputs.
-    """
-    variables = sorted(dnf.variables())
-    if not variables:
-        return 1.0 if dnf.is_true() else 0.0
-    total = 0.0
-    for values in cartesian_product((False, True), repeat=len(variables)):
-        assignment = dict(zip(variables, values))
-        if dnf.evaluate(assignment):
-            weight = 1.0
-            for variable, value in assignment.items():
-                p = probabilities[variable]
-                weight *= p if value else 1.0 - p
-            total += weight
-    return total
 
 
 def _component_groups(clauses: Collection[Clause]) -> List[Set[Clause]]:
     """Partition ``clauses`` into groups over pairwise disjoint variable sets.
 
     The one grouping primitive of the compile kernel
-    (``SharedLineageStore.build``) and of :func:`dnf_probability`: a clause
+    (``SharedLineageStore.build``) and of the tests' exact model counter: a clause
     takes the label of an already-labelled variable, and a union-find over
     the few *labels* merges those a later clause bridges.
 
@@ -465,56 +444,3 @@ def _component_groups(clauses: Collection[Clause]) -> List[Set[Clause]]:
             group = groups[label] = set()
         group.add(clause)
     return list(groups.values()) + constant
-
-
-def _connected_components(dnf: DNF) -> List[DNF]:
-    """Split a DNF into sub-DNFs over disjoint variable sets (independent factors)."""
-    return [DNF(group) for group in _component_groups(dnf.clauses)]
-
-
-def dnf_probability(dnf: DNF, probabilities: Mapping[int, float]) -> float:
-    """Exact probability of a positive DNF via Shannon expansion.
-
-    The computation decomposes the DNF into independent components (disjoint
-    variable sets), memoises cofactors, and picks the most frequent variable
-    to branch on.  Worst-case exponential (confidence computation is
-    #P-complete in general) but fast for the lineage of hierarchical queries
-    and adequate as ground truth for the TPC-H workloads at test scale.
-    """
-    memo: Dict[FrozenSet[Clause], float] = {}
-
-    def solve(current: DNF) -> float:
-        if current.is_true():
-            return 1.0
-        if current.is_false():
-            return 0.0
-        key = current.clauses
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-
-        components = _connected_components(current)
-        if len(components) > 1:
-            # Components use disjoint variables, hence are independent:
-            # P(or of components) = 1 - prod(1 - P(component)).
-            none_true = 1.0
-            for component in components:
-                none_true *= 1.0 - solve(component)
-            result = 1.0 - none_true
-        else:
-            result = _shannon(current)
-        memo[key] = result
-        return result
-
-    def _shannon(current: DNF) -> float:
-        counts: Dict[int, int] = {}
-        for clause in current.clauses:
-            for variable in clause:
-                counts[variable] = counts.get(variable, 0) + 1
-        branch_variable = max(sorted(counts), key=lambda v: counts[v])
-        p = probabilities[branch_variable]
-        positive = solve(current.condition(branch_variable, True))
-        negative = solve(current.condition(branch_variable, False))
-        return p * positive + (1.0 - p) * negative
-
-    return solve(dnf.minimised())

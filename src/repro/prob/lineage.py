@@ -5,16 +5,15 @@ along (the standard semantics of Section II-C), the answer relation encodes,
 for each distinct data tuple, a DNF formula: one clause per answer row, one
 positive literal per contributing base-table variable.  This module turns that
 relational encoding back into :class:`repro.prob.formulas.DNF` objects and
-computes confidences from them — the reference path every optimised evaluator
-is checked against.
+hands them to the shared lineage store as resumable views.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple
 
 from repro.errors import ProbabilityError
-from repro.prob.formulas import DNF, dnf_probability
+from repro.prob.formulas import DNF
 from repro.storage.relation import Relation
 from repro.storage.schema import ColumnRole, Schema
 
@@ -26,7 +25,6 @@ __all__ = [
     "lineage_by_tuple",
     "interned_dnf",
     "probabilities_from_answer",
-    "confidences_from_lineage",
     "dtrees_from_dnfs",
 ]
 
@@ -108,25 +106,6 @@ def probabilities_from_answer(answer: Relation) -> Dict[int, float]:
                 )
             probabilities[variable] = float(probability)
     return probabilities
-
-
-def confidences_from_lineage(
-    answer: Relation,
-    probabilities: Optional[Mapping[int, float]] = None,
-) -> Dict[DataTuple, float]:
-    """Exact confidence of every distinct data tuple in ``answer``.
-
-    Probabilities default to the ones carried in the answer's ``P`` columns.
-    This evaluator handles arbitrary DNFs (it does not need a hierarchical
-    query); it is the reference implementation used to validate the SPROUT
-    operator and the safe-plan baseline.
-    """
-    if probabilities is None:
-        probabilities = probabilities_from_answer(answer)
-    return {
-        data: dnf_probability(dnf, probabilities)
-        for data, dnf in lineage_by_tuple(answer).items()
-    }
 
 
 def dtrees_from_dnfs(

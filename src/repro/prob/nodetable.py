@@ -28,10 +28,10 @@ its ancestor closure grouped by ``level`` in ascending order — every node's
 children live on strictly smaller levels, so one pass per level replaces the
 per-node topological bookkeeping of the old object graph.  Every refresh is
 the scalar :meth:`NodeTable.refresh_one`, which replicates the float64
-arithmetic of :func:`repro.prob.dtree.combine_bounds` operation for
-operation — same accumulation order, same ``min`` placement — so a table's
-bounds are bit-identical to the per-tuple d-tree's
-(``tests/test_node_table.py`` pins this).
+arithmetic of the per-tuple d-tree oracle's ``combine_bounds``
+(``tests/oracles/dtree.py``) operation for operation — same accumulation
+order, same ``min`` placement — so a table's bounds are bit-identical to the
+per-tuple d-tree's (``tests/test_node_table.py`` pins this).
 
 Because the table is append-only and node mutation is in place (a leaf
 becomes a ⊙ node under the same nid), nids remain valid for the lifetime of
@@ -181,10 +181,10 @@ class NodeTable:
 
     # -- scalar per-node arithmetic ----------------------------------------
     #
-    # These replicate repro.prob.dtree.combine_bounds / influence_weight
-    # expression for expression (same accumulation order, same min
-    # placement) — the bit-identity contract between the per-tuple d-tree
-    # and the node table depends on it.
+    # These replicate combine_bounds / influence_weight of the per-tuple
+    # d-tree oracle (tests/oracles/dtree.py) expression for expression
+    # (same accumulation order, same min placement) — the bit-identity
+    # contract between the per-tuple d-tree and the node table depends on it.
 
     def child(self, nid: int, slot: int) -> int:
         return self.edge_child[self.child_start[nid] + slot]

@@ -34,7 +34,8 @@ passes over the columns.
 
 The decomposition rules, branch-variable choice, and bound arithmetic are
 those of :mod:`repro.prob.dtree` operation for operation (the table's
-refresh replicates ``combine_bounds`` exactly), so the exact probability the
+refresh replicates the per-tuple oracle's ``combine_bounds`` in
+``tests/oracles/dtree.py`` exactly), so the exact probability the
 DAG computes for a clause set is **bit-identical** to what a tuple's own,
 unshared d-tree computes for the same clause set — sharing changes how much
 work is performed, never a single float of the answer.  The tests hold that
@@ -102,6 +103,9 @@ Clause = FrozenSet[int]
 #: intern table (live views keep working; see the cache docstring).
 DEFAULT_MAX_NODES = 2_000_000
 
+#: Views a :class:`SharedDTreeCache` keeps, least recently used first out.
+MAX_ENTRIES = 4096
+
 
 class ClauseInterner:
     """Interns clause frozensets: one shared object per clause.
@@ -138,9 +142,10 @@ class SharedLineageStore:
     with the same clause set map to the same nid), ``expand_leaf`` performs
     one Shannon cobranch and propagates the tightened bounds to all
     ancestors — one batched pass per topological level — and
-    ``refine_most_valuable`` implements the scheduler primitive: among the
-    frontiers of a set of gating views, expand the single node with the
-    largest bound-width mass summed over the tuples it gates.
+    ``refine_round`` is the scheduler primitive: among the frontiers of a
+    set of gating views, expand the nodes with the largest bound-width mass
+    summed over the tuples they gate (``refine_round(views, 1)`` expands the
+    single most valuable one).
 
     ``steps`` counts the store-global **logical refinement steps** — each
     Shannon expansion once, no matter how many tuples it serves.
@@ -642,18 +647,6 @@ class SharedLineageStore:
             self._enforce_node_budget()
             return len(plan)
 
-    def refine_most_valuable(self, views: Sequence["SharedDTree"]) -> int:
-        """Expand the shared node with the largest summed frontier value.
-
-        The width-1 refinement round: the single most valuable node across
-        the gating views is expanded once, which tightens every contributing
-        tuple (and any non-gating tuple that shares it) in the same logical
-        step.  Ties break towards the oldest nid (creation order), keeping
-        the choice deterministic.  Returns the number of expansions
-        performed (0 when no view has an open frontier left).
-        """
-        return self.refine_round(views, 1)
-
     # -- delta updates (streaming) ------------------------------------------
 
     def update_probability(self, variable: int, probability: float) -> DeltaReport:
@@ -880,7 +873,7 @@ class SharedDTree:
         against the *store's* global step count, since refinement performed
         through any view staleness-drifts every other view's influence
         weights — so both ``expand_once`` and the shared scheduler's
-        :meth:`SharedLineageStore.refine_most_valuable` (which bypasses
+        :meth:`SharedLineageStore.refine_round` (which bypasses
         ``expand_once``) rank on freshly measured frontiers; a stale mark
         (:meth:`resync`, a view never peeked) is that schedule, due at 0.
         """
@@ -1018,21 +1011,14 @@ class SharedDTreeCache:
     view table cleared.  Eviction never invalidates a live view — views
     hold nids into the append-only table and keep refining correctly; only
     the *sharing* with future builds is lost (the intern table is a pure
-    accelerator).  ``max_entries`` additionally bounds the view table, LRU.
+    accelerator).  :data:`MAX_ENTRIES` additionally bounds the view table, LRU.
     ``evictions`` counts views dropped for either reason (cheap int,
     surfaced by the engine and benchmarks).
     """
 
-    def __init__(
-        self,
-        max_entries: Optional[int] = 4096,
-        max_nodes: Optional[int] = DEFAULT_MAX_NODES,
-    ):
-        if max_entries is not None and max_entries < 1:
-            raise ProbabilityError(f"max_entries must be positive, got {max_entries}")
+    def __init__(self, max_nodes: Optional[int] = DEFAULT_MAX_NODES):
         if max_nodes is not None and max_nodes < 1:
             raise ProbabilityError(f"max_nodes must be positive, got {max_nodes}")
-        self.max_entries = max_entries
         self.max_nodes = max_nodes
         self.hits = 0
         self.misses = 0
@@ -1096,7 +1082,7 @@ class SharedDTreeCache:
             self.misses += 1
             view = SharedDTree(self.store, dnf)
             self._views[key] = view
-            if self.max_entries is not None and len(self._views) > self.max_entries:
+            if len(self._views) > MAX_ENTRIES:
                 self._views.pop(next(iter(self._views)))
                 self.evictions += 1
             return view
@@ -1133,7 +1119,6 @@ class SharedDTreeCache:
                     for key, view in self._views.items()
                 ],
                 "counters": (self.hits, self.misses, self.evictions),
-                "max_entries": self.max_entries,
                 "max_nodes": self.max_nodes,
             }
 
@@ -1147,9 +1132,10 @@ class SharedDTreeCache:
         so the first repeat of a previously decided query is a cache hit on
         already-closed bounds: the ≤1-step warm re-decide the service's
         crash recovery promises.  Keys of older builds' states that no
-        longer configure anything (the numeric-backend flag) are ignored.
+        longer configure anything (the numeric-backend flag, the view-table
+        bound ``max_entries``) are ignored.
         """
-        cache = cls(max_entries=state["max_entries"], max_nodes=state["max_nodes"])
+        cache = cls(max_nodes=state["max_nodes"])
         cache.store = SharedLineageStore.from_segment(state["segment"])
         for clauses, root in state["views"]:
             key = dnf_from_canonical(clauses).clauses

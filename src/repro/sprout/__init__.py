@@ -4,13 +4,14 @@ The system layer that turns a conjunctive query into an answer relation
 with confidences:
 
 * :mod:`repro.sprout.engine` — :class:`SproutEngine`, the public entry
-  point: plan styles (lazy/eager/hybrid/lineage/dtree), row vs. batch
+  point: plan styles (lazy/eager/hybrid/dtree), row vs. batch
   execution, exact vs. anytime-approximate confidence, and the
   top-k/threshold APIs.
 * :mod:`repro.sprout.planner` — join ordering, answer-plan construction,
   and the eager/hybrid evaluation that interleaves joins with aggregation.
 * :mod:`repro.sprout.conf_operator` — the probability-computation
-  operator's literal Fig. 5 semantics (aggregation/propagation sequences).
+  operator inside plans: Fig. 5's aggregation/propagation sequence for
+  eager/hybrid plan nodes and the scan-based operator on top of lazy plans.
 * :mod:`repro.sprout.scans` / :mod:`repro.sprout.onescan` — the scan-based
   secondary-storage implementation (Section V.C): pre-aggregation
   scheduling and the single-pass operator for 1scan signatures, in row and
@@ -28,15 +29,8 @@ with confidences:
 ``docs/architecture.md`` walks the full pipeline end to end.
 """
 
-from repro.sprout.conf_operator import (
-    ConfOperatorResult,
-    ConfStep,
-    apply_semantics,
-    compute_answer_confidences,
-    grp_statements,
-)
+from repro.sprout.conf_operator import compute_answer_confidences
 from repro.sprout.engine import (
-    CONF_METHODS,
     CONFIDENCE_MODES,
     EXECUTION_MODES,
     PLAN_STYLES,
@@ -86,12 +80,9 @@ from repro.sprout.scans import (
 )
 
 __all__ = [
-    "CONF_METHODS",
     "CONFIDENCE_MODES",
     "EXECUTION_MODES",
     "ColumnMap",
-    "ConfOperatorResult",
-    "ConfStep",
     "EvaluationResult",
     "JoinOrderPlanner",
     "OneScanState",
@@ -107,7 +98,6 @@ __all__ = [
     "derive_task_seed",
     "apply_scan_schedule",
     "apply_scan_schedule_columns",
-    "apply_semantics",
     "compute_answer_confidences",
     "base_table_plan",
     "base_table_plan_batch",
@@ -122,7 +112,6 @@ __all__ = [
     "evaluate_deterministic",
     "finish_selected",
     "group_probability",
-    "grp_statements",
     "materialize_answer",
     "needed_data_attributes",
     "one_scan_operator",

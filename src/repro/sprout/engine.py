@@ -14,10 +14,6 @@ tuples with their exact confidences.  The caller chooses the *plan style*:
 ``hybrid``
     Hierarchy-imposed join order with aggregation only after joins (the
     operators on top of the input tables are dropped), Fig. 7(b).
-``lineage``
-    Reference fallback: evaluate the answer lazily and compute each distinct
-    tuple's confidence by exact weighted model counting on its DNF lineage
-    via memoised Shannon expansion (worst-case exponential).
 ``dtree``
     The decomposition-tree engine (:mod:`repro.prob.dtree`): compile each
     tuple's lineage with independent-partition, deterministic-or, and Shannon
@@ -30,12 +26,12 @@ queries) are routed to the d-tree engine automatically instead of raising —
 ``confidence="exact"`` compiles to exactness, ``confidence="approx"``
 stops at the engine's ``epsilon`` error budget.
 
-Independently of the plan style, the confidence computation method can be the
-scan-based operator (``scans``, Section V.C) or the literal GRP-sequence
-semantics (``semantics``, Fig. 5) — the latter exists for validation and for
-the ablation benchmark.
+On the lazy plans the confidence operator is the scan-based evaluation of
+Section V.C.  The two definitions it is checked against — the literal
+GRP-sequence translation of Fig. 5 and exact weighted model counting on each
+tuple's DNF lineage — live with the tests (``tests/oracles/``), not here.
 
-Orthogonally to both, the *execution mode* selects the physical backend:
+Orthogonally to the plan style, the *execution mode* selects the physical backend:
 
 ``batch``
     The default.  The columnar backend (:mod:`repro.algebra.columnar`):
@@ -77,7 +73,6 @@ from repro.prob.dtree import DEFAULT_MAX_STEPS
 from repro.prob.sharedag import DEFAULT_MAX_NODES, SharedDTreeCache, SpaceProof
 from repro.prob.formulas import DNF
 from repro.prob.lineage import (
-    confidences_from_lineage,
     dtrees_from_dnfs,
     lineage_by_tuple,
     probabilities_from_answer,
@@ -105,7 +100,6 @@ from repro.sprout.planner import (
 )
 from repro.sprout.scans import ScanSchedule
 from repro.sprout.topk import TupleCandidate, run_decision
-from repro.storage.heapfile import HeapFile
 from repro.storage.relation import Relation
 from repro.storage.schema import Attribute, ColumnRole, Schema
 
@@ -113,13 +107,11 @@ __all__ = [
     "EvaluationResult",
     "SproutEngine",
     "PLAN_STYLES",
-    "CONF_METHODS",
     "EXECUTION_MODES",
     "CONFIDENCE_MODES",
 ]
 
-PLAN_STYLES = ("lazy", "eager", "hybrid", "lineage", "dtree")
-CONF_METHODS = ("scans", "semantics")
+PLAN_STYLES = ("lazy", "eager", "hybrid", "dtree")
 EXECUTION_MODES = ("row", "batch")
 CONFIDENCE_MODES = ("exact", "approx")
 
@@ -234,6 +226,11 @@ def _default_dtree_cache_size() -> int:
     """Lineage-cache node budget: the ``REPRO_DTREE_CACHE`` env var, else
     :data:`repro.prob.sharedag.DEFAULT_MAX_NODES` nodes."""
     return env_int("REPRO_DTREE_CACHE", default=DEFAULT_MAX_NODES, minimum=1)
+
+
+def _check_plan(plan: str) -> None:
+    if plan not in PLAN_STYLES:
+        raise PlanningError(f"unknown plan style {plan!r}; choose from {PLAN_STYLES}")
 
 
 def _check_epsilon(epsilon: float) -> None:
@@ -528,10 +525,8 @@ class SproutEngine:
 
     def explain(self, query: ConjunctiveQuery, plan: str = "lazy", use_fds: bool = True) -> str:
         """Describe the plan the engine would run, without executing it."""
+        _check_plan(plan)
         lines = [f"query: {query}"]
-        if plan == "lineage":
-            lines.append("plan: lazy answer computation + exact lineage model counting")
-            return "\n".join(lines)
         if plan == "dtree":
             lines.append(
                 "plan: lazy answer computation + d-tree confidence "
@@ -565,9 +560,7 @@ class SproutEngine:
         query: ConjunctiveQuery,
         plan: str = "lazy",
         use_fds: bool = True,
-        conf_method: str = "scans",
         join_order: Optional[Sequence[str]] = None,
-        materialize_to_disk: bool = False,
         execution: Optional[str] = None,
         confidence: Optional[str] = None,
         epsilon: Optional[float] = None,
@@ -581,43 +574,29 @@ class SproutEngine:
         of the requested plan style.
         """
         self._reopen()
-        execution, confidence, epsilon = self._resolve_modes(
-            plan, conf_method, execution, confidence, epsilon
-        )
+        execution, confidence, epsilon = self._resolve_modes(plan, execution, confidence, epsilon)
         self._check_supported(query)
         if plan == "dtree" or confidence == "approx":
             return self._evaluate_dtree(query, join_order, execution, confidence, epsilon)
-        if plan == "lineage":
-            return self._evaluate_lineage(query, join_order, execution)
         if not self.is_tractable(query, use_fds):
             # Unsafe query: no safe plan and no hierarchical FD-reduct exists.
             # Route to the anytime d-tree engine instead of raising.
             return self._evaluate_dtree(query, join_order, execution, confidence, epsilon)
         if plan == "lazy":
             if execution == "batch":
-                return self._evaluate_lazy_batch(
-                    query, use_fds, conf_method, join_order, materialize_to_disk
-                )
-            return self._evaluate_lazy(
-                query, use_fds, conf_method, join_order, materialize_to_disk
-            )
+                return self._evaluate_lazy_batch(query, use_fds, join_order)
+            return self._evaluate_lazy(query, use_fds, join_order)
         return self._evaluate_eager_or_hybrid(query, plan, use_fds, execution)
 
     def _resolve_modes(
         self,
         plan: str,
-        conf_method: str,
         execution: Optional[str],
         confidence: Optional[str],
         epsilon: Optional[float],
     ) -> Tuple[str, str, float]:
-        """Validate plan/method names and fill mode defaults from the engine."""
-        if plan not in PLAN_STYLES:
-            raise PlanningError(f"unknown plan style {plan!r}; choose from {PLAN_STYLES}")
-        if conf_method not in CONF_METHODS:
-            raise PlanningError(
-                f"unknown confidence method {conf_method!r}; choose from {CONF_METHODS}"
-            )
+        """Validate the plan name and fill mode defaults from the engine."""
+        _check_plan(plan)
         if execution is None:
             execution = self.execution
         elif execution not in EXECUTION_MODES:
@@ -652,7 +631,6 @@ class SproutEngine:
         k: int,
         plan: str = "lazy",
         use_fds: bool = True,
-        conf_method: str = "scans",
         join_order: Optional[Sequence[str]] = None,
         execution: Optional[str] = None,
         confidence: Optional[str] = None,
@@ -699,7 +677,6 @@ class SproutEngine:
             tau=None,
             plan=plan,
             use_fds=use_fds,
-            conf_method=conf_method,
             join_order=join_order,
             execution=execution,
             confidence=confidence,
@@ -713,7 +690,6 @@ class SproutEngine:
         tau: float,
         plan: str = "lazy",
         use_fds: bool = True,
-        conf_method: str = "scans",
         join_order: Optional[Sequence[str]] = None,
         execution: Optional[str] = None,
         confidence: Optional[str] = None,
@@ -736,7 +712,6 @@ class SproutEngine:
             tau=tau,
             plan=plan,
             use_fds=use_fds,
-            conf_method=conf_method,
             join_order=join_order,
             execution=execution,
             confidence=confidence,
@@ -809,9 +784,7 @@ class SproutEngine:
         from repro.sprout.streaming import StandingQuery
 
         self._reopen()
-        execution, confidence, _ = self._resolve_modes(
-            "dtree", "scans", execution, confidence, None
-        )
+        execution, confidence, _ = self._resolve_modes("dtree", execution, confidence, None)
         self._check_supported(query)
         answer = self._answer_lineage(query, join_order, execution)
         return StandingQuery(
@@ -836,7 +809,6 @@ class SproutEngine:
         tau: Optional[float],
         plan: str,
         use_fds: bool,
-        conf_method: str,
         join_order: Optional[Sequence[str]],
         execution: Optional[str],
         confidence: Optional[str],
@@ -844,9 +816,7 @@ class SproutEngine:
         deadline: Optional[Deadline] = None,
     ) -> EvaluationResult:
         self._reopen()
-        execution, confidence, _ = self._resolve_modes(
-            plan, conf_method, execution, confidence, None
-        )
+        execution, confidence, _ = self._resolve_modes(plan, execution, confidence, None)
         self._check_supported(query)
         if (
             confidence == "exact"
@@ -857,7 +827,6 @@ class SproutEngine:
                 query,
                 plan=plan,
                 use_fds=use_fds,
-                conf_method=conf_method,
                 join_order=join_order,
                 execution=execution,
                 confidence="exact",
@@ -981,9 +950,8 @@ class SproutEngine:
         self,
         query: ConjunctiveQuery,
         join_order: Optional[Sequence[str]],
-        execution: str = "row",
     ) -> Tuple[Relation, List[str], int]:
-        return materialize_answer(self.database, self.planner, query, join_order, execution)
+        return materialize_answer(self.database, self.planner, query, join_order)
 
     def _answer_lineage(
         self,
@@ -1066,7 +1034,7 @@ class SproutEngine:
                 lineage={data: DNF(clauses) for data, clauses in clause_sets.items()},
                 probabilities=probabilities,
             )
-        answer, order, rows_processed = self._answer_relation(query, join_order, "row")
+        answer, order, rows_processed = self._answer_relation(query, join_order)
         return _AnswerLineage(
             schema=answer.schema,
             order=order,
@@ -1080,9 +1048,7 @@ class SproutEngine:
         self,
         query: ConjunctiveQuery,
         use_fds: bool,
-        conf_method: str,
         join_order: Optional[Sequence[str]],
-        materialize_to_disk: bool,
     ) -> EvaluationResult:
         signature = self.signature_for(query, use_fds)
 
@@ -1093,17 +1059,10 @@ class SproutEngine:
         # answer, exactly as the lazy plans of Section VII do.
         sort_order = sort_column_order(answer.schema, signature)
         answer = answer.sorted_by(sort_order)
-        if materialize_to_disk:
-            heap = HeapFile(answer.schema)
-            heap.write_rows(answer.rows)
-            heap.close()
         tuples_seconds = perf_counter() - started
 
         started = perf_counter()
-        schedule: Optional[ScanSchedule]
-        result_relation, schedule, scans_used = compute_answer_confidences(
-            answer, signature, conf_method=conf_method, name=query.name
-        )
+        result_relation, schedule, scans_used = compute_answer_confidences(answer, signature)
         prob_seconds = perf_counter() - started
 
         return EvaluationResult(
@@ -1124,9 +1083,7 @@ class SproutEngine:
         self,
         query: ConjunctiveQuery,
         use_fds: bool,
-        conf_method: str,
         join_order: Optional[Sequence[str]],
-        materialize_to_disk: bool,
     ) -> EvaluationResult:
         """Columnar twin of :meth:`_evaluate_lazy`.
 
@@ -1145,16 +1102,11 @@ class SproutEngine:
         rows_processed = plan.total_rows_processed()
         sort_order = sort_column_order(answer.schema, signature)
         answer = sort_batch(answer, sort_order)
-        if materialize_to_disk:
-            heap = HeapFile(answer.schema)
-            heap.write_rows(answer.rows())
-            heap.close()
         tuples_seconds = perf_counter() - started
 
         started = perf_counter()
-        schedule: Optional[ScanSchedule]
         result_relation, schedule, scans_used = compute_answer_confidences(
-            answer, signature, conf_method=conf_method, execution="batch", name=query.name
+            answer, signature, execution="batch", name=query.name
         )
         prob_seconds = perf_counter() - started
 
@@ -1217,41 +1169,6 @@ class SproutEngine:
             answer_rows=len(final),
             rows_processed=node_result.rows_processed,
             scans_used=0,
-        )
-
-    # -- lineage fallback ---------------------------------------------------------------
-
-    def _evaluate_lineage(
-        self,
-        query: ConjunctiveQuery,
-        join_order: Optional[Sequence[str]],
-        execution: str = "row",
-    ) -> EvaluationResult:
-        started = perf_counter()
-        answer, order, rows_processed = self._answer_relation(query, join_order, execution)
-        tuples_seconds = perf_counter() - started
-
-        started = perf_counter()
-        confidences = confidences_from_lineage(answer)
-        prob_seconds = perf_counter() - started
-
-        relation = self._confidence_relation(
-            answer.schema,
-            query.name,
-            sorted(confidences.items(), key=lambda item: repr(item[0])),
-        )
-        return EvaluationResult(
-            query_name=query.name,
-            plan_style="lineage",
-            relation=relation,
-            signature=None,
-            execution=execution,
-            join_order=order,
-            tuples_seconds=tuples_seconds,
-            prob_seconds=prob_seconds,
-            answer_rows=len(answer),
-            rows_processed=rows_processed,
-            scans_used=1,
         )
 
     # -- d-tree path (unsafe queries and anytime approximation) -------------------------

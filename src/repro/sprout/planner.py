@@ -233,21 +233,15 @@ def materialize_answer(
     planner: "JoinOrderPlanner",
     query: ConjunctiveQuery,
     join_order: Optional[Sequence[str]] = None,
-    execution: str = "row",
 ) -> Tuple[Relation, List[str], int]:
     """Materialise the answer rows of ``query`` (with V/P columns carried).
 
-    The shared front half of every lineage-consuming evaluation path — the
-    exact lineage fallback, the anytime d-tree route, and the top-k/threshold
-    scheduler all start from this relation.  Returns ``(answer, join order,
-    rows processed)``; ``execution`` selects the row or columnar pipeline.
+    The row pipeline's front half: the row lazy plan, and the d-tree route
+    and top-k/threshold scheduler under ``execution="row"``, start from this
+    relation.  Returns ``(answer, join order, rows processed)``.
     """
     order = list(join_order) if join_order else planner.lazy_join_order(query)
-    if execution == "batch":
-        plan = build_answer_plan_batch(database, query, order)
-    else:
-        plan = build_answer_plan(database, query, order)
-    plan = project_answer_columns(plan, query)
+    plan = project_answer_columns(build_answer_plan(database, query, order), query)
     relation = plan.to_relation(query.name)
     return relation, order, plan.total_rows_processed()
 

@@ -5,7 +5,8 @@ refines it with a lazy max-heap frontier, sharing nothing with any other
 tuple.  It is the reference the hash-consed store of
 :mod:`repro.prob.sharedag` is checked against: both build with the same
 decomposition rules, branch on the same variable and fold bounds with the
-same arithmetic (:func:`repro.prob.dtree.combine_bounds`,
+same arithmetic (:func:`combine_bounds` here, which the node table's
+``refresh_one`` replicates operation for operation, and
 :func:`repro.prob.dtree.leaf_bounds`), so an exact probability from a
 ``DTree`` must equal the store's bit for bit.
 
@@ -24,9 +25,6 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence,
 
 from repro.errors import ProbabilityError
 from repro.prob.dtree import (
-    _DET_OR,
-    _IND_AND,
-    _IND_OR,
     _REFRESH_BASE,
     _REFRESH_FACTOR,
     DEFAULT_MAX_STEPS,
@@ -35,9 +33,7 @@ from repro.prob.dtree import (
     _cofactor_true,
     branch_variable,
     canonical_clauses,
-    combine_bounds,
     dnf_from_canonical,
-    influence_weight,
     leaf_bounds,
     refine_to_budget,
 )
@@ -45,9 +41,54 @@ from repro.prob.formulas import DNF, _component_groups
 from repro.prob.lineage import lineage_by_tuple, probabilities_from_answer
 from repro.sprout.planner import JoinOrderPlanner, materialize_answer
 
-__all__ = ["DTree", "dtree_confidences", "dtree_probability", "oracle_evaluate"]
+__all__ = [
+    "DTree",
+    "combine_bounds",
+    "dtree_confidences",
+    "dtree_probability",
+    "influence_weight",
+    "oracle_evaluate",
+]
 
 Clause = FrozenSet[int]
+
+_IND_AND = "ind_and"
+_IND_OR = "ind_or"
+_DET_OR = "det_or"
+
+
+def combine_bounds(kind, children, weights) -> Tuple[float, float]:
+    """Interval combination for an ⊗ / ⊕ / ⊙ node over child bounds."""
+    if kind == _IND_AND:
+        lower = upper = 1.0
+        for child in children:
+            lower *= child.lower
+            upper *= child.upper
+    elif kind == _IND_OR:
+        lower = upper = 1.0
+        for child in children:
+            lower *= 1.0 - child.lower
+            upper *= 1.0 - child.upper
+        lower, upper = 1.0 - lower, 1.0 - upper
+    else:  # deterministic-or
+        lower = upper = 0.0
+        for weight, child in zip(weights, children):
+            lower += weight * child.lower
+            upper += weight * child.upper
+    return lower, min(1.0, upper)
+
+
+def influence_weight(kind, children, weights, slot: int) -> float:
+    """Midpoint-linearised derivative of a node w.r.t. child ``slot``."""
+    if kind == _DET_OR:
+        return weights[slot]
+    factor = 1.0
+    for index, child in enumerate(children):
+        if index == slot:
+            continue
+        mid = 0.5 * (child.lower + child.upper)
+        factor *= mid if kind == _IND_AND else 1.0 - mid
+    return factor
 
 
 class _Node:

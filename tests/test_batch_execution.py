@@ -19,6 +19,7 @@ from repro.errors import PlanningError, QueryError
 from repro.query.signature import has_one_scan_property
 from repro.sprout import (
     EXECUTION_MODES,
+    PLAN_STYLES,
     ColumnMap,
     columnar_scan_confidences,
     scan_confidences,
@@ -31,7 +32,7 @@ from helpers import assert_confidences_close, build_paper_database, paper_query
 from test_differential_matrix import CORPUS
 from test_properties import three_table_database, two_table_database
 
-ALL_PLANS = ("lazy", "eager", "hybrid", "lineage")
+ALL_PLANS = PLAN_STYLES
 
 
 def assert_identical_results(row_result, batch_result):
@@ -105,12 +106,6 @@ class TestPaperDatabase:
     def test_all_plan_styles_bit_identical(self, paper_engine, paper_q, plan):
         row = paper_engine.evaluate(paper_q, plan=plan)
         batch = paper_engine.evaluate(paper_q, plan=plan, execution="batch")
-        assert_identical_results(row, batch)
-
-    @pytest.mark.parametrize("conf_method", ["scans", "semantics"])
-    def test_conf_methods_bit_identical(self, paper_engine, paper_q, conf_method):
-        row = paper_engine.evaluate(paper_q, conf_method=conf_method)
-        batch = paper_engine.evaluate(paper_q, conf_method=conf_method, execution="batch")
         assert_identical_results(row, batch)
 
     @pytest.mark.parametrize("use_fds", [True, False])

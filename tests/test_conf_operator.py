@@ -1,14 +1,24 @@
-"""Tests for the conf() operator semantics (Fig. 5/6) and scan scheduling."""
+"""Tests for the conf() operator: its Fig. 5/6 definition, the GRP sequence
+inside eager/hybrid plans, and the scan schedule of the lazy plans.
+
+The definition is the self-contained oracle ``oracles.semantics``; the
+engine's ``reduce_relation`` and scan-based evaluator are checked against it.
+"""
 
 import pytest
 
+from repro.algebra.columnar import ColumnBatch
 from repro.query.signature import parse_signature
-from repro.sprout.conf_operator import apply_semantics, grp_statements, reduce_relation
+from repro.sprout.conf_operator import reduce_relation
 from repro.sprout.scans import apply_scan_schedule, schedule_scans
 from repro.sprout.engine import SproutEngine
 from repro.sprout.planner import build_answer_plan, project_answer_columns
+from repro.storage.schema import ColumnRole
 
 from helpers import assert_confidences_close, build_paper_database, paper_query
+from oracles.semantics import apply_semantics, grp_statements
+
+SIGNATURES = ["(Cust* (Ord* Item*)*)*", "(Cust (Ord Item*)*)*", "(Cust* (Ord Item*)*)*"]
 
 
 def paper_answer_relation():
@@ -41,10 +51,7 @@ class TestGrpStatements:
 
 
 class TestApplySemantics:
-    @pytest.mark.parametrize(
-        "signature_text",
-        ["(Cust* (Ord* Item*)*)*", "(Cust (Ord Item*)*)*", "(Cust* (Ord Item*)*)*"],
-    )
+    @pytest.mark.parametrize("signature_text", SIGNATURES)
     def test_paper_example_probability(self, signature_text):
         # Example V.1: the distinct answer tuple has probability 0.0028 under
         # both the unrefined and the FD-refined signatures.
@@ -61,6 +68,26 @@ class TestApplySemantics:
             step.rows_in >= step.rows_out for step in result.steps if step.kind == "aggregate"
         )
 
+    @pytest.mark.parametrize("signature_text", SIGNATURES)
+    def test_executed_steps_follow_the_static_translation(self, signature_text):
+        signature = parse_signature(signature_text)
+        result = apply_semantics(paper_answer_relation(), signature)
+        statements = grp_statements(signature)
+        assert [step.kind for step in result.steps] == [s.split("[")[0] for s in statements]
+        assert [step.signature for step in result.steps] == [
+            s.split("[", 1)[1].split("]")[0] for s in statements
+        ]
+
+    def test_the_answer_is_left_as_it_was(self):
+        answer = paper_answer_relation()
+        rows = list(answer.rows)
+        apply_semantics(answer, parse_signature("(Cust* (Ord* Item*)*)*"))
+        assert answer.rows == rows
+
+
+class TestReduceRelation:
+    """The GRP sequence the eager/hybrid planners run at plan nodes."""
+
     def test_reduce_relation_keeps_leader_pair(self):
         answer = paper_answer_relation()
         reduced, leader = reduce_relation(answer, parse_signature("(Cust (Ord Item*)*)*"))
@@ -68,6 +95,21 @@ class TestApplySemantics:
         pairs = reduced.schema.var_prob_pairs()
         assert [pair.source for pair in pairs] == ["Cust"]
         assert len(reduced) == 1
+
+    @pytest.mark.parametrize("execution", ["row", "batch"])
+    @pytest.mark.parametrize("signature_text", SIGNATURES)
+    def test_matches_semantics(self, signature_text, execution):
+        answer = paper_answer_relation()
+        signature = parse_signature(signature_text)
+        source = ColumnBatch.from_relation(answer) if execution == "batch" else answer
+        reduced, leader = reduce_relation(source, signature, execution=execution)
+        if execution == "batch":
+            reduced = reduced.to_relation("Q")
+        schema = reduced.schema
+        data = [i for i, a in enumerate(schema) if a.role is ColumnRole.DATA]
+        prob = schema.index_of(schema.var_prob_pairs()[0].prob_name)
+        confidences = {tuple(row[i] for i in data): row[prob] for row in reduced}
+        assert_confidences_close(confidences, apply_semantics(answer, signature).confidences())
 
 
 class TestScanScheduling:

@@ -3,10 +3,12 @@
 One parametrized harness evaluates a small query corpus (safe and unsafe,
 Boolean and projected, with and without selections) across the full
 configuration matrix — plan style × row/batch execution × exact/approx
-confidence × scan-based/semantics operator — and asserts that every
-configuration agrees with brute-force possible-world enumeration (exactly for
-exact configurations, within the epsilon budget for approximate ones) and
-therefore with every other configuration.
+confidence — and asserts that every configuration agrees with brute-force
+possible-world enumeration (exactly for exact configurations, within the
+epsilon budget for approximate ones) and therefore with every other
+configuration.  The two reference oracles — exact lineage counting and the
+literal Fig. 5 semantics — get their own rows against enumeration, and the
+engine's exact answers are checked against them.
 """
 
 import pickle
@@ -23,6 +25,8 @@ from repro.sprout import evaluate_deterministic
 from repro.storage import Relation, Schema
 
 from oracles.dtree import oracle_evaluate
+from oracles.lineage import lineage_evaluate
+from oracles.semantics import semantics_evaluate
 
 TOLERANCE = 1e-9
 EPSILON = 0.01
@@ -134,24 +138,23 @@ CORPUS = {
     "single": (_single_table_db, _single_table_query),
 }
 
-#: (plan, execution, confidence, conf_method) — the exact axis runs every plan
-#: style under both backends; the approx axis collapses to the d-tree route
-#: (any plan × approx takes it), so lazy/dtree cover it; the literal GRP
-#: semantics is exercised on the lazy plan under both backends.
+#: The operator plans; the d-tree plan is the fourth plan style.
+OPERATOR_PLANS = ("lazy", "eager", "hybrid")
+
+#: (plan, execution, confidence) — the exact axis runs every plan style under
+#: both backends; the approx axis collapses to the d-tree route (any plan ×
+#: approx takes it), so lazy/dtree cover it.
 CONFIGURATIONS = [
     *(
-        (plan, execution, "exact", "scans")
-        for plan in ("lazy", "eager", "hybrid", "lineage", "dtree")
+        (plan, execution, "exact")
+        for plan in (*OPERATOR_PLANS, "dtree")
         for execution in ("row", "batch")
     ),
-    *(
-        (plan, execution, "approx", "scans")
-        for plan in ("lazy", "dtree")
-        for execution in ("row", "batch")
-    ),
-    ("lazy", "row", "exact", "semantics"),
-    ("lazy", "batch", "exact", "semantics"),
+    *((plan, execution, "approx") for plan in ("lazy", "dtree") for execution in ("row", "batch")),
 ]
+
+#: Cases whose query is tractable: the ones the Fig. 5 semantics defines.
+SAFE_CASES = ("safe_bool", "safe_proj", "safe_sel", "single")
 
 _truth_cache = {}
 
@@ -168,20 +171,14 @@ def _truth(case):
 
 @pytest.mark.parametrize("case", sorted(CORPUS))
 @pytest.mark.parametrize(
-    "plan,execution,confidence,conf_method",
+    "plan,execution,confidence",
     CONFIGURATIONS,
     ids=["-".join(c) for c in CONFIGURATIONS],
 )
-def test_configuration_agrees_with_enumeration(case, plan, execution, confidence, conf_method):
+def test_configuration_agrees_with_enumeration(case, plan, execution, confidence):
     build_db, make_query = CORPUS[case]
     engine = SproutEngine(build_db(), epsilon=EPSILON)
-    result = engine.evaluate(
-        make_query(),
-        plan=plan,
-        execution=execution,
-        confidence=confidence,
-        conf_method=conf_method,
-    )
+    result = engine.evaluate(make_query(), plan=plan, execution=execution, confidence=confidence)
     truth = _truth(case)
     confidences = result.confidences()
     assert set(confidences) == set(truth), (
@@ -191,8 +188,7 @@ def test_configuration_agrees_with_enumeration(case, plan, execution, confidence
         actual = confidences[data]
         if confidence == "exact":
             assert actual == pytest.approx(expected, abs=TOLERANCE), (
-                f"{case}: confidence of {data} differs under "
-                f"{plan}/{execution}/{conf_method}"
+                f"{case}: confidence of {data} differs under {plan}/{execution}"
             )
         else:
             assert abs(actual - expected) <= EPSILON + TOLERANCE
@@ -204,7 +200,7 @@ def test_configuration_agrees_with_enumeration(case, plan, execution, confidence
 #: mode, the d-tree-routed plans for the approx mode, and the columnar
 #: backend on the d-tree plan.
 ORACLE_AXIS = [
-    *((plan, "row", "exact") for plan in ("lazy", "eager", "hybrid", "lineage", "dtree")),
+    *((plan, "row", "exact") for plan in (*OPERATOR_PLANS, "dtree")),
     ("dtree", "batch", "exact"),
     *((plan, "row", "approx") for plan in ("lazy", "dtree")),
     ("dtree", "batch", "approx"),
@@ -245,6 +241,60 @@ def test_dtree_route_matches_the_per_tuple_oracle(case, plan, execution, confide
             assert result.confidences()[data] == pytest.approx(
                 expected.probability, abs=TOLERANCE
             )
+
+
+#: (case, oracle) — exact lineage counting on every case, the Fig. 5
+#: semantics on the cases it defines.
+REFERENCE_ROWS = [
+    *((case, "lineage") for case in sorted(CORPUS)),
+    *((case, "semantics") for case in SAFE_CASES),
+]
+
+
+def _reference(case, oracle):
+    build_db, make_query = CORPUS[case]
+    if oracle == "lineage":
+        return lineage_evaluate(build_db(), make_query())
+    return semantics_evaluate(SproutEngine(build_db()), make_query()).confidences()
+
+
+@pytest.mark.parametrize(
+    "case,oracle", REFERENCE_ROWS, ids=["-".join(row) for row in REFERENCE_ROWS]
+)
+def test_reference_oracle_agrees_with_enumeration(case, oracle):
+    """Each reference oracle is itself checked against possible worlds, and
+    exact lineage counting against the per-tuple d-tree oracle."""
+    confidences = _reference(case, oracle)
+    truth = _truth(case)
+    assert set(confidences) == set(truth)
+    for data, expected in truth.items():
+        assert confidences[data] == pytest.approx(expected, abs=TOLERANCE), (
+            f"{case}: the {oracle} oracle's confidence of {data} differs"
+        )
+    if oracle == "lineage":
+        for data, result in _oracle(case).items():
+            assert confidences[data] == pytest.approx(result.probability, abs=TOLERANCE)
+
+
+@pytest.mark.parametrize("case", sorted(CORPUS))
+def test_exact_configurations_agree_with_the_reference_oracles(case):
+    """Every exact plan × backend against exact lineage counting, and the
+    scan-based operator of the lazy plans against the Fig. 5 semantics."""
+    build_db, make_query = CORPUS[case]
+    engine = SproutEngine(build_db())
+    references = {"lineage": _reference(case, "lineage")}
+    if case in SAFE_CASES:
+        references["semantics"] = _reference(case, "semantics")
+    for plan in (*OPERATOR_PLANS, "dtree"):
+        for execution in ("row", "batch"):
+            result = engine.evaluate(make_query(), plan=plan, execution=execution)
+            checked = references if plan == "lazy" else {"lineage": references["lineage"]}
+            for oracle, expected in checked.items():
+                assert set(result.confidences()) == set(expected)
+                for data, value in expected.items():
+                    assert result.confidences()[data] == pytest.approx(value, abs=TOLERANCE), (
+                        f"{case}: {plan}/{execution} differs from the {oracle} oracle on {data}"
+                    )
 
 
 @pytest.mark.parametrize("case", sorted(CORPUS))

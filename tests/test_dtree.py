@@ -17,10 +17,11 @@ from hypothesis import strategies as st
 
 from repro.errors import ApproximationBudgetError, ProbabilityError
 from repro.prob.dtree import ApproxResult, karp_luby_probability
-from repro.prob.formulas import DNF, dnf_probability, dnf_probability_enumeration
+from repro.prob.formulas import DNF
 from repro.prob.synthetic import bipartite_lineage, hub_lineage
 
 from oracles.dtree import DTree, dtree_confidences, dtree_probability
+from oracles.lineage import dnf_probability, dnf_probability_enumeration
 
 
 @st.composite

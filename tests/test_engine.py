@@ -12,15 +12,17 @@ from repro import Atom, ConjunctiveQuery, ProbabilisticDatabase, SproutEngine
 from repro.algebra import Comparison, Disjunction
 from repro.prob import backend_info, confidences_by_enumeration
 from repro.sprout import evaluate_deterministic
-from repro.sprout.engine import ANSWER_MEMO_ENTRIES
+from repro.sprout.engine import ANSWER_MEMO_ENTRIES, PLAN_STYLES
 from repro.storage import Relation, Schema
 
 from helpers import assert_confidences_close, build_paper_database, paper_query
 from oracles.dtree import oracle_evaluate
+from oracles.lineage import lineage_evaluate
+from oracles.semantics import semantics_evaluate
 from test_differential_matrix import CORPUS
 
 
-ALL_PLANS = ("lazy", "eager", "hybrid", "lineage")
+ALL_PLANS = PLAN_STYLES
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -36,10 +38,19 @@ class TestPaperExample:
         result = paper_engine.evaluate(paper_q, plan=plan)
         assert_confidences_close(result.confidences(), {("1995-01-10",): 0.0028}, 1e-12)
 
-    @pytest.mark.parametrize("conf_method", ("scans", "semantics"))
-    def test_confidence_methods(self, paper_engine, paper_q, conf_method):
-        result = paper_engine.evaluate(paper_q, conf_method=conf_method)
-        assert result.confidences()[("1995-01-10",)] == pytest.approx(0.0028)
+    def test_oracles(self, paper_db, paper_q, paper_engine):
+        expected = {("1995-01-10",): 0.0028}
+        assert_confidences_close(lineage_evaluate(paper_db, paper_q), expected, 1e-12)
+        by_semantics = semantics_evaluate(paper_engine, paper_q).confidences()
+        assert_confidences_close(by_semantics, expected, 1e-12)
+
+    @pytest.mark.parametrize("execution", ("row", "batch"))
+    def test_scan_operator_matches_semantics(self, paper_engine, paper_q, execution):
+        result = paper_engine.evaluate(paper_q, execution=execution)
+        assert result.scans_used == 1
+        assert_confidences_close(
+            result.confidences(), semantics_evaluate(paper_engine, paper_q).confidences()
+        )
 
     def test_boolean_confidence(self, paper_engine, paper_q):
         result = paper_engine.evaluate(paper_q.boolean_version())
@@ -55,10 +66,6 @@ class TestPaperExample:
     def test_matches_possible_worlds(self, paper_db, paper_q, paper_engine):
         truth = enumerate_truth(paper_db, paper_q)
         assert_confidences_close(paper_engine.evaluate(paper_q).confidences(), truth)
-
-    def test_disk_materialisation_flag(self, paper_engine, paper_q):
-        result = paper_engine.evaluate(paper_q, materialize_to_disk=True)
-        assert result.confidences()[("1995-01-10",)] == pytest.approx(0.0028)
 
     def test_explicit_join_order(self, paper_engine, paper_q):
         result = paper_engine.evaluate(paper_q, join_order=["Item", "Ord", "Cust"])
@@ -96,15 +103,26 @@ class TestMoreQueriesAgainstEnumeration:
     # and enumerating it dominates each parametrization's run time.
     TRUTH = {}
 
+    def truth(self, paper_db, query):
+        truth = self.TRUTH.get(query.name)
+        if truth is None:
+            truth = self.TRUTH[query.name] = enumerate_truth(paper_db, query)
+        return truth
+
     @pytest.mark.parametrize("plan", ALL_PLANS)
     def test_against_enumeration(self, paper_db, plan):
         engine = SproutEngine(paper_db)
         for query in self.queries():
-            truth = self.TRUTH.get(query.name)
-            if truth is None:
-                truth = self.TRUTH[query.name] = enumerate_truth(paper_db, query)
             result = engine.evaluate(query, plan=plan)
-            assert_confidences_close(result.confidences(), truth)
+            assert_confidences_close(result.confidences(), self.truth(paper_db, query))
+
+    def test_oracles_against_enumeration(self, paper_db):
+        engine = SproutEngine(paper_db)
+        for query in self.queries():
+            truth = self.truth(paper_db, query)
+            assert_confidences_close(lineage_evaluate(paper_db, query), truth)
+            by_semantics = semantics_evaluate(engine, query).confidences()
+            assert_confidences_close(by_semantics, truth)
 
     def test_product_query(self):
         db = ProbabilisticDatabase("prod")
@@ -115,6 +133,8 @@ class TestMoreQueriesAgainstEnumeration:
         engine = SproutEngine(db)
         for plan in ALL_PLANS:
             assert_confidences_close(engine.evaluate(query, plan=plan).confidences(), truth)
+        assert_confidences_close(lineage_evaluate(db, query), truth)
+        assert_confidences_close(semantics_evaluate(engine, query).confidences(), truth)
 
     def test_empty_answer(self, paper_db):
         engine = SproutEngine(paper_db)
@@ -127,6 +147,8 @@ class TestMoreQueriesAgainstEnumeration:
         for plan in ALL_PLANS:
             result = engine.evaluate(query, plan=plan)
             assert result.confidences() == {}
+        assert lineage_evaluate(paper_db, query) == {}
+        assert semantics_evaluate(engine, query).confidences() == {}
         assert engine.evaluate(query.boolean_version()).boolean_confidence() == 0.0
 
 
@@ -166,11 +188,9 @@ class TestHardQueries:
         with pytest.raises(NonHierarchicalQueryError):
             engine.signature_for(self.hard_query())
 
-    def test_lineage_fallback_still_works(self, paper_db):
-        engine = SproutEngine(paper_db)
+    def test_lineage_oracle_matches_enumeration(self, paper_db):
         truth = enumerate_truth(paper_db, self.hard_query())
-        result = engine.evaluate(self.hard_query(), plan="lineage")
-        assert_confidences_close(result.confidences(), truth)
+        assert_confidences_close(lineage_evaluate(paper_db, self.hard_query()), truth)
 
     def test_tractable_with_fd(self, paper_db):
         # okey -> ckey holds (okey is the key of Ord), so Q' is tractable here.
@@ -188,9 +208,31 @@ class TestEngineValidation:
         with pytest.raises(PlanningError):
             paper_engine.evaluate(paper_q, plan="magic")
 
-    def test_unknown_conf_method(self, paper_engine, paper_q):
-        with pytest.raises(PlanningError):
-            paper_engine.evaluate(paper_q, conf_method="guess")
+    def test_the_reference_plan_styles_are_not_plans(self, paper_engine, paper_q):
+        # Exact lineage counting and the Fig. 5 translation check the engine
+        # from tests/oracles; neither is a route a request can take.
+        assert PLAN_STYLES == ("lazy", "eager", "hybrid", "dtree")
+        for call in (
+            lambda: paper_engine.evaluate(paper_q, plan="lineage"),
+            lambda: paper_engine.evaluate_topk(paper_q, k=1, plan="lineage"),
+            lambda: paper_engine.evaluate_threshold(paper_q, tau=0.5, plan="lineage"),
+            lambda: paper_engine.explain(paper_q, plan="lineage"),
+        ):
+            with pytest.raises(PlanningError, match="lineage"):
+                call()
+
+    @pytest.mark.parametrize("retired", ({"conf_method": "scans"}, {"conf_method": "semantics"}))
+    def test_conf_method_is_not_a_knob(self, paper_engine, paper_q, retired):
+        with pytest.raises(TypeError):
+            paper_engine.evaluate(paper_q, **retired)
+        with pytest.raises(TypeError):
+            paper_engine.evaluate_topk(paper_q, k=1, **retired)
+        with pytest.raises(TypeError):
+            paper_engine.evaluate_threshold(paper_q, tau=0.5, **retired)
+
+    def test_materialize_to_disk_is_not_a_knob(self, paper_engine, paper_q):
+        with pytest.raises(TypeError):
+            paper_engine.evaluate(paper_q, materialize_to_disk=True)
 
     def test_cross_table_selection_rejected(self, paper_engine):
         query = ConjunctiveQuery(
@@ -209,8 +251,7 @@ class TestEngineValidation:
         assert "signature" in text and "join order" in text
         eager_text = paper_engine.explain(paper_q, plan="eager")
         assert "hierarchy join order" in eager_text
-        lineage_text = paper_engine.explain(paper_q, plan="lineage")
-        assert "lineage" in lineage_text
+        assert "d-tree" in paper_engine.explain(paper_q, plan="dtree")
 
     def test_summary_and_metrics(self, paper_engine, paper_q):
         result = paper_engine.evaluate(paper_q)
@@ -547,7 +588,7 @@ class TestAnswerMemo:
 
     def test_operator_plans_are_never_memoised(self, paper_db, paper_q):
         with SproutEngine(paper_db) as engine:
-            for plan in ("lazy", "eager", "hybrid", "lineage"):
+            for plan in ("lazy", "eager", "hybrid"):
                 engine.evaluate(paper_q, plan=plan)
                 engine.evaluate(paper_q, plan=plan)
             assert _answer_counters(engine) == [0, 0, 0]

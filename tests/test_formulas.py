@@ -1,4 +1,4 @@
-"""Tests for propositional formulas, DNF lineage, and exact probability."""
+"""Tests for propositional formulas, DNF lineage, and the exact-probability oracles."""
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +15,12 @@ from repro.prob.formulas import (
     Top,
     Var,
     _component_groups,
+    is_read_once,
+)
+from oracles.lineage import (
     _connected_components,
     dnf_probability,
     dnf_probability_enumeration,
-    is_read_once,
 )
 
 

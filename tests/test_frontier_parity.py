@@ -174,7 +174,7 @@ class TestOpenLeafInfluencesParity:
                 assert view_pop_order(store, view.root, shipped) == view_pop_order(
                     store, view.root, naive
                 )
-            if store.refine_most_valuable(views) == 0:
+            if store.refine_round(views, 1) == 0:
                 break
 
     def test_zero_weight_det_or_edge_above_an_open_leaf_is_walked(self):

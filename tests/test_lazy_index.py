@@ -137,7 +137,7 @@ class TestSegments:
     def warm(self, family, deltas):
         store, views = build(family, eager=False)
         for _ in range(3):
-            store.refine_most_valuable(views)
+            store.refine_round(views, 1)
         for variable, probability in deltas:
             store.update_probability(variable, probability)
         return store

@@ -2,7 +2,7 @@
 
 Unit tests pin the storage primitives (append, contiguous edges, in-edge
 threading, level lifting, pickling) and the per-node arithmetic against
-:func:`repro.prob.dtree.combine_bounds`.  Hypothesis properties assert, on
+the per-tuple oracle's ``combine_bounds`` (``oracles/dtree.py``).  Hypothesis properties assert, on
 random lineage families refined along arbitrary interleavings, that
 
 * the topological level invariant ``level(parent) > level(child)`` survives
@@ -19,8 +19,8 @@ import pickle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.prob.dtree import combine_bounds, refine_to_budget
-from repro.prob.formulas import DNF, dnf_probability_enumeration
+from repro.prob.dtree import refine_to_budget
+from repro.prob.formulas import DNF
 from repro.prob.nodetable import (
     KIND_CLOSED,
     KIND_DET_OR,
@@ -31,7 +31,8 @@ from repro.prob.nodetable import (
 )
 from repro.prob.sharedag import SharedDTree, SharedLineageStore
 
-from oracles.dtree import DTree
+from oracles.dtree import DTree, combine_bounds
+from oracles.lineage import dnf_probability_enumeration
 
 TOLERANCE = 1e-9
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.algebra.columnar import ColumnBatch
 from repro.errors import ProbabilityError, QueryError
-from repro.prob.formulas import DNF, dnf_probability
+from repro.prob.formulas import DNF
 from repro.query.signature import ConcatSig, StarSig, TableSig, parse_signature
 from repro.sprout.onescan import (
     ColumnMap,
@@ -23,6 +23,8 @@ from repro.sprout.onescan import (
 from repro.sprout.scans import apply_scan_schedule, apply_scan_schedule_columns
 from repro.storage.relation import Relation
 from repro.storage.schema import Attribute, ColumnRole, Schema
+
+from oracles.lineage import dnf_probability
 
 
 def bag_schema(tables, data_columns=("d",)):

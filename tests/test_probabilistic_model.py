@@ -5,17 +5,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CatalogError, ProbabilityError, SchemaError
-from repro.prob.lineage import (
-    confidences_from_lineage,
-    lineage_by_tuple,
-    probabilities_from_answer,
-)
+from repro.prob.lineage import lineage_by_tuple, probabilities_from_answer
 from repro.prob.pdb import ProbabilisticDatabase
 from repro.prob.ptable import make_tuple_independent
 from repro.prob.variables import VariableRegistry, validate_probability
 from repro.prob.worlds import confidences_by_enumeration
 from repro.storage.relation import Relation
 from repro.storage.schema import ColumnRole, Schema
+
+from oracles.lineage import confidences_from_lineage
 
 
 class TestVariableRegistry:

@@ -350,6 +350,22 @@ class TestServiceHTTP:
         cache = client.stats()["cache"]
         assert (cache["analysis_misses"], cache["analysis_hits"]) == (1, 2)
 
+    def test_a_lineage_plan_is_a_400_that_touches_no_state(self, server):
+        """Exact lineage counting is a test oracle, not a plan: it had no step
+        cap and no deadline, so a ``"plan": "lineage"`` body held the one
+        serving thread for minutes at SF 0.01.  It is refused up front, with
+        the engine's cache, answer memo and store as they were."""
+        client = ServiceClient(server.host, server.port)
+        client.topk(SQL, k=2)  # a warm store, so "untouched" means something
+        before = client.stats()
+        status, payload = client.request("POST", "/evaluate", {"sql": SQL, "plan": "lineage"})
+        assert status == 400
+        assert payload["type"] == "PlanningError" and "lineage" in payload["error"]
+        assert "rows" not in payload
+        after = client.stats()
+        assert (after["cache"], after["store"]) == (before["cache"], before["store"])
+        assert (after["completed"], after["failed"]) == (before["completed"], before["failed"] + 1)
+
     def test_http_error_mapping(self, server):
         client = ServiceClient(server.host, server.port)
         assert client.request("GET", "/nope")[0] == 404

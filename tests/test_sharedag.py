@@ -13,6 +13,8 @@ fully functional (eviction only forgets sharing, never correctness), and
 view once, however often it is named.
 """
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,8 @@ from hypothesis import strategies as st
 from repro import SproutEngine
 from repro.errors import ProbabilityError
 from repro.prob.dtree import refine_to_budget
-from repro.prob.formulas import DNF, dnf_probability_enumeration
+from repro.prob import sharedag
+from repro.prob.formulas import DNF
 from repro.prob.sharedag import (
     ClauseInterner,
     SharedDTree,
@@ -30,6 +33,7 @@ from repro.prob.sharedag import (
 from repro.sprout import RefinementScheduler, TupleCandidate
 
 from oracles.dtree import DTree
+from oracles.lineage import dnf_probability_enumeration
 from test_differential_matrix import CORPUS, _truth
 
 TOLERANCE = 1e-9
@@ -243,7 +247,7 @@ class TestSharedRefinement:
         refine_to_budget(cold, epsilon=0.0, max_steps=None)
         assert spent < cold.steps
 
-    def test_refine_most_valuable_drives_views_to_closure(self):
+    def test_width1_rounds_drive_views_to_closure(self):
         probabilities = {v: 0.35 + 0.05 * (v % 5) for v in range(12)}
         members = [
             DNF([[i, i + 1] for i in range(0, 6)]),
@@ -256,13 +260,13 @@ class TestSharedRefinement:
         performed = 0
         while any(not view.is_exact for view in views) and performed < 10_000:
             gating = [view for view in views if not view.is_exact]
-            advanced = store.refine_most_valuable(gating)
+            advanced = store.refine_round(gating, 1)
             assert advanced == 1, "open views must always yield an expansion"
             performed += advanced
         assert performed == store.steps
         for dnf, view in zip(members, views):
             assert view.result().probability == exact_value(dnf, probabilities)
-        assert store.refine_most_valuable(views) == 0  # everything closed
+        assert store.refine_round(views, 1) == 0  # everything closed
 
 
 # ---------------------------------------------------------------------------
@@ -280,16 +284,34 @@ class TestSharedDTreeCache:
         assert first is second
         assert cache.hits == 1 and cache.misses == 1
 
-    def test_max_entries_is_lru(self):
-        cache = SharedDTreeCache(max_entries=2)
+    def test_max_entries_is_lru(self, monkeypatch):
+        monkeypatch.setattr(sharedag, "MAX_ENTRIES", 2)
+        cache = SharedDTreeCache()
         probabilities = {v: 0.5 for v in range(9)}
         for start in (0, 3, 6):
             cache.get(DNF([[start, start + 1], [start + 1, start + 2]]), probabilities)
         assert len(cache) == 2
 
+    def test_a_state_with_the_retired_max_entries_key_restores(self):
+        """States written while the view-table bound was a constructor
+        argument carry ``max_entries``; restore ignores it and stays warm."""
+        cache = SharedDTreeCache()
+        probabilities = {v: 0.5 for v in range(4)}
+        dnf = DNF([[0, 1], [1, 2], [2, 3]])
+        cache.get(dnf, probabilities).expand_once()
+        state = cache.export_state()
+        assert "max_entries" not in state
+        state["max_entries"] = 2
+        reborn = SharedDTreeCache.from_state(pickle.loads(pickle.dumps(state)))
+        assert not hasattr(reborn, "max_entries")
+        assert reborn.store.table.bounds_fingerprint() == cache.store.table.bounds_fingerprint()
+        view = reborn.get(dnf, probabilities)
+        assert (reborn.hits, reborn.misses) == (1, 1)
+        assert view.bounds() == cache.get(dnf, probabilities).bounds()
+
     def test_validation(self):
-        with pytest.raises(ProbabilityError):
-            SharedDTreeCache(max_entries=0)
+        with pytest.raises(TypeError):
+            SharedDTreeCache(max_entries=2)
         with pytest.raises(ProbabilityError):
             SharedDTreeCache(max_nodes=0)
 
@@ -488,22 +510,6 @@ class TestRefinementRounds:
         for named_view, once_view in zip(named_views, once_views):
             assert named_view.bounds() == once_view.bounds()
             assert named_view.steps == once_view.steps
-
-    @given(lineage_family())
-    @settings(max_examples=15, deadline=None)
-    def test_width1_round_is_the_legacy_primitive(self, family):
-        """refine_most_valuable ≡ refine_round(width=1)."""
-        members, probabilities = family
-
-        def drain(step):
-            store, views = build_views(members, probabilities)
-            while step(store, views):
-                pass
-            return store.steps, store.table.bounds_fingerprint()
-
-        legacy = drain(lambda store, views: store.refine_most_valuable(views))
-        rounds = drain(lambda store, views: store.refine_round(views, 1))
-        assert rounds == legacy
 
     def test_identical_lineage_candidates_do_not_alias_in_plan_round(self):
         """Two views over one lineage each absorb every expansion once.

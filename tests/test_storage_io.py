@@ -225,7 +225,7 @@ class TestSegmentRoundTrip:
         # open leaves, add ⊙ branch entries, and leave stale leaf-era index
         # entries behind — exactly the state a shipped mid-run segment has.
         for _ in range(6):
-            if store.refine_most_valuable(views) == 0:
+            if store.refine_round(views, 1) == 0:
                 break
         assert store.steps > 0 and store._branch_var
         return store

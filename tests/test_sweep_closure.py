@@ -25,10 +25,11 @@ from hypothesis import strategies as st
 
 from repro.errors import ApproximationBudgetError
 from repro.prob.dtree import refine_to_budget
-from repro.prob.formulas import DNF, dnf_probability_enumeration
+from repro.prob.formulas import DNF
 from repro.prob.sharedag import SharedDTree, SharedLineageStore
 
 from oracles.dtree import DTree
+from oracles.lineage import dnf_probability_enumeration
 
 TOLERANCE = 1e-9
 

@@ -1,8 +1,10 @@
 """Integration tests: TPC-H queries end-to-end, all evaluation paths agree.
 
-The exact lineage evaluator (weighted model counting over the answer DNF) is
-used as ground truth here; it is itself validated against possible-worlds
-enumeration on the small databases of ``test_engine.py``.
+The exact lineage oracle (weighted model counting over the answer DNF,
+``oracles.lineage``) is the ground truth here; it is itself validated against
+possible-worlds enumeration on the small databases of ``test_engine.py`` and
+the differential matrix.  The scan-based operator is also checked against the
+literal Fig. 5 semantics (``oracles.semantics``).
 """
 
 import pytest
@@ -13,6 +15,8 @@ from repro.safeplans import MystiqEngine
 from repro.tpch.queries import FIGURE9_KEYS, query_A, query_B, query_C, query_D, tpch_query
 
 from helpers import assert_confidences_close
+from oracles.lineage import lineage_evaluate
+from oracles.semantics import semantics_evaluate
 
 # Building the TPC-H instance and enumerating lineage ground truth dominates
 # the default suite's runtime; deselect with `-m "not slow"` for quick loops.
@@ -27,12 +31,8 @@ INTEGRATION_KEYS = [
 
 
 @pytest.fixture(scope="module")
-def lineage_truth(tpch_engine):
-    truth = {}
-    for key in INTEGRATION_KEYS:
-        query = tpch_query(key).query
-        truth[key] = tpch_engine.evaluate(query, plan="lineage").confidences()
-    return truth
+def lineage_truth(tpch_db):
+    return {key: lineage_evaluate(tpch_db, tpch_query(key).query) for key in INTEGRATION_KEYS}
 
 
 class TestPlanStylesAgree:
@@ -50,10 +50,10 @@ class TestPlanStylesAgree:
         assert_confidences_close(result.confidences(), lineage_truth[key], 1e-7)
 
     @pytest.mark.parametrize("key", ["1", "3", "18"])
-    def test_scan_method_matches_semantics_method(self, tpch_engine, key):
+    def test_scan_operator_matches_semantics(self, tpch_engine, key):
         query = tpch_query(key).query
-        by_scans = tpch_engine.evaluate(query, conf_method="scans").confidences()
-        by_semantics = tpch_engine.evaluate(query, conf_method="semantics").confidences()
+        by_scans = tpch_engine.evaluate(query).confidences()
+        by_semantics = semantics_evaluate(tpch_engine, query).confidences()
         assert_confidences_close(by_scans, by_semantics, 1e-9)
 
     def test_fds_do_not_change_results(self, tpch_engine):
