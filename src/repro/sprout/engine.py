@@ -414,7 +414,10 @@ class SproutEngine:
             self._closed = True
 
     def _reopen(self) -> None:
-        """Drop the closed-engine snapshot on the next evaluation."""
+        """Drop the closed-engine snapshot on the next evaluation.
+
+        Called after the request is validated, so a refused call leaves a
+        closed engine's snapshot as it was."""
         if self._closed:
             self._closed = False
             self._closed_stats = None
@@ -573,9 +576,9 @@ class SproutEngine:
         hierarchical FD-reduct) are routed to the d-tree engine regardless
         of the requested plan style.
         """
-        self._reopen()
         execution, confidence, epsilon = self._resolve_modes(plan, execution, confidence, epsilon)
         self._check_supported(query)
+        self._reopen()
         if plan == "dtree" or confidence == "approx":
             return self._evaluate_dtree(query, join_order, execution, confidence, epsilon)
         if not self.is_tractable(query, use_fds):
@@ -783,9 +786,9 @@ class SproutEngine:
     ):
         from repro.sprout.streaming import StandingQuery
 
-        self._reopen()
         execution, confidence, _ = self._resolve_modes("dtree", execution, confidence, None)
         self._check_supported(query)
+        self._reopen()
         answer = self._answer_lineage(query, join_order, execution)
         return StandingQuery(
             answer.lineage,
@@ -815,9 +818,9 @@ class SproutEngine:
         max_steps: Optional[int],
         deadline: Optional[Deadline] = None,
     ) -> EvaluationResult:
-        self._reopen()
         execution, confidence, _ = self._resolve_modes(plan, execution, confidence, None)
         self._check_supported(query)
+        self._reopen()
         if (
             confidence == "exact"
             and plan in ("lazy", "eager", "hybrid")

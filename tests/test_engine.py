@@ -355,6 +355,38 @@ class TestEngineInstrumentation:
         assert engine.cache_stats()["closed"] is False
         engine.close()
 
+    @pytest.mark.parametrize(
+        "refused",
+        (
+            lambda engine, query: engine.evaluate(query, plan="bogus"),
+            lambda engine, query: engine.evaluate(query, epsilon=-1.0),
+            lambda engine, query: engine.evaluate_topk(query, k=1, plan="lineage"),
+            lambda engine, query: engine.evaluate_threshold(query, tau=0.5, execution="bogus"),
+            lambda engine, query: engine.watch_topk(query, k=1, confidence="bogus"),
+            lambda engine, query: engine.evaluate(
+                ConjunctiveQuery(
+                    "spanning",
+                    query.atoms,
+                    projection=["a"],
+                    selections=Disjunction([Comparison("a", "=", 0), Comparison("y", "=", 1)]),
+                )
+            ),
+        ),
+        ids=("plan", "epsilon", "topk-plan", "threshold-execution", "watch-confidence",
+             "unsupported"),
+    )
+    def test_a_refused_call_keeps_the_closed_snapshot(self, refused):
+        """Nothing runs for a request that fails validation, so a closed
+        engine stays closed and keeps answering from its snapshot."""
+        db, query = self.unsafe_workload()
+        engine = SproutEngine(db)
+        engine.evaluate_topk(query, k=1)
+        engine.close()
+        snapshot = engine.cache_stats()
+        with pytest.raises((PlanningError, UnsupportedQueryError)):
+            refused(engine, query)
+        assert engine.cache_stats() == snapshot
+
     def test_results_carry_no_backend(self, paper_db, paper_q):
         """Propagation has one scalar path, so nothing records a backend;
         ``backend_info`` stays constant for the bench harness that reads it."""
