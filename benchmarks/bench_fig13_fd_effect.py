@@ -11,19 +11,25 @@ the TPC-H FDs (which decide how many scans it needs).  Paper numbers
     7          0.02    0.07              0.66            0.02    5924         796
     11         0.09    0.12              4.23            0.40   31680       29818
     B3         0.01    0.03              0.05            0.03    4488           1
+
+The engine's answer is one column batch, so the sort and the operator timed
+here are the engine's columnar ones; the distinct tuples and confidences they
+produce are checked against the row oracle (``tests/oracles/rows.py``).
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.algebra.columnar import sort_batch
 from repro.query.signature import fully_starred, num_scans
 from repro.sprout.onescan import sort_column_order
-from repro.sprout.planner import build_answer_plan, project_answer_columns
-from repro.sprout.scans import apply_scan_schedule
+from repro.sprout.planner import build_answer_plan_batch, project_answer_columns
+from repro.sprout.scans import apply_scan_schedule_columns
 from repro.tpch import FIGURE13_KEYS, tpch_query
 
 from conftest import run_benchmark
+from oracles.rows import apply_scan_schedule
 
 PAPER = {
     "2": {"seqscan": 0.02, "sort": 0.03, "no_fds": 0.20, "fds": 0.09, "rows": 642, "distinct": 642},
@@ -46,8 +52,8 @@ def materialised_answers(tpch_db, engine):
     for key in FIGURE13_KEYS:
         query = tpch_query(key).query
         order = engine.planner.lazy_join_order(query)
-        plan = project_answer_columns(build_answer_plan(tpch_db, query, order), query)
-        answers[key] = (query, plan.to_relation(query.name))
+        plan = project_answer_columns(build_answer_plan_batch(tpch_db, query, order), query)
+        answers[key] = (query, plan.to_batch(query.name))
     return answers
 
 
@@ -57,7 +63,7 @@ def test_fig13_seqscan(benchmark, materialised_answers, key):
 
     def scan():
         count = 0
-        for _ in answer.rows:
+        for _ in answer.rows():
             count += 1
         return count
 
@@ -72,7 +78,7 @@ def test_fig13_sorting(benchmark, engine, materialised_answers, key):
     query, answer = materialised_answers[key]
     signature = engine.signature_for(query, use_fds=True)
     order = sort_column_order(answer.schema, signature)
-    run_benchmark(benchmark, answer.sorted_by, order)
+    run_benchmark(benchmark, sort_batch, answer, order)
     benchmark.extra_info["query"] = key
     benchmark.extra_info["paper_seconds_sf1"] = PAPER[key]["sort"]
 
@@ -88,9 +94,11 @@ def test_fig13_operator(benchmark, engine, materialised_answers, key, use_fds):
     signature = refined if use_fds else fully_starred(refined)
 
     def compute():
-        return apply_scan_schedule(answer, signature)
+        return apply_scan_schedule_columns(answer, signature)
 
     result, schedule = run_benchmark(benchmark, compute)
+    reference, _ = apply_scan_schedule(answer.to_relation(query.name), signature)
+    assert sorted(result.rows) == sorted(reference.rows)
     benchmark.extra_info["query"] = key
     benchmark.extra_info["use_fds"] = use_fds
     benchmark.extra_info["scans"] = schedule.total_scans

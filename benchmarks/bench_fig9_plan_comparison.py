@@ -16,11 +16,6 @@ The reproduction runs at a much smaller scale factor on a pure-Python engine,
 so absolute numbers differ; the *shape* to check is that lazy plans win on the
 selective queries (10, 16, B17, 18, 20, 21) and that MystiQ never beats the
 SPROUT plans.  Answer sizes are attached as ``extra_info``.
-
-On top of the paper's figure, every SPROUT plan is benchmarked in both
-execution modes (``row`` vs ``batch``) so the speedup of the columnar backend
-is recorded alongside the plan-style comparison; the batch lazy plan should
-run at least ~2x faster than the row lazy plan (typically 3-7x at SF >= 0.01).
 """
 
 from __future__ import annotations
@@ -45,14 +40,12 @@ PAPER_SECONDS = {
 
 
 @pytest.mark.parametrize("key", FIGURE9_KEYS)
-@pytest.mark.parametrize("execution", ["row", "batch"])
 @pytest.mark.parametrize("plan", ["lazy", "eager"])
-def test_fig9_sprout_plans(benchmark, engine, key, plan, execution):
+def test_fig9_sprout_plans(benchmark, engine, key, plan):
     query = tpch_query(key).query
-    result = run_benchmark(benchmark, engine.evaluate, query, plan=plan, execution=execution)
+    result = run_benchmark(benchmark, engine.evaluate, query, plan=plan)
     benchmark.extra_info["query"] = key
     benchmark.extra_info["plan"] = plan
-    benchmark.extra_info["execution"] = execution
     benchmark.extra_info["distinct_tuples"] = result.distinct_tuples
     benchmark.extra_info["answer_rows"] = result.answer_rows
     benchmark.extra_info["paper_seconds_sf1"] = PAPER_SECONDS[key][plan]

@@ -61,7 +61,7 @@ def refined_store(db):
     the table a propagation sweep has to traverse.
     """
     with SproutEngine(db) as engine:
-        answer = engine._answer_lineage(brand_query(), None, "row")
+        answer = engine._answer_lineage(brand_query(), None)
     cache = SharedDTreeCache()
     trees = dtrees_from_dnfs(answer.lineage, answer.probabilities, cache=cache)
     for tree in trees.values():

@@ -21,10 +21,10 @@ Quickstart
 [(('Dan',), 0.2), (('Joe',), 0.1)]
 
 Package layout (bottom up): :mod:`repro.storage` (schemas with V/P column
-roles, relations, heap files), :mod:`repro.algebra` (row and columnar
-physical operators), :mod:`repro.query` (conjunctive queries, hierarchies,
-FDs, signatures), :mod:`repro.prob` (probabilistic model, lineage, d-trees,
-possible worlds), :mod:`repro.sprout` (the engine: planners, confidence
+roles, relations, heap files), :mod:`repro.algebra` (the columnar physical
+operators, and the row operators of the MystiQ baseline), :mod:`repro.query`
+(conjunctive queries, hierarchies, FDs, signatures), :mod:`repro.prob`
+(probabilistic model, lineage, d-trees, possible worlds), :mod:`repro.sprout` (the engine: planners, confidence
 operator, top-k/threshold, streaming), :mod:`repro.safeplans`
 (the MystiQ-style baseline), and :mod:`repro.tpch` (the experimental
 workload).  The ``docs/`` tree documents the architecture

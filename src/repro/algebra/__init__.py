@@ -1,38 +1,34 @@
-"""Relational algebra: row (iterator) and columnar (batch) physical operators.
+"""Relational algebra: the columnar physical operators the engine runs.
 
-Two complete physical backends with bit-identical semantics:
-
-* :mod:`repro.algebra.operators`, :mod:`repro.algebra.joins`,
-  :mod:`repro.algebra.aggregate`, :mod:`repro.algebra.sort` — the
-  iterator-model operators (scan, select, project, hash join, group-by with
-  the ``prob`` disjunction aggregate, sort): one Python tuple at a time.
-* :mod:`repro.algebra.columnar` — the batch backend: operators exchange
-  one whole :class:`repro.algebra.columnar.ColumnBatch` (one Python list per
-  column) and evaluate selections/joins/aggregations column-wise.
-* :mod:`repro.algebra.expressions` — selection predicates shared by both.
+* :mod:`repro.algebra.columnar` — operators exchange one whole
+  :class:`repro.algebra.columnar.ColumnBatch` (one Python list per column)
+  and evaluate selections/joins/aggregations column-wise.
+* :mod:`repro.algebra.aggregate` — the aggregate functions, among them the
+  ``prob`` disjunction aggregate of the conf() operator.
+* :mod:`repro.algebra.expressions` — selection predicates.
 * :mod:`repro.algebra.stats` — table statistics and selectivity estimation
   for the lazy planner's greedy join ordering.
+* :mod:`repro.algebra.operators` / :mod:`repro.algebra.joins` — iterator-model
+  (one Python tuple at a time) scan, select, project and joins; the emulated
+  MystiQ baseline runs on them, and the tests' row reference pipeline
+  (``tests/oracles/rows.py``) is built from them.
 
-The engine picks the backend per call via ``execution="row"|"batch"``; see
-``docs/architecture.md`` for how plans are assembled from these operators.
+See ``docs/architecture.md`` for how plans are assembled from these operators.
 """
 
 from repro.algebra.aggregate import (
     AGGREGATE_FUNCTIONS,
     AggregateSpec,
-    GroupByOp,
     mystiq_log_prob_or,
     prob_or,
 )
 from repro.algebra.columnar import (
-    BatchGroupByOp,
     BatchHashJoinOp,
     BatchMaterializedOp,
     BatchOperator,
     BatchProjectOp,
     BatchScanOp,
     BatchSelectOp,
-    BatchSortOp,
     ColumnBatch,
     compile_selection,
     group_by_columns,
@@ -59,12 +55,9 @@ from repro.algebra.operators import (
     MaterializedOp,
     Operator,
     ProjectOp,
-    RenameOp,
     ScanOp,
     SelectOp,
 )
-from repro.algebra.plan import ExecutionResult, count_operators, execute, explain, walk
-from repro.algebra.sort import DistinctOp, SortOp
 from repro.algebra.stats import (
     StatisticsCatalog,
     TableStatistics,
@@ -76,24 +69,19 @@ __all__ = [
     "AGGREGATE_FUNCTIONS",
     "AggregateSpec",
     "AttributeComparison",
-    "BatchGroupByOp",
     "BatchHashJoinOp",
     "BatchMaterializedOp",
     "BatchOperator",
     "BatchProjectOp",
     "BatchScanOp",
     "BatchSelectOp",
-    "BatchSortOp",
     "ColumnBatch",
     "Comparison",
     "Conjunction",
     "Disjunction",
-    "DistinctOp",
     "compile_selection",
     "group_by_columns",
     "sort_batch",
-    "ExecutionResult",
-    "GroupByOp",
     "HashJoinOp",
     "JoinOp",
     "MaterializedOp",
@@ -103,21 +91,15 @@ __all__ = [
     "Operator",
     "Predicate",
     "ProjectOp",
-    "RenameOp",
     "ScanOp",
     "SelectOp",
-    "SortOp",
     "StatisticsCatalog",
     "TableStatistics",
     "TruePredicate",
     "conjunction_of",
-    "count_operators",
     "estimate_join_size",
     "estimate_selectivity",
-    "execute",
-    "explain",
     "mystiq_log_prob_or",
     "natural_join_attributes",
     "prob_or",
-    "walk",
 ]

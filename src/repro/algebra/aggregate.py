@@ -8,26 +8,25 @@ aggregate functions are
 * ``prob`` over a probability column (probability of a disjunction of
   independent events: ``1 - prod(1 - p)``).
 
-This module provides a generic hash-based group-by operator plus the aggregate
-functions needed by the paper (including MystiQ's numerically fragile
-``log``-based variant of ``prob``, used to reproduce the runtime failures
-reported in Section VII).
+This module provides the aggregate functions needed by the paper (including
+MystiQ's numerically fragile ``log``-based variant of ``prob``, used to
+reproduce the runtime failures reported in Section VII) and the output schema
+of a group-by; the columnar group-by itself is
+:func:`repro.algebra.columnar.group_by_columns`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence
 
 from repro.errors import NumericalError, QueryError
-from repro.algebra.operators import Operator, Row
-from repro.storage.external_sort import sort_key_for
+from repro.storage.relation import sort_key_for
 from repro.storage.schema import Attribute, Schema
 
 __all__ = [
     "AggregateSpec",
-    "GroupByOp",
     "AGGREGATE_FUNCTIONS",
     "aggregate_output_schema",
     "prob_or",
@@ -108,9 +107,9 @@ def aggregate_output_schema(
 
     Aggregate columns inherit the role/source of their input column (``min``
     over a variable column stays a variable column, etc.); counting yields
-    ``int`` and the numeric folds yield ``float``.  Shared by the row
-    :class:`GroupByOp` and the columnar backend so the two backends can never
-    disagree on schemas.
+    ``int`` and the numeric folds yield ``float`` — this is what keeps the
+    relational encoding of partially aggregated lineage well-formed between
+    the steps of Fig. 6.
     """
     attributes: List[Attribute] = [child_schema[name] for name in group_by]
     for spec in aggregates:
@@ -148,63 +147,3 @@ class AggregateSpec:
 
     def __str__(self) -> str:
         return f"{self.function}({self.input_attribute}) AS {self.output_name}"
-
-
-class GroupByOp(Operator):
-    """Hash-based group-by with a list of aggregates.
-
-    The output schema consists of the grouping attributes (with their original
-    types and roles) followed by one column per aggregate.  Aggregate output
-    columns inherit the role/source of their input column so that ``min`` over
-    a variable column stays a variable column and ``prob`` over a probability
-    column stays a probability column — this is what keeps the relational
-    encoding of partially aggregated lineage well-formed between the steps of
-    Fig. 6.
-    """
-
-    def __init__(
-        self,
-        child: Operator,
-        group_by: Sequence[str],
-        aggregates: Sequence[AggregateSpec],
-    ):
-        super().__init__()
-        self.child = child
-        self.group_by = list(group_by)
-        self.aggregates = list(aggregates)
-        self._schema = aggregate_output_schema(child.schema, self.group_by, self.aggregates)
-
-    @property
-    def schema(self) -> Schema:
-        return self._schema
-
-    @property
-    def children(self) -> List[Operator]:
-        return [self.child]
-
-    def _execute(self) -> Iterator[Row]:
-        child_schema = self.child.schema
-        group_indices = child_schema.indices_of(self.group_by)
-        aggregate_indices = [child_schema.index_of(s.input_attribute) for s in self.aggregates]
-        groups: Dict[Tuple[object, ...], List[List[object]]] = {}
-        order: List[Tuple[object, ...]] = []
-        for row in self.child:
-            key = tuple(row[i] for i in group_indices)
-            bucket = groups.get(key)
-            if bucket is None:
-                bucket = [[] for _ in self.aggregates]
-                groups[key] = bucket
-                order.append(key)
-            for position, index in enumerate(aggregate_indices):
-                bucket[position].append(row[index])
-        for key in order:
-            bucket = groups[key]
-            aggregated = tuple(
-                AGGREGATE_FUNCTIONS[spec.function](values)
-                for spec, values in zip(self.aggregates, bucket)
-            )
-            yield key + aggregated
-
-    def label(self) -> str:
-        aggregates = ", ".join(str(spec) for spec in self.aggregates)
-        return f"GroupBy([{', '.join(self.group_by)}]; {aggregates})"

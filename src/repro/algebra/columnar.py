@@ -1,18 +1,18 @@
-"""Columnar batch execution: vectorized counterparts of the row operators.
+"""Columnar batch execution: the physical operators the engine runs.
 
-The iterator-model operators in :mod:`repro.algebra.operators` process one
-Python tuple at a time; every row travels through a chain of generator frames
-and is rebuilt by each projection.  At TPC-H scale the interpreter overhead of
+Iterator-model operators (:mod:`repro.algebra.operators`) process one Python
+tuple at a time; every row travels through a chain of generator frames and is
+rebuilt by each projection, and at TPC-H scale the interpreter overhead of
 that per-row choreography dominates the runtime.  The operators here process
 one whole :class:`ColumnBatch` at a time instead: a batch is a list of column
 lists, scans share the stored table's cached columns, selections hand the ids
 of the surviving rows from conjunct to conjunct and gather each column once,
 and joins/projections gather values per column instead of per-row tuple surgery.
 
-Semantics are kept deliberately identical to the row operators — same output
-order, same ``None`` handling in predicates and join keys, same
-insertion-ordered grouping — so that ``execution="batch"`` produces
-bit-identical answer relations (see ``tests/test_batch_execution.py``).
+Semantics are those of the row operators — same output order, same ``None``
+handling in predicates and join keys, same insertion-ordered grouping — and
+the tests hold the two bit-identical (``tests/oracles/rows.py`` is the row
+reference pipeline; ``tests/test_batch_execution.py`` compares them).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from repro.algebra.expressions import (
     TruePredicate,
 )
 from repro.algebra.joins import natural_join_attributes
-from repro.storage.external_sort import sort_key_for
+from repro.storage.relation import sort_key_for
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 
@@ -45,8 +45,6 @@ __all__ = [
     "BatchSelectOp",
     "BatchProjectOp",
     "BatchHashJoinOp",
-    "BatchGroupByOp",
-    "BatchSortOp",
     "build_group_buckets",
     "compile_selection",
     "group_by_columns",
@@ -541,9 +539,8 @@ def _bucket_rows(keys: Sequence[object]) -> Tuple[List[int], List[List[int]]]:
     """Insertion-ordered groups of equal ``keys``: ``(first_rows, buckets)``.
 
     The single definition of the grouping order every columnar aggregation
-    shares — it must stay in lockstep with
-    :class:`repro.algebra.aggregate.GroupByOp` for the bit-identical
-    row/batch guarantee.
+    shares — first occurrence first, the order of the row oracle's
+    ``GroupByOp`` (``tests/oracles/rows.py``).
     """
     positions: Dict[object, int] = {}
     buckets: List[List[int]] = []
@@ -581,7 +578,7 @@ def group_by_columns(
 ) -> ColumnBatch:
     """Hash-grouped aggregation of one batch (insertion-ordered groups).
 
-    Behaves exactly like :class:`repro.algebra.aggregate.GroupByOp`: the output
+    Behaves exactly like the row oracle's ``GroupByOp``: the output
     schema is the grouping attributes followed by one column per aggregate
     (same dtype/role inheritance), groups appear in first-occurrence order, and
     each aggregate sees its group's values in row order.
@@ -649,43 +646,12 @@ def group_by_columns(
     return ColumnBatch(schema, out_columns, len(buckets))
 
 
-class BatchGroupByOp(BatchOperator):
-    """Columnar hash group-by (:func:`group_by_columns` as a plan operator)."""
-
-    def __init__(
-        self,
-        child: BatchOperator,
-        group_by: Sequence[str],
-        aggregates: Sequence[AggregateSpec],
-    ):
-        super().__init__()
-        self.child = child
-        self.group_by = list(group_by)
-        self.aggregates = list(aggregates)
-        self._schema = aggregate_output_schema(child.schema, self.group_by, self.aggregates)
-
-    @property
-    def schema(self) -> Schema:
-        return self._schema
-
-    @property
-    def children(self) -> List[BatchOperator]:
-        return [self.child]
-
-    def _execute(self) -> ColumnBatch:
-        return group_by_columns(self.child._run(), self.group_by, self.aggregates, self._schema)
-
-    def label(self) -> str:
-        aggregates = ", ".join(str(spec) for spec in self.aggregates)
-        return f"BatchGroupBy([{', '.join(self.group_by)}]; {aggregates})"
-
-
 def sort_batch(batch: ColumnBatch, names: Sequence[str]) -> ColumnBatch:
     """Stable sort of a batch by the named columns.
 
     Uses the same per-value total order as :meth:`Relation.sorted_by`
-    (``sort_key_for``), so the resulting permutation is identical to the row
-    engine's sort.  A key column that is :func:`_naturally_ordered`
+    (``sort_key_for``), so the resulting permutation is identical to a row
+    sort.  A key column that is :func:`_naturally_ordered`
     (homogeneously numeric or ``str``) is its own sort key; only ``None``,
     ``bool`` and mixed columns are mapped through ``sort_key_for``.
     """
@@ -701,27 +667,3 @@ def sort_batch(batch: ColumnBatch, names: Sequence[str]) -> ColumnBatch:
     if order == list(range(batch.length)):
         return batch
     return batch.take(order)
-
-
-class BatchSortOp(BatchOperator):
-    """Sort the child's output (:func:`sort_batch` as a plan operator)."""
-
-    def __init__(self, child: BatchOperator, by: Sequence[str]):
-        super().__init__()
-        self.child = child
-        self.by = list(by)
-        child.schema.indices_of(self.by)  # validate
-
-    @property
-    def schema(self) -> Schema:
-        return self.child.schema
-
-    @property
-    def children(self) -> List[BatchOperator]:
-        return [self.child]
-
-    def _execute(self) -> ColumnBatch:
-        return sort_batch(self.child._run(), self.by)
-
-    def label(self) -> str:
-        return f"BatchSort({', '.join(self.by)})"

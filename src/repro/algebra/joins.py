@@ -15,7 +15,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import QueryError
 from repro.algebra.operators import Operator, Row
-from repro.storage.external_sort import sort_key_for
+from repro.storage.relation import sort_key_for
 from repro.storage.schema import ColumnRole, Schema
 
 __all__ = ["JoinOp", "HashJoinOp", "MergeJoinOp", "NestedLoopJoinOp", "natural_join_attributes"]

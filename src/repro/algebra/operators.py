@@ -1,5 +1,10 @@
 """Iterator-model plan operators: base class, scan, selection, projection.
 
+The engine runs the columnar operators (:mod:`repro.algebra.columnar`).
+These row operators, with the hash join of :mod:`repro.algebra.joins`, serve
+the emulated MystiQ baseline (:mod:`repro.safeplans.mystiq`), and the tests
+build their row-at-a-time reference pipeline from them.
+
 Every operator exposes
 
 * ``schema`` — the output schema,
@@ -23,7 +28,7 @@ from repro.algebra.expressions import Predicate
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 
-__all__ = ["Operator", "ScanOp", "SelectOp", "ProjectOp", "RenameOp", "MaterializedOp"]
+__all__ = ["Operator", "ScanOp", "SelectOp", "ProjectOp", "MaterializedOp"]
 
 Row = Tuple[object, ...]
 
@@ -182,28 +187,3 @@ class ProjectOp(Operator):
 
     def label(self) -> str:
         return f"Project({', '.join(self.names)})"
-
-
-class RenameOp(Operator):
-    """Rename output attributes (old name -> new name)."""
-
-    def __init__(self, child: Operator, mapping: dict):
-        super().__init__()
-        self.child = child
-        self.mapping = dict(mapping)
-        self._schema = child.schema.rename(self.mapping)
-
-    @property
-    def schema(self) -> Schema:
-        return self._schema
-
-    @property
-    def children(self) -> List[Operator]:
-        return [self.child]
-
-    def _execute(self) -> Iterator[Row]:
-        yield from self.child
-
-    def label(self) -> str:
-        pairs = ", ".join(f"{old}->{new}" for old, new in self.mapping.items())
-        return f"Rename({pairs})"

@@ -21,7 +21,7 @@ class SchemaError(ReproError):
 
 
 class StorageError(ReproError):
-    """Raised by the storage layer (heap files, external sort, catalog)."""
+    """Raised by the storage layer (heap files, catalog)."""
 
 
 class CatalogError(StorageError):
@@ -29,10 +29,9 @@ class CatalogError(StorageError):
 
 
 class StorageCorruptionError(StorageError):
-    """Raised when an on-disk page or sort-run file fails its integrity check.
+    """Raised when an on-disk heap-file page fails its integrity check.
 
-    Heap-file pages and external-sort run files carry a length prefix and a
-    CRC32 checksum; a truncated write, a flipped byte, or a short read is
+    Heap-file pages carry a length prefix and a CRC32 checksum; a truncated write, a flipped byte, or a short read is
     detected at scan time and raised as this class instead of leaking a bare
     ``json.JSONDecodeError`` or silently returning fewer rows.
     """

@@ -7,8 +7,8 @@ Everything about *probability*, independent of query processing:
   tables, and the tuple-independent :class:`ProbabilisticDatabase`.
 * :mod:`repro.prob.formulas` — DNF lineage, one-occurrence-form formulas,
   and the component grouping the lineage compiler decomposes by.
-* :mod:`repro.prob.lineage` — extraction of per-tuple DNF lineage from
-  answer relations that carry ``V``/``P`` columns.
+* :mod:`repro.prob.lineage` — per-tuple DNF lineage as views of the shared
+  store, and the column split of answers that carry ``V``/``P`` columns.
 * :mod:`repro.prob.dtree` — the decomposition-tree rules every compile
   shares: node bound arithmetic, open-leaf bounds, the Shannon branch
   rule, the refinement driver (exact when compilation closes, guaranteed
@@ -28,8 +28,6 @@ Everything about *probability*, independent of query processing:
 * :mod:`repro.prob.nodetable` — the columnar refinement core: node kinds,
   child ranges, and bound columns in parallel flat ``array``-module
   columns, propagated in scalar per-level passes.
-* :mod:`repro.prob.worlds` — brute-force possible-worlds enumeration, the
-  ground truth every other evaluator is differentially tested against.
 * :mod:`repro.prob.synthetic` — synthetic lineage generators for stress
   tests and benchmarks.
 
@@ -54,12 +52,7 @@ from repro.prob.formulas import (
     Var,
     is_read_once,
 )
-from repro.prob.lineage import (
-    interned_dnf,
-    lineage_by_tuple,
-    probabilities_from_answer,
-    split_answer_columns,
-)
+from repro.prob.lineage import interned_dnf, split_answer_columns
 from repro.prob.pdb import PossibleWorld, ProbabilisticDatabase
 from repro.prob.sharedag import (
     ClauseInterner,
@@ -70,7 +63,6 @@ from repro.prob.sharedag import (
 from repro.prob.ptable import ProbabilisticTable, make_tuple_independent
 from repro.prob.synthetic import bipartite_lineage, hub_lineage
 from repro.prob.variables import VariableInfo, VariableRegistry
-from repro.prob.worlds import confidences_by_enumeration
 
 
 def backend_info() -> dict:
@@ -106,14 +98,11 @@ __all__ = [
     "apply_probability_update",
     "backend_info",
     "bipartite_lineage",
-    "confidences_by_enumeration",
     "hub_lineage",
     "interned_dnf",
     "is_read_once",
     "karp_luby_probability",
-    "lineage_by_tuple",
     "make_tuple_independent",
-    "probabilities_from_answer",
     "refine_to_budget",
     "retire_view",
     "split_answer_columns",

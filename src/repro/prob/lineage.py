@@ -1,20 +1,20 @@
-"""Lineage extraction from answer relations.
+"""Lineage: from answer columns to DNF formulas to shared-store views.
 
 After evaluating a conjunctive query plan that copies the ``V``/``P`` columns
-along (the standard semantics of Section II-C), the answer relation encodes,
-for each distinct data tuple, a DNF formula: one clause per answer row, one
-positive literal per contributing base-table variable.  This module turns that
-relational encoding back into :class:`repro.prob.formulas.DNF` objects and
-hands them to the shared lineage store as resumable views.
+along (the standard semantics of Section II-C), the answer encodes, for each
+distinct data tuple, a DNF formula: one clause per answer row, one positive
+literal per contributing base-table variable.
+:func:`repro.sprout.onescan.columnar_lineage` turns that encoding back into
+clause sets (with :func:`split_answer_columns`); this module builds
+:class:`repro.prob.formulas.DNF` objects from clauses and hands them to the
+shared lineage store as resumable views.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Mapping, Tuple
 
-from repro.errors import ProbabilityError
 from repro.prob.formulas import DNF
-from repro.storage.relation import Relation
 from repro.storage.schema import ColumnRole, Schema
 
 if TYPE_CHECKING:
@@ -22,9 +22,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "split_answer_columns",
-    "lineage_by_tuple",
     "interned_dnf",
-    "probabilities_from_answer",
     "dtrees_from_dnfs",
 ]
 
@@ -62,50 +60,6 @@ def split_answer_columns(schema: Schema) -> Tuple[List[int], List[int], List[int
         else:
             prob_indices.append(index)
     return data_indices, var_indices, prob_indices
-
-
-def lineage_by_tuple(answer: Relation) -> Dict[DataTuple, DNF]:
-    """Group answer rows by data tuple and collect their DNF lineage.
-
-    Each answer row contributes one clause consisting of the variables in its
-    VAR columns.  Rows whose variable columns contain ``None`` (possible after
-    outer operations, not produced by the supported query class) are rejected.
-    """
-    data_indices, var_indices, _ = split_answer_columns(answer.schema)
-    clauses: Dict[DataTuple, set] = {}
-    for row in answer:
-        data = tuple(row[i] for i in data_indices)
-        clause = []
-        for index in var_indices:
-            variable = row[index]
-            if variable is None:
-                raise ProbabilityError("answer row has a NULL variable column")
-            clause.append(int(variable))
-        clauses.setdefault(data, set()).add(frozenset(clause))
-    return {data: DNF(clause_set) for data, clause_set in clauses.items()}
-
-
-def probabilities_from_answer(answer: Relation) -> Dict[int, float]:
-    """Collect the variable -> probability mapping encoded in the answer rows."""
-    _, var_indices, prob_indices = split_answer_columns(answer.schema)
-    if len(var_indices) != len(prob_indices):
-        raise ProbabilityError("answer relation has unpaired variable/probability columns")
-    probabilities: Dict[int, float] = {}
-    for row in answer:
-        for var_index, prob_index in zip(var_indices, prob_indices):
-            variable = row[var_index]
-            probability = row[prob_index]
-            if variable is None:
-                continue
-            variable = int(variable)
-            existing = probabilities.get(variable)
-            if existing is not None and abs(existing - probability) > 1e-12:
-                raise ProbabilityError(
-                    f"variable {variable} carries two different probabilities "
-                    f"({existing} vs {probability})"
-                )
-            probabilities[variable] = float(probability)
-    return probabilities
 
 
 def dtrees_from_dnfs(

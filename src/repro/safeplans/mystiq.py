@@ -34,7 +34,7 @@ from repro.query.fd import chased_query, closure
 from repro.query.hierarchy import HierarchyNode, build_hierarchy, is_hierarchical
 from repro.sprout.engine import EvaluationResult
 from repro.sprout.planner import needed_data_attributes
-from repro.storage.external_sort import sort_key_for
+from repro.storage.relation import sort_key_for
 from repro.storage.heapfile import HeapFile
 from repro.storage.relation import Relation
 from repro.storage.schema import Attribute, ColumnRole, Schema

@@ -123,7 +123,6 @@ def result_payload(result: EvaluationResult) -> Dict[str, Any]:
     payload: Dict[str, Any] = {
         "query": result.query_name,
         "plan": result.plan_style,
-        "execution": result.execution,
         "confidence": result.confidence,
         "rows": [list(row) for row in result.relation],
         "decided": result.decided,
@@ -156,9 +155,8 @@ class QueryService:
         The :class:`ServiceConfig` (budgets, deadlines, snapshots).
     engine
         Optionally a pre-built :class:`~repro.sprout.engine.SproutEngine`.
-        By default the service builds one with the engine's default
-        ``execution="batch"`` (a request may still name ``"row"``); its
-        shared store is what every request reuses.
+        By default the service builds one; its shared store is what every
+        request reuses.
 
     Lifecycle: :meth:`start` returns the service (it starts nothing — the
     caller's thread does the work), :meth:`close` waits for the request
@@ -355,6 +353,20 @@ class QueryService:
             raise ServiceError(f"'name' must be a string, got {name!r}")
         return parse_query(sql, self.database.catalog, name=name).query
 
+    @staticmethod
+    def _check_execution(params: Dict[str, Any]) -> None:
+        """Refuse a backend other than the engine's one, ``"batch"``.
+
+        Clients written for the two-backend engine may still name
+        ``"batch"`` (or ``null``); ``"row"`` is gone and is a 400.
+        """
+        execution = params.get("execution")
+        if execution not in (None, "batch"):
+            raise PlanningError(
+                f"unknown execution mode {execution!r}; the engine runs one "
+                "columnar backend, 'batch'"
+            )
+
     def _checked_max_steps(self, params: Dict[str, Any]) -> Optional[int]:
         """The request's step budget, clamped by the server-wide ceiling."""
         max_steps = params.get("max_steps", self.config.default_max_steps)
@@ -417,6 +429,7 @@ class QueryService:
     # -- request handlers (under the request lock) --------------------------
 
     def _do_evaluate(self, params: Dict[str, Any]) -> Dict[str, Any]:
+        self._check_execution(params)
         query = self._parse_sql(params)
         if params.get("timeout_ms") is not None:
             # evaluate is epsilon-budgeted, not decision-scheduled: it has no
@@ -428,7 +441,6 @@ class QueryService:
         result = self.engine.evaluate(
             query,
             plan=params.get("plan", "lazy"),
-            execution=params.get("execution"),
             confidence=self._checked_confidence(params),
             epsilon=self._checked_epsilon(params),
         )
@@ -437,6 +449,7 @@ class QueryService:
         return payload
 
     def _do_topk(self, params: Dict[str, Any]) -> Dict[str, Any]:
+        self._check_execution(params)
         query = self._parse_sql(params)
         k = params.get("k")
         if not isinstance(k, int) or isinstance(k, bool) or k < 1:
@@ -444,7 +457,6 @@ class QueryService:
         result = self.engine.evaluate_topk(
             query,
             k=k,
-            execution=params.get("execution"),
             confidence=self._checked_confidence(params),
             max_steps=self._checked_max_steps(params),
             deadline=self._checked_deadline(params),
@@ -454,6 +466,7 @@ class QueryService:
         return payload
 
     def _do_threshold(self, params: Dict[str, Any]) -> Dict[str, Any]:
+        self._check_execution(params)
         query = self._parse_sql(params)
         tau = params.get("tau")
         if not isinstance(tau, (int, float)) or isinstance(tau, bool) or not 0.0 <= tau <= 1.0:
@@ -461,7 +474,6 @@ class QueryService:
         result = self.engine.evaluate_threshold(
             query,
             tau=float(tau),
-            execution=params.get("execution"),
             confidence=self._checked_confidence(params),
             max_steps=self._checked_max_steps(params),
             deadline=self._checked_deadline(params),
@@ -471,6 +483,7 @@ class QueryService:
         return payload
 
     def _do_subscribe(self, params: Dict[str, Any]) -> Dict[str, Any]:
+        self._check_execution(params)
         query = self._parse_sql(params)
         k = params.get("k")
         tau = params.get("tau")

@@ -4,9 +4,9 @@ The system layer that turns a conjunctive query into an answer relation
 with confidences:
 
 * :mod:`repro.sprout.engine` — :class:`SproutEngine`, the public entry
-  point: plan styles (lazy/eager/hybrid/dtree), row vs. batch
-  execution, exact vs. anytime-approximate confidence, and the
-  top-k/threshold APIs.
+  point: plan styles (lazy/eager/hybrid/dtree), exact vs.
+  anytime-approximate confidence, and the top-k/threshold APIs, all on one
+  columnar physical backend.
 * :mod:`repro.sprout.planner` — join ordering, answer-plan construction,
   and the eager/hybrid evaluation that interleaves joins with aggregation.
 * :mod:`repro.sprout.conf_operator` — the probability-computation
@@ -14,8 +14,8 @@ with confidences:
   eager/hybrid plan nodes and the scan-based operator on top of lazy plans.
 * :mod:`repro.sprout.scans` / :mod:`repro.sprout.onescan` — the scan-based
   secondary-storage implementation (Section V.C): pre-aggregation
-  scheduling and the single-pass operator for 1scan signatures, in row and
-  columnar variants.
+  scheduling and the single-pass operator for 1scan signatures over one
+  column batch.
 * :mod:`repro.sprout.topk` — bound-driven top-k/threshold refinement
   scheduling over the brackets of views of one shared lineage store.
 * :mod:`repro.sprout.streaming` — standing top-k/threshold queries over
@@ -32,34 +32,22 @@ with confidences:
 from repro.sprout.conf_operator import compute_answer_confidences
 from repro.sprout.engine import (
     CONFIDENCE_MODES,
-    EXECUTION_MODES,
     PLAN_STYLES,
     EvaluationResult,
     SproutEngine,
 )
 from repro.sprout.onescan import (
     ColumnMap,
-    OneScanState,
-    column_map_for,
-    columnar_bag_probability,
     columnar_lineage,
     columnar_scan_confidences,
-    group_probability,
-    one_scan_operator,
     one_scan_operator_columns,
-    scan_confidences,
     sort_column_order,
-    streaming_scan_confidences,
 )
 from repro.sprout.planner import (
     JoinOrderPlanner,
-    base_table_plan,
     base_table_plan_batch,
-    build_answer_plan,
     build_answer_plan_batch,
     eager_evaluation,
-    evaluate_deterministic,
-    materialize_answer,
     needed_data_attributes,
 )
 from repro.sprout.parallel import compute_confidences, derive_task_seed
@@ -74,18 +62,15 @@ from repro.sprout.topk import (
 from repro.sprout.scans import (
     ScanSchedule,
     ScanStep,
-    apply_scan_schedule,
     apply_scan_schedule_columns,
     schedule_scans,
 )
 
 __all__ = [
     "CONFIDENCE_MODES",
-    "EXECUTION_MODES",
     "ColumnMap",
     "EvaluationResult",
     "JoinOrderPlanner",
-    "OneScanState",
     "PLAN_STYLES",
     "RefinementScheduler",
     "ScanSchedule",
@@ -96,28 +81,17 @@ __all__ = [
     "TupleCandidate",
     "compute_confidences",
     "derive_task_seed",
-    "apply_scan_schedule",
     "apply_scan_schedule_columns",
     "compute_answer_confidences",
-    "base_table_plan",
     "base_table_plan_batch",
-    "build_answer_plan",
     "build_answer_plan_batch",
-    "column_map_for",
-    "columnar_bag_probability",
     "columnar_lineage",
     "columnar_scan_confidences",
     "one_scan_operator_columns",
     "eager_evaluation",
-    "evaluate_deterministic",
     "finish_selected",
-    "group_probability",
-    "materialize_answer",
     "needed_data_attributes",
-    "one_scan_operator",
     "run_decision",
-    "scan_confidences",
     "schedule_scans",
     "sort_column_order",
-    "streaming_scan_confidences",
 ]

@@ -18,13 +18,13 @@ the tests (``tests/oracles/semantics.py``).
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from repro.errors import QueryError
-from repro.algebra.aggregate import AggregateSpec, GroupByOp
+from repro.algebra.aggregate import AggregateSpec
 from repro.algebra.columnar import ColumnBatch, group_by_columns
-from repro.algebra.operators import MaterializedOp
 from repro.query.signature import ConcatSig, Signature, StarSig, TableSig
+from repro.sprout.scans import ScanSchedule, apply_scan_schedule_columns
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 
@@ -45,24 +45,16 @@ def _prob_column(schema: Schema, table: str) -> str:
     raise QueryError(f"answer relation has no probability column for table {table!r}")
 
 
-def reduce_relation(
-    answer: Union[Relation, ColumnBatch],
-    signature: Signature,
-    execution: str = "row",
-) -> Tuple[Union[Relation, ColumnBatch], str]:
+def reduce_relation(answer: ColumnBatch, signature: Signature) -> Tuple[ColumnBatch, str]:
     """Run the aggregation/propagation sequence of ``signature`` on ``answer``.
 
-    Returns the reduced relation (data columns plus a single surviving V/P
+    Returns the reduced batch (data columns plus a single surviving V/P
     pair — the pair of the signature's leftmost table) and that leader table's
     name.  The eager/hybrid planners apply it at intermediate plan nodes
-    with the node's restricted signature (Section V.B).  Under
-    ``execution="row"`` ``answer`` and the result are relations; under
-    ``execution="batch"`` both are
-    :class:`repro.algebra.columnar.ColumnBatch` and every pass runs columnar
-    (batch in, batch out: identical values, no row form in between).
+    with the node's restricted signature (Section V.B).  Every pass runs
+    columnar: batch in, batch out, no row form in between.
     """
     current = answer
-    batch_mode = execution == "batch"
 
     def aggregate(relation, table: str):
         """GRP by every column except ``table``'s V/P pair (operator ``[α*]``)."""
@@ -74,10 +66,7 @@ def reduce_relation(
             AggregateSpec("min", var_column, var_column),
             AggregateSpec("prob", prob_column, prob_column),
         ]
-        if batch_mode:
-            return group_by_columns(relation, group_by, aggregates)
-        operator = GroupByOp(MaterializedOp(relation), group_by, aggregates)
-        return operator.to_relation(relation.name)
+        return group_by_columns(relation, group_by, aggregates)
 
     def propagate(relation, keep_table: str, drop_table: str):
         """Multiply ``drop_table``'s probability into ``keep_table``'s and drop its pair."""
@@ -90,21 +79,12 @@ def reduce_relation(
         kept_attributes = [a for a in schema if a.name not in (drop_var, drop_prob)]
         new_schema = Schema(kept_attributes)
         kept_indices = [schema.index_of(a.name) for a in kept_attributes]
-        if batch_mode:
-            columns = relation.columns
-            kept_columns = [columns[i] for i in kept_indices]
-            kept_columns[new_schema.index_of(keep_prob)] = [
-                keep * drop
-                for keep, drop in zip(columns[keep_prob_index], columns[drop_prob_index])
-            ]
-            return ColumnBatch(new_schema, kept_columns, relation.length)
-        result = Relation(relation.name, new_schema)
-        for row in relation:
-            values = list(row[i] for i in kept_indices)
-            # position of keep_prob in the kept columns
-            values[new_schema.index_of(keep_prob)] = row[keep_prob_index] * row[drop_prob_index]
-            result.append(tuple(values))
-        return result
+        columns = relation.columns
+        kept_columns = [columns[i] for i in kept_indices]
+        kept_columns[new_schema.index_of(keep_prob)] = [
+            keep * drop for keep, drop in zip(columns[keep_prob_index], columns[drop_prob_index])
+        ]
+        return ColumnBatch(new_schema, kept_columns, relation.length)
 
     def translate(node: Signature) -> str:
         """Recursive Fig. 5 translation; returns the leader table of the node."""
@@ -131,32 +111,24 @@ def reduce_relation(
 
 
 def compute_answer_confidences(
-    answer,
+    answer: ColumnBatch,
     signature: Signature,
-    execution: str = "row",
     name: Optional[str] = None,
-):
+) -> Tuple[Relation, ScanSchedule, int]:
     """The scan-based conf() operator (Section V.C) on a materialised answer.
 
-    ``answer`` must already be sorted in the operator's required order
+    ``answer`` (a :class:`repro.algebra.columnar.ColumnBatch`) must already
+    be sorted in the operator's required order
     (:func:`repro.sprout.onescan.sort_column_order`); the lazy plans produce
-    that order while materialising it.  It is a
-    :class:`repro.storage.relation.Relation` under ``execution="row"`` and a
-    :class:`repro.algebra.columnar.ColumnBatch` under ``execution="batch"``.
-    Returns ``(relation, scan schedule, scans used)``.
+    that order while materialising it.  ``name`` names the result relation
+    (default ``"answer"``).  Returns ``(relation, scan schedule, scans used)``.
 
     This operator path serves *tractable* queries only and is a small number
     of sequential scans; the d-tree routes (unsafe queries,
     ``confidence="approx"``, top-k/threshold scheduling) are where per-tuple
     confidence work dominates.
     """
-    from repro.sprout.scans import apply_scan_schedule, apply_scan_schedule_columns
-
-    if execution == "batch":
-        # ColumnBatch carries no name of its own; fall back to "answer".
-        relation, schedule = apply_scan_schedule_columns(
-            answer, signature, presorted=True, name=name if name is not None else "answer"
-        )
-    else:
-        relation, schedule = apply_scan_schedule(answer, signature, presorted=True)
+    relation, schedule = apply_scan_schedule_columns(
+        answer, signature, presorted=True, name=name if name is not None else "answer"
+    )
     return relation, schedule, schedule.total_scans

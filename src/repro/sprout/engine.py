@@ -31,16 +31,12 @@ Section V.C.  The two definitions it is checked against — the literal
 GRP-sequence translation of Fig. 5 and exact weighted model counting on each
 tuple's DNF lineage — live with the tests (``tests/oracles/``), not here.
 
-Orthogonally to the plan style, the *execution mode* selects the physical backend:
-
-``batch``
-    The default.  The columnar backend (:mod:`repro.algebra.columnar`):
-    operators exchange whole ColumnBatches, selections/joins/aggregations
-    run column-wise, and the confidence operator scans a single ColumnBatch.
-``row``
-    The original iterator-model operators — one Python tuple at a time.
-    Bit-identical answers, severalfold slower on TPC-H-sized inputs; kept
-    selectable per engine and per call as the differential oracle.
+Every plan style runs on one physical backend, columnar from scan to
+``conf`` (:mod:`repro.algebra.columnar`): operators exchange whole
+ColumnBatches, selections/joins/aggregations run column-wise, and the
+confidence operator scans a single ColumnBatch.  The row-at-a-time pipeline
+it is checked against, bit for bit, lives with the tests
+(``tests/oracles/rows.py``).
 
 D-tree ``evaluate`` as well as top-k/threshold scheduling compile lineages
 into the engine's one hash-consed store (:mod:`repro.prob.sharedag`), in
@@ -72,11 +68,7 @@ from repro.algebra.columnar import sort_batch
 from repro.prob.dtree import DEFAULT_MAX_STEPS
 from repro.prob.sharedag import DEFAULT_MAX_NODES, SharedDTreeCache, SpaceProof
 from repro.prob.formulas import DNF
-from repro.prob.lineage import (
-    dtrees_from_dnfs,
-    lineage_by_tuple,
-    probabilities_from_answer,
-)
+from repro.prob.lineage import dtrees_from_dnfs
 from repro.prob.pdb import ProbabilisticDatabase
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.fd import chased_query, closure
@@ -95,7 +87,6 @@ from repro.sprout.planner import (
     _aggregate_pair,
     build_answer_plan_batch,
     eager_evaluation,
-    materialize_answer,
     project_answer_columns,
 )
 from repro.sprout.scans import ScanSchedule
@@ -107,12 +98,10 @@ __all__ = [
     "EvaluationResult",
     "SproutEngine",
     "PLAN_STYLES",
-    "EXECUTION_MODES",
     "CONFIDENCE_MODES",
 ]
 
 PLAN_STYLES = ("lazy", "eager", "hybrid", "dtree")
-EXECUTION_MODES = ("row", "batch")
 CONFIDENCE_MODES = ("exact", "approx")
 
 
@@ -128,9 +117,9 @@ class EvaluationResult:
       column holding each distinct tuple's confidence (for approximate modes,
       the bracket midpoint or the Monte Carlo estimate clamped into the sound
       bracket; for top-k, sorted most probable first).
-    * ``plan_style`` / ``execution`` / ``confidence`` — which plan, physical
-      backend, and confidence mode actually ran (an unsafe query requested
-      with an operator plan reports ``"dtree"`` here).
+    * ``plan_style`` / ``confidence`` — which plan and confidence mode
+      actually ran (an unsafe query requested with an operator plan reports
+      ``"dtree"`` here).
     * ``signature`` — the query signature that drove the confidence operator
       (``None`` on the lineage/d-tree routes, which do not use one).
     * ``bounds`` — per data tuple, the guaranteed ``(lower, upper)`` bracket
@@ -154,7 +143,6 @@ class EvaluationResult:
     plan_style: str
     relation: Relation
     signature: Optional[Signature]
-    execution: str = "row"
     join_order: List[str] = field(default_factory=list)
     tuples_seconds: float = 0.0
     prob_seconds: float = 0.0
@@ -215,7 +203,7 @@ class EvaluationResult:
 
     def summary(self) -> str:
         return (
-            f"{self.query_name} [{self.plan_style}/{self.execution}] "
+            f"{self.query_name} [{self.plan_style}] "
             f"{self.distinct_tuples} distinct tuples from {self.answer_rows} answer rows, "
             f"tuples {self.tuples_seconds:.4f}s + prob {self.prob_seconds:.4f}s "
             f"({self.scans_used} scan(s))"
@@ -301,10 +289,10 @@ class SproutEngine:
     database
         The tuple-independent probabilistic database to evaluate against.
     execution
-        Default physical backend for every evaluation: ``"batch"`` (the
-        default: the columnar backend, whole columns from scan to ``conf``)
-        or ``"row"`` (the iterator-model operators, the oracle the
-        batch path is tested against).
+        The physical backend: ``"batch"``, the one columnar backend, is the
+        only value (kept so that ``SproutEngine(db, execution="batch")``
+        still constructs); anything else is a
+        :class:`repro.errors.PlanningError`.
     confidence
         Default confidence mode: ``"exact"`` (operator paths for tractable
         queries, fully compiled d-trees for unsafe ones) or ``"approx"``
@@ -322,8 +310,7 @@ class SproutEngine:
         count*, not entry count, so a handful of huge lineages cannot blow
         memory.
 
-    Each :meth:`evaluate` call may override ``execution``, ``confidence``
-    and ``epsilon``.
+    Each :meth:`evaluate` call may override ``confidence`` and ``epsilon``.
 
     The engine keeps one lineage cache for its lifetime
     (:class:`repro.prob.sharedag.SharedDTreeCache`): d-tree :meth:`evaluate`
@@ -347,9 +334,10 @@ class SproutEngine:
         seed: Optional[int] = 0,
         dtree_cache_size: Optional[int] = None,
     ):
-        if execution not in EXECUTION_MODES:
+        if execution != "batch":
             raise PlanningError(
-                f"unknown execution mode {execution!r}; choose from {EXECUTION_MODES}"
+                f"unknown execution mode {execution!r}; the engine runs one "
+                "columnar backend, 'batch'"
             )
         if confidence not in CONFIDENCE_MODES:
             raise PlanningError(
@@ -363,7 +351,6 @@ class SproutEngine:
                 f"dtree_cache_size must be positive, got {dtree_cache_size}"
             )
         self.database = database
-        self.execution = execution
         self.confidence = confidence
         self.epsilon = epsilon
         self.dtree_max_steps = dtree_max_steps
@@ -564,48 +551,36 @@ class SproutEngine:
         plan: str = "lazy",
         use_fds: bool = True,
         join_order: Optional[Sequence[str]] = None,
-        execution: Optional[str] = None,
         confidence: Optional[str] = None,
         epsilon: Optional[float] = None,
     ) -> EvaluationResult:
         """Compute the distinct answer tuples of ``query`` and their confidences.
 
-        ``execution`` overrides the engine's default backend for this call
-        (``"row"`` or ``"batch"``); ``confidence`` and ``epsilon`` override
-        the engine's confidence mode and error budget.  Unsafe queries (no
-        hierarchical FD-reduct) are routed to the d-tree engine regardless
-        of the requested plan style.
+        ``confidence`` and ``epsilon`` override the engine's confidence mode
+        and error budget.  Unsafe queries (no hierarchical FD-reduct) are
+        routed to the d-tree engine regardless of the requested plan style.
         """
-        execution, confidence, epsilon = self._resolve_modes(plan, execution, confidence, epsilon)
+        confidence, epsilon = self._resolve_modes(plan, confidence, epsilon)
         self._check_supported(query)
         self._reopen()
         if plan == "dtree" or confidence == "approx":
-            return self._evaluate_dtree(query, join_order, execution, confidence, epsilon)
+            return self._evaluate_dtree(query, join_order, confidence, epsilon)
         if not self.is_tractable(query, use_fds):
             # Unsafe query: no safe plan and no hierarchical FD-reduct exists.
             # Route to the anytime d-tree engine instead of raising.
-            return self._evaluate_dtree(query, join_order, execution, confidence, epsilon)
+            return self._evaluate_dtree(query, join_order, confidence, epsilon)
         if plan == "lazy":
-            if execution == "batch":
-                return self._evaluate_lazy_batch(query, use_fds, join_order)
             return self._evaluate_lazy(query, use_fds, join_order)
-        return self._evaluate_eager_or_hybrid(query, plan, use_fds, execution)
+        return self._evaluate_eager_or_hybrid(query, plan, use_fds)
 
     def _resolve_modes(
         self,
         plan: str,
-        execution: Optional[str],
         confidence: Optional[str],
         epsilon: Optional[float],
-    ) -> Tuple[str, str, float]:
+    ) -> Tuple[str, float]:
         """Validate the plan name and fill mode defaults from the engine."""
         _check_plan(plan)
-        if execution is None:
-            execution = self.execution
-        elif execution not in EXECUTION_MODES:
-            raise PlanningError(
-                f"unknown execution mode {execution!r}; choose from {EXECUTION_MODES}"
-            )
         if confidence is None:
             confidence = self.confidence
         elif confidence not in CONFIDENCE_MODES:
@@ -616,7 +591,7 @@ class SproutEngine:
             epsilon = self.epsilon
         else:
             _check_epsilon(epsilon)
-        return execution, confidence, epsilon
+        return confidence, epsilon
 
     def _check_supported(self, query: ConjunctiveQuery) -> None:
         uncovered = query.uncovered_selections()
@@ -635,7 +610,6 @@ class SproutEngine:
         plan: str = "lazy",
         use_fds: bool = True,
         join_order: Optional[Sequence[str]] = None,
-        execution: Optional[str] = None,
         confidence: Optional[str] = None,
         max_steps: Optional[int] = None,
         deadline: Optional[Deadline] = None,
@@ -681,7 +655,6 @@ class SproutEngine:
             plan=plan,
             use_fds=use_fds,
             join_order=join_order,
-            execution=execution,
             confidence=confidence,
             max_steps=max_steps,
             deadline=deadline,
@@ -694,7 +667,6 @@ class SproutEngine:
         plan: str = "lazy",
         use_fds: bool = True,
         join_order: Optional[Sequence[str]] = None,
-        execution: Optional[str] = None,
         confidence: Optional[str] = None,
         max_steps: Optional[int] = None,
         deadline: Optional[Deadline] = None,
@@ -716,7 +688,6 @@ class SproutEngine:
             plan=plan,
             use_fds=use_fds,
             join_order=join_order,
-            execution=execution,
             confidence=confidence,
             max_steps=max_steps,
             deadline=deadline,
@@ -729,7 +700,6 @@ class SproutEngine:
         query: ConjunctiveQuery,
         k: int,
         join_order: Optional[Sequence[str]] = None,
-        execution: Optional[str] = None,
         confidence: Optional[str] = None,
         max_steps: Optional[int] = None,
         deadline: Optional[Deadline] = None,
@@ -753,7 +723,7 @@ class SproutEngine:
         if k < 1:
             raise PlanningError(f"k must be positive, got {k}")
         return self._watch(
-            query, k, None, join_order, execution, confidence, max_steps, deadline
+            query, k, None, join_order, confidence, max_steps, deadline
         )
 
     def watch_threshold(
@@ -761,7 +731,6 @@ class SproutEngine:
         query: ConjunctiveQuery,
         tau: float,
         join_order: Optional[Sequence[str]] = None,
-        execution: Optional[str] = None,
         confidence: Optional[str] = None,
         max_steps: Optional[int] = None,
         deadline: Optional[Deadline] = None,
@@ -770,7 +739,7 @@ class SproutEngine:
         if not 0.0 <= tau <= 1.0:
             raise PlanningError(f"tau must be within [0, 1], got {tau}")
         return self._watch(
-            query, None, tau, join_order, execution, confidence, max_steps, deadline
+            query, None, tau, join_order, confidence, max_steps, deadline
         )
 
     def _watch(
@@ -779,17 +748,16 @@ class SproutEngine:
         k: Optional[int],
         tau: Optional[float],
         join_order: Optional[Sequence[str]],
-        execution: Optional[str],
         confidence: Optional[str],
         max_steps: Optional[int],
         deadline: Optional[Deadline] = None,
     ):
         from repro.sprout.streaming import StandingQuery
 
-        execution, confidence, _ = self._resolve_modes("dtree", execution, confidence, None)
+        confidence, _ = self._resolve_modes("dtree", confidence, None)
         self._check_supported(query)
         self._reopen()
-        answer = self._answer_lineage(query, join_order, execution)
+        answer = self._answer_lineage(query, join_order)
         return StandingQuery(
             answer.lineage,
             answer.probabilities,
@@ -801,7 +769,6 @@ class SproutEngine:
             cache_nodes=self.dtree_cache_size,
             schema=answer.schema,
             name=query.name,
-            execution=execution,
             deadline=deadline,
         )
 
@@ -813,12 +780,11 @@ class SproutEngine:
         plan: str,
         use_fds: bool,
         join_order: Optional[Sequence[str]],
-        execution: Optional[str],
         confidence: Optional[str],
         max_steps: Optional[int],
         deadline: Optional[Deadline] = None,
     ) -> EvaluationResult:
-        execution, confidence, _ = self._resolve_modes(plan, execution, confidence, None)
+        confidence, _ = self._resolve_modes(plan, confidence, None)
         self._check_supported(query)
         self._reopen()
         if (
@@ -831,12 +797,11 @@ class SproutEngine:
                 plan=plan,
                 use_fds=use_fds,
                 join_order=join_order,
-                execution=execution,
                 confidence="exact",
             )
             return self._select_from_exact(result, k, tau)
         return self._evaluate_scheduled(
-            query, k, tau, join_order, execution, confidence, max_steps, deadline
+            query, k, tau, join_order, confidence, max_steps, deadline
         )
 
     def _select_from_exact(
@@ -865,14 +830,13 @@ class SproutEngine:
         k: Optional[int],
         tau: Optional[float],
         join_order: Optional[Sequence[str]],
-        execution: str,
         confidence: str,
         max_steps: Optional[int],
         deadline: Optional[Deadline] = None,
     ) -> EvaluationResult:
         """Multi-tuple bound-driven refinement over the lineage d-trees."""
         started = perf_counter()
-        answer = self._answer_lineage(query, join_order, execution)
+        answer = self._answer_lineage(query, join_order)
         tuples_seconds = perf_counter() - started
 
         started = perf_counter()
@@ -892,7 +856,6 @@ class SproutEngine:
             plan_style="dtree",
             relation=relation,
             signature=None,
-            execution=execution,
             join_order=answer.order,
             tuples_seconds=tuples_seconds,
             prob_seconds=prob_seconds,
@@ -949,23 +912,15 @@ class SproutEngine:
 
     # -- lazy plans -------------------------------------------------------------------
 
-    def _answer_relation(
-        self,
-        query: ConjunctiveQuery,
-        join_order: Optional[Sequence[str]],
-    ) -> Tuple[Relation, List[str], int]:
-        return materialize_answer(self.database, self.planner, query, join_order)
-
     def _answer_lineage(
         self,
         query: ConjunctiveQuery,
         join_order: Optional[Sequence[str]],
-        execution: str,
     ) -> _AnswerLineage:
         """The answer's per-tuple lineage, computed once per engine lifetime.
 
         The paper's lazy thesis applied across requests: a (query, join
-        order, execution) this engine has answered since its last
+        order) this engine has answered since its last
         :meth:`close` is served from a small LRU memo as long as every
         referenced base table is the same relation with the same row count —
         the evidence :meth:`Relation.columns_cached` already trusts.  Only
@@ -977,7 +932,6 @@ class SproutEngine:
         key = (
             query,
             tuple(join_order) if join_order else None,
-            execution,
             # The database keeps its relations alive, so ids are stable.
             tuple(
                 (id(relation), len(relation))
@@ -990,7 +944,7 @@ class SproutEngine:
             self._answer_memo.move_to_end(key)
             return answer
         self.answer_misses += 1
-        answer = self._compute_answer_lineage(query, join_order, execution)
+        answer = self._compute_answer_lineage(query, join_order)
         self._answer_memo[key] = answer
         if len(self._answer_memo) > ANSWER_MEMO_ENTRIES:
             self._answer_memo.popitem(last=False)
@@ -1003,48 +957,38 @@ class SproutEngine:
         answer.proof = cache.prove(answer.probabilities, answer.proof)
         return cache
 
+    def _answer_plan(self, query: ConjunctiveQuery, join_order: Optional[Sequence[str]]):
+        """The join order (the lazy planner's unless given) and the columnar
+        plan of the answer: head attributes plus every V/P pair."""
+        order = list(join_order) if join_order else self.planner.lazy_join_order(query)
+        plan = build_answer_plan_batch(self.database, query, order)
+        return order, project_answer_columns(plan, query)
+
     def _compute_answer_lineage(
         self,
         query: ConjunctiveQuery,
         join_order: Optional[Sequence[str]],
-        execution: str,
     ) -> _AnswerLineage:
         """Materialise the answer and extract per-tuple lineage.
 
-        Under ``execution="batch"`` the answer stays columnar end to end:
-        the batch join pipeline's output is walked column-wise
-        (:func:`repro.sprout.onescan.columnar_lineage`) without ever
-        materialising row tuples, producing the same clause sets and
-        probability map as the row path.
+        The answer stays columnar end to end: the join pipeline's output is
+        walked column-wise (:func:`repro.sprout.onescan.columnar_lineage`)
+        without ever materialising row tuples.
         """
-        if execution == "batch":
-            order = list(join_order) if join_order else self.planner.lazy_join_order(query)
-            plan = build_answer_plan_batch(self.database, query, order)
-            plan = project_answer_columns(plan, query)
-            batch = plan.to_batch(query.name)
-            # The clause frozensets are interned in the engine's store as
-            # they are extracted, so every recurrence of a clause — across
-            # rows, tuples, and later evaluations — is one shared object with
-            # one cached hash.
-            clause_sets, probabilities = columnar_lineage(
-                batch, interner=self.dtree_cache.interner
-            )
-            return _AnswerLineage(
-                schema=batch.schema,
-                order=order,
-                rows_processed=plan.total_rows_processed(),
-                answer_rows=len(batch),
-                lineage={data: DNF(clauses) for data, clauses in clause_sets.items()},
-                probabilities=probabilities,
-            )
-        answer, order, rows_processed = self._answer_relation(query, join_order)
+        order, plan = self._answer_plan(query, join_order)
+        batch = plan.to_batch(query.name)
+        # The clause frozensets are interned in the engine's store as they
+        # are extracted, so every recurrence of a clause — across rows,
+        # tuples, and later evaluations — is one shared object with one
+        # cached hash.
+        clause_sets, probabilities = columnar_lineage(batch, interner=self.dtree_cache.interner)
         return _AnswerLineage(
-            schema=answer.schema,
+            schema=batch.schema,
             order=order,
-            rows_processed=rows_processed,
-            answer_rows=len(answer),
-            lineage=lineage_by_tuple(answer),
-            probabilities=probabilities_from_answer(answer),
+            rows_processed=plan.total_rows_processed(),
+            answer_rows=len(batch),
+            lineage={data: DNF(clauses) for data, clauses in clause_sets.items()},
+            probabilities=probabilities,
         )
 
     def _evaluate_lazy(
@@ -1053,54 +997,19 @@ class SproutEngine:
         use_fds: bool,
         join_order: Optional[Sequence[str]],
     ) -> EvaluationResult:
-        signature = self.signature_for(query, use_fds)
-
-        started = perf_counter()
-        answer, order, rows_processed = self._answer_relation(query, join_order)
-        # The operator's required sort order (data columns, then variable
-        # columns in 1scanTree preorder) is produced while materialising the
-        # answer, exactly as the lazy plans of Section VII do.
-        sort_order = sort_column_order(answer.schema, signature)
-        answer = answer.sorted_by(sort_order)
-        tuples_seconds = perf_counter() - started
-
-        started = perf_counter()
-        result_relation, schedule, scans_used = compute_answer_confidences(answer, signature)
-        prob_seconds = perf_counter() - started
-
-        return EvaluationResult(
-            query_name=query.name,
-            plan_style="lazy",
-            relation=result_relation,
-            signature=signature,
-            join_order=order,
-            tuples_seconds=tuples_seconds,
-            prob_seconds=prob_seconds,
-            answer_rows=len(answer),
-            rows_processed=rows_processed,
-            scans_used=scans_used,
-            scan_schedule=schedule,
-        )
-
-    def _evaluate_lazy_batch(
-        self,
-        query: ConjunctiveQuery,
-        use_fds: bool,
-        join_order: Optional[Sequence[str]],
-    ) -> EvaluationResult:
-        """Columnar twin of :meth:`_evaluate_lazy`.
+        """The lazy plan: answer first, then the confidence operator on top.
 
         The answer never takes row form between the scans and the confidence
         computation: batches flow through the columnar join pipeline, are
-        concatenated into one ColumnBatch, sorted column-wise, and handed to
-        the columnar scan-based operator.
+        concatenated into one ColumnBatch, sorted column-wise in the
+        operator's required order (data columns, then variable columns in
+        1scanTree preorder), exactly as the lazy plans of Section VII produce
+        it, and handed to the scan-based operator.
         """
         signature = self.signature_for(query, use_fds)
 
         started = perf_counter()
-        order = list(join_order) if join_order else self.planner.lazy_join_order(query)
-        plan = build_answer_plan_batch(self.database, query, order)
-        plan = project_answer_columns(plan, query)
+        order, plan = self._answer_plan(query, join_order)
         answer = plan.to_batch(query.name)
         rows_processed = plan.total_rows_processed()
         sort_order = sort_column_order(answer.schema, signature)
@@ -1109,7 +1018,7 @@ class SproutEngine:
 
         started = perf_counter()
         result_relation, schedule, scans_used = compute_answer_confidences(
-            answer, signature, execution="batch", name=query.name
+            answer, signature, name=query.name
         )
         prob_seconds = perf_counter() - started
 
@@ -1118,7 +1027,6 @@ class SproutEngine:
             plan_style="lazy",
             relation=result_relation,
             signature=signature,
-            execution="batch",
             join_order=order,
             tuples_seconds=tuples_seconds,
             prob_seconds=prob_seconds,
@@ -1131,7 +1039,7 @@ class SproutEngine:
     # -- eager / hybrid plans ------------------------------------------------------------
 
     def _evaluate_eager_or_hybrid(
-        self, query: ConjunctiveQuery, plan: str, use_fds: bool, execution: str = "row"
+        self, query: ConjunctiveQuery, plan: str, use_fds: bool
     ) -> EvaluationResult:
         signature = self.signature_for(query, use_fds)
         tree = self.hierarchy_for(query, use_fds)
@@ -1145,7 +1053,6 @@ class SproutEngine:
             signature,
             aggregate_leaves=(plan == "eager"),
             head_attributes=self.planning_head(query, use_fds),
-            execution=execution,
         )
         # Project away the functionally determined companions of the head that
         # were carried along for the joins, then aggregate by the true head so
@@ -1156,16 +1063,15 @@ class SproutEngine:
         keep += [pair.var_name, pair.prob_name]
         if keep != list(final.schema.names):
             final = final.project(keep)
-        final = _aggregate_pair(final, node_result.leader, execution=execution)
+        final = _aggregate_pair(final, node_result.leader)
         elapsed = perf_counter() - started
 
-        relation = self._finalize(final, query, execution)
+        relation = self._finalize(final, query)
         return EvaluationResult(
             query_name=query.name,
             plan_style=plan,
             relation=relation,
             signature=signature,
-            execution=execution,
             join_order=order,
             tuples_seconds=elapsed,
             prob_seconds=0.0,
@@ -1180,7 +1086,6 @@ class SproutEngine:
         self,
         query: ConjunctiveQuery,
         join_order: Optional[Sequence[str]],
-        execution: str,
         confidence: str,
         epsilon: float,
     ) -> EvaluationResult:
@@ -1201,7 +1106,7 @@ class SproutEngine:
         fallback seed derives from the engine seed and the tuple's lineage.
         """
         started = perf_counter()
-        answer = self._answer_lineage(query, join_order, execution)
+        answer = self._answer_lineage(query, join_order)
         tuples_seconds = perf_counter() - started
 
         started = perf_counter()
@@ -1232,7 +1137,6 @@ class SproutEngine:
             plan_style="dtree",
             relation=relation,
             signature=None,
-            execution=execution,
             join_order=answer.order,
             tuples_seconds=tuples_seconds,
             prob_seconds=prob_seconds,
@@ -1258,12 +1162,12 @@ class SproutEngine:
             relation.append(tuple(data) + (confidence,))
         return relation
 
-    def _finalize(self, relation, query: ConjunctiveQuery, execution: str) -> Relation:
+    @staticmethod
+    def _finalize(relation, query: ConjunctiveQuery) -> Relation:
         """Rename the surviving probability column to ``conf`` and drop variables.
 
-        ``relation`` is the eager/hybrid plan's final :class:`Relation`
-        (``execution="row"``) or ``ColumnBatch`` (``"batch"``, which leaves
-        the columnar form here through one ``Relation.from_columns``).
+        ``relation`` is the eager/hybrid plan's final ``ColumnBatch``, which
+        leaves the columnar form here through one ``Relation.from_columns``.
         """
         pairs = relation.schema.var_prob_pairs()
         if len(pairs) != 1:
@@ -1276,10 +1180,5 @@ class SproutEngine:
             [relation.schema[name] for name in data_names] + [Attribute("conf", "float")]
         )
         data_indices = relation.schema.indices_of(data_names)
-        if execution == "batch":
-            columns = [relation.columns[i] for i in (*data_indices, pair.prob_index)]
-            return Relation.from_columns(query.name, schema, columns, length=relation.length)
-        result = Relation(query.name, schema)
-        for row in relation:
-            result.append(tuple(row[i] for i in data_indices) + (row[pair.prob_index],))
-        return result
+        columns = [relation.columns[i] for i in (*data_indices, pair.prob_index)]
+        return Relation.from_columns(query.name, schema, columns, length=relation.length)

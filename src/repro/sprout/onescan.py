@@ -1,62 +1,38 @@
 """The scan-based confidence operator (Section V.C, Fig. 8).
 
-Given an answer relation sorted by its data columns followed by the variable
-columns in 1scanTree preorder, the operator computes the exact confidence of
-every distinct data tuple in a single sequential scan: bags of duplicates are
+Given an answer sorted by its data columns followed by the variable columns
+in 1scanTree preorder, the operator computes the exact confidence of every
+distinct data tuple in a single sequential scan: bags of duplicates are
 contiguous, and inside one bag the factorisation prescribed by the (1scan)
 signature is evaluated by grouping on variable columns from the leader table
 outwards.
 
-Two evaluators are provided:
-
-* :func:`group_probability` — the recursive, signature-driven factorised
-  evaluator.  It consumes one bag of duplicates at a time; memory is bounded
-  by the bag size (not the answer size), and the answer is consumed in one
-  sequential pass.
-* :class:`OneScanState` — a streaming evaluator in the spirit of Fig. 8 that
-  keeps only running probabilities (``crtP``/``allP``) per 1scanTree node.  It
-  supports the common TPC-H case in which every starred composite has a
-  star-free leader and the tree is a single path/branching tree; it is checked
-  against :func:`group_probability` in the tests.
+The answer is one :class:`repro.algebra.columnar.ColumnBatch`; a bag is a
+range of row indices into its columns, and :func:`compile_bag_probability`
+compiles the signature into closures once per batch.  The row-at-a-time
+evaluator it is checked against, bit for bit (``group_probability``, and the
+streaming ``OneScanState`` of Fig. 8), lives with the tests
+(``tests/oracles/rows.py``).
 """
 
 from __future__ import annotations
 
-from itertools import groupby
 from math import prod
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ProbabilityError, QueryError
-from repro.query.signature import (
-    ConcatSig,
-    Signature,
-    StarSig,
-    TableSig,
-    has_one_scan_property,
-    one_scan_tree,
-    sort_table_order,
-)
-
+from repro.query.signature import ConcatSig, Signature, StarSig, TableSig, sort_table_order
 from repro.storage.relation import Relation
 from repro.storage.schema import Attribute, ColumnRole, Schema
 
 __all__ = [
     "ColumnMap",
-    "column_map_for",
     "sort_column_order",
-    "group_probability",
-    "scan_confidences",
-    "one_scan_operator",
-    "OneScanState",
-    "streaming_scan_confidences",
-    "columnar_bag_probability",
     "compile_bag_probability",
     "columnar_lineage",
     "columnar_scan_confidences",
     "one_scan_operator_columns",
 ]
-
-Row = Tuple[object, ...]
 
 
 class ColumnMap:
@@ -74,25 +50,13 @@ class ColumnMap:
             if attribute.role is ColumnRole.DATA:
                 self.data_indices.append(position)
 
-    def tables(self) -> List[str]:
-        return list(self.var_index)
 
-    def data_of(self, row: Row) -> Tuple[object, ...]:
-        return tuple(row[i] for i in self.data_indices)
-
-    def var_of(self, row: Row, table: str) -> int:
-        try:
-            return row[self.var_index[table]]
-        except KeyError:
-            raise QueryError(f"no variable column for table {table!r}") from None
-
-    def prob_of(self, row: Row, table: str) -> float:
-        return row[self.prob_index[table]]
-
-
-def column_map_for(relation: Relation) -> ColumnMap:
-    """Column map of a materialised answer relation."""
-    return ColumnMap(relation.schema)
+def _check_single(table: str, found: int) -> None:
+    if found != 1:
+        raise ProbabilityError(
+            f"signature promises a single {table} variable per group but found "
+            f"{found}; the signature (or its FD refinement) is too precise for this data"
+        )
 
 
 def sort_column_order(schema: Schema, signature: Signature) -> List[str]:
@@ -107,159 +71,14 @@ def sort_column_order(schema: Schema, signature: Signature) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# Recursive factorised evaluation of one bag of duplicates
-# ---------------------------------------------------------------------------
-
-
-def group_probability(signature: Signature, rows: Sequence[Row], columns: ColumnMap) -> float:
-    """Probability of the 1OF factorisation of one bag of duplicate rows.
-
-    ``rows`` are the answer rows sharing one data tuple; the signature
-    describes how their DNF factors.  Concatenation parts are independent
-    factors evaluated over the distinct projections of the rows onto their
-    variable columns; a starred composite partitions its rows by the leader
-    table's variable.
-    """
-    if not rows:
-        raise ProbabilityError("cannot compute the probability of an empty bag")
-    if isinstance(signature, TableSig):
-        return _single_table_probability(signature.table, rows, columns)
-    if isinstance(signature, ConcatSig):
-        probability = 1.0
-        for part in signature.parts:
-            probability *= group_probability(part, _distinct_for(part, rows, columns), columns)
-        return probability
-    if isinstance(signature, StarSig):
-        inner = signature.inner
-        if isinstance(inner, TableSig):
-            return _or_over_distinct_variables(inner.table, rows, columns)
-        parts = inner.top_level_parts()
-        leader = next((p.table for p in parts if isinstance(p, TableSig)), None)
-        if leader is None:
-            raise QueryError(
-                f"signature {signature} lacks the 1scan property; "
-                "pre-aggregate with repro.sprout.scans first"
-            )
-        # Partitions are identified by the leader table's variable.  Grouping
-        # uses a dictionary (insertion-ordered) rather than adjacency so the
-        # result does not depend on the sort order within the bag; with the
-        # operator's preferred sort order the groups are contiguous anyway.
-        partitions: Dict[int, List[Row]] = {}
-        for row in rows:
-            partitions.setdefault(columns.var_of(row, leader), []).append(row)
-        none_true = 1.0
-        for partition_rows in partitions.values():
-            partition_probability = 1.0
-            for part in parts:
-                partition_probability *= group_probability(
-                    part, _distinct_for(part, partition_rows, columns), columns
-                )
-            none_true *= 1.0 - partition_probability
-        return 1.0 - none_true
-    raise QueryError(f"unknown signature node {signature!r}")
-
-
-def _single_table_probability(table: str, rows: Sequence[Row], columns: ColumnMap) -> float:
-    _check_single(table, len({columns.var_of(row, table) for row in rows}))
-    return columns.prob_of(rows[0], table)
-
-
-def _check_single(table: str, found: int) -> None:
-    if found != 1:
-        raise ProbabilityError(
-            f"signature promises a single {table} variable per group but found "
-            f"{found}; the signature (or its FD refinement) is too precise for this data"
-        )
-
-
-def _or_over_distinct_variables(table: str, rows: Sequence[Row], columns: ColumnMap) -> float:
-    none_true = 1.0
-    seen = set()
-    for row in rows:
-        variable = columns.var_of(row, table)
-        if variable in seen:
-            continue
-        seen.add(variable)
-        none_true *= 1.0 - columns.prob_of(row, table)
-    return 1.0 - none_true
-
-
-def _distinct_for(part: Signature, rows: Sequence[Row], columns: ColumnMap) -> List[Row]:
-    """Distinct rows with respect to the variable columns of ``part``'s tables.
-
-    Within a group, sibling factors are cross-producted by the join; each
-    factor's own formula is the projection of the clauses onto its variables,
-    so duplicates (identical variable combinations) are dropped.  Row order is
-    preserved so nested leader-groupings stay contiguous.
-    """
-    indices = [columns.var_index[table] for table in part.tables() if table in columns.var_index]
-    seen = set()
-    result: List[Row] = []
-    for row in rows:
-        key = tuple(row[i] for i in indices)
-        if key in seen:
-            continue
-        seen.add(key)
-        result.append(row)
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Scanning an entire (sorted) answer relation
-# ---------------------------------------------------------------------------
-
-
-def scan_confidences(
-    rows: Iterable[Row],
-    columns: ColumnMap,
-    signature: Signature,
-) -> Iterator[Tuple[Tuple[object, ...], float]]:
-    """Yield ``(data_tuple, confidence)`` for every bag of a sorted answer.
-
-    ``rows`` must be sorted by the data columns first (bags contiguous) and by
-    the variable columns in signature order within each bag.
-    """
-    for data, bag in groupby(rows, key=columns.data_of):
-        yield data, group_probability(signature, list(bag), columns)
-
-
-def one_scan_operator(
-    answer: Relation,
-    signature: Signature,
-    presorted: bool = False,
-    name: Optional[str] = None,
-) -> Relation:
-    """Materialised form of the scan-based operator.
-
-    Sorts the answer (unless ``presorted``) by the operator's required order
-    and computes the confidence of every distinct data tuple in one pass.
-    The result relation carries the data columns plus a ``conf`` column.
-    """
-    columns = ColumnMap(answer.schema)
-    if presorted:
-        rows: Iterable[Row] = answer.rows
-    else:
-        order = sort_column_order(answer.schema, signature)
-        rows = answer.sorted_by(order).rows
-
-    data_attributes = [answer.schema[answer.schema.names[i]] for i in columns.data_indices]
-    result_schema = Schema(list(data_attributes) + [Attribute("conf", "float")])
-    result = Relation(name or answer.name, result_schema)
-    for data, confidence in scan_confidences(rows, columns, signature):
-        result.append(data + (confidence,))
-    return result
-
-
-# ---------------------------------------------------------------------------
-# Columnar (batch) evaluation: the same factorised semantics over columns
+# Factorised evaluation of one bag of duplicates, over columns
 # ---------------------------------------------------------------------------
 #
-# The batch execution backend hands the operator one ColumnBatch of the sorted
-# answer instead of row tuples.  Bags and partitions are then ranges/lists of
-# *row indices* into the shared column lists, so no row tuples are ever built,
-# and the signature is compiled into closures once per batch, so a bag pays
-# for its arithmetic only.  The arithmetic (and its order) is identical to
-# ``group_probability``, which makes the two paths bit-identical.
+# Bags and partitions are ranges/lists of *row indices* into the shared column
+# lists, so no row tuples are ever built, and the signature is compiled into
+# closures once per batch, so a bag pays for its arithmetic only.  The
+# arithmetic (and its order) is that of the row oracle's ``group_probability``,
+# which makes the two bit-identical.
 
 
 def compile_bag_probability(
@@ -267,9 +86,12 @@ def compile_bag_probability(
     var_columns: Dict[str, Sequence[object]],
     prob_columns: Dict[str, Sequence[float]],
 ) -> Callable[[Sequence[int]], float]:
-    """Compile ``signature`` once per batch into ``bag_probability(indices)``:
-    :func:`group_probability`'s arithmetic in its order, with node kinds,
-    columns, leaders and distinct keys (and the row path's errors) resolved here."""
+    """Compile ``signature`` once per batch into ``bag_probability(indices)``.
+
+    Concatenation parts are independent factors evaluated over the rows
+    distinct on their variable columns; a starred composite partitions its
+    rows by the leader table's variable.  Node kinds, columns, leaders and
+    distinct keys are resolved here, so a bag pays for its arithmetic only."""
     evaluate = _compile_node(signature, var_columns, prob_columns)
 
     def bag_probability(indices: Sequence[int]) -> float:
@@ -278,11 +100,6 @@ def compile_bag_probability(
         return evaluate(indices)
 
     return bag_probability
-
-
-def columnar_bag_probability(signature, indices, var_columns, prob_columns) -> float:
-    """Probability of one bag of duplicates given as row indices into columns."""
-    return compile_bag_probability(signature, var_columns, prob_columns)(indices)
 
 
 def _variable_column(var_columns: Dict[str, Sequence[object]], table: str) -> Sequence[object]:
@@ -360,7 +177,7 @@ def _compile_node(signature, var_columns, prob_columns) -> Callable[[Sequence[in
 
 def _compile_factor(part, var_columns, prob_columns) -> Callable[[Sequence[int]], float]:
     """``part`` over the indices distinct on its variable columns, first
-    occurrence first (:func:`_distinct_for`); ``T`` and ``T*`` de-duplicate
+    occurrence first; ``T`` and ``T*`` de-duplicate
     on their one column themselves, same first index, so they skip it."""
     evaluate = _compile_node(part, var_columns, prob_columns)
     if isinstance(part, TableSig) or (
@@ -417,7 +234,9 @@ def one_scan_operator_columns(
     presorted: bool = False,
     name: Optional[str] = None,
 ) -> Relation:
-    """Columnar form of :func:`one_scan_operator` over a :class:`ColumnBatch`."""
+    """The operator over a :class:`ColumnBatch`: one row per distinct data
+    tuple, its data columns plus ``conf``.  Sorts the batch first unless
+    ``presorted``."""
     from repro.algebra.columnar import sort_batch
 
     if not presorted:
@@ -433,178 +252,7 @@ def one_scan_operator_columns(
 
 
 # ---------------------------------------------------------------------------
-# Streaming evaluator with per-node running probabilities (Fig. 8 spirit)
-# ---------------------------------------------------------------------------
-
-
-def _count_partitioned_branches(signature: Signature) -> int:
-    """Number of top-level parts that can have several partitions per bag."""
-    return sum(
-        1 for part in signature.top_level_parts() if isinstance(part, StarSig)
-    )
-
-
-def _check_streaming_supported(signature: Signature) -> None:
-    """Reject signatures whose variable partitions re-occur non-adjacently.
-
-    The constant-memory streaming evaluator identifies partitions by value
-    changes in a column.  When two or more sibling branches each have several
-    partitions per group (a many-to-many cross product, e.g. ``R*S*`` or
-    ``(R1(R2R3*)*(R4R5*)*)*``), the branch sorted later re-visits old
-    partitions and value-change detection alone is insufficient (the paper's
-    Fig. 8 handles this with its enable/disable flags).  Those signatures do
-    not occur in the TPC-H workload; for them use :func:`scan_confidences`,
-    which buffers one bag of duplicates and is correct in general.
-    """
-
-    def check(node: Signature) -> None:
-        if isinstance(node, TableSig):
-            return
-        if isinstance(node, StarSig):
-            inner_parts = node.inner.top_level_parts()
-            if sum(1 for part in inner_parts if isinstance(part, StarSig)) > 1:
-                raise QueryError(
-                    f"signature {node} has several starred sibling branches; "
-                    "the streaming evaluator does not support many-to-many "
-                    "cross products — use scan_confidences instead"
-                )
-            for part in inner_parts:
-                check(part)
-            return
-        if isinstance(node, ConcatSig):
-            if _count_partitioned_branches(node) > 1:
-                raise QueryError(
-                    f"signature {node} is a product of several starred factors; "
-                    "use scan_confidences instead of the streaming evaluator"
-                )
-            for part in node.parts:
-                check(part)
-            return
-        raise QueryError(f"unknown signature node {node!r}")
-
-    check(signature)
-
-
-class _StreamNode:
-    """Running state of one 1scanTree node: current and completed partitions."""
-
-    __slots__ = ("table", "children", "crt_probability", "all_probability", "current_variable")
-
-    def __init__(self, table: str, children: Sequence["_StreamNode"]):
-        self.table = table
-        self.children = list(children)
-        self.reset()
-
-    def reset(self) -> None:
-        self.crt_probability = 0.0
-        self.all_probability = 0.0
-        self.current_variable = None
-
-    def close_partition(self) -> None:
-        """Fold the current partition (times the children) into allP."""
-        if self.current_variable is None:
-            return
-        probability = self.crt_probability
-        for child in self.children:
-            child.close_partition()
-            probability *= child.all_probability
-        self.all_probability = 1.0 - (1.0 - self.all_probability) * (1.0 - probability)
-        self.crt_probability = 0.0
-        self.current_variable = None
-        for child in self.children:
-            child.reset()
-
-    def result(self) -> float:
-        return self.all_probability
-
-
-class OneScanState:
-    """Streaming one-scan confidence computation for a single bag of duplicates.
-
-    Keeps one :class:`_StreamNode` per variable column; processing a row costs
-    O(number of columns) and no rows are buffered — the memory profile of the
-    secondary-storage operator described in the paper.  Requires the input
-    rows of the bag to be sorted by the variable columns in 1scanTree preorder
-    and every starred composite of the signature to have a star-free leader
-    (the 1scan property).
-    """
-
-    def __init__(self, signature: Signature, columns: ColumnMap):
-        if not has_one_scan_property(signature):
-            raise QueryError(
-                f"signature {signature} lacks the 1scan property; "
-                "use repro.sprout.scans.schedule_scans first"
-            )
-        _check_streaming_supported(signature)
-        self.signature = signature
-        self.columns = columns
-        self.roots = [self._build(root) for root in one_scan_tree(signature)]
-        self._nodes_preorder: List[_StreamNode] = []
-        for root in self.roots:
-            self._collect(root)
-
-    def _build(self, tree_node) -> _StreamNode:
-        return _StreamNode(tree_node.table, [self._build(child) for child in tree_node.children])
-
-    def _collect(self, node: _StreamNode) -> None:
-        self._nodes_preorder.append(node)
-        for child in node.children:
-            self._collect(child)
-
-    def process(self, row: Row) -> None:
-        """Feed one answer row of the current bag."""
-        for root in self.roots:
-            self._process_child(root, row)
-
-    def _process_child(self, node: _StreamNode, row: Row) -> None:
-        variable = self.columns.var_of(row, node.table)
-        probability = self.columns.prob_of(row, node.table)
-        if node.current_variable is None:
-            node.crt_probability = probability
-            node.current_variable = variable
-        elif variable != node.current_variable:
-            node.close_partition()
-            node.crt_probability = probability
-            node.current_variable = variable
-        for child in node.children:
-            self._process_child(child, row)
-
-    def finish(self) -> float:
-        """Close all open partitions and return the bag's confidence."""
-        probability = 1.0
-        for root in self.roots:
-            root.close_partition()
-            probability *= root.result()
-        for root in self.roots:
-            root.reset()
-        return probability
-
-
-def streaming_scan_confidences(
-    rows: Iterable[Row],
-    columns: ColumnMap,
-    signature: Signature,
-) -> Iterator[Tuple[Tuple[object, ...], float]]:
-    """Streaming variant of :func:`scan_confidences` using :class:`OneScanState`."""
-    state = OneScanState(signature, columns)
-    current_data: Optional[Tuple[object, ...]] = None
-    have_rows = False
-    for row in rows:
-        data = columns.data_of(row)
-        if current_data is None:
-            current_data = data
-        elif data != current_data:
-            yield current_data, state.finish()
-            current_data = data
-        state.process(row)
-        have_rows = True
-    if have_rows:
-        yield current_data, state.finish()
-
-
-# ---------------------------------------------------------------------------
-# Columnar lineage extraction (the batch pipeline's hand-off to the d-tree
-# paths)
+# Lineage extraction (the answer pipeline's hand-off to the d-tree paths)
 # ---------------------------------------------------------------------------
 
 
@@ -614,13 +262,11 @@ def columnar_lineage(
     """Extract per-tuple DNF lineage and the variable→probability map from a
     :class:`repro.algebra.columnar.ColumnBatch` without materialising rows.
 
-    The columnar twin of :func:`repro.prob.lineage.lineage_by_tuple` plus
-    :func:`repro.prob.lineage.probabilities_from_answer`: the answer batch
-    stays in column form (one zip across the VAR columns per clause) and the
-    result is bit-identical to the row path — the clause *sets* and
-    probability floats are the same objects the row extraction would build.
-    Used by the d-tree routes under ``execution="batch"``.  Returns ``(data
-    tuple → set of clause frozensets, variable → probability)``.
+    The answer batch stays in column form (one zip across the VAR columns per
+    clause); the clause *sets* and probability floats equal those the row
+    oracle (``lineage_by_tuple`` and ``probabilities_from_answer`` in
+    ``tests/oracles/rows.py``) builds.  Used by every d-tree route.  Returns
+    ``(data tuple → set of clause frozensets, variable → probability)``.
 
     With ``interner`` (a :class:`repro.prob.sharedag.ClauseInterner`) the
     emitted clauses are interned ids-and-objects directly: every recurrence
@@ -628,7 +274,6 @@ def columnar_lineage(
     is the *same* frozenset object registered once in the shared-lineage
     store, so downstream hash-consing starts from pre-deduplicated parts.
     """
-    from repro.errors import ProbabilityError
     from repro.prob.lineage import split_answer_columns
 
     data_indices, var_indices, prob_indices = split_answer_columns(batch.schema)

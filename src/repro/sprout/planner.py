@@ -17,10 +17,10 @@ propagation steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Set
 
 from repro.errors import PlanningError
-from repro.algebra.aggregate import AggregateSpec, GroupByOp
+from repro.algebra.aggregate import AggregateSpec
 from repro.algebra.columnar import (
     BatchHashJoinOp,
     BatchMaterializedOp,
@@ -32,24 +32,18 @@ from repro.algebra.columnar import (
     group_by_columns,
 )
 from repro.algebra.expressions import TruePredicate
-from repro.algebra.joins import HashJoinOp
-from repro.algebra.operators import MaterializedOp, Operator, ProjectOp, ScanOp, SelectOp
 from repro.algebra.stats import StatisticsCatalog, estimate_selectivity
 from repro.prob.pdb import ProbabilisticDatabase
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.hierarchy import HierarchyNode
-from repro.storage.relation import Relation
 from repro.storage.schema import ColumnRole, Schema
 
 __all__ = [
     "JoinOrderPlanner",
-    "base_table_plan",
     "base_table_plan_batch",
-    "build_answer_plan",
     "build_answer_plan_batch",
-    "materialize_answer",
+    "project_answer_columns",
     "needed_data_attributes",
-    "evaluate_deterministic",
     "eager_evaluation",
     "EagerNodeResult",
 ]
@@ -65,25 +59,6 @@ def needed_data_attributes(query: ConjunctiveQuery, table: str) -> List[str]:
     atom = query.atom_of(table)
     keep = (query.join_attributes() | query.head_attributes()) & atom.attribute_set
     return [a for a in atom.attributes if a in keep]
-
-
-def base_table_plan(
-    database: ProbabilisticDatabase,
-    query: ConjunctiveQuery,
-    table: str,
-) -> Operator:
-    """Scan → select → project plan for one base probabilistic table."""
-    relation = database.relation(table)
-    plan: Operator = ScanOp(relation, alias=table)
-    selection = query.selections_on(table)
-    if not isinstance(selection, TruePredicate):
-        plan = SelectOp(plan, selection)
-    table_obj = database.table(table)
-    keep = needed_data_attributes(query, table)
-    keep = keep + [table_obj.var_column, table_obj.prob_column]
-    if list(keep) != list(relation.schema.names):
-        plan = ProjectOp(plan, keep)
-    return plan
 
 
 class JoinOrderPlanner:
@@ -158,8 +133,7 @@ def base_table_plan_batch(
 ) -> BatchOperator:
     """Columnar scan → select → project plan for one base probabilistic table.
 
-    The operators of :func:`base_table_plan` (so the work counters agree),
-    late-materialising: the scan reads only the columns the selection or the
+    Late-materialising: the scan reads only the columns the selection or the
     projection touches, none that the projection would merely drop.
     """
     relation = database.relation(table)
@@ -178,30 +152,12 @@ def base_table_plan_batch(
     return plan
 
 
-def build_answer_plan(
-    database: ProbabilisticDatabase,
-    query: ConjunctiveQuery,
-    join_order: Sequence[str],
-) -> Operator:
-    """Left-deep plan of natural hash joins following ``join_order``."""
-    if set(join_order) != set(query.table_names()):
-        raise PlanningError(
-            f"join order {list(join_order)} does not cover the query tables "
-            f"{query.table_names()}"
-        )
-    plan = base_table_plan(database, query, join_order[0])
-    for table in join_order[1:]:
-        right = base_table_plan(database, query, table)
-        plan = HashJoinOp(plan, right)
-    return plan
-
-
 def build_answer_plan_batch(
     database: ProbabilisticDatabase,
     query: ConjunctiveQuery,
     join_order: Sequence[str],
 ) -> BatchOperator:
-    """Columnar twin of :func:`build_answer_plan` (same shape, same order)."""
+    """Left-deep plan of natural hash joins following ``join_order``."""
     if set(join_order) != set(query.table_names()):
         raise PlanningError(
             f"join order {list(join_order)} does not cover the query tables "
@@ -214,64 +170,12 @@ def build_answer_plan_batch(
     return plan
 
 
-def project_answer_columns(plan, query: ConjunctiveQuery):
-    """Project the joined result onto the head attributes plus all V/P pairs.
-
-    Works for both the row (:class:`Operator`) and batch
-    (:class:`BatchOperator`) plan flavours.
-    """
+def project_answer_columns(plan: BatchOperator, query: ConjunctiveQuery) -> BatchOperator:
+    """Project the joined result onto the head attributes plus all V/P pairs."""
     schema = plan.schema
     keep = [a for a in query.projection if a in schema]
     keep += [a.name for a in schema if a.role is not ColumnRole.DATA]
-    if isinstance(plan, BatchOperator):
-        return BatchProjectOp(plan, keep)
-    return ProjectOp(plan, keep)
-
-
-def materialize_answer(
-    database: ProbabilisticDatabase,
-    planner: "JoinOrderPlanner",
-    query: ConjunctiveQuery,
-    join_order: Optional[Sequence[str]] = None,
-) -> Tuple[Relation, List[str], int]:
-    """Materialise the answer rows of ``query`` (with V/P columns carried).
-
-    The row pipeline's front half: the row lazy plan, and the d-tree route
-    and top-k/threshold scheduler under ``execution="row"``, start from this
-    relation.  Returns ``(answer, join order, rows processed)``.
-    """
-    order = list(join_order) if join_order else planner.lazy_join_order(query)
-    plan = project_answer_columns(build_answer_plan(database, query, order), query)
-    relation = plan.to_relation(query.name)
-    return relation, order, plan.total_rows_processed()
-
-
-# ---------------------------------------------------------------------------
-# Deterministic evaluation (possible-worlds ground truth)
-# ---------------------------------------------------------------------------
-
-
-def evaluate_deterministic(query: ConjunctiveQuery, instance: Dict[str, Relation]) -> Relation:
-    """Evaluate ``query`` on one deterministic world instance.
-
-    Used by the possible-worlds ground truth: natural joins over the instance
-    relations, the selection condition, and a duplicate-eliminating projection
-    onto the head attributes (Boolean queries yield a single empty tuple when
-    satisfied).
-    """
-    plan: Optional[Operator] = None
-    for table in query.table_names():
-        relation = instance[table]
-        table_plan: Operator = ScanOp(relation, alias=table)
-        selection = query.selections_on(table)
-        if not isinstance(selection, TruePredicate):
-            table_plan = SelectOp(table_plan, selection)
-        needed = needed_data_attributes(query, table)
-        if needed != list(relation.schema.names):
-            table_plan = ProjectOp(table_plan, needed)
-        plan = table_plan if plan is None else HashJoinOp(plan, table_plan)
-    projected = ProjectOp(plan, [a for a in query.projection if a in plan.schema])
-    return projected.to_relation(query.name).distinct()
+    return BatchProjectOp(plan, keep)
 
 
 # ---------------------------------------------------------------------------
@@ -281,24 +185,15 @@ def evaluate_deterministic(query: ConjunctiveQuery, instance: Dict[str, Relation
 
 @dataclass
 class EagerNodeResult:
-    """Intermediate result of eager evaluation: a relation plus its leader pair.
+    """Intermediate result of eager evaluation: a batch plus its leader pair."""
 
-    ``relation`` is a :class:`Relation` under ``execution="row"`` and a
-    :class:`ColumnBatch` under ``execution="batch"``.
-    """
-
-    relation: Union[Relation, ColumnBatch]
+    relation: ColumnBatch
     leader: str
     rows_processed: int = 0
-    aggregation_rows: int = 0
 
 
-def _aggregate_pair(relation, leader: str, execution: str = "row"):
-    """Operator ``[leader*]``: GRP by every other column, min(V) / prob(P).
-
-    Relation in, relation out under ``execution="row"``; batch in, batch out
-    under ``execution="batch"``.
-    """
+def _aggregate_pair(relation: ColumnBatch, leader: str) -> ColumnBatch:
+    """Operator ``[leader*]``: GRP by every other column, min(V) / prob(P)."""
     schema = relation.schema
     pair = next(p for p in schema.var_prob_pairs() if p.source == leader)
     group_by = [
@@ -310,10 +205,7 @@ def _aggregate_pair(relation, leader: str, execution: str = "row"):
         AggregateSpec("min", pair.var_name, pair.var_name),
         AggregateSpec("prob", pair.prob_name, pair.prob_name),
     ]
-    if execution == "batch":
-        return group_by_columns(relation, group_by, aggregates)
-    operator = GroupByOp(MaterializedOp(relation), group_by, aggregates)
-    return operator.to_relation(relation.name)
+    return group_by_columns(relation, group_by, aggregates)
 
 
 def eager_evaluation(
@@ -323,7 +215,6 @@ def eager_evaluation(
     signature: "Signature",
     aggregate_leaves: bool = True,
     head_attributes: Optional[Iterable[str]] = None,
-    execution: str = "row",
 ) -> EagerNodeResult:
     """Evaluate ``query`` with eager (or hybrid) aggregation along ``tree``.
 
@@ -333,9 +224,9 @@ def eager_evaluation(
     tables are dropped (they are expensive on large tables and useless under
     selective joins) but intermediate join results are still aggregated.
 
-    ``execution="batch"`` keeps every intermediate a :class:`ColumnBatch`,
-    from the base-table scans to the returned node result: leaves come out of
-    ``plan.to_batch``, projections re-reference column lists, and the joins,
+    Every intermediate is a :class:`ColumnBatch`, from the base-table scans
+    to the returned node result: leaves come out of ``plan.to_batch``,
+    projections re-reference column lists, and the joins,
     :func:`_aggregate_pair` and :func:`reduce_relation` take and return
     batches — no row form exists between nodes, as in the lazy plan.
 
@@ -343,7 +234,7 @@ def eager_evaluation(
     the signature obtained by the placement rules of Section V.B: the query
     signature restricted to the tables of the subplan, with the signatures of
     operators already executed below replaced by their leftmost table name.
-    The returned relation (batch, in batch mode) has the query's head
+    The returned batch has the query's head
     attributes as data columns plus a single V/P pair; the caller turns the
     probability column into the final ``conf`` column.
     """
@@ -366,41 +257,25 @@ def eager_evaluation(
         keep += [a.name for a in schema if a.role is not ColumnRole.DATA]
         return keep
 
-    batch = execution == "batch"
-
     def evaluate(node: HierarchyNode, parent_attributes: Iterable[str]) -> EagerNodeResult:
         nonlocal rows_processed
         if node.is_leaf:
             table = node.atom.table
-            if batch:
-                plan = base_table_plan_batch(database, query, table)
-                relation = plan.to_batch(table)
-            else:
-                plan = base_table_plan(database, query, table)
-                relation = plan.to_relation(table)
+            plan = base_table_plan_batch(database, query, table)
+            relation = plan.to_batch(table)
             rows_processed += plan.total_rows_processed()
             keep = columns_to_keep(relation.schema, parent_attributes)
             if keep != list(relation.schema.names):
                 relation = relation.project(keep)
             if aggregate_leaves:
-                relation = _aggregate_pair(relation, table, execution=execution)
-            return EagerNodeResult(
-                relation=relation,
-                leader=table,
-                aggregation_rows=1 if aggregate_leaves else 0,
-            )
+                relation = _aggregate_pair(relation, table)
+            return EagerNodeResult(relation=relation, leader=table)
 
         child_results = [evaluate(child, node.attributes) for child in node.children]
-        if batch:
-            plan = BatchMaterializedOp(child_results[0].relation)
-            for child in child_results[1:]:
-                plan = BatchHashJoinOp(plan, BatchMaterializedOp(child.relation))
-            joined = plan.to_batch(query.name)
-        else:
-            plan = MaterializedOp(child_results[0].relation)
-            for child in child_results[1:]:
-                plan = HashJoinOp(plan, MaterializedOp(child.relation))
-            joined = plan.to_relation(query.name)
+        plan = BatchMaterializedOp(child_results[0].relation)
+        for child in child_results[1:]:
+            plan = BatchHashJoinOp(plan, BatchMaterializedOp(child.relation))
+        joined = plan.to_batch(query.name)
         rows_processed += plan.total_rows_processed()
 
         keep = columns_to_keep(joined.schema, parent_attributes)
@@ -419,7 +294,7 @@ def eager_evaluation(
             raise PlanningError(
                 f"signature {signature} does not cover any of the pairs {present_tables}"
             )
-        reduced_relation, leader = reduce_relation(joined, local_signature, execution=execution)
+        reduced_relation, leader = reduce_relation(joined, local_signature)
         return EagerNodeResult(relation=reduced_relation, leader=leader)
 
     result = evaluate(tree, parent_attributes=())

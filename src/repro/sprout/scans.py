@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.errors import QueryError
-from repro.algebra.aggregate import AggregateSpec, GroupByOp
-from repro.algebra.operators import MaterializedOp
+from repro.algebra.aggregate import AggregateSpec
 from repro.query.signature import (
     ConcatSig,
     Signature,
@@ -24,19 +23,13 @@ from repro.query.signature import (
     TableSig,
     has_one_scan_property,
 )
-from repro.sprout.onescan import (
-    ColumnMap,
-    compile_bag_probability,
-    one_scan_operator,
-    one_scan_operator_columns,
-)
+from repro.sprout.onescan import ColumnMap, compile_bag_probability, one_scan_operator_columns
 from repro.storage.relation import Relation
 
 __all__ = [
     "ScanStep",
     "ScanSchedule",
     "schedule_scans",
-    "apply_scan_schedule",
     "apply_scan_schedule_columns",
 ]
 
@@ -162,71 +155,15 @@ def schedule_scans(signature: Signature) -> ScanSchedule:
     return schedule
 
 
-def _run_pre_aggregation(answer: Relation, step: ScanStep) -> Relation:
-    """Execute one pre-aggregation scan as a GRP pass.
+def _run_pre_aggregation(batch, step: ScanStep):
+    """Execute one pre-aggregation scan as a GRP pass over a ColumnBatch.
 
     The sub-operator ``[part]`` groups by every column except the V/P columns
-    of the part's tables, computes the part's probability per group (for a
-    plain ``T*`` this is ``prob(T.P)``), stores it in the representative
-    table's probability column with ``min`` of its variable column as the
-    representative variable, and drops the other tables' columns.
-    """
-    part = step.sub_signature
-    tables = part.tables()
-    representative = step.aggregated_table
-    columns = ColumnMap(answer.schema)
-    part_columns = set()
-    for table in tables:
-        part_columns.add(answer.schema.names[columns.var_index[table]])
-        part_columns.add(answer.schema.names[columns.prob_index[table]])
-    group_by = [name for name in answer.schema.names if name not in part_columns]
-
-    if isinstance(part, StarSig) and isinstance(part.inner, TableSig):
-        # Plain [T*]: a single GRP statement suffices.
-        var_column = answer.schema.names[columns.var_index[representative]]
-        prob_column = answer.schema.names[columns.prob_index[representative]]
-        operator = GroupByOp(
-            MaterializedOp(answer),
-            group_by,
-            [
-                AggregateSpec("min", var_column, var_column),
-                AggregateSpec("prob", prob_column, prob_column),
-            ],
-        )
-        return operator.to_relation(answer.name)
-
-    # Composite sub-operator: evaluate its factorisation per group.
-    from repro.sprout.onescan import group_probability  # local import to avoid cycle
-
-    var_column = answer.schema.names[columns.var_index[representative]]
-    prob_column = answer.schema.names[columns.prob_index[representative]]
-    group_indices = answer.schema.indices_of(group_by)
-    kept_names = group_by + [var_column, prob_column]
-    kept_schema = answer.schema.project(kept_names)
-    result = Relation(answer.name, kept_schema)
-
-    groups = {}
-    order: List[Tuple[object, ...]] = []
-    for row in answer:
-        key = tuple(row[i] for i in group_indices)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
-    var_index = columns.var_index[representative]
-    for key in order:
-        rows = groups[key]
-        probability = group_probability(part, rows, columns)
-        representative_variable = min(row[var_index] for row in rows)
-        result.append(key + (representative_variable, probability))
-    return result
-
-
-def _run_pre_aggregation_columns(batch, step: ScanStep):
-    """Columnar counterpart of :func:`_run_pre_aggregation` over a ColumnBatch.
-
-    Same grouping (insertion order), same aggregates, same output column
-    order, so the batch path reproduces the row path's results exactly.
+    of the part's tables (groups in first-occurrence order), computes the
+    part's probability per group (for a plain ``T*`` this is ``prob(T.P)``),
+    stores it in the representative table's probability column with ``min``
+    of its variable column as the representative variable, and drops the
+    other tables' columns.
     """
     from repro.algebra.columnar import ColumnBatch, build_group_buckets, group_by_columns
 
@@ -276,23 +213,7 @@ def apply_scan_schedule_columns(
     presorted: bool = False,
     name: str = "result",
 ) -> Tuple[Relation, ScanSchedule]:
-    """Columnar form of :func:`apply_scan_schedule` over a ColumnBatch."""
-    schedule = schedule_scans(signature)
-    current = batch
-    for step in schedule.pre_aggregations:
-        current = _run_pre_aggregation_columns(current, step)
-    result = one_scan_operator_columns(
-        current, schedule.final_signature, presorted=presorted, name=name
-    )
-    return result, schedule
-
-
-def apply_scan_schedule(
-    answer: Relation,
-    signature: Signature,
-    presorted: bool = False,
-) -> Tuple[Relation, ScanSchedule]:
-    """Run the full multi-scan confidence computation on ``answer``.
+    """Run the full multi-scan confidence computation on a ColumnBatch.
 
     Returns the relation of distinct data tuples with their ``conf`` values
     and the schedule that was executed.  The number of scans equals
@@ -300,8 +221,10 @@ def apply_scan_schedule(
     arising from hierarchical queries.
     """
     schedule = schedule_scans(signature)
-    current = answer
+    current = batch
     for step in schedule.pre_aggregations:
         current = _run_pre_aggregation(current, step)
-    result = one_scan_operator(current, schedule.final_signature, presorted=presorted)
+    result = one_scan_operator_columns(
+        current, schedule.final_signature, presorted=presorted, name=name
+    )
     return result, schedule

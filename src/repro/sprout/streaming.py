@@ -96,7 +96,7 @@ class StandingQuery:
     cache_nodes
         The node budget of the private hash-consed store the candidates are
         compiled into (the engine's ``dtree_cache_size``).
-    schema / name / execution
+    schema / name
         Result-shaping metadata for the returned
         :class:`~repro.sprout.engine.EvaluationResult`; ``schema`` defaults
         to synthesized ``c0..cN`` data columns.
@@ -121,7 +121,6 @@ class StandingQuery:
         cache_nodes: Optional[int] = DEFAULT_MAX_NODES,
         schema: Optional[Schema] = None,
         name: str = "standing",
-        execution: str = "row",
         deadline=None,
     ):
         if (k is None) == (tau is None):
@@ -141,7 +140,6 @@ class StandingQuery:
         self.default_cap = default_cap
         self.name = name
         self._schema = schema
-        self._execution = execution
         self._cache = SharedDTreeCache(max_nodes=cache_nodes)
         self._cache_nodes = cache_nodes
         self.probabilities: Dict[int, float] = dict(probabilities)
@@ -335,7 +333,6 @@ class StandingQuery:
             plan_style="dtree",
             relation=relation,
             signature=None,
-            execution=self._execution,
             confidence=self.confidence,
             epsilon=None,
             bounds=outcome.bounds(),
@@ -368,7 +365,6 @@ class StandingQuery:
             "cache_nodes": self._cache_nodes,
             "schema": self._schema,
             "name": self.name,
-            "execution": self._execution,
             "probabilities": dict(self.probabilities),
             "lineage": [
                 (data, canonical_clauses(dnf)) for data, dnf in self.lineage.items()
@@ -395,7 +391,8 @@ class StandingQuery:
         which carries no ``"cache"``: such a state is compiled cold from its
         lineage and marginals into a new standing query, which decides the
         same set as a live one.  Keys this version no longer reads, such as
-        the refinement-lane count older snapshots carried, are ignored.
+        the refinement-lane count or the execution backend older snapshots
+        carried, are ignored.
         """
         lineage = {
             tuple(data): dnf_from_canonical(clauses)
@@ -410,7 +407,6 @@ class StandingQuery:
             cache_nodes=state["cache_nodes"],
             schema=state["schema"],
             name=state["name"],
-            execution=state["execution"],
         )
         if "cache" not in state:
             return cls(lineage, state["probabilities"], **common)
@@ -422,7 +418,6 @@ class StandingQuery:
         query.default_cap = common["default_cap"]
         query.name = common["name"]
         query._schema = common["schema"]
-        query._execution = common["execution"]
         query._cache = SharedDTreeCache.from_state(state["cache"])
         query._cache_nodes = common["cache_nodes"]
         query.probabilities = dict(state["probabilities"])

@@ -169,7 +169,7 @@ class RefinementScheduler:
     :class:`repro.errors.PlanningError` for invalid ``k``/``tau``.  Ties at
     the decision boundary resolve on the data tuple's ``repr``, so the
     selected set is identical no matter what order the candidates arrived in
-    (row vs. batch pipelines).
+    (the answer pipeline and the tests' row reference order them differently).
     """
 
     def __init__(
@@ -187,9 +187,9 @@ class RefinementScheduler:
         self.deadline = deadline
         self.steps = 0
         # Rank tiebreak on the data tuple's repr, precomputed once as a
-        # numeric index: candidate *order* differs between the row and batch
-        # pipelines, so a value-based key is the only way exact ties at the
-        # k-boundary resolve to the same set under every backend.  Smaller
+        # numeric index: candidate *order* depends on how the answer was
+        # produced, so a value-based key is the only way exact ties at the
+        # k-boundary resolve to the same set whatever the order.  Smaller
         # index = earlier repr = preferred on ties.
         by_repr = sorted(self.candidates, key=lambda c: repr(c.data))
         self._rank = {id(c): index for index, c in enumerate(by_repr)}

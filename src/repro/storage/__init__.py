@@ -1,4 +1,4 @@
-"""Storage substrate: schemas, relations, heap files, external sort, catalog.
+"""Storage substrate: schemas, relations, heap files, catalog.
 
 The bottom layer everything else stands on:
 
@@ -7,10 +7,10 @@ The bottom layer everything else stands on:
   the ``VAR``/``PROB`` pairs that carry each tuple's Boolean variable and
   its marginal probability through query plans.
 * :mod:`repro.storage.relation` — in-memory relations with both row and
-  column access (``from_columns``/``to_columns`` back the columnar engine).
-* :mod:`repro.storage.heapfile` / :mod:`repro.storage.external_sort` —
-  page-based secondary storage and k-way external merge sort, used by the
-  disk-materialising evaluation paths.
+  column access (``from_columns``/``to_columns`` back the columnar engine),
+  and ``sort_key_for``, the total order every sort uses.
+* :mod:`repro.storage.heapfile` — page-based secondary storage, used by the
+  MystiQ baseline's materialised temporaries.
 * :mod:`repro.storage.catalog` — tables, primary keys, and the functional
   dependencies the FD-aware rewriting (Section IV) consumes.
 * :mod:`repro.storage.csv_io` — CSV import/export for the TPC-H generator.
@@ -20,9 +20,8 @@ See ``docs/architecture.md`` for the full layer map.
 
 from repro.storage.catalog import Catalog, FunctionalDependency, TableInfo
 from repro.storage.csv_io import read_csv, write_csv
-from repro.storage.external_sort import SortStats, external_sort, sort_key_for
 from repro.storage.heapfile import HeapFile, PageStats
-from repro.storage.relation import Relation
+from repro.storage.relation import Relation, sort_key_for
 from repro.storage.schema import Attribute, ColumnRole, Schema, VarProbPair
 
 __all__ = [
@@ -34,10 +33,8 @@ __all__ = [
     "PageStats",
     "Relation",
     "Schema",
-    "SortStats",
     "TableInfo",
     "VarProbPair",
-    "external_sort",
     "read_csv",
     "sort_key_for",
     "write_csv",

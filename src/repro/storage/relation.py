@@ -194,7 +194,7 @@ class Relation:
         """Return a copy sorted lexicographically by the given columns."""
         indices = self.schema.indices_of(names)
         out = Relation(name or self.name, self.schema)
-        out._rows = sorted(self._rows, key=lambda row: tuple(_sort_key(row[i]) for i in indices))
+        out._rows = sorted(self._rows, key=lambda row: tuple(sort_key_for(row[i]) for i in indices))
         return out
 
     def distinct(self, name: Optional[str] = None) -> "Relation":
@@ -246,8 +246,12 @@ def _fmt(value: object) -> str:
     return str(value)
 
 
-def _sort_key(value: object) -> Tuple[int, object]:
-    """Total order over heterogeneous, possibly-None column values."""
+def sort_key_for(value: object) -> Tuple[int, object]:
+    """Total order over heterogeneous, possibly-None column values.
+
+    None sorts first, then booleans/numbers, then everything else by string;
+    every sort and ``min``/``max`` over column values orders by it.
+    """
     if value is None:
         return (0, "")
     if isinstance(value, bool):

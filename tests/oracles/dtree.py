@@ -38,8 +38,9 @@ from repro.prob.dtree import (
     refine_to_budget,
 )
 from repro.prob.formulas import DNF, _component_groups
-from repro.prob.lineage import lineage_by_tuple, probabilities_from_answer
-from repro.sprout.planner import JoinOrderPlanner, materialize_answer
+from repro.sprout.planner import JoinOrderPlanner
+
+from oracles.rows import lineage_by_tuple, materialize_answer, probabilities_from_answer
 
 __all__ = [
     "DTree",
@@ -477,7 +478,7 @@ def oracle_evaluate(database, query, *, epsilon: float = 0.0):
     """Plain d-tree evaluation of ``query`` with one fresh :class:`DTree` per tuple.
 
     The answer rows come from the row pipeline, their lineage from
-    :func:`repro.prob.lineage.lineage_by_tuple`, and every tuple is refined
+    :func:`oracles.rows.lineage_by_tuple`, and every tuple is refined
     to ``epsilon`` in isolation (:func:`dtree_confidences`) — what an engine
     that compiled each tuple on its own returned for ``evaluate``.
     """

@@ -17,9 +17,10 @@ from itertools import product as cartesian_product
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.prob.formulas import DNF, _component_groups
-from repro.prob.lineage import lineage_by_tuple, probabilities_from_answer
-from repro.sprout.planner import JoinOrderPlanner, materialize_answer
+from repro.sprout.planner import JoinOrderPlanner
 from repro.storage.relation import Relation
+
+from oracles.rows import lineage_by_tuple, materialize_answer, probabilities_from_answer
 
 __all__ = [
     "confidences_from_lineage",

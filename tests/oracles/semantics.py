@@ -22,9 +22,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from repro.query.signature import ConcatSig, Signature, StarSig, TableSig
-from repro.sprout.planner import JoinOrderPlanner, materialize_answer
+from repro.sprout.planner import JoinOrderPlanner
 from repro.storage.relation import Relation
 from repro.storage.schema import Attribute, ColumnRole, Schema
+
+from oracles.rows import materialize_answer
 
 __all__ = [
     "ConfOperatorResult",

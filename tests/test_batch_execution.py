@@ -1,6 +1,8 @@
-"""Differential tests: batch (columnar) execution against row execution.
+"""Differential tests: the engine's columnar pipeline against the row oracle.
 
-The batch backend is designed to be *bit-identical* with the row backend:
+The engine runs one physical backend, columnar from scan to ``conf``; the
+row-at-a-time pipeline it replaced is the reference
+(``tests/oracles/rows.py``, :class:`RowEngine`).  The two are *bit-identical*:
 same answer relations, same confidences, same work metrics.  These tests pin
 that down on the paper's Fig. 1 database, on a TPC-H instance, and on
 Hypothesis-generated random tuple-independent databases; the scan-based
@@ -17,18 +19,17 @@ from hypothesis import given, settings
 from repro import Atom, ConjunctiveQuery, SproutEngine
 from repro.errors import PlanningError, QueryError
 from repro.query.signature import has_one_scan_property
-from repro.sprout import (
-    EXECUTION_MODES,
-    PLAN_STYLES,
-    ColumnMap,
-    columnar_scan_confidences,
-    scan_confidences,
-    sort_column_order,
-    streaming_scan_confidences,
-)
+from repro.sprout import PLAN_STYLES, columnar_scan_confidences, sort_column_order
 from repro.algebra.columnar import ColumnBatch
 
 from helpers import assert_confidences_close, build_paper_database, paper_query
+from oracles.rows import (
+    ColumnMap,
+    RowEngine,
+    materialize_answer,
+    scan_confidences,
+    streaming_scan_confidences,
+)
 from test_differential_matrix import CORPUS
 from test_properties import three_table_database, two_table_database
 
@@ -36,7 +37,7 @@ ALL_PLANS = PLAN_STYLES
 
 
 def assert_identical_results(row_result, batch_result):
-    """Batch execution must reproduce the row relation exactly (bit-identical)."""
+    """The engine must reproduce the row oracle's relation exactly (bit-identical)."""
     assert batch_result.relation.schema == row_result.relation.schema
     assert sorted(batch_result.relation.rows, key=repr) == sorted(
         row_result.relation.rows, key=repr
@@ -47,71 +48,47 @@ def assert_identical_results(row_result, batch_result):
     assert batch_result.scans_used == row_result.scans_used
 
 
-class TestExecutionModeSelection:
-    def test_engine_default_is_batch(self, paper_db, paper_q):
-        engine = SproutEngine(paper_db)
-        assert engine.execution == "batch"
-        assert engine.evaluate(paper_q).execution == "batch"
+class TestOneBackend:
+    def test_the_constructor_accepts_only_batch(self, paper_db, paper_q):
+        result = SproutEngine(paper_db, execution="batch").evaluate(paper_q)
+        assert_identical_results(SproutEngine(paper_db).evaluate(paper_q), result)
+        for retired in ("row", "gpu"):
+            with pytest.raises(PlanningError):
+                SproutEngine(paper_db, execution=retired)
 
     @pytest.mark.parametrize("case", sorted(CORPUS))
-    def test_row_stays_selectable_per_engine_and_per_call(self, case):
-        """``row`` is the differential oracle: accepted as an engine default
-        and as a per-call override, and in agreement with the batch default
-        on every corpus query (operator plan and lineage route alike)."""
+    def test_the_row_oracle_agrees_on_every_corpus_query(self, case):
+        """The row oracle agrees with the engine on every corpus query,
+        operator plan and lineage route alike, and so do their top-k sets."""
         build_db, make_query = CORPUS[case]
         query = make_query()
-        batch = SproutEngine(build_db())
-        row_engine = SproutEngine(build_db(), execution="row")
-        assert row_engine.execution == "row"
+        engine = SproutEngine(build_db())
+        row_engine = RowEngine(build_db())
         for plan in ("lazy", "dtree"):
-            default = batch.evaluate(query, plan=plan)
-            per_engine = row_engine.evaluate(query, plan=plan)
-            per_call = batch.evaluate(query, plan=plan, execution="row")
-            modes = [result.execution for result in (default, per_engine, per_call)]
-            assert modes == ["batch", "row", "row"]
-            assert_identical_results(per_engine, default)
-            assert_identical_results(per_call, default)
-        topk = batch.evaluate_topk(query, k=2, plan="dtree")
-        topk_row = batch.evaluate_topk(query, k=2, plan="dtree", execution="row")
-        assert (topk.execution, topk_row.execution) == ("batch", "row")
+            assert_identical_results(
+                row_engine.evaluate(query, plan=plan), engine.evaluate(query, plan=plan)
+            )
+        topk = engine.evaluate_topk(query, k=2, plan="dtree")
+        topk_row = row_engine.evaluate_topk(query, k=2, plan="dtree")
         assert topk.confidences() == topk_row.confidences()
         assert topk.decided and topk_row.decided
-
-    def test_unknown_engine_mode_rejected(self, paper_db):
-        with pytest.raises(PlanningError):
-            SproutEngine(paper_db, execution="gpu")
-
-    def test_unknown_call_mode_rejected(self, paper_engine, paper_q):
-        with pytest.raises(PlanningError):
-            paper_engine.evaluate(paper_q, execution="gpu")
 
     def test_batch_size_is_not_a_knob(self, paper_db):
         with pytest.raises(TypeError):
             SproutEngine(paper_db, batch_size=4096)
 
-    def test_engine_level_batch_default(self, paper_db, paper_q):
-        engine = SproutEngine(paper_db, execution="batch")
-        result = engine.evaluate(paper_q)
-        assert result.execution == "batch"
-        row = SproutEngine(paper_db, execution="row").evaluate(paper_q)
-        assert row.execution == "row"
-        assert_identical_results(row, result)
-
-    def test_modes_are_published(self):
-        assert EXECUTION_MODES == ("row", "batch")
-
 
 class TestPaperDatabase:
     @pytest.mark.parametrize("plan", ALL_PLANS)
-    def test_all_plan_styles_bit_identical(self, paper_engine, paper_q, plan):
-        row = paper_engine.evaluate(paper_q, plan=plan)
-        batch = paper_engine.evaluate(paper_q, plan=plan, execution="batch")
+    def test_all_plan_styles_bit_identical(self, paper_db, paper_engine, paper_q, plan):
+        row = RowEngine(paper_db).evaluate(paper_q, plan=plan)
+        batch = paper_engine.evaluate(paper_q, plan=plan)
         assert_identical_results(row, batch)
 
     @pytest.mark.parametrize("use_fds", [True, False])
-    def test_fd_toggle_bit_identical(self, paper_engine, paper_q, use_fds):
-        row = paper_engine.evaluate(paper_q, use_fds=use_fds)
-        batch = paper_engine.evaluate(paper_q, use_fds=use_fds, execution="batch")
+    def test_fd_toggle_bit_identical(self, paper_db, paper_engine, paper_q, use_fds):
+        row = RowEngine(paper_db).evaluate(paper_q, use_fds=use_fds)
+        batch = paper_engine.evaluate(paper_q, use_fds=use_fds)
         assert_identical_results(row, batch)
 
     def test_empty_answer(self, paper_engine, paper_db):
@@ -123,18 +100,18 @@ class TestPaperDatabase:
             projection=["cname"],
             selections=Comparison("cname", "=", "nobody"),
         )
-        row = paper_engine.evaluate(query)
-        batch = paper_engine.evaluate(query, execution="batch")
+        row = RowEngine(paper_db).evaluate(query)
+        batch = paper_engine.evaluate(query)
         assert_identical_results(row, batch)
         assert batch.distinct_tuples == 0
 
-    def test_boolean_query(self, paper_engine):
+    def test_boolean_query(self, paper_db, paper_engine):
         query = ConjunctiveQuery(
             "bool",
             [Atom("Cust", ["ckey", "cname"]), Atom("Ord", ["okey", "ckey", "odate"])],
         )
-        row = paper_engine.evaluate(query)
-        batch = paper_engine.evaluate(query, execution="batch")
+        row = RowEngine(paper_db).evaluate(query)
+        batch = paper_engine.evaluate(query)
         assert_identical_results(row, batch)
         assert batch.boolean_confidence() == row.boolean_confidence()
 
@@ -156,11 +133,11 @@ class TestPaperDatabase:
             probabilities=[0.5],
             primary_key=["b"],
         )
-        engine = SproutEngine(db)
+        engine, row_engine = SproutEngine(db), RowEngine(db)
         query = ConjunctiveQuery("cross", [Atom("R", ["a"]), Atom("S", ["b"])], projection=["a"])
         for plan in ALL_PLANS:
-            row = engine.evaluate(query, plan=plan)
-            batch = engine.evaluate(query, plan=plan, execution="batch")
+            row = row_engine.evaluate(query, plan=plan)
+            batch = engine.evaluate(query, plan=plan)
             assert row.distinct_tuples == 2
             assert_identical_results(row, batch)
 
@@ -168,24 +145,28 @@ class TestPaperDatabase:
 class TestTpchDatabase:
     """Differential check on the shared tiny TPC-H instance (SF 0.001)."""
 
+    @pytest.fixture(scope="class")
+    def tpch_row_engine(self, tpch_db):
+        return RowEngine(tpch_db)
+
     @pytest.mark.parametrize("key", ["1", "3", "10", "15", "16", "B17", "18", "20", "21"])
-    def test_lazy_bit_identical(self, tpch_engine, key):
+    def test_lazy_bit_identical(self, tpch_engine, tpch_row_engine, key):
         from repro.tpch import tpch_query
 
         query = tpch_query(key).query
-        row = tpch_engine.evaluate(query, plan="lazy")
-        batch = tpch_engine.evaluate(query, plan="lazy", execution="batch")
+        row = tpch_row_engine.evaluate(query, plan="lazy")
+        batch = tpch_engine.evaluate(query, plan="lazy")
         assert_identical_results(row, batch)
         assert_confidences_close(batch.confidences(), row.confidences(), 1e-9)
 
     @pytest.mark.parametrize("plan", ["eager", "hybrid"])
-    def test_eager_hybrid_bit_identical(self, tpch_engine, plan):
+    def test_eager_hybrid_bit_identical(self, tpch_engine, tpch_row_engine, plan):
         from repro.tpch import tpch_query
 
         for key in ("3", "16", "18"):
             query = tpch_query(key).query
-            row = tpch_engine.evaluate(query, plan=plan)
-            batch = tpch_engine.evaluate(query, plan=plan, execution="batch")
+            row = tpch_row_engine.evaluate(query, plan=plan)
+            batch = tpch_engine.evaluate(query, plan=plan)
             assert_identical_results(row, batch)
 
 
@@ -194,29 +175,30 @@ class TestTpchScaleFactor002:
     """The acceptance-criterion scale: fresh TPC-H at SF 0.002."""
 
     @pytest.fixture(scope="class")
-    def engine_002(self):
+    def db_002(self):
         from repro.tpch import probabilistic_tpch
 
-        return SproutEngine(probabilistic_tpch(scale_factor=0.002, seed=7, probability_seed=11))
+        return probabilistic_tpch(scale_factor=0.002, seed=7, probability_seed=11)
 
-    def test_figure9_queries_within_tolerance(self, engine_002):
+    def test_figure9_queries_within_tolerance(self, db_002):
         from repro.tpch import FIGURE9_KEYS, tpch_query
 
+        engine, row_engine = SproutEngine(db_002), RowEngine(db_002)
         for key in FIGURE9_KEYS:
             query = tpch_query(key).query
-            row = engine_002.evaluate(query, plan="lazy")
-            batch = engine_002.evaluate(query, plan="lazy", execution="batch")
+            row = row_engine.evaluate(query, plan="lazy")
+            batch = engine.evaluate(query, plan="lazy")
             assert_confidences_close(batch.confidences(), row.confidences(), 1e-9)
             assert_identical_results(row, batch)
 
 
 class TestRandomDatabases:
-    """Hypothesis: random tuple-independent databases, row vs batch."""
+    """Hypothesis: random tuple-independent databases, row oracle vs engine."""
 
     @given(two_table_database())
     @settings(max_examples=20, deadline=None)
     def test_two_table_row_vs_batch(self, db):
-        engine = SproutEngine(db)
+        engine, row_engine = SproutEngine(db), RowEngine(db)
         for projection in (["a"], ["b"], []):
             query = ConjunctiveQuery(
                 f"q{'-'.join(projection)}",
@@ -224,14 +206,14 @@ class TestRandomDatabases:
                 projection=projection,
             )
             for plan in ALL_PLANS:
-                row = engine.evaluate(query, plan=plan)
-                batch = engine.evaluate(query, plan=plan, execution="batch")
+                row = row_engine.evaluate(query, plan=plan)
+                batch = engine.evaluate(query, plan=plan)
                 assert_identical_results(row, batch)
 
     @given(three_table_database())
     @settings(max_examples=15, deadline=None)
     def test_three_table_row_vs_batch(self, db):
-        engine = SproutEngine(db)
+        engine, row_engine = SproutEngine(db), RowEngine(db)
         for projection in ([], ["d"], ["c"]):
             query = ConjunctiveQuery(
                 f"q{'-'.join(projection)}",
@@ -239,8 +221,8 @@ class TestRandomDatabases:
                 projection=projection,
             )
             for plan in ALL_PLANS:
-                row = engine.evaluate(query, plan=plan)
-                batch = engine.evaluate(query, plan=plan, execution="batch")
+                row = row_engine.evaluate(query, plan=plan)
+                batch = engine.evaluate(query, plan=plan)
                 assert_identical_results(row, batch)
 
 
@@ -250,7 +232,7 @@ class TestScanEvaluatorsAgree:
 
     def _sorted_answer(self, engine, query):
         signature = engine.signature_for(query)
-        answer, _, _ = engine._answer_relation(query, None)
+        answer, _, _ = materialize_answer(engine.database, engine.planner, query)
         return answer.sorted_by(sort_column_order(answer.schema, signature)), signature
 
     def _compare_evaluators(self, engine, query):
@@ -316,7 +298,7 @@ class TestBaseColumnsStayUntouched:
             for plan in ALL_PLANS:
                 engine.evaluate(query, plan=plan)
             engine.evaluate(query, confidence="approx")
-            assert engine.evaluate_topk(query, k=2).execution == "batch"
+            engine.evaluate_topk(query, k=2)
             engine.evaluate_threshold(query, tau=0.5)
         for name, columns in cached.items():
             relation = db.relation(name)

@@ -7,8 +7,8 @@ hashes whichever input is smaller and restores the order afterwards, the
 group-by skips bucketing when every row is its own group, folds
 ``[leader*]`` aggregates in one hash pass, sorting and ``min``/``max`` drop
 ``sort_key_for`` on homogeneous columns.  The oracle is always the *row*
-operator (or ``sort_key_for`` itself), and equality is on row **lists**: same
-rows, same order, same bits.
+operator (from ``repro.algebra`` or ``oracles.rows``, or ``sort_key_for``
+itself), and equality is on row **lists**: same rows, same order, same bits.
 """
 
 import math
@@ -29,7 +29,6 @@ from repro.algebra import (
     Comparison,
     Conjunction,
     Disjunction,
-    GroupByOp,
     HashJoinOp,
     MaterializedOp,
     Negation,
@@ -44,10 +43,11 @@ from repro.algebra import (
 from repro.algebra.columnar import _naturally_ordered
 from repro.errors import NumericalError
 from repro.sprout import SproutEngine
-from repro.sprout.planner import base_table_plan, base_table_plan_batch
+from repro.sprout.planner import base_table_plan_batch
 from repro.storage import Relation, Schema
-from repro.storage.external_sort import sort_key_for
+from repro.storage.relation import sort_key_for
 
+from oracles.rows import GroupByOp, RowEngine, base_table_plan
 from test_differential_matrix import CORPUS
 
 NAN = float("nan")
@@ -679,8 +679,8 @@ class TestNaturalOrderPredicate:
 
 
 def assert_batch_equals_row(engine, query, plan):
-    row = engine.evaluate(query, plan=plan, execution="row")
-    batch = engine.evaluate(query, plan=plan, execution="batch")
+    row = RowEngine(engine.database).evaluate(query, plan=plan)
+    batch = engine.evaluate(query, plan=plan)
     assert batch.relation.schema == row.relation.schema
     assert batch.relation.rows == row.relation.rows  # list equality, order included
     assert batch.rows_processed == row.rows_processed

@@ -38,13 +38,13 @@ import struct
 
 import pytest
 
-from repro import Atom, ConjunctiveQuery, SproutEngine
+from repro import Atom, ConjunctiveQuery
 from repro.algebra import Comparison
 
 from oracles.dtree import DTree
+from test_differential_matrix import BACKENDS
 
 PROJECTIONS = ("p_brand", "p_type", "p_container")
-EXECUTIONS = ("row", "batch")
 
 #: projection -> (table rows, store steps, refine_steps, bound-column digest,
 #: sorted-row digest), recorded at f09e991 with a fresh engine per decision;
@@ -87,11 +87,11 @@ def unsafe_query(projection):
     )
 
 
-def fresh_engine(db, execution):
-    """A fresh engine: the shape lives in its store.  Row and batch pipelines
-    extract the same lineage and the scheduler breaks ties on the tuple's
-    ``repr``, so both must reproduce the recorded shape."""
-    return SproutEngine(db, execution=execution)
+def fresh_engine(db, backend):
+    """A fresh engine: the shape lives in its store.  The engine and the row
+    oracle extract the same lineage and the scheduler breaks ties on the
+    tuple's ``repr``, so both must reproduce the recorded shape."""
+    return BACKENDS[backend](db)
 
 
 def _digest(*chunks: bytes) -> str:
@@ -115,11 +115,11 @@ def _decision_shape(engine, result):
     )
 
 
-@pytest.mark.parametrize("execution", EXECUTIONS)
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
 @pytest.mark.parametrize("projection", PROJECTIONS)
 class TestCompileShape:
-    def test_topk(self, tpch_db, projection, execution):
-        engine = fresh_engine(tpch_db, execution)
+    def test_topk(self, tpch_db, projection, backend):
+        engine = fresh_engine(tpch_db, backend)
         try:
             result = engine.evaluate_topk(unsafe_query(projection), k=10)
             assert result.decided
@@ -127,8 +127,8 @@ class TestCompileShape:
         finally:
             engine.close()
 
-    def test_threshold(self, tpch_db, projection, execution):
-        engine = fresh_engine(tpch_db, execution)
+    def test_threshold(self, tpch_db, projection, backend):
+        engine = fresh_engine(tpch_db, backend)
         try:
             result = engine.evaluate_threshold(unsafe_query(projection), tau=0.5)
             assert result.decided
@@ -136,8 +136,8 @@ class TestCompileShape:
         finally:
             engine.close()
 
-    def test_exact_evaluate(self, tpch_db, projection, execution):
-        engine = fresh_engine(tpch_db, execution)
+    def test_exact_evaluate(self, tpch_db, projection, backend):
+        engine = fresh_engine(tpch_db, backend)
         try:
             query = unsafe_query(projection)
             result = engine.evaluate(query)
@@ -148,7 +148,7 @@ class TestCompileShape:
                 chunks.append(struct.pack("<ddd", confidence, lower, upper))
             assert _decision_shape(engine, result) == EVALUATE_STORE[projection]
             # The per-tuple oracle: same answers from isolated trees.
-            answer = engine._answer_lineage(query, None, execution)
+            answer = engine._answer_lineage(query, None)
             confidences = result.confidences()
             steps = nodes = 0
             for data, dnf in answer.lineage.items():

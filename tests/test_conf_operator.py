@@ -2,7 +2,8 @@
 inside eager/hybrid plans, and the scan schedule of the lazy plans.
 
 The definition is the self-contained oracle ``oracles.semantics``; the
-engine's ``reduce_relation`` and scan-based evaluator are checked against it.
+engine's ``reduce_relation`` and scan-based evaluator, and their row twins in
+``oracles.rows``, are checked against it.
 """
 
 import pytest
@@ -10,12 +11,13 @@ import pytest
 from repro.algebra.columnar import ColumnBatch
 from repro.query.signature import parse_signature
 from repro.sprout.conf_operator import reduce_relation
-from repro.sprout.scans import apply_scan_schedule, schedule_scans
+from repro.sprout.scans import apply_scan_schedule_columns, schedule_scans
 from repro.sprout.engine import SproutEngine
-from repro.sprout.planner import build_answer_plan, project_answer_columns
+from repro.sprout.planner import build_answer_plan_batch, project_answer_columns
 from repro.storage.schema import ColumnRole
 
 from helpers import assert_confidences_close, build_paper_database, paper_query
+from oracles import rows
 from oracles.semantics import apply_semantics, grp_statements
 
 SIGNATURES = ["(Cust* (Ord* Item*)*)*", "(Cust (Ord Item*)*)*", "(Cust* (Ord Item*)*)*"]
@@ -26,7 +28,7 @@ def paper_answer_relation():
     db = build_paper_database()
     query = paper_query()
     engine = SproutEngine(db)
-    plan = build_answer_plan(db, query, engine.planner.lazy_join_order(query))
+    plan = build_answer_plan_batch(db, query, engine.planner.lazy_join_order(query))
     return project_answer_columns(plan, query).to_relation("Q")
 
 
@@ -90,21 +92,24 @@ class TestReduceRelation:
 
     def test_reduce_relation_keeps_leader_pair(self):
         answer = paper_answer_relation()
-        reduced, leader = reduce_relation(answer, parse_signature("(Cust (Ord Item*)*)*"))
+        reduced, leader = reduce_relation(
+            ColumnBatch.from_relation(answer), parse_signature("(Cust (Ord Item*)*)*")
+        )
         assert leader == "Cust"
         pairs = reduced.schema.var_prob_pairs()
         assert [pair.source for pair in pairs] == ["Cust"]
         assert len(reduced) == 1
 
-    @pytest.mark.parametrize("execution", ["row", "batch"])
+    @pytest.mark.parametrize("backend", ["engine", "rows"])
     @pytest.mark.parametrize("signature_text", SIGNATURES)
-    def test_matches_semantics(self, signature_text, execution):
+    def test_matches_semantics(self, signature_text, backend):
         answer = paper_answer_relation()
         signature = parse_signature(signature_text)
-        source = ColumnBatch.from_relation(answer) if execution == "batch" else answer
-        reduced, leader = reduce_relation(source, signature, execution=execution)
-        if execution == "batch":
+        if backend == "engine":
+            reduced, leader = reduce_relation(ColumnBatch.from_relation(answer), signature)
             reduced = reduced.to_relation("Q")
+        else:
+            reduced, leader = rows.reduce_relation(answer, signature)
         schema = reduced.schema
         data = [i for i, a in enumerate(schema) if a.role is ColumnRole.DATA]
         prob = schema.index_of(schema.var_prob_pairs()[0].prob_name)
@@ -136,10 +141,14 @@ class TestScanScheduling:
         answer = paper_answer_relation()
         for text in ("(Cust* (Ord* Item*)*)*", "(Cust (Ord Item*)*)*"):
             signature = parse_signature(text)
-            by_scans, schedule = apply_scan_schedule(answer, signature)
             by_semantics = apply_semantics(answer, signature)
+            by_rows, row_schedule = rows.apply_scan_schedule(answer, signature)
+            by_scans, schedule = apply_scan_schedule_columns(
+                ColumnBatch.from_relation(answer), signature
+            )
+            assert by_scans.rows == by_rows.rows
+            assert schedule.total_scans == row_schedule.total_scans >= 1
             scans_confidences = {
                 tuple(row[:-1]): row[-1] for row in by_scans
             }
             assert_confidences_close(scans_confidences, by_semantics.confidences())
-            assert schedule.total_scans >= 1

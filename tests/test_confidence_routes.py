@@ -6,13 +6,14 @@ one serial scheduler of :mod:`repro.sprout.topk` over the same views.  The
 per-tuple oracle (``oracles.dtree``) compiles one fresh, isolated d-tree per
 answer tuple.  Pinned here:
 
-* evaluation is reproducible across fresh engines and pipelines, returns
+* evaluation is reproducible across fresh engines, on the engine and on the
+  row oracle (``oracles.rows``), returns
   the oracle's exact confidences bit for bit — also over a store an
   approximate call warmed first — and keeps its brackets in budget; the
   oracle itself matches possible-world enumeration;
 * the Karp–Luby fallback of a capped evaluation is seeded per tuple, so it
   is reproducible and always inside the sound bracket;
-* decisions are bit-identical under row and batch pipelines and across
+* decisions are bit-identical on the engine and the row oracle and across
   fresh engines, agree with enumerated truth, and report — never raise —
   an exhausted budget;
 * multi-round refinement over heavy lineage replays the same trajectory.
@@ -21,13 +22,14 @@ answer tuple.  Pinned here:
 import pytest
 
 from repro import Atom, ConjunctiveQuery, ProbabilisticDatabase, SproutEngine
-from repro.prob import DNF, confidences_by_enumeration
+from repro.prob import DNF
 from repro.prob.sharedag import SharedDTreeCache
-from repro.sprout import RefinementScheduler, TupleCandidate, evaluate_deterministic
+from repro.sprout import RefinementScheduler, TupleCandidate
 from repro.storage import Relation, Schema
 
 from oracles.dtree import oracle_evaluate
-from test_differential_matrix import CORPUS, _truth
+from oracles.worlds import enumerate_truth
+from test_differential_matrix import BACKENDS, CORPUS, _truth
 
 TOLERANCE = 1e-9
 EPSILON = 0.01
@@ -84,7 +86,7 @@ def result_fingerprint(result):
 
 @pytest.mark.parametrize("case", sorted(CORPUS))
 def test_evaluate_is_reproducible_and_matches_the_oracle(case):
-    """Fresh engines return the same bits, row and batch alike, and their
+    """Fresh engines return the same bits, engine and row oracle alike, and their
     exact confidences are the per-tuple oracle's; over a store an
     approximate call warmed first, the exact call still returns the oracle's
     bits, and the approximate brackets hold them within the budget."""
@@ -92,22 +94,17 @@ def test_evaluate_is_reproducible_and_matches_the_oracle(case):
     oracle = {d: r.probability for d, r in oracle_evaluate(build_db(), make_query()).items()}
     fingerprints = {}
     for _ in range(2):
-        for execution in ("row", "batch"):
+        for backend, make_engine in BACKENDS.items():
             for confidence in ("exact", "approx"):
-                with SproutEngine(build_db(), epsilon=EPSILON) as engine:
-                    result = engine.evaluate(
-                        make_query(),
-                        plan="dtree",
-                        execution=execution,
-                        confidence=confidence,
-                    )
+                with make_engine(build_db(), epsilon=EPSILON) as engine:
+                    result = engine.evaluate(make_query(), plan="dtree", confidence=confidence)
                 fingerprint = result_fingerprint(result)
-                fingerprints.setdefault((execution, confidence), fingerprint)
-                assert fingerprints[execution, confidence] == fingerprint
-            assert dict(fingerprints[execution, "exact"][1]) == oracle
-    for execution in ("row", "batch"):
+                fingerprints.setdefault((backend, confidence), fingerprint)
+                assert fingerprints[backend, confidence] == fingerprint
+            assert dict(fingerprints[backend, "exact"][1]) == oracle
+    for make_engine in BACKENDS.values():
         # Approximate first: after the exact call the store would be closed.
-        with SproutEngine(build_db(), epsilon=EPSILON, execution=execution) as engine:
+        with make_engine(build_db(), epsilon=EPSILON) as engine:
             approx = engine.evaluate(make_query(), plan="dtree", confidence="approx")
             exact = engine.evaluate(make_query(), plan="dtree")
         assert exact.confidences() == oracle
@@ -132,9 +129,9 @@ def test_per_tuple_oracle_matches_enumeration(case):
         assert approx[data].lower - TOLERANCE <= expected <= approx[data].upper + TOLERANCE
 
 
-@pytest.mark.parametrize("execution", ("row", "batch"))
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
 @pytest.mark.parametrize("case", sorted(CORPUS))
-def test_capped_evaluation_falls_back_reproducibly(case, execution):
+def test_capped_evaluation_falls_back_reproducibly(case, backend):
     """Where one expansion per tuple is too few for a tight budget, the point
     estimate is the seeded Karp–Luby fallback clamped into the bracket: a
     fresh engine with the same seed reports the same bits, and every
@@ -145,11 +142,10 @@ def test_capped_evaluation_falls_back_reproducibly(case, execution):
         "dtree_max_steps": 1,
         "monte_carlo_samples": 400,
         "seed": 3,
-        "execution": execution,
     }
     fingerprints = []
     for _ in range(2):
-        with SproutEngine(build_db(), **options) as engine:
+        with BACKENDS[backend](build_db(), **options) as engine:
             result = engine.evaluate(
                 make_query(), plan="dtree", confidence="approx", epsilon=1e-6
             )
@@ -190,36 +186,23 @@ def test_decisions_over_a_warm_store_agree_with_fresh_engines(case):
 # ---------------------------------------------------------------------------
 
 
-_chain_truth = {}
-
-
 class TestDecisions:
-    def enumerate_truth(self, db, query):
-        # 2^19 possible worlds: enumerate once for the whole class.
-        if not _chain_truth:
-            _chain_truth.update(
-                confidences_by_enumeration(
-                    db, lambda instance: evaluate_deterministic(query, instance)
-                )
-            )
-        return _chain_truth
+    # 2^19 possible worlds: enumerate_truth keeps the truth for the session.
 
-    def test_topk_is_identical_under_row_and_batch(self, chain_db):
+    def test_topk_is_identical_on_the_engine_and_the_row_oracle(self, chain_db):
         fingerprints = set()
-        for execution in ("row", "batch"):
-            with SproutEngine(chain_db) as engine:
-                result = engine.evaluate_topk(
-                    unsafe_chain_query(), k=2, execution=execution
-                )
+        for make_engine in BACKENDS.values():
+            with make_engine(chain_db) as engine:
+                result = engine.evaluate_topk(unsafe_chain_query(), k=2)
             assert result.decided
             fingerprints.add(result_fingerprint(result))
         assert len(fingerprints) == 1
 
-    @pytest.mark.parametrize("execution", ("row", "batch"))
-    def test_topk_agrees_with_truth(self, chain_db, execution):
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_topk_agrees_with_truth(self, chain_db, backend):
         query = unsafe_chain_query()
-        truth = self.enumerate_truth(chain_db, query)
-        with SproutEngine(chain_db, execution=execution) as engine:
+        truth = enumerate_truth(chain_db, query)
+        with BACKENDS[backend](chain_db) as engine:
             result = engine.evaluate_topk(query, k=2)
         assert result.decided
         assert set(result.confidences()) == set(
@@ -231,12 +214,12 @@ class TestDecisions:
         for data, (lower, upper) in result.bounds.items():
             assert lower - TOLERANCE <= truth[data] <= upper + TOLERANCE
 
-    @pytest.mark.parametrize("execution", ("row", "batch"))
-    def test_threshold_agrees_with_truth(self, chain_db, execution):
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_threshold_agrees_with_truth(self, chain_db, backend):
         query = unsafe_chain_query()
-        truth = self.enumerate_truth(chain_db, query)
+        truth = enumerate_truth(chain_db, query)
         tau = 0.35
-        with SproutEngine(chain_db, execution=execution) as engine:
+        with BACKENDS[backend](chain_db) as engine:
             result = engine.evaluate_threshold(query, tau=tau)
         assert result.decided
         selected = set(result.confidences())
@@ -246,9 +229,9 @@ class TestDecisions:
             elif confidence < tau - TOLERANCE:
                 assert data not in selected
 
-    @pytest.mark.parametrize("execution", ("row", "batch"))
-    def test_approx_mode_reports_midpoints_within_bounds(self, chain_db, execution):
-        with SproutEngine(chain_db, execution=execution) as engine:
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_approx_mode_reports_midpoints_within_bounds(self, chain_db, backend):
+        with BACKENDS[backend](chain_db) as engine:
             result = engine.evaluate_topk(
                 unsafe_chain_query(), k=2, confidence="approx"
             )
@@ -257,28 +240,28 @@ class TestDecisions:
             lower, upper = result.bounds[data]
             assert lower - TOLERANCE <= confidence <= upper + TOLERANCE
 
-    @pytest.mark.parametrize("execution", ("row", "batch"))
-    def test_budget_exhaustion_is_reported_not_raised(self, chain_db, execution):
-        with SproutEngine(chain_db, execution=execution) as engine:
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_budget_exhaustion_is_reported_not_raised(self, chain_db, backend):
+        with BACKENDS[backend](chain_db) as engine:
             result = engine.evaluate_topk(
                 unsafe_chain_query(), k=1, confidence="approx", max_steps=0
             )
         assert isinstance(result.decided, bool)
         assert result.refine_steps == 0
 
-    @pytest.mark.parametrize("execution", ("row", "batch"))
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
     @pytest.mark.parametrize("confidence", ("exact", "approx"))
     def test_decisions_are_reproducible_across_fresh_engines(
-        self, chain_db, confidence, execution
+        self, chain_db, confidence, backend
     ):
         """The full fingerprint — confidences, bounds, decided sets and step
         counts — of a top-k and a threshold decision on fresh engines."""
         query = unsafe_chain_query()
         prints = []
         for _ in range(2):
-            with SproutEngine(chain_db, execution=execution) as engine:
+            with BACKENDS[backend](chain_db) as engine:
                 top = engine.evaluate_topk(query, k=2, confidence=confidence)
-            with SproutEngine(chain_db, execution=execution) as engine:
+            with BACKENDS[backend](chain_db) as engine:
                 threshold = engine.evaluate_threshold(
                     query, tau=0.35, confidence=confidence
                 )

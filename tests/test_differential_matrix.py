@@ -2,12 +2,14 @@
 
 One parametrized harness evaluates a small query corpus (safe and unsafe,
 Boolean and projected, with and without selections) across the full
-configuration matrix — plan style × row/batch execution × exact/approx
-confidence — and asserts that every configuration agrees with brute-force
-possible-world enumeration (exactly for exact configurations, within the
-epsilon budget for approximate ones) and therefore with every other
-configuration.  The two reference oracles — exact lineage counting and the
-literal Fig. 5 semantics — get their own rows against enumeration, and the
+configuration matrix — plan style × exact/approx confidence — and asserts
+that every configuration agrees with brute-force possible-world enumeration
+(exactly for exact configurations, within the epsilon budget for approximate
+ones) and therefore with every other configuration.  Each configuration runs
+twice: on the engine, and on the row pipeline it is checked against
+(``tests/oracles/rows.py``), which so gets its own rows against enumeration.
+The two other reference oracles — exact lineage counting and the literal
+Fig. 5 semantics — get their own rows against enumeration too, and the
 engine's exact answers are checked against them.
 """
 
@@ -19,14 +21,14 @@ from hypothesis import strategies as st
 
 from repro import Atom, ConjunctiveQuery, ProbabilisticDatabase, SproutEngine
 from repro.algebra import Comparison, conjunction_of
-from repro.prob import confidences_by_enumeration
 from repro.prob.sharedag import SharedDTreeCache
-from repro.sprout import evaluate_deterministic
 from repro.storage import Relation, Schema
 
 from oracles.dtree import oracle_evaluate
 from oracles.lineage import lineage_evaluate
+from oracles.rows import RowEngine
 from oracles.semantics import semantics_evaluate
+from oracles.worlds import enumerate_truth
 
 TOLERANCE = 1e-9
 EPSILON = 0.01
@@ -141,54 +143,45 @@ CORPUS = {
 #: The operator plans; the d-tree plan is the fourth plan style.
 OPERATOR_PLANS = ("lazy", "eager", "hybrid")
 
-#: (plan, execution, confidence) — the exact axis runs every plan style under
-#: both backends; the approx axis collapses to the d-tree route (any plan ×
-#: approx takes it), so lazy/dtree cover it.
+#: The engine, and the row pipeline it is checked against.
+BACKENDS = {"engine": SproutEngine, "rows": RowEngine}
+
+#: (plan, backend, confidence) — the exact axis runs every plan style on the
+#: engine and on the row oracle; the approx axis collapses to the d-tree
+#: route (any plan × approx takes it), so lazy/dtree cover it.
 CONFIGURATIONS = [
-    *(
-        (plan, execution, "exact")
-        for plan in (*OPERATOR_PLANS, "dtree")
-        for execution in ("row", "batch")
-    ),
-    *((plan, execution, "approx") for plan in ("lazy", "dtree") for execution in ("row", "batch")),
+    *((plan, backend, "exact") for plan in (*OPERATOR_PLANS, "dtree") for backend in BACKENDS),
+    *((plan, backend, "approx") for plan in ("lazy", "dtree") for backend in BACKENDS),
 ]
 
 #: Cases whose query is tractable: the ones the Fig. 5 semantics defines.
 SAFE_CASES = ("safe_bool", "safe_proj", "safe_sel", "single")
 
-_truth_cache = {}
-
-
 def _truth(case):
-    if case not in _truth_cache:
-        build_db, make_query = CORPUS[case]
-        db = build_db()
-        _truth_cache[case] = confidences_by_enumeration(
-            db, lambda instance: evaluate_deterministic(make_query(), instance)
-        )
-    return _truth_cache[case]
+    build_db, make_query = CORPUS[case]
+    return enumerate_truth(build_db(), make_query())
 
 
 @pytest.mark.parametrize("case", sorted(CORPUS))
 @pytest.mark.parametrize(
-    "plan,execution,confidence",
+    "plan,backend,confidence",
     CONFIGURATIONS,
     ids=["-".join(c) for c in CONFIGURATIONS],
 )
-def test_configuration_agrees_with_enumeration(case, plan, execution, confidence):
+def test_configuration_agrees_with_enumeration(case, plan, backend, confidence):
     build_db, make_query = CORPUS[case]
-    engine = SproutEngine(build_db(), epsilon=EPSILON)
-    result = engine.evaluate(make_query(), plan=plan, execution=execution, confidence=confidence)
+    engine = BACKENDS[backend](build_db(), epsilon=EPSILON)
+    result = engine.evaluate(make_query(), plan=plan, confidence=confidence)
     truth = _truth(case)
     confidences = result.confidences()
     assert set(confidences) == set(truth), (
-        f"{case}: answer tuples differ under {plan}/{execution}/{confidence}"
+        f"{case}: answer tuples differ under {plan}/{backend}/{confidence}"
     )
     for data, expected in truth.items():
         actual = confidences[data]
         if confidence == "exact":
             assert actual == pytest.approx(expected, abs=TOLERANCE), (
-                f"{case}: confidence of {data} differs under {plan}/{execution}"
+                f"{case}: confidence of {data} differs under {plan}/{backend}"
             )
         else:
             assert abs(actual - expected) <= EPSILON + TOLERANCE
@@ -196,14 +189,14 @@ def test_configuration_agrees_with_enumeration(case, plan, execution, confidence
             assert lower - TOLERANCE <= expected <= upper + TOLERANCE
 
 
-#: The oracle axis runs every plan style on the row backend for the exact
-#: mode, the d-tree-routed plans for the approx mode, and the columnar
-#: backend on the d-tree plan.
+#: The oracle axis runs every plan style on the row oracle for the exact
+#: mode, the d-tree-routed plans for the approx mode, and the engine on the
+#: d-tree plan.
 ORACLE_AXIS = [
-    *((plan, "row", "exact") for plan in (*OPERATOR_PLANS, "dtree")),
-    ("dtree", "batch", "exact"),
-    *((plan, "row", "approx") for plan in ("lazy", "dtree")),
-    ("dtree", "batch", "approx"),
+    *((plan, "rows", "exact") for plan in (*OPERATOR_PLANS, "dtree")),
+    ("dtree", "engine", "exact"),
+    *((plan, "rows", "approx") for plan in ("lazy", "dtree")),
+    ("dtree", "engine", "approx"),
 ]
 
 
@@ -214,9 +207,9 @@ def _oracle(case, epsilon=0.0):
 
 @pytest.mark.parametrize("case", sorted(CORPUS))
 @pytest.mark.parametrize(
-    "plan,execution,confidence", ORACLE_AXIS, ids=["-".join(c) for c in ORACLE_AXIS]
+    "plan,backend,confidence", ORACLE_AXIS, ids=["-".join(c) for c in ORACLE_AXIS]
 )
-def test_dtree_route_matches_the_per_tuple_oracle(case, plan, execution, confidence):
+def test_dtree_route_matches_the_per_tuple_oracle(case, plan, backend, confidence):
     """Plain evaluation against one fresh oracle ``DTree`` per tuple.
 
     On a fresh engine the shared store compiles common subformulas once
@@ -226,10 +219,8 @@ def test_dtree_route_matches_the_per_tuple_oracle(case, plan, execution, confide
     plan instead must agree with the oracle's exact values within rounding.
     """
     build_db, make_query = CORPUS[case]
-    engine = SproutEngine(build_db(), epsilon=EPSILON)
-    result = engine.evaluate(
-        make_query(), plan=plan, execution=execution, confidence=confidence
-    )
+    engine = BACKENDS[backend](build_db(), epsilon=EPSILON)
+    result = engine.evaluate(make_query(), plan=plan, confidence=confidence)
     oracle = _oracle(case, EPSILON if confidence == "approx" else 0.0)
     assert set(result.confidences()) == set(oracle)
     if result.plan_style == "dtree":
@@ -278,22 +269,23 @@ def test_reference_oracle_agrees_with_enumeration(case, oracle):
 
 @pytest.mark.parametrize("case", sorted(CORPUS))
 def test_exact_configurations_agree_with_the_reference_oracles(case):
-    """Every exact plan × backend against exact lineage counting, and the
-    scan-based operator of the lazy plans against the Fig. 5 semantics."""
+    """Every exact plan on the engine and on the row oracle against exact
+    lineage counting, and the scan-based operator of the lazy plans against
+    the Fig. 5 semantics."""
     build_db, make_query = CORPUS[case]
-    engine = SproutEngine(build_db())
     references = {"lineage": _reference(case, "lineage")}
     if case in SAFE_CASES:
         references["semantics"] = _reference(case, "semantics")
-    for plan in (*OPERATOR_PLANS, "dtree"):
-        for execution in ("row", "batch"):
-            result = engine.evaluate(make_query(), plan=plan, execution=execution)
+    for backend, make_engine in BACKENDS.items():
+        engine = make_engine(build_db())
+        for plan in (*OPERATOR_PLANS, "dtree"):
+            result = engine.evaluate(make_query(), plan=plan)
             checked = references if plan == "lazy" else {"lineage": references["lineage"]}
             for oracle, expected in checked.items():
                 assert set(result.confidences()) == set(expected)
                 for data, value in expected.items():
                     assert result.confidences()[data] == pytest.approx(value, abs=TOLERANCE), (
-                        f"{case}: {plan}/{execution} differs from the {oracle} oracle on {data}"
+                        f"{case}: {plan}/{backend} differs from the {oracle} oracle on {data}"
                     )
 
 
@@ -337,9 +329,9 @@ def test_topk_and_threshold_against_truth_and_oracle(case, confidence):
 
 @pytest.mark.parametrize("case", sorted(CORPUS))
 @pytest.mark.parametrize("confidence", ["exact", "approx"])
-def test_execution_axis_is_bit_identical(case, confidence):
-    """Row vs. batch pipelines on fresh engines: the bounded APIs must agree
-    bit for bit, not just on answer sets.
+def test_the_row_oracle_is_bit_identical(case, confidence):
+    """The engine and the row oracle on fresh engines: the bounded APIs must
+    agree bit for bit, not just on answer sets.
 
     Both pipelines extract the same lineage, and the scheduler breaks ties on
     the data tuple's ``repr``, so the refinement trajectory — and with it
@@ -351,13 +343,13 @@ def test_execution_axis_is_bit_identical(case, confidence):
     truth = _truth(case)
     tau = sorted(truth.values())[len(truth) // 2] if truth else 0.5
     fingerprints = {}
-    for execution in ("row", "batch"):
-        engine = SproutEngine(build_db(), execution=execution)
+    for backend, make_engine in BACKENDS.items():
+        engine = make_engine(build_db())
         top = engine.evaluate_topk(make_query(), k=2, plan="dtree", confidence=confidence)
         threshold = engine.evaluate_threshold(
             make_query(), tau=tau, plan="dtree", confidence=confidence
         )
-        fingerprints[execution] = (
+        fingerprints[backend] = (
             list(top.relation.rows),
             sorted(top.bounds.items()),
             top.decided,
@@ -369,7 +361,7 @@ def test_execution_axis_is_bit_identical(case, confidence):
             engine.dtree_cache.store.table.bounds_fingerprint(),
         )
         engine.close()
-    assert fingerprints["row"] == fingerprints["batch"]
+    assert fingerprints["rows"] == fingerprints["engine"]
     if confidence == "exact":
         oracle = _oracle(case)
         for data_tuple, value in top.confidences().items():
@@ -460,21 +452,20 @@ def test_any_k_and_tau_decide_the_enumerated_truth(case, confidence, data):
 
 
 @pytest.mark.parametrize("case", sorted(CORPUS))
-def test_topk_and_threshold_agree_across_backends(case):
-    """The bounded APIs return identical answer sets under row and batch."""
+def test_topk_and_threshold_agree_with_the_row_oracle(case):
+    """The bounded APIs return identical answer sets on the engine and on
+    the row oracle."""
     build_db, make_query = CORPUS[case]
     truth = _truth(case)
-    engine = SproutEngine(build_db())
+    engine, row_engine = SproutEngine(build_db()), RowEngine(build_db())
     for confidence in ("exact", "approx"):
         selections = []
-        for execution in ("row", "batch"):
-            top = engine.evaluate_topk(
-                make_query(), k=2, execution=execution, confidence=confidence
-            )
+        for backend in (row_engine, engine):
+            top = backend.evaluate_topk(make_query(), k=2, confidence=confidence)
             assert top.decided
             selections.append(frozenset(top.confidences()))
         assert selections[0] == selections[1]
     median = sorted(truth.values())[len(truth) // 2] if truth else 0.5
-    row = engine.evaluate_threshold(make_query(), tau=median)
-    batch = engine.evaluate_threshold(make_query(), tau=median, execution="batch")
+    row = row_engine.evaluate_threshold(make_query(), tau=median)
+    batch = engine.evaluate_threshold(make_query(), tau=median)
     assert set(row.confidences()) == set(batch.confidences())

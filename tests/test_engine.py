@@ -10,8 +10,7 @@ import pytest
 from repro.errors import NonHierarchicalQueryError, PlanningError, UnsupportedQueryError
 from repro import Atom, ConjunctiveQuery, ProbabilisticDatabase, SproutEngine
 from repro.algebra import Comparison, Disjunction
-from repro.prob import backend_info, confidences_by_enumeration
-from repro.sprout import evaluate_deterministic
+from repro.prob import backend_info
 from repro.sprout.engine import ANSWER_MEMO_ENTRIES, PLAN_STYLES
 from repro.storage import Relation, Schema
 
@@ -19,15 +18,21 @@ from helpers import assert_confidences_close, build_paper_database, paper_query
 from oracles.dtree import oracle_evaluate
 from oracles.lineage import lineage_evaluate
 from oracles.semantics import semantics_evaluate
-from test_differential_matrix import CORPUS
+from oracles.worlds import enumerate_truth, enumerate_truths
+from test_differential_matrix import BACKENDS, CORPUS
 
 
 ALL_PLANS = PLAN_STYLES
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def enumerate_truth(db, query):
-    return confidences_by_enumeration(db, lambda instance: evaluate_deterministic(query, instance))
+def paper_truth(db, query):
+    """Possible-world truth on the paper database.  The first call
+    enumerates its worlds once for every query this module checks there."""
+    enumerate_truths(
+        db, [*TestMoreQueriesAgainstEnumeration.queries(), TestHardQueries.hard_query()]
+    )
+    return enumerate_truth(db, query)
 
 
 class TestPaperExample:
@@ -44,9 +49,9 @@ class TestPaperExample:
         by_semantics = semantics_evaluate(paper_engine, paper_q).confidences()
         assert_confidences_close(by_semantics, expected, 1e-12)
 
-    @pytest.mark.parametrize("execution", ("row", "batch"))
-    def test_scan_operator_matches_semantics(self, paper_engine, paper_q, execution):
-        result = paper_engine.evaluate(paper_q, execution=execution)
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_scan_operator_matches_semantics(self, paper_db, paper_engine, paper_q, backend):
+        result = BACKENDS[backend](paper_db).evaluate(paper_q)
         assert result.scans_used == 1
         assert_confidences_close(
             result.confidences(), semantics_evaluate(paper_engine, paper_q).confidences()
@@ -64,7 +69,7 @@ class TestPaperExample:
         assert_confidences_close(with_fds.confidences(), without_fds.confidences())
 
     def test_matches_possible_worlds(self, paper_db, paper_q, paper_engine):
-        truth = enumerate_truth(paper_db, paper_q)
+        truth = paper_truth(paper_db, paper_q)
         assert_confidences_close(paper_engine.evaluate(paper_q).confidences(), truth)
 
     def test_explicit_join_order(self, paper_engine, paper_q):
@@ -76,7 +81,8 @@ class TestPaperExample:
 class TestMoreQueriesAgainstEnumeration:
     """Several query shapes, every plan style, validated by world enumeration."""
 
-    def queries(self):
+    @staticmethod
+    def queries():
         atoms = paper_query().atoms
         yield paper_query()
         yield ConjunctiveQuery("no-selection", atoms, projection=["odate"])
@@ -99,27 +105,17 @@ class TestMoreQueriesAgainstEnumeration:
             ),
         )
 
-    # Possible-world truth per query name: it does not depend on the plan,
-    # and enumerating it dominates each parametrization's run time.
-    TRUTH = {}
-
-    def truth(self, paper_db, query):
-        truth = self.TRUTH.get(query.name)
-        if truth is None:
-            truth = self.TRUTH[query.name] = enumerate_truth(paper_db, query)
-        return truth
-
     @pytest.mark.parametrize("plan", ALL_PLANS)
     def test_against_enumeration(self, paper_db, plan):
         engine = SproutEngine(paper_db)
         for query in self.queries():
             result = engine.evaluate(query, plan=plan)
-            assert_confidences_close(result.confidences(), self.truth(paper_db, query))
+            assert_confidences_close(result.confidences(), paper_truth(paper_db, query))
 
     def test_oracles_against_enumeration(self, paper_db):
         engine = SproutEngine(paper_db)
         for query in self.queries():
-            truth = self.truth(paper_db, query)
+            truth = paper_truth(paper_db, query)
             assert_confidences_close(lineage_evaluate(paper_db, query), truth)
             by_semantics = semantics_evaluate(engine, query).confidences()
             assert_confidences_close(by_semantics, truth)
@@ -153,7 +149,8 @@ class TestMoreQueriesAgainstEnumeration:
 
 
 class TestHardQueries:
-    def hard_query(self):
+    @staticmethod
+    def hard_query():
         # Q' of the Introduction: Item without ckey.
         return ConjunctiveQuery(
             "Qprime",
@@ -189,14 +186,14 @@ class TestHardQueries:
             engine.signature_for(self.hard_query())
 
     def test_lineage_oracle_matches_enumeration(self, paper_db):
-        truth = enumerate_truth(paper_db, self.hard_query())
+        truth = paper_truth(paper_db, self.hard_query())
         assert_confidences_close(lineage_evaluate(paper_db, self.hard_query()), truth)
 
     def test_tractable_with_fd(self, paper_db):
         # okey -> ckey holds (okey is the key of Ord), so Q' is tractable here.
         engine = SproutEngine(paper_db)
         assert engine.is_tractable(self.hard_query())
-        truth = enumerate_truth(paper_db, self.hard_query())
+        truth = paper_truth(paper_db, self.hard_query())
         for plan in ("lazy", "eager", "hybrid"):
             assert_confidences_close(
                 engine.evaluate(self.hard_query(), plan=plan).confidences(), truth
@@ -229,6 +226,27 @@ class TestEngineValidation:
             paper_engine.evaluate_topk(paper_q, k=1, **retired)
         with pytest.raises(TypeError):
             paper_engine.evaluate_threshold(paper_q, tau=0.5, **retired)
+
+    @pytest.mark.parametrize("retired", ("row", "batch"))
+    def test_execution_is_not_a_knob(self, paper_engine, paper_q, retired):
+        # One physical backend: no entry point takes a per-call backend.
+        for call in (
+            lambda: paper_engine.evaluate(paper_q, execution=retired),
+            lambda: paper_engine.evaluate_topk(paper_q, k=1, execution=retired),
+            lambda: paper_engine.evaluate_threshold(paper_q, tau=0.5, execution=retired),
+            lambda: paper_engine.watch_topk(paper_q, k=1, execution=retired),
+            lambda: paper_engine.watch_threshold(paper_q, tau=0.5, execution=retired),
+        ):
+            with pytest.raises(TypeError):
+                call()
+
+    def test_the_constructor_keeps_only_the_batch_backend(self, paper_db, paper_q):
+        result = SproutEngine(paper_db, execution="batch").evaluate(paper_q)
+        assert result.confidences() == SproutEngine(paper_db).evaluate(paper_q).confidences()
+        assert not hasattr(result, "execution")
+        for retired in ("row", "gpu", None):
+            with pytest.raises(PlanningError, match="execution mode"):
+                SproutEngine(paper_db, execution=retired)
 
     def test_materialize_to_disk_is_not_a_knob(self, paper_engine, paper_q):
         with pytest.raises(TypeError):
@@ -361,7 +379,7 @@ class TestEngineInstrumentation:
             lambda engine, query: engine.evaluate(query, plan="bogus"),
             lambda engine, query: engine.evaluate(query, epsilon=-1.0),
             lambda engine, query: engine.evaluate_topk(query, k=1, plan="lineage"),
-            lambda engine, query: engine.evaluate_threshold(query, tau=0.5, execution="bogus"),
+            lambda engine, query: engine.evaluate_threshold(query, tau=0.5, execution="row"),
             lambda engine, query: engine.watch_topk(query, k=1, confidence="bogus"),
             lambda engine, query: engine.evaluate(
                 ConjunctiveQuery(
@@ -383,7 +401,7 @@ class TestEngineInstrumentation:
         engine.evaluate_topk(query, k=1)
         engine.close()
         snapshot = engine.cache_stats()
-        with pytest.raises((PlanningError, UnsupportedQueryError)):
+        with pytest.raises((PlanningError, UnsupportedQueryError, TypeError)):
             refused(engine, query)
         assert engine.cache_stats() == snapshot
 
@@ -426,7 +444,6 @@ def _fingerprint(result):
         "rows_processed": result.rows_processed,
         "join_order": result.join_order,
         "plan_style": result.plan_style,
-        "execution": result.execution,
         "confidence": result.confidence,
         "epsilon": result.epsilon,
         "k": result.k,
@@ -486,19 +503,21 @@ class TestAnswerMemo:
     """
 
     @pytest.mark.parametrize("cache_size", (None, 4), ids=("default_store", "tiny_store"))
-    @pytest.mark.parametrize("execution", ("row", "batch"))
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
     @pytest.mark.parametrize("case", sorted(CORPUS))
-    def test_a_hit_is_bit_identical_to_recomputing(self, case, execution, cache_size):
+    def test_a_hit_is_bit_identical_to_recomputing(self, case, backend, cache_size):
         """``tiny_store`` gives the store a node budget of 4, so on every
         case whose lineage outgrows it the store is wiped between calls
-        while the memo keeps serving."""
+        while the memo keeps serving.  The row oracle's answers run through
+        the same memo."""
         build_db, make_query = CORPUS[case]
         query = make_query()
-        options = {"execution": execution}
+        make_engine = BACKENDS[backend]
+        options = {}
         if cache_size is not None:
             options["dtree_cache_size"] = cache_size
-        memo = SproutEngine(build_db(), **options)
-        control = SproutEngine(build_db(), **options)
+        memo = make_engine(build_db(), **options)
+        control = make_engine(build_db(), **options)
         with memo, control:
             for _repeat in range(3):
                 for call in MEMO_CALLS:
@@ -509,7 +528,7 @@ class TestAnswerMemo:
             assert _answer_counters(memo) == [3 * len(MEMO_CALLS) - 1, 1, 1]
             assert memo.dtree_cache.store.reset_epoch == control.dtree_cache.store.reset_epoch
             for call in STATELESS_CALLS:
-                with SproutEngine(build_db(), **options) as fresh:
+                with make_engine(build_db(), **options) as fresh:
                     assert call(memo, query) == call(fresh, query), call.__name__
             # What the memo-served store refined leaves exact values alone:
             # they are the per-tuple oracle's, bit for bit.
@@ -532,25 +551,24 @@ class TestAnswerMemo:
             assert _topk(fresh, query, k=1) == cold
         engine.close()
 
-    def test_append_join_order_and_execution_are_misses(self):
+    def test_append_and_join_order_are_misses(self):
         db, query = TestEngineInstrumentation.unsafe_workload()
         with SproutEngine(db) as engine:
             engine.evaluate_topk(query, k=3)
             engine.evaluate_topk(query, k=3)
             assert _answer_counters(engine) == [1, 1, 1]
-            # An explicit join order and the other execution mode are their
-            # own entries, even when they produce the same answer.
+            # An explicit join order is its own entry, even when it produces
+            # the same answer.
             engine.evaluate_topk(query, k=3, join_order=["T", "S", "R"])
             assert _answer_counters(engine) == [1, 2, 2]
-            engine.evaluate_topk(query, k=3, execution="row")
-            assert _answer_counters(engine) == [1, 3, 3]
             # A new base-table row (a = 2 joins x = 0) must show up at once.
             stale = engine.evaluate_topk(query, k=3).confidences()
             assert (2,) not in stale
+            assert _answer_counters(engine) == [2, 2, 2]
             variable = db.registry.fresh("R", 0.5)
             db.relation("R").append((2, 0, variable, 0.5))
             grown = engine.evaluate_topk(query, k=3)
-            assert _answer_counters(engine) == [2, 4, 4]
+            assert _answer_counters(engine) == [2, 3, 3]
             assert (2,) in grown.confidences()
             with SproutEngine(db) as fresh:
                 expected = fresh.evaluate_topk(query, k=3)

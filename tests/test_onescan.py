@@ -1,4 +1,5 @@
-"""Tests for the scan-based confidence operator (Fig. 8)."""
+"""Tests for the scan-based confidence operator (Fig. 8), and of the columnar
+operator against the row-at-a-time evaluators of ``oracles.rows``."""
 
 
 import pytest
@@ -10,21 +11,24 @@ from repro.errors import ProbabilityError, QueryError
 from repro.prob.formulas import DNF
 from repro.query.signature import ConcatSig, StarSig, TableSig, parse_signature
 from repro.sprout.onescan import (
-    ColumnMap,
-    OneScanState,
     compile_bag_probability,
-    group_probability,
-    one_scan_operator,
     one_scan_operator_columns,
-    scan_confidences,
     sort_column_order,
-    streaming_scan_confidences,
 )
-from repro.sprout.scans import apply_scan_schedule, apply_scan_schedule_columns
+from repro.sprout.scans import apply_scan_schedule_columns
 from repro.storage.relation import Relation
 from repro.storage.schema import Attribute, ColumnRole, Schema
 
 from oracles.lineage import dnf_probability
+from oracles.rows import (
+    ColumnMap,
+    OneScanState,
+    apply_scan_schedule,
+    group_probability,
+    one_scan_operator,
+    scan_confidences,
+    streaming_scan_confidences,
+)
 
 
 def bag_schema(tables, data_columns=("d",)):

@@ -1,18 +1,19 @@
-"""Tests for the iterator-model plan operators (scan/select/project/joins/...)."""
+"""Tests for the iterator-model plan operators (scan/select/project/joins/...),
+and for the row group-by of the reference pipeline (``oracles.rows``)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import NumericalError, QueryError
-from repro.algebra.aggregate import AggregateSpec, GroupByOp, mystiq_log_prob_or, prob_or
+from repro.algebra.aggregate import AggregateSpec, mystiq_log_prob_or, prob_or
 from repro.algebra.expressions import Comparison
 from repro.algebra.joins import HashJoinOp, MergeJoinOp, NestedLoopJoinOp, natural_join_attributes
-from repro.algebra.operators import MaterializedOp, ProjectOp, RenameOp, ScanOp, SelectOp
-from repro.algebra.plan import count_operators, execute, explain, walk
-from repro.algebra.sort import DistinctOp, SortOp
+from repro.algebra.operators import MaterializedOp, ProjectOp, ScanOp, SelectOp
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
+
+from oracles.rows import GroupByOp
 
 
 @pytest.fixture
@@ -46,11 +47,6 @@ class TestBasicOperators:
         project = ProjectOp(ScanOp(customers), ["cname"])
         assert list(project) == [("Joe",), ("Dan",), ("Li",)]
         assert project.schema.names == ("cname",)
-
-    def test_rename(self, customers):
-        rename = RenameOp(ScanOp(customers), {"cname": "name"})
-        assert rename.schema.names == ("ckey", "name")
-        assert list(rename) == customers.rows
 
     def test_materialized(self, customers):
         op = MaterializedOp(customers, label="Temp")
@@ -164,31 +160,11 @@ class TestAggregation:
             AggregateSpec("median", "a", "m")
 
 
-class TestSortDistinct:
-    def test_sort(self, orders):
-        ordered = list(SortOp(ScanOp(orders), ["total"]))
-        assert [row[2] for row in ordered] == [1.0, 2.0, 5.0, 7.5]
-
-    def test_sort_spills(self, orders):
-        op = SortOp(ScanOp(orders), ["total"], max_rows_in_memory=2)
-        assert len(list(op)) == 4
-        assert op.sort_stats.runs_spilled >= 1
-
-    def test_distinct(self):
-        relation = Relation("t", Schema.of("a:int"), [(1,), (2,), (1,)])
-        assert list(DistinctOp(ScanOp(relation))) == [(1,), (2,)]
-
-
-class TestPlanUtilities:
-    def test_execute_and_explain(self, customers, orders):
+class TestPlans:
+    def test_materialise_and_explain(self, customers, orders):
         plan = ProjectOp(HashJoinOp(ScanOp(customers), ScanOp(orders)), ["cname", "total"])
-        result = execute(plan, "answer")
+        result = plan.to_relation("answer")
         assert len(result) == 3
-        assert result.rows_processed > 0
-        text = explain(plan)
+        assert plan.total_rows_processed() > 0
+        text = plan.explain()
         assert "HashJoin" in text and "Scan" in text
-
-    def test_walk_and_count(self, customers, orders):
-        plan = HashJoinOp(ScanOp(customers), ScanOp(orders))
-        assert len(list(walk(plan))) == 3
-        assert count_operators(plan, lambda op: isinstance(op, ScanOp)) == 2

@@ -3,22 +3,29 @@
 import pytest
 
 from repro.errors import PlanningError
-from repro.algebra.operators import ProjectOp, ScanOp, SelectOp
-from repro.algebra.plan import walk
+from repro.algebra.columnar import BatchProjectOp, BatchScanOp, BatchSelectOp
 from repro.query.hierarchy import build_hierarchy
 from repro.sprout.engine import SproutEngine
 from repro.sprout.planner import (
     JoinOrderPlanner,
-    base_table_plan,
-    build_answer_plan,
+    base_table_plan_batch,
+    build_answer_plan_batch,
     eager_evaluation,
-    evaluate_deterministic,
     needed_data_attributes,
     project_answer_columns,
 )
 from repro.storage.schema import ColumnRole
 
 from helpers import build_paper_database, paper_query
+from oracles import rows
+from oracles.worlds import evaluate_deterministic
+
+
+def walk(plan):
+    """Pre-order traversal of an operator tree."""
+    yield plan
+    for child in plan.children:
+        yield from walk(child)
 
 
 @pytest.fixture
@@ -38,18 +45,19 @@ class TestBaseTablePlan:
         assert needed_data_attributes(query, "Item") == ["okey", "ckey"]
 
     def test_plan_structure(self, db, query):
-        plan = base_table_plan(db, query, "Cust")
+        plan = base_table_plan_batch(db, query, "Cust")
         operators = list(walk(plan))
-        assert any(isinstance(op, ScanOp) for op in operators)
-        assert any(isinstance(op, SelectOp) for op in operators)
-        assert any(isinstance(op, ProjectOp) for op in operators)
+        assert any(isinstance(op, BatchScanOp) for op in operators)
+        assert any(isinstance(op, BatchSelectOp) for op in operators)
+        assert any(isinstance(op, BatchProjectOp) for op in operators)
         relation = plan.to_relation("cust")
         assert len(relation) == 1  # only Joe survives
         assert relation.schema.names == ("ckey", "Cust.V", "Cust.P")
+        assert relation.rows == rows.base_table_plan(db, query, "Cust").to_relation("cust").rows
 
     def test_plan_without_selection(self, db, query):
-        plan = base_table_plan(db, query, "Ord")
-        assert not any(isinstance(op, SelectOp) for op in walk(plan))
+        plan = base_table_plan_batch(db, query, "Ord")
+        assert not any(isinstance(op, BatchSelectOp) for op in walk(plan))
 
 
 class TestJoinOrder:
@@ -83,25 +91,27 @@ class TestJoinOrder:
 class TestAnswerPlan:
     def test_build_and_project(self, db, query):
         order = ["Cust", "Ord", "Item"]
-        plan = project_answer_columns(build_answer_plan(db, query, order), query)
+        plan = project_answer_columns(build_answer_plan_batch(db, query, order), query)
         relation = plan.to_relation("answer")
         assert len(relation) == 2  # the two derivations of the single answer tuple
         data_names = [a.name for a in relation.schema if a.role is ColumnRole.DATA]
         assert data_names == ["odate"]
         assert {pair.source for pair in relation.schema.var_prob_pairs()} == {"Cust", "Ord", "Item"}
+        answer, _, _ = rows.materialize_answer(db, JoinOrderPlanner(db), query, order)
+        assert relation.rows == answer.rows
 
     def test_any_join_order_gives_same_answer(self, db, query):
         reference = None
         for order in (["Cust", "Ord", "Item"], ["Ord", "Item", "Cust"], ["Item", "Cust", "Ord"]):
-            plan = project_answer_columns(build_answer_plan(db, query, order), query)
-            rows = sorted(plan.to_relation("a").project(["odate"]).rows)
+            plan = project_answer_columns(build_answer_plan_batch(db, query, order), query)
+            answer = sorted(plan.to_relation("a").project(["odate"]).rows)
             if reference is None:
-                reference = rows
-            assert rows == reference
+                reference = answer
+            assert answer == reference
 
     def test_incomplete_join_order_rejected(self, db, query):
         with pytest.raises(PlanningError):
-            build_answer_plan(db, query, ["Cust", "Ord"])
+            build_answer_plan_batch(db, query, ["Cust", "Ord"])
 
 
 class TestDeterministicEvaluation:
@@ -134,9 +144,18 @@ class TestEagerEvaluation:
             )
             pair = result.relation.schema.var_prob_pairs()[0]
             confidences = {
-                row[0]: row[pair.prob_index] for row in result.relation
+                row[0]: row[pair.prob_index] for row in result.relation.rows()
             }
             assert confidences["1995-01-10"] == pytest.approx(0.0028)
+            row_result = rows.eager_evaluation(
+                db, query, tree, signature, aggregate_leaves=aggregate_leaves,
+                head_attributes=engine.planning_head(query),
+            )
+            assert list(result.relation.rows()) == row_result.relation.rows
+            assert (result.leader, result.rows_processed) == (
+                row_result.leader,
+                row_result.rows_processed,
+            )
 
     def test_rows_processed_reported(self, db, query):
         engine = SproutEngine(db)

@@ -5,15 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CatalogError, ProbabilityError, SchemaError
-from repro.prob.lineage import lineage_by_tuple, probabilities_from_answer
 from repro.prob.pdb import ProbabilisticDatabase
 from repro.prob.ptable import make_tuple_independent
 from repro.prob.variables import VariableRegistry, validate_probability
-from repro.prob.worlds import confidences_by_enumeration
 from repro.storage.relation import Relation
 from repro.storage.schema import ColumnRole, Schema
 
 from oracles.lineage import confidences_from_lineage
+from oracles.rows import lineage_by_tuple, probabilities_from_answer
+from oracles.worlds import confidences_by_enumeration, enumerate_truths, evaluate_deterministic
+from test_differential_matrix import CORPUS
 
 
 class TestVariableRegistry:
@@ -138,6 +139,36 @@ class TestProbabilisticDatabase:
         confidences = confidences_by_enumeration(db, query)
         assert confidences[(1,)] == pytest.approx(0.5)
         assert confidences[(2,)] == pytest.approx(0.5)
+
+
+class TestEnumeratedTruth:
+    """The session memo of possible-worlds truths must never serve a stale or
+    a shared answer: it is keyed on the database's contents and the query,
+    and it sums exactly what a fresh enumeration sums."""
+
+    @pytest.mark.parametrize("case", sorted(CORPUS))
+    def test_equals_a_fresh_enumeration_bit_for_bit(self, case):
+        build_db, make_query = CORPUS[case]
+        query = make_query()
+        expected = confidences_by_enumeration(
+            build_db(), lambda instance: evaluate_deterministic(query, instance)
+        )
+        assert enumerate_truths(build_db(), [query]) == [expected]
+
+    def test_a_changed_database_is_a_new_key_and_results_are_copies(self):
+        build_db, make_query = CORPUS["single"]
+        query, db = make_query(), build_db()
+        before = enumerate_truths(db, [query, query])
+        assert before[0] == before[1] and before[0] is not before[1]
+        before[0][("s9",)] = 1.0  # a caller's edit stays the caller's
+        assert ("s9",) not in enumerate_truths(build_db(), [query])[0]
+        variable = db.registry.fresh("Obs", 0.5)
+        db.relation("Obs").append(("s9", 4, variable, 0.5))
+        after = enumerate_truths(db, [query])[0]
+        assert after[("s9",)] == 0.5
+        assert after == confidences_by_enumeration(
+            db, lambda instance: evaluate_deterministic(query, instance)
+        )
 
 
 class TestLineage:

@@ -11,13 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Atom, ConjunctiveQuery, ProbabilisticDatabase, SproutEngine
-from repro.prob import confidences_by_enumeration
-from repro.sprout import evaluate_deterministic
 from repro.storage import Relation, Schema
 
 from helpers import assert_confidences_close
 from oracles.lineage import lineage_evaluate
 from oracles.semantics import semantics_evaluate
+from oracles.worlds import enumerate_truth
 
 
 probabilities = st.floats(min_value=0.05, max_value=0.95)
@@ -81,9 +80,7 @@ def three_table_database(draw):
 def check_all_plans(db, query, plans=("lazy", "eager", "hybrid")):
     """Every operator plan and both reference oracles (exact lineage counting,
     the Fig. 5 semantics) agree with enumeration."""
-    truth = confidences_by_enumeration(
-        db, lambda instance: evaluate_deterministic(query, instance)
-    )
+    truth = enumerate_truth(db, query)
     engine = SproutEngine(db)
     for plan in plans:
         result = engine.evaluate(query, plan=plan)

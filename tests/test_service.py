@@ -26,13 +26,16 @@ from repro.service import (
 from repro.service.__main__ import demo_database
 from repro.sprout import SproutEngine
 
+from test_differential_matrix import BACKENDS
+
 SQL = "SELECT room, conf() FROM alarm, uplink, zone_ok"
 
 
-def shared_store_service():
-    """The default service over the demo database."""
+def shared_store_service(make_engine=SproutEngine):
+    """The default service over the demo database (or the service over the
+    row oracle's engine, ``make_engine=RowEngine``)."""
     database = demo_database()
-    return QueryService(database, engine=SproutEngine(database))
+    return QueryService(database, engine=make_engine(database))
 
 
 @pytest.fixture
@@ -109,32 +112,34 @@ class TestServiceCore:
         with pytest.raises(QueryError):
             service.execute("evaluate", {"sql": "DROP TABLE alarm"})
 
-    @pytest.mark.parametrize("execution", ["row", "batch"])
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
     @pytest.mark.parametrize(
         "condition", ["room < 5", "room >= 2.5", "sensor < 'x'", "sensor > '3'"]
     )
-    def test_unorderable_literal_is_a_query_error(self, service, execution, condition):
+    def test_unorderable_literal_is_a_query_error(self, backend, condition):
         # Without the check the comparison raised a bare TypeError (HTTP 500).
         from repro.errors import QueryError
 
         sql = f"SELECT room, conf() FROM alarm WHERE {condition}"
-        with pytest.raises(QueryError, match="cannot order"):
-            service.execute("evaluate", {"sql": sql, "execution": execution})
+        with shared_store_service(BACKENDS[backend]) as service:
+            with pytest.raises(QueryError, match="cannot order"):
+                service.execute("evaluate", {"sql": sql})
 
-    @pytest.mark.parametrize("execution", ["row", "batch"])
-    def test_mismatched_equality_and_mixed_numbers_stay_legal(self, service, execution):
-        def rooms(condition):
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_mismatched_equality_and_mixed_numbers_stay_legal(self, backend):
+        def rooms(service, condition):
             sql = f"SELECT room, conf() FROM alarm WHERE {condition}"
-            payload = service.execute("evaluate", {"sql": sql, "execution": execution})
+            payload = service.execute("evaluate", {"sql": sql})
             return sorted(row[0] for row in payload["rows"])
 
-        assert rooms("room = 5") == []
-        assert rooms("sensor = 'x'") == []
-        assert len(rooms("room != 5")) == 5
-        assert rooms("sensor < 1.5") == ["kitchen", "lobby"]
+        with shared_store_service(BACKENDS[backend]) as service:
+            assert rooms(service, "room = 5") == []
+            assert rooms(service, "sensor = 'x'") == []
+            assert len(rooms(service, "room != 5")) == 5
+            assert rooms(service, "sensor < 1.5") == ["kitchen", "lobby"]
 
-    @pytest.mark.parametrize("execution", ["row", "batch"])
-    def test_undeclared_numbers_still_order(self, execution):
+    @pytest.mark.parametrize("backend", sorted(BACKENDS))
+    def test_undeclared_numbers_still_order(self, backend):
         # `Schema.of("name", "age")` declares both columns `str`; the stored
         # ints decide, so `age > 25` answers and `age < 'x'` is refused.
         from repro import ProbabilisticDatabase
@@ -145,17 +150,14 @@ class TestServiceCore:
         database = ProbabilisticDatabase("people")
         people = Relation("people", Schema.of("name", "age"), [("ann", 30), ("bob", 20)])
         database.add_table(people, probabilities=[0.5, 0.5])
-        with QueryService(database) as svc:
+        with QueryService(database, engine=BACKENDS[backend](database)) as svc:
             payload = svc.execute(
-                "evaluate",
-                {"sql": "SELECT name, conf() FROM people WHERE age > 25", "execution": execution},
+                "evaluate", {"sql": "SELECT name, conf() FROM people WHERE age > 25"}
             )
             assert [row[0] for row in payload["rows"]] == ["ann"]
             with pytest.raises(QueryError, match="cannot order"):
                 svc.execute(
-                    "evaluate",
-                    {"sql": "SELECT name, conf() FROM people WHERE age < 'x'",
-                     "execution": execution},
+                    "evaluate", {"sql": "SELECT name, conf() FROM people WHERE age < 'x'"}
                 )
 
     def test_max_steps_ceiling(self):
@@ -365,6 +367,33 @@ class TestServiceHTTP:
         after = client.stats()
         assert (after["cache"], after["store"]) == (before["cache"], before["store"])
         assert (after["completed"], after["failed"]) == (before["completed"], before["failed"] + 1)
+
+    @pytest.mark.parametrize("kind", ["evaluate", "topk", "threshold", "subscribe"])
+    def test_a_row_execution_is_a_400_that_touches_no_state(self, server, kind):
+        """The engine runs one backend: a body naming ``"execution": "row"``
+        is refused up front with the cache, store and subscriptions as they
+        were; ``"batch"``, ``null`` or no field at all keep working."""
+        client = ServiceClient(server.host, server.port)
+        client.topk(SQL, k=2)  # a warm store, so "untouched" means something
+        goal = {"evaluate": {}, "topk": {"k": 1}, "threshold": {"tau": 0.4}, "subscribe": {"k": 1}}
+        body = dict(goal[kind], sql=SQL)
+        before = client.stats()
+        status, payload = client.request("POST", f"/{kind}", dict(body, execution="row"))
+        assert status == 400
+        assert payload["type"] == "PlanningError" and "'row'" in payload["error"]
+        assert "rows" not in payload and "subscription" not in payload
+        after = client.stats()
+        assert (after["cache"], after["store"]) == (before["cache"], before["store"])
+        assert after["subscriptions"] == before["subscriptions"]
+        assert (after["completed"], after["failed"]) == (before["completed"], before["failed"] + 1)
+        answers = [
+            client.request("POST", f"/{kind}", dict(body, **extra))
+            for extra in ({"execution": "batch"}, {"execution": None}, {})
+        ]
+        assert [status for status, _ in answers] == [200, 200, 200]
+        if kind != "subscribe":
+            assert len({repr(answer["rows"]) for _, answer in answers}) == 1
+            assert all("execution" not in answer for _, answer in answers)
 
     def test_http_error_mapping(self, server):
         client = ServiceClient(server.host, server.port)

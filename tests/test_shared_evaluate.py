@@ -24,7 +24,7 @@ from repro.sprout.parallel import budget_confidence, derive_task_seed
 
 from oracles.dtree import DTree
 from test_compile_shape import unsafe_query
-from test_differential_matrix import CORPUS
+from test_differential_matrix import BACKENDS, CORPUS
 
 EPSILON = 0.01
 
@@ -42,19 +42,19 @@ def assert_brackets(approx, exact, epsilon):
         assert lower <= approx.confidences()[data] <= upper
 
 
-@pytest.mark.parametrize("execution", ("row", "batch"))
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
 @pytest.mark.parametrize("case", sorted(CORPUS))
 class TestOneRefinementState:
-    def engines(self, case, execution):
+    def engines(self, case, backend):
         build_db, make_query = CORPUS[case]
         return (
-            SproutEngine(build_db(), execution=execution),
-            SproutEngine(build_db(), execution=execution),
+            BACKENDS[backend](build_db()),
+            BACKENDS[backend](build_db()),
             make_query(),
         )
 
-    def test_evaluate_after_a_decision_does_not_refine_again(self, case, execution):
-        engine, fresh, query = self.engines(case, execution)
+    def test_evaluate_after_a_decision_does_not_refine_again(self, case, backend):
+        engine, fresh, query = self.engines(case, backend)
         with engine, fresh:
             exact = fresh.evaluate(query, plan="dtree").confidences()
             # A full ranking in exact mode closes every tuple it returns.
@@ -65,8 +65,8 @@ class TestOneRefinementState:
             assert_brackets(approx, exact, EPSILON)
             assert engine.cache_stats()["answer_misses"] == 1
 
-    def test_a_partial_decision_leaves_sound_brackets(self, case, execution):
-        engine, fresh, query = self.engines(case, execution)
+    def test_a_partial_decision_leaves_sound_brackets(self, case, backend):
+        engine, fresh, query = self.engines(case, backend)
         with engine, fresh:
             exact = fresh.evaluate(query, plan="dtree").confidences()
             engine.evaluate_topk(query, k=1, plan="dtree", confidence="approx")
@@ -77,8 +77,8 @@ class TestOneRefinementState:
             assert repeat.bounds == approx.bounds
             assert repeat.confidences() == approx.confidences()
 
-    def test_brackets_never_widen(self, case, execution):
-        engine, fresh, query = self.engines(case, execution)
+    def test_brackets_never_widen(self, case, backend):
+        engine, fresh, query = self.engines(case, backend)
         with engine, fresh:
             exact = fresh.evaluate(query, plan="dtree").confidences()
             tightest = None
@@ -94,8 +94,8 @@ class TestOneRefinementState:
             assert result.refine_steps == 0
             assert all(width <= 2 * EPSILON for width in tightest.values())
 
-    def test_exact_after_anything_equals_a_fresh_engine(self, case, execution):
-        engine, fresh, query = self.engines(case, execution)
+    def test_exact_after_anything_equals_a_fresh_engine(self, case, backend):
+        engine, fresh, query = self.engines(case, backend)
         with engine, fresh:
             expected = fresh.evaluate(query, plan="dtree")
             engine.evaluate_threshold(query, tau=0.3, plan="dtree", confidence="approx")
@@ -106,8 +106,8 @@ class TestOneRefinementState:
             assert found.refine_steps <= expected.refine_steps
             assert engine.evaluate(query, plan="dtree").refine_steps == 0
 
-    def test_close_makes_the_next_evaluate_cold(self, case, execution):
-        engine, fresh, query = self.engines(case, execution)
+    def test_close_makes_the_next_evaluate_cold(self, case, backend):
+        engine, fresh, query = self.engines(case, backend)
         with engine, fresh:
             cold = fresh.evaluate(query, confidence="approx", epsilon=EPSILON)
             first = engine.evaluate(query, confidence="approx", epsilon=EPSILON)
@@ -145,7 +145,7 @@ class TestStepCap:
         with engine:
             result = engine.evaluate(query, confidence="approx", epsilon=EPSILON)
             assert result.refine_steps == 1
-            answer = engine._answer_lineage(query, None, engine.execution)
+            answer = engine._answer_lineage(query, None)
             for data, (lower, upper) in result.bounds.items():
                 assert upper - lower > 2 * EPSILON  # the cap really ran out
                 clauses = canonical_clauses(answer.lineage[data])

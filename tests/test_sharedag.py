@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import SproutEngine
 from repro.errors import ProbabilityError
 from repro.prob.dtree import refine_to_budget
 from repro.prob import sharedag
@@ -34,7 +33,7 @@ from repro.sprout import RefinementScheduler, TupleCandidate
 
 from oracles.dtree import DTree
 from oracles.lineage import dnf_probability_enumeration
-from test_differential_matrix import CORPUS, _truth
+from test_differential_matrix import BACKENDS, CORPUS, _truth
 
 TOLERANCE = 1e-9
 
@@ -556,7 +555,7 @@ class TestRefinementRounds:
 # ---------------------------------------------------------------------------
 
 
-def _decision_fingerprint(case, confidence, execution):
+def _decision_fingerprint(case, confidence, backend):
     """One fresh engine's complete decision state for ``case``, as plain data:
     decided sets (via the sorted confidence items), confidences, bounds,
     per-call step counts, the store's global step meter and its raw
@@ -564,7 +563,7 @@ def _decision_fingerprint(case, confidence, execution):
     build_db, make_query = CORPUS[case]
     truth = _truth(case)
     tau = sorted(truth.values())[len(truth) // 2] if truth else 0.5
-    engine = SproutEngine(build_db(), execution=execution)
+    engine = BACKENDS[backend](build_db())
     try:
         top = engine.evaluate_topk(make_query(), k=2, plan="dtree", confidence=confidence)
         threshold = engine.evaluate_threshold(
@@ -587,11 +586,11 @@ def _decision_fingerprint(case, confidence, execution):
         engine.close()
 
 
-@pytest.mark.parametrize("execution", ["row", "batch"])
+@pytest.mark.parametrize("backend", sorted(BACKENDS))
 @pytest.mark.parametrize("case", sorted(CORPUS))
 @pytest.mark.parametrize("confidence", ["exact", "approx"])
 def test_first_peek_frontier_matches_measuring_at_construction(
-    case, confidence, execution, monkeypatch
+    case, confidence, backend, monkeypatch
 ):
     """One-shot engine views: lazy first measurement ≡ eager at construction.
 
@@ -599,10 +598,10 @@ def test_first_peek_frontier_matches_measuring_at_construction(
     table other views refined since it was built (the threshold call runs
     over the store the top-k call refined).  Peeking every view the moment
     it is constructed is the eager behaviour; step counts and the raw bound
-    columns must not tell the two apart, whichever pipeline (row or batch)
-    built the views and in whatever order it handed them over.
+    columns must not tell the two apart, whichever pipeline (the engine's or
+    the row oracle's) built the views and in whatever order it handed them over.
     """
-    lazy = _decision_fingerprint(case, confidence, execution)
+    lazy = _decision_fingerprint(case, confidence, backend)
     init = SharedDTree._init_frontier
 
     def measure_at_construction(view):
@@ -610,4 +609,4 @@ def test_first_peek_frontier_matches_measuring_at_construction(
         view._peek()
 
     monkeypatch.setattr(SharedDTree, "_init_frontier", measure_at_construction)
-    assert _decision_fingerprint(case, confidence, execution) == lazy
+    assert _decision_fingerprint(case, confidence, backend) == lazy

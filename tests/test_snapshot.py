@@ -380,6 +380,36 @@ def test_a_snapshot_that_carries_the_backend_flag_still_restores(tmp_path):
     assert found["result"]["rows"] == expected["result"]["rows"]
 
 
+@pytest.mark.parametrize("execution", ("row", "batch"))
+def test_a_snapshot_whose_subscriptions_name_a_backend_still_restores(tmp_path, execution):
+    """Snapshots written while the engine had two physical backends carry an
+    ``execution`` key in every standing-query state; it is ignored, the
+    restore stays warm, and the restored subscription follows the deltas
+    exactly as one that never restarted."""
+    config = ServiceConfig(snapshot_path=str(tmp_path / "service.snap"))
+    with shared_service(config) as service:
+        created = service.execute("subscribe", {"sql": SQL, "k": 2})
+    state = read_snapshot(config.snapshot_path)
+    for _, watch in state["subscriptions"]:
+        assert "execution" not in watch
+        watch["execution"] = execution
+    write_snapshot(config.snapshot_path, state)
+    variable = created["variables"][0]
+    with shared_service(ServiceConfig()) as control, shared_service(config) as reborn:
+        assert reborn.snapshot_restored is True
+        control.execute("subscribe", {"sql": SQL, "k": 2})
+        restored = reborn.execute("subscription_get", {"subscription": "sub-0"})
+        assert restored["selected"] == created["selected"]
+        for probability in (0.03, 0.97):
+            params = {"subscription": "sub-0", "variable": variable, "probability": probability}
+            expected = control.execute("subscription_update", params)
+            found = reborn.execute("subscription_update", params)
+            assert found["report"] == expected["report"]
+            assert found["selected"] == expected["selected"]
+            assert found["result"]["rows"] == expected["result"]["rows"]
+            assert found["result"]["bounds"] == expected["result"]["bounds"]
+
+
 @pytest.mark.parametrize(
     "kind, goal", (("topk", {"k": 2}), ("threshold", {"tau": 0.3})), ids=("topk", "threshold")
 )
@@ -398,6 +428,7 @@ def test_a_snapshot_without_an_engine_cache_restores_its_subscriptions(tmp_path,
     for _, watch in state["subscriptions"]:
         del watch["cache"]
         watch["shared_lineage"] = False
+        watch["execution"] = "row"
     write_snapshot(config.snapshot_path, state)
     variable = created["variables"][0]
     params = {"subscription": "sub-0", "variable": variable, "probability": 0.03}

@@ -1,20 +1,17 @@
-"""Tests for heap files, external sort, CSV I/O, and shipped store segments."""
+"""Tests for heap files, the sort key, CSV I/O, and shipped store segments."""
 
 import os
 import pickle
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.errors import StorageCorruptionError, StorageError
 from repro.prob.dtree import canonical_clauses
 from repro.prob.formulas import DNF
 from repro.prob.sharedag import SharedLineageStore
 from repro.storage.csv_io import read_csv, write_csv
-from repro.storage.external_sort import SortStats, external_sort, sort_key_for
 from repro.storage.heapfile import HeapFile
-from repro.storage.relation import Relation
+from repro.storage.relation import Relation, sort_key_for
 from repro.storage.schema import Schema
 
 
@@ -109,86 +106,6 @@ class TestHeapFileCorruption:
             handle.write(blob[: len(blob) // 2])
         with pytest.raises(StorageError):
             list(heap.scan())
-
-
-class TestExternalSort:
-    def test_in_memory_path(self):
-        rows = [(3, "c"), (1, "a"), (2, "b")]
-        assert list(external_sort(rows, [0])) == sorted(rows)
-
-    def test_spilling_path(self):
-        rows = [(i % 17, i) for i in range(500)]
-        stats = SortStats()
-        result = list(external_sort(rows, [0, 1], max_rows_in_memory=50, stats=stats))
-        assert result == sorted(rows)
-        assert stats.runs_spilled >= 2
-        assert stats.rows_spilled == 500
-        # run files are removed once the iterator is exhausted
-        assert all(not os.path.exists(path) for path in stats.run_files)
-
-    def test_none_sorts_first(self):
-        rows = [(2,), (None,), (1,)]
-        assert list(external_sort(rows, [0])) == [(None,), (1,), (2,)]
-
-    def test_mixed_types_do_not_crash(self):
-        rows = [("b",), (1,), ("a",), (2,)]
-        result = list(external_sort(rows, [0]))
-        assert result[0] == (1,) and result[-1] == ("b",)
-
-    @given(st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)), max_size=200))
-    @settings(max_examples=50, deadline=None)
-    def test_matches_builtin_sort(self, rows):
-        expected = sorted(rows, key=lambda r: (sort_key_for(r[0]), sort_key_for(r[1])))
-        assert list(external_sort(rows, [0, 1], max_rows_in_memory=16)) == expected
-
-
-class TestSortRunCorruption:
-    """Spilled sort runs carry the same loud-failure guarantee as heap pages.
-
-    A run file is ``#R <rows>`` then one ``<crc32hex> <json>`` line per row;
-    replaying a damaged or truncated run raises
-    :class:`StorageCorruptionError` — a k-way merge that silently merged a
-    short run would produce a *wrong sorted result with no error*.
-    """
-
-    def _spilled_run(self, tmp_path):
-        rows = [(i % 7, i) for i in range(60)]
-        stats = SortStats()
-        ordered = external_sort(rows, [0, 1], max_rows_in_memory=20, stats=stats)
-        first = next(ordered)  # forces the spill + the start of the merge
-        assert first == min(rows, key=lambda r: (sort_key_for(r[0]), sort_key_for(r[1])))
-        blob = open(stats.run_files[0], "rb").read()
-        assert list(ordered)  # exhaust: the iterator removes its run files
-        path = tmp_path / "run.jsonl"
-        path.write_bytes(blob)
-        return str(path), blob
-
-    def test_intact_run_replays(self, tmp_path):
-        from repro.storage.external_sort import _read_run
-
-        path, _blob = self._spilled_run(tmp_path)
-        assert len(list(_read_run(path))) == 20
-
-    def test_truncation_at_every_byte_boundary(self, tmp_path):
-        from repro.storage.external_sort import _read_run
-
-        path, blob = self._spilled_run(tmp_path)
-        for cut in range(len(blob)):
-            with open(path, "wb") as handle:
-                handle.write(blob[:cut])
-            with pytest.raises(StorageCorruptionError):
-                list(_read_run(path))
-
-    def test_bit_flip_at_every_offset(self, tmp_path):
-        from repro.storage.external_sort import _read_run
-
-        path, blob = self._spilled_run(tmp_path)
-        for position in range(len(blob)):
-            flipped = bytes([blob[position] ^ 0xFF])
-            with open(path, "wb") as handle:
-                handle.write(blob[:position] + flipped + blob[position + 1 :])
-            with pytest.raises(StorageCorruptionError):
-                list(_read_run(path))
 
 
 class TestSegmentRoundTrip:

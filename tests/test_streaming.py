@@ -280,12 +280,14 @@ class TableWithBackendFlag:
         return (object.__new__, (NodeTable,), self.state)
 
 
-def legacy_state(query: StandingQuery) -> dict:
+def legacy_state(query: StandingQuery, execution: str = "row") -> dict:
     """``query``'s state as a build with a per-tuple compile exported it: the
-    same keys, ``"shared_lineage": False``, and no store."""
+    same keys, ``"shared_lineage": False``, the execution backend it ran on,
+    and no store."""
     state = query.export_state()
     del state["cache"]
     state["shared_lineage"] = False
+    state["execution"] = execution
     return state
 
 
@@ -309,6 +311,34 @@ class TestStateCompatibility:
         assert restored.selected == query.selected
         assert result.confidences() == query.result.confidences()
         assert result.delta_steps <= 1
+
+    @pytest.mark.parametrize("execution", ("row", "batch"))
+    def test_a_state_naming_an_execution_backend_restores_warm(self, execution):
+        """States written while the engine had two backends carry
+        ``"execution"``; new states omit it, and restoring ignores it: the
+        restored query follows the live one through the same deltas."""
+        members = [
+            DNF([[i, i + 1] for i in range(0, 6)]),
+            DNF([[i, i + 1] for i in range(3, 9)]),
+            DNF([[i, i + 1] for i in range(6, 11)]),
+        ]
+        probabilities = {v: 0.35 + 0.05 * (v % 5) for v in range(12)}
+        live = standing(members, probabilities, k=2)
+        state = live.export_state()
+        assert "execution" not in state
+        state["execution"] = execution
+        restored = StandingQuery.from_state(pickle.loads(pickle.dumps(state)))
+        assert restored.refresh().delta_steps <= 1
+        assert restored.selected == live.selected
+        assert "execution" not in restored.export_state()
+        for variable, probability in ((4, 0.9), (9, 0.05)):
+            live.update_probability(variable, probability)
+            restored.update_probability(variable, probability)
+            live_result, restored_result = live.refresh(), restored.refresh()
+            assert restored.selected == live.selected
+            assert restored_result.bounds == live_result.bounds
+            assert restored_result.confidences() == live_result.confidences()
+            assert restored_result.delta_steps == live_result.delta_steps
 
     @pytest.mark.parametrize("confidence", ("exact", "approx"))
     @pytest.mark.parametrize("goal", ("topk", "threshold"))
@@ -352,11 +382,11 @@ class TestStateCompatibility:
         self, goal, confidence, execution
     ):
         """A state exported while standing queries could compile per tuple
-        (``"shared_lineage": False``, no store) restores: it is compiled cold
-        from its lineage, marginals and options, decides what a live query
-        over the same lineage decides, with the same confidences and result
-        rows, and then follows the delta stream through the store like the
-        live query."""
+        (``"shared_lineage": False``, no store, the execution backend either
+        one) restores: it is compiled cold from its lineage, marginals and
+        options, decides what a live query over the same lineage decides,
+        with the same confidences and result rows, and then follows the delta
+        stream through the store like the live query."""
         members = [
             DNF([[i, i + 1] for i in range(0, 6)]),
             DNF([[i, i + 1] for i in range(3, 9)]),
@@ -364,9 +394,9 @@ class TestStateCompatibility:
         ]
         probabilities = {v: 0.35 + 0.05 * (v % 5) for v in range(12)}
         options = {"k": 2} if goal == "topk" else {"tau": 0.3}
-        options.update(confidence=confidence, execution=execution)
+        options.update(confidence=confidence)
         live = standing(members, probabilities, **options)
-        state = pickle.loads(pickle.dumps(legacy_state(live)))
+        state = pickle.loads(pickle.dumps(legacy_state(live, execution)))
         restored = StandingQuery.from_state(state)
         control = standing(members, probabilities, **options)
         assert restored.decided and control.decided
@@ -414,7 +444,6 @@ class TestStateCompatibility:
                 cache_nodes=live._cache_nodes,
                 schema=live._schema,
                 name=live.name,
-                execution=live._execution,
             )
             assert set(reference.selected) == set(live.selected)
         restored = StandingQuery.from_state(pickle.loads(pickle.dumps(state)))

@@ -15,13 +15,15 @@ from hypothesis import strategies as st
 
 from repro import Atom, ConjunctiveQuery, PlanningError, ProbabilisticDatabase, SproutEngine
 from repro.errors import ProbabilityError
-from repro.prob import confidences_by_enumeration
 from repro.prob.dtree import canonical_clauses
 from repro.prob.formulas import DNF
 from repro.prob.sharedag import SharedDTreeCache, SharedLineageStore
-from repro.sprout import RefinementScheduler, TupleCandidate, evaluate_deterministic
+from repro.sprout import RefinementScheduler, TupleCandidate
 from repro.sprout.parallel import compute_confidences, derive_task_seed
 from repro.storage import Relation, Schema
+
+from oracles.rows import RowEngine
+from oracles.worlds import enumerate_truth
 
 TOLERANCE = 1e-9
 
@@ -52,12 +54,6 @@ def chain_db():
         [(0, 0), (0, 1), (1, 1), (2, 0), (2, 1), (1, 0)],
         [0.45, 0.85, 0.3, 0.6, 0.2, 0.75],
         [0.9, 0.35],
-    )
-
-
-def enumerate_truth(db, query):
-    return confidences_by_enumeration(
-        db, lambda instance: evaluate_deterministic(query, instance)
     )
 
 
@@ -160,11 +156,9 @@ class TestEngineTopK:
         confidences = [row[-1] for row in result.relation]
         assert confidences == sorted(confidences, reverse=True)
 
-    def test_batch_execution_matches_row(self, chain_db):
-        engine = SproutEngine(chain_db)
-        row = engine.evaluate_topk(chain_query(), k=2)
-        batch = engine.evaluate_topk(chain_query(), k=2, execution="batch")
-        assert batch.execution == "batch"
+    def test_engine_matches_the_row_oracle(self, chain_db):
+        row = RowEngine(chain_db).evaluate_topk(chain_query(), k=2)
+        batch = SproutEngine(chain_db).evaluate_topk(chain_query(), k=2)
         assert set(batch.confidences()) == set(row.confidences())
 
     def test_threshold_partition(self, chain_db):
@@ -221,7 +215,7 @@ class TestEngineTopK:
 
     def test_exact_ties_resolve_identically_on_every_route(self):
         # Three identically probable candidates fight for k=2: the winner of
-        # the tie must not depend on answer-row order (row vs batch) or on
+        # the tie must not depend on answer-row order (engine vs row oracle) or on
         # the route (scheduler vs exact short-circuit) — all tie-break on the
         # data tuple's repr.
         db = ProbabilisticDatabase("ties")
@@ -230,15 +224,13 @@ class TestEngineTopK:
             probabilities=[0.5, 0.5, 0.5],
         )
         query = ConjunctiveQuery("tied", [Atom("Obs", ["sensor"])], projection=["sensor"])
-        engine = SproutEngine(db)
+        engines = {"engine": SproutEngine(db), "rows": RowEngine(db)}
         selections = {
-            (plan, execution): frozenset(
-                engine.evaluate_topk(
-                    query, k=2, plan=plan, execution=execution
-                ).confidences()
+            (plan, backend): frozenset(
+                engine.evaluate_topk(query, k=2, plan=plan).confidences()
             )
             for plan in ("lazy", "dtree")
-            for execution in ("row", "batch")
+            for backend, engine in engines.items()
         }
         assert len(set(selections.values())) == 1
 
@@ -279,7 +271,7 @@ class TestEngineTopK:
             engine.evaluate_threshold(chain_query(), tau=-0.1)
         with pytest.raises(PlanningError):
             engine.evaluate_threshold(chain_query(), tau=1.5)
-        with pytest.raises(PlanningError):
+        with pytest.raises(TypeError):
             engine.evaluate_topk(chain_query(), k=1, execution="warp")
 
     @pytest.mark.parametrize("epsilon", (float("nan"), float("inf"), float("-inf"), -0.5))

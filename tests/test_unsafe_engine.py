@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 from helpers import assert_confidences_close
 
 from repro import Atom, ConjunctiveQuery, PlanningError, ProbabilisticDatabase, SproutEngine
-from repro.prob import confidences_by_enumeration
-from repro.sprout import evaluate_deterministic
 from repro.storage import Relation, Schema
+
+from oracles.rows import RowEngine
+from oracles.worlds import enumerate_truth
 
 
 def unsafe_query(projection=()):
@@ -62,12 +63,6 @@ def unsafe_database(draw):
     )
 
 
-def enumerate_truth(db, query):
-    return confidences_by_enumeration(
-        db, lambda instance: evaluate_deterministic(query, instance)
-    )
-
-
 @pytest.fixture
 def unsafe_db():
     return build_database(
@@ -108,10 +103,9 @@ class TestUnsafeRouting:
         assert "d-tree" in engine.explain(unsafe_query())
         assert "d-tree" in engine.explain(unsafe_query(), plan="dtree")
 
-    def test_batch_execution_matches_row(self, unsafe_db):
-        engine = SproutEngine(unsafe_db)
-        row = engine.evaluate(unsafe_query(["a"]))
-        batch = engine.evaluate(unsafe_query(["a"]), execution="batch")
+    def test_engine_matches_the_row_oracle(self, unsafe_db):
+        row = RowEngine(unsafe_db).evaluate(unsafe_query(["a"]))
+        batch = SproutEngine(unsafe_db).evaluate(unsafe_query(["a"]))
         assert_confidences_close(batch.confidences(), row.confidences(), 1e-12)
 
     def test_safe_queries_keep_operator_plans(self, unsafe_db):
