@@ -52,8 +52,9 @@ class TestOneBackend:
     def test_the_constructor_accepts_only_batch(self, paper_db, paper_q):
         result = SproutEngine(paper_db, execution="batch").evaluate(paper_q)
         assert_identical_results(SproutEngine(paper_db).evaluate(paper_q), result)
-        for retired in ("row", "gpu"):
-            with pytest.raises(PlanningError):
+        assert not hasattr(result, "execution")
+        for retired in ("row", "gpu", None):
+            with pytest.raises(PlanningError, match="execution mode"):
                 SproutEngine(paper_db, execution=retired)
 
     @pytest.mark.parametrize("case", sorted(CORPUS))

@@ -240,14 +240,6 @@ class TestEngineValidation:
             with pytest.raises(TypeError):
                 call()
 
-    def test_the_constructor_keeps_only_the_batch_backend(self, paper_db, paper_q):
-        result = SproutEngine(paper_db, execution="batch").evaluate(paper_q)
-        assert result.confidences() == SproutEngine(paper_db).evaluate(paper_q).confidences()
-        assert not hasattr(result, "execution")
-        for retired in ("row", "gpu", None):
-            with pytest.raises(PlanningError, match="execution mode"):
-                SproutEngine(paper_db, execution=retired)
-
     def test_materialize_to_disk_is_not_a_knob(self, paper_engine, paper_q):
         with pytest.raises(TypeError):
             paper_engine.evaluate(paper_q, materialize_to_disk=True)
@@ -379,7 +371,7 @@ class TestEngineInstrumentation:
             lambda engine, query: engine.evaluate(query, plan="bogus"),
             lambda engine, query: engine.evaluate(query, epsilon=-1.0),
             lambda engine, query: engine.evaluate_topk(query, k=1, plan="lineage"),
-            lambda engine, query: engine.evaluate_threshold(query, tau=0.5, execution="row"),
+            lambda engine, query: engine.evaluate_threshold(query, tau=0.5, confidence="bogus"),
             lambda engine, query: engine.watch_topk(query, k=1, confidence="bogus"),
             lambda engine, query: engine.evaluate(
                 ConjunctiveQuery(
@@ -390,7 +382,7 @@ class TestEngineInstrumentation:
                 )
             ),
         ),
-        ids=("plan", "epsilon", "topk-plan", "threshold-execution", "watch-confidence",
+        ids=("plan", "epsilon", "topk-plan", "threshold-confidence", "watch-confidence",
              "unsupported"),
     )
     def test_a_refused_call_keeps_the_closed_snapshot(self, refused):
@@ -401,7 +393,7 @@ class TestEngineInstrumentation:
         engine.evaluate_topk(query, k=1)
         engine.close()
         snapshot = engine.cache_stats()
-        with pytest.raises((PlanningError, UnsupportedQueryError, TypeError)):
+        with pytest.raises((PlanningError, UnsupportedQueryError)):
             refused(engine, query)
         assert engine.cache_stats() == snapshot
 
