@@ -24,7 +24,7 @@ Package layout (bottom up): :mod:`repro.storage` (schemas with V/P column
 roles, relations, heap files), :mod:`repro.algebra` (the columnar physical
 operators, and the row operators of the MystiQ baseline), :mod:`repro.query`
 (conjunctive queries, hierarchies, FDs, signatures), :mod:`repro.prob`
-(probabilistic model, lineage, d-trees, possible worlds), :mod:`repro.sprout` (the engine: planners, confidence
+(probabilistic model, lineage, d-trees), :mod:`repro.sprout` (the engine: planners, confidence
 operator, top-k/threshold, streaming), :mod:`repro.safeplans`
 (the MystiQ-style baseline), and :mod:`repro.tpch` (the experimental
 workload).  The ``docs/`` tree documents the architecture
@@ -59,7 +59,7 @@ from repro.query import (
     parse_signature,
     signature_of_query,
 )
-from repro.safeplans import MystiqEngine, build_safe_plan, has_safe_plan
+from repro.safeplans import MystiqEngine
 from repro.sprout import EvaluationResult, SproutEngine
 from repro.storage import Attribute, Catalog, FunctionalDependency, Relation, Schema
 
@@ -92,10 +92,8 @@ __all__ = [
     "UnsupportedQueryError",
     "VariableRegistry",
     "build_hierarchy",
-    "build_safe_plan",
     "effective_signature",
     "fd_reduct",
-    "has_safe_plan",
     "is_hierarchical",
     "parse_query",
     "parse_signature",

@@ -61,7 +61,6 @@ from repro.algebra.operators import (
 from repro.algebra.stats import (
     StatisticsCatalog,
     TableStatistics,
-    estimate_join_size,
     estimate_selectivity,
 )
 
@@ -97,7 +96,6 @@ __all__ = [
     "TableStatistics",
     "TruePredicate",
     "conjunction_of",
-    "estimate_join_size",
     "estimate_selectivity",
     "mystiq_log_prob_or",
     "natural_join_attributes",

@@ -4,13 +4,13 @@ SPROUT delegates join ordering to the host engine's cost-based optimizer
 (Section V.B: "Cost-based decisions can be made using the host relational
 database engine").  Our substrate plays that role with textbook System-R style
 estimates: per-table row counts, per-column distinct counts, and the usual
-selectivity formulas for equality/range predicates and equi-joins.
+selectivity formulas for equality/range predicates and attribute equalities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 from repro.algebra.expressions import (
     AttributeComparison,
@@ -23,7 +23,7 @@ from repro.algebra.expressions import (
 )
 from repro.storage.relation import Relation
 
-__all__ = ["TableStatistics", "StatisticsCatalog", "estimate_selectivity", "estimate_join_size"]
+__all__ = ["TableStatistics", "StatisticsCatalog", "estimate_selectivity"]
 
 #: Fallback selectivities when no statistics are available (System-R defaults).
 DEFAULT_EQUALITY_SELECTIVITY = 0.1
@@ -162,21 +162,3 @@ def _range_selectivity(predicate: Comparison, stats: Optional[TableStatistics]) 
     if predicate.op in (">", ">="):
         return 1.0 - fraction
     return DEFAULT_RANGE_SELECTIVITY
-
-
-def estimate_join_size(
-    left_rows: float,
-    right_rows: float,
-    left_stats: Optional[TableStatistics],
-    right_stats: Optional[TableStatistics],
-    join_attributes: Sequence[str],
-) -> float:
-    """Estimate the cardinality of an equi-join using distinct-value counts."""
-    if not join_attributes:
-        return left_rows * right_rows
-    size = left_rows * right_rows
-    for attribute in join_attributes:
-        left_distinct = left_stats.distinct(attribute) if left_stats else 10
-        right_distinct = right_stats.distinct(attribute) if right_stats else 10
-        size /= max(left_distinct, right_distinct, 1)
-    return max(size, 1.0)

@@ -1,12 +1,12 @@
-"""Probabilistic data model: variables, formulas, tables, worlds, lineage.
+"""Probabilistic data model: variables, tables, lineage and its compiler.
 
 Everything about *probability*, independent of query processing:
 
 * :mod:`repro.prob.variables` / :mod:`repro.prob.ptable` /
   :mod:`repro.prob.pdb` — Boolean variables with marginals, probabilistic
   tables, and the tuple-independent :class:`ProbabilisticDatabase`.
-* :mod:`repro.prob.formulas` — DNF lineage, one-occurrence-form formulas,
-  and the component grouping the lineage compiler decomposes by.
+* :mod:`repro.prob.formulas` — DNF lineage and the component grouping the
+  lineage compiler decomposes by.
 * :mod:`repro.prob.lineage` — per-tuple DNF lineage as views of the shared
   store, and the column split of answers that carry ``V``/``P`` columns.
 * :mod:`repro.prob.dtree` — the decomposition-tree rules every compile
@@ -42,18 +42,9 @@ from repro.prob.dtree import (
     karp_luby_probability,
     refine_to_budget,
 )
-from repro.prob.formulas import (
-    DNF,
-    And,
-    Bottom,
-    Formula,
-    Or,
-    Top,
-    Var,
-    is_read_once,
-)
+from repro.prob.formulas import DNF
 from repro.prob.lineage import interned_dnf, split_answer_columns
-from repro.prob.pdb import PossibleWorld, ProbabilisticDatabase
+from repro.prob.pdb import ProbabilisticDatabase
 from repro.prob.sharedag import (
     ClauseInterner,
     SharedDTree,
@@ -76,23 +67,16 @@ def backend_info() -> dict:
 
 
 __all__ = [
-    "And",
     "ApproxResult",
-    "Bottom",
     "ClauseInterner",
     "DNF",
     "DeltaReport",
-    "Formula",
     "MonteCarloResult",
-    "Or",
-    "PossibleWorld",
     "ProbabilisticDatabase",
     "ProbabilisticTable",
     "SharedDTree",
     "SharedDTreeCache",
     "SharedLineageStore",
-    "Top",
-    "Var",
     "VariableInfo",
     "VariableRegistry",
     "apply_probability_update",
@@ -100,7 +84,6 @@ __all__ = [
     "bipartite_lineage",
     "hub_lineage",
     "interned_dnf",
-    "is_read_once",
     "karp_luby_probability",
     "make_tuple_independent",
     "refine_to_budget",

@@ -1,14 +1,10 @@
-"""Propositional formulas over Boolean random variables: DNF lineage and 1OF.
+"""Propositional formulas over Boolean random variables: DNF lineage.
 
 The answer to a conjunctive query on a tuple-independent database associates
 each distinct answer tuple with a DNF formula over the input variables (one
 clause per derivation, one literal per contributing input tuple).  This module
 provides:
 
-* a small formula algebra (:class:`Var`, :class:`And`, :class:`Or`,
-  :class:`Top`, :class:`Bottom`) used to represent factored *one-occurrence
-  form* (1OF) formulas, whose probability is computable in linear time because
-  sub-formulas over disjoint variable sets are independent;
 * a :class:`DNF` container for positive-clause DNF lineage;
 * the independent-component grouping of a clause set that the lineage
   compiler (:mod:`repro.prob.sharedag`) decomposes by.
@@ -19,8 +15,6 @@ ground truth the compiler is checked against — lives with the tests
 """
 
 from __future__ import annotations
-
-import abc
 
 from typing import (
     Collection,
@@ -36,243 +30,9 @@ from typing import (
     Tuple,
 )
 
-from repro.errors import ProbabilityError
-
-__all__ = [
-    "Formula",
-    "Var",
-    "And",
-    "Or",
-    "Top",
-    "Bottom",
-    "DNF",
-    "is_read_once",
-]
+__all__ = ["DNF"]
 
 Clause = FrozenSet[int]
-
-
-class Formula(abc.ABC):
-    """A positive propositional formula over integer variables."""
-
-    @abc.abstractmethod
-    def variables(self) -> FrozenSet[int]:
-        """Set of variables occurring in the formula."""
-
-    @abc.abstractmethod
-    def evaluate(self, assignment: Mapping[int, bool]) -> bool:
-        """Truth value under a (total) assignment."""
-
-    @abc.abstractmethod
-    def probability(self, probabilities: Mapping[int, float]) -> float:
-        """Probability assuming the formula is in one-occurrence form.
-
-        Correct whenever sibling sub-formulas use disjoint variable sets (the
-        defining property of 1OF); raises :class:`ProbabilityError` if a
-        variable occurs more than once anywhere in the tree.
-        """
-
-    @abc.abstractmethod
-    def occurrence_count(self) -> Dict[int, int]:
-        """Number of occurrences of each variable in the syntax tree."""
-
-    def is_one_occurrence_form(self) -> bool:
-        """True if every variable occurs at most once in the syntax tree."""
-        return all(count <= 1 for count in self.occurrence_count().values())
-
-    def to_dnf(self) -> "DNF":
-        """Expand to DNF (exponential in the worst case; used in tests only)."""
-        return DNF(self._dnf_clauses())
-
-    @abc.abstractmethod
-    def _dnf_clauses(self) -> Set[Clause]:
-        ...
-
-
-class Top(Formula):
-    """The constant true formula (lineage of a tuple present in all worlds)."""
-
-    def variables(self) -> FrozenSet[int]:
-        return frozenset()
-
-    def evaluate(self, assignment: Mapping[int, bool]) -> bool:
-        return True
-
-    def probability(self, probabilities: Mapping[int, float]) -> float:
-        return 1.0
-
-    def occurrence_count(self) -> Dict[int, int]:
-        return {}
-
-    def _dnf_clauses(self) -> Set[Clause]:
-        return {frozenset()}
-
-    def __str__(self) -> str:
-        return "true"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Top)
-
-    def __hash__(self) -> int:
-        return hash("Top")
-
-
-class Bottom(Formula):
-    """The constant false formula (empty lineage)."""
-
-    def variables(self) -> FrozenSet[int]:
-        return frozenset()
-
-    def evaluate(self, assignment: Mapping[int, bool]) -> bool:
-        return False
-
-    def probability(self, probabilities: Mapping[int, float]) -> float:
-        return 0.0
-
-    def occurrence_count(self) -> Dict[int, int]:
-        return {}
-
-    def _dnf_clauses(self) -> Set[Clause]:
-        return set()
-
-    def __str__(self) -> str:
-        return "false"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Bottom)
-
-    def __hash__(self) -> int:
-        return hash("Bottom")
-
-
-class Var(Formula):
-    """A single positive literal."""
-
-    __slots__ = ("variable",)
-
-    def __init__(self, variable: int):
-        self.variable = variable
-
-    def variables(self) -> FrozenSet[int]:
-        return frozenset({self.variable})
-
-    def evaluate(self, assignment: Mapping[int, bool]) -> bool:
-        return bool(assignment[self.variable])
-
-    def probability(self, probabilities: Mapping[int, float]) -> float:
-        try:
-            return probabilities[self.variable]
-        except KeyError:
-            raise ProbabilityError(f"no probability for variable {self.variable}") from None
-
-    def occurrence_count(self) -> Dict[int, int]:
-        return {self.variable: 1}
-
-    def _dnf_clauses(self) -> Set[Clause]:
-        return {frozenset({self.variable})}
-
-    def __str__(self) -> str:
-        return f"x{self.variable}"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Var) and self.variable == other.variable
-
-    def __hash__(self) -> int:
-        return hash(("Var", self.variable))
-
-
-class _Nary(Formula):
-    """Shared behaviour of AND/OR nodes."""
-
-    symbol = "?"
-
-    def __init__(self, children: Iterable[Formula]):
-        self.children: Tuple[Formula, ...] = tuple(children)
-        if not self.children:
-            raise ProbabilityError(f"{type(self).__name__} needs at least one child")
-
-    def variables(self) -> FrozenSet[int]:
-        result: FrozenSet[int] = frozenset()
-        for child in self.children:
-            result |= child.variables()
-        return result
-
-    def occurrence_count(self) -> Dict[int, int]:
-        counts: Dict[int, int] = {}
-        for child in self.children:
-            for variable, count in child.occurrence_count().items():
-                counts[variable] = counts.get(variable, 0) + count
-        return counts
-
-    def _check_disjoint(self) -> None:
-        counts = self.occurrence_count()
-        repeated = sorted(v for v, count in counts.items() if count > 1)
-        if repeated:
-            raise ProbabilityError(
-                "formula is not in one-occurrence form; repeated variables "
-                f"{repeated[:5]}{'...' if len(repeated) > 5 else ''}"
-            )
-
-    def __str__(self) -> str:
-        return "(" + f" {self.symbol} ".join(str(child) for child in self.children) + ")"
-
-    def __eq__(self, other) -> bool:
-        return type(self) is type(other) and self.children == other.children
-
-    def __hash__(self) -> int:
-        return hash((type(self).__name__, self.children))
-
-
-class And(_Nary):
-    """Conjunction; probability is the product of independent children."""
-
-    symbol = "∧"
-
-    def evaluate(self, assignment: Mapping[int, bool]) -> bool:
-        return all(child.evaluate(assignment) for child in self.children)
-
-    def probability(self, probabilities: Mapping[int, float]) -> float:
-        self._check_disjoint()
-        result = 1.0
-        for child in self.children:
-            result *= child.probability(probabilities)
-        return result
-
-    def _dnf_clauses(self) -> Set[Clause]:
-        clause_sets = [child._dnf_clauses() for child in self.children]
-        result: Set[Clause] = {frozenset()}
-        for clauses in clause_sets:
-            result = {
-                existing | addition for existing in result for addition in clauses
-            }
-        return result
-
-
-class Or(_Nary):
-    """Disjunction; probability is ``1 - prod(1 - p)`` over independent children."""
-
-    symbol = "∨"
-
-    def evaluate(self, assignment: Mapping[int, bool]) -> bool:
-        return any(child.evaluate(assignment) for child in self.children)
-
-    def probability(self, probabilities: Mapping[int, float]) -> float:
-        self._check_disjoint()
-        result = 1.0
-        for child in self.children:
-            result *= 1.0 - child.probability(probabilities)
-        return 1.0 - result
-
-    def _dnf_clauses(self) -> Set[Clause]:
-        result: Set[Clause] = set()
-        for child in self.children:
-            result |= child._dnf_clauses()
-        return result
-
-
-def is_read_once(formula: Formula) -> bool:
-    """Alias for :meth:`Formula.is_one_occurrence_form` (paper terminology: 1OF)."""
-    return formula.is_one_occurrence_form()
 
 
 class DNF:
@@ -368,18 +128,6 @@ class DNF:
             if not any(other <= clause for other in kept):
                 kept.append(clause)
         return DNF(kept)
-
-    def to_formula(self) -> Formula:
-        """Convert to the formula algebra (not factored; variables may repeat)."""
-        if self.is_false():
-            return Bottom()
-        if self.is_true():
-            return Top()
-        disjuncts: List[Formula] = []
-        for clause in sorted(self.clauses, key=lambda c: sorted(c)):
-            literals = [Var(v) for v in sorted(clause)]
-            disjuncts.append(literals[0] if len(literals) == 1 else And(literals))
-        return disjuncts[0] if len(disjuncts) == 1 else Or(disjuncts)
 
 
 # ---------------------------------------------------------------------------

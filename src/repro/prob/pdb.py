@@ -1,45 +1,26 @@
-"""Tuple-independent probabilistic databases and their possible worlds.
+"""Tuple-independent probabilistic databases.
 
 A probabilistic database is a set of tuple-independent probabilistic tables
 plus the schema-level knowledge (keys, functional dependencies) the planner
 uses.  Conceptually it represents exponentially many possible worlds — one per
-truth assignment of the Boolean variables; :meth:`ProbabilisticDatabase.worlds`
-enumerates them (for small databases) and is the semantic ground truth every
-query evaluator in this repository is tested against.
+truth assignment of the Boolean variables.  Enumerating them, the semantic
+ground truth every query evaluator is tested against, is test code
+(``tests/oracles/worlds.py``).
 """
 
 from __future__ import annotations
 
 import random
-from itertools import product as cartesian_product
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
-from repro.errors import CatalogError, ProbabilityError
+from repro.errors import CatalogError
 from repro.prob.ptable import ProbabilisticTable, ProbabilitySpec, make_tuple_independent
 from repro.prob.variables import VariableRegistry
 from repro.storage.catalog import Catalog, FunctionalDependency
 from repro.storage.relation import Relation
 from repro.storage.schema import Schema
 
-__all__ = ["ProbabilisticDatabase", "PossibleWorld"]
-
-
-class PossibleWorld:
-    """One possible world: a truth assignment and its deterministic instance."""
-
-    def __init__(
-        self,
-        assignment: Dict[int, bool],
-        probability: float,
-        instance: Dict[str, Relation],
-    ):
-        self.assignment = assignment
-        self.probability = probability
-        self.instance = instance
-
-    def __repr__(self) -> str:
-        true_count = sum(1 for value in self.assignment.values() if value)
-        return f"PossibleWorld(p={self.probability:.6g}, {true_count} true variables)"
+__all__ = ["ProbabilisticDatabase"]
 
 
 class ProbabilisticDatabase:
@@ -160,54 +141,6 @@ class ProbabilisticDatabase:
 
     def functional_dependencies(self) -> List[FunctionalDependency]:
         return self.catalog.functional_dependencies()
-
-    # -- possible-worlds semantics ----------------------------------------------------
-
-    def world(self, assignment: Mapping[int, bool]) -> Dict[str, Relation]:
-        """The deterministic instance selected by a (total) truth assignment.
-
-        Each table keeps only the tuples whose variable is true, projected onto
-        its data columns.
-        """
-        instance: Dict[str, Relation] = {}
-        for table in self._tables.values():
-            data_names = list(table.data_schema.names)
-            var_index = table.schema.index_of(table.var_column)
-            data_indices = table.schema.indices_of(data_names)
-            world_relation = Relation(table.source, table.data_schema)
-            for row in table.relation:
-                if assignment.get(row[var_index], False):
-                    world_relation.append(tuple(row[i] for i in data_indices))
-            instance[table.source] = world_relation
-        return instance
-
-    def world_probability(self, assignment: Mapping[int, bool]) -> float:
-        """Probability of the world selected by a total assignment."""
-        probability = 1.0
-        for variable, p in self.probabilities().items():
-            if variable not in assignment:
-                raise ProbabilityError(f"assignment does not cover variable {variable}")
-            probability *= p if assignment[variable] else 1.0 - p
-        return probability
-
-    def worlds(self, max_variables: int = 22) -> Iterator[PossibleWorld]:
-        """Enumerate all possible worlds (guarded against exponential blow-up)."""
-        variables = sorted(self.registry)
-        if len(variables) > max_variables:
-            raise ProbabilityError(
-                f"refusing to enumerate 2^{len(variables)} possible worlds "
-                f"(limit is 2^{max_variables}); use the exact lineage evaluators instead"
-            )
-        probabilities = self.probabilities()
-        for values in cartesian_product((False, True), repeat=len(variables)):
-            assignment = dict(zip(variables, values))
-            probability = 1.0
-            for variable, value in assignment.items():
-                p = probabilities[variable]
-                probability *= p if value else 1.0 - p
-            if probability == 0.0:
-                continue
-            yield PossibleWorld(assignment, probability, self.world(assignment))
 
     def __repr__(self) -> str:
         return (

@@ -20,7 +20,7 @@ See ``docs/architecture.md`` for how this layer feeds the planners.
 """
 
 from repro.query.conjunctive import Atom, ConjunctiveQuery
-from repro.query.fd import chase_is_hierarchical_possible, closure, fd_reduct, fds_from_catalog
+from repro.query.fd import closure, fd_reduct
 from repro.query.hierarchy import (
     HierarchyNode,
     build_hierarchy,
@@ -30,12 +30,10 @@ from repro.query.hierarchy import (
 )
 from repro.query.parser import ParsedQuery, parse_query
 from repro.query.rewrite import (
-    SelfJoinPartition,
     catalog_table_attributes,
     effective_boolean_query,
     effective_signature,
     is_tractable,
-    partition_self_join,
 )
 from repro.query.signature import (
     ConcatSig,
@@ -43,18 +41,14 @@ from repro.query.signature import (
     Signature,
     StarSig,
     TableSig,
-    aggregate_starred_table,
     has_one_scan_property,
-    minimal_cover,
     num_scans,
     one_scan_tree,
     parse_signature,
-    replace_with_leftmost_table,
     restrict_signature,
     signature_from_tree,
     signature_of_query,
     sort_table_order,
-    starred_tables,
 )
 
 __all__ = [
@@ -64,34 +58,26 @@ __all__ = [
     "HierarchyNode",
     "OneScanTreeNode",
     "ParsedQuery",
-    "SelfJoinPartition",
     "Signature",
     "StarSig",
     "TableSig",
-    "aggregate_starred_table",
     "build_hierarchy",
     "catalog_table_attributes",
-    "chase_is_hierarchical_possible",
     "closure",
     "effective_boolean_query",
     "effective_signature",
     "fd_reduct",
-    "fds_from_catalog",
     "has_one_scan_property",
     "is_hierarchical",
     "is_tractable",
-    "minimal_cover",
     "num_scans",
     "one_scan_tree",
     "parse_query",
     "parse_signature",
-    "partition_self_join",
     "relevant_join_attributes",
-    "replace_with_leftmost_table",
     "restrict_signature",
     "signature_from_tree",
     "signature_of_query",
     "sort_table_order",
-    "starred_tables",
     "witness_non_hierarchical",
 ]

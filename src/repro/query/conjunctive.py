@@ -57,8 +57,10 @@ class ConjunctiveQuery:
         Identifier used in experiment reports (e.g. ``"Q18"`` or ``"B17"``).
     atoms:
         The relation occurrences.  Relation names must be distinct (no
-        self-joins); use :meth:`allowing_self_joins` / the rewrite module for
-        the mutually-exclusive partition case of Section IV.
+        self-joins).  For the mutually exclusive case of Section IV, name
+        renamed copies registered with
+        :meth:`repro.prob.pdb.ProbabilisticDatabase.add_alias`, as TPC-H
+        query 7 does with ``nation_s`` and ``nation_c``.
     projection:
         The selection-attribute list ``A``.  Empty means a Boolean query.
     selections:
@@ -76,7 +78,6 @@ class ConjunctiveQuery:
         atoms: Iterable[Atom],
         projection: Iterable[str] = (),
         selections: Optional[Predicate] = None,
-        _allow_self_joins: bool = False,
     ):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "atoms", tuple(atoms))
@@ -85,11 +86,11 @@ class ConjunctiveQuery:
         if not self.atoms:
             raise QueryError(f"query {name!r} has no atoms")
         tables = [atom.table for atom in self.atoms]
-        if not _allow_self_joins and len(set(tables)) != len(tables):
+        if len(set(tables)) != len(tables):
             raise UnsupportedQueryError(
-                f"query {name!r} contains a self-join; "
-                "use repro.query.rewrite.partition_self_join for the mutually "
-                "exclusive case"
+                f"query {name!r} contains a self-join; when its branches select "
+                "mutually exclusive tuples, register a renamed copy of the table "
+                "with ProbabilisticDatabase.add_alias and name the copy instead"
             )
         all_attributes = self.attributes()
         for attribute in self.projection:
@@ -199,30 +200,6 @@ class ConjunctiveQuery:
     def with_atoms(self, atoms: Iterable[Atom], name: Optional[str] = None) -> "ConjunctiveQuery":
         return ConjunctiveQuery(
             name or self.name, atoms, projection=self.projection, selections=self.selections
-        )
-
-    def restricted_to(
-        self, tables: Iterable[str], name: Optional[str] = None
-    ) -> "ConjunctiveQuery":
-        """Subquery over a subset of the tables (Proposition V.5: still hierarchical)."""
-        wanted = set(tables)
-        atoms = [atom for atom in self.atoms if atom.table in wanted]
-        if not atoms:
-            raise QueryError(f"restriction of {self.name!r} to {sorted(wanted)} is empty")
-        remaining_attributes: Set[str] = set()
-        for atom in atoms:
-            remaining_attributes |= atom.attribute_set
-        projection = tuple(a for a in self.projection if a in remaining_attributes)
-        parts = [
-            predicate
-            for predicate in self.selection_predicates()
-            if predicate.attributes() <= remaining_attributes
-        ]
-        return ConjunctiveQuery(
-            name or f"{self.name}|{'+'.join(sorted(wanted))}",
-            atoms,
-            projection=projection,
-            selections=conjunction_of(parts),
         )
 
     # -- presentation -----------------------------------------------------------------

@@ -14,17 +14,15 @@ paper uses FDs in two ways:
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, List, Sequence, Set
+from typing import FrozenSet, Iterable, Sequence, Set
 
 from repro.query.conjunctive import Atom, ConjunctiveQuery
-from repro.storage.catalog import Catalog, FunctionalDependency
+from repro.storage.catalog import FunctionalDependency
 
 __all__ = [
     "closure",
-    "chase_is_hierarchical_possible",
     "chased_query",
     "fd_reduct",
-    "fds_from_catalog",
 ]
 
 
@@ -46,11 +44,6 @@ def closure(attributes: Iterable[str], fds: Sequence[FunctionalDependency]) -> F
                 result |= fd.dependent
                 changed = True
     return frozenset(result)
-
-
-def fds_from_catalog(catalog: Catalog, tables: Iterable[str]) -> List[FunctionalDependency]:
-    """FDs relevant to the given tables (keys registered in the catalog)."""
-    return catalog.functional_dependencies(tables)
 
 
 def fd_reduct(
@@ -126,18 +119,3 @@ def chased_query(
         projection=query.projection,
         selections=query.selections,
     )
-
-
-def chase_is_hierarchical_possible(
-    query: ConjunctiveQuery, fds: Sequence[FunctionalDependency]
-) -> bool:
-    """Whether *some* sequence of chase steps can make the query hierarchical.
-
-    By Proposition IV.5 it suffices to check the fixpoint of the chase, i.e.
-    the FD-reduct: if any sequence of chase steps yields a hierarchical query
-    then the FD-reduct is hierarchical.  Kept as a thin, well-named wrapper so
-    call sites read like the paper.
-    """
-    from repro.query.hierarchy import is_hierarchical
-
-    return is_hierarchical(fd_reduct(query, fds))

@@ -1,22 +1,23 @@
-"""Query rewritings (Section IV): FD-reducts, effective signatures, self-joins.
+"""Query rewritings (Section IV): FD-reducts, effective signatures, tractability.
 
 The planner never works on the user's query directly when functional
 dependencies are available: it derives the query's *effective signature* from
 the hierarchical FD-reduct and uses that signature to process the answer of
-the original query.  This module bundles those rewriting entry points, plus
-the mutually-exclusive self-join partition rewrite mentioned at the end of
-Section IV (used by TPC-H query 7's two Nation copies and query 19's disjoint
-disjuncts).
+the original query.  This module bundles those rewriting entry points.
+
+Self-joins whose branches select mutually exclusive tuples (the end of
+Section IV) are not a rewrite: the database registers renamed copies of the
+table that share its variables (:meth:`repro.prob.pdb.ProbabilisticDatabase.add_alias`),
+as TPC-H query 7 does with its two ``nation`` copies, and the query names
+the copies as distinct tables.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
-from repro.errors import NonHierarchicalQueryError, UnsupportedQueryError
-from repro.algebra.expressions import Predicate
-from repro.query.conjunctive import Atom, ConjunctiveQuery
+from repro.errors import NonHierarchicalQueryError
+from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.fd import fd_reduct
 from repro.query.hierarchy import build_hierarchy, is_hierarchical
 from repro.query.signature import Signature, signature_from_tree, signature_of_query
@@ -26,8 +27,6 @@ __all__ = [
     "effective_signature",
     "effective_boolean_query",
     "is_tractable",
-    "SelfJoinPartition",
-    "partition_self_join",
 ]
 
 
@@ -99,50 +98,3 @@ def catalog_table_attributes(catalog: Catalog, tables: Iterable[str]) -> Dict[st
         if catalog.has_table(table):
             result[table] = catalog.table(table).schema.data_names()
     return result
-
-
-# ---------------------------------------------------------------------------
-# Self-joins with mutually exclusive partitions (Section IV, last paragraph)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SelfJoinPartition:
-    """One partition of a self-joined table: an alias plus its selection."""
-
-    base_table: str
-    alias: str
-    predicate: Predicate
-
-
-def partition_self_join(
-    name: str,
-    partitions: Sequence[SelfJoinPartition],
-    other_atoms: Sequence[Atom],
-    alias_attributes: Mapping[str, Iterable[str]],
-    projection: Iterable[str] = (),
-    selections: Optional[Predicate] = None,
-) -> ConjunctiveQuery:
-    """Rewrite a self-join whose branches are mutually exclusive.
-
-    The caller asserts that the partition predicates select pairwise disjoint
-    sets of tuples (the paper's condition that φ and ψ are mutually
-    exclusive); under that assumption the partitions behave like distinct
-    tuple-independent tables and the query can be processed as if it had no
-    self-join.  The returned query uses the aliases as table names; the engine
-    materialises each alias by filtering the base table (sharing the original
-    variables, which is sound because the partitions never contribute the same
-    tuple).
-    """
-    if len({p.alias for p in partitions}) != len(partitions):
-        raise UnsupportedQueryError("self-join partitions must use distinct aliases")
-    if len({p.base_table for p in partitions}) != 1:
-        raise UnsupportedQueryError("self-join partitions must share one base table")
-    atoms = [Atom(p.alias, alias_attributes[p.alias]) for p in partitions]
-    atoms.extend(other_atoms)
-    return ConjunctiveQuery(
-        name,
-        atoms,
-        projection=projection,
-        selections=selections,
-    )

@@ -39,15 +39,11 @@ __all__ = [
     "signature_from_tree",
     "has_one_scan_property",
     "num_scans",
-    "starred_tables",
-    "aggregate_starred_table",
     "fully_starred",
-    "minimal_cover",
     "sort_table_order",
     "OneScanTreeNode",
     "one_scan_tree",
     "restrict_signature",
-    "replace_with_leftmost_table",
 ]
 
 
@@ -348,32 +344,6 @@ def num_scans(signature: Signature) -> int:
     return 1 + failing
 
 
-def starred_tables(signature: Signature) -> List[str]:
-    """Tables occurring directly under a star (as ``R*``), in preorder."""
-    result: List[str] = []
-    for sub in signature.subexpressions():
-        if isinstance(sub, StarSig) and isinstance(sub.inner, TableSig):
-            result.append(sub.inner.table)
-    return result
-
-
-def aggregate_starred_table(signature: Signature, table: str) -> Signature:
-    """Signature after eagerly aggregating ``[R*]``: every ``R*`` becomes ``R``.
-
-    This is the signature transformation performed by one GRP aggregation scan
-    (Fig. 6: e.g. ``(Cust*(Ord*Item*)*)* --[Ord*]--> (Cust*(Ord Item*)*)*``).
-    """
-    if isinstance(signature, TableSig):
-        return signature
-    if isinstance(signature, StarSig):
-        if isinstance(signature.inner, TableSig) and signature.inner.table == table:
-            return signature.inner
-        return StarSig(aggregate_starred_table(signature.inner, table))
-    if isinstance(signature, ConcatSig):
-        return ConcatSig([aggregate_starred_table(part, table) for part in signature.parts])
-    raise QueryError(f"unknown signature node {signature!r}")
-
-
 def fully_starred(signature: Signature) -> Signature:
     """The signature with every table occurrence starred.
 
@@ -388,31 +358,6 @@ def fully_starred(signature: Signature) -> Signature:
     if isinstance(signature, ConcatSig):
         return ConcatSig([fully_starred(part) for part in signature.parts])
     raise QueryError(f"unknown signature node {signature!r}")
-
-
-def replace_with_leftmost_table(signature: Signature, covered: Iterable[str]) -> Signature:
-    """Replace every maximal subexpression whose tables are all in ``covered``
-    by its leftmost table name.
-
-    This is the update rule of Section V.B: once a probability computation
-    operator with signature ``t`` has run below, ancestors see the aggregate
-    as a single variable/probability pair represented by the leftmost table
-    of ``t``.
-    """
-    covered_set = set(covered)
-
-    def rewrite(node: Signature) -> Signature:
-        if set(node.tables()) <= covered_set:
-            return TableSig(node.tables()[0])
-        if isinstance(node, TableSig):
-            return node
-        if isinstance(node, StarSig):
-            return StarSig(rewrite(node.inner))
-        if isinstance(node, ConcatSig):
-            return ConcatSig([rewrite(part) for part in node.parts])
-        raise QueryError(f"unknown signature node {node!r}")
-
-    return rewrite(signature)
 
 
 def restrict_signature(signature: Signature, tables: Iterable[str]) -> Optional[Signature]:
@@ -438,24 +383,6 @@ def restrict_signature(signature: Signature, tables: Iterable[str]) -> Optional[
         raise QueryError(f"unknown signature node {node!r}")
 
     return restrict(signature)
-
-
-def minimal_cover(signature: Signature, tables: Iterable[str]) -> Signature:
-    """Definition III.3: the signature of the minimal subexpression containing
-    all the given tables."""
-    wanted = set(tables)
-    if not wanted:
-        raise QueryError("minimal cover of an empty table set is undefined")
-    best: Optional[Signature] = None
-    for sub in signature.subexpressions():
-        sub_tables = set(sub.tables())
-        if wanted <= sub_tables:
-            if best is None or len(sub_tables) < len(set(best.tables())):
-                best = sub
-    if best is None:
-        missing = wanted - set(signature.tables())
-        raise QueryError(f"tables {sorted(missing)} do not occur in signature {signature}")
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,16 @@
-"""Safe-plan baseline: Dalvi–Suciu safe plans and a MystiQ-style evaluator.
+"""Safe-plan baseline: a MystiQ-style evaluator.
 
-The comparison system of Section VII: :mod:`repro.safeplans.safe_plan`
-builds the unique safe plan of a tractable query (or proves none exists),
-and :mod:`repro.safeplans.mystiq` evaluates it the way the MystiQ
-middleware would — per-operator aggregation with the numerically fragile
-log-sum trick the paper measures against, including its characteristic
-:class:`repro.errors.NumericalError` failures.  SPROUT's own plans live in
-:mod:`repro.sprout`; this package exists to reproduce the baseline columns
-of the paper's figures (see ``docs/benchmarks.md``).
+The comparison system of Section VII: :mod:`repro.safeplans.mystiq`
+evaluates a tractable query the way the MystiQ middleware would — along the
+Dalvi–Suciu safe plan that its own hierarchy tree dictates, with
+per-operator aggregation and the numerically fragile log-sum trick the
+paper measures against, including its characteristic
+:class:`repro.errors.NumericalError` failures.  Whether a query has such a
+plan is :func:`repro.query.rewrite.is_tractable`.  SPROUT's own plans live
+in :mod:`repro.sprout`; this package exists to reproduce the baseline
+columns of the paper's figures (see ``docs/benchmarks.md``).
 """
 
 from repro.safeplans.mystiq import MystiqEngine
-from repro.safeplans.safe_plan import (
-    SafePlanNode,
-    build_safe_plan,
-    has_safe_plan,
-    safe_plan_description,
-)
 
-__all__ = [
-    "MystiqEngine",
-    "SafePlanNode",
-    "build_safe_plan",
-    "has_safe_plan",
-    "safe_plan_description",
-]
+__all__ = ["MystiqEngine"]

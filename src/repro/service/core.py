@@ -63,10 +63,9 @@ class ServiceConfig:
     """Server-wide knobs of one :class:`QueryService`.
 
     ``max_steps_ceiling`` clamps the per-request ``max_steps`` budget (a
-    request asking for more is rejected with a 400); ``default_max_steps``
-    applies when a request names no budget at all (``None`` keeps the
-    engine's own budget arithmetic: per-tuple default cap, exhaustion
-    raised).
+    request asking for more is rejected with a 400); a request that names
+    no budget keeps the engine's own budget arithmetic (per-tuple default
+    cap, exhaustion raised).
 
     ``default_timeout_ms`` is the wall-clock deadline applied to every
     decision request (top-k, threshold, subscribe, subscription update)
@@ -88,7 +87,6 @@ class ServiceConfig:
     """
 
     max_steps_ceiling: Optional[int] = None
-    default_max_steps: Optional[int] = None
     default_timeout_ms: Optional[float] = None
     snapshot_path: Optional[str] = None
     snapshot_every: Optional[int] = None
@@ -369,7 +367,7 @@ class QueryService:
 
     def _checked_max_steps(self, params: Dict[str, Any]) -> Optional[int]:
         """The request's step budget, clamped by the server-wide ceiling."""
-        max_steps = params.get("max_steps", self.config.default_max_steps)
+        max_steps = params.get("max_steps")
         if max_steps is None:
             return None
         if not isinstance(max_steps, int) or isinstance(max_steps, bool) or max_steps < 0:

@@ -13,13 +13,11 @@ The bottom layer everything else stands on:
   MystiQ baseline's materialised temporaries.
 * :mod:`repro.storage.catalog` — tables, primary keys, and the functional
   dependencies the FD-aware rewriting (Section IV) consumes.
-* :mod:`repro.storage.csv_io` — CSV import/export for the TPC-H generator.
 
 See ``docs/architecture.md`` for the full layer map.
 """
 
 from repro.storage.catalog import Catalog, FunctionalDependency, TableInfo
-from repro.storage.csv_io import read_csv, write_csv
 from repro.storage.heapfile import HeapFile, PageStats
 from repro.storage.relation import Relation, sort_key_for
 from repro.storage.schema import Attribute, ColumnRole, Schema, VarProbPair
@@ -35,7 +33,5 @@ __all__ = [
     "Schema",
     "TableInfo",
     "VarProbPair",
-    "read_csv",
     "sort_key_for",
-    "write_csv",
 ]

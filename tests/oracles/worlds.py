@@ -1,9 +1,11 @@
 """Possible-worlds semantics: the brute-force ground truth of every confidence.
 
 ``Pr[t ∈ Q(D)]`` is the total probability of the worlds whose query answer
-contains ``t`` (Section II-C).  For small databases the tests evaluate the
-query in every world, with the row operators, and sum world probabilities
-per answer tuple; every other confidence computation is checked against it.
+contains ``t`` (Section II-C).  For small databases :func:`worlds`
+enumerates every truth assignment of the variables with its probability and
+instance, the tests evaluate the query in every world, with the row
+operators, and sum world probabilities per answer tuple; every other
+confidence computation is checked against it.
 
 Enumerating the worlds is the expensive part of tier-1, and its truth depends
 only on the database's contents and the query.  :func:`enumerate_truths`
@@ -14,11 +16,13 @@ both.  Every query is still evaluated in every world.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import product as cartesian_product
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.algebra.expressions import TruePredicate
 from repro.algebra.joins import HashJoinOp
 from repro.algebra.operators import Operator, ProjectOp, ScanOp, SelectOp
+from repro.errors import ProbabilityError
 from repro.prob.pdb import ProbabilisticDatabase
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.sprout.planner import needed_data_attributes
@@ -30,6 +34,73 @@ Truth = Dict[DataTuple, float]
 #: A deterministic query: maps a world instance (table name -> relation) to an
 #: answer relation over data columns only.
 DeterministicQuery = Callable[[Dict[str, Relation]], Relation]
+
+
+class PossibleWorld:
+    """One possible world: a truth assignment and its deterministic instance."""
+
+    def __init__(
+        self,
+        assignment: Dict[int, bool],
+        probability: float,
+        instance: Dict[str, Relation],
+    ):
+        self.assignment = assignment
+        self.probability = probability
+        self.instance = instance
+
+    def __repr__(self) -> str:
+        true_count = sum(1 for value in self.assignment.values() if value)
+        return f"PossibleWorld(p={self.probability:.6g}, {true_count} true variables)"
+
+
+def world(database: ProbabilisticDatabase, assignment: Mapping[int, bool]) -> Dict[str, Relation]:
+    """The deterministic instance selected by a (total) truth assignment.
+
+    Each table keeps only the tuples whose variable is true, projected onto
+    its data columns.
+    """
+    instance: Dict[str, Relation] = {}
+    for table in database.tables():
+        data_names = list(table.data_schema.names)
+        var_index = table.schema.index_of(table.var_column)
+        data_indices = table.schema.indices_of(data_names)
+        world_relation = Relation(table.source, table.data_schema)
+        for row in table.relation:
+            if assignment.get(row[var_index], False):
+                world_relation.append(tuple(row[i] for i in data_indices))
+        instance[table.source] = world_relation
+    return instance
+
+
+def world_probability(database: ProbabilisticDatabase, assignment: Mapping[int, bool]) -> float:
+    """Probability of the world selected by a total assignment."""
+    probability = 1.0
+    for variable, p in database.probabilities().items():
+        if variable not in assignment:
+            raise ProbabilityError(f"assignment does not cover variable {variable}")
+        probability *= p if assignment[variable] else 1.0 - p
+    return probability
+
+
+def worlds(database: ProbabilisticDatabase, max_variables: int = 22) -> Iterator[PossibleWorld]:
+    """Enumerate all possible worlds (guarded against exponential blow-up)."""
+    variables = sorted(database.registry)
+    if len(variables) > max_variables:
+        raise ProbabilityError(
+            f"refusing to enumerate 2^{len(variables)} possible worlds "
+            f"(limit is 2^{max_variables}); use the exact lineage evaluators instead"
+        )
+    probabilities = database.probabilities()
+    for values in cartesian_product((False, True), repeat=len(variables)):
+        assignment = dict(zip(variables, values))
+        probability = 1.0
+        for variable, value in assignment.items():
+            p = probabilities[variable]
+            probability *= p if value else 1.0 - p
+        if probability == 0.0:
+            continue
+        yield PossibleWorld(assignment, probability, world(database, assignment))
 
 
 def _deterministic_plan(
@@ -80,10 +151,10 @@ def confidences_by_enumeration(
     database has more Boolean variables than this).
     """
     confidences: Truth = {}
-    for world in database.worlds(max_variables=max_variables):
-        answer = query(world.instance)
+    for possible in worlds(database, max_variables=max_variables):
+        answer = query(possible.instance)
         for data in {tuple(row) for row in answer}:
-            confidences[data] = confidences.get(data, 0.0) + world.probability
+            confidences[data] = confidences.get(data, 0.0) + possible.probability
     return confidences
 
 
@@ -114,14 +185,14 @@ def enumerate_truths(
     if missing:
         sums: List[Truth] = [{} for _ in missing]
         plans = None
-        for world in database.worlds():
+        for possible in worlds(database):
             if plans is None:
-                plans = [_deterministic_plan(query, world.instance) for query in missing]
+                plans = [_deterministic_plan(query, possible.instance) for query in missing]
             for (scans, plan), confidences in zip(plans, sums):
                 for table, scan in scans.items():
-                    scan.relation = world.instance[table]
+                    scan.relation = possible.instance[table]
                 for data in set(plan):
-                    confidences[data] = confidences.get(data, 0.0) + world.probability
+                    confidences[data] = confidences.get(data, 0.0) + possible.probability
         for query, confidences in zip(missing, sums):
             _TRUTHS[contents, query] = confidences
     return [dict(_TRUTHS[contents, query]) for query in queries]

@@ -129,13 +129,20 @@ class TestScanScheduling:
         assert schedule.total_scans == 3
         aggregated = [step.aggregated_table for step in schedule.pre_aggregations]
         assert aggregated == ["Ord", "Cust"]
+        # Fig. 6: aggregating [Ord*] turns every Ord* into Ord.
+        after = [str(step.signature_after) for step in schedule.pre_aggregations]
+        assert after == ["(Cust* (Ord Item*)*)*", "(Cust (Ord Item*)*)*"]
         assert str(schedule.final_signature) == "(Cust (Ord Item*)*)*"
         assert "scan" in schedule.describe()
 
     def test_composite_pre_aggregation(self):
         schedule = schedule_scans(parse_signature("((R S*)* (U W*)*)*"))
         assert schedule.total_scans == 2
-        assert str(schedule.pre_aggregations[0].sub_signature) == "(R S*)*"
+        step = schedule.pre_aggregations[0]
+        assert str(step.sub_signature) == "(R S*)*"
+        # Section V.B: ancestors see the aggregate as its leftmost table.
+        assert step.aggregated_table == "R"
+        assert str(step.signature_after) == "(R (U W*)*)*"
 
     def test_apply_scan_schedule_matches_semantics(self):
         answer = paper_answer_relation()

@@ -121,14 +121,3 @@ class TestDerivedQueries:
             [Atom("Cust", ["ckey", "cname"]), Atom("Ord", ["okey", "ckey", "odate", "ostatus"])]
         )
         assert "ostatus" in query.attributes_of("Ord")
-
-    def test_restricted_to(self):
-        restricted = make_query().restricted_to(["Cust", "Ord"])
-        assert restricted.table_names() == ["Cust", "Ord"]
-        assert restricted.projection == ("odate",)
-        # The Item-only selection disappears with the Item atom.
-        assert restricted.selections == Comparison("cname", "=", "Joe")
-
-    def test_restricted_to_empty_rejected(self):
-        with pytest.raises(QueryError):
-            make_query().restricted_to(["Nope"])

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import NonHierarchicalQueryError
 from repro.algebra.expressions import Comparison
 from repro.query.conjunctive import Atom, ConjunctiveQuery
-from repro.query.fd import chase_is_hierarchical_possible, chased_query, closure, fd_reduct
+from repro.query.fd import chased_query, closure, fd_reduct
 from repro.query.hierarchy import is_hierarchical
 from repro.query.rewrite import effective_boolean_query, effective_signature, is_tractable
 from repro.storage.catalog import FunctionalDependency
@@ -90,9 +90,13 @@ class TestFdReduct:
         assert "cname" not in {a for atom in reduct.atoms for a in atom.attributes}
         assert reduct.selection_predicates() == []
 
-    def test_chase_is_hierarchical_possible(self):
-        assert chase_is_hierarchical_possible(example_iv3_query(), [ORD_FD])
-        assert not chase_is_hierarchical_possible(example_iv3_query(), [])
+    def test_tractable_through_the_fd_reduct(self):
+        # Proposition IV.5: the chase can make the query hierarchical exactly
+        # when the FD-reduct is hierarchical.
+        assert not is_hierarchical(example_iv3_query())
+        assert is_hierarchical(fd_reduct(example_iv3_query(), [ORD_FD]))
+        assert is_tractable(example_iv3_query(), [ORD_FD])
+        assert not is_tractable(example_iv3_query(), [])
 
 
 class TestChasedQuery:

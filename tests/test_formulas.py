@@ -1,4 +1,4 @@
-"""Tests for propositional formulas, DNF lineage, and the exact-probability oracles."""
+"""Tests for DNF lineage, its component grouping, and the exact-probability oracles."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,17 +6,7 @@ from hypothesis import strategies as st
 
 from helpers import oracle_connected_components, oracle_dnf, oracle_minimised
 
-from repro.errors import ProbabilityError
-from repro.prob.formulas import (
-    DNF,
-    And,
-    Bottom,
-    Or,
-    Top,
-    Var,
-    _component_groups,
-    is_read_once,
-)
+from repro.prob.formulas import DNF, _component_groups
 from oracles.lineage import (
     _connected_components,
     dnf_probability,
@@ -25,53 +15,6 @@ from oracles.lineage import (
 
 
 PROBS = {1: 0.1, 2: 0.2, 3: 0.3, 4: 0.4, 5: 0.5, 6: 0.6}
-
-
-class TestFormulaAlgebra:
-    def test_var(self):
-        formula = Var(1)
-        assert formula.probability(PROBS) == 0.1
-        assert formula.evaluate({1: True}) and not formula.evaluate({1: False})
-        assert formula.variables() == frozenset({1})
-
-    def test_constants(self):
-        assert Top().probability(PROBS) == 1.0 and Bottom().probability(PROBS) == 0.0
-        assert Top().evaluate({}) and not Bottom().evaluate({})
-
-    def test_and_or_probability_1of(self):
-        # x1 (x2 ∨ x3): the paper's 1OF probability evaluation
-        formula = And([Var(1), Or([Var(2), Var(3)])])
-        expected = 0.1 * (1 - 0.8 * 0.7)
-        assert formula.probability(PROBS) == pytest.approx(expected)
-        assert is_read_once(formula)
-
-    def test_paper_example_probability(self):
-        # x1 y1 (z1 ∨ z2) with the Fig. 1 probabilities = 0.0028
-        probabilities = {1: 0.1, 2: 0.1, 3: 0.1, 4: 0.2}
-        formula = And([Var(1), Var(2), Or([Var(3), Var(4)])])
-        assert formula.probability(probabilities) == pytest.approx(0.1 * 0.1 * 0.28)
-
-    def test_non_1of_probability_rejected(self):
-        formula = Or([And([Var(1), Var(2)]), And([Var(1), Var(3)])])
-        assert not is_read_once(formula)
-        with pytest.raises(ProbabilityError):
-            formula.probability(PROBS)
-
-    def test_missing_probability(self):
-        with pytest.raises(ProbabilityError):
-            Var(99).probability(PROBS)
-
-    def test_occurrence_count(self):
-        formula = And([Var(1), Or([Var(2), Var(1)])])
-        assert formula.occurrence_count() == {1: 2, 2: 1}
-
-    def test_to_dnf(self):
-        formula = And([Var(1), Or([Var(2), Var(3)])])
-        assert formula.to_dnf() == DNF([{1, 2}, {1, 3}])
-
-    def test_empty_nary_rejected(self):
-        with pytest.raises(ProbabilityError):
-            And([])
 
 
 class TestDNF:
@@ -103,12 +46,6 @@ class TestDNF:
     def test_union(self):
         assert DNF([[1]]) | DNF([[2]]) == DNF([[1], [2]])
 
-    def test_to_formula_roundtrip(self):
-        dnf = DNF([[1, 2], [3]])
-        assert dnf.to_formula().to_dnf() == dnf
-        assert isinstance(DNF().to_formula(), Bottom)
-        assert isinstance(DNF([[]]).to_formula(), Top)
-
 
 class TestExactProbability:
     def test_independent_clauses(self):
@@ -121,6 +58,13 @@ class TestExactProbability:
         dnf = DNF([[1, 2], [1, 3]])
         expected = 0.1 * (1 - 0.8 * 0.7)
         assert dnf_probability(dnf, PROBS) == pytest.approx(expected)
+
+    def test_paper_example_probability(self):
+        # x1 y1 (z1 ∨ z2) with the Fig. 1 probabilities = 0.0028
+        probabilities = {1: 0.1, 2: 0.1, 3: 0.1, 4: 0.2}
+        dnf = DNF([[1, 2, 3], [1, 2, 4]])
+        for probability in (dnf_probability, dnf_probability_enumeration):
+            assert probability(dnf, probabilities) == pytest.approx(0.1 * 0.1 * 0.28)
 
     def test_constant_dnfs(self):
         assert dnf_probability(DNF(), PROBS) == 0.0

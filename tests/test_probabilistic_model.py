@@ -13,7 +13,14 @@ from repro.storage.schema import ColumnRole, Schema
 
 from oracles.lineage import confidences_from_lineage
 from oracles.rows import lineage_by_tuple, probabilities_from_answer
-from oracles.worlds import confidences_by_enumeration, enumerate_truths, evaluate_deterministic
+from oracles.worlds import (
+    confidences_by_enumeration,
+    enumerate_truths,
+    evaluate_deterministic,
+    world,
+    world_probability,
+    worlds,
+)
 from test_differential_matrix import CORPUS
 
 
@@ -106,21 +113,21 @@ class TestProbabilisticDatabase:
     def test_world_selection(self):
         db = self.build()
         assignment = {1: True, 2: False, 3: True}
-        world = db.world(assignment)
-        assert world["R"].rows == [(1,)]
-        assert world["S"].rows == [(1, 7)]
-        assert db.world_probability(assignment) == pytest.approx(0.5 * 0.5 * 0.25)
+        instance = world(db, assignment)
+        assert instance["R"].rows == [(1,)]
+        assert instance["S"].rows == [(1, 7)]
+        assert world_probability(db, assignment) == pytest.approx(0.5 * 0.5 * 0.25)
 
     def test_world_probabilities_sum_to_one(self):
         db = self.build()
-        total = sum(world.probability for world in db.worlds())
+        total = sum(possible.probability for possible in worlds(db))
         assert total == pytest.approx(1.0)
 
     def test_world_enumeration_guard(self):
         db = ProbabilisticDatabase("big")
         db.add_table(Relation("R", Schema.of("a:int"), [(i,) for i in range(30)]))
         with pytest.raises(ProbabilityError):
-            list(db.worlds(max_variables=10))
+            list(worlds(db, max_variables=10))
 
     def test_alias_shares_variables(self):
         db = self.build()

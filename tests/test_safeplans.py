@@ -1,10 +1,12 @@
-"""Tests for the safe-plan baseline (Dalvi–Suciu plans, MystiQ evaluator)."""
+"""Tests for the safe-plan baseline (Dalvi–Suciu plan shape, MystiQ evaluator)."""
 
 import pytest
 
-from repro.errors import NumericalError, UnsafePlanError
+from repro.errors import NonHierarchicalQueryError, NumericalError, UnsafePlanError
 from repro import Atom, ConjunctiveQuery, MystiqEngine, ProbabilisticDatabase
-from repro.safeplans.safe_plan import build_safe_plan, has_safe_plan, safe_plan_description
+from repro.query.fd import fd_reduct
+from repro.query.hierarchy import build_hierarchy
+from repro.query.rewrite import is_tractable
 from repro.storage import Relation, Schema
 from repro.storage.catalog import FunctionalDependency
 
@@ -24,32 +26,36 @@ def hard_query():
 
 
 class TestSafePlanConstruction:
+    """A query has a safe plan exactly when it is tractable (Section IV), and
+    the plan follows its hierarchy tree (Fig. 2), which the eager planner
+    builds on."""
+
     def test_paper_query_has_safe_plan(self):
-        assert has_safe_plan(paper_query())
+        assert is_tractable(paper_query())
 
     def test_hard_query_has_none_without_fds(self):
-        assert not has_safe_plan(hard_query())
-        with pytest.raises(UnsafePlanError):
-            build_safe_plan(hard_query())
+        assert not is_tractable(hard_query())
+        with pytest.raises(NonHierarchicalQueryError):
+            build_hierarchy(hard_query())
 
     def test_hard_query_safe_with_fd(self):
         fds = [FunctionalDependency("Ord", ["okey"], ["ckey", "odate"])]
-        assert has_safe_plan(hard_query(), fds)
-        plan = build_safe_plan(hard_query(), fds)
-        assert set(plan.tables()) == {"Cust", "Ord", "Item"}
+        assert is_tractable(hard_query(), fds)
+        tree = build_hierarchy(fd_reduct(hard_query(), fds))
+        assert set(tree.tables()) == {"Cust", "Ord", "Item"}
 
-    def test_plan_shape_matches_fig2(self):
-        # Fig. 2: the deepest independent project joins Ord and Item on ckey, okey.
-        plan = build_safe_plan(paper_query())
-        assert plan.kind == "project-join"
-        inner = [child for child in plan.children if child.kind == "project-join"]
-        assert len(inner) == 1
-        assert set(inner[0].join_attributes) == {"ckey", "okey"}
-        assert {child.table for child in plan.children if child.kind == "table"} == {"Cust"}
-
-    def test_description_renders(self):
-        text = safe_plan_description(paper_query())
-        assert "π^ind" in text and "Cust" in text
+    def test_plan_shape_matches_fig2(self, paper_engine):
+        # Fig. 2: the root joins Cust with the {Ord, Item} subtree, and the
+        # deepest independent project joins Ord and Item on ckey, okey.  The
+        # figure uses no FDs; with them the engine's tree also carries cname.
+        engine_tree = paper_engine.hierarchy_for(paper_query(), use_fds=False)
+        for tree in (build_hierarchy(paper_query()), engine_tree):
+            assert not tree.is_leaf
+            inner = [child for child in tree.children if not child.is_leaf]
+            assert len(inner) == 1
+            assert set(inner[0].attributes) == {"ckey", "okey"}
+            assert set(inner[0].tables()) == {"Ord", "Item"}
+            assert [child.atom.table for child in tree.children if child.is_leaf] == ["Cust"]
 
 
 class TestMystiqEngine:

@@ -1,4 +1,4 @@
-"""Tests for query signatures: derivation, 1scan property, scans, covers."""
+"""Tests for query signatures: derivation, 1scan property, scans, 1scanTree."""
 
 import pytest
 
@@ -8,17 +8,13 @@ from repro.query.signature import (
     ConcatSig,
     StarSig,
     TableSig,
-    aggregate_starred_table,
     has_one_scan_property,
-    minimal_cover,
     num_scans,
     one_scan_tree,
     parse_signature,
-    replace_with_leftmost_table,
     restrict_signature,
     signature_of_query,
     sort_table_order,
-    starred_tables,
 )
 from repro.storage.catalog import FunctionalDependency
 
@@ -147,37 +143,11 @@ class TestOneScanProperty:
 
 
 class TestTransformations:
-    def test_aggregate_starred_table(self):
-        signature = parse_signature("(Cust* (Ord* Item*)*)*")
-        after = aggregate_starred_table(signature, "Ord")
-        assert str(after) == "(Cust* (Ord Item*)*)*"
-
-    def test_starred_tables(self):
-        assert starred_tables(parse_signature("(Cust* (Ord* Item*)*)*")) == ["Cust", "Ord", "Item"]
-        assert starred_tables(parse_signature("(Cust (Ord Item*)*)*")) == ["Item"]
-
     def test_restrict_signature(self):
         signature = parse_signature("(Cust* (Ord* Item*)*)*")
         assert str(restrict_signature(signature, ["Ord", "Item"])) == "(Ord* Item*)*"
         assert str(restrict_signature(signature, ["Cust"])) == "Cust*"
         assert restrict_signature(signature, ["Nope"]) is None
-
-    def test_replace_with_leftmost(self):
-        signature = parse_signature("(Cust (Ord Item*)*)*")
-        replaced = replace_with_leftmost_table(signature, ["Ord", "Item"])
-        assert str(replaced) == "(Cust Ord)*"
-        replaced_all = replace_with_leftmost_table(signature, ["Cust", "Ord", "Item"])
-        assert str(replaced_all) == "Cust"
-
-    def test_minimal_cover(self):
-        # Example III.4.
-        signature = parse_signature("(Cust* (Ord* Item*)*)*")
-        assert str(minimal_cover(signature, ["Ord", "Item"])) == "(Ord* Item*)*"
-        assert str(minimal_cover(signature, ["Cust", "Ord"])) == str(signature)
-        with pytest.raises(QueryError):
-            minimal_cover(signature, ["Nope"])
-        with pytest.raises(QueryError):
-            minimal_cover(signature, [])
 
 
 class TestOneScanTree:

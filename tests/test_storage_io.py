@@ -1,4 +1,4 @@
-"""Tests for heap files, the sort key, CSV I/O, and shipped store segments."""
+"""Tests for heap files, the sort key, and shipped store segments."""
 
 import os
 import pickle
@@ -9,9 +9,8 @@ from repro.errors import StorageCorruptionError, StorageError
 from repro.prob.dtree import canonical_clauses
 from repro.prob.formulas import DNF
 from repro.prob.sharedag import SharedLineageStore
-from repro.storage.csv_io import read_csv, write_csv
 from repro.storage.heapfile import HeapFile
-from repro.storage.relation import Relation, sort_key_for
+from repro.storage.relation import sort_key_for
 from repro.storage.schema import Schema
 
 
@@ -190,33 +189,3 @@ class TestSortKey:
         ordered = sorted(values, key=sort_key_for)
         assert ordered[0] is None
         assert ordered[-1] == "abc"
-
-
-class TestCsvIO:
-    def test_roundtrip(self, tmp_path):
-        schema = Schema.of("a:int", "b:str", "c:float", "flag:bool")
-        relation = Relation(
-            "t", schema, [(1, "x", 1.5, True), (2, "y", -3.0, False), (3, None, None, None)]
-        )
-        path = str(tmp_path / "t.csv")
-        write_csv(relation, path)
-        loaded = read_csv(path, schema, name="t")
-        assert loaded == relation
-
-    def test_header_mismatch(self, tmp_path):
-        path = str(tmp_path / "t.csv")
-        write_csv(Relation("t", Schema.of("a:int"), [(1,)]), path)
-        with pytest.raises(StorageError):
-            read_csv(path, Schema.of("b:int"))
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("")
-        with pytest.raises(StorageError):
-            read_csv(str(path), Schema.of("a:int"))
-
-    def test_bad_arity(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1\n")
-        with pytest.raises(StorageError):
-            read_csv(str(path), Schema.of("a:int", "b:int"))

@@ -2,7 +2,8 @@
 
 import pytest
 
-
+from repro import Atom
+from repro.errors import UnsupportedQueryError
 from repro.tpch.casestudy import case_study_table, classify_all, classify_query
 from repro.tpch.datagen import MKT_SEGMENTS, NATIONS, REGIONS, generate_tpch
 from repro.tpch.probabilistic import make_probabilistic_tpch
@@ -97,6 +98,25 @@ class TestProbabilisticTpch:
     def test_keys_registered_as_fds(self, tpch_db):
         fds = tpch_db.catalog.functional_dependencies(["orders"])
         assert any(fd.determinant == frozenset({"orderkey"}) for fd in fds)
+
+
+class TestSelfJoinsThroughAliases:
+    def test_query_7_joins_two_alias_copies_of_nation(self, tpch_db, tpch_engine):
+        """Section IV's mutually exclusive self-join: naming ``nation`` twice
+        is refused with a message that points at ``add_alias``, and query 7
+        over the two registered copies evaluates."""
+        from oracles.rows import RowEngine
+
+        query = tpch_query("7").query
+        self_joined = [
+            Atom("nation", atom.attributes) if atom.table.startswith("nation_") else atom
+            for atom in query.atoms
+        ]
+        with pytest.raises(UnsupportedQueryError, match="ProbabilisticDatabase.add_alias"):
+            query.with_atoms(self_joined)
+        confidences = tpch_engine.evaluate(query).confidences()
+        assert confidences and {row[1:] for row in confidences} == {("FRANCE", "GERMANY")}
+        assert confidences == RowEngine(tpch_db).evaluate(query).confidences()
 
 
 class TestQueryRegistry:
